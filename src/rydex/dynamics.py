@@ -65,6 +65,19 @@ PRODUCT_BASIS_8 = ("du", "ud", "dD", "uU", "Dd", "Uu", "DU", "UD")
 # driven sector when both atoms are driven symmetrically.
 SUPERPOSITION_BASIS_8 = ("g+", "e_up+", "e_dn+", "r+", "g-", "e_up-", "e_dn-", "r-")
 
+# One-photon links of the sector: (row, column) in PRODUCT_BASIS_8 and
+# the index in CHANNELS of the drive that connects them.
+_SECTOR_LINKS = (
+    (0, 2, 3),  # du <-> dD, uD_B
+    (0, 5, 0),  # du <-> Uu, dU_A
+    (1, 3, 2),  # ud <-> uU, dU_B
+    (1, 4, 1),  # ud <-> Dd, uD_A
+    (2, 7, 0),  # dD <-> UD, dU_A
+    (3, 6, 1),  # uU <-> DU, uD_A
+    (4, 6, 2),  # Dd <-> DU, dU_B
+    (5, 7, 3),  # Uu <-> UD, uD_B
+)
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -201,26 +214,25 @@ def build_full8(pulse: PulseSpec, v_s: float, v_c: float) -> HamiltonianMatrix:
     ``v_s`` is the diagonal shift of the doubly excited product states
     and ``v_c`` their spin-exchange coupling, both in kHz.
     """
-    a_dU_A = pulse.amplitude("dU_A")
-    a_uD_A = pulse.amplitude("uD_A")
-    a_dU_B = pulse.amplitude("dU_B")
-    a_uD_B = pulse.amplitude("uD_B")
+    amps = np.array([pulse.amplitude(ch) for ch in CHANNELS])
+    return HamiltonianMatrix(
+        basis=PRODUCT_BASIS_8, matrix=_sector_matrices(amps, v_s, v_c)
+    )
 
-    h = np.zeros((8, 8), dtype=complex)
-    # one-photon connections of the sector; see PRODUCT_BASIS_8 order
-    h[0, 2] = a_uD_B  # du <-> dD
-    h[0, 5] = a_dU_A  # du <-> Uu
-    h[1, 3] = a_dU_B  # ud <-> uU
-    h[1, 4] = a_uD_A  # ud <-> Dd
-    h[2, 7] = a_dU_A  # dD <-> UD
-    h[3, 6] = a_uD_A  # uU <-> DU
-    h[4, 6] = a_dU_B  # Dd <-> DU
-    h[5, 7] = a_uD_B  # Uu <-> UD
-    h = h + h.conj().T
-    h[6, 6] = h[7, 7] = 2.0 * v_s
-    h[6, 7] += 2.0 * v_c
-    h[7, 6] += 2.0 * v_c
-    return HamiltonianMatrix(basis=PRODUCT_BASIS_8, matrix=h / 2.0)
+
+def _sector_matrices(amps: np.ndarray, v_s: float, v_c: float) -> np.ndarray:
+    """(..., 8, 8) sector matrices from (..., 4) amplitudes in CHANNELS order.
+
+    Real amplitudes give real float64 matrices, so batched eigensolves
+    stay on the real symmetric path.
+    """
+    h = np.zeros(amps.shape[:-1] + (8, 8), dtype=np.result_type(amps, 1.0))
+    for row, col, ch in _SECTOR_LINKS:
+        h[..., row, col] = amps[..., ch]
+    h = h + np.swapaxes(h, -1, -2).conj()
+    h[..., 6, 6] = h[..., 7, 7] = 2.0 * v_s
+    h[..., 6, 7] = h[..., 7, 6] = 2.0 * v_c
+    return h / 2.0
 
 
 def build_swap_2pi(

@@ -26,6 +26,7 @@ from .dynamics import (
     PRODUCT_BASIS_8,
     PulseSpec,
     QuantumState,
+    _sector_matrices,
     build_full8,
     propagate,
     tau2_approximate,
@@ -234,28 +235,11 @@ def _batched_pulse3_fidelities(
     fids = np.empty(n)
     for start in range(0, n, chunk):
         om = omegas_khz[start : start + chunk]
-        b = om.shape[0]
-        h = np.zeros((b, 8, 8))
-        a_du_a, a_ud_a, a_du_b, a_ud_b = om.T
-        h[:, 0, 2] = a_ud_b
-        h[:, 0, 5] = a_du_a
-        h[:, 1, 3] = a_du_b
-        h[:, 1, 4] = a_ud_a
-        h[:, 2, 7] = a_du_a
-        h[:, 3, 6] = a_ud_a
-        h[:, 4, 6] = a_du_b
-        h[:, 5, 7] = a_ud_b
-        h = h + h.transpose(0, 2, 1)
-        h[:, 6, 6] = 2.0 * v_s
-        h[:, 7, 7] = 2.0 * v_s
-        h[:, 6, 7] += 2.0 * v_c
-        h[:, 7, 6] += 2.0 * v_c
-        h *= 0.5
-        w, v = np.linalg.eigh(h)
+        w, v = np.linalg.eigh(_sector_matrices(om, v_s, v_c))
         coef = np.einsum("bij,i->bj", v.conj(), psi2)
         phases = np.exp(-2j * np.pi * w * tau3_us * 1e-3)
         amps = np.einsum("bij,bj->bi", v, phases * coef)
-        fids[start : start + b] = 0.5 * np.abs(amps[:, 0] + amps[:, 1]) ** 2
+        fids[start : start + chunk] = 0.5 * np.abs(amps[:, 0] + amps[:, 1]) ** 2
     return fids
 
 

@@ -436,14 +436,9 @@ def swap_gate(
     # ud -> uU; pulse 9 maps the target back. Success amplitude of
     # du -> ud is <uU| U(t) |dD>, and ud -> du is the transpose element.
     if v_minus_khz is None:
-        basis = ("uU", "dD", "r+")
-        c = omega_khz / (2.0 * _SQRT2) * complex(math.cos(phi), math.sin(phi))
-        m = np.zeros((3, 3), dtype=complex)
-        m[0, 2] = c
-        m[1, 2] = c
-        m = m + m.conj().T
-        m[2, 2] = v_plus_khz if v_plus_khz is not None else 0.0
-        h_ex = HamiltonianMatrix(basis=basis, matrix=m)
+        # r- is sliced away, so the V- passed here never enters
+        full = build_swap_2pi(omega_khz, phi, v_plus_khz or 0.0, 0.0)
+        h_ex = HamiltonianMatrix(basis=full.basis[:3], matrix=full.matrix[:3, :3])
     else:
         h_ex = build_swap_2pi(omega_khz, phi, v_plus_khz, v_minus_khz)
 

@@ -16,8 +16,9 @@ Each intermediate channel k = 1..4 is one assignment of p-state fine
 structure (j_A, j_B); the angular algebra of that channel enters only
 through a rational matrix D_k = M_k^T M_k, where M_k collects the
 signed products of Clebsch-Gordan factors of the two dipole flips over
-all intermediate Zeeman states. The D_k and M_k are small exact
-matrices and are hard-coded below; their values are locked by tests.
+all intermediate Zeeman states (Walker & Saffman, PRA 77, 032723
+(2008)). Both are derived at import from ``atoms.clebsch_gordan`` as
+``AngularChannel`` states; every entry of D_k is a multiple of 1/81.
 
 Radial physics enters through perturbative channel sums over a window
 of principal quantum numbers around (n_A, n_B); see ``channel_c6``.
@@ -37,6 +38,7 @@ from .atoms import (
     CHANNEL_FINE_STRUCTURE,
     QuantumDefectModel,
     RydbergLevel,
+    clebsch_gordan,
     level_energy,
 )
 from .radial import rrr_coefficient
@@ -79,53 +81,6 @@ class SingularChannelError(ValueError):
     """An intermediate channel is exactly resonant (zero energy defect)."""
 
 
-def _d(num: int) -> float:
-    return num / 81.0
-
-# Direct-block angular matrices D_k on SPIN_BASIS, exact rationals n/81.
-# Diagonal: (corner, middle, middle, corner); the only off-diagonal
-# entries couple the two middle (spin-exchange) states.
-_D_MATRICES: dict[int, np.ndarray] = {
-    1: np.array(
-        [
-            [_d(22), 0, 0, 0],
-            [0, _d(26), _d(8), 0],
-            [0, _d(8), _d(26), 0],
-            [0, 0, 0, _d(22)],
-        ]
-    ),
-    2: np.array(
-        [
-            [_d(14), 0, 0, 0],
-            [0, _d(10), -_d(8), 0],
-            [0, -_d(8), _d(10), 0],
-            [0, 0, 0, _d(14)],
-        ]
-    ),
-    3: np.array(
-        [
-            [_d(14), 0, 0, 0],
-            [0, _d(10), -_d(8), 0],
-            [0, -_d(8), _d(10), 0],
-            [0, 0, 0, _d(14)],
-        ]
-    ),
-    4: np.array(
-        [
-            [_d(4), 0, 0, 0],
-            [0, _d(8), _d(8), 0],
-            [0, _d(8), _d(8), 0],
-            [0, 0, 0, _d(4)],
-        ]
-    ),
-}
-
-_SQ2 = math.sqrt(2.0) / 9.0
-_SQ3 = math.sqrt(3.0) / 9.0
-_SQ6 = math.sqrt(6.0) / 9.0
-_SQ8 = math.sqrt(8.0) / 9.0
-
-
 def _m_rows(j_a: float, j_b: float) -> tuple[tuple[float, float], ...]:
     def projections(j: float) -> list[float]:
         return [m - j for m in range(int(2 * j) + 1)]
@@ -133,64 +88,36 @@ def _m_rows(j_a: float, j_b: float) -> tuple[tuple[float, float], ...]:
     return tuple((ma, mb) for ma in projections(j_a) for mb in projections(j_b))
 
 
-def _build_m(j_a: float, j_b: float, entries: dict) -> np.ndarray:
+def _transition_matrix(j_a: float, j_b: float) -> np.ndarray:
+    """M of fine structure (j_A, j_B); see ``AngularChannel`` for the entries."""
     rows = _m_rows(j_a, j_b)
-    m = np.zeros((len(rows), 4))
-    for (row_label, col_label), value in entries.items():
-        m[rows.index(row_label), SPIN_BASIS.index(col_label)] = value
+    m = np.zeros((len(rows), len(SPIN_BASIS)))
+    for i, (fa, fb) in enumerate(rows):
+        for c, (ma, mb) in enumerate(SPIN_BASIS):
+            q = fa - ma
+            if abs(q) <= 1 and fb - mb == -q:
+                m[i, c] = (
+                    (-2.0 if q == 0 else -1.0)
+                    * (clebsch_gordan(1, q, 0.5, ma, j_a, fa) / math.sqrt(3.0))
+                    * (clebsch_gordan(1, -q, 0.5, mb, j_b, fb) / math.sqrt(3.0))
+                )
     return m
 
-# Transition matrices M_k: row = intermediate p-state Zeeman pair
-# (m_A', m_B'), column = initial spin pair (m_A, m_B), entry = product
-# of the two single-atom dipole Clebsch-Gordan factors (angular part
-# only). Entries are exact surds over 9.
-_M_ENTRIES_1 = {
-    ((-1.5, 0.5), (-0.5, -0.5)): -_SQ3,
-    ((-1.5, 1.5), (-0.5, 0.5)): -1.0 / 3.0,
-    ((-0.5, -0.5), (-0.5, -0.5)): -4.0 / 9.0,
-    ((-0.5, 0.5), (-0.5, 0.5)): -4.0 / 9.0,
-    ((-0.5, 0.5), (0.5, -0.5)): -1.0 / 9.0,
-    ((-0.5, 1.5), (0.5, 0.5)): -_SQ3,
-    ((0.5, -1.5), (-0.5, -0.5)): -_SQ3,
-    ((0.5, -0.5), (-0.5, 0.5)): -1.0 / 9.0,
-    ((0.5, -0.5), (0.5, -0.5)): -4.0 / 9.0,
-    ((0.5, 0.5), (0.5, 0.5)): -4.0 / 9.0,
-    ((1.5, -1.5), (0.5, -0.5)): -1.0 / 3.0,
-    ((1.5, -0.5), (0.5, 0.5)): -_SQ3,
-}
 
-_M_ENTRIES_2 = {
-    ((-1.5, 0.5), (-0.5, -0.5)): -_SQ6,
-    ((-0.5, -0.5), (-0.5, -0.5)): -_SQ8,
-    ((-0.5, 0.5), (-0.5, 0.5)): _SQ8,
-    ((-0.5, 0.5), (0.5, -0.5)): -_SQ2,
-    ((0.5, -0.5), (-0.5, 0.5)): _SQ2,
-    ((0.5, -0.5), (0.5, -0.5)): -_SQ8,
-    ((0.5, 0.5), (0.5, 0.5)): _SQ8,
-    ((1.5, -0.5), (0.5, 0.5)): _SQ6,
-}
+def _exact_gram(m: np.ndarray) -> np.ndarray:
+    """D = M^T M snapped to the exact multiples of 1/81 it must consist of."""
+    d = m.T @ m
+    n = np.rint(81.0 * d)
+    err = float(np.abs(d - n / 81.0).max())
+    if err > 1e-12:
+        raise ArithmeticError(f"angular Gram matrix is {err:.1e} off the 1/81 lattice")
+    return n / 81.0
 
-# Channel 3 is channel 2 with the atom roles exchanged: swap the two
-# members of every row and column label.
-_M_ENTRIES_3 = {
-    ((rb, ra), (cb, ca)): v for ((ra, rb), (ca, cb)), v in _M_ENTRIES_2.items()
-}
-
-_M_ENTRIES_4 = {
-    ((-0.5, -0.5), (-0.5, -0.5)): -2.0 / 9.0,
-    ((-0.5, 0.5), (-0.5, 0.5)): 2.0 / 9.0,
-    ((-0.5, 0.5), (0.5, -0.5)): 2.0 / 9.0,
-    ((0.5, -0.5), (-0.5, 0.5)): 2.0 / 9.0,
-    ((0.5, -0.5), (0.5, -0.5)): 2.0 / 9.0,
-    ((0.5, 0.5), (0.5, 0.5)): -2.0 / 9.0,
-}
 
 _M_MATRICES: dict[int, np.ndarray] = {
-    1: _build_m(1.5, 1.5, _M_ENTRIES_1),
-    2: _build_m(1.5, 0.5, _M_ENTRIES_2),
-    3: _build_m(0.5, 1.5, _M_ENTRIES_3),
-    4: _build_m(0.5, 0.5, _M_ENTRIES_4),
+    k: _transition_matrix(j_a, j_b) for k, (j_a, j_b) in CHANNEL_FINE_STRUCTURE.items()
 }
+_D_MATRICES: dict[int, np.ndarray] = {k: _exact_gram(m) for k, m in _M_MATRICES.items()}
 
 
 @dataclass(frozen=True)
@@ -200,6 +127,12 @@ class AngularChannel:
     ``d_matrix`` is the 4x4 second-order angular weight on SPIN_BASIS,
     ``m_matrix`` the underlying transition matrix (one row per
     intermediate Zeeman pair) with ``d_matrix = m_matrix.T @ m_matrix``.
+    The entry of ``m_matrix`` at row (m_A', m_B') and column (m_A, m_B)
+    is w(q) f(j_A, m_A', m_A) f(j_B, m_B', m_B), nonzero only for
+    q = m_A' - m_A = m_B - m_B' in {-1, 0, 1}. The weight w(0) = -2,
+    w(+-1) = -1 comes from d_A . d_B - 3 d_Az d_Bz, and
+    f(j, m', m) = <1 q; 1/2 m | j m'> / sqrt(3) is the s_1/2 -> p_j
+    dipole factor, with the photon coupled first in ``clebsch_gordan``.
     ``max_coupling`` is the largest |entry| of ``m_matrix``; it sets the
     strongest first-order dipole coupling of the channel and hence the
     blockade radius.
@@ -260,6 +193,31 @@ def _channel_terms(
             yield ns, nt, defect, rr, rr_cross
 
 
+def _included_terms(
+    model: QuantumDefectModel, n_a: int, n_b: int, k: int, dn_cutoff: int
+):
+    """``_channel_terms`` minus logged near-resonant terms; exact resonance raises."""
+    for term in _channel_terms(model, n_a, n_b, k, dn_cutoff):
+        ns, nt, defect = term[:3]
+        if defect == 0.0:
+            raise SingularChannelError(
+                f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly "
+                f"resonant with ({n_a}s, {n_b}s)"
+            )
+        if abs(defect) < NEAR_RESONANCE_GHZ:
+            logger.warning(
+                "excluding near-resonant channel %d term (%dp, %dp): "
+                "defect %.3g GHz below %.0e GHz",
+                k,
+                ns,
+                nt,
+                defect,
+                NEAR_RESONANCE_GHZ,
+            )
+            continue
+        yield term
+
+
 def channel_c6(
     model: QuantumDefectModel,
     n_a: int,
@@ -282,25 +240,8 @@ def channel_c6(
     if dn_cutoff < 0:
         raise ValueError(f"dn_cutoff must be non-negative, got {dn_cutoff}")
     total = 0.0
-    for ns, nt, defect, rr, rr_cross in _channel_terms(model, n_a, n_b, k, dn_cutoff):
-        if defect == 0.0:
-            raise SingularChannelError(
-                f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly "
-                f"resonant with ({n_a}s, {n_b}s)"
-            )
-        if abs(defect) < NEAR_RESONANCE_GHZ:
-            logger.warning(
-                "excluding near-resonant channel %d term (%dp, %dp): "
-                "defect %.3g GHz below %.0e GHz",
-                k,
-                ns,
-                nt,
-                defect,
-                NEAR_RESONANCE_GHZ,
-            )
-            continue
-        second = rr_cross if exchange else rr
-        total += -rr * second / defect
+    for _, _, defect, rr, rr_cross in _included_terms(model, n_a, n_b, k, dn_cutoff):
+        total += -rr * (rr_cross if exchange else rr) / defect
     return total
 
 
@@ -537,20 +478,7 @@ def interference_decomposition(
     for k in (1, 2, 3, 4):
         d_diag = _D_MATRICES[k][1, 1]
         d_off = _D_MATRICES[k][1, 2]
-        for ns, nt, defect, rr, _ in _channel_terms(model, n_a, n_b, k, dn_cutoff):
-            if defect == 0.0:
-                raise SingularChannelError(
-                    f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly resonant"
-                )
-            if abs(defect) < NEAR_RESONANCE_GHZ:
-                logger.warning(
-                    "excluding near-resonant channel %d term (%dp, %dp) "
-                    "from decomposition",
-                    k,
-                    ns,
-                    nt,
-                )
-                continue
+        for ns, nt, defect, rr, _ in _included_terms(model, n_a, n_b, k, dn_cutoff):
             term = -rr * rr / defect
             out.append(
                 ChannelContribution(

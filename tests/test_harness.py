@@ -8,6 +8,15 @@ import pytest
 
 from rydex.atoms import QuantumDefectModel
 from rydex.cli import main
+from rydex.dynamics import (
+    PRODUCT_BASIS_8,
+    SUPERPOSITION_BASIS_8,
+    PulseSpec,
+    QuantumState,
+    build_full8,
+    propagate,
+    relabeling_matrix,
+)
 from rydex.harness import (
     FidelityHistogram,
     RobustnessConfig,
@@ -175,6 +184,21 @@ def test_batched_fidelities_ignore_chunk_size():
     small = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
     full = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
     assert np.array_equal(small, full)
+
+
+def test_batched_fidelities_match_single_pulse_propagation():
+    rng = np.random.Generator(np.random.Philox(key=[7, 0]))
+    psi2 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi2 /= np.linalg.norm(psi2)
+    omegas = 58.8 * rng.uniform(0.8, 1.2, size=(5, 4))
+    v_s, v_c, tau3 = 358.05, -353.19, 8.5
+    batched = _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
+    g_plus = relabeling_matrix()[SUPERPOSITION_BASIS_8.index("g+")]
+    start = QuantumState(basis=PRODUCT_BASIS_8, amplitudes=psi2)
+    for om, fid in zip(omegas, batched):
+        pulse = PulseSpec(*om, duration_us=tau3)
+        final = propagate(start, build_full8(pulse, v_s, v_c), tau3)
+        assert fid == pytest.approx(abs(g_plus @ final.amplitudes) ** 2, abs=1e-12)
 
 
 def test_histogram_payload_and_rows():

@@ -150,6 +150,19 @@ def test_swap_gate_ideal_limit():
     assert res.gate_fidelity == pytest.approx(1.0, abs=1e-9)
 
 
+def test_swap_gate_decoupled_minus_with_shift_frozen():
+    # v_minus=None with a nonzero V+ and drive phase
+    res = swap_gate(89.0, V_PLUS, None, CORNER, 11.12, phi=0.3)
+    assert res.basis_fidelities["du"] == pytest.approx(0.9922845907076863,
+                                                       rel=1e-12)
+    assert res.basis_fidelities["ud"] == pytest.approx(0.9922845907076865,
+                                                       rel=1e-9)
+    assert res.basis_fidelities["uu"] == pytest.approx(0.9998047934889989,
+                                                       rel=1e-12)
+    assert res.gate_fidelity == pytest.approx(0.9960446920983426, rel=1e-12)
+    assert res.rydberg_exposure_us == pytest.approx(6.296418804969008, rel=1e-9)
+
+
 def test_swap_gate_composition_is_signed_swap():
     # amplitudes of the ideal-limit sequence assemble to -SWAP_MATRIX_IDEAL
     omega, t_2pi = 100.0, 10.0

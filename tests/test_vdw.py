@@ -64,6 +64,30 @@ def test_channel_3_is_channel_2_with_atoms_swapped():
     assert np.array_equal(_D_MATRICES[2], _D_MATRICES[3])
 
 
+@pytest.mark.parametrize(
+    "k,row,col,expected",
+    [
+        (1, (-0.5, -0.5), (-0.5, -0.5), -4.0 / 9.0),
+        (1, (-1.5, 1.5), (-0.5, 0.5), -1.0 / 3.0),
+        (1, (-0.5, 0.5), (0.5, -0.5), -1.0 / 9.0),
+        (2, (-0.5, 0.5), (-0.5, 0.5), math.sqrt(8.0) / 9.0),
+        (2, (-0.5, 0.5), (0.5, -0.5), -math.sqrt(2.0) / 9.0),
+        (2, (0.5, -0.5), (-0.5, 0.5), math.sqrt(2.0) / 9.0),
+        (2, (1.5, -0.5), (0.5, 0.5), math.sqrt(6.0) / 9.0),
+        (3, (0.5, -1.5), (-0.5, -0.5), -math.sqrt(6.0) / 9.0),
+        (3, (-0.5, 0.5), (0.5, -0.5), math.sqrt(2.0) / 9.0),
+        (4, (-0.5, 0.5), (0.5, -0.5), 2.0 / 9.0),
+        (4, (0.5, 0.5), (0.5, 0.5), -2.0 / 9.0),
+    ],
+)
+def test_m_matrix_signed_entries(k, row, col, expected):
+    # D = M^T M and max|M| cannot see a flipped row sign or a swapped
+    # Clebsch-Gordan argument order; the signed entries can
+    ch = angular_channel(k)
+    value = ch.m_matrix[ch.row_labels.index(row), ch.col_labels.index(col)]
+    assert value == pytest.approx(expected, abs=1e-15)
+
+
 def test_angular_channel_exposes_labels():
     ch = angular_channel(2)
     assert ch.d_matrix.shape == (4, 4)
@@ -171,6 +195,15 @@ def test_near_resonant_terms_excluded_with_warning(caplog):
         value = channel_c6(model, 50, 52, 1, dn_cutoff=1)
     assert math.isfinite(value)
     assert any("near-resonant" in r.message for r in caplog.records)
+
+    # the decomposition applies the same exclusion and still sums to it
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
+        parts = interference_decomposition(model, 50, 52, dn_cutoff=1)
+    assert any("near-resonant" in r.message for r in caplog.records)
+    d_diag = angular_channel(1).d_matrix[1, 1]
+    total = sum(p.c6_plus + p.c6_minus for p in parts if p.channel == 1)
+    assert total / (2.0 * d_diag) == pytest.approx(value, rel=1e-12)
 
 
 # --- spacing-resolved quantities --------------------------------------------
