@@ -538,7 +538,9 @@ def to_jsonable(obj):
 
 
 def dumps_json(data: dict) -> str:
-    return json.dumps(to_jsonable(data), sort_keys=True, indent=2) + "\n"
+    """Strict JSON text, keys sorted; a NaN or infinity raises ValueError."""
+    text = json.dumps(to_jsonable(data), sort_keys=True, indent=2, allow_nan=False)
+    return text + "\n"
 
 
 def write_json(data: dict, path: str) -> None:

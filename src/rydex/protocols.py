@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .atoms import QuantumDefectModel
 from .dynamics import (
@@ -354,6 +353,8 @@ def optimize_pairwise(
 
     converged = False
     if np.any(hi > lo):
+        from scipy import optimize as _sciopt  # heavy; only the search needs it
+
         rng = np.random.Generator(np.random.Philox(seed))
         starts = [start] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
         for x0 in starts:

@@ -22,6 +22,14 @@ all intermediate Zeeman states (Walker & Saffman, PRA 77, 032723
 
 Radial physics enters through perturbative channel sums over a window
 of principal quantum numbers around (n_A, n_B); see ``channel_c6``.
+Each term is -R R' / defect with R = e^2 r_A r_B. The product is
+separable, R[da, db] = (E2A02 r_A[da]) r_B[db], so one call builds the
+whole window per channel from four per-atom radial vectors (own and
+crossed s -> p elements of each atom) and two per-atom energy vectors,
+and every returned quantity is a reduction over those arrays. Sums run
+left to right in window order (da outer, db inner), as a scalar loop
+adds them: a pairwise ``np.sum`` would move the last digits of
+published values.
 All coefficients are in GHz um^6, all pair interactions in kHz.
 """
 
@@ -31,6 +39,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +49,9 @@ from .atoms import (
     RydbergLevel,
     clebsch_gordan,
     level_energy,
+    quantum_defect,
 )
-from .radial import rrr_coefficient
+from .radial import E2A02_GHZ_UM3, effective_orbital, radial_integral
 
 __all__ = [
     "SingularChannelError",
@@ -164,58 +174,136 @@ def angular_channel(k: int) -> AngularChannel:
     )
 
 
-def _channel_terms(
-    model: QuantumDefectModel, n_a: int, n_b: int, k: int, dn_cutoff: int
-):
-    """Yield (ns, nt, defect_ghz, rrr_direct, rrr_cross) over the window.
+class _ChannelTerms(NamedTuple):
+    """One channel's window, flattened with da outer and db inner."""
 
-    The window is a full square: both intermediate principal numbers
-    range independently over +- dn_cutoff. ``rrr_direct`` is the
-    coupling with each atom keeping its own transition; ``rrr_cross``
-    re-emits into the atom-exchanged pair.
+    ns: np.ndarray
+    nt: np.ndarray
+    defect: np.ndarray
+    rr: np.ndarray
+    rr_cross: np.ndarray
+
+
+def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
+    """Lowest n of the p_j series with a positive effective quantum number.
+
+    n - delta(n) > 0 means (n - delta0)^3 > delta2, so the search starts
+    at the closed-form floor and only steps over rounding.
     """
-    j_a, j_b = CHANNEL_FINE_STRUCTURE[k]
+    s = model.series_for(1, j)
+    n = max(
+        2,
+        math.floor(s.delta0) + 1,
+        math.floor(s.delta0 + max(s.delta2, 0.0) ** (1.0 / 3.0)),
+    )
+    while n - quantum_defect(model, 1, j, n) <= 0:
+        n += 1
+    return n
+
+
+def _pair_terms(
+    model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int
+) -> dict[int, _ChannelTerms]:
+    """Every intermediate pair of the window, per channel, as flat arrays.
+
+    The window is a full square: ns = n_a + da and nt = n_b + db with da,
+    db in [-dn_cutoff, dn_cutoff]. ``rr`` is the coupling with each atom
+    keeping its own transition, ``rr_cross`` re-emits into the
+    atom-exchanged pair. Both factorize into per-atom radial vectors, so
+    each atom costs 2 dn_cutoff + 1 levels per p_j component instead of
+    one level per term.
+    """
+    if dn_cutoff < 0:
+        raise ValueError(f"dn_cutoff must be non-negative, got {dn_cutoff}")
+    floor_n = max(_lowest_bound_p(model, j) for j in (0.5, 1.5))
+    for name, n in (("n_a", n_a), ("n_b", n_b)):
+        if n - dn_cutoff < floor_n:
+            raise ValueError(
+                f"{name}={n} with dn_cutoff={dn_cutoff} reaches n={n - dn_cutoff}, "
+                f"below the lowest bound p level n={floor_n}"
+            )
     s_a = RydbergLevel(n_a, 0, 0.5)
     s_b = RydbergLevel(n_b, 0, 0.5)
-    for da in range(-dn_cutoff, dn_cutoff + 1):
-        for db in range(-dn_cutoff, dn_cutoff + 1):
-            ns, nt = n_a + da, n_b + db
-            p_a = RydbergLevel(ns, 1, j_a)
-            p_b = RydbergLevel(nt, 1, j_b)
-            defect = (
-                level_energy(model, p_a)
-                + level_energy(model, p_b)
-                - level_energy(model, s_a)
-                - level_energy(model, s_b)
+    e_sa = level_energy(model, s_a)
+    e_sb = level_energy(model, s_b)
+    orb_sa = effective_orbital(model, s_a)
+    orb_sb = effective_orbital(model, s_b)
+    offsets = range(-dn_cutoff, dn_cutoff + 1)
+
+    def atom_vectors(n, own, other):
+        # per p_j: energies, <own s|r|p> and <other s|r|p> over the window
+        out = {}
+        for j in (0.5, 1.5):
+            levels = [RydbergLevel(n + d, 1, j) for d in offsets]
+            orbs = [effective_orbital(model, p) for p in levels]
+            out[j] = (
+                np.array([level_energy(model, p) for p in levels]),
+                np.array([radial_integral(own, o) for o in orbs]),
+                np.array([radial_integral(other, o) for o in orbs]),
             )
-            rr = rrr_coefficient(model, (s_a, s_b), (p_a, p_b))
-            rr_cross = rrr_coefficient(model, (s_b, s_a), (p_a, p_b))
-            yield ns, nt, defect, rr, rr_cross
+        return out
+
+    vec_a = atom_vectors(n_a, orb_sa, orb_sb)
+    vec_b = atom_vectors(n_b, orb_sb, orb_sa)
+    width = 2 * dn_cutoff + 1
+    ns = np.repeat(np.arange(n_a - dn_cutoff, n_a + dn_cutoff + 1), width)
+    nt = np.tile(np.arange(n_b - dn_cutoff, n_b + dn_cutoff + 1), width)
+    terms = {}
+    for k, (j_a, j_b) in CHANNEL_FINE_STRUCTURE.items():
+        e_pa, r_a, x_a = vec_a[j_a]
+        e_pb, r_b, x_b = vec_b[j_b]
+        terms[k] = _ChannelTerms(
+            ns=ns,
+            nt=nt,
+            defect=(((e_pa[:, None] + e_pb[None, :]) - e_sa) - e_sb).ravel(),
+            rr=((E2A02_GHZ_UM3 * r_a)[:, None] * r_b[None, :]).ravel(),
+            rr_cross=((E2A02_GHZ_UM3 * x_a)[:, None] * x_b[None, :]).ravel(),
+        )
+    return terms
 
 
-def _included_terms(
-    model: QuantumDefectModel, n_a: int, n_b: int, k: int, dn_cutoff: int
-):
-    """``_channel_terms`` minus logged near-resonant terms; exact resonance raises."""
-    for term in _channel_terms(model, n_a, n_b, k, dn_cutoff):
-        ns, nt, defect = term[:3]
+def _included(terms: _ChannelTerms, k: int, n_a: int, n_b: int) -> np.ndarray:
+    """Mask of the terms the channel sums keep; exact resonance raises.
+
+    Terms with |defect| below NEAR_RESONANCE_GHZ are dropped and logged
+    one by one in window order.
+    """
+    near = np.abs(terms.defect) < NEAR_RESONANCE_GHZ
+    for i in np.flatnonzero(near):
+        ns, nt, defect = int(terms.ns[i]), int(terms.nt[i]), float(terms.defect[i])
         if defect == 0.0:
             raise SingularChannelError(
                 f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly "
                 f"resonant with ({n_a}s, {n_b}s)"
             )
-        if abs(defect) < NEAR_RESONANCE_GHZ:
-            logger.warning(
-                "excluding near-resonant channel %d term (%dp, %dp): "
-                "defect %.3g GHz below %.0e GHz",
-                k,
-                ns,
-                nt,
-                defect,
-                NEAR_RESONANCE_GHZ,
-            )
-            continue
-        yield term
+        logger.warning(
+            "excluding near-resonant channel %d term (%dp, %dp): "
+            "defect %.3g GHz below %.0e GHz",
+            k,
+            ns,
+            nt,
+            defect,
+            NEAR_RESONANCE_GHZ,
+        )
+    return ~near
+
+
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum from 0.0, as a scalar loop adds; np.sum pairs terms."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def _channel_sums(
+    terms: dict[int, _ChannelTerms], n_a: int, n_b: int
+) -> tuple[dict[int, float], dict[int, float]]:
+    """Direct and exchange channel sums of -R R' / defect over kept terms."""
+    direct, cross = {}, {}
+    for k, t in terms.items():
+        keep = _included(t, k, n_a, n_b)
+        rr, defect = t.rr[keep], t.defect[keep]
+        direct[k] = _ordered_sum(-rr * rr / defect)
+        cross[k] = _ordered_sum(-rr * t.rr_cross[keep] / defect)
+    return direct, cross
 
 
 def channel_c6(
@@ -237,12 +325,8 @@ def channel_c6(
     """
     if k not in CHANNEL_FINE_STRUCTURE:
         raise ValueError(f"channel must be 1..4, got {k}")
-    if dn_cutoff < 0:
-        raise ValueError(f"dn_cutoff must be non-negative, got {dn_cutoff}")
-    total = 0.0
-    for _, _, defect, rr, rr_cross in _included_terms(model, n_a, n_b, k, dn_cutoff):
-        total += -rr * (rr_cross if exchange else rr) / defect
-    return total
+    direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
+    return (cross if exchange else direct)[k]
 
 
 @dataclass(frozen=True)
@@ -272,7 +356,8 @@ def c6_pair(
     """
     if n_a == n_b:
         raise ValueError("c6_pair requires two distinct principal quantum numbers")
-    sums = tuple(channel_c6(model, n_a, n_b, k, dn_cutoff) for k in (1, 2, 3, 4))
+    direct, _ = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
+    sums = tuple(direct[k] for k in (1, 2, 3, 4))
     c6 = sum(s * _D_MATRICES[k][1, 1] for k, s in zip((1, 2, 3, 4), sums))
     c6x = sum(s * _D_MATRICES[k][1, 2] for k, s in zip((1, 2, 3, 4), sums))
     return C6Pair(
@@ -283,6 +368,11 @@ def c6_pair(
         c6_exchange=float(c6x),
         channel_sums=tuple(float(s) for s in sums),
     )
+
+
+def _check_spacing(spacing_um: float) -> None:
+    if not math.isfinite(spacing_um) or spacing_um <= 0:
+        raise ValueError(f"spacing must be positive and finite, got {spacing_um}")
 
 
 def _assemble(sums: dict[int, float]) -> np.ndarray:
@@ -324,15 +414,10 @@ def interaction_matrix(
     dn_cutoff: int = 10,
 ) -> InteractionMatrix:
     """Direct and exchange 4x4 interaction matrices at spacing L (um)."""
-    if spacing_um <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing_um}")
+    _check_spacing(spacing_um)
     if n_a == n_b:
         raise ValueError("interaction_matrix requires distinct principal numbers")
-    direct = {k: channel_c6(model, n_a, n_b, k, dn_cutoff) for k in (1, 2, 3, 4)}
-    cross = {
-        k: channel_c6(model, n_a, n_b, k, dn_cutoff, exchange=True)
-        for k in (1, 2, 3, 4)
-    }
+    direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
     c6_v1 = _assemble(direct)
     c6_v2 = _assemble(cross)
     lc = critical_radius(model, n_a, n_b).radius_um
@@ -380,8 +465,7 @@ class VPlusMinus:
 
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
-    if spacing_um <= 0:
-        raise ValueError(f"spacing must be positive, got {spacing_um}")
+    _check_spacing(spacing_um)
     scale = 1e6 / spacing_um**6
     vs = pair.c6 * scale
     vc = pair.c6_exchange * scale
@@ -425,15 +509,19 @@ def critical_radius(
     least 1% of the window maximum); ties go to the larger coupling.
     The radius solves max|M_k| * R / L^3 = |defect|.
     """
-    rows = []
-    for k in (1, 2, 3, 4):
-        mmax = float(np.abs(_M_MATRICES[k]).max())
-        for ns, nt, defect, rr, _ in _channel_terms(model, n_a, n_b, k, dn_cutoff):
-            rows.append((k, ns, nt, defect, rr, mmax))
-    rr_floor = 0.01 * max(abs(r[4]) for r in rows)
-    candidates = [r for r in rows if abs(r[4]) >= rr_floor]
-    candidates.sort(key=lambda r: (abs(r[3]), -abs(r[4])))
-    k, ns, nt, defect, rr, mmax = candidates[0]
+    terms = _pair_terms(model, n_a, n_b, dn_cutoff)
+    rrs = np.stack([t.rr for t in terms.values()])  # (channel, window term)
+    defects = np.stack([t.defect for t in terms.values()])
+    candidates = np.flatnonzero(np.abs(rrs) >= 0.01 * np.abs(rrs).max())
+    # smallest |defect| first, ties to the larger coupling, then window order
+    order = np.lexsort(
+        (-np.abs(rrs.flat[candidates]), np.abs(defects.flat[candidates]))
+    )
+    c, i = divmod(int(candidates[order[0]]), rrs.shape[1])
+    k = list(terms)[c]
+    ns, nt = int(terms[k].ns[i]), int(terms[k].nt[i])
+    defect, rr = float(defects[c, i]), float(rrs[c, i])
+    mmax = float(np.abs(_M_MATRICES[k]).max())
     if defect == 0.0:
         raise SingularChannelError(
             f"dominant channel ({ns}p, {nt}p) is exactly resonant; "
@@ -475,19 +563,22 @@ def interference_decomposition(
     the same window and exclusion rules.
     """
     out = []
-    for k in (1, 2, 3, 4):
+    for k, t in _pair_terms(model, n_a, n_b, dn_cutoff).items():
         d_diag = _D_MATRICES[k][1, 1]
         d_off = _D_MATRICES[k][1, 2]
-        for ns, nt, defect, rr, _ in _included_terms(model, n_a, n_b, k, dn_cutoff):
-            term = -rr * rr / defect
-            out.append(
-                ChannelContribution(
-                    channel=k,
-                    ns=ns,
-                    nt=nt,
-                    defect_ghz=float(defect),
-                    c6_plus=float(term * (d_diag + d_off)),
-                    c6_minus=float(term * (d_diag - d_off)),
-                )
+        keep = _included(t, k, n_a, n_b)
+        rr, defect = t.rr[keep], t.defect[keep]
+        term = -rr * rr / defect
+        out.extend(
+            ChannelContribution(
+                channel=k, ns=ns, nt=nt, defect_ghz=d, c6_plus=p, c6_minus=m
             )
+            for ns, nt, d, p, m in zip(
+                t.ns[keep].tolist(),
+                t.nt[keep].tolist(),
+                defect.tolist(),
+                (term * (d_diag + d_off)).tolist(),
+                (term * (d_diag - d_off)).tolist(),
+            )
+        )
     return tuple(out)

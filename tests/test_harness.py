@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rydex
 from rydex.atoms import QuantumDefectModel
 from rydex.cli import main
 from rydex.dynamics import (
@@ -476,6 +481,47 @@ def test_cli_computation_errors_return_1(capsys, argv):
     assert rc == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["coeffs", "--na", "3", "--nb", "5"],
+         "n_a=3 with dn_cutoff=10 reaches n=-7, below the lowest bound p level n=4"),
+        (["critical-radius", "--na", "75", "--nb", "5"], "n_b=5 with dn_cutoff=3"),
+        (["pair-sim", "--spacing", "nan"], "spacing must be positive and finite, got nan"),
+        (["pair-sim", "--spacing", "inf"], "spacing must be positive and finite, got inf"),
+        (["chain", "--gamma", "nan"], "Out of range float values are not JSON compliant"),
+    ],
+)
+def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
+    rc, out, err = _run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert message in err
+
+
+def test_dumps_json_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps_json({"x": bad})
+
+
+def test_import_does_not_load_scipy():
+    # scipy is only needed by the optimizer and is imported there
+    src = str(Path(rydex.__file__).resolve().parents[1])
+    code = (
+        "import sys, rydex, rydex.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_swap_sim_injected_matches_library(capsys):

@@ -6,10 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from rydex.atoms import QuantumDefectModel, RydbergLevel, level_energy
+from rydex.atoms import (
+    CHANNEL_FINE_STRUCTURE,
+    QuantumDefectModel,
+    RydbergLevel,
+    level_energy,
+)
+from rydex.harness import REFERENCE_TABLE_I
 from rydex.radial import rrr_coefficient
 from rydex.vdw import (
+    NEAR_RESONANCE_GHZ,
     SPIN_BASIS,
+    ChannelContribution,
     SingularChannelError,
     _D_MATRICES,
     _M_MATRICES,
@@ -205,6 +213,37 @@ def test_near_resonant_terms_excluded_with_warning(caplog):
     total = sum(p.c6_plus + p.c6_minus for p in parts if p.channel == 1)
     assert total / (2.0 * d_diag) == pytest.approx(value, rel=1e-12)
 
+    # so does c6_pair, whose channel-1 sum is that same reduction
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
+        pair = c6_pair(model, 50, 52, dn_cutoff=1)
+    assert any("near-resonant" in r.message for r in caplog.records)
+    assert pair.channel_sums[0] == value
+    assert all(math.isfinite(x) for x in (pair.c6, pair.c6_exchange))
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: c6_pair(MODEL, 3, 5), r"n_a=3 with dn_cutoff=10 reaches n=-7"),
+        (lambda: c6_pair(MODEL, 73, 12), r"n_b=12 with dn_cutoff=10 reaches n=2"),
+        (lambda: critical_radius(MODEL, 5, 7), r"n_a=5 with dn_cutoff=3 reaches n=2"),
+        (lambda: channel_c6(MODEL, 13, 20, 2), r"n_a=13 .* reaches n=3"),
+        (lambda: interference_decomposition(MODEL, 8, 30), r"n_a=8"),
+        (lambda: interaction_matrix(MODEL, 30, 9, 15.0), r"n_b=9"),
+    ],
+)
+def test_window_below_bound_p_levels_rejected(call, match):
+    # the Rb-87 p series first has n - delta(n) > 0 at n = 4
+    with pytest.raises(ValueError, match=match + r".*lowest bound p level n=4"):
+        call()
+
+
+def test_lowest_window_level_accepted():
+    # n_a - dn_cutoff = 4 is the lowest bound p level, so the window is valid
+    with pytest.warns(UserWarning, match="marginal"):
+        assert math.isfinite(channel_c6(MODEL, 14, 15, 2, dn_cutoff=10))
+
 
 # --- spacing-resolved quantities --------------------------------------------
 
@@ -234,6 +273,9 @@ def test_interaction_matrix_frozen_97_100():
 def test_interaction_matrix_validation():
     with pytest.raises(ValueError, match="spacing must be positive"):
         interaction_matrix(MODEL, 73, 75, -1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            interaction_matrix(MODEL, 73, 75, bad)
     with pytest.raises(ValueError, match="distinct principal"):
         interaction_matrix(MODEL, 73, 73, 15.0)
 
@@ -258,6 +300,9 @@ def test_v_plus_minus_eigenvectors_and_scaling():
     assert double.v_minus_khz == pytest.approx(vp.v_minus_khz / 64.0, rel=1e-12)
     with pytest.raises(ValueError, match="spacing"):
         v_plus_minus(pair, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+            v_plus_minus(pair, bad)
 
 
 def test_critical_radius_frozen():
@@ -325,3 +370,92 @@ def test_channel_4_feeds_only_v_plus():
 def test_decomposition_singular_term_raises():
     with pytest.raises(SingularChannelError):
         interference_decomposition(_degenerate_model(0.0), 50, 50, dn_cutoff=0)
+
+
+# --- bit identity with the scalar window walk --------------------------------
+
+def _scalar_terms(model, n_a, n_b, k, dn_cutoff):
+    """The term-by-term window walk the vectorized table replaced."""
+    j_a, j_b = CHANNEL_FINE_STRUCTURE[k]
+    s_a = RydbergLevel(n_a, 0, 0.5)
+    s_b = RydbergLevel(n_b, 0, 0.5)
+    for da in range(-dn_cutoff, dn_cutoff + 1):
+        for db in range(-dn_cutoff, dn_cutoff + 1):
+            ns, nt = n_a + da, n_b + db
+            p_a = RydbergLevel(ns, 1, j_a)
+            p_b = RydbergLevel(nt, 1, j_b)
+            defect = (
+                level_energy(model, p_a)
+                + level_energy(model, p_b)
+                - level_energy(model, s_a)
+                - level_energy(model, s_b)
+            )
+            rr = rrr_coefficient(model, (s_a, s_b), (p_a, p_b))
+            rr_cross = rrr_coefficient(model, (s_b, s_a), (p_a, p_b))
+            yield ns, nt, defect, rr, rr_cross
+
+
+def _scalar_sum(terms, exchange):
+    total = 0.0
+    for _, _, defect, rr, rr_cross in terms:
+        if abs(defect) >= NEAR_RESONANCE_GHZ:
+            total += -rr * (rr_cross if exchange else rr) / defect
+    return total
+
+
+def _scalar_block(sums):
+    m = np.zeros((4, 4))
+    for k, s in sums.items():
+        m += s * _D_MATRICES[k]
+    return m
+
+
+@pytest.mark.parametrize("n_a,n_b", [row[:2] for row in REFERENCE_TABLE_I])
+def test_vectorized_window_bit_identical_to_scalar_walk(n_a, n_b):
+    wide = {k: list(_scalar_terms(MODEL, n_a, n_b, k, 10)) for k in (1, 2, 3, 4)}
+    direct = {k: _scalar_sum(t, False) for k, t in wide.items()}
+    cross = {k: _scalar_sum(t, True) for k, t in wide.items()}
+
+    pair = c6_pair(MODEL, n_a, n_b)
+    assert pair.channel_sums == tuple(direct[k] for k in (1, 2, 3, 4))
+    assert pair.c6 == sum(direct[k] * _D_MATRICES[k][1, 1] for k in direct)
+    assert pair.c6_exchange == sum(direct[k] * _D_MATRICES[k][1, 2] for k in direct)
+    for k in (1, 2, 3, 4):
+        assert channel_c6(MODEL, n_a, n_b, k, exchange=True) == cross[k]
+
+    cr = critical_radius(MODEL, n_a, n_b)
+    im = interaction_matrix(MODEL, n_a, n_b, 2.0 * cr.radius_um)
+    assert np.array_equal(im.c6_v1_ghz_um6, _scalar_block(direct))
+    assert np.array_equal(im.c6_v2_ghz_um6, _scalar_block(cross))
+
+    rows = [
+        (k, ns, nt, defect, rr)
+        for k in (1, 2, 3, 4)
+        for ns, nt, defect, rr, _ in _scalar_terms(MODEL, n_a, n_b, k, 3)
+    ]
+    floor = 0.01 * max(abs(r[4]) for r in rows)
+    k, ns, nt, defect, rr = sorted(
+        (r for r in rows if abs(r[4]) >= floor), key=lambda r: (abs(r[3]), -abs(r[4]))
+    )[0]
+    mmax = float(np.abs(_M_MATRICES[k]).max())
+    assert (cr.channel, cr.ns, cr.nt) == (k, ns, nt)
+    assert (cr.defect_ghz, cr.rrr_ghz_um3, cr.max_coupling) == (defect, rr, mmax)
+    assert cr.radius_um == (mmax * abs(rr) / abs(defect)) ** (1.0 / 3.0)
+
+    expected = []
+    for k, terms in wide.items():
+        d_diag, d_off = _D_MATRICES[k][1, 1], _D_MATRICES[k][1, 2]
+        for ns, nt, defect, rr, _ in terms:
+            if abs(defect) >= NEAR_RESONANCE_GHZ:
+                term = -rr * rr / defect
+                expected.append(
+                    ChannelContribution(
+                        channel=k,
+                        ns=ns,
+                        nt=nt,
+                        defect_ghz=defect,
+                        c6_plus=float(term * (d_diag + d_off)),
+                        c6_minus=float(term * (d_diag - d_off)),
+                    )
+                )
+    assert interference_decomposition(MODEL, n_a, n_b) == tuple(expected)
