@@ -70,7 +70,9 @@ from .protocols import (
     RYDBERG_POPULATION_THRESHOLD,
     SWAP_MATRIX_IDEAL,
     ChainFidelityEstimate,
+    ChainResult,
     ChainSpec,
+    PairCouplings,
     PairwiseOptimum,
     ProtocolResult,
     PulseSchedule,
@@ -80,17 +82,17 @@ from .protocols import (
     Trajectory,
     chain_fidelity_estimate,
     chain_ideal_state,
+    chain_protocol,
     chain_schedule,
     optimize_pairwise,
+    pair_couplings,
     pairwise_entangle,
     spectator_blockade,
     swap_gate,
 )
 from .harness import (
     FidelityHistogram,
-    PairCouplings,
     RobustnessConfig,
-    pair_couplings,
     robustness_scan,
     run_figure,
     run_table,

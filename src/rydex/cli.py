@@ -25,7 +25,6 @@ from .harness import (
     dumps_json,
     histogram_payload,
     histogram_rows,
-    pair_couplings,
     robustness_scan,
     rows_to_csv,
     run_figure,
@@ -34,11 +33,12 @@ from .harness import (
 )
 from .protocols import (
     ChainSpec,
-    chain_fidelity_estimate,
-    chain_schedule,
+    _nominal_omega,
+    _swap_point,
+    chain_protocol,
     optimize_pairwise,
+    pair_couplings,
     pairwise_entangle,
-    spectator_blockade,
     swap_gate,
 )
 from .vdw import c6_pair, critical_radius
@@ -338,7 +338,7 @@ def _cmd_critical_radius(args, model, parser):
 
 def _cmd_pair_sim(args, model, parser):
     v_plus, v_minus, _ = _couplings(args, model)
-    nominal = math.sqrt(abs(v_plus * v_minus))
+    nominal = _nominal_omega(v_plus, v_minus)
     omega2 = args.omega2 if args.omega2 is not None else nominal
     omega3 = args.omega3 if args.omega3 is not None else nominal
     data = {
@@ -386,9 +386,7 @@ def _cmd_swap_sim(args, model, parser):
         v_blockade = coup.corner_khz
     else:
         raise ValueError("--v-blockade is required when couplings are injected")
-    nominal = math.sqrt(abs(v_plus * v_minus))
-    omega = args.omega if args.omega is not None else 1.5 * nominal
-    t_2pi = args.t2pi if args.t2pi is not None else 1e3 / omega
+    omega, t_2pi = _swap_point(_nominal_omega(v_plus, v_minus), args.omega, args.t2pi)
     result = swap_gate(omega, v_plus, v_minus, v_blockade, t_2pi, phi=args.phi)
     data = {
         "schema": SCHEMA,
@@ -418,39 +416,8 @@ def _cmd_chain(args, model, parser):
         pair=(args.na, args.nb),
         gamma_per_ms=args.gamma,
     )
-    schedule = chain_schedule(model, spec)
-    coup = pair_couplings(model, args.na, args.nb, args.spacing)
-    nominal = coup.nominal_omega_khz
-
-    f1 = args.f1
-    f_swap = args.fswap
-    tau = args.tau
-    pair_result = swap_result = None
-    if f1 is None or tau is None:
-        pair_result = pairwise_entangle(
-            nominal, nominal, coup.v_plus_khz, coup.v_minus_khz
-        )
-        if f1 is None:
-            f1 = pair_result.fidelity
-    if f_swap is None or tau is None:
-        omega_swap = 1.5 * nominal
-        swap_result = swap_gate(
-            omega_swap, coup.v_plus_khz, coup.v_minus_khz,
-            coup.corner_khz, 1e3 / omega_swap,
-        )
-        if f_swap is None:
-            f_swap = swap_result.gate_fidelity
-    if tau is None:
-        n_pair = spec.atom_count // 2
-        n_swap = n_pair - 1
-        total = (
-            n_pair * pair_result.rydberg_exposure_us
-            + n_swap * swap_result.rydberg_exposure_us
-        )
-        tau = total / (n_pair + n_swap)
-
-    estimate = chain_fidelity_estimate(spec, f1, f_swap, tau_us=tau)
-    spectator = spectator_blockade(model, spec)
+    chain = chain_protocol(model, spec, f1=args.f1, f_swap=args.fswap, tau_us=args.tau)
+    estimate, schedule, spectator = chain.estimate, chain.schedule, chain.spectator
     data = {
         "schema": SCHEMA,
         "command": "chain",
@@ -459,9 +426,9 @@ def _cmd_chain(args, model, parser):
         "n_b": args.nb,
         "spacing_um": args.spacing,
         "gamma_per_ms": args.gamma,
-        "f1": f1,
-        "f_swap": f_swap,
-        "tau_us": tau,
+        "f1": chain.f1,
+        "f_swap": chain.f_swap,
+        "tau_us": chain.tau_us,
         "fidelity": estimate.fidelity,
         "linear_error": estimate.linear_error,
         "gamma_tau": estimate.gamma_tau,
@@ -486,7 +453,7 @@ def _cmd_robustness(args, model, parser):
     v_plus, v_minus, coup = _couplings(args, model)
     omega = args.omega
     if omega is None:
-        omega = math.sqrt(abs(v_plus * v_minus))
+        omega = _nominal_omega(v_plus, v_minus)
     cfg = RobustnessConfig(
         epsilon=args.epsilon,
         samples=args.samples,

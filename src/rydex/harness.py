@@ -31,9 +31,9 @@ from .dynamics import (
     propagate,
     tau2_approximate,
 )
-from .protocols import pairwise_entangle
+from .protocols import PairCouplings, pair_couplings, pairwise_entangle
 from .radial import rrr_coefficient
-from .vdw import channel_c6, c6_pair, interaction_matrix
+from .vdw import channel_c6, c6_pair
 
 __all__ = [
     "SCHEMA",
@@ -120,36 +120,6 @@ QUOTED_V_PLUS_KHZ = 5.0
 QUOTED_V_MINUS_KHZ = 711.0
 FIGURE3_OMEGA2_KHZ = 119.0
 FIGURE3_OMEGA3_KHZ = 128.0
-
-
-@dataclass(frozen=True)
-class PairCouplings:
-    """Interaction scales of an (n_a, n_b) pair at a given spacing."""
-
-    n_a: int
-    n_b: int
-    spacing_um: float
-    v_plus_khz: float
-    v_minus_khz: float
-    corner_khz: float
-
-    @property
-    def nominal_omega_khz(self) -> float:
-        return math.sqrt(abs(self.v_plus_khz * self.v_minus_khz))
-
-
-def pair_couplings(
-    model: QuantumDefectModel, n_a: int, n_b: int, spacing_um: float
-) -> PairCouplings:
-    inter = interaction_matrix(model, n_a, n_b, spacing_um)
-    return PairCouplings(
-        n_a=n_a,
-        n_b=n_b,
-        spacing_um=spacing_um,
-        v_plus_khz=float(inter.vs_khz + inter.vc_khz),
-        v_minus_khz=float(inter.vs_khz - inter.vc_khz),
-        corner_khz=float(inter.v1_khz[0, 0]),
-    )
 
 
 # ---------------------------------------------------------------------------

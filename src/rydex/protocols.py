@@ -2,14 +2,16 @@
 
 Composes the pulse Hamiltonians into complete protocols:
 
+* ``pair_couplings``: V+, V- and the blockade corner of a pair, whose
+  working drive omega = sqrt|V+ V-| sets every protocol default,
 * ``pairwise_entangle``: the three-pulse sequence taking a ground pair
   |du> to the Bell state g+ through the doubly excited Bell state r+,
 * ``optimize_pairwise``: restarted simplex search over the two Rabi
   frequencies and two pulse durations,
 * ``swap_gate``: the pi / 2pi / pi sequence realizing a signed SWAP
   between neighboring atoms,
-* the chain schedule, ideal chain states, and the decay-limited chain
-  fidelity estimate.
+* the chain schedule, ideal chain states, the decay-limited chain
+  fidelity estimate, and ``chain_protocol`` composing them all.
 
 Conventions: frequencies in kHz (ordinary), times in microseconds,
 decay rates in 1/ms. Ideal pi pulses are instantaneous relabelings;
@@ -43,6 +45,8 @@ from .vdw import critical_radius, interaction_matrix
 
 __all__ = [
     "RYDBERG_POPULATION_THRESHOLD",
+    "PairCouplings",
+    "pair_couplings",
     "Trajectory",
     "ProtocolResult",
     "pairwise_entangle",
@@ -60,6 +64,8 @@ __all__ = [
     "chain_fidelity_estimate",
     "SpectatorBlockade",
     "spectator_blockade",
+    "ChainResult",
+    "chain_protocol",
 ]
 
 # A state counts as "in the Rydberg manifold" for duration bookkeeping
@@ -79,6 +85,68 @@ SWAP_MATRIX_IDEAL = np.array(
         [0, 0, 0, -1],
     ]
 )
+
+
+def _require_finite(
+    name: str, value: float, lower: float = -math.inf, inclusive: bool = True
+) -> None:
+    """Reject a non-finite ``value``, or one below ``lower`` (or at it unless
+    ``inclusive``), with a one-line error that names the parameter."""
+    in_range = value >= lower if inclusive else value > lower
+    if not (math.isfinite(value) and in_range):
+        bound = "" if lower == -math.inf else f" and {'>=' if inclusive else '>'} {lower:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
+@dataclass(frozen=True)
+class PairCouplings:
+    """Interaction scales of an (n_a, n_b) pair at a given spacing."""
+
+    n_a: int
+    n_b: int
+    spacing_um: float
+    v_plus_khz: float
+    v_minus_khz: float
+    corner_khz: float
+
+    @property
+    def nominal_omega_khz(self) -> float:
+        return _nominal_omega(self.v_plus_khz, self.v_minus_khz)
+
+
+def pair_couplings(
+    model: QuantumDefectModel, n_a: int, n_b: int, spacing_um: float
+) -> PairCouplings:
+    """V+, V- and the parallel-spin blockade corner from one interaction matrix."""
+    inter = interaction_matrix(model, n_a, n_b, spacing_um)
+    return PairCouplings(
+        n_a=n_a,
+        n_b=n_b,
+        spacing_um=spacing_um,
+        v_plus_khz=float(inter.vs_khz + inter.vc_khz),
+        v_minus_khz=float(inter.vs_khz - inter.vc_khz),
+        corner_khz=float(inter.v1_khz[0, 0]),
+    )
+
+
+def _nominal_omega(v_plus_khz: float, v_minus_khz: float) -> float:
+    return math.sqrt(abs(v_plus_khz * v_minus_khz))
+
+
+def _nominal_point(v_plus_khz: float, v_minus_khz: float) -> tuple[float, float, float]:
+    """(omega, tau2, tau3): the working drive, its closed-form pulse-2
+    time and its pulse-3 half period."""
+    omega = _nominal_omega(v_plus_khz, v_minus_khz)
+    tau2 = pulse2_analytics(omega, v_plus_khz, v_minus_khz).tau2_us
+    return omega, tau2, 1e3 / (2.0 * omega)
+
+
+def _swap_point(omega_khz: float, omega_swap: float | None = None,
+                t_2pi: float | None = None) -> tuple[float, float]:
+    """(SWAP drive, 2pi window) for pair drive omega: 1.5 omega and one
+    period of that drive, unless given."""
+    omega_swap = 1.5 * omega_khz if omega_swap is None else omega_swap
+    return omega_swap, 1e3 / omega_swap if t_2pi is None else t_2pi
 
 
 def _rydberg_masks(basis: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -169,7 +237,6 @@ def pairwise_entangle(
     phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
     samples_per_pulse: int = 400,
     keep_trajectory: bool = False,
-    warn_regime: bool = True,
 ) -> ProtocolResult:
     """Three-pulse Bell-state preparation |du> -> |g+>.
 
@@ -183,16 +250,24 @@ def pairwise_entangle(
     (phi_dU_A, phi_uD_A, phi_dU_B, phi_uD_B)).
 
     The protocol assumes the hierarchy |V-| >> omega >> |V+|; a warning
-    is emitted when it is violated by less than a factor of 5.
+    is emitted when it is violated by less than a factor of 5. Drives
+    and couplings must be finite, given durations finite and >= 0.
     """
-    if warn_regime:
-        omegas = (abs(omega_pulse2_khz), abs(omega_pulse3_khz))
-        if abs(v_minus_khz) < 5.0 * max(omegas) or min(omegas) < 5.0 * abs(v_plus_khz):
-            warnings.warn(
-                "outside the working hierarchy |V-| >> omega >> |V+|: "
-                f"V-={v_minus_khz:.3g} kHz, omegas={omegas}, V+={v_plus_khz:.3g} kHz",
-                stacklevel=2,
-            )
+    _require_finite("v_plus_khz", v_plus_khz)
+    _require_finite("v_minus_khz", v_minus_khz)
+    _require_finite("omega_pulse2_khz", omega_pulse2_khz)
+    _require_finite("omega_pulse3_khz", omega_pulse3_khz)
+    if tau2_us is not None:
+        _require_finite("tau2_us", tau2_us, 0.0)
+    if tau3_us is not None:
+        _require_finite("tau3_us", tau3_us, 0.0)
+    omegas = (abs(omega_pulse2_khz), abs(omega_pulse3_khz))
+    if abs(v_minus_khz) < 5.0 * max(omegas) or min(omegas) < 5.0 * abs(v_plus_khz):
+        warnings.warn(
+            "outside the working hierarchy |V-| >> omega >> |V+|: "
+            f"V-={v_minus_khz:.3g} kHz, omegas={omegas}, V+={v_plus_khz:.3g} kHz",
+            stacklevel=2,
+        )
     if tau2_us is None:
         tau2_us = pulse2_analytics(omega_pulse2_khz, v_plus_khz, v_minus_khz).tau2_us
     if tau3_us is None:
@@ -279,18 +354,6 @@ class PairwiseOptimum:
 _BOUND_KEYS = ("omega_pulse2", "omega_pulse3", "tau2", "tau3")
 
 
-def _default_bounds(v_plus: float, v_minus: float) -> dict[str, tuple[float, float]]:
-    base = math.sqrt(abs(v_plus * v_minus))
-    tau2_base = pulse2_analytics(base, v_plus, v_minus).tau2_us
-    tau3_base = 1e3 / (2.0 * base)
-    return {
-        "omega_pulse2": (0.5 * base, 3.0 * base),
-        "omega_pulse3": (0.5 * base, 3.0 * base),
-        "tau2": (0.25 * tau2_base, 2.0 * tau2_base),
-        "tau3": (0.25 * tau3_base, 2.0 * tau3_base),
-    }
-
-
 def optimize_pairwise(
     v_plus_khz: float,
     v_minus_khz: float,
@@ -302,14 +365,20 @@ def optimize_pairwise(
     """Maximize pairwise fidelity over (omega2, omega3, tau2, tau3).
 
     Restarted Nelder-Mead inside box bounds: the first start is the
-    analytic point (omega2 = omega3 = sqrt|V+ V-| with closed-form
+    working point (omega2 = omega3 = sqrt|V+ V-| with closed-form
     durations, clipped into the box), the remaining starts are drawn
     uniformly from the box with a counter-based generator, so results
     are deterministic for a given seed. The returned fidelity is never
-    below the starting point's. Bounds default to ``_default_bounds``;
-    pass single-point intervals to pin parameters.
+    below the starting point's. The default box is 0.5-3x the working
+    drive and 0.25-2x its durations; single-point intervals pin values.
     """
-    box = _default_bounds(v_plus_khz, v_minus_khz)
+    omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)
+    box = {
+        "omega_pulse2": (0.5 * omega, 3.0 * omega),
+        "omega_pulse3": (0.5 * omega, 3.0 * omega),
+        "tau2": (0.25 * tau2, 2.0 * tau2),
+        "tau3": (0.25 * tau3, 2.0 * tau3),
+    }
     if bounds:
         unknown = set(bounds) - set(_BOUND_KEYS)
         if unknown:
@@ -329,26 +398,14 @@ def optimize_pairwise(
             warnings.simplefilter("ignore")
             res = pairwise_entangle(
                 x[0], x[1], v_plus_khz, v_minus_khz,
-                tau2_us=x[2], tau3_us=x[3],
-                samples_per_pulse=2, warn_regime=False,
+                tau2_us=x[2], tau3_us=x[3], samples_per_pulse=2,
             )
         if res.fidelity > best["fid"]:
             best["fid"] = res.fidelity
             best["x"] = np.array(x)
         return 1.0 - res.fidelity
 
-    base = math.sqrt(abs(v_plus_khz * v_minus_khz))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        start = np.array(
-            [
-                base,
-                base,
-                pulse2_analytics(base, v_plus_khz, v_minus_khz).tau2_us,
-                1e3 / (2.0 * base),
-            ]
-        )
-    start = np.clip(start, lo, hi)
+    start = np.clip(np.array([omega, omega, tau2, tau3]), lo, hi)
     start_fid = 1.0 - objective(start)
 
     converged = False
@@ -369,11 +426,11 @@ def optimize_pairwise(
         converged = True  # degenerate box: nothing to search
 
     x = best["x"]
-    final = pairwise_entangle(
-        x[0], x[1], v_plus_khz, v_minus_khz,
-        tau2_us=x[2], tau3_us=x[3],
-        warn_regime=False,
-    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        final = pairwise_entangle(
+            x[0], x[1], v_plus_khz, v_minus_khz, tau2_us=x[2], tau3_us=x[3]
+        )
     return PairwiseOptimum(
         omega_pulse2_khz=float(x[0]),
         omega_pulse3_khz=float(x[1]),
@@ -423,8 +480,18 @@ def swap_gate(
     check), and ``v_blockade_khz = inf`` for a perfect blockade.
 
     The pre-condition V_blockade >> omega keeps the parallel channels
-    closed; a warning is emitted below a factor of 3.
+    closed; a warning is emitted below a factor of 3. The drive, the
+    phase and the couplings must be finite (the blockade may be
+    infinite), the window finite and >= 0.
     """
+    _require_finite("omega_khz", omega_khz)
+    _require_finite("t_2pi_us", t_2pi_us, 0.0)
+    _require_finite("phi", phi)
+    for name, value in (("v_plus_khz", v_plus_khz), ("v_minus_khz", v_minus_khz)):
+        if value is not None:
+            _require_finite(name, value)
+    if math.isnan(v_blockade_khz):
+        raise ValueError("v_blockade_khz must not be nan")
     if not math.isinf(v_blockade_khz) and abs(v_blockade_khz) < 3.0 * abs(omega_khz):
         warnings.warn(
             f"blockade shift {v_blockade_khz:.3g} kHz is not large against "
@@ -498,19 +565,14 @@ def swap_gate(
 class ChainSpec:
     """Parameters of the chain protocol.
 
-    ``atom_count`` must be 4, 6, or a multiple of 4. Omega and duration
-    overrides are optional; ``chain_schedule`` fills them from the
-    nominal working point sqrt|V+ V-| when absent.
+    ``atom_count`` must be 4, 6, or a multiple of 4. Every drive and
+    duration follows from the pair's working point.
     """
 
     atom_count: int
     spacing_um: float
     pair: tuple[int, int]
     gamma_per_ms: float = 0.0
-    omega_pulse2_khz: float | None = None
-    omega_pulse3_khz: float | None = None
-    omega_swap_khz: float | None = None
-    swap_duration_us: float | None = None
 
     def __post_init__(self) -> None:
         ok = self.atom_count == 6 or (
@@ -520,10 +582,8 @@ class ChainSpec:
             raise ValueError(
                 f"atom_count must be 4, 6, or a multiple of 4, got {self.atom_count}"
             )
-        if self.spacing_um <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing_um}")
-        if self.gamma_per_ms < 0:
-            raise ValueError(f"decay rate must be >= 0, got {self.gamma_per_ms}")
+        _require_finite("spacing_um", self.spacing_um, 0.0, inclusive=False)
+        _require_finite("decay rate gamma_per_ms", self.gamma_per_ms, 0.0)
 
 
 @dataclass(frozen=True)
@@ -572,6 +632,12 @@ def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
     pulses are ideal (zero-duration) maps; step durations are set by
     pulse 2, pulse 3 and the 2pi windows, independent of chain length.
     """
+    return _chain_schedule(model, spec)[1]
+
+
+def _chain_schedule(
+    model: QuantumDefectModel, spec: ChainSpec
+) -> tuple[PairCouplings, PulseSchedule]:
     n_a, n_b = spec.pair
     lc = critical_radius(model, n_a, n_b).radius_um
     if spec.spacing_um <= lc:
@@ -579,35 +645,16 @@ def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
             f"spacing {spec.spacing_um} um must exceed the critical radius "
             f"{lc:.2f} um of the ({n_a}, {n_b}) pair"
         )
-    inter = interaction_matrix(model, n_a, n_b, spec.spacing_um)
-    v_plus = inter.vs_khz + inter.vc_khz
-    v_minus = inter.vs_khz - inter.vc_khz
-    base = math.sqrt(abs(v_plus * v_minus))
-    omega2 = spec.omega_pulse2_khz if spec.omega_pulse2_khz is not None else base
-    omega3 = spec.omega_pulse3_khz if spec.omega_pulse3_khz is not None else base
-    omega_swap = (
-        spec.omega_swap_khz if spec.omega_swap_khz is not None else 1.5 * base
-    )
-    t_swap = (
-        spec.swap_duration_us
-        if spec.swap_duration_us is not None
-        else 1e3 / omega_swap
-    )
-    tau2 = pulse2_analytics(omega2, v_plus, v_minus).tau2_us
-    tau3 = 1e3 / (2.0 * omega3)
+    coup = pair_couplings(model, n_a, n_b, spec.spacing_um)
+    omega, tau2, tau3 = _nominal_point(coup.v_plus_khz, coup.v_minus_khz)
+    omega_swap, t_swap = _swap_point(omega)
 
     positions = list(range(spec.atom_count))
     n_of = {p: (n_a if p % 2 == 0 else n_b) for p in positions}
 
-    def pair_positions(first_offset: int) -> list[tuple[int, int]]:
-        out = []
-        for p in range(first_offset, spec.atom_count - 1, 4):
-            out.append((p, p + 1))
-        return out
-
     step_pairs = {
-        1: pair_positions(0),  # (A_j, B_j)
-        2: pair_positions(2),  # (C_j, D_j)
+        1: [(p, p + 1) for p in range(0, spec.atom_count - 1, 4)],  # (A_j, B_j)
+        2: [(p, p + 1) for p in range(2, spec.atom_count - 1, 4)],  # (C_j, D_j)
         3: [(p, p + 1) for p in range(1, spec.atom_count - 1, 4)],  # (B_j, C_j)
         4: [(p, p + 1) for p in range(3, spec.atom_count - 1, 4)],  # (D_j, A_j+1)
     }
@@ -615,7 +662,7 @@ def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
     def pi_spec(channels: frozenset) -> PulseSpec:
         # ideal instantaneous pi map; amplitudes recorded as the nominal
         # drive for bookkeeping, duration zero
-        amps = {f"omega_{c}": omega3 for c in channels}
+        amps = {f"omega_{c}": omega for c in channels}
         return PulseSpec(duration_us=0.0, channel_mask=channels, **amps)
 
     pulses: list[SchedulePulse] = []
@@ -637,7 +684,7 @@ def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
             pulses.append(
                 SchedulePulse(
                     step, base_index + 2, seconds,
-                    PulseSpec(omega_uD_B=omega2, duration_us=tau2,
+                    PulseSpec(omega_uD_B=omega, duration_us=tau2,
                               channel_mask=frozenset({"uD_B"})),
                     n_seconds,
                 )
@@ -646,8 +693,8 @@ def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
                 SchedulePulse(
                     step, base_index + 3, firsts + seconds,
                     PulseSpec(
-                        omega_dU_A=omega3, omega_uD_A=omega3,
-                        omega_dU_B=omega3, omega_uD_B=omega3,
+                        omega_dU_A=omega, omega_uD_A=omega,
+                        omega_dU_B=omega, omega_uD_B=omega,
                         duration_us=tau3,
                     ),
                     n_firsts + n_seconds,
@@ -673,7 +720,7 @@ def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
                 SchedulePulse(step, base_index + 3, seconds,
                               pi_spec(b_channels), n_seconds)
             )
-    return PulseSchedule(
+    return coup, PulseSchedule(
         atom_count=spec.atom_count,
         pulses=tuple(pulses),
         step_durations_us=(tau2 + tau3, tau2 + tau3, t_swap, t_swap),
@@ -687,13 +734,12 @@ def _ground_basis(atom_count: int) -> tuple[str, ...]:
 
 
 def _apply_signed_swap(
-    basis: tuple[str, ...], amps: np.ndarray, i: int, j: int, physical: bool
+    basis: tuple[str, ...], amps: np.ndarray, i: int, j: int
 ) -> np.ndarray:
-    """Apply the signed SWAP to atoms i, j of a ground product state.
+    """Apply the pulse-composition SWAP map to atoms i < j of a ground state.
 
-    ``physical=True`` applies the pulse-composition map (swap with -1,
-    parallel spins +1, i.e. -SWAP_MATRIX_IDEAL); ``physical=False``
-    applies SWAP_MATRIX_IDEAL itself.
+    Antiparallel spins swap and pick up -1, parallel spins are left
+    alone: the map is -SWAP_MATRIX_IDEAL.
     """
     out = np.zeros_like(amps)
     for idx, label in enumerate(basis):
@@ -701,12 +747,10 @@ def _apply_signed_swap(
             continue
         si, sj = label[i], label[j]
         if si == sj:
-            sign = -1.0 if not physical else 1.0
-            out[idx] += sign * amps[idx]
+            out[idx] += amps[idx]
         else:
             swapped = label[:i] + sj + label[i + 1 : j] + si + label[j + 1 :]
-            sign = 1.0 if not physical else -1.0
-            out[basis.index(swapped)] += sign * amps[idx]
+            out[basis.index(swapped)] -= amps[idx]
     return out
 
 
@@ -729,25 +773,7 @@ def chain_ideal_state(atom_count: int) -> QuantumState:
         amps = np.kron(amps, bell)
     amps = amps.astype(complex)
     for link in range(1, atom_count - 1, 2):
-        amps = _apply_signed_swap(basis, amps, link, link + 1, physical=True)
-    return QuantumState(basis=basis, amplitudes=amps)
-
-
-def _chain_state_by_gate_matrix(atom_count: int) -> QuantumState:
-    """Alternative construction: compose Bell pairs with SWAP_MATRIX_IDEAL.
-
-    Differs from ``chain_ideal_state`` by at most a global sign; used
-    as an independent cross-check of the chain algebra.
-    """
-    basis = _ground_basis(atom_count)
-    bell = np.zeros(4)
-    bell[1] = bell[2] = 1.0 / _SQRT2
-    amps = bell
-    for _ in range(atom_count // 2 - 1):
-        amps = np.kron(amps, bell)
-    amps = amps.astype(complex)
-    for link in range(1, atom_count - 1, 2):
-        amps = _apply_signed_swap(basis, amps, link, link + 1, physical=False)
+        amps = _apply_signed_swap(basis, amps, link, link + 1)
     return QuantumState(basis=basis, amplitudes=amps)
 
 
@@ -778,13 +804,15 @@ def chain_fidelity_estimate(
     ``tau_us`` is the per-operation Rydberg exposure per atom; each
     operation involves two atoms, hence the 2 gamma tau per factor.
     When no simulated exposure is available the nominal 10 us operation
-    scale is used. Warns when gamma tau approaches 1 (the exponential
-    estimate stops being a small correction).
+    scale is used; a given exposure must be finite and >= 0. Warns when
+    gamma tau approaches 1 (the exponential estimate stops being a
+    small correction).
     """
     if not 0.0 <= f1 <= 1.0 or not 0.0 <= f_swap <= 1.0:
         raise ValueError("fidelities must lie in [0, 1]")
     if tau_us is None:
         tau_us = 10.0
+    _require_finite("tau_us", tau_us, 0.0)
     gamma_tau = spec.gamma_per_ms * tau_us * 1e-3
     if gamma_tau >= 1.0:
         warnings.warn(
@@ -832,16 +860,78 @@ def spectator_blockade(
     direct interaction block. The shift is flagged negligible when it
     is below 20% of V+, the smallest intra-pair scale.
     """
-    inter = interaction_matrix(model, spec.pair[0], spec.pair[1], spec.spacing_um)
-    corner_khz = float(inter.v1_khz[0, 0])
-    separation = 3.0 * spec.spacing_um
-    shift = corner_khz / 3.0**6
-    v_plus = inter.vs_khz + inter.vc_khz
+    return _spectator(spec, pair_couplings(model, *spec.pair, spec.spacing_um))
+
+
+def _spectator(spec: ChainSpec, coup: PairCouplings) -> SpectatorBlockade:
+    shift = coup.corner_khz / 3.0**6
+    v_plus = coup.v_plus_khz
     ratio = abs(shift / v_plus) if v_plus != 0 else math.inf
     return SpectatorBlockade(
         shift_khz=shift,
-        separation_um=separation,
-        v_plus_khz=float(v_plus),
+        separation_um=3.0 * spec.spacing_um,
+        v_plus_khz=v_plus,
         ratio_to_v_plus=float(ratio),
         negligible=bool(ratio < 0.2),
+    )
+
+
+@dataclass(frozen=True)
+class ChainResult:
+    """What ``chain_protocol`` derived, with the f1, f_swap and tau it used."""
+
+    schedule: PulseSchedule
+    estimate: ChainFidelityEstimate
+    spectator: SpectatorBlockade
+    f1: float
+    f_swap: float
+    tau_us: float
+
+
+def chain_protocol(
+    model: QuantumDefectModel,
+    spec: ChainSpec,
+    f1: float | None = None,
+    f_swap: float | None = None,
+    tau_us: float | None = None,
+) -> ChainResult:
+    """Schedule, fidelity estimate and spectator shift from one set of couplings.
+
+    A missing ``f1`` or ``f_swap`` is simulated at the schedule's own
+    pulse-2/3 and 2pi drives and durations; a missing ``tau_us`` is the
+    operation-weighted exposure (P tau_pair + S tau_swap) / (P + S).
+    """
+    coup, schedule = _chain_schedule(model, spec)
+    slot = {p.pulse_index: p.spec for p in schedule.pulses}
+    pulse2, pulse3, swap_2pi = slot[2], slot[3], slot[8]  # step 1 and the step-3 2pi
+    pair_result = swap_result = None
+    if f1 is None or tau_us is None:
+        pair_result = pairwise_entangle(
+            pulse2.omega_uD_B, pulse3.omega_dU_A, coup.v_plus_khz, coup.v_minus_khz,
+            tau2_us=pulse2.duration_us, tau3_us=pulse3.duration_us,
+        )
+        if f1 is None:
+            f1 = pair_result.fidelity
+    if f_swap is None or tau_us is None:
+        swap_result = swap_gate(
+            swap_2pi.omega_dU_A, coup.v_plus_khz, coup.v_minus_khz,
+            coup.corner_khz, swap_2pi.duration_us,
+        )
+        if f_swap is None:
+            f_swap = swap_result.gate_fidelity
+    if tau_us is None:
+        n_pair = spec.atom_count // 2
+        n_swap = n_pair - 1
+        total = (
+            n_pair * pair_result.rydberg_exposure_us
+            + n_swap * swap_result.rydberg_exposure_us
+        )
+        tau_us = total / (n_pair + n_swap)
+    return ChainResult(
+        schedule=schedule,
+        estimate=chain_fidelity_estimate(spec, f1, f_swap, tau_us=tau_us),
+        spectator=_spectator(spec, coup),
+        f1=f1,
+        f_swap=f_swap,
+        tau_us=tau_us,
     )

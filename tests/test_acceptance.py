@@ -32,13 +32,14 @@ from rydex.harness import (
 )
 from rydex.protocols import (
     ChainSpec,
-    _chain_state_by_gate_matrix,
     chain_fidelity_estimate,
     chain_ideal_state,
     pairwise_entangle,
     swap_gate,
 )
 from rydex.vdw import _D_MATRICES, _M_MATRICES, c6_pair, channel_c6, critical_radius
+
+from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix
 
 MODEL = QuantumDefectModel.default()
 

@@ -491,7 +491,13 @@ def test_cli_computation_errors_return_1(capsys, argv):
         (["critical-radius", "--na", "75", "--nb", "5"], "n_b=5 with dn_cutoff=3"),
         (["pair-sim", "--spacing", "nan"], "spacing must be positive and finite, got nan"),
         (["pair-sim", "--spacing", "inf"], "spacing must be positive and finite, got inf"),
-        (["chain", "--gamma", "nan"], "Out of range float values are not JSON compliant"),
+        (["chain", "--gamma", "nan"], "decay rate gamma_per_ms must be finite and >= 0, got nan"),
+        (["chain", "--gamma", "nan", "--format", "csv"],
+         "decay rate gamma_per_ms must be finite and >= 0, got nan"),
+        (["chain", "--tau", "-3"], "tau_us must be finite and >= 0, got -3.0"),
+        (["swap-sim", "--t2pi", "-1"], "t_2pi_us must be finite and >= 0, got -1.0"),
+        (["pair-sim", "--omega2", "nan"], "omega_pulse2_khz must be finite, got nan"),
+        (["swap-sim", "--omega", "nan"], "omega_khz must be finite, got nan"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -587,6 +593,21 @@ def test_cli_chain_derives_exposure_from_protocols(capsys):
     assert 0.9 < data["f_swap"] < 1.0
     assert 0.0 < data["tau_us"] < 20.0
     assert 0.0 < data["fidelity"] < data["f1"]
+
+
+@pytest.mark.parametrize(
+    "argv,reference",
+    [
+        (["chain"], "chain-4.out"),
+        (["chain", "--atoms", "16", "--format", "csv"], "chain-16.out"),
+    ],
+)
+def test_cli_chain_matches_recorded_output(capsys, argv, reference):
+    """The chain command's stdout is byte-identical to the recorded run."""
+    recorded = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cli"
+    rc, out, _ = _run_cli(capsys, argv)
+    assert rc == 0
+    assert out == (recorded / reference).read_text(encoding="utf-8")
 
 
 def test_cli_robustness_small_run(capsys):

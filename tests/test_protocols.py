@@ -5,20 +5,23 @@ import math
 import numpy as np
 import pytest
 
+import rydex.protocols
 from rydex.atoms import QuantumDefectModel
 from rydex.dynamics import QuantumState, propagate, tau2_approximate
 from rydex.protocols import (
     SWAP_MATRIX_IDEAL,
     ChainSpec,
-    _chain_state_by_gate_matrix,
     chain_fidelity_estimate,
     chain_ideal_state,
+    chain_protocol,
     chain_schedule,
     optimize_pairwise,
     pairwise_entangle,
     spectator_blockade,
     swap_gate,
 )
+
+from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix
 
 MODEL = QuantumDefectModel.default()
 
@@ -281,15 +284,6 @@ def test_schedule_parallelism_eight_atoms():
     assert by_index[11].spec.duration_us > 0.0
 
 
-def test_schedule_omega_overrides():
-    spec = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75),
-                     omega_swap_khz=100.0, swap_duration_us=9.5)
-    sch = chain_schedule(MODEL, spec)
-    assert sch.step_durations_us[2] == 9.5
-    by_index = {p.pulse_index: p for p in sch.pulses}
-    assert by_index[8].spec.omega_dU_A == 100.0
-
-
 def test_schedule_requires_perturbative_spacing():
     with pytest.raises(ValueError, match="critical radius"):
         chain_schedule(MODEL, ChainSpec(atom_count=4, spacing_um=5.0,
@@ -384,3 +378,31 @@ def test_spectator_blockade_scaling():
     far = spectator_blockade(MODEL, ChainSpec(atom_count=4, spacing_um=30.0,
                                               pair=(73, 75)))
     assert near.shift_khz / far.shift_khz == pytest.approx(64.0, rel=1e-12)
+
+
+# --- chain protocol ------------------------------------------------------------------
+
+def test_chain_protocol_builds_the_interaction_matrix_once(monkeypatch):
+    calls = []
+    build = rydex.protocols.interaction_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rydex.protocols, "interaction_matrix", counting)
+    spec = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75),
+                     gamma_per_ms=1.0 / 0.45)
+    chain = chain_protocol(MODEL, spec)
+    assert len(calls) == 1
+    assert chain.schedule == chain_schedule(MODEL, spec)
+    assert chain.spectator == spectator_blockade(MODEL, spec)
+
+
+def test_chain_protocol_overrides_frozen():
+    spec = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75),
+                     gamma_per_ms=1.0 / 0.45)
+    chain = chain_protocol(MODEL, spec, f1=0.9906, f_swap=0.9831, tau_us=6.3699)
+    assert (chain.f1, chain.f_swap, chain.tau_us) == (0.9906, 0.9831, 6.3699)
+    assert chain.estimate.fidelity == pytest.approx(0.8861532700907033, rel=1e-12)
+    assert (chain.estimate.pairwise_ops, chain.estimate.swap_ops) == (2, 1)
