@@ -4,8 +4,9 @@ Subcommands mirror the library: interaction coefficients, critical
 radii, protocol simulations, robustness scans, and table/figure
 reproduction. Results print as JSON (default) or CSV; ``--out`` writes
 to a file instead of stdout. A ``--config`` file holds flat
-``key value`` or ``key = value`` pairs mirroring the long flags;
-command-line flags override it.
+``key value`` or ``key = value`` pairs mirroring the long flags
+(``optimize yes``/``no`` for a switch); keys that only other commands
+take are skipped, and command-line flags override the file.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on computation or data
 errors.
@@ -47,9 +48,9 @@ __all__ = ["build_parser", "main"]
 
 
 def _add_pair_options(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument("--na", type=int, default=None if required else 73,
+    p.add_argument("--na", type=int, required=required, default=None if required else 73,
                    help="principal quantum number of atom A")
-    p.add_argument("--nb", type=int, default=None if required else 75,
+    p.add_argument("--nb", type=int, required=required, default=None if required else 75,
                    help="principal quantum number of atom B")
 
 
@@ -62,8 +63,8 @@ def _add_coupling_overrides(p: argparse.ArgumentParser) -> None:
                    help="override the antisymmetric Bell-state shift in kHz")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The CLI parser plus a dest -> coercion map for config files."""
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: one subparser per command."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--defects", metavar="FILE", default=None,
                         help="quantum-defect data file (default: bundled Rb-87)")
@@ -164,76 +165,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=12345,
                    help="seed for the histogram figure")
 
-    coercions = _collect_coercions(parser)
-    return parser, coercions
-
-
-def _coercer(action: argparse.Action):
-    base = action.type if action.type is not None else str
-    if isinstance(action, argparse._StoreTrueAction):
-        base = _parse_bool
-    if action.choices is None:
-        return base
-    choices = tuple(action.choices)
-
-    def coerce(text: str):
-        value = base(text)
-        if value not in choices:
-            raise ValueError(f"invalid value {value!r}; choose from {choices}")
-        return value
-
-    return coerce
-
-
-def _collect_coercions(parser: argparse.ArgumentParser) -> dict:
-    """Map option dest names to value-coercion callables, CLI-wide."""
-    out: dict = {}
-
-    def visit(p: argparse.ArgumentParser) -> None:
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                for child in action.choices.values():
-                    visit(child)
-            elif action.option_strings and action.dest != "help":
-                out[action.dest] = _coercer(action)
-
-    visit(parser)
-    return out
-
-
-def _suppress_defaults(parser: argparse.ArgumentParser) -> dict[str, dict]:
-    """Record per-command defaults, then parse explicit flags only.
-
-    Subparsers apply their own defaults over any pre-seeded namespace,
-    so config-file values cannot be injected up front; instead parsing
-    reports only what was typed, and defaults merge in afterwards
-    (defaults < config file < command line).
-    """
-    per_command: dict[str, dict] = {}
-    originals: dict[int, object] = {}  # parent-parser actions are shared
-    sub = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    for name, child in sub.choices.items():
-        defaults = {}
-        for action in child._actions:
-            if action.dest == "help":
-                continue
-            if id(action) not in originals:
-                originals[id(action)] = action.default
-                action.default = argparse.SUPPRESS
-            defaults[action.dest] = originals[id(action)]
-        per_command[name] = defaults
-    return per_command
-
-
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    return parser
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -284,11 +216,6 @@ def _emit(args, data: dict, csv_spec: tuple[list[str], list] | None = None) -> N
         sys.stdout.write(text)
 
 
-def _require_pair(args, parser: argparse.ArgumentParser) -> None:
-    if args.na is None or args.nb is None:
-        parser.error("--na and --nb are required")
-
-
 def _couplings(args, model):
     if (args.v_plus is None) != (args.v_minus is None):
         raise ValueError("--v-plus and --v-minus must be given together")
@@ -298,8 +225,7 @@ def _couplings(args, model):
     return coup.v_plus_khz, coup.v_minus_khz, coup
 
 
-def _cmd_coeffs(args, model, parser):
-    _require_pair(args, parser)
+def _cmd_coeffs(args, model):
     pair = c6_pair(model, args.na, args.nb, dn_cutoff=args.dn)
     data = {
         "schema": SCHEMA,
@@ -317,8 +243,7 @@ def _cmd_coeffs(args, model, parser):
     return data, None
 
 
-def _cmd_critical_radius(args, model, parser):
-    _require_pair(args, parser)
+def _cmd_critical_radius(args, model):
     cr = critical_radius(model, args.na, args.nb, dn_cutoff=args.dn)
     data = {
         "schema": SCHEMA,
@@ -336,7 +261,7 @@ def _cmd_critical_radius(args, model, parser):
     return data, None
 
 
-def _cmd_pair_sim(args, model, parser):
+def _cmd_pair_sim(args, model):
     v_plus, v_minus, _ = _couplings(args, model)
     nominal = _nominal_omega(v_plus, v_minus)
     omega2 = args.omega2 if args.omega2 is not None else nominal
@@ -378,7 +303,7 @@ def _cmd_pair_sim(args, model, parser):
     return data, None
 
 
-def _cmd_swap_sim(args, model, parser):
+def _cmd_swap_sim(args, model):
     v_plus, v_minus, coup = _couplings(args, model)
     if args.v_blockade is not None:
         v_blockade = args.v_blockade
@@ -409,7 +334,7 @@ def _cmd_swap_sim(args, model, parser):
     return data, None
 
 
-def _cmd_chain(args, model, parser):
+def _cmd_chain(args, model):
     spec = ChainSpec(
         atom_count=args.atoms,
         spacing_um=args.spacing,
@@ -449,11 +374,9 @@ def _cmd_chain(args, model, parser):
     return data, None
 
 
-def _cmd_robustness(args, model, parser):
-    v_plus, v_minus, coup = _couplings(args, model)
-    omega = args.omega
-    if omega is None:
-        omega = _nominal_omega(v_plus, v_minus)
+def _cmd_robustness(args, model):
+    v_plus, v_minus, _ = _couplings(args, model)
+    omega = args.omega if args.omega is not None else _nominal_omega(v_plus, v_minus)
     cfg = RobustnessConfig(
         epsilon=args.epsilon,
         samples=args.samples,
@@ -466,12 +389,12 @@ def _cmd_robustness(args, model, parser):
     return histogram_payload(cfg, hist), histogram_rows(hist)
 
 
-def _cmd_table(args, model, parser):
+def _cmd_table(args, model):
     data = run_table(args.table_id, model)
     return data, (data["columns"], data["rows"])
 
 
-def _cmd_figure(args, model, parser):
+def _cmd_figure(args, model):
     data = run_figure(args.figure_id, model, samples=args.samples, seed=args.seed)
     return data, (data["columns"], data["rows"])
 
@@ -488,41 +411,53 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser, coercions = build_parser()
-    per_command = _suppress_defaults(parser)
-
+def _splice_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Insert ``--config`` entries as ``--key=value`` tokens right after the
+    subcommand: argparse then coerces and checks them, and typed flags,
+    parsed later, win. Keys that only other subcommands own are skipped."""
     peek = argparse.ArgumentParser(add_help=False)
-    peek.add_argument("--config", default=None)
-    peeked, _ = peek.parse_known_args(argv)
+    peek.add_argument("--config")
+    path = peek.parse_known_args(argv)[0].config
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if path is None or argv[0] not in sub.choices:
+        return argv
+    options = {
+        name: {a.dest: a for a in child._actions if a.option_strings and a.dest != "help"}
+        for name, child in sub.choices.items()
+    }
+    tokens = []
+    try:
+        for key, value in _load_config(path).items():
+            if not any(key in owned for owned in options.values()):
+                raise ValueError(f"unknown config key {key!r}")
+            action = options[argv[0]].get(key)
+            if action is None or key == "config":
+                continue
+            flag = action.option_strings[0]
+            if action.nargs != 0:
+                tokens.append(f"{flag}={value}")
+            elif value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(flag)
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ValueError(f"config key {key!r}: not a boolean: {value!r}")
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
+    return [argv[0], *tokens, *argv[1:]]
 
-    config_values: dict = {}
-    if peeked.config is not None:
-        try:
-            entries = _load_config(peeked.config)
-            for key, raw in entries.items():
-                if key == "config":
-                    continue
-                if key not in coercions:
-                    raise ValueError(f"unknown config key {key!r}")
-                config_values[key] = coercions[key](raw)
-        except (OSError, ValueError) as exc:
-            parser.error(str(exc))
 
-    explicit = parser.parse_args(argv)
-    merged = dict(per_command[explicit.command])
-    merged.update(config_values)
-    merged.update(vars(explicit))
-    args = argparse.Namespace(**merged)
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(_splice_config(parser, argv))
     try:
         model = (
             QuantumDefectModel.from_file(args.defects)
             if args.defects
             else QuantumDefectModel.default()
         )
-        data, csv_spec = _COMMANDS[args.command](args, model, parser)
+        data, csv_spec = _COMMANDS[args.command](args, model)
         _emit(args, data, csv_spec)
-    except (ValueError, DefectDataError, OSError) as exc:
+    except (ValueError, ArithmeticError, DefectDataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

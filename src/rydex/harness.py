@@ -31,7 +31,14 @@ from .dynamics import (
     propagate,
     tau2_approximate,
 )
-from .protocols import PairCouplings, pair_couplings, pairwise_entangle
+from .protocols import (
+    PairCouplings,
+    _exchange_split,
+    _half_period,
+    _require_finite,
+    pair_couplings,
+    pairwise_entangle,
+)
 from .radial import rrr_coefficient
 from .vdw import channel_c6, c6_pair
 
@@ -149,6 +156,8 @@ class RobustnessConfig:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
+        for name in ("omega_khz", "v_plus_khz", "v_minus_khz"):
+            _require_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -222,9 +231,8 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
     fixed nominal half-period.
     """
     tau2 = tau2_approximate(cfg.omega_khz, cfg.v_plus_khz)
-    tau3 = 1e3 / (2.0 * cfg.omega_khz)
-    v_s = (cfg.v_plus_khz + cfg.v_minus_khz) / 2.0
-    v_c = (cfg.v_plus_khz - cfg.v_minus_khz) / 2.0
+    tau3 = _half_period("omega_khz", cfg.omega_khz)
+    v_s, v_c = _exchange_split(cfg.v_plus_khz, cfg.v_minus_khz)
 
     start = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")
     pulse2 = PulseSpec(

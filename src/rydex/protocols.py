@@ -133,12 +133,24 @@ def _nominal_omega(v_plus_khz: float, v_minus_khz: float) -> float:
     return math.sqrt(abs(v_plus_khz * v_minus_khz))
 
 
+def _exchange_split(v_plus_khz: float, v_minus_khz: float) -> tuple[float, float]:
+    """(V_s, V_c) = ((V+ + V-)/2, (V+ - V-)/2), the Hamiltonian's shifts."""
+    return (v_plus_khz + v_minus_khz) / 2.0, (v_plus_khz - v_minus_khz) / 2.0
+
+
+def _half_period(name: str, omega_khz: float) -> float:
+    """Pulse-3 pi time 1/(2 omega) in us for drive ``name`` in kHz."""
+    if omega_khz == 0:
+        raise ValueError(f"{name} must be nonzero to derive its half period")
+    return 1e3 / (2.0 * omega_khz)
+
+
 def _nominal_point(v_plus_khz: float, v_minus_khz: float) -> tuple[float, float, float]:
     """(omega, tau2, tau3): the working drive, its closed-form pulse-2
     time and its pulse-3 half period."""
     omega = _nominal_omega(v_plus_khz, v_minus_khz)
     tau2 = pulse2_analytics(omega, v_plus_khz, v_minus_khz).tau2_us
-    return omega, tau2, 1e3 / (2.0 * omega)
+    return omega, tau2, _half_period("omega_khz", omega)
 
 
 def _swap_point(omega_khz: float, omega_swap: float | None = None,
@@ -146,6 +158,8 @@ def _swap_point(omega_khz: float, omega_swap: float | None = None,
     """(SWAP drive, 2pi window) for pair drive omega: 1.5 omega and one
     period of that drive, unless given."""
     omega_swap = 1.5 * omega_khz if omega_swap is None else omega_swap
+    if t_2pi is None and omega_swap == 0:
+        raise ValueError("SWAP drive omega_khz must be nonzero to derive t_2pi_us")
     return omega_swap, 1e3 / omega_swap if t_2pi is None else t_2pi
 
 
@@ -261,6 +275,8 @@ def pairwise_entangle(
         _require_finite("tau2_us", tau2_us, 0.0)
     if tau3_us is not None:
         _require_finite("tau3_us", tau3_us, 0.0)
+    else:
+        tau3_us = _half_period("omega_pulse3_khz", omega_pulse3_khz)
     omegas = (abs(omega_pulse2_khz), abs(omega_pulse3_khz))
     if abs(v_minus_khz) < 5.0 * max(omegas) or min(omegas) < 5.0 * abs(v_plus_khz):
         warnings.warn(
@@ -270,11 +286,8 @@ def pairwise_entangle(
         )
     if tau2_us is None:
         tau2_us = pulse2_analytics(omega_pulse2_khz, v_plus_khz, v_minus_khz).tau2_us
-    if tau3_us is None:
-        tau3_us = 1e3 / (2.0 * omega_pulse3_khz)
     phi_a, phi_as, phi_b, phi_bs = phases
-    v_s = (v_plus_khz + v_minus_khz) / 2.0
-    v_c = (v_plus_khz - v_minus_khz) / 2.0
+    v_s, v_c = _exchange_split(v_plus_khz, v_minus_khz)
 
     n = max(2, samples_per_pulse)
     state = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")  # after ideal pulse 1

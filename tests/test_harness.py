@@ -89,6 +89,10 @@ def test_pair_couplings_match_interaction_matrix():
         (dict(samples=0), "samples"),
         (dict(seed=-1), "64 unsigned bits"),
         (dict(seed=2**64), "64 unsigned bits"),
+        (dict(omega_khz=math.nan), "omega_khz must be finite, got nan"),
+        (dict(omega_khz=math.inf), "omega_khz must be finite, got inf"),
+        (dict(v_plus_khz=math.nan), "v_plus_khz must be finite, got nan"),
+        (dict(v_minus_khz=-math.inf), "v_minus_khz must be finite, got -inf"),
     ],
 )
 def test_robustness_config_validation(kwargs, fragment):
@@ -421,7 +425,10 @@ def test_cli_out_file_reruns_byte_identical(capsys, tmp_path):
     assert data["radius_um"] == pytest.approx(6.086205115301881, rel=1e-8)
 
 
-def test_cli_config_fills_gaps_and_flags_win(capsys, tmp_path):
+_PAIR = ["coeffs", "--na", "73", "--nb", "75"]
+
+
+def test_cli_config_fills_gaps_and_flags_win(capsys, tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
         "# settings for a coefficient run\n"
@@ -446,18 +453,44 @@ def test_cli_config_fills_gaps_and_flags_win(capsys, tmp_path):
     assert data["n_b"] == 75
     assert data["dn_cutoff"] == 3
 
+    # a switch set false adds nothing, a key only another command takes is
+    # skipped, and a negative value reaches its flag intact
+    for argv, content, typed in [
+        (["pair-sim"], "optimize false\n", ["pair-sim"]),
+        (_PAIR, "spacing 15\n", _PAIR),
+        (["swap-sim"], "phi = -0.5\n", ["swap-sim", "--phi", "-0.5"]),
+    ]:
+        cfg.write_text(content)
+        rc, out, _ = _run_cli(capsys, [*argv, "--config", str(cfg)])
+        assert (rc, out) == _run_cli(capsys, typed)[:2]
+
+    def optimizer_reached(v_plus, v_minus, seed):
+        raise ValueError(f"optimizer reached with seed {seed}")
+
+    monkeypatch.setattr("rydex.cli.optimize_pairwise", optimizer_reached)
+    cfg.write_text("optimize yes\nseed 7\n")
+    rc, out, err = _run_cli(capsys, ["pair-sim", "--config", str(cfg)])
+    assert (rc, out, err) == (1, "", "error: optimizer reached with seed 7\n")
+
 
 @pytest.mark.parametrize(
-    "content",
-    ["frobnicate 3\n", "na notanint\n", "justakey\n"],
+    "content, argv, message",
+    [
+        ("frobnicate 3\n", _PAIR, "unknown config key 'frobnicate'"),
+        ("na notanint\n", _PAIR, "invalid int value: 'notanint'"),
+        ("justakey\n", _PAIR, "expected 'key value' pairs"),
+        ("optimize maybe\n", ["pair-sim"], "config key 'optimize': not a boolean: 'maybe'"),
+        ("dn 3\n", ["coeffs"], "the following arguments are required: --na, --nb"),
+    ],
+    ids=["frobnicate 3\n", "na notanint\n", "justakey\n", "optimize maybe\n", "dn 3\n"],
 )
-def test_cli_bad_config_exits_2(capsys, tmp_path, content):
+def test_cli_bad_config_exits_2(capsys, tmp_path, content, argv, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(content)
     with pytest.raises(SystemExit) as exc:
-        main(["coeffs", "--na", "73", "--nb", "75", "--config", str(cfg)])
+        main([*argv, "--config", str(cfg)])
     assert exc.value.code == 2
-    capsys.readouterr()
+    assert message in capsys.readouterr().err
 
 
 def test_cli_missing_pair_exits_2(capsys):
@@ -498,6 +531,13 @@ def test_cli_computation_errors_return_1(capsys, argv):
         (["swap-sim", "--t2pi", "-1"], "t_2pi_us must be finite and >= 0, got -1.0"),
         (["pair-sim", "--omega2", "nan"], "omega_pulse2_khz must be finite, got nan"),
         (["swap-sim", "--omega", "nan"], "omega_khz must be finite, got nan"),
+        (["robustness", "--omega", "nan", "--samples", "10"],
+         "omega_khz must be finite, got nan"),
+        (["pair-sim", "--omega3", "0"],
+         "omega_pulse3_khz must be nonzero to derive its half period"),
+        (["swap-sim", "--omega", "0"], "omega_khz must be nonzero to derive t_2pi_us"),
+        (["pair-sim", "--spacing", "1e308"], "Numerical result out of range"),
+        (["swap-sim", "--spacing", "1e-300"], "float division by zero"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -600,14 +640,34 @@ def test_cli_chain_derives_exposure_from_protocols(capsys):
     [
         (["chain"], "chain-4.out"),
         (["chain", "--atoms", "16", "--format", "csv"], "chain-16.out"),
+        (["coeffs", "--na", "73", "--nb", "75"], "coeffs.out"),
+        (["critical-radius", "--na", "73", "--nb", "75"], "critical-radius.out"),
+        (["pair-sim"], "pair-sim.out"),
+        (["swap-sim"], "swap-sim.out"),
+        (["chain", "--atoms", "4"], "chain-4.out"),
+        (["robustness", "--samples", "10000"], "robustness.out"),
+        (["table", "I"], "table-I.out"),
+        (["table", "II"], "table-II.out"),
+        (["table", "III"], "table-III.out"),
+        (["table", "IV", "--format", "csv"], "table-IV.out"),
+        (["figure", "3"], "figure-3.out"),
+        (["figure", "4", "--samples", "10000", "--format", "csv"], "figure-4.out"),
     ],
 )
-def test_cli_chain_matches_recorded_output(capsys, argv, reference):
-    """The chain command's stdout is byte-identical to the recorded run."""
+def test_cli_chain_matches_recorded_output(capsys, tmp_path, argv, reference):
+    """Each command's stdout is byte-identical to the recorded run, also
+    with its ``--key value`` flags read from a config file instead."""
     recorded = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cli"
     rc, out, _ = _run_cli(capsys, argv)
     assert rc == 0
     assert out == (recorded / reference).read_text(encoding="utf-8")
+
+    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    if flags:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{argv[i][2:]} {argv[i + 1]}\n" for i in flags))
+        rest = [t for i, t in enumerate(argv) if i not in flags and i - 1 not in flags]
+        assert _run_cli(capsys, [*rest, "--config", str(cfg)])[:2] == (0, out)
 
 
 def test_cli_robustness_small_run(capsys):
