@@ -48,6 +48,17 @@ __all__ = [
 _L_LETTERS = "spdfghik"
 
 
+def _require_finite(
+    name: str, value: float, lower: float = -math.inf, inclusive: bool = True
+) -> None:
+    """Reject a non-finite ``value``, or one below ``lower`` (or at it unless
+    ``inclusive``), with a one-line error that names the parameter."""
+    in_range = value >= lower if inclusive else value > lower
+    if not (math.isfinite(value) and in_range):
+        bound = "" if lower == -math.inf else f" and {'>=' if inclusive else '>'} {lower:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
 class DefectDataError(Exception):
     """Raised for malformed defect data files or missing series."""
 

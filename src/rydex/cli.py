@@ -9,7 +9,7 @@ to a file instead of stdout. A ``--config`` file holds flat
 take are skipped, and command-line flags override the file.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on computation or data
-errors.
+errors, a NaN or infinity in the result included (nothing is written).
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _flatten(data, prefix: str = "") -> list[tuple[str, object]]:
         if isinstance(value, dict):
             rows.extend(_flatten(value, prefix=f"{name}."))
         elif isinstance(value, (list, tuple)):
-            rows.append((name, json.dumps(to_jsonable(value))))
+            rows.append((name, json.dumps(to_jsonable(value), allow_nan=False)))
         else:
             rows.append((name, value))
     return rows
@@ -416,7 +416,7 @@ def _splice_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
     subcommand: argparse then coerces and checks them, and typed flags,
     parsed later, win. Keys that only other subcommands own are skipped."""
     peek = argparse.ArgumentParser(add_help=False)
-    peek.add_argument("--config")
+    peek.add_argument("--config", nargs="?")  # a bare --config is left to the subparser
     path = peek.parse_known_args(argv)[0].config
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     if path is None or argv[0] not in sub.choices:

@@ -27,9 +27,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .atoms import _require_finite
 
 __all__ = [
     "CHANNELS",
@@ -84,8 +86,8 @@ class PulseSpec:
     """One piecewise-constant two-photon pulse on a two-atom pair.
 
     Amplitudes are ordinary frequencies in kHz: ``omega_dU_A`` drives
-    d <-> U on atom A with phase ``phi_dU_A``, and so on. Channels not
-    named in ``channel_mask`` are treated as having zero amplitude.
+    d <-> U on atom A with phase ``phi_dU_A``, and so on. A pulse
+    addresses exactly the channels whose drive it sets.
     """
 
     omega_dU_A: float = 0.0
@@ -97,21 +99,14 @@ class PulseSpec:
     phi_dU_B: float = 0.0
     phi_uD_B: float = 0.0
     duration_us: float = 0.0
-    channel_mask: frozenset = field(default_factory=lambda: frozenset(CHANNELS))
 
     def __post_init__(self) -> None:
-        unknown = set(self.channel_mask) - set(CHANNELS)
-        if unknown:
-            raise ValueError(f"unknown drive channels {sorted(unknown)}")
-        if self.duration_us < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration_us}")
+        _require_finite("duration_us", self.duration_us, 0.0)
 
     def amplitude(self, channel: str) -> complex:
-        """Masked complex amplitude omega * exp(i phi) of one channel."""
+        """Complex amplitude omega * exp(i phi) of one channel."""
         if channel not in CHANNELS:
             raise ValueError(f"unknown channel {channel!r}")
-        if channel not in self.channel_mask:
-            return 0.0j
         omega = getattr(self, f"omega_{channel}")
         phi = getattr(self, f"phi_{channel}")
         return omega * complex(math.cos(phi), math.sin(phi))
@@ -131,7 +126,7 @@ class QuantumState:
                 f"amplitude shape {amps.shape} does not match basis size {len(self.basis)}"
             )
         norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"state norm^2 = {norm} is not 1")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -163,6 +158,8 @@ class HamiltonianMatrix:
         n = len(self.basis)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match basis size {n}")
+        if not np.isfinite(m).all():
+            raise ValueError("pulse matrix has non-finite entries")
         scale = max(1.0, float(np.abs(m).max()))
         if float(np.abs(m - m.conj().T).max()) > 1e-12 * scale:
             raise ValueError("pulse matrix is not Hermitian")
@@ -302,18 +299,25 @@ def relabeling_matrix(
     return np.array([rows[label] for label in SUPERPOSITION_BASIS_8])
 
 
+def _eigen_coefficients(state: QuantumState, h: HamiltonianMatrix, t_us: float):
+    """(w, v, v^H psi) of ``h``, checking the bases and that 2 pi H t is finite."""
+    if state.basis != h.basis:
+        raise ValueError(
+            f"state basis {state.basis} does not match Hamiltonian basis {h.basis}"
+        )
+    w, v = np.linalg.eigh(h.matrix)
+    if not math.isfinite(2.0 * math.pi * float(np.abs(w).max()) * t_us):
+        raise ValueError(f"pulse duration {t_us} us overflows the phase 2 pi H t")
+    return w, v, v.conj().T @ state.amplitudes
+
+
 def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> QuantumState:
     """Evolve a state by exp(-i 2 pi H t) for a constant pulse matrix.
 
     H entries are ordinary frequencies in kHz and t is in microseconds;
     the 2 pi converting to angular frequency lives here and only here.
     """
-    if state.basis != h.basis:
-        raise ValueError(
-            f"state basis {state.basis} does not match Hamiltonian basis {h.basis}"
-        )
-    w, v = np.linalg.eigh(h.matrix)
-    coef = v.conj().T @ state.amplitudes
+    w, v, coef = _eigen_coefficients(state, h, t_us)
     amps = v @ (np.exp(-2j * np.pi * w * t_us * 1e-3) * coef)
     return QuantumState(basis=state.basis, amplitudes=amps)
 
@@ -327,13 +331,10 @@ def propagate_sampled(
     [0, t_us] inclusive and amps of shape (n_samples, dim). Used for
     trajectory export and Rydberg-exposure integrals.
     """
-    if state.basis != h.basis:
-        raise ValueError("state basis does not match Hamiltonian basis")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    w, v, coef = _eigen_coefficients(state, h, t_us)
     times = np.linspace(0.0, t_us, n_samples)
-    w, v = np.linalg.eigh(h.matrix)
-    coef = v.conj().T @ state.amplitudes
     phases = np.exp(-2j * np.pi * np.outer(times * 1e-3, w))
     amps = (phases * coef) @ v.T
     return times, amps

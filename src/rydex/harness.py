@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import QuantumDefectModel, RydbergLevel, level_energy
+from .atoms import QuantumDefectModel, RydbergLevel, _require_finite, level_energy
 from .dynamics import (
     PRODUCT_BASIS_8,
     PulseSpec,
@@ -35,7 +35,6 @@ from .protocols import (
     PairCouplings,
     _exchange_split,
     _half_period,
-    _require_finite,
     pair_couplings,
     pairwise_entangle,
 )
@@ -235,11 +234,7 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
     v_s, v_c = _exchange_split(cfg.v_plus_khz, cfg.v_minus_khz)
 
     start = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")
-    pulse2 = PulseSpec(
-        omega_uD_B=cfg.omega_khz,
-        duration_us=tau2,
-        channel_mask=frozenset({"uD_B"}),
-    )
+    pulse2 = PulseSpec(omega_uD_B=cfg.omega_khz, duration_us=tau2)
     psi2 = propagate(start, build_full8(pulse2, v_s, v_c), tau2).amplitudes
 
     omegas = _sample_omegas(cfg)
@@ -530,12 +525,14 @@ def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not CSV compliant: {value}")
         return f"{float(value):.9g}"
     return str(value)
 
 
 def rows_to_csv(columns: list[str], rows: list) -> str:
-    """CSV text with a header row; rows may be lists or dicts."""
+    """CSV text with a header row; rows may be lists or dicts; NaN/inf raise."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

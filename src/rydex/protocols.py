@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import QuantumDefectModel
+from .atoms import QuantumDefectModel, _require_finite
 from .dynamics import (
+    CHANNELS,
     PRODUCT_BASIS_8,
     HamiltonianMatrix,
     PulseSpec,
@@ -85,17 +86,6 @@ SWAP_MATRIX_IDEAL = np.array(
         [0, 0, 0, -1],
     ]
 )
-
-
-def _require_finite(
-    name: str, value: float, lower: float = -math.inf, inclusive: bool = True
-) -> None:
-    """Reject a non-finite ``value``, or one below ``lower`` (or at it unless
-    ``inclusive``), with a one-line error that names the parameter."""
-    in_range = value >= lower if inclusive else value > lower
-    if not (math.isfinite(value) and in_range):
-        bound = "" if lower == -math.inf else f" and {'>=' if inclusive else '>'} {lower:g}"
-        raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -292,12 +282,7 @@ def pairwise_entangle(
     n = max(2, samples_per_pulse)
     state = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")  # after ideal pulse 1
 
-    pulse2 = PulseSpec(
-        omega_uD_B=omega_pulse2_khz,
-        phi_uD_B=phi_bs,
-        duration_us=tau2_us,
-        channel_mask=frozenset({"uD_B"}),
-    )
+    pulse2 = PulseSpec(omega_uD_B=omega_pulse2_khz, phi_uD_B=phi_bs, duration_us=tau2_us)
     h2 = build_full8(pulse2, v_s, v_c)
     t2, a2 = propagate_sampled(state, h2, tau2_us, n)
     state = QuantumState(basis=PRODUCT_BASIS_8, amplitudes=a2[-1])
@@ -637,13 +622,15 @@ def _atom_label(position: int) -> str:
 
 
 def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
-    """Pulse-by-pulse schedule of the chain protocol.
+    """Pulse-by-pulse schedule of the chain protocol, the paper's table of
+    four steps with three slots each.
 
-    Steps: 1 entangles all (A_j, B_j) pairs in parallel (pulses 1-3),
-    2 entangles (C_j, D_j) (pulses 4-6), 3 swaps across (B_j, C_j)
-    (pulses 7-9), 4 swaps across (D_j, A_{j+1}) (pulses 10-12). The pi
-    pulses are ideal (zero-duration) maps; step durations are set by
-    pulse 2, pulse 3 and the 2pi windows, independent of chain length.
+    Steps 1 and 2 entangle every (A_j, B_j), then every (C_j, D_j) pair
+    in parallel: pi on the first atom, pulse 2 on the second, pulse 3 on
+    both. Steps 3 and 4 SWAP across every (B_j, C_j), then (D_j, A_j+1)
+    link: pi on the second atom, 2pi at 1.5 omega on the first, pi on
+    the second. The pi pulses are ideal zero-duration maps, so the step
+    durations, and the total, do not depend on chain length.
     """
     return _chain_schedule(model, spec)[1]
 
@@ -662,81 +649,36 @@ def _chain_schedule(
     omega, tau2, tau3 = _nominal_point(coup.v_plus_khz, coup.v_minus_khz)
     omega_swap, t_swap = _swap_point(omega)
 
-    positions = list(range(spec.atom_count))
-    n_of = {p: (n_a if p % 2 == 0 else n_b) for p in positions}
-
-    step_pairs = {
-        1: [(p, p + 1) for p in range(0, spec.atom_count - 1, 4)],  # (A_j, B_j)
-        2: [(p, p + 1) for p in range(2, spec.atom_count - 1, 4)],  # (C_j, D_j)
-        3: [(p, p + 1) for p in range(1, spec.atom_count - 1, 4)],  # (B_j, C_j)
-        4: [(p, p + 1) for p in range(3, spec.atom_count - 1, 4)],  # (D_j, A_j+1)
-    }
-
-    def pi_spec(channels: frozenset) -> PulseSpec:
-        # ideal instantaneous pi map; amplitudes recorded as the nominal
-        # drive for bookkeeping, duration zero
-        amps = {f"omega_{c}": omega for c in channels}
-        return PulseSpec(duration_us=0.0, channel_mask=channels, **amps)
+    # slot: (addressed atoms of each pair, channels, drive, duration)
+    first, second, both = (0,), (1,), (0, 1)
+    entangle = (
+        (first, ("dU_A",), omega, 0.0),
+        (second, ("uD_B",), omega, tau2),
+        (both, CHANNELS, omega, tau3),
+    )
+    swap = (
+        (second, ("dU_B", "uD_B"), omega, 0.0),
+        (first, ("dU_A", "uD_A"), omega_swap, t_swap),
+        (second, ("dU_B", "uD_B"), omega, 0.0),
+    )
+    # step: (position of the first atom of its first pair, slots)
+    table = ((0, entangle), (2, entangle), (1, swap), (3, swap))
 
     pulses: list[SchedulePulse] = []
-    for step, pairs in step_pairs.items():
-        if not pairs:
-            continue
-        firsts = tuple(_atom_label(a) for a, _ in pairs)
-        seconds = tuple(_atom_label(b) for _, b in pairs)
-        n_firsts = tuple(n_of[a] for a, _ in pairs)
-        n_seconds = tuple(n_of[b] for _, b in pairs)
-        base_index = (step - 1) * 3
-        if step in (1, 2):
-            # pairwise entanglement: pi on the first atom, pulse 2 on
-            # the second, pulse 3 on both
-            pulses.append(
-                SchedulePulse(step, base_index + 1, firsts,
-                              pi_spec(frozenset({"dU_A"})), n_firsts)
-            )
-            pulses.append(
-                SchedulePulse(
-                    step, base_index + 2, seconds,
-                    PulseSpec(omega_uD_B=omega, duration_us=tau2,
-                              channel_mask=frozenset({"uD_B"})),
-                    n_seconds,
-                )
-            )
-            pulses.append(
-                SchedulePulse(
-                    step, base_index + 3, firsts + seconds,
-                    PulseSpec(
-                        omega_dU_A=omega, omega_uD_A=omega,
-                        omega_dU_B=omega, omega_uD_B=omega,
-                        duration_us=tau3,
-                    ),
-                    n_firsts + n_seconds,
-                )
-            )
-        else:
-            # SWAP: pi pulses on the second atom around a 2pi on the first
-            b_channels = frozenset({"dU_B", "uD_B"})
-            a_channels = frozenset({"dU_A", "uD_A"})
-            pulses.append(
-                SchedulePulse(step, base_index + 1, seconds,
-                              pi_spec(b_channels), n_seconds)
-            )
-            pulses.append(
-                SchedulePulse(
-                    step, base_index + 2, firsts,
-                    PulseSpec(omega_dU_A=omega_swap, omega_uD_A=omega_swap,
-                              duration_us=t_swap, channel_mask=a_channels),
-                    n_firsts,
-                )
-            )
-            pulses.append(
-                SchedulePulse(step, base_index + 3, seconds,
-                              pi_spec(b_channels), n_seconds)
-            )
+    for step, (offset, slots) in enumerate(table, start=1):
+        starts = range(offset, spec.atom_count - 1, 4)
+        for who, channels, drive, duration in slots:
+            atoms = [p + k for k in who for p in starts]
+            if atoms:
+                pulses.append(SchedulePulse(
+                    step, len(pulses) + 1, tuple(_atom_label(p) for p in atoms),
+                    PulseSpec(duration_us=duration, **{f"omega_{c}": drive for c in channels}),
+                    tuple((n_a, n_b)[p % 2] for p in atoms),
+                ))
     return coup, PulseSchedule(
         atom_count=spec.atom_count,
         pulses=tuple(pulses),
-        step_durations_us=(tau2 + tau3, tau2 + tau3, t_swap, t_swap),
+        step_durations_us=tuple(sum(slot[3] for slot in slots) for _, slots in table),
     )
 
 

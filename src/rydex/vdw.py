@@ -370,9 +370,17 @@ def c6_pair(
     )
 
 
-def _check_spacing(spacing_um: float) -> None:
+def _khz_per_ghz_um6(spacing_um: float) -> float:
+    """1e6 / L^6: converts a GHz um^6 coefficient to kHz at spacing L (um)."""
     if not math.isfinite(spacing_um) or spacing_um <= 0:
         raise ValueError(f"spacing must be positive and finite, got {spacing_um}")
+    try:
+        scale = 1e6 / spacing_um**6
+    except ArithmeticError:  # L^6 overflows, or underflows to zero
+        scale = 0.0
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"spacing {spacing_um} um puts 1/L^6 outside the float range")
+    return scale
 
 
 def _assemble(sums: dict[int, float]) -> np.ndarray:
@@ -414,7 +422,7 @@ def interaction_matrix(
     dn_cutoff: int = 10,
 ) -> InteractionMatrix:
     """Direct and exchange 4x4 interaction matrices at spacing L (um)."""
-    _check_spacing(spacing_um)
+    scale = _khz_per_ghz_um6(spacing_um)
     if n_a == n_b:
         raise ValueError("interaction_matrix requires distinct principal numbers")
     direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
@@ -427,7 +435,6 @@ def interaction_matrix(
             "the perturbative interaction matrix is unreliable there",
             stacklevel=2,
         )
-    scale = 1e6 / spacing_um**6  # GHz um^6 -> kHz at L
     return InteractionMatrix(
         n_a=n_a,
         n_b=n_b,
@@ -465,8 +472,7 @@ class VPlusMinus:
 
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
-    _check_spacing(spacing_um)
-    scale = 1e6 / spacing_um**6
+    scale = _khz_per_ghz_um6(spacing_um)
     vs = pair.c6 * scale
     vc = pair.c6_exchange * scale
     inv_sq2 = 1.0 / math.sqrt(2.0)

@@ -51,15 +51,15 @@ def _random_state(rng, basis):
 # --- input validation ---------------------------------------------------------
 
 def test_pulse_spec_validation():
-    with pytest.raises(ValueError, match="unknown drive channels"):
-        PulseSpec(channel_mask=frozenset({"xx"}))
     with pytest.raises(ValueError, match="duration"):
         PulseSpec(duration_us=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="duration_us must be finite and >= 0"):
+            PulseSpec(duration_us=bad)
 
 
 def test_pulse_spec_masked_amplitude():
-    p = PulseSpec(omega_uD_B=50.0, phi_uD_B=0.5,
-                  channel_mask=frozenset({"uD_B"}))
+    p = PulseSpec(omega_uD_B=50.0, phi_uD_B=0.5)
     assert p.amplitude("uD_B") == pytest.approx(
         50.0 * complex(math.cos(0.5), math.sin(0.5))
     )
@@ -73,6 +73,9 @@ def test_quantum_state_validation():
         QuantumState(basis=("a", "b"), amplitudes=np.ones(3, dtype=complex))
     with pytest.raises(ValueError, match="norm"):
         QuantumState(basis=("a", "b"), amplitudes=np.array([1.0, 1.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="norm"):
+            QuantumState(basis=("a", "b"), amplitudes=np.array([bad, 0.0]))
     st = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")
     assert st.population("Uu") == 1.0
     assert sum(st.populations().values()) == pytest.approx(1.0)
@@ -84,6 +87,10 @@ def test_hamiltonian_validation():
     with pytest.raises(ValueError, match="not Hermitian"):
         HamiltonianMatrix(basis=("a", "b"),
                           matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            HamiltonianMatrix(basis=("a", "b"),
+                              matrix=np.array([[0.0, bad], [bad, 0.0]]))
 
 
 # --- builders -----------------------------------------------------------------
@@ -195,10 +202,10 @@ def test_sector_decoupling_with_paired_phases():
 
 
 def test_pulse2_embedding_matches_3x3():
-    # the masked single-channel 8x8 drive restricted to (Uu, UD, DU)
+    # the single-channel 8x8 drive restricted to (Uu, UD, DU)
     # reproduces the 3x3 system in the Bell combination basis
     omega, v_plus, v_minus = 59.0, 5.0, 711.0
-    pulse = PulseSpec(omega_uD_B=omega, channel_mask=frozenset({"uD_B"}))
+    pulse = PulseSpec(omega_uD_B=omega)
     h8 = build_full8(pulse, (v_plus + v_minus) / 2.0,
                      (v_plus - v_minus) / 2.0).matrix
     i = PRODUCT_BASIS_8.index
@@ -261,6 +268,17 @@ def test_propagate_sampled_validation():
         propagate_sampled(st, h, 1.0, 1)
     with pytest.raises(ValueError, match="does not match"):
         propagate_sampled(QuantumState.from_label(PRODUCT_BASIS_8, "Uu"), h, 1.0, 8)
+
+
+def test_propagation_rejects_an_overflowing_phase():
+    # 2 pi * 711 kHz * 1e308 us is not a float; 1e300 us still is
+    h = build_pulse2(59.0, 5.0, 711.0)
+    st = QuantumState.from_label(("Uu", "r+", "r-"), "Uu")
+    with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
+        propagate(st, h, 1e308)
+    with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
+        propagate_sampled(st, h, 1e308, 3)
+    assert propagate(st, h, 1e300).basis == st.basis
 
 
 def test_unitarity_over_random_pulses():

@@ -12,7 +12,7 @@ import pytest
 
 import rydex
 from rydex.atoms import QuantumDefectModel
-from rydex.cli import main
+from rydex.cli import _flatten, main
 from rydex.dynamics import (
     PRODUCT_BASIS_8,
     SUPERPOSITION_BASIS_8,
@@ -536,8 +536,18 @@ def test_cli_computation_errors_return_1(capsys, argv):
         (["pair-sim", "--omega3", "0"],
          "omega_pulse3_khz must be nonzero to derive its half period"),
         (["swap-sim", "--omega", "0"], "omega_khz must be nonzero to derive t_2pi_us"),
-        (["pair-sim", "--spacing", "1e308"], "Numerical result out of range"),
-        (["swap-sim", "--spacing", "1e-300"], "float division by zero"),
+        (["pair-sim", "--spacing", "1e308"],
+         "spacing 1e+308 um puts 1/L^6 outside the float range"),
+        (["swap-sim", "--spacing", "1e-300"],
+         "spacing 1e-300 um puts 1/L^6 outside the float range"),
+        (["pair-sim", "--tau2", "1e308", "--format", "csv"],
+         "pulse duration 1e+308 us overflows the phase 2 pi H t"),
+        (["swap-sim", "--t2pi", "1e308", "--format", "csv"],
+         "pulse duration 1e+308 us overflows the phase 2 pi H t"),
+        (["swap-sim", "--v-blockade", "inf", "--format", "csv"],
+         "Out of range float values are not CSV compliant: inf"),
+        (["chain", "--tau", "1e308", "--format", "csv"],
+         "Out of range float values are not CSV compliant: inf"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -554,6 +564,31 @@ def test_dumps_json_rejects_non_finite():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="not JSON compliant"):
             dumps_json({"x": bad})
+
+
+def test_rows_to_csv_rejects_non_finite():
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+        with pytest.raises(ValueError, match="not CSV compliant"):
+            rows_to_csv(["x"], [[bad]])
+        with pytest.raises(ValueError, match="not CSV compliant"):
+            rows_to_csv(["x"], [{"x": bad}])
+    # list cells are JSON text, which refuses them the same way
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        _flatten({"x": [1.0, math.nan]})
+
+
+def test_cli_bare_config_is_reported_by_the_subcommand():
+    src = str(Path(rydex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rydex.cli", "coeffs", "--na", "73", "--nb", "75", "--config"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "usage: rydex coeffs" in proc.stderr
+    assert "rydex coeffs: error: argument --config: expected one argument" in proc.stderr
+    assert "cli.py" not in proc.stderr
 
 
 def test_import_does_not_load_scipy():

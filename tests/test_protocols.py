@@ -7,7 +7,7 @@ import pytest
 
 import rydex.protocols
 from rydex.atoms import QuantumDefectModel
-from rydex.dynamics import QuantumState, propagate, tau2_approximate
+from rydex.dynamics import CHANNELS, QuantumState, propagate, tau2_approximate
 from rydex.protocols import (
     SWAP_MATRIX_IDEAL,
     ChainSpec,
@@ -282,6 +282,85 @@ def test_schedule_parallelism_eight_atoms():
     assert by_index[10].targets == ("A2",)
     assert by_index[11].targets == ("D1",)   # 2 pi on D_1 bridges to A_2
     assert by_index[11].spec.duration_us > 0.0
+
+
+# Every slot of the (73, 75) chain schedule at 15 um, frozen from the
+# hand-written schedule: (step, pulse index, targets, rydberg_n, channels
+# with a nonzero amplitude, their common drive in kHz, duration in us).
+_W, _W_SWAP = 58.82522395456994, 88.23783593185492
+_TAU2, _TAU3, _T_SWAP = 12.115096764906253, 8.49975514561822, 11.333006860824291
+_ALL = "dU_A uD_A dU_B uD_B"
+_FROZEN_SCHEDULES = {
+    4: (
+        (1, 1, "A1", "73", "dU_A", _W, 0.0),
+        (1, 2, "B1", "75", "uD_B", _W, _TAU2),
+        (1, 3, "A1 B1", "73 75", _ALL, _W, _TAU3),
+        (2, 4, "C1", "73", "dU_A", _W, 0.0),
+        (2, 5, "D1", "75", "uD_B", _W, _TAU2),
+        (2, 6, "C1 D1", "73 75", _ALL, _W, _TAU3),
+        (3, 7, "C1", "73", "dU_B uD_B", _W, 0.0),
+        (3, 8, "B1", "75", "dU_A uD_A", _W_SWAP, _T_SWAP),
+        (3, 9, "C1", "73", "dU_B uD_B", _W, 0.0),
+    ),
+    6: (
+        (1, 1, "A1 A2", "73 73", "dU_A", _W, 0.0),
+        (1, 2, "B1 B2", "75 75", "uD_B", _W, _TAU2),
+        (1, 3, "A1 A2 B1 B2", "73 73 75 75", _ALL, _W, _TAU3),
+        (2, 4, "C1", "73", "dU_A", _W, 0.0),
+        (2, 5, "D1", "75", "uD_B", _W, _TAU2),
+        (2, 6, "C1 D1", "73 75", _ALL, _W, _TAU3),
+        (3, 7, "C1", "73", "dU_B uD_B", _W, 0.0),
+        (3, 8, "B1", "75", "dU_A uD_A", _W_SWAP, _T_SWAP),
+        (3, 9, "C1", "73", "dU_B uD_B", _W, 0.0),
+        (4, 10, "A2", "73", "dU_B uD_B", _W, 0.0),
+        (4, 11, "D1", "75", "dU_A uD_A", _W_SWAP, _T_SWAP),
+        (4, 12, "A2", "73", "dU_B uD_B", _W, 0.0),
+    ),
+    8: (
+        (1, 1, "A1 A2", "73 73", "dU_A", _W, 0.0),
+        (1, 2, "B1 B2", "75 75", "uD_B", _W, _TAU2),
+        (1, 3, "A1 A2 B1 B2", "73 73 75 75", _ALL, _W, _TAU3),
+        (2, 4, "C1 C2", "73 73", "dU_A", _W, 0.0),
+        (2, 5, "D1 D2", "75 75", "uD_B", _W, _TAU2),
+        (2, 6, "C1 C2 D1 D2", "73 73 75 75", _ALL, _W, _TAU3),
+        (3, 7, "C1 C2", "73 73", "dU_B uD_B", _W, 0.0),
+        (3, 8, "B1 B2", "75 75", "dU_A uD_A", _W_SWAP, _T_SWAP),
+        (3, 9, "C1 C2", "73 73", "dU_B uD_B", _W, 0.0),
+        (4, 10, "A2", "73", "dU_B uD_B", _W, 0.0),
+        (4, 11, "D1", "75", "dU_A uD_A", _W_SWAP, _T_SWAP),
+        (4, 12, "A2", "73", "dU_B uD_B", _W, 0.0),
+    ),
+    16: (
+        (1, 1, "A1 A2 A3 A4", "73 73 73 73", "dU_A", _W, 0.0),
+        (1, 2, "B1 B2 B3 B4", "75 75 75 75", "uD_B", _W, _TAU2),
+        (1, 3, "A1 A2 A3 A4 B1 B2 B3 B4", "73 73 73 73 75 75 75 75", _ALL, _W, _TAU3),
+        (2, 4, "C1 C2 C3 C4", "73 73 73 73", "dU_A", _W, 0.0),
+        (2, 5, "D1 D2 D3 D4", "75 75 75 75", "uD_B", _W, _TAU2),
+        (2, 6, "C1 C2 C3 C4 D1 D2 D3 D4", "73 73 73 73 75 75 75 75", _ALL, _W, _TAU3),
+        (3, 7, "C1 C2 C3 C4", "73 73 73 73", "dU_B uD_B", _W, 0.0),
+        (3, 8, "B1 B2 B3 B4", "75 75 75 75", "dU_A uD_A", _W_SWAP, _T_SWAP),
+        (3, 9, "C1 C2 C3 C4", "73 73 73 73", "dU_B uD_B", _W, 0.0),
+        (4, 10, "A2 A3 A4", "73 73 73", "dU_B uD_B", _W, 0.0),
+        (4, 11, "D1 D2 D3", "75 75 75", "dU_A uD_A", _W_SWAP, _T_SWAP),
+        (4, 12, "A2 A3 A4", "73 73 73", "dU_B uD_B", _W, 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("count", sorted(_FROZEN_SCHEDULES))
+def test_schedule_slots_frozen(count):
+    sch = chain_schedule(MODEL, ChainSpec(atom_count=count, spacing_um=15.0,
+                                          pair=(73, 75)))
+    slots = []
+    for p in sch.pulses:
+        amps = {c: p.spec.amplitude(c) for c in CHANNELS if p.spec.amplitude(c) != 0}
+        (drive,) = set(amps.values())
+        assert drive.imag == 0.0
+        slots.append((p.step, p.pulse_index, " ".join(p.targets),
+                      " ".join(map(str, p.rydberg_n)), " ".join(amps),
+                      drive.real, p.spec.duration_us))
+    assert tuple(slots) == _FROZEN_SCHEDULES[count]
+    assert sch.step_durations_us == (_TAU2 + _TAU3, _TAU2 + _TAU3, _T_SWAP, _T_SWAP)
 
 
 def test_schedule_requires_perturbative_spacing():

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -278,6 +279,18 @@ def test_interaction_matrix_validation():
             interaction_matrix(MODEL, 73, 75, bad)
     with pytest.raises(ValueError, match="distinct principal"):
         interaction_matrix(MODEL, 73, 73, 15.0)
+
+
+def test_spacing_outside_float_range_is_named():
+    # L^6 overflows at 1e308 and underflows to zero at 1e-300; 1/L^6 is
+    # infinite at 1e-60
+    pair = c6_pair(MODEL, 73, 75)
+    for bad in (1e308, 1e-300, 1e-60):
+        message = re.escape(f"spacing {bad} um puts 1/L^6 outside the float range")
+        with pytest.raises(ValueError, match=message):
+            interaction_matrix(MODEL, 73, 75, bad)
+        with pytest.raises(ValueError, match=message):
+            v_plus_minus(pair, bad)
 
 
 def test_v_plus_minus_frozen():
