@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from .atoms import DefectDataError, QuantumDefectModel
 from .harness import (
@@ -227,7 +228,7 @@ def _couplings(args, model):
 
 def _cmd_coeffs(args, model):
     pair = c6_pair(model, args.na, args.nb, dn_cutoff=args.dn)
-    data = {
+    return {
         "schema": SCHEMA,
         "command": "coeffs",
         "n_a": pair.n_a,
@@ -239,26 +240,18 @@ def _cmd_coeffs(args, model):
         "channel_sums_ghz_um6": {
             str(k): v for k, v in enumerate(pair.channel_sums, start=1)
         },
-    }
-    return data, None
+    }, None
 
 
 def _cmd_critical_radius(args, model):
     cr = critical_radius(model, args.na, args.nb, dn_cutoff=args.dn)
-    data = {
+    return {
         "schema": SCHEMA,
         "command": "critical-radius",
         "n_a": args.na,
         "n_b": args.nb,
-        "radius_um": cr.radius_um,
-        "channel": cr.channel,
-        "ns": cr.ns,
-        "nt": cr.nt,
-        "defect_ghz": cr.defect_ghz,
-        "rrr_ghz_um3": cr.rrr_ghz_um3,
-        "max_coupling": cr.max_coupling,
-    }
-    return data, None
+        **asdict(cr),
+    }, None
 
 
 def _cmd_pair_sim(args, model):
@@ -313,7 +306,7 @@ def _cmd_swap_sim(args, model):
         raise ValueError("--v-blockade is required when couplings are injected")
     omega, t_2pi = _swap_point(_nominal_omega(v_plus, v_minus), args.omega, args.t2pi)
     result = swap_gate(omega, v_plus, v_minus, v_blockade, t_2pi, phi=args.phi)
-    data = {
+    return {
         "schema": SCHEMA,
         "command": "swap-sim",
         "n_a": args.na,
@@ -325,13 +318,8 @@ def _cmd_swap_sim(args, model):
         "omega_khz": omega,
         "t_2pi_us": t_2pi,
         "phi": args.phi,
-        "basis_fidelities": result.basis_fidelities,
-        "gate_fidelity": result.gate_fidelity,
-        "total_duration_us": result.total_duration_us,
-        "rydberg_exposure_us": result.rydberg_exposure_us,
-        "total_rydberg_time_us": result.total_rydberg_time_us,
-    }
-    return data, None
+        **asdict(result),
+    }, None
 
 
 def _cmd_chain(args, model):
@@ -342,8 +330,7 @@ def _cmd_chain(args, model):
         gamma_per_ms=args.gamma,
     )
     chain = chain_protocol(model, spec, f1=args.f1, f_swap=args.fswap, tau_us=args.tau)
-    estimate, schedule, spectator = chain.estimate, chain.schedule, chain.spectator
-    data = {
+    return {
         "schema": SCHEMA,
         "command": "chain",
         "atom_count": spec.atom_count,
@@ -354,24 +341,14 @@ def _cmd_chain(args, model):
         "f1": chain.f1,
         "f_swap": chain.f_swap,
         "tau_us": chain.tau_us,
-        "fidelity": estimate.fidelity,
-        "linear_error": estimate.linear_error,
-        "gamma_tau": estimate.gamma_tau,
-        "pairwise_ops": estimate.pairwise_ops,
-        "swap_ops": estimate.swap_ops,
+        **asdict(chain.estimate),
         "schedule": {
-            "pulse_count": len(schedule.pulses),
-            "step_durations_us": list(schedule.step_durations_us),
-            "total_duration_us": schedule.total_duration_us,
+            "pulse_count": len(chain.schedule.pulses),
+            "step_durations_us": list(chain.schedule.step_durations_us),
+            "total_duration_us": chain.schedule.total_duration_us,
         },
-        "spectator": {
-            "shift_khz": spectator.shift_khz,
-            "separation_um": spectator.separation_um,
-            "ratio_to_v_plus": spectator.ratio_to_v_plus,
-            "negligible": spectator.negligible,
-        },
-    }
-    return data, None
+        "spectator": asdict(chain.spectator),
+    }, None
 
 
 def _cmd_robustness(args, model):

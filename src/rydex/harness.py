@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import QuantumDefectModel, RydbergLevel, _require_finite, level_energy
+from .atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel, _require_finite
 from .dynamics import (
     PRODUCT_BASIS_8,
     PulseSpec,
@@ -38,8 +38,7 @@ from .protocols import (
     pair_couplings,
     pairwise_entangle,
 )
-from .radial import rrr_coefficient
-from .vdw import channel_c6, c6_pair
+from .vdw import _pair_terms, c6_pair, channel_c6
 
 __all__ = [
     "SCHEMA",
@@ -340,23 +339,14 @@ def _format_p_level(n: int, j: float) -> str:
 def _table_channels(model: QuantumDefectModel, table_id: str) -> dict:
     n_a, n_b = TABLE_PAIRS[table_id]
     reference = REFERENCE_TABLE_III if table_id == "III" else REFERENCE_TABLE_IV
-    e_pair = level_energy(model, RydbergLevel(n_a, 0, 0.5)) + level_energy(
-        model, RydbergLevel(n_b, 0, 0.5)
-    )
+    terms = _pair_terms(model, n_a, n_b, 2)  # every tabulated row lies within dn 2
+    channel = {js: k for k, js in CHANNEL_FINE_STRUCTURE.items()}
     rows = []
     for (n1, j1), (n2, j2), ref_defect_mhz, ref_rr in reference:
-        p1 = RydbergLevel(n1, 1, j1)
-        p2 = RydbergLevel(n2, 1, j2)
-        defect_mhz = 1e3 * (
-            level_energy(model, p1) + level_energy(model, p2) - e_pair
-        )
-        rr = abs(
-            rrr_coefficient(
-                model,
-                (RydbergLevel(n_a, 0, 0.5), RydbergLevel(n_b, 0, 0.5)),
-                (p1, p2),
-            )
-        )
+        t = terms[channel[j1, j2]]
+        i = int(np.flatnonzero((t.ns == n1) & (t.nt == n2))[0])
+        defect_mhz = 1e3 * float(t.defect[i])
+        rr = abs(float(t.rr[i]))
         rows.append(
             {
                 "atom1": _format_p_level(n1, j1),
@@ -444,11 +434,7 @@ def _figure_histograms(
         )
         hists[eps] = robustness_scan(cfg)
     h1, h2 = hists[0.1], hists[0.2]
-    rows: list[list] = [[0.0, h1.bin_edges[0], h1.counts[0], h2.counts[0]]]
-    for i in range(len(h1.bin_edges) - 1):
-        rows.append(
-            [h1.bin_edges[i], h1.bin_edges[i + 1], h1.counts[i + 1], h2.counts[i + 1]]
-        )
+    rows = [row + [count] for row, count in zip(histogram_rows(h1)[1], h2.counts)]
     return {
         "schema": SCHEMA,
         "figure": 4,

@@ -153,10 +153,9 @@ def _swap_point(omega_khz: float, omega_swap: float | None = None,
     return omega_swap, 1e3 / omega_swap if t_2pi is None else t_2pi
 
 
-def _rydberg_masks(basis: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    mask_a = np.array([1.0 if b[0] in "DU" else 0.0 for b in basis])
-    mask_b = np.array([1.0 if b[1] in "DU" else 0.0 for b in basis])
-    return mask_a, mask_b
+# Rydberg-population masks of atom A and atom B on PRODUCT_BASIS_8
+_RYDBERG_A = np.array([1.0 if b[0] in "DU" else 0.0 for b in PRODUCT_BASIS_8])
+_RYDBERG_B = np.array([1.0 if b[1] in "DU" else 0.0 for b in PRODUCT_BASIS_8])
 
 
 def _trapezoid(values: np.ndarray, dt: float) -> float:
@@ -173,38 +172,23 @@ class Trajectory:
     pulse_boundaries_us: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class _Exposure:
-    per_atom_us: float
-    thresholded_us: float
+def _exposure(*pulses: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
+    """(per-atom Rydberg exposure, thresholded Rydberg time) in us.
 
-
-def _accumulate_exposure(
-    segments: list[tuple[np.ndarray, np.ndarray, tuple[str, ...]]],
-) -> _Exposure:
-    """Per-atom Rydberg exposure and thresholded Rydberg time.
-
-    ``segments`` holds (times, amplitudes, basis) per pulse, each with
-    its own local time axis. Exposure is the two-atom average of
-    integral(P_Rydberg dt); the thresholded time counts samples whose
-    total Rydberg population exceeds RYDBERG_POPULATION_THRESHOLD.
+    Each pulse is (times, amplitudes on PRODUCT_BASIS_8) on its own local
+    time axis. Exposure is the two-atom average of integral(P_Rydberg dt);
+    the thresholded time counts samples whose total Rydberg population
+    exceeds RYDBERG_POPULATION_THRESHOLD.
     """
-    exposure = 0.0
-    thresholded = 0.0
-    for times, amps, basis in segments:
-        if len(times) < 2:
-            continue
+    exposure = thresholded = 0.0
+    for times, amps in pulses:
         dt = float(times[1] - times[0])
         pops = np.abs(amps) ** 2
-        mask_a, mask_b = _rydberg_masks(basis)
-        p_a = pops @ mask_a
-        p_b = pops @ mask_b
+        p_a, p_b = pops @ _RYDBERG_A, pops @ _RYDBERG_B
         exposure += 0.5 * (_trapezoid(p_a, dt) + _trapezoid(p_b, dt))
-        total = p_a + p_b
-        thresholded += dt * float(
-            np.count_nonzero(total[:-1] > RYDBERG_POPULATION_THRESHOLD)
-        )
-    return _Exposure(per_atom_us=exposure, thresholded_us=thresholded)
+        above = np.count_nonzero((p_a + p_b)[:-1] > RYDBERG_POPULATION_THRESHOLD)
+        thresholded += dt * float(above)
+    return exposure, thresholded
 
 
 @dataclass(frozen=True)
@@ -276,41 +260,29 @@ def pairwise_entangle(
         )
     if tau2_us is None:
         tau2_us = pulse2_analytics(omega_pulse2_khz, v_plus_khz, v_minus_khz).tau2_us
-    phi_a, phi_as, phi_b, phi_bs = phases
+    phi = {f"phi_{c}": p for c, p in zip(CHANNELS, phases, strict=True)}
     v_s, v_c = _exchange_split(v_plus_khz, v_minus_khz)
 
     n = max(2, samples_per_pulse)
     state = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")  # after ideal pulse 1
 
-    pulse2 = PulseSpec(omega_uD_B=omega_pulse2_khz, phi_uD_B=phi_bs, duration_us=tau2_us)
+    pulse2 = PulseSpec(
+        omega_uD_B=omega_pulse2_khz, phi_uD_B=phi["phi_uD_B"], duration_us=tau2_us
+    )
     h2 = build_full8(pulse2, v_s, v_c)
     t2, a2 = propagate_sampled(state, h2, tau2_us, n)
     state = QuantumState(basis=PRODUCT_BASIS_8, amplitudes=a2[-1])
 
     pulse3 = PulseSpec(
-        omega_dU_A=omega_pulse3_khz,
-        omega_uD_A=omega_pulse3_khz,
-        omega_dU_B=omega_pulse3_khz,
-        omega_uD_B=omega_pulse3_khz,
-        phi_dU_A=phi_a,
-        phi_uD_A=phi_as,
-        phi_dU_B=phi_b,
-        phi_uD_B=phi_bs,
-        duration_us=tau3_us,
+        duration_us=tau3_us, **phi, **{f"omega_{c}": omega_pulse3_khz for c in CHANNELS}
     )
     h3 = build_full8(pulse3, v_s, v_c)
     t3, a3 = propagate_sampled(state, h3, tau3_us, n)
     final = a3[-1]
 
-    relabel = relabeling_matrix(
-        phi_dU_A=phi_a, phi_uD_A=phi_as, phi_dU_B=phi_b, phi_uD_B=phi_bs
-    )
-    g_plus_row = relabel[0]  # SUPERPOSITION_BASIS_8 starts with g+
+    g_plus_row = relabeling_matrix(**phi)[0]  # SUPERPOSITION_BASIS_8 starts with g+
     fidelity = float(abs(g_plus_row @ final) ** 2)
-
-    exposure = _accumulate_exposure(
-        [(t2, a2, PRODUCT_BASIS_8), (t3, a3, PRODUCT_BASIS_8)]
-    )
+    exposure, thresholded = _exposure((t2, a2), (t3, a3))
     trajectory = None
     if keep_trajectory:
         times = np.concatenate([t2, tau2_us + t3[1:]])
@@ -324,8 +296,8 @@ def pairwise_entangle(
     return ProtocolResult(
         fidelity=fidelity,
         per_pulse_durations_us=(0.0, tau2_us, tau3_us),
-        total_rydberg_time_us=exposure.thresholded_us,
-        rydberg_exposure_us=exposure.per_atom_us,
+        total_rydberg_time_us=thresholded,
+        rydberg_exposure_us=exposure,
         omega_pulse2_khz=omega_pulse2_khz,
         omega_pulse3_khz=omega_pulse3_khz,
         tau2_us=tau2_us,
@@ -447,13 +419,11 @@ class SwapGateResult:
     ``basis_fidelities`` maps the ground-spin inputs 'uu', 'ud', 'du',
     'dd' (u = spin up, d = spin down, atom order preserved) to their
     return/transfer probabilities; ``gate_fidelity`` is their mean.
-    ``gate_matrix_ideal`` is the signed SWAP the ideal sequence
-    realizes up to a global phase.
+    The ideal sequence realizes SWAP_MATRIX_IDEAL up to a global phase.
     """
 
     basis_fidelities: dict[str, float]
     gate_fidelity: float
-    gate_matrix_ideal: np.ndarray
     total_duration_us: float
     rydberg_exposure_us: float
     total_rydberg_time_us: float
@@ -508,53 +478,42 @@ def swap_gate(
     else:
         h_ex = build_swap_2pi(omega_khz, phi, v_plus_khz, v_minus_khz)
 
-    t_ex, a_ex_from_dd = propagate_sampled(
+    t_ex, a_ex = propagate_sampled(
         QuantumState.from_label(h_ex.basis, "dD"), h_ex, t_2pi_us, n
     )
-    fid_du = float(abs(a_ex_from_dd[-1][h_ex.basis.index("uU")]) ** 2)
+    fid_du = float(abs(a_ex[-1][h_ex.basis.index("uU")]) ** 2)
     state_uu = QuantumState.from_label(h_ex.basis, "uU")
     final_from_uu = propagate(state_uu, h_ex, t_2pi_us)
     fid_ud = float(final_from_uu.population("dD"))
 
+    # Exposure: atom B is in the Rydberg manifold for the whole 2pi
+    # window in every channel; atom A only while on the Bell states
+    # (exchange) or the doubly excited blocked state.
+    bell_idx = [i for i, b in enumerate(h_ex.basis) if b.startswith("r")]
+    exposure_a_ex = _trapezoid(
+        (np.abs(a_ex[:, bell_idx]) ** 2).sum(axis=1), float(t_ex[1] - t_ex[0])
+    )
+
     # Blocked (parallel) channels: both have the same corner shift, so
-    # one two-level run covers uu and dd.
+    # one two-level run covers uu and dd; a perfect blockade never excites.
     if math.isinf(v_blockade_khz):
-        fid_block = 1.0
-        t_bl = np.linspace(0.0, t_2pi_us, n)
-        a_bl = np.zeros((n, 2), dtype=complex)
-        a_bl[:, 0] = 1.0
+        fid_block, exposure_a_bl = 1.0, 0.0
     else:
         h_bl = build_blocked2(omega_khz, phi, v_blockade_khz)
         t_bl, a_bl = propagate_sampled(
             QuantumState.from_label(h_bl.basis, "ground"), h_bl, t_2pi_us, n
         )
         fid_block = float(abs(a_bl[-1][0]) ** 2)
+        exposure_a_bl = _trapezoid(np.abs(a_bl[:, 1]) ** 2, float(t_bl[1] - t_bl[0]))
 
     fidelities = {"uu": fid_block, "ud": fid_ud, "du": fid_du, "dd": fid_block}
-
-    # Exposure: atom B is in the Rydberg manifold for the whole 2pi
-    # window in every channel; atom A only while on the Bell states
-    # (exchange) or the doubly excited blocked state.
-    dt_ex = float(t_ex[1] - t_ex[0])
-    pops_ex = np.abs(a_ex_from_dd) ** 2
-    bell_idx = [i for i, b in enumerate(h_ex.basis) if b.startswith("r")]
-    exposure_a_ex = _trapezoid(pops_ex[:, bell_idx].sum(axis=1), dt_ex)
-    dt_bl = float(t_bl[1] - t_bl[0])
-    exposure_a_bl = _trapezoid(np.abs(a_bl[:, 1]) ** 2, dt_bl)
-    per_channel = {
-        "uu": 0.5 * (exposure_a_bl + t_2pi_us),
-        "ud": 0.5 * (exposure_a_ex + t_2pi_us),
-        "du": 0.5 * (exposure_a_ex + t_2pi_us),
-        "dd": 0.5 * (exposure_a_bl + t_2pi_us),
-    }
-    exposure = sum(per_channel.values()) / 4.0
-
+    blocked = 0.5 * (exposure_a_bl + t_2pi_us)
+    exchange = 0.5 * (exposure_a_ex + t_2pi_us)
     return SwapGateResult(
         basis_fidelities=fidelities,
         gate_fidelity=float(sum(fidelities.values()) / 4.0),
-        gate_matrix_ideal=SWAP_MATRIX_IDEAL.copy(),
         total_duration_us=t_2pi_us,
-        rydberg_exposure_us=float(exposure),
+        rydberg_exposure_us=float((blocked + exchange + exchange + blocked) / 4.0),
         total_rydberg_time_us=t_2pi_us,
     )
 
@@ -759,9 +718,9 @@ def chain_fidelity_estimate(
     ``tau_us`` is the per-operation Rydberg exposure per atom; each
     operation involves two atoms, hence the 2 gamma tau per factor.
     When no simulated exposure is available the nominal 10 us operation
-    scale is used; a given exposure must be finite and >= 0. Warns when
-    gamma tau approaches 1 (the exponential estimate stops being a
-    small correction).
+    scale is used; a given exposure must be finite and >= 0, and gamma
+    tau finite. Warns when gamma tau approaches 1 (the exponential
+    estimate stops being a small correction).
     """
     if not 0.0 <= f1 <= 1.0 or not 0.0 <= f_swap <= 1.0:
         raise ValueError("fidelities must lie in [0, 1]")
@@ -769,6 +728,7 @@ def chain_fidelity_estimate(
         tau_us = 10.0
     _require_finite("tau_us", tau_us, 0.0)
     gamma_tau = spec.gamma_per_ms * tau_us * 1e-3
+    _require_finite("gamma tau = gamma_per_ms * tau_us", gamma_tau)
     if gamma_tau >= 1.0:
         warnings.warn(
             f"gamma tau = {gamma_tau:.3g} is not small; the decay estimate "
@@ -799,7 +759,6 @@ class SpectatorBlockade:
 
     shift_khz: float
     separation_um: float
-    v_plus_khz: float
     ratio_to_v_plus: float
     negligible: bool
 
@@ -825,7 +784,6 @@ def _spectator(spec: ChainSpec, coup: PairCouplings) -> SpectatorBlockade:
     return SpectatorBlockade(
         shift_khz=shift,
         separation_um=3.0 * spec.spacing_um,
-        v_plus_khz=v_plus,
         ratio_to_v_plus=float(ratio),
         negligible=bool(ratio < 0.2),
     )

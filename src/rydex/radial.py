@@ -76,8 +76,13 @@ def _kaulakys(nu1: float, l1: int, nu2: float, l2: int) -> float:
     if dnu == 0:
         g0, g1, g2, g3 = 1.0, 0.0, 0.0, 0.0
     else:
-        a_minus = float(mpmath.angerj(dnu - 1, -dnu))
-        a_plus = float(mpmath.angerj(dnu + 1, -dnu))
+        try:
+            a_minus = float(mpmath.angerj(dnu - 1, -dnu))
+            a_plus = float(mpmath.angerj(dnu + 1, -dnu))
+        except mpmath.libmp.NoConvergence:
+            raise ValueError(
+                f"Anger functions do not converge for n_eff {nu1} and {nu2}"
+            ) from None
         g0 = (a_minus - a_plus) / (3.0 * dnu)
         g1 = -(a_minus + a_plus) / (3.0 * dnu)
         g2 = g0 - math.sin(math.pi * dnu) / (math.pi * dnu)

@@ -357,21 +357,19 @@ def c6_pair(
     if n_a == n_b:
         raise ValueError("c6_pair requires two distinct principal quantum numbers")
     direct, _ = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
-    sums = tuple(direct[k] for k in (1, 2, 3, 4))
-    c6 = sum(s * _D_MATRICES[k][1, 1] for k, s in zip((1, 2, 3, 4), sums))
-    c6x = sum(s * _D_MATRICES[k][1, 2] for k, s in zip((1, 2, 3, 4), sums))
+    c6_v1 = _assemble(direct)  # the V1 block interaction_matrix builds
     return C6Pair(
         n_a=n_a,
         n_b=n_b,
         dn_cutoff=dn_cutoff,
-        c6=float(c6),
-        c6_exchange=float(c6x),
-        channel_sums=tuple(float(s) for s in sums),
+        c6=float(c6_v1[1, 1]),
+        c6_exchange=float(c6_v1[1, 2]),
+        channel_sums=tuple(direct.values()),
     )
 
 
-def _khz_per_ghz_um6(spacing_um: float) -> float:
-    """1e6 / L^6: converts a GHz um^6 coefficient to kHz at spacing L (um)."""
+def _khz_per_ghz_um6(spacing_um: float, *coefficients):
+    """GHz um^6 ``coefficients`` in kHz at spacing L (um), each times 1e6 / L^6."""
     if not math.isfinite(spacing_um) or spacing_um <= 0:
         raise ValueError(f"spacing must be positive and finite, got {spacing_um}")
     try:
@@ -380,7 +378,13 @@ def _khz_per_ghz_um6(spacing_um: float) -> float:
         scale = 0.0
     if not 0.0 < scale < math.inf:
         raise ValueError(f"spacing {spacing_um} um puts 1/L^6 outside the float range")
-    return scale
+    with np.errstate(over="ignore"):
+        scaled = [c * scale for c in coefficients]
+    if not all(np.isfinite(c).all() for c in scaled):
+        raise ValueError(
+            f"spacing {spacing_um} um puts the couplings outside the float range"
+        )
+    return scaled
 
 
 def _assemble(sums: dict[int, float]) -> np.ndarray:
@@ -422,12 +426,12 @@ def interaction_matrix(
     dn_cutoff: int = 10,
 ) -> InteractionMatrix:
     """Direct and exchange 4x4 interaction matrices at spacing L (um)."""
-    scale = _khz_per_ghz_um6(spacing_um)
     if n_a == n_b:
         raise ValueError("interaction_matrix requires distinct principal numbers")
     direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
     c6_v1 = _assemble(direct)
     c6_v2 = _assemble(cross)
+    v1, v2 = _khz_per_ghz_um6(spacing_um, c6_v1, c6_v2)
     lc = critical_radius(model, n_a, n_b).radius_um
     if spacing_um < lc:
         warnings.warn(
@@ -443,10 +447,10 @@ def interaction_matrix(
         basis=SPIN_BASIS,
         c6_v1_ghz_um6=c6_v1,
         c6_v2_ghz_um6=c6_v2,
-        v1_khz=c6_v1 * scale,
-        v2_khz=c6_v2 * scale,
-        vs_khz=float(c6_v1[1, 1] * scale),
-        vc_khz=float(c6_v1[1, 2] * scale),
+        v1_khz=v1,
+        v2_khz=v2,
+        vs_khz=float(v1[1, 1]),
+        vc_khz=float(v1[1, 2]),
     )
 
 
@@ -472,9 +476,7 @@ class VPlusMinus:
 
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
-    scale = _khz_per_ghz_um6(spacing_um)
-    vs = pair.c6 * scale
-    vc = pair.c6_exchange * scale
+    vs, vc = _khz_per_ghz_um6(spacing_um, pair.c6, pair.c6_exchange)
     inv_sq2 = 1.0 / math.sqrt(2.0)
     return VPlusMinus(
         v_plus_khz=float(vs + vc),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rydex
-from rydex.atoms import QuantumDefectModel
+from rydex.atoms import QuantumDefectModel, RydbergLevel, level_energy
 from rydex.cli import _flatten, main
 from rydex.dynamics import (
     PRODUCT_BASIS_8,
@@ -23,6 +23,9 @@ from rydex.dynamics import (
     relabeling_matrix,
 )
 from rydex.harness import (
+    REFERENCE_TABLE_III,
+    REFERENCE_TABLE_IV,
+    TABLE_PAIRS,
     FidelityHistogram,
     RobustnessConfig,
     _batched_pulse3_fidelities,
@@ -39,6 +42,7 @@ from rydex.harness import (
     write_json,
 )
 from rydex.protocols import swap_gate
+from rydex.radial import rrr_coefficient
 from rydex.vdw import interaction_matrix
 
 MODEL = QuantumDefectModel.default()
@@ -270,6 +274,26 @@ def test_channel_tables_match_reference(table_id, expected_rows):
         assert abs(row["defect_mhz_deviation"]) < 3.0
         limit = 0.50 if row["rr_ghz_um3_reference"] < 1.0 else 0.05
         assert abs(row["rr_rel_dev"]) < limit
+
+
+@pytest.mark.parametrize("table_id", ["III", "IV"])
+def test_channel_tables_match_scalar_path(table_id):
+    """Each row agrees with the public scalar API: R_rr exactly, the
+    defect up to the order in which the four level energies are added."""
+    n_a, n_b = TABLE_PAIRS[table_id]
+    reference = REFERENCE_TABLE_III if table_id == "III" else REFERENCE_TABLE_IV
+    s_a, s_b = RydbergLevel(n_a, 0, 0.5), RydbergLevel(n_b, 0, 0.5)
+    rows = run_table(table_id, MODEL)["rows"]
+    for ((n1, j1), (n2, j2), _, _), row in zip(reference, rows, strict=True):
+        p1, p2 = RydbergLevel(n1, 1, j1), RydbergLevel(n2, 1, j2)
+        defect_mhz = 1e3 * (
+            level_energy(MODEL, p1) + level_energy(MODEL, p2)
+            - level_energy(MODEL, s_a) - level_energy(MODEL, s_b)
+        )
+        assert abs(row["defect_mhz_computed"] - defect_mhz) < 1e-9
+        assert row["rr_ghz_um3_computed"] == abs(
+            rrr_coefficient(MODEL, (s_a, s_b), (p1, p2))
+        )
 
 
 def test_table_id_is_case_insensitive():
@@ -547,7 +571,11 @@ def test_cli_computation_errors_return_1(capsys, argv):
         (["swap-sim", "--v-blockade", "inf", "--format", "csv"],
          "Out of range float values are not CSV compliant: inf"),
         (["chain", "--tau", "1e308", "--format", "csv"],
-         "Out of range float values are not CSV compliant: inf"),
+         "gamma tau = gamma_per_ms * tau_us must be finite, got inf"),
+        (["pair-sim", "--spacing", "1e-50"],
+         "spacing 1e-50 um puts the couplings outside the float range"),
+        (["coeffs", "--na", "73", "--nb", "99999"],
+         "Anger functions do not converge for n_eff 99995.8688"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):

@@ -83,6 +83,24 @@ def test_pairwise_phase_covariance():
         assert got == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "phases, fidelity, exposure, thresholded",
+    [
+        ((0.0, 0.0, 0.0, 0.0),
+         "0x1.f7ceab88b7eb8p-1", "0x1.a2a370498cebcp+3", "0x1.445b7efaf5a21p+4"),
+        ((0.3, -1.1, 2.0, 0.7),
+         "0x1.f7ceab88b7eb2p-1", "0x1.a2a370498cebfp+3", "0x1.445b7efaf5a21p+4"),
+    ],
+)
+def test_pairwise_bookkeeping_bit_exact(phases, fidelity, exposure, thresholded):
+    # exact float.hex values: the fidelity row and the exposure integrals
+    # may be refactored, but not re-associated
+    res = pairwise_entangle(59.0, 61.0, 5.0, 711.0, phases=phases)
+    assert res.fidelity.hex() == fidelity
+    assert res.rydberg_exposure_us.hex() == exposure
+    assert res.total_rydberg_time_us.hex() == thresholded
+
+
 def test_pairwise_trajectory():
     res = pairwise_entangle(119.0, 128.0, 5.0, 711.0, samples_per_pulse=50,
                             keep_trajectory=True)
@@ -164,6 +182,21 @@ def test_swap_gate_decoupled_minus_with_shift_frozen():
                                                        rel=1e-12)
     assert res.gate_fidelity == pytest.approx(0.9960446920983426, rel=1e-12)
     assert res.rydberg_exposure_us == pytest.approx(6.296418804969008, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "v_blockade, v_minus, fidelity, exposure",
+    [
+        (535.0, 711.0, "0x1.f71f386844eacp-1", "0x1.93a4dc64fe454p+2"),
+        (535.0, None, "0x1.fddb5fc98e468p-1", "0x1.92f47e4621daep+2"),
+        (math.inf, 711.0, "0x1.f72fdc45e6b7cp-1", "0x1.9142b772e0466p+2"),
+        (math.inf, None, "0x1.fdec03a730137p-1", "0x1.9092595403dc0p+2"),
+    ],
+)
+def test_swap_gate_bookkeeping_bit_exact(v_blockade, v_minus, fidelity, exposure):
+    res = swap_gate(89.0, 5.0, v_minus, v_blockade, 11.12)
+    assert res.gate_fidelity.hex() == fidelity
+    assert res.rydberg_exposure_us.hex() == exposure
 
 
 def test_swap_gate_composition_is_signed_swap():
@@ -440,6 +473,9 @@ def test_chain_estimate_validation_and_warning():
         chain_fidelity_estimate(spec, 1.2, 0.9)
     with pytest.warns(UserWarning, match="not small"):
         chain_fidelity_estimate(spec, 0.99, 0.98, tau_us=10.0)
+    # 200 * 1e308 overflows before the 1e-3 scale applies
+    with pytest.raises(ValueError, match=r"gamma_per_ms \* tau_us must be finite, got inf"):
+        chain_fidelity_estimate(spec, 0.99, 0.98, tau_us=1e308)
 
 
 def test_spectator_blockade_frozen():

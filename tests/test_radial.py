@@ -50,6 +50,12 @@ def test_low_orbital_angular_momentum_guard():
             radial_integral(RadialOrbital(1.4, 1), RadialOrbital(1.5, 2))
 
 
+def test_far_apart_levels_are_named():
+    # the Anger series of a ~1e5 n_eff difference does not converge
+    with pytest.raises(ValueError, match="do not converge for n_eff 70 and 99990"):
+        radial_integral(RadialOrbital(70, 0), RadialOrbital(99990, 1))
+
+
 def test_low_n_warning():
     with pytest.warns(UserWarning, match="marginal at n_eff"):
         radial_integral(RadialOrbital(5.5, 0), RadialOrbital(6.0, 1))

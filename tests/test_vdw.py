@@ -291,6 +291,12 @@ def test_spacing_outside_float_range_is_named():
             interaction_matrix(MODEL, 73, 75, bad)
         with pytest.raises(ValueError, match=message):
             v_plus_minus(pair, bad)
+    # 1/L^6 = 1e306 is finite, but the couplings it scales are not
+    message = "spacing 1e-50 um puts the couplings outside the float range"
+    with pytest.raises(ValueError, match=message):
+        interaction_matrix(MODEL, 73, 75, 1e-50)
+    with pytest.raises(ValueError, match=message):
+        v_plus_minus(pair, 1e-50)
 
 
 def test_v_plus_minus_frozen():
