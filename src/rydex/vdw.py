@@ -380,11 +380,14 @@ def _khz_per_ghz_um6(spacing_um: float, *coefficients):
         raise ValueError(f"spacing {spacing_um} um puts 1/L^6 outside the float range")
     with np.errstate(over="ignore"):
         scaled = [c * scale for c in coefficients]
-    if not all(np.isfinite(c).all() for c in scaled):
-        raise ValueError(
-            f"spacing {spacing_um} um puts the couplings outside the float range"
-        )
-    return scaled
+    return _finite_couplings(spacing_um, *scaled)
+
+
+def _finite_couplings(spacing_um: float, *couplings):
+    """``couplings`` as given, if none has overflowed; else name the spacing."""
+    if not all(np.isfinite(c).all() for c in couplings):
+        raise ValueError(f"spacing {spacing_um} um puts the couplings outside the float range")
+    return couplings
 
 
 def _assemble(sums: dict[int, float]) -> np.ndarray:
@@ -477,10 +480,11 @@ class VPlusMinus:
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
     vs, vc = _khz_per_ghz_um6(spacing_um, pair.c6, pair.c6_exchange)
+    v_plus, v_minus = _finite_couplings(spacing_um, float(vs + vc), float(vs - vc))
     inv_sq2 = 1.0 / math.sqrt(2.0)
     return VPlusMinus(
-        v_plus_khz=float(vs + vc),
-        v_minus_khz=float(vs - vc),
+        v_plus_khz=v_plus,
+        v_minus_khz=v_minus,
         spacing_um=spacing_um,
         eigenvectors={
             "r+": (inv_sq2, inv_sq2),

@@ -5,10 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydex
 from rydex.atoms import QuantumDefectModel, RydbergLevel, level_energy
@@ -29,6 +32,7 @@ from rydex.harness import (
     FidelityHistogram,
     RobustnessConfig,
     _batched_pulse3_fidelities,
+    _sample_omegas,
     dumps_json,
     histogram_payload,
     histogram_rows,
@@ -187,6 +191,60 @@ def test_mean_fidelity_is_seed_insensitive():
     assert h1.mean == pytest.approx(0.9707125435520011, rel=1e-12)
     assert h2.mean == pytest.approx(0.9707437626811373, rel=1e-12)
     assert abs(h1.mean - h2.mean) < 5e-4
+
+
+def _generator_loop(seed, samples, epsilon, key_dtype=None):
+    """The per-sample reference: one numpy Philox generator per (seed, index)."""
+    out = np.empty((samples, 4))
+    for i in range(samples):
+        key = [seed, i] if key_dtype is None else np.array([seed, i], dtype=key_dtype)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        out[i] = rng.uniform(1.0 - epsilon, 1.0 + epsilon, 4)
+    return NOMINAL_OMEGA * out
+
+
+def _omegas(seed, samples, epsilon=0.1, **chunk):
+    cfg = RobustnessConfig(epsilon, samples, seed, NOMINAL_OMEGA, V_PLUS, V_MINUS)
+    return _sample_omegas(cfg, **chunk)
+
+
+def test_sampler_matches_generator_loop():
+    for seed in (0, 1, 12345, 2**32 - 1, 2**63 - 1):
+        reference = _generator_loop(seed, 777, 0.1)
+        for samples in (1, 777):
+            assert np.array_equal(_omegas(seed, samples), reference[:samples])
+        assert np.array_equal(_omegas(seed, 777, chunk=100), reference)
+    assert np.array_equal(_omegas(12345, 777, 0.0), _generator_loop(12345, 777, 0.0))
+    # 4096 and 4097 sit on and just past the default chunk boundary
+    reference = _generator_loop(12345, 10000, 0.2)
+    for samples in (4096, 4097, 10000):
+        assert np.array_equal(_omegas(12345, samples, 0.2), reference[:samples])
+
+
+def test_seeds_from_2_63_keep_every_bit():
+    """Keys are exact uint64, so seeds past 2**63 neither collide nor warn."""
+    assert not np.array_equal(_omegas(2**63, 50), _omegas(2**63 + 1, 50))
+    _, low = _scan(0.1, 50, 2**63)
+    _, high = _scan(0.1, 50, 2**63 + 1)
+    assert low.mean != high.mean
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = _omegas(2**64 - 1, 50)
+        _, hist = _scan(0.1, 50, 2**64 - 1)
+    assert not np.array_equal(top, _omegas(0, 50))
+    assert hist.mean != _scan(0.1, 50, 0)[1].mean
+    assert np.array_equal(top, _generator_loop(2**64 - 1, 50, 0.1, key_dtype=np.uint64))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    samples=st.integers(1, 9000),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_sampler_prefix_is_the_shorter_scan(seed, samples, fraction):
+    k = max(1, int(fraction * samples))
+    assert np.array_equal(_omegas(seed, samples)[:k], _omegas(seed, k))
 
 
 def test_batched_fidelities_ignore_chunk_size():
@@ -576,6 +634,13 @@ def test_cli_computation_errors_return_1(capsys, argv):
          "spacing 1e-50 um puts the couplings outside the float range"),
         (["coeffs", "--na", "73", "--nb", "99999"],
          "Anger functions do not converge for n_eff 99995.8688"),
+        # inside the critical radius, so a warning precedes the error
+        pytest.param(["pair-sim", "--spacing", "1.85e-50"],
+                     "spacing 1.85e-50 um puts the couplings outside the float range",
+                     marks=pytest.mark.filterwarnings("ignore::UserWarning")),
+        pytest.param(["pair-sim", "--spacing", "1.0245e-49"],
+                     "spacing 1.0245e-49 um puts the couplings outside the float range",
+                     marks=pytest.mark.filterwarnings("ignore::UserWarning")),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):

@@ -1,9 +1,12 @@
 """Entanglement protocols: pulse sequences, SWAP gate, chain schedule."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydex.protocols
 from rydex.atoms import QuantumDefectModel
@@ -11,6 +14,8 @@ from rydex.dynamics import CHANNELS, QuantumState, propagate, tau2_approximate
 from rydex.protocols import (
     SWAP_MATRIX_IDEAL,
     ChainSpec,
+    _nominal_point,
+    _sector_fidelity,
     chain_fidelity_estimate,
     chain_ideal_state,
     chain_protocol,
@@ -126,6 +131,26 @@ def test_optimizer_improves_and_is_deterministic():
     assert (b.omega_pulse2_khz, b.omega_pulse3_khz, b.tau2_us, b.tau3_us) == (
         a.omega_pulse2_khz, a.omega_pulse3_khz, a.tau2_us, a.tau3_us
     )
+
+
+_OMEGA, _TAU2, _TAU3 = _nominal_point(5.0, 711.0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    omega2=st.floats(0.5 * _OMEGA, 3.0 * _OMEGA),
+    omega3=st.floats(0.5 * _OMEGA, 3.0 * _OMEGA),
+    tau2=st.floats(0.25 * _TAU2, 2.0 * _TAU2),
+    tau3=st.floats(0.25 * _TAU3, 2.0 * _TAU3),
+)
+def test_sector_fidelity_is_the_8_state_fidelity(omega2, omega3, tau2, tau3):
+    """The optimizer's objective anywhere in its default box at (5, 711)."""
+    x = np.array([omega2, omega3, tau2, tau3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # hierarchy warnings at the box edges
+        full = pairwise_entangle(omega2, omega3, 5.0, 711.0, tau2_us=tau2, tau3_us=tau3,
+                                 samples_per_pulse=2).fidelity
+    assert abs(_sector_fidelity(x, 5.0, 711.0) - full) <= 1e-13
 
 
 def test_optimizer_degenerate_box():

@@ -297,6 +297,10 @@ def test_spacing_outside_float_range_is_named():
         interaction_matrix(MODEL, 73, 75, 1e-50)
     with pytest.raises(ValueError, match=message):
         v_plus_minus(pair, 1e-50)
+    # C6 and C6ex scale to finite kHz, but V- = vs - vc does not
+    message = re.escape("spacing 1.7340741900686617e-50 um puts the couplings outside")
+    with pytest.raises(ValueError, match=message):
+        v_plus_minus(pair, 1.7340741900686617e-50)
 
 
 def test_v_plus_minus_frozen():
