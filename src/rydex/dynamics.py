@@ -311,19 +311,15 @@ def _eigen_coefficients(state: QuantumState, h: HamiltonianMatrix, t_us: float):
     return w, v, v.conj().T @ state.amplitudes
 
 
-def _evolve(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> np.ndarray:
-    """Amplitudes of ``propagate``, without wrapping them in a checked state."""
-    w, v, coef = _eigen_coefficients(state, h, t_us)
-    return v @ (np.exp(-2j * np.pi * w * t_us * 1e-3) * coef)
-
-
 def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> QuantumState:
     """Evolve a state by exp(-i 2 pi H t) for a constant pulse matrix.
 
     H entries are ordinary frequencies in kHz and t is in microseconds;
     the 2 pi converting to angular frequency lives here and only here.
     """
-    return QuantumState(basis=state.basis, amplitudes=_evolve(state, h, t_us))
+    w, v, coef = _eigen_coefficients(state, h, t_us)
+    amps = v @ (np.exp(-2j * np.pi * w * t_us * 1e-3) * coef)
+    return QuantumState(basis=state.basis, amplitudes=amps)
 
 
 def propagate_sampled(

@@ -20,7 +20,6 @@ their phase conventions cancel in every reported population.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -35,7 +34,6 @@ from .dynamics import (
     HamiltonianMatrix,
     PulseSpec,
     QuantumState,
-    _evolve,
     build_blocked2,
     build_full8,
     build_pulse2,
@@ -46,7 +44,7 @@ from .dynamics import (
     pulse2_analytics,
     relabeling_matrix,
 )
-from .vdw import _finite_couplings, critical_radius, interaction_matrix
+from .vdw import critical_radius, interaction_matrix
 
 __all__ = [
     "RYDBERG_POPULATION_THRESHOLD",
@@ -113,16 +111,12 @@ def pair_couplings(
 ) -> PairCouplings:
     """V+, V- and the parallel-spin blockade corner from one interaction matrix."""
     inter = interaction_matrix(model, n_a, n_b, spacing_um)
-    v_plus, v_minus = float(inter.vs_khz + inter.vc_khz), float(inter.vs_khz - inter.vc_khz)
-    _finite_couplings(spacing_um, v_plus, v_minus, _nominal_omega(v_plus, v_minus))
-    return PairCouplings(
-        n_a=n_a,
-        n_b=n_b,
-        spacing_um=spacing_um,
-        v_plus_khz=v_plus,
-        v_minus_khz=v_minus,
-        corner_khz=float(inter.v1_khz[0, 0]),
-    )
+    v_plus, v_minus = inter.v_plus_minus_khz
+    coup = PairCouplings(n_a=n_a, n_b=n_b, spacing_um=spacing_um, v_plus_khz=v_plus,
+                         v_minus_khz=v_minus, corner_khz=float(inter.v1_khz[0, 0]))
+    if not math.isfinite(coup.nominal_omega_khz):
+        raise ValueError(f"spacing {spacing_um} um overflows the working drive sqrt|V+ V-|")
+    return coup
 
 
 def _nominal_omega(v_plus_khz: float, v_minus_khz: float) -> float:
@@ -328,7 +322,6 @@ class PairwiseOptimum:
 
 
 _BOUND_KEYS = ("omega_pulse2", "omega_pulse3", "tau2", "tau3")
-_basis_state = functools.lru_cache(QuantumState.from_label)  # the sectors' start states
 
 
 def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> float:
@@ -336,8 +329,8 @@ def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> fl
     in its sectors: |Uu> evolves in (Uu, r+, r-), then (a_r+, a_Uu/sqrt2, 0, 0) in
     (r+, e_up+, e_dn+, g+), whose propagator U is symmetric: <g+|U|psi> = (U|g+>).psi."""
     h2, h3 = build_pulse2(x[0], v_plus_khz, v_minus_khz), build_pulse3(x[1], v_plus_khz)
-    a_uu, a_rp, _ = _evolve(_basis_state(h2.basis, "Uu"), h2, x[2])
-    u_g = _evolve(_basis_state(h3.basis, "g+"), h3, x[3])
+    a_uu, a_rp, _ = propagate(QuantumState.from_label(h2.basis, "Uu"), h2, x[2]).amplitudes
+    u_g = propagate(QuantumState.from_label(h3.basis, "g+"), h3, x[3]).amplitudes
     return float(abs(u_g[0] * a_rp + u_g[1] * a_uu / _SQRT2) ** 2)
 
 

@@ -390,6 +390,11 @@ def _finite_couplings(spacing_um: float, *couplings):
     return couplings
 
 
+def _v_plus_minus(spacing_um: float, vs_khz: float, vc_khz: float) -> tuple[float, float]:
+    """(V+, V-) = (vs + vc, vs - vc) in kHz; names the spacing if either overflows."""
+    return _finite_couplings(spacing_um, float(vs_khz + vc_khz), float(vs_khz - vc_khz))
+
+
 def _assemble(sums: dict[int, float]) -> np.ndarray:
     m = np.zeros((4, 4))
     for k, s in sums.items():
@@ -419,6 +424,11 @@ class InteractionMatrix:
     v2_khz: np.ndarray
     vs_khz: float
     vc_khz: float
+
+    @property
+    def v_plus_minus_khz(self) -> tuple[float, float]:
+        """(V+, V-) of the exchange block; raises naming the spacing if either overflows."""
+        return _v_plus_minus(self.spacing_um, self.vs_khz, self.vc_khz)
 
 
 def interaction_matrix(
@@ -480,7 +490,7 @@ class VPlusMinus:
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
     vs, vc = _khz_per_ghz_um6(spacing_um, pair.c6, pair.c6_exchange)
-    v_plus, v_minus = _finite_couplings(spacing_um, float(vs + vc), float(vs - vc))
+    v_plus, v_minus = _v_plus_minus(spacing_um, vs, vc)
     inv_sq2 = 1.0 / math.sqrt(2.0)
     return VPlusMinus(
         v_plus_khz=v_plus,

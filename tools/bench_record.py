@@ -45,9 +45,9 @@ def export(rev: str, into: Path) -> dict:
     return {"sha": sha, "src_lines": src_lines, "trees": trees, "dir": into}
 
 
-def run(side: dict, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+def run(side: dict, workload: str, seed: int, trace: int) -> dict:
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=side["dir"], capture_output=True, text=True)
     if proc.returncode != 0:
         return {"error": proc.stderr.strip()[-2000:], "attempted": 0, "failed": 0, "metrics": {}}
@@ -90,11 +90,10 @@ def main(argv=None) -> int:
     p.add_argument("--pairs", type=int, default=3, help="untraced pairs per workload")
     p.add_argument("--pairs-for", action="append", default=[], metavar="WORKLOAD=K",
                    help="a different pair count for one workload")
-    p.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     p.add_argument("--workload", action="append", choices=WORKLOADS, help="default: all")
     args = p.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        p.error("--pairs must be >= 1 and --seconds positive")
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
     pairs = {w: args.pairs for w in WORKLOADS}
     for item in args.pairs_for:
         name, _, k = item.partition("=")
@@ -109,9 +108,9 @@ def main(argv=None) -> int:
             for i in range(pairs[w]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for s in order:
-                    runs[s].append(run(sides[s], w, i + 1, args.seconds, 0))
+                    runs[s].append(run(sides[s], w, i + 1, 0))
                     print(f"{w} pair {i + 1}/{pairs[w]} {s} done", file=sys.stderr)
-            traced = {s: run(sides[s], w, 1, args.seconds, 1) for s in sides}
+            traced = {s: run(sides[s], w, 1, 1) for s in sides}
             result[w] = {
                 "end_to_end": compare(runs),
                 "per_layer": {s: {k: m["value"] for k, m in t["metrics"].items()}
@@ -126,7 +125,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "versions": {d: metadata.version(d) for d in ("numpy", "scipy", "mpmath")},
         "cores": {"nproc": os.cpu_count(), "usable": len(os.sched_getaffinity(0))},
-        "seconds": args.seconds,
+        "seconds": SPEC["run_seconds"],
         "pairs": {w: pairs[w] for w in result},
         "workloads": result,
     }
