@@ -9,7 +9,8 @@ to a file instead of stdout. A ``--config`` file holds flat
 take are skipped, and command-line flags override the file.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on computation or data
-errors, a NaN or infinity in the result included (nothing is written).
+errors, a NaN or infinity in the result and an array too large to
+allocate included (nothing is written).
 """
 
 from __future__ import annotations
@@ -434,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         data, csv_spec = _COMMANDS[args.command](args, model)
         _emit(args, data, csv_spec)
-    except (ValueError, ArithmeticError, DefectDataError, OSError) as exc:
+    except (ValueError, ArithmeticError, DefectDataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

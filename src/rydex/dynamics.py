@@ -10,8 +10,9 @@ so a two-atom product label is a two-character string with atom A
 first, e.g. "uU" = A in ground-up, B in Rydberg-up. Two two-photon
 drive channels exist per atom: "dU" couples d <-> U and "uD" couples
 u <-> D. All four channel amplitudes are ordinary frequencies in kHz;
-times are microseconds; the single factor of 2 pi sits inside
-``propagate``.
+times are microseconds; the factor of 2 pi enters only where a pulse
+is propagated: in ``propagate``, ``propagate_sampled`` and the batched
+pulse-3 kernel of ``harness``.
 
 The full one-excitation-exchange sector spans eight product states.
 Interactions enter through the symmetric and antisymmetric doubly
@@ -315,7 +316,7 @@ def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> Quantum
     """Evolve a state by exp(-i 2 pi H t) for a constant pulse matrix.
 
     H entries are ordinary frequencies in kHz and t is in microseconds;
-    the 2 pi converting to angular frequency lives here and only here.
+    the phase is 2 pi H t * 1e-3 radians.
     """
     w, v, coef = _eigen_coefficients(state, h, t_us)
     amps = v @ (np.exp(-2j * np.pi * w * t_us * 1e-3) * coef)
@@ -391,4 +392,13 @@ def tau2_approximate(omega_uD_B: float, v_plus: float) -> float:
     """Leading-order pulse-2 duration (us): (sqrt2/(2 omega)) (1 - (V+/omega)^2)."""
     if omega_uD_B == 0:
         raise ValueError("tau2_approximate requires a nonzero drive")
-    return 1e3 * _SQRT2 / (2.0 * omega_uD_B) * (1.0 - (v_plus / omega_uD_B) ** 2)
+    try:
+        tau2 = 1e3 * _SQRT2 / (2.0 * omega_uD_B) * (1.0 - (v_plus / omega_uD_B) ** 2)
+    except OverflowError:  # (V+/omega)^2 past the float range
+        tau2 = math.nan
+    if not 0.0 <= tau2 < math.inf:
+        raise ValueError(
+            f"pulse-2 drive {omega_uD_B} kHz with V+ = {v_plus} kHz gives no duration: "
+            "(sqrt2/(2 omega)) (1 - (V+/omega)^2) must be finite and >= 0"
+        )
+    return tau2

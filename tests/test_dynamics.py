@@ -336,6 +336,11 @@ def test_tau2_approximate_frozen():
     )
     with pytest.raises(ValueError, match="nonzero drive"):
         tau2_approximate(0.0, 5.0)
+    # a negative duration, and one whose (V+/omega)^2 overflows, name the drive and V+
+    for omega in (1e-3, 4.99, 1e-300, math.nan):
+        with pytest.raises(ValueError, match=f"pulse-2 drive {omega} kHz with V\\+ = 5.0 kHz"):
+            tau2_approximate(omega, 5.0)
+    assert tau2_approximate(5.0, 5.0) == 0.0
 
 
 def test_blocked_two_level_unblocked_2pi():

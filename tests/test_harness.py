@@ -1,5 +1,6 @@
 """Robustness scans, table/figure reproduction, serialization, and the CLI."""
 
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rydex
@@ -31,7 +32,9 @@ from rydex.harness import (
     TABLE_PAIRS,
     FidelityHistogram,
     RobustnessConfig,
+    _CHEBYSHEV_MAX_TERMS,
     _batched_pulse3_fidelities,
+    _chebyshev_terms,
     _sample_omegas,
     dumps_json,
     histogram_payload,
@@ -269,6 +272,89 @@ def test_batched_fidelities_match_single_pulse_propagation():
         pulse = PulseSpec(*om, duration_us=tau3)
         final = propagate(start, build_full8(pulse, v_s, v_c), tau3)
         assert fid == pytest.approx(abs(g_plus @ final.amplitudes) ** 2, abs=1e-12)
+
+
+def _propagated_fidelities(psi2, omegas, v_s, v_c, tau3):
+    """The per-sample reference: one 8x8 propagate per draw, projected on g+."""
+    g_plus = relabeling_matrix()[SUPERPOSITION_BASIS_8.index("g+")]
+    start = QuantumState(basis=PRODUCT_BASIS_8, amplitudes=psi2)
+    return np.array([
+        abs(g_plus @ propagate(start, build_full8(PulseSpec(*om, duration_us=tau3), v_s, v_c),
+                               tau3).amplitudes) ** 2
+        for om in omegas
+    ])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    psi=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    epsilon=st.floats(0.0, 0.99),
+    omega=st.floats(20.0, 120.0),
+    v_s=st.floats(-1000.0, 1000.0),
+    v_c=st.floats(-1000.0, 1000.0),
+    turns=st.floats(0.0, 150.0),
+)
+def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c, turns):
+    """Both kernels against 8x8 propagation; pulses up to 150 turns of the widest
+    spectrum run from one Chebyshev term to past the break-even."""
+    psi2 = np.array(psi[:8]) + 1j * np.array(psi[8:])
+    assume(np.linalg.norm(psi2) > 0.1)
+    psi2 /= np.linalg.norm(psi2)
+    tau3 = 1e3 * turns / (abs(v_s) + 2.0 * abs(v_c) + 4.0 * omega)
+    omegas = omega * np.random.default_rng(len(psi)).uniform(1 - epsilon, 1 + epsilon, (9, 4))
+    fids = _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
+    np.testing.assert_allclose(
+        fids, _propagated_fidelities(psi2, omegas, v_s, v_c, tau3), rtol=0, atol=1e-12
+    )
+    for chunk in (1, 7):
+        assert np.array_equal(
+            _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk), fids
+        )
+
+
+def test_chebyshev_terms_are_the_bessel_values():
+    from scipy import special
+
+    for x in (0.0, 1e-30, 1e-3, 0.5, 3.0, 22.4, 100.0, 180.0):
+        terms = _chebyshev_terms(x)
+        exact = special.jv(np.arange(len(terms) + 40), x)
+        np.testing.assert_allclose(terms, exact[: len(terms)], rtol=0, atol=1e-14)
+        # the sum stops at the first order past x where J_k falls below 1e-17
+        assert len(terms) > x and np.all(np.abs(exact[len(terms):]) < 1e-17)
+        assert abs(exact[len(terms) - 1]) >= 1e-17 or len(terms) - 1 <= x
+    for x in (_CHEBYSHEV_MAX_TERMS, 1e300, math.inf, math.nan):
+        assert _chebyshev_terms(x) is None
+
+
+@pytest.mark.parametrize("tau3,eigh_calls", [(8.5, 0), (120.0, 1)])
+def test_batched_pulse3_takes_eigh_only_past_the_break_even(monkeypatch, tau3, eigh_calls):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape) or eigh(h))
+    rng = np.random.Generator(np.random.Philox(key=[11, 0]))
+    psi2 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi2 /= np.linalg.norm(psi2)
+    omegas = 58.8 * rng.uniform(0.9, 1.1, size=(30, 4))
+    fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, tau3)
+    assert calls == eigh_calls * [(30, 8, 8)]
+    reference = _propagated_fidelities(psi2, omegas, 358.05, -353.19, tau3)
+    np.testing.assert_allclose(fids, reference, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["robustness", "--v-plus", "5", "--v-minus", "1e300", "--samples", "10"],
+         "f11dcac421a83229433267f1868f6e7739dd5342302aaaf11f001baf6350464c"),
+        (["robustness", "--omega", "5", "--samples", "2000"],
+         "760d2db46b7cc350f99c52440045532d18e50778d481afb09e63d9a01c652462"),
+    ],
+)
+def test_cli_wide_spectra_run_on_eigh(capsys, argv, digest):
+    """Spectra whose Chebyshev sum would be long keep their recorded output."""
+    rc, out, err = _run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_histogram_payload_and_rows():
@@ -640,6 +726,12 @@ def test_cli_computation_errors_return_1(capsys, argv):
         pytest.param(["pair-sim", "--spacing", "1.0245e-49"],
                      "spacing 1.0245e-49 um overflows the working drive sqrt|V+ V-|",
                      marks=pytest.mark.filterwarnings("ignore::UserWarning")),
+        (["robustness", "--omega", "1e-3"],
+         "pulse-2 drive 0.001 kHz with V+ = 4.86528311708787 kHz gives no duration"),
+        (["robustness", "--omega", "1e-300"],
+         "pulse-2 drive 1e-300 kHz with V+ = 4.86528311708787 kHz gives no duration"),
+        # 28 PiB is past any address space, so the allocation fails at once
+        (["robustness", "--samples", "1000000000000000"], "Unable to allocate"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
