@@ -270,8 +270,9 @@ def _batched_pulse3_fidelities(
     Each T_k g+ is real and follows T_k+1 = 2 (H - c)/r T_k - T_k-1, where H
     applied to a batch is two gathers along the sector links plus the V_s, V_c
     terms; the even and odd terms are summed apart and projected on psi2 once.
-    The sum runs until J_k < 1e-17, about x + 12 x^(1/3) terms, and matches an
-    eigensolve to ~1e-14. Only elementwise arithmetic touches the samples, so
+    The sum runs until J_k < 1e-17, about |x| + 12 |x|^(1/3) terms, and matches
+    an eigensolve to ~1e-14; a negative t (a negative drive makes a negative
+    half-period) flips the sign of the odd terms. Only elementwise arithmetic touches the samples, so
     ``chunk``, the number of samples per pass, does not change a bit.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
@@ -288,7 +289,8 @@ def _batched_pulse3_fidelities(
     radius = drive[_NEIGHBOUR_CHANNELS].sum(axis=0) / 2.0 + np.abs(coupling).sum(axis=1)
     lo, hi = (centre - radius).min(), (centre + radius).max()
     c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
-    terms = _chebyshev_terms(2.0 * np.pi * r * tau3_us * 1e-3)
+    x = 2.0 * np.pi * r * tau3_us * 1e-3
+    terms = _chebyshev_terms(abs(x))
     if terms is None:
         for start in range(0, n, chunk):
             om = omegas_khz[start : start + chunk]
@@ -300,6 +302,8 @@ def _batched_pulse3_fidelities(
         return fids
     weights = 2.0 * terms * _MINUS_I_POWER_PARTS[np.arange(len(terms)) % 4]
     weights[0] = terms[0]
+    if x < 0.0:  # a negative duration: J_k(-x) = (-1)^k J_k(x)
+        weights[1::2] *= -1.0
     diagonal = (2.0 * (centre - c) / r)[:, None]  # 2 (H - c)/r without the links
     rows, cols = np.nonzero(coupling)
     off = (2.0 * coupling[rows, cols] / r)[:, None]

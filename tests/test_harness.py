@@ -275,7 +275,11 @@ def test_batched_fidelities_match_single_pulse_propagation():
 
 
 def _propagated_fidelities(psi2, omegas, v_s, v_c, tau3):
-    """The per-sample reference: one 8x8 propagate per draw, projected on g+."""
+    """The per-sample reference: one 8x8 propagate per draw, projected on g+.
+    H is real, so running it back by |t| from psi2 conjugates the forward run
+    from conj(psi2): |g+ . exp(i H |t|) psi2| = |g+ . exp(-i H |t|) conj(psi2)|."""
+    if tau3 < 0:
+        psi2, tau3 = psi2.conj(), -tau3
     g_plus = relabeling_matrix()[SUPERPOSITION_BASIS_8.index("g+")]
     start = QuantumState(basis=PRODUCT_BASIS_8, amplitudes=psi2)
     return np.array([
@@ -292,11 +296,12 @@ def _propagated_fidelities(psi2, omegas, v_s, v_c, tau3):
     omega=st.floats(20.0, 120.0),
     v_s=st.floats(-1000.0, 1000.0),
     v_c=st.floats(-1000.0, 1000.0),
-    turns=st.floats(0.0, 150.0),
+    turns=st.floats(-150.0, 150.0),
 )
 def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c, turns):
     """Both kernels against 8x8 propagation; pulses up to 150 turns of the widest
-    spectrum run from one Chebyshev term to past the break-even."""
+    spectrum, forward or backward in time, run from one Chebyshev term to past
+    the break-even."""
     psi2 = np.array(psi[:8]) + 1j * np.array(psi[8:])
     assume(np.linalg.norm(psi2) > 0.1)
     psi2 /= np.linalg.norm(psi2)
@@ -326,7 +331,7 @@ def test_chebyshev_terms_are_the_bessel_values():
         assert _chebyshev_terms(x) is None
 
 
-@pytest.mark.parametrize("tau3,eigh_calls", [(8.5, 0), (120.0, 1)])
+@pytest.mark.parametrize("tau3,eigh_calls", [(8.5, 0), (120.0, 1), (-8.5, 0), (-120.0, 1)])
 def test_batched_pulse3_takes_eigh_only_past_the_break_even(monkeypatch, tau3, eigh_calls):
     calls = []
     eigh = np.linalg.eigh
@@ -352,6 +357,23 @@ def test_batched_pulse3_takes_eigh_only_past_the_break_even(monkeypatch, tau3, e
 )
 def test_cli_wide_spectra_run_on_eigh(capsys, argv, digest):
     """Spectra whose Chebyshev sum would be long keep their recorded output."""
+    rc, out, err = _run_cli(capsys, argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["robustness", "--omega=-3"],
+         "342bbb8c2c1121c61d0b078055b11dd73d6afeda53c130bc44ef5f90251a2b09"),
+        (["robustness", "--omega=-4.5", "--epsilon", "0.3"],
+         "4b1279f13d2e9b29a1c36d2dbf2901970b92317c9ad6f16f07031749d67c89c0"),
+    ],
+)
+def test_cli_negative_drive_keeps_recorded_output(capsys, argv, digest):
+    """A drive in (-V+, 0) gives a negative pulse-3 half-period, propagated
+    backward in time as recorded by the per-sample eigensolve."""
     rc, out, err = _run_cli(capsys, argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
