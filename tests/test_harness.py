@@ -353,27 +353,15 @@ def test_batched_pulse3_takes_eigh_only_past_the_break_even(monkeypatch, tau3, e
          "f11dcac421a83229433267f1868f6e7739dd5342302aaaf11f001baf6350464c"),
         (["robustness", "--omega", "5", "--samples", "2000"],
          "760d2db46b7cc350f99c52440045532d18e50778d481afb09e63d9a01c652462"),
-    ],
-)
-def test_cli_wide_spectra_run_on_eigh(capsys, argv, digest):
-    """Spectra whose Chebyshev sum would be long keep their recorded output."""
-    rc, out, err = _run_cli(capsys, argv)
-    assert (rc, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
         (["robustness", "--omega=-3"],
          "342bbb8c2c1121c61d0b078055b11dd73d6afeda53c130bc44ef5f90251a2b09"),
         (["robustness", "--omega=-4.5", "--epsilon", "0.3"],
          "4b1279f13d2e9b29a1c36d2dbf2901970b92317c9ad6f16f07031749d67c89c0"),
     ],
 )
-def test_cli_negative_drive_keeps_recorded_output(capsys, argv, digest):
-    """A drive in (-V+, 0) gives a negative pulse-3 half-period, propagated
-    backward in time as recorded by the per-sample eigensolve."""
+def test_cli_robustness_keeps_recorded_output(capsys, argv, digest):
+    """Spectra whose Chebyshev sum would be long (run on eigh), and drives in
+    (-V+, 0), whose pulse-3 half-period is negative, keep their recorded output."""
     rc, out, err = _run_cli(capsys, argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
