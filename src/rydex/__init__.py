@@ -13,15 +13,11 @@ from .atoms import (
     CHANNEL_FINE_STRUCTURE,
     DefectDataError,
     DefectSeries,
-    EnergyDefect,
     QuantumDefectModel,
     RydbergLevel,
     clebsch_gordan,
-    effective_rabi,
-    energy_defects,
     level_energy,
     quantum_defect,
-    three_level_ground_population,
 )
 from .radial import (
     E2A02_GHZ_UM3,

@@ -10,22 +10,18 @@ from a small key-value data file (a file for rubidium-87 is bundled).
 All energies are in GHz, i.e. E = -Ry_GHz / nu**2 with nu the effective
 principal quantum number.
 
-The module also carries the angular-momentum utilities needed elsewhere:
-Clebsch-Gordan coefficients, the effective two-photon Rabi frequency of
-a far-detuned ladder system, and the ground population of the same
-three-level system after adiabatic elimination of the intermediate
-state.
+The module also carries the angular-momentum utility needed elsewhere:
+Clebsch-Gordan coefficients.
 
 Frequency convention: every frequency in this package is an ordinary
 frequency (cycles per unit time, nu = omega / 2 pi), in GHz for atomic
 structure and kHz for dynamics. Factors of 2 pi appear only inside time
-propagation.
+propagation, in ``dynamics``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -35,14 +31,10 @@ __all__ = [
     "DefectSeries",
     "QuantumDefectModel",
     "RydbergLevel",
-    "EnergyDefect",
     "CHANNEL_FINE_STRUCTURE",
     "quantum_defect",
     "level_energy",
-    "energy_defects",
     "clebsch_gordan",
-    "effective_rabi",
-    "three_level_ground_population",
 ]
 
 _L_LETTERS = "spdfghik"
@@ -239,36 +231,6 @@ CHANNEL_FINE_STRUCTURE: dict[int, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class EnergyDefect:
-    """Foerster energy defect of one pair channel, in GHz.
-
-    ``value = E(ns, p, j_a) + E(nt, p, j_b) - E(n_a, s) - E(n_b, s)``
-    for channel ``(n_a s, n_b s) -> (ns p_{j_a}, nt p_{j_b})``.
-    """
-
-    channel: int
-    ns: int
-    nt: int
-    value: float
-
-
-def energy_defects(
-    model: QuantumDefectModel, n_a: int, n_b: int, ns: int, nt: int
-) -> tuple[EnergyDefect, ...]:
-    """Energy defects of all four fine-structure channels, in GHz."""
-    e_initial = level_energy(model, RydbergLevel(n_a, 0, 0.5)) + level_energy(
-        model, RydbergLevel(n_b, 0, 0.5)
-    )
-    out = []
-    for k, (ja, jb) in CHANNEL_FINE_STRUCTURE.items():
-        e_final = level_energy(model, RydbergLevel(ns, 1, ja)) + level_energy(
-            model, RydbergLevel(nt, 1, jb)
-        )
-        out.append(EnergyDefect(channel=k, ns=ns, nt=nt, value=e_final - e_initial))
-    return tuple(out)
-
-
 def _as_twice(x: float, name: str) -> int:
     t = 2.0 * x
     ti = round(t)
@@ -336,61 +298,3 @@ def clebsch_gordan(
         )
         total += (-1.0) ** k / denom
     return math.sqrt(pref) * total
-
-
-def effective_rabi(
-    omega_down: float,
-    omega_up: float,
-    detuning: float,
-    phi_down: float = 0.0,
-    phi_up: float = 0.0,
-) -> complex:
-    """Two-photon effective Rabi frequency of a far-detuned ladder.
-
-    Ordinary frequencies throughout: for leg frequencies nu_down, nu_up
-    and intermediate-state detuning Delta (all in the same unit), the
-    composite drive is nu_down * nu_up / (2 Delta) with phase
-    phi_down + phi_up. Valid for |nu_leg / Delta| small; a warning is
-    emitted above 0.1.
-
-    Raises
-    ------
-    ValueError
-        If the detuning is zero (no adiabatic elimination possible).
-    """
-    if detuning == 0:
-        raise ValueError("effective_rabi requires a nonzero detuning")
-    ratio = max(abs(omega_down), abs(omega_up)) / abs(detuning)
-    if ratio > 0.1:
-        warnings.warn(
-            f"adiabatic elimination is marginal: max|omega|/|detuning| = {ratio:.3f}",
-            stacklevel=2,
-        )
-    mag = omega_down * omega_up / (2.0 * detuning)
-    return mag * complex(math.cos(phi_down + phi_up), math.sin(phi_down + phi_up))
-
-
-def three_level_ground_population(
-    t: float, omega_down: float, omega_up: float, detuning: float
-) -> float:
-    """Ground population of the adiabatically eliminated ladder system.
-
-    For leg frequencies nu_d, nu_u (kHz) and detuning Delta (kHz), the
-    population oscillates as
-
-        P(t) = 1 - 2 a [1 - cos(2 pi nu_g t)],
-        a = nu_d^2 nu_u^2 / (nu_d^2 + nu_u^2)^2,
-        nu_g = (nu_d^2 + nu_u^2) / (4 Delta),
-
-    with t in microseconds. Matched legs reach P = 0; unequal legs do
-    not fully transfer (e.g. nu_d = 2 nu_u bottoms out at 0.36).
-    """
-    if detuning == 0:
-        raise ValueError("three-level reduction requires a nonzero detuning")
-    s = omega_down**2 + omega_up**2
-    if s == 0:
-        return 1.0
-    a = (omega_down**2) * (omega_up**2) / s**2
-    nu_g = s / (4.0 * detuning)  # kHz
-    theta = 2.0 * math.pi * nu_g * t * 1e-3
-    return 1.0 - 2.0 * a * (1.0 - math.cos(theta))

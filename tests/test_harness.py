@@ -22,6 +22,9 @@ from rydex.dynamics import (
     SUPERPOSITION_BASIS_8,
     PulseSpec,
     QuantumState,
+    _CHEBYSHEV_MAX_TERMS,
+    _batched_pulse3_fidelities,
+    _chebyshev_terms,
     build_full8,
     propagate,
     relabeling_matrix,
@@ -32,9 +35,6 @@ from rydex.harness import (
     TABLE_PAIRS,
     FidelityHistogram,
     RobustnessConfig,
-    _CHEBYSHEV_MAX_TERMS,
-    _batched_pulse3_fidelities,
-    _chebyshev_terms,
     _sample_omegas,
     dumps_json,
     histogram_payload,
@@ -742,6 +742,11 @@ def test_cli_computation_errors_return_1(capsys, argv):
          "pulse-2 drive 1e-300 kHz with V+ = 4.86528311708787 kHz gives no duration"),
         # 28 PiB is past any address space, so the allocation fails at once
         (["robustness", "--samples", "1000000000000000"], "Unable to allocate"),
+        # pulse 3 past the Chebyshev break-even takes the checked eigensolve
+        (["robustness", "--v-plus", "0.05", "--v-minus", "1e307", "--omega", "0.05",
+          "--samples", "10"], "pulse duration 10000.0 us overflows the phase 2 pi H t"),
+        (["chain", "--atoms", "18446744073709551616"],
+         "atom_count must be at most 524288, got 18446744073709551616"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -881,6 +886,7 @@ def test_cli_chain_derives_exposure_from_protocols(capsys):
         (["table", "IV", "--format", "csv"], "table-IV.out"),
         (["figure", "3"], "figure-3.out"),
         (["figure", "4", "--samples", "10000", "--format", "csv"], "figure-4.out"),
+        (["pair-sim", "--optimize"], "pair-sim-optimize.out"),
     ],
 )
 def test_cli_chain_matches_recorded_output(capsys, tmp_path, argv, reference):
@@ -891,12 +897,31 @@ def test_cli_chain_matches_recorded_output(capsys, tmp_path, argv, reference):
     assert rc == 0
     assert out == (recorded / reference).read_text(encoding="utf-8")
 
-    flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+    # a switch such as --optimize stays on the command line
+    flags = [i for i, token in enumerate(argv[:-1])
+             if token.startswith("--") and not argv[i + 1].startswith("--")]
     if flags:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("".join(f"{argv[i][2:]} {argv[i + 1]}\n" for i in flags))
         rest = [t for i, t in enumerate(argv) if i not in flags and i - 1 not in flags]
         assert _run_cli(capsys, [*rest, "--config", str(cfg)])[:2] == (0, out)
+
+
+def test_criterion_7_payloads_match_recorded_digests():
+    """Both criterion-7 scans serialize to the payloads recorded for the benchmark."""
+    recorded = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "mc-scan.json"
+    coup = pair_couplings(MODEL, 73, 75, 15.0)
+    for epsilon, digest in json.loads(recorded.read_text()).items():
+        cfg = RobustnessConfig(
+            epsilon=float(epsilon),
+            samples=100000,
+            seed=12345,
+            omega_khz=coup.nominal_omega_khz,
+            v_plus_khz=coup.v_plus_khz,
+            v_minus_khz=coup.v_minus_khz,
+        )
+        payload = dumps_json(histogram_payload(cfg, robustness_scan(cfg)))
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
 
 def test_cli_robustness_small_run(capsys):

@@ -12,6 +12,7 @@ import rydex.protocols
 from rydex.atoms import QuantumDefectModel
 from rydex.dynamics import CHANNELS, QuantumState, propagate, tau2_approximate
 from rydex.protocols import (
+    MAX_CHAIN_ATOMS,
     SWAP_MATRIX_IDEAL,
     ChainSpec,
     _nominal_point,
@@ -264,13 +265,13 @@ def test_swap_gate_weak_blockade_warns():
 
 # --- chain spec and schedule ------------------------------------------------------
 
-@pytest.mark.parametrize("count", [5, 7, 10, 3, 0])
+@pytest.mark.parametrize("count", [5, 7, 10, 3, 0, MAX_CHAIN_ATOMS + 4, 2**64])
 def test_chain_spec_rejects_bad_counts(count):
     with pytest.raises(ValueError, match="atom_count"):
         ChainSpec(atom_count=count, spacing_um=15.0, pair=(73, 75))
 
 
-@pytest.mark.parametrize("count", [4, 6, 8, 12, 16])
+@pytest.mark.parametrize("count", [4, 6, 8, 12, 16, MAX_CHAIN_ATOMS])
 def test_chain_spec_accepts_valid_counts(count):
     spec = ChainSpec(atom_count=count, spacing_um=15.0, pair=(73, 75))
     assert spec.atom_count == count
