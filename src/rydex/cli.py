@@ -255,9 +255,19 @@ def _cmd_critical_radius(args, model):
     }, None
 
 
+def _working_drive(v_plus: float, v_minus: float) -> float:
+    """sqrt|V+ V-|, which a command derives its default drives from; refused when 0."""
+    omega = _nominal_omega(v_plus, v_minus)
+    if omega == 0:
+        raise ValueError(f"the working drive sqrt|V+ V-| is 0 for V+ = {v_plus} kHz and "
+                         f"V- = {v_minus} kHz: derived drives need a nonzero --v-plus and --v-minus")
+    return omega
+
+
 def _cmd_pair_sim(args, model):
     v_plus, v_minus, _ = _couplings(args, model)
-    nominal = _nominal_omega(v_plus, v_minus)
+    derived = args.optimize or args.omega2 is None or args.omega3 is None
+    nominal = _working_drive(v_plus, v_minus) if derived else None
     omega2 = args.omega2 if args.omega2 is not None else nominal
     omega3 = args.omega3 if args.omega3 is not None else nominal
     data = {
@@ -305,7 +315,8 @@ def _cmd_swap_sim(args, model):
         v_blockade = coup.corner_khz
     else:
         raise ValueError("--v-blockade is required when couplings are injected")
-    omega, t_2pi = _swap_point(_nominal_omega(v_plus, v_minus), args.omega, args.t2pi)
+    nominal = _working_drive(v_plus, v_minus) if args.omega is None else None
+    omega, t_2pi = _swap_point(nominal, args.omega, args.t2pi)
     result = swap_gate(omega, v_plus, v_minus, v_blockade, t_2pi, phi=args.phi)
     return {
         "schema": SCHEMA,
@@ -354,7 +365,7 @@ def _cmd_chain(args, model):
 
 def _cmd_robustness(args, model):
     v_plus, v_minus, _ = _couplings(args, model)
-    omega = args.omega if args.omega is not None else _nominal_omega(v_plus, v_minus)
+    omega = args.omega if args.omega is not None else _working_drive(v_plus, v_minus)
     cfg = RobustnessConfig(
         epsilon=args.epsilon,
         samples=args.samples,

@@ -188,16 +188,17 @@ def build_pulse2(omega_uD_B: float, v_plus: float, v_minus: float) -> Hamiltonia
     excited state to both doubly excited Bell states with amplitude
     omega / (2 sqrt(2)); the Bell states sit at V+ and V-.
     """
-    o1 = omega_uD_B / (2.0 * _SQRT2)
-    m = np.array(
-        [
-            [0.0, o1, o1],
-            [o1, v_plus, 0.0],
-            [o1, 0.0, v_minus],
-        ],
-        dtype=complex,
-    )
-    return HamiltonianMatrix(basis=("Uu", "r+", "r-"), matrix=m)
+    return HamiltonianMatrix(basis=("Uu", "r+", "r-"),
+                             matrix=_pulse2_matrices(omega_uD_B, v_plus, v_minus))
+
+
+def _pulse2_matrices(omega, v_plus: float, v_minus: float) -> np.ndarray:
+    """build_pulse2's matrix, or a (..., 3, 3) stack of them for an array of drives."""
+    o1 = np.asarray(omega) / (2.0 * _SQRT2)
+    m = np.zeros(o1.shape + (3, 3), dtype=complex)
+    m[..., 0, 1:] = m[..., 1:, 0] = o1[..., None]
+    m[..., 1, 1], m[..., 2, 2] = v_plus, v_minus
+    return m
 
 
 def build_pulse3(omega: float, v_plus: float) -> HamiltonianMatrix:
@@ -207,17 +208,17 @@ def build_pulse3(omega: float, v_plus: float) -> HamiltonianMatrix:
     phases: the symmetric sector forms a four-level chain that carries
     |r+> down to the Bell ground state |g+>.
     """
-    h = omega / 2.0
-    m = np.array(
-        [
-            [v_plus, h, h, 0.0],
-            [h, 0.0, 0.0, h],
-            [h, 0.0, 0.0, h],
-            [0.0, h, h, 0.0],
-        ],
-        dtype=complex,
-    )
-    return HamiltonianMatrix(basis=("r+", "e_up+", "e_dn+", "g+"), matrix=m)
+    return HamiltonianMatrix(basis=("r+", "e_up+", "e_dn+", "g+"),
+                             matrix=_pulse3_matrices(omega, v_plus))
+
+
+def _pulse3_matrices(omega, v_plus: float) -> np.ndarray:
+    """build_pulse3's matrix, or a (..., 4, 4) stack of them for an array of drives."""
+    h = (np.asarray(omega) / 2.0)[..., None]
+    m = np.zeros(h.shape[:-1] + (4, 4), dtype=complex)
+    m[..., 0, 1:3] = m[..., 1:3, 0] = m[..., 3, 1:3] = m[..., 1:3, 3] = h
+    m[..., 0, 0] = v_plus
+    return m
 
 
 def build_full8(pulse: PulseSpec, v_s: float, v_c: float) -> HamiltonianMatrix:
@@ -314,13 +315,25 @@ def relabeling_matrix(
     return np.array([rows[label] for label in SUPERPOSITION_BASIS_8])
 
 
-def _eigen_coefficients(h: np.ndarray, psi: np.ndarray, t_us: float):
+def _eigen_coefficients(h: np.ndarray, psi: np.ndarray, t_us):
     """(w, v, v^H psi) of one Hermitian matrix or a stack, (..., n, n), checking
-    that 2 pi H t is finite: the package's one eigensolve."""
+    that 2 pi H t is finite for each matrix's duration (one ``t_us`` for all or
+    one per matrix): the package's one eigensolve."""
     w, v = np.linalg.eigh(h)
-    if not math.isfinite(2.0 * math.pi * float(np.abs(w).max()) * t_us):
-        raise ValueError(f"pulse duration {t_us} us overflows the phase 2 pi H t")
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(2.0 * math.pi * np.abs(w).max(axis=-1) * t_us)
+    if not finite.all():
+        t = np.broadcast_to(t_us, finite.shape)[~finite][0]
+        raise ValueError(f"pulse duration {t} us overflows the phase 2 pi H t")
     return w, v, v.conj().swapaxes(-1, -2) @ psi
+
+
+def _evolve(h: np.ndarray, psi: np.ndarray, t_us) -> np.ndarray:
+    """exp(-i 2 pi H t) psi for one matrix or a (b, n, n) stack with one duration
+    per matrix; a stacked row has the bits of its matrix evolved alone."""
+    w, v, coef = _eigen_coefficients(h, psi, t_us)
+    phases = np.exp(-2j * np.pi * w * np.asarray(t_us)[..., None] * 1e-3)
+    return (v @ (phases * coef)[..., None])[..., 0]
 
 
 def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> QuantumState:
@@ -331,8 +344,7 @@ def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> Quantum
     """
     if state.basis != h.basis:
         raise ValueError(f"state basis {state.basis} does not match Hamiltonian basis {h.basis}")
-    w, v, coef = _eigen_coefficients(h.matrix, state.amplitudes, t_us)
-    amps = v @ (np.exp(-2j * np.pi * w * t_us * 1e-3) * coef)
+    amps = _evolve(h.matrix, state.amplitudes, t_us)
     return QuantumState(basis=state.basis, amplitudes=amps)
 
 

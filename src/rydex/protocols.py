@@ -34,10 +34,11 @@ from .dynamics import (
     HamiltonianMatrix,
     PulseSpec,
     QuantumState,
+    _evolve,
+    _pulse2_matrices,
+    _pulse3_matrices,
     build_blocked2,
     build_full8,
-    build_pulse2,
-    build_pulse3,
     build_swap_2pi,
     propagate,
     propagate_sampled,
@@ -153,6 +154,9 @@ def _swap_point(omega_khz: float, omega_swap: float | None = None,
     omega_swap = 1.5 * omega_khz if omega_swap is None else omega_swap
     if t_2pi is None and omega_swap == 0:
         raise ValueError("SWAP drive omega_khz must be nonzero to derive t_2pi_us")
+    if t_2pi is None and omega_swap < 0:
+        raise ValueError(f"SWAP drive omega_khz must be positive to derive t_2pi_us, "
+                         f"got {omega_swap}")
     return omega_swap, 1e3 / omega_swap if t_2pi is None else t_2pi
 
 
@@ -252,6 +256,9 @@ def pairwise_entangle(
         _require_finite("tau2_us", tau2_us, 0.0)
     if tau3_us is not None:
         _require_finite("tau3_us", tau3_us, 0.0)
+    elif omega_pulse3_khz < 0:
+        raise ValueError("omega_pulse3_khz must be positive to derive its half period, "
+                         f"got {omega_pulse3_khz}")
     else:
         tau3_us = _half_period("omega_pulse3_khz", omega_pulse3_khz)
     omegas = (abs(omega_pulse2_khz), abs(omega_pulse3_khz))
@@ -327,14 +334,81 @@ class PairwiseOptimum:
 _BOUND_KEYS = ("omega_pulse2", "omega_pulse3", "tau2", "tau3")
 
 
-def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> float:
-    """``pairwise_entangle``'s zero-phase fidelity at x = (omega2, omega3, tau2, tau3),
-    in its sectors: |Uu> evolves in (Uu, r+, r-), then (a_r+, a_Uu/sqrt2, 0, 0) in
-    (r+, e_up+, e_dn+, g+), whose propagator U is symmetric: <g+|U|psi> = (U|g+>).psi."""
-    h2, h3 = build_pulse2(x[0], v_plus_khz, v_minus_khz), build_pulse3(x[1], v_plus_khz)
-    a_uu, a_rp, _ = propagate(QuantumState.from_label(h2.basis, "Uu"), h2, x[2]).amplitudes
-    u_g = propagate(QuantumState.from_label(h3.basis, "g+"), h3, x[3]).amplitudes
-    return float(abs(u_g[0] * a_rp + u_g[1] * a_uu / _SQRT2) ** 2)
+def _sector_fidelities(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> list[float]:
+    """``pairwise_entangle``'s zero-phase fidelity at each row x = (omega2, omega3, tau2,
+    tau3), in its sectors: |Uu> evolves in (Uu, r+, r-), then (a_r+, a_Uu/sqrt2, 0, 0) in
+    (r+, e_up+, e_dn+, g+), whose propagator U is symmetric: <g+|U|psi> = (U|g+>).psi.
+    One stacked eigensolve per pulse; the last product runs row by row on numpy
+    scalars, as a vectorized one rounds differently, so each row has its own bits."""
+    a = _evolve(_pulse2_matrices(x[:, 0], v_plus_khz, v_minus_khz), np.eye(3)[0], x[:, 2])
+    u = _evolve(_pulse3_matrices(x[:, 1], v_plus_khz), np.eye(4)[3], x[:, 3])
+    return [float(abs(ug[0] * ar[1] + ug[1] * ar[0] / _SQRT2) ** 2) for ar, ug in zip(a, u)]
+
+
+def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float):
+    """scipy.optimize.minimize's non-adaptive Nelder-Mead (maxiter 400) step for step,
+    as a generator: it yields each (k, n) array of points it needs scored, is sent
+    their k scores, and returns whether it stopped on the xatol/fatol test."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.tile(x0, (len(x0) + 1, 1))
+    for k, x in enumerate(x0):
+        sim[k + 1, k] = 1.05 * x if x != 0 else 0.00025
+    fsim = np.array((yield sim), dtype=float)
+    order = fsim.argsort()  # scipy sorts here and after every iteration; argsort
+    sim, fsim = sim[order], fsim[order]  # need not be stable, so sort as often
+    for _ in range(399):  # iterations 1 .. maxiter - 1
+        order = fsim.argsort()
+        sim, fsim = sim[order], fsim[order]
+        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+            return True
+        xbar = np.add.reduce(sim[:-1], 0) / len(x0)
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        (fxr,) = yield xr[None]
+        if fxr < fsim[0]:  # expand
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            (fxe,) = yield xe[None]
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:  # reflect
+            sim[-1], fsim[-1] = xr, fxr
+        else:  # contract outside or inside, else shrink towards the best vertex
+            outside = fxr < fsim[-1]
+            xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1] if outside
+                  else (1 - psi) * xbar + psi * sim[-1])
+            (fxc,) = yield xc[None]
+            if (fxc <= fxr) if outside else (fxc < fsim[-1]):
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                fsim[1:] = yield sim[1:]
+    return False
+
+
+def _lockstep_nelder_mead(starts: list[np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float,
+                          v_plus_khz: float, v_minus_khz: float) -> tuple[np.ndarray, bool]:
+    """A ``_nelder_mead`` on 1 - fidelity from each start, in lockstep: each round scores
+    all pending points in one ``_sector_fidelities`` batch, 2 outside [lo, hi] unevaluated.
+    Returns the first best point (start by start, then in evaluation order) and whether
+    any search stopped on its tolerance test."""
+    searches = [_nelder_mead(x0, tol, 1e-9) for x0 in starts]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    best, converged = [(-1.0, x0) for x0 in starts], False  # (fidelity, point) per search
+    while pending:
+        points = np.concatenate(list(pending.values()))
+        inside = np.all((points >= lo) & (points <= hi), axis=1)
+        fids = np.full(len(points), -np.inf)
+        fids[inside] = _sector_fidelities(points[inside], v_plus_khz, v_minus_khz)
+        scores, begin = np.where(inside, 1.0 - fids, 2.0), 0
+        for i, batch in list(pending.items()):
+            end = begin + len(batch)
+            k = begin + int(np.argmax(fids[begin:end]))  # the first best of the batch
+            best[i] = max(best[i], (fids[k], points[k]), key=lambda entry: entry[0])
+            try:
+                pending[i] = searches[i].send(scores[begin:end])
+            except StopIteration as stop:
+                converged = converged or stop.value
+                del pending[i]
+            begin = end
+    return max(best, key=lambda entry: entry[0])[1], converged
 
 
 def optimize_pairwise(
@@ -347,13 +421,15 @@ def optimize_pairwise(
 ) -> PairwiseOptimum:
     """Maximize pairwise fidelity over (omega2, omega3, tau2, tau3).
 
-    Restarted Nelder-Mead on ``_sector_fidelity`` inside box bounds: the first
-    start is the working point (omega2 = omega3 = sqrt|V+ V-| with closed-form
-    durations, clipped into the box), the rest are drawn uniformly from the box
-    by a counter-based generator, so results are deterministic for a seed. The
-    start and the result run the 8-state ``pairwise_entangle``, and the result
-    is never below the start. The default box is 0.5-3x the working drive and
-    0.25-2x its durations; single-point intervals pin values.
+    Restarted Nelder-Mead inside box bounds: the first start is the working
+    point (omega2 = omega3 = sqrt|V+ V-| with closed-form durations, clipped into
+    the box), the rest are drawn uniformly from the box by a counter-based
+    generator, so results are deterministic for a seed. The restarts take scipy's
+    Nelder-Mead steps (xatol ``tol``, fatol 1e-9, maxiter 400) bit for bit, in
+    lockstep (``_lockstep_nelder_mead``); ``converged`` if any stops on its tolerance
+    test. The start and the result run the 8-state ``pairwise_entangle``, and the
+    result is never below the start. The default box is 0.5-3x the working drive
+    and 0.25-2x its durations; single-point intervals pin values.
     """
     omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)
     box = {
@@ -373,15 +449,6 @@ def optimize_pairwise(
         raise ValueError("empty bounds box")
 
     start = np.clip(np.array([omega, omega, tau2, tau3]), lo, hi)
-    best: dict = {"x": start, "fid": -1.0}
-
-    def objective(x: np.ndarray) -> float:
-        if np.any(x < lo) or np.any(x > hi):
-            return 2.0
-        fid = _sector_fidelity(x, v_plus_khz, v_minus_khz)
-        if fid > best["fid"]:
-            best["fid"], best["x"] = fid, np.array(x)
-        return 1.0 - fid
 
     def run(x: np.ndarray) -> ProtocolResult:
         with warnings.catch_warnings():
@@ -391,24 +458,13 @@ def optimize_pairwise(
 
     at_start = run(start)
 
-    converged = False
-    if np.any(hi > lo):
-        from scipy import optimize as _sciopt  # heavy; only the search needs it
-
+    best_x, converged = start, not np.any(hi > lo)  # a degenerate box: nothing to search
+    if not converged:
         rng = np.random.Generator(np.random.Philox(seed))
         starts = [start] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
-        for x0 in starts:
-            res = _sciopt.minimize(
-                objective,
-                x0,
-                method="Nelder-Mead",
-                options={"xatol": tol, "fatol": 1e-9, "maxiter": 400},
-            )
-            converged = converged or bool(res.success)
-    else:
-        converged = True  # degenerate box: nothing to search
+        best_x, converged = _lockstep_nelder_mead(starts, lo, hi, tol, v_plus_khz, v_minus_khz)
 
-    x, final = best["x"], run(best["x"])
+    x, final = best_x, run(best_x)
     if final.fidelity < at_start.fidelity:  # the sectors' rounding picked a worse point
         x, final = start, at_start
     return PairwiseOptimum(

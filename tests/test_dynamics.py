@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydex.dynamics import (
     CHANNELS,
@@ -188,19 +190,22 @@ def test_full8_relabels_to_pulse3_blocks():
     assert hs[minus[0], minus[0]] == pytest.approx(v_minus)
 
 
-def test_sector_decoupling_with_paired_phases():
-    # one phase per atom keeps the dressed +/- sectors decoupled
-    rng = np.random.default_rng(21)
-    for _ in range(25):
-        omega = rng.uniform(10.0, 200.0)
-        a, b = rng.uniform(-np.pi, np.pi, 2)
-        pulse = PulseSpec(omega_dU_A=omega, omega_uD_A=omega,
-                          omega_dU_B=omega, omega_uD_B=omega,
-                          phi_dU_A=a, phi_uD_A=a, phi_dU_B=b, phi_uD_B=b)
-        h8 = build_full8(pulse, rng.uniform(-500, 500), rng.uniform(-500, 500))
-        r = relabeling_matrix(phi_dU_A=a, phi_uD_A=a, phi_dU_B=b, phi_uD_B=b)
-        hs = r @ h8.matrix @ r.conj().T
-        assert np.abs(hs[:4, 4:]).max() < 1e-10
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    omega=st.floats(0.0, 1e3),
+    phase_a=st.floats(-100.0, 100.0),
+    phase_b=st.floats(-100.0, 100.0),
+    v_s=st.floats(-1e3, 1e3),
+    v_c=st.floats(-1e3, 1e3),
+)
+def test_sector_decoupling_with_paired_phases(omega, phase_a, phase_b, v_s, v_c):
+    # one phase per atom, any phases, keeps the dressed +/- sectors decoupled
+    phases = (phase_a, phase_a, phase_b, phase_b)
+    pulse = PulseSpec(**{f"omega_{c}": omega for c in CHANNELS},
+                      **{f"phi_{c}": p for c, p in zip(CHANNELS, phases)})
+    r = relabeling_matrix(*phases)
+    hs = r @ build_full8(pulse, v_s, v_c).matrix @ r.conj().T
+    assert np.abs(hs[:4, 4:]).max() < 1e-10
 
 
 def test_pulse2_embedding_matches_3x3():
@@ -285,7 +290,8 @@ def test_propagation_rejects_an_overflowing_phase():
 
 def test_stacked_eigensolve_is_the_per_matrix_one():
     """A stack of matrices gives, row for row, the bits of one call per matrix:
-    real stacks as the pulse-3 kernel builds them, and complex ones."""
+    real stacks as the pulse-3 kernel builds them, and complex ones, with one
+    duration for all or one per matrix, each checked for overflow."""
     rng = np.random.default_rng(17)
     for b in (1, 5, 40):
         om = rng.uniform(-200.0, 200.0, (b, 4))
@@ -293,13 +299,32 @@ def test_stacked_eigensolve_is_the_per_matrix_one():
         psi = _random_state(rng, PRODUCT_BASIS_8).amplitudes
         for amps in (om, phased):
             h = _sector_matrices(amps, rng.uniform(-1000, 1000), rng.uniform(-1000, 1000))
-            t = float(rng.uniform(-20.0, 20.0))
-            stacked = _eigen_coefficients(h, psi, t)
-            for i in range(b):
-                single = _eigen_coefficients(h[i], psi, t)
-                assert all(np.array_equal(s[i], o) for s, o in zip(stacked, single))
+            for t in (float(rng.uniform(-20.0, 20.0)), rng.uniform(-20.0, 20.0, b)):
+                stacked = _eigen_coefficients(h, psi, t)
+                for i in range(b):
+                    single = _eigen_coefficients(h[i], psi, np.broadcast_to(t, b)[i])
+                    assert all(np.array_equal(s[i], o) for s, o in zip(stacked, single))
     with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
         _eigen_coefficients(h, psi, 1e308)
+    with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
+        _eigen_coefficients(h, psi, np.where(np.arange(b) == 7, 1e308, 1.0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    scale=st.floats(1e-3, 1e4),
+    t_us=st.floats(0.0, 1e3),
+)
+def test_propagate_preserves_the_norm(seed, n, scale, t_us):
+    """|exp(-2 pi i H t) psi| = 1 for a Hermitian H of any size, scale and duration."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    basis = tuple(str(i) for i in range(n))
+    h = HamiltonianMatrix(basis=basis, matrix=scale * (a + a.conj().T))
+    out = propagate(_random_state(rng, basis), h, t_us)
+    assert abs(float(np.sum(np.abs(out.amplitudes) ** 2)) - 1.0) < 1e-12
 
 
 def test_unitarity_over_random_pulses():

@@ -48,7 +48,7 @@ from rydex.harness import (
     write_csv,
     write_json,
 )
-from rydex.protocols import swap_gate
+from rydex.protocols import pairwise_entangle, swap_gate
 from rydex.radial import rrr_coefficient
 from rydex.vdw import interaction_matrix
 
@@ -693,6 +693,12 @@ def test_cli_computation_errors_return_1(capsys, argv):
     assert err.startswith("error:")
 
 
+_ZERO_WORKING_DRIVE = (
+    "the working drive sqrt|V+ V-| is 0 for V+ = 0.0 kHz and V- = 0.0 kHz: "
+    "derived drives need a nonzero --v-plus and --v-minus"
+)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -747,6 +753,17 @@ def test_cli_computation_errors_return_1(capsys, argv):
           "--samples", "10"], "pulse duration 10000.0 us overflows the phase 2 pi H t"),
         (["chain", "--atoms", "18446744073709551616"],
          "atom_count must be at most 524288, got 18446744073709551616"),
+        # a negative drive whose duration is derived is refused by its name
+        (["pair-sim", "--omega3=-100"],
+         "omega_pulse3_khz must be positive to derive its half period, got -100.0"),
+        (["swap-sim", "--omega=-80"],
+         "SWAP drive omega_khz must be positive to derive t_2pi_us, got -80.0"),
+        # injected couplings with a zero working drive, wherever a default derives from it
+        (["robustness", "--v-plus", "0", "--v-minus", "0"], _ZERO_WORKING_DRIVE),
+        (["pair-sim", "--v-plus", "0", "--v-minus", "0"], _ZERO_WORKING_DRIVE),
+        (["pair-sim", "--optimize", "--v-plus", "0", "--v-minus", "0"], _ZERO_WORKING_DRIVE),
+        (["swap-sim", "--v-plus", "0", "--v-minus", "0", "--v-blockade", "5"],
+         _ZERO_WORKING_DRIVE),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -757,6 +774,16 @@ def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.filterwarnings("ignore:outside the working hierarchy:UserWarning")
+def test_cli_zero_couplings_run_with_explicit_drives_and_durations(capsys):
+    rc, out, _ = _run_cli(capsys, ["pair-sim", "--v-plus", "0", "--v-minus", "0",
+                                   "--omega2", "100", "--omega3", "100",
+                                   "--tau2", "5", "--tau3", "5"])
+    assert rc == 0
+    result = pairwise_entangle(100.0, 100.0, 0.0, 0.0, tau2_us=5.0, tau3_us=5.0)
+    assert json.loads(out)["fidelity"] == pytest.approx(result.fidelity, rel=1e-8)
 
 
 def test_dumps_json_rejects_non_finite():
@@ -791,10 +818,11 @@ def test_cli_bare_config_is_reported_by_the_subcommand():
 
 
 def test_import_does_not_load_scipy():
-    # scipy is only needed by the optimizer and is imported there
+    # scipy is a test-only dependency: neither the import nor the optimizer loads it
     src = str(Path(rydex.__file__).resolve().parents[1])
     code = (
         "import sys, rydex, rydex.cli; "
+        "rydex.optimize_pairwise(5.0, 711.0, restarts=2); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=src)

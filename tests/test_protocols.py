@@ -10,13 +10,21 @@ from hypothesis import strategies as st
 
 import rydex.protocols
 from rydex.atoms import QuantumDefectModel
-from rydex.dynamics import CHANNELS, QuantumState, propagate, tau2_approximate
+from rydex.dynamics import (
+    CHANNELS,
+    QuantumState,
+    build_pulse2,
+    build_pulse3,
+    propagate,
+    tau2_approximate,
+)
 from rydex.protocols import (
     MAX_CHAIN_ATOMS,
     SWAP_MATRIX_IDEAL,
     ChainSpec,
+    _lockstep_nelder_mead,
     _nominal_point,
-    _sector_fidelity,
+    _sector_fidelities,
     chain_fidelity_estimate,
     chain_ideal_state,
     chain_protocol,
@@ -134,7 +142,18 @@ def test_optimizer_improves_and_is_deterministic():
     )
 
 
+def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> float:
+    """One point of ``_sector_fidelities``, one eigensolve per pulse: the objective
+    the lockstep search replaced, kept as its reference."""
+    h2, h3 = build_pulse2(x[0], v_plus_khz, v_minus_khz), build_pulse3(x[1], v_plus_khz)
+    a_uu, a_rp, _ = propagate(QuantumState.from_label(h2.basis, "Uu"), h2, x[2]).amplitudes
+    u_g = propagate(QuantumState.from_label(h3.basis, "g+"), h3, x[3]).amplitudes
+    return float(abs(u_g[0] * a_rp + u_g[1] * a_uu / math.sqrt(2.0)) ** 2)
+
+
 _OMEGA, _TAU2, _TAU3 = _nominal_point(5.0, 711.0)
+_LO = np.array([0.5 * _OMEGA, 0.5 * _OMEGA, 0.25 * _TAU2, 0.25 * _TAU3])
+_HI = np.array([3.0 * _OMEGA, 3.0 * _OMEGA, 2.0 * _TAU2, 2.0 * _TAU3])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -145,13 +164,69 @@ _OMEGA, _TAU2, _TAU3 = _nominal_point(5.0, 711.0)
     tau3=st.floats(0.25 * _TAU3, 2.0 * _TAU3),
 )
 def test_sector_fidelity_is_the_8_state_fidelity(omega2, omega3, tau2, tau3):
-    """The optimizer's objective anywhere in its default box at (5, 711)."""
+    """The optimizer's objective anywhere in its default box at (5, 711), on a batch
+    of the drawn point, its swapped drives and both mirrored through the box centre;
+    each row is the one-point reference bit for bit."""
     x = np.array([omega2, omega3, tau2, tau3])
+    rows = np.array([x, x[[1, 0, 2, 3]], _LO + _HI - x, (_LO + _HI - x)[[1, 0, 2, 3]]])
+    batched = _sector_fidelities(rows, 5.0, 711.0)
+    for row, fid in zip(rows, batched, strict=True):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # hierarchy warnings at the box edges
+            full = pairwise_entangle(*row[:2], 5.0, 711.0, tau2_us=row[2], tau3_us=row[3],
+                                     samples_per_pulse=2).fidelity
+        assert abs(fid - full) <= 1e-13
+        assert fid == _sector_fidelity(row, 5.0, 711.0)
+
+
+def _scipy_search(starts, lo, hi, tol, v_plus_khz, v_minus_khz):
+    """The sequential search the lockstep one replaced: scipy's Nelder-Mead from each
+    start on the one-point objective, keeping the first best point."""
+    from scipy import optimize
+
+    best = {"x": starts[0], "fid": -1.0}
+
+    def objective(x):
+        if np.any(x < lo) or np.any(x > hi):
+            return 2.0
+        fid = _sector_fidelity(x, v_plus_khz, v_minus_khz)
+        if fid > best["fid"]:
+            best["fid"], best["x"] = fid, np.array(x)
+        return 1.0 - fid
+
+    options = {"xatol": tol, "fatol": 1e-9, "maxiter": 400}
+    results = [optimize.minimize(objective, x0, method="Nelder-Mead", options=options)
+               for x0 in starts]
+    return best["x"], any(res.success for res in results)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(
+    v_plus=st.floats(1.0, 20.0) | st.floats(-20.0, -1.0),
+    v_minus=st.floats(100.0, 3000.0) | st.floats(-3000.0, -100.0),
+    lo_scale=st.floats(0.2, 1.0),
+    hi_scale=st.floats(1.0, 3.0),
+    pinned=st.lists(st.booleans(), min_size=4, max_size=4),
+    seed=st.integers(0, 2**63),
+    restarts=st.integers(1, 3),
+    tol=st.sampled_from([1e-6, 1e-3, 1e-2]),
+)
+def test_lockstep_search_is_scipy_nelder_mead(v_plus, v_minus, lo_scale, hi_scale, pinned,
+                                             seed, restarts, tol):
+    """The same best point, bit for bit, and the same ``converged`` as scipy's
+    Nelder-Mead run restart by restart, also when pinned coordinates put start
+    vertices outside the box, where their scores tie at 2."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # hierarchy warnings at the box edges
-        full = pairwise_entangle(omega2, omega3, 5.0, 711.0, tau2_us=tau2, tau3_us=tau3,
-                                 samples_per_pulse=2).fidelity
-    assert abs(_sector_fidelity(x, 5.0, 711.0) - full) <= 1e-13
+        warnings.simplefilter("ignore", UserWarning)  # a marginal pulse-2 closed form
+        nominal = np.array(_nominal_point(v_plus, v_minus))[[0, 0, 1, 2]]
+    lo, hi = lo_scale * nominal, hi_scale * nominal
+    hi[pinned] = lo[pinned]
+    rng = np.random.Generator(np.random.Philox(seed))
+    starts = [np.clip(nominal, lo, hi)] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
+    x, converged = _lockstep_nelder_mead(starts, lo, hi, tol, v_plus, v_minus)
+    ref_x, ref_converged = _scipy_search(starts, lo, hi, tol, v_plus, v_minus)
+    assert [v.hex() for v in x.tolist()] == [v.hex() for v in ref_x.tolist()]
+    assert converged == ref_converged
 
 
 def test_optimizer_degenerate_box():
