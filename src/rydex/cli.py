@@ -259,8 +259,8 @@ def _working_drive(v_plus: float, v_minus: float) -> float:
     """sqrt|V+ V-|, which a command derives its default drives from; refused when 0."""
     omega = _nominal_omega(v_plus, v_minus)
     if omega == 0:
-        raise ValueError(f"the working drive sqrt|V+ V-| is 0 for V+ = {v_plus} kHz and "
-                         f"V- = {v_minus} kHz: derived drives need a nonzero --v-plus and --v-minus")
+        raise ValueError(f"the working drive sqrt|V+ V-| is 0 for V+ = {v_plus} kHz and V- = "
+                         f"{v_minus} kHz: derived drives need a nonzero --v-plus and --v-minus")
     return omega
 
 
@@ -315,8 +315,9 @@ def _cmd_swap_sim(args, model):
         v_blockade = coup.corner_khz
     else:
         raise ValueError("--v-blockade is required when couplings are injected")
-    nominal = _working_drive(v_plus, v_minus) if args.omega is None else None
-    omega, t_2pi = _swap_point(nominal, args.omega, args.t2pi)
+    if args.omega is None:
+        _working_drive(v_plus, v_minus)  # the SWAP drive derives from it
+    omega, t_2pi = _swap_point(_nominal_omega(v_plus, v_minus), args.omega, args.t2pi)
     result = swap_gate(omega, v_plus, v_minus, v_blockade, t_2pi, phi=args.phi)
     return {
         "schema": SCHEMA,
