@@ -11,8 +11,8 @@ first, e.g. "uU" = A in ground-up, B in Rydberg-up. Two two-photon
 drive channels exist per atom: "dU" couples d <-> U and "uD" couples
 u <-> D. All four channel amplitudes are ordinary frequencies in kHz;
 times are microseconds; the factor of 2 pi enters only in this
-module, where a pulse is propagated: in ``propagate``,
-``propagate_sampled`` and the batched pulse-3 kernel
+module, where a pulse is propagated: in ``_evolve`` (behind
+``propagate``), ``propagate_sampled`` and the batched pulse-3 kernel
 ``_batched_pulse3_fidelities``.
 
 The full one-excitation-exchange sector spans eight product states.
