@@ -320,9 +320,13 @@ def _eigen_coefficients(h: np.ndarray, psi: np.ndarray, t_us):
     that 2 pi H t is finite for each matrix's duration (one ``t_us`` for all or
     one per matrix): the package's one eigensolve."""
     w, v = np.linalg.eigh(h)
+    w_max = np.abs(w).max(axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(2.0 * math.pi * np.abs(w).max(axis=-1) * t_us)
+        finite = np.isfinite(2.0 * math.pi * w_max * t_us)
     if not finite.all():
+        w_bad = float(np.broadcast_to(w_max, finite.shape)[~finite][0])
+        if math.isinf(2.0 * math.pi * w_bad):
+            raise ValueError(f"eigenvalue {w_bad} kHz of H overflows the phase 2 pi H t")
         t = np.broadcast_to(t_us, finite.shape)[~finite][0]
         raise ValueError(f"pulse duration {t} us overflows the phase 2 pi H t")
     return w, v, v.conj().swapaxes(-1, -2) @ psi

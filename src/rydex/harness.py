@@ -225,8 +225,8 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
     pulse 3 with four independently dispersed Rabi frequencies for the
     fixed nominal half-period.
     """
-    tau2 = tau2_approximate(cfg.omega_khz, cfg.v_plus_khz)
     tau3 = _half_period("omega_khz", cfg.omega_khz)
+    tau2 = tau2_approximate(cfg.omega_khz, cfg.v_plus_khz)
     v_s, v_c = _exchange_split(cfg.v_plus_khz, cfg.v_minus_khz)
 
     start = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")

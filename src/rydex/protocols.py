@@ -136,6 +136,8 @@ def _half_period(name: str, omega_khz: float) -> float:
     """Pulse-3 pi time 1/(2 omega) in us for drive ``name`` in kHz."""
     if omega_khz == 0:
         raise ValueError(f"{name} must be nonzero to derive its half period")
+    if omega_khz < 0:
+        raise ValueError(f"{name} must be positive to derive its half period, got {omega_khz}")
     return 1e3 / (2.0 * omega_khz)
 
 
@@ -256,9 +258,6 @@ def pairwise_entangle(
         _require_finite("tau2_us", tau2_us, 0.0)
     if tau3_us is not None:
         _require_finite("tau3_us", tau3_us, 0.0)
-    elif omega_pulse3_khz < 0:
-        raise ValueError("omega_pulse3_khz must be positive to derive its half period, "
-                         f"got {omega_pulse3_khz}")
     else:
         tau3_us = _half_period("omega_pulse3_khz", omega_pulse3_khz)
     omegas = (abs(omega_pulse2_khz), abs(omega_pulse3_khz))

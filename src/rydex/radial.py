@@ -17,9 +17,13 @@ GHz um^6 when divided by an energy defect in GHz.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
+from importlib import resources
 
 import mpmath
 
@@ -62,14 +66,20 @@ def effective_orbital(model: QuantumDefectModel, level: RydbergLevel) -> RadialO
     return RadialOrbital(n_eff=nu, l=level.l)
 
 
-@lru_cache(maxsize=65536)
-def _kaulakys(nu1: float, l1: int, nu2: float, l2: int) -> float:
+def _centre(nu1: float, l1: int, nu2: float, l2: int) -> tuple[float, float]:
+    """(l_c, nu_c) of a transition; refused when no region is classically allowed."""
     lc = (l1 + l2 + 1) / 2.0
     nc = math.sqrt(nu1 * nu2)
     if lc >= nc:
         raise ValueError(
             f"quasiclassical radial element undefined for l_c={lc} >= nu_c={nc:.3f}"
         )
+    return lc, nc
+
+
+def _live_element(nu1: float, l1: int, nu2: float, l2: int) -> float:
+    """The Kaulakys element itself: the module's one ``mpmath`` caller."""
+    lc, nc = _centre(nu1, l1, nu2, l2)
     dnu = nu1 - nu2
     dl = l2 - l1
     gamma = dl * lc / nc
@@ -89,6 +99,30 @@ def _kaulakys(nu1: float, l1: int, nu2: float, l2: int) -> float:
         g3 = (dnu / 2.0) * g0 + g1
     radial_part = g0 + gamma * g1 + gamma**2 * g2 + gamma**3 * g3
     return 1.5 * nc**2 * math.sqrt(1.0 - (lc / nc) ** 2) * radial_part
+
+
+@cache
+def _sp_table() -> tuple[array, array, array]:
+    """Columns (nu_s, nu_p, element) of the bundled Rb-87 s -> p elements sorted
+    by (nu_s, nu_p): the live element's outputs, as ``tools/radial_table.py`` writes them."""
+    flat = array("d", resources.files("rydex.data").joinpath("radial_sp.f64").read_bytes())
+    if sys.byteorder == "big":
+        flat.byteswap()
+    return flat[0::3], flat[1::3], flat[2::3]
+
+
+@lru_cache(maxsize=65536)
+def _kaulakys(nu1: float, l1: int, nu2: float, l2: int) -> float:
+    _centre(nu1, l1, nu2, l2)
+    if (l1, l2) == (0, 1):
+        # exact float keys: one an edited model no longer produces misses
+        s, p, element = _sp_table()
+        lo = bisect_left(s, nu1)
+        hi = bisect_right(s, nu1, lo)
+        i = bisect_left(p, nu2, lo, hi)
+        if i < hi and p[i] == nu2:
+            return element[i]
+    return _live_element(nu1, l1, nu2, l2)
 
 
 def radial_integral(bra: RadialOrbital, ket: RadialOrbital) -> float:

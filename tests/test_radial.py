@@ -1,12 +1,20 @@
 """Quasiclassical radial matrix elements and the dipole coupling constant."""
 
+import dataclasses
+import importlib.util
+import random
+from pathlib import Path
+
+import mpmath
 import pytest
 
-from rydex.atoms import QuantumDefectModel, RydbergLevel
+from rydex.atoms import DefectSeries, QuantumDefectModel, RydbergLevel
 from rydex.radial import (
     E2A02_GHZ_UM3,
     RadialOrbital,
     _kaulakys,
+    _live_element,
+    _sp_table,
     effective_orbital,
     radial_integral,
     rrr_coefficient,
@@ -122,3 +130,57 @@ def test_rrr_cross_coupling_is_small():
         (RydbergLevel(74, 1, 0.5), RydbergLevel(73, 1, 0.5)),
     )
     assert 0.1 < abs(rr) < 1.0
+
+
+@pytest.fixture(scope="module")
+def radial_table():
+    """``tools/radial_table.py``, the table's generator and the home of its domain."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "radial_table.py"
+    spec = importlib.util.spec_from_file_location("radial_table", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tabulated_elements_are_the_live_element_bit_for_bit():
+    nu_s, nu_p, element = _sp_table()
+    for i in random.Random(2024).sample(range(len(element)), 64):
+        assert _live_element(nu_s[i], 0, nu_p[i], 1) == element[i]
+
+
+def test_table_keys_are_the_grid_of_the_bundled_model(radial_table):
+    # fails when rb87_defects.txt changes and the table is not regenerated
+    nu_s, nu_p, _ = _sp_table()
+    assert list(zip(nu_s, nu_p)) == sorted(radial_table.grid(MODEL))
+
+
+def _sp_key(model, n_s, n_p, j=1.5):
+    return (effective_orbital(model, RydbergLevel(n_s, 0, 0.5)).n_eff,
+            effective_orbital(model, RydbergLevel(n_p, 1, j)).n_eff)
+
+
+@pytest.fixture
+def anger_calls(monkeypatch):
+    calls = []
+    angerj = mpmath.angerj
+    monkeypatch.setattr(mpmath, "angerj", lambda *a: calls.append(a) or angerj(*a))
+    return calls
+
+
+def test_tabulated_input_skips_mpmath(anger_calls):
+    nu_s, nu_p = _sp_key(MODEL, 73, 74)
+    value = _kaulakys.__wrapped__(nu_s, 0, nu_p, 1)
+    assert anger_calls == []
+    assert value == _live_element(nu_s, 0, nu_p, 1)
+
+
+def test_off_table_input_takes_the_live_path(anger_calls):
+    # n_s = 250 lies past the table; a perturbed defect moves every key off it
+    s = MODEL.series[(0, 0.5)]
+    moved = dataclasses.replace(MODEL, series={
+        **MODEL.series, (0, 0.5): DefectSeries(0, 0.5, s.delta0 + 1e-9, s.delta2)})
+    for nu_s, nu_p in (_sp_key(MODEL, 250, 251), _sp_key(moved, 73, 74)):
+        anger_calls.clear()
+        value = _kaulakys.__wrapped__(nu_s, 0, nu_p, 1)
+        assert len(anger_calls) == 2
+        assert value == _live_element(nu_s, 0, nu_p, 1)
