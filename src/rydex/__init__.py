@@ -24,18 +24,15 @@ from .radial import (
     RadialOrbital,
     effective_orbital,
     radial_integral,
-    rrr_coefficient,
 )
 from .vdw import (
     SPIN_BASIS,
-    AngularChannel,
     C6Pair,
     ChannelContribution,
     CriticalRadius,
     InteractionMatrix,
     SingularChannelError,
     VPlusMinus,
-    angular_channel,
     c6_pair,
     channel_c6,
     critical_radius,
@@ -53,8 +50,6 @@ from .dynamics import (
     QuantumState,
     build_blocked2,
     build_full8,
-    build_pulse2,
-    build_pulse3,
     build_swap_2pi,
     propagate,
     propagate_sampled,
@@ -79,11 +74,9 @@ from .protocols import (
     chain_fidelity_estimate,
     chain_ideal_state,
     chain_protocol,
-    chain_schedule,
     optimize_pairwise,
     pair_couplings,
     pairwise_entangle,
-    spectator_blockade,
     swap_gate,
 )
 from .harness import (

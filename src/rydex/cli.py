@@ -256,11 +256,13 @@ def _cmd_critical_radius(args, model):
 
 
 def _working_drive(v_plus: float, v_minus: float) -> float:
-    """sqrt|V+ V-|, which a command derives its default drives from; refused when 0."""
+    """sqrt|V+ V-|, which a command derives its default drives from; refused when
+    0 or past the float range."""
     omega = _nominal_omega(v_plus, v_minus)
-    if omega == 0:
-        raise ValueError(f"the working drive sqrt|V+ V-| is 0 for V+ = {v_plus} kHz and V- = "
-                         f"{v_minus} kHz: derived drives need a nonzero --v-plus and --v-minus")
+    if not 0 < omega < math.inf:
+        need = "nonzero" if omega == 0 else "finite"
+        raise ValueError(f"the working drive sqrt|V+ V-| is {omega:g} for V+ = {v_plus} kHz and "
+                         f"V- = {v_minus} kHz: derived drives need a {need} --v-plus and --v-minus")
     return omega
 
 

@@ -45,8 +45,6 @@ __all__ = [
     "PulseSpec",
     "QuantumState",
     "HamiltonianMatrix",
-    "build_pulse2",
-    "build_pulse3",
     "build_full8",
     "build_swap_2pi",
     "build_blocked2",
@@ -157,9 +155,6 @@ class QuantumState:
     def population(self, label: str) -> float:
         return float(abs(self.amplitude(label)) ** 2)
 
-    def populations(self) -> dict[str, float]:
-        return {b: float(abs(a) ** 2) for b, a in zip(self.basis, self.amplitudes)}
-
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
@@ -181,19 +176,14 @@ class HamiltonianMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def build_pulse2(omega_uD_B: float, v_plus: float, v_minus: float) -> HamiltonianMatrix:
-    """3x3 pulse-2 matrix on (|Uu>, |r+>, |r->), entries in kHz.
+def _pulse2_matrices(omega, v_plus: float, v_minus: float) -> np.ndarray:
+    """3x3 pulse-2 matrix on (|Uu>, |r+>, |r->), entries in kHz, or a (..., 3, 3)
+    stack of them for an array of drives.
 
     A single drive on atom B's u <-> D channel couples the singly
     excited state to both doubly excited Bell states with amplitude
     omega / (2 sqrt(2)); the Bell states sit at V+ and V-.
     """
-    return HamiltonianMatrix(basis=("Uu", "r+", "r-"),
-                             matrix=_pulse2_matrices(omega_uD_B, v_plus, v_minus))
-
-
-def _pulse2_matrices(omega, v_plus: float, v_minus: float) -> np.ndarray:
-    """build_pulse2's matrix, or a (..., 3, 3) stack of them for an array of drives."""
     o1 = np.asarray(omega) / (2.0 * _SQRT2)
     m = np.zeros(o1.shape + (3, 3), dtype=complex)
     m[..., 0, 1:] = m[..., 1:, 0] = o1[..., None]
@@ -201,19 +191,14 @@ def _pulse2_matrices(omega, v_plus: float, v_minus: float) -> np.ndarray:
     return m
 
 
-def build_pulse3(omega: float, v_plus: float) -> HamiltonianMatrix:
-    """4x4 pulse-3 matrix on (|r+>, |e_up+>, |e_dn+>, |g+>), in kHz.
+def _pulse3_matrices(omega, v_plus: float) -> np.ndarray:
+    """4x4 pulse-3 matrix on (|r+>, |e_up+>, |e_dn+>, |g+>), in kHz, or a
+    (..., 4, 4) stack of them for an array of drives.
 
     All four channels driven at equal amplitude omega with equal
     phases: the symmetric sector forms a four-level chain that carries
     |r+> down to the Bell ground state |g+>.
     """
-    return HamiltonianMatrix(basis=("r+", "e_up+", "e_dn+", "g+"),
-                             matrix=_pulse3_matrices(omega, v_plus))
-
-
-def _pulse3_matrices(omega, v_plus: float) -> np.ndarray:
-    """build_pulse3's matrix, or a (..., 4, 4) stack of them for an array of drives."""
     h = (np.asarray(omega) / 2.0)[..., None]
     m = np.zeros(h.shape[:-1] + (4, 4), dtype=complex)
     m[..., 0, 1:3] = m[..., 1:3, 0] = m[..., 3, 1:3] = m[..., 1:3, 3] = h
@@ -491,10 +476,6 @@ class Pulse2Analytics:
     tau2_us: float
     peak_amplitude: float
 
-    @property
-    def peak_population(self) -> float:
-        return self.peak_amplitude**2
-
 
 def pulse2_analytics(
     omega_uD_B: float, v_plus: float, v_minus: float
@@ -514,7 +495,13 @@ def pulse2_analytics(
             f"is not >> omega1 = {abs(o1):.3g} kHz",
             stacklevel=2,
         )
-    rate_sq = v_plus**2 + 4.0 * o1**2 - 4.0 * o1**3 / v_minus
+    try:
+        rate_sq = v_plus**2 + 4.0 * o1**2 - 4.0 * o1**3 / v_minus
+    except OverflowError:  # a power past the float range
+        rate_sq = math.nan
+    if not math.isfinite(rate_sq):
+        raise ValueError(f"pulse-2 drive {omega_uD_B} kHz with V+ = {v_plus} kHz and V- = "
+                         f"{v_minus} kHz puts the closed-form rate outside the float range")
     if rate_sq <= 0:
         raise ValueError("pulse-2 closed form has no real oscillation rate here")
     rate = math.sqrt(rate_sq)  # kHz

@@ -55,9 +55,7 @@ __all__ = [
     "run_figure",
     "to_jsonable",
     "dumps_json",
-    "write_json",
     "rows_to_csv",
-    "write_csv",
 ]
 
 SCHEMA = "rydex/1"
@@ -499,11 +497,6 @@ def dumps_json(data: dict) -> str:
     return text + "\n"
 
 
-def write_json(data: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_json(data))
-
-
 def _format_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
@@ -525,8 +518,3 @@ def rows_to_csv(columns: list[str], rows: list) -> str:
         else:
             writer.writerow([_format_cell(v) for v in row])
     return buf.getvalue()
-
-
-def write_csv(columns: list[str], rows: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(rows_to_csv(columns, rows))

@@ -62,12 +62,10 @@ __all__ = [
     "ChainSpec",
     "SchedulePulse",
     "PulseSchedule",
-    "chain_schedule",
     "chain_ideal_state",
     "ChainFidelityEstimate",
     "chain_fidelity_estimate",
     "SpectatorBlockade",
-    "spectator_blockade",
     "ChainResult",
     "chain_protocol",
 ]
@@ -330,9 +328,6 @@ class PairwiseOptimum:
     converged: bool
 
 
-_BOUND_KEYS = ("omega_pulse2", "omega_pulse3", "tau2", "tau3")
-
-
 def _sector_fidelities(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> list[float]:
     """``pairwise_entangle``'s zero-phase fidelity at each row x = (omega2, omega3, tau2,
     tau3), in its sectors: |Uu> evolves in (Uu, r+, r-), then (a_r+, a_Uu/sqrt2, 0, 0) in
@@ -413,41 +408,24 @@ def _lockstep_nelder_mead(starts: list[np.ndarray], lo: np.ndarray, hi: np.ndarr
 def optimize_pairwise(
     v_plus_khz: float,
     v_minus_khz: float,
-    bounds: dict[str, tuple[float, float]] | None = None,
     seed: int = 0,
     restarts: int = 10,
     tol: float = 1e-6,
 ) -> PairwiseOptimum:
     """Maximize pairwise fidelity over (omega2, omega3, tau2, tau3).
 
-    Restarted Nelder-Mead inside box bounds: the first start is the working
-    point (omega2 = omega3 = sqrt|V+ V-| with closed-form durations, clipped into
-    the box), the rest are drawn uniformly from the box by a counter-based
-    generator, so results are deterministic for a seed. The restarts take scipy's
-    Nelder-Mead steps (xatol ``tol``, fatol 1e-9, maxiter 400) bit for bit, in
-    lockstep (``_lockstep_nelder_mead``); ``converged`` if any stops on its tolerance
-    test. The start and the result run the 8-state ``pairwise_entangle``, and the
-    result is never below the start. The default box is 0.5-3x the working drive
-    and 0.25-2x its durations; single-point intervals pin values.
+    Restarted Nelder-Mead inside the box of 0.5-3x the working drive and 0.25-2x
+    its durations: the first start is the working point (omega2 = omega3 =
+    sqrt|V+ V-| with closed-form durations), the rest are drawn uniformly from the
+    box by a counter-based generator, so results are deterministic for a seed. The
+    restarts take scipy's Nelder-Mead steps (xatol ``tol``, fatol 1e-9, maxiter 400)
+    bit for bit, in lockstep (``_lockstep_nelder_mead``); ``converged`` if any stops
+    on its tolerance test. The start and the result run the 8-state
+    ``pairwise_entangle``, and the result is never below the start.
     """
-    omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)
-    box = {
-        "omega_pulse2": (0.5 * omega, 3.0 * omega),
-        "omega_pulse3": (0.5 * omega, 3.0 * omega),
-        "tau2": (0.25 * tau2, 2.0 * tau2),
-        "tau3": (0.25 * tau3, 2.0 * tau3),
-    }
-    if bounds:
-        unknown = set(bounds) - set(_BOUND_KEYS)
-        if unknown:
-            raise ValueError(f"unknown bound keys {sorted(unknown)}")
-        box.update(bounds)
-    lo = np.array([box[k][0] for k in _BOUND_KEYS])
-    hi = np.array([box[k][1] for k in _BOUND_KEYS])
-    if np.any(lo > hi):
-        raise ValueError("empty bounds box")
-
-    start = np.clip(np.array([omega, omega, tau2, tau3]), lo, hi)
+    omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)  # all > 0
+    start = np.array([omega, omega, tau2, tau3])
+    lo, hi = start * np.array([0.5, 0.5, 0.25, 0.25]), start * np.array([3.0, 3.0, 2.0, 2.0])
 
     def run(x: np.ndarray) -> ProtocolResult:
         with warnings.catch_warnings():
@@ -456,12 +434,9 @@ def optimize_pairwise(
                                      tau2_us=x[2], tau3_us=x[3])
 
     at_start = run(start)
-
-    best_x, converged = start, not np.any(hi > lo)  # a degenerate box: nothing to search
-    if not converged:
-        rng = np.random.Generator(np.random.Philox(seed))
-        starts = [start] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
-        best_x, converged = _lockstep_nelder_mead(starts, lo, hi, tol, v_plus_khz, v_minus_khz)
+    rng = np.random.Generator(np.random.Philox(seed))
+    starts = [start] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
+    best_x, converged = _lockstep_nelder_mead(starts, lo, hi, tol, v_plus_khz, v_minus_khz)
 
     x, final = best_x, run(best_x)
     if final.fidelity < at_start.fidelity:  # the sectors' rounding picked a worse point
@@ -651,9 +626,10 @@ def _atom_label(position: int) -> str:
     return "ABCD"[position % 4] + str(position // 4 + 1)
 
 
-def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
-    """Pulse-by-pulse schedule of the chain protocol, the paper's table of
-    four steps with three slots each.
+def _chain_schedule(model: QuantumDefectModel,
+                    spec: ChainSpec) -> tuple[PairCouplings, PulseSchedule]:
+    """The pair's couplings and the pulse-by-pulse schedule of the chain
+    protocol, the paper's table of four steps with three slots each.
 
     Steps 1 and 2 entangle every (A_j, B_j), then every (C_j, D_j) pair
     in parallel: pi on the first atom, pulse 2 on the second, pulse 3 on
@@ -662,12 +638,6 @@ def chain_schedule(model: QuantumDefectModel, spec: ChainSpec) -> PulseSchedule:
     the second. The pi pulses are ideal zero-duration maps, so the step
     durations, and the total, do not depend on chain length.
     """
-    return _chain_schedule(model, spec)[1]
-
-
-def _chain_schedule(
-    model: QuantumDefectModel, spec: ChainSpec
-) -> tuple[PairCouplings, PulseSchedule]:
     n_a, n_b = spec.pair
     lc = critical_radius(model, n_a, n_b).radius_um
     if spec.spacing_um <= lc:
@@ -834,9 +804,7 @@ class SpectatorBlockade:
     negligible: bool
 
 
-def spectator_blockade(
-    model: QuantumDefectModel, spec: ChainSpec
-) -> SpectatorBlockade:
+def _spectator(spec: ChainSpec, coup: PairCouplings) -> SpectatorBlockade:
     """Blockade shift between simultaneously excited non-partner atoms.
 
     In every parallel step the closest simultaneously excited atoms of
@@ -845,10 +813,6 @@ def spectator_blockade(
     direct interaction block. The shift is flagged negligible when it
     is below 20% of V+, the smallest intra-pair scale.
     """
-    return _spectator(spec, pair_couplings(model, *spec.pair, spec.spacing_um))
-
-
-def _spectator(spec: ChainSpec, coup: PairCouplings) -> SpectatorBlockade:
     shift = coup.corner_khz / 3.0**6
     v_plus = coup.v_plus_khz
     ratio = abs(shift / v_plus) if v_plus != 0 else math.inf
@@ -883,7 +847,8 @@ def chain_protocol(
 
     A missing ``f1`` or ``f_swap`` is simulated at the schedule's own
     pulse-2/3 and 2pi drives and durations; a missing ``tau_us`` is the
-    operation-weighted exposure (P tau_pair + S tau_swap) / (P + S).
+    operation-weighted exposure (P tau_pair + S tau_swap) / (P + S). With all
+    three given nothing is simulated: the schedule and spectator shift alone.
     """
     coup, schedule = _chain_schedule(model, spec)
     slot = {p.pulse_index: p.spec for p in schedule.pulses}

@@ -34,7 +34,6 @@ __all__ = [
     "RadialOrbital",
     "effective_orbital",
     "radial_integral",
-    "rrr_coefficient",
 ]
 
 # e^2 a0^2 / (4 pi eps0 h), expressed in GHz um^3. With both radial
@@ -151,20 +150,3 @@ def radial_integral(bra: RadialOrbital, ket: RadialOrbital) -> float:
         )
     return _kaulakys(bra.n_eff, bra.l, ket.n_eff, ket.l)
 
-
-def rrr_coefficient(
-    model: QuantumDefectModel,
-    initial: tuple[RydbergLevel, RydbergLevel],
-    final: tuple[RydbergLevel, RydbergLevel],
-) -> float:
-    """Product coupling coefficient e^2 r_A r_B in GHz um^3.
-
-    ``initial`` and ``final`` are the two-atom level pairs before and
-    after the dipole-dipole flip; atom A is the first element of each
-    pair. Both single-atom transitions must be dipole allowed.
-    """
-    a0, b0 = initial
-    a1, b1 = final
-    r_a = radial_integral(effective_orbital(model, a0), effective_orbital(model, a1))
-    r_b = radial_integral(effective_orbital(model, b0), effective_orbital(model, b1))
-    return E2A02_GHZ_UM3 * r_a * r_b

@@ -17,8 +17,8 @@ structure (j_A, j_B); the angular algebra of that channel enters only
 through a rational matrix D_k = M_k^T M_k, where M_k collects the
 signed products of Clebsch-Gordan factors of the two dipole flips over
 all intermediate Zeeman states (Walker & Saffman, PRA 77, 032723
-(2008)). Both are derived at import from ``atoms.clebsch_gordan`` as
-``AngularChannel`` states; every entry of D_k is a multiple of 1/81.
+(2008)). Both are derived at import (``_M_MATRICES``, ``_D_MATRICES``);
+every entry of D_k is a multiple of 1/81.
 
 Radial physics enters through perturbative channel sums over a window
 of principal quantum numbers around (n_A, n_B); see ``channel_c6``.
@@ -55,8 +55,6 @@ from .radial import E2A02_GHZ_UM3, effective_orbital, radial_integral
 
 __all__ = [
     "SingularChannelError",
-    "AngularChannel",
-    "angular_channel",
     "channel_c6",
     "C6Pair",
     "c6_pair",
@@ -99,7 +97,18 @@ def _m_rows(j_a: float, j_b: float) -> tuple[tuple[float, float], ...]:
 
 
 def _transition_matrix(j_a: float, j_b: float) -> np.ndarray:
-    """M of fine structure (j_A, j_B); see ``AngularChannel`` for the entries."""
+    """Transition matrix M of fine structure (j_A, j_B), with D = M^T M.
+
+    One row per intermediate Zeeman pair (``_m_rows``), one column per
+    SPIN_BASIS state. The entry at row (m_A', m_B') and column (m_A, m_B)
+    is w(q) f(j_A, m_A', m_A) f(j_B, m_B', m_B), nonzero only for
+    q = m_A' - m_A = m_B - m_B' in {-1, 0, 1}. The weight w(0) = -2,
+    w(+-1) = -1 comes from d_A . d_B - 3 d_Az d_Bz, and
+    f(j, m', m) = <1 q; 1/2 m | j m'> / sqrt(3) is the s_1/2 -> p_j
+    dipole factor, with the photon coupled first in ``clebsch_gordan``.
+    The largest |entry| sets the strongest first-order dipole coupling
+    of the channel and hence the critical radius.
+    """
     rows = _m_rows(j_a, j_b)
     m = np.zeros((len(rows), len(SPIN_BASIS)))
     for i, (fa, fb) in enumerate(rows):
@@ -128,50 +137,6 @@ _M_MATRICES: dict[int, np.ndarray] = {
     k: _transition_matrix(j_a, j_b) for k, (j_a, j_b) in CHANNEL_FINE_STRUCTURE.items()
 }
 _D_MATRICES: dict[int, np.ndarray] = {k: _exact_gram(m) for k, m in _M_MATRICES.items()}
-
-
-@dataclass(frozen=True)
-class AngularChannel:
-    """Angular algebra of one fine-structure channel.
-
-    ``d_matrix`` is the 4x4 second-order angular weight on SPIN_BASIS,
-    ``m_matrix`` the underlying transition matrix (one row per
-    intermediate Zeeman pair) with ``d_matrix = m_matrix.T @ m_matrix``.
-    The entry of ``m_matrix`` at row (m_A', m_B') and column (m_A, m_B)
-    is w(q) f(j_A, m_A', m_A) f(j_B, m_B', m_B), nonzero only for
-    q = m_A' - m_A = m_B - m_B' in {-1, 0, 1}. The weight w(0) = -2,
-    w(+-1) = -1 comes from d_A . d_B - 3 d_Az d_Bz, and
-    f(j, m', m) = <1 q; 1/2 m | j m'> / sqrt(3) is the s_1/2 -> p_j
-    dipole factor, with the photon coupled first in ``clebsch_gordan``.
-    ``max_coupling`` is the largest |entry| of ``m_matrix``; it sets the
-    strongest first-order dipole coupling of the channel and hence the
-    blockade radius.
-    """
-
-    channel: int
-    j_final: tuple[float, float]
-    d_matrix: np.ndarray
-    m_matrix: np.ndarray
-    row_labels: tuple[tuple[float, float], ...]
-    col_labels: tuple[tuple[float, float], ...]
-    max_coupling: float
-
-
-def angular_channel(k: int) -> AngularChannel:
-    """The exact angular matrices of channel k (1..4)."""
-    if k not in _D_MATRICES:
-        raise ValueError(f"channel must be 1..4, got {k}")
-    j_a, j_b = CHANNEL_FINE_STRUCTURE[k]
-    m = _M_MATRICES[k]
-    return AngularChannel(
-        channel=k,
-        j_final=(j_a, j_b),
-        d_matrix=_D_MATRICES[k].copy(),
-        m_matrix=m.copy(),
-        row_labels=_m_rows(j_a, j_b),
-        col_labels=SPIN_BASIS,
-        max_coupling=float(np.abs(m).max()),
-    )
 
 
 class _ChannelTerms(NamedTuple):
@@ -476,31 +441,18 @@ class VPlusMinus:
 
         |r+-> = (|up dn> +- |dn up>) / sqrt(2),
         V+-  = (C6 +- C6ex) / L^6.
-
-    ``eigenvectors`` gives the coefficients of each Bell state on the
-    middle-basis order ((-1/2, +1/2), (+1/2, -1/2)).
     """
 
     v_plus_khz: float
     v_minus_khz: float
     spacing_um: float
-    eigenvectors: dict[str, tuple[float, float]]
 
 
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
     vs, vc = _khz_per_ghz_um6(spacing_um, pair.c6, pair.c6_exchange)
     v_plus, v_minus = _v_plus_minus(spacing_um, vs, vc)
-    inv_sq2 = 1.0 / math.sqrt(2.0)
-    return VPlusMinus(
-        v_plus_khz=v_plus,
-        v_minus_khz=v_minus,
-        spacing_um=spacing_um,
-        eigenvectors={
-            "r+": (inv_sq2, inv_sq2),
-            "r-": (-inv_sq2, inv_sq2),
-        },
-    )
+    return VPlusMinus(v_plus_khz=v_plus, v_minus_khz=v_minus, spacing_um=spacing_um)
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ from rydex.dynamics import (
     PulseSpec,
     QuantumState,
     _eigen_coefficients,
+    _pulse2_matrices,
+    _pulse3_matrices,
     _sector_matrices,
     build_blocked2,
     build_full8,
-    build_pulse2,
-    build_pulse3,
     build_swap_2pi,
     propagate,
     propagate_sampled,
@@ -30,6 +30,18 @@ from rydex.dynamics import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _pulse2(omega, v_plus, v_minus):
+    """The pulse-2 matrix on (|Uu>, |r+>, |r->) as ``propagate`` takes it."""
+    return HamiltonianMatrix(basis=("Uu", "r+", "r-"),
+                             matrix=_pulse2_matrices(omega, v_plus, v_minus))
+
+
+def _pulse3(omega, v_plus):
+    """The pulse-3 matrix on (|r+>, |e_up+>, |e_dn+>, |g+>) as ``propagate`` takes it."""
+    return HamiltonianMatrix(basis=("r+", "e_up+", "e_dn+", "g+"),
+                             matrix=_pulse3_matrices(omega, v_plus))
 
 
 def _random_pulse(rng):
@@ -82,7 +94,7 @@ def test_quantum_state_validation():
             QuantumState(basis=("a", "b"), amplitudes=np.array([bad, 0.0]))
     st = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")
     assert st.population("Uu") == 1.0
-    assert sum(st.populations().values()) == pytest.approx(1.0)
+    assert float(np.sum(np.abs(st.amplitudes) ** 2)) == 1.0
 
 
 def test_hamiltonian_validation():
@@ -100,7 +112,7 @@ def test_hamiltonian_validation():
 # --- builders -----------------------------------------------------------------
 
 def test_build_pulse2_structure():
-    h = build_pulse2(50.0, 4.0, 700.0)
+    h = _pulse2(50.0, 4.0, 700.0)
     o1 = 50.0 / (2.0 * SQRT2)
     want = np.array([[0, o1, o1], [o1, 4.0, 0], [o1, 0, 700.0]], dtype=complex)
     assert h.basis == ("Uu", "r+", "r-")
@@ -108,7 +120,7 @@ def test_build_pulse2_structure():
 
 
 def test_build_pulse3_structure():
-    h = build_pulse3(128.0, 5.0)
+    h = _pulse3(128.0, 5.0)
     assert h.basis == ("r+", "e_up+", "e_dn+", "g+")
     assert h.matrix[0, 0] == 5.0
     assert h.matrix[0, 1] == h.matrix[0, 2] == 64.0
@@ -173,7 +185,7 @@ def test_relabeling_zero_phase_rows():
 
 def test_full8_relabels_to_pulse3_blocks():
     # with all four channels driven equally the transformed matrix is
-    # block diagonal: a 4x4 chain in the + sector matching build_pulse3,
+    # block diagonal: a 4x4 chain in the + sector matching the pulse-3 matrix,
     # the mirrored chain in the - sector, and no cross coupling
     omega, v_plus, v_minus = 128.0, 5.0, 711.0
     pulse = PulseSpec(omega_dU_A=omega, omega_uD_A=omega,
@@ -185,7 +197,7 @@ def test_full8_relabels_to_pulse3_blocks():
     plus = [SUPERPOSITION_BASIS_8.index(b) for b in ("r+", "e_up+", "e_dn+", "g+")]
     minus = [SUPERPOSITION_BASIS_8.index(b) for b in ("r-", "e_up-", "e_dn-", "g-")]
     assert np.abs(hs[np.ix_(plus, minus)]).max() < 1e-12
-    want = build_pulse3(omega, v_plus).matrix
+    want = _pulse3(omega, v_plus).matrix
     assert np.abs(hs[np.ix_(plus, plus)] - want).max() < 1e-12
     assert hs[minus[0], minus[0]] == pytest.approx(v_minus)
 
@@ -221,7 +233,7 @@ def test_pulse2_embedding_matches_3x3():
                   [0.0, 1.0 / SQRT2, 1.0 / SQRT2],
                   [0.0, 1.0 / SQRT2, -1.0 / SQRT2]])
     small = t @ h8[np.ix_(idx, idx)] @ t.T
-    want = build_pulse2(omega, v_plus, v_minus).matrix
+    want = _pulse2(omega, v_plus, v_minus).matrix
     assert np.abs(small - want).max() < 1e-12
 
 
@@ -241,7 +253,7 @@ def test_propagate_against_expm():
 
 
 def test_propagate_basis_mismatch():
-    h = build_pulse2(50.0, 4.0, 700.0)
+    h = _pulse2(50.0, 4.0, 700.0)
     st = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")
     with pytest.raises(ValueError, match="does not match"):
         propagate(st, h, 1.0)
@@ -250,12 +262,12 @@ def test_propagate_basis_mismatch():
 def test_propagate_zero_time_is_identity():
     rng = np.random.default_rng(9)
     st = _random_state(rng, ("Uu", "r+", "r-"))
-    out = propagate(st, build_pulse2(50.0, 4.0, 700.0), 0.0)
+    out = propagate(st, _pulse2(50.0, 4.0, 700.0), 0.0)
     assert np.abs(out.amplitudes - st.amplitudes).max() < 1e-15
 
 
 def test_propagate_sampled_endpoints():
-    h = build_pulse2(59.0, 5.0, 711.0)
+    h = _pulse2(59.0, 5.0, 711.0)
     st = QuantumState.from_label(("Uu", "r+", "r-"), "Uu")
     times, amps = propagate_sampled(st, h, 12.0, 57)
     assert times.shape == (57,)
@@ -269,7 +281,7 @@ def test_propagate_sampled_endpoints():
 
 
 def test_propagate_sampled_validation():
-    h = build_pulse2(59.0, 5.0, 711.0)
+    h = _pulse2(59.0, 5.0, 711.0)
     st = QuantumState.from_label(("Uu", "r+", "r-"), "Uu")
     with pytest.raises(ValueError, match="at least 2"):
         propagate_sampled(st, h, 1.0, 1)
@@ -279,7 +291,7 @@ def test_propagate_sampled_validation():
 
 def test_propagation_rejects_an_overflowing_phase():
     # 2 pi * 711 kHz * 1e308 us is not a float; 1e300 us still is
-    h = build_pulse2(59.0, 5.0, 711.0)
+    h = _pulse2(59.0, 5.0, 711.0)
     st = QuantumState.from_label(("Uu", "r+", "r-"), "Uu")
     with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
         propagate(st, h, 1e308)
@@ -345,7 +357,6 @@ def test_pulse2_analytics_frozen():
     an = pulse2_analytics(59.62378247605847, 5.0, 711.0)
     assert an.tau2_us == pytest.approx(11.952978327824477, rel=1e-12)
     assert an.peak_amplitude == pytest.approx(1.0078842385917233, rel=1e-12)
-    assert an.peak_population == an.peak_amplitude**2
 
 
 def test_pulse2_analytics_against_quadratic_correction():
@@ -360,10 +371,10 @@ def test_pulse2_analytics_against_propagation():
     # deep blockade: closed form and full propagation agree closely
     omega, v_plus, v_minus = 10.0, 50.0, 50000.0
     an = pulse2_analytics(omega, v_plus, v_minus)
-    h = build_pulse2(omega, v_plus, v_minus)
+    h = _pulse2(omega, v_plus, v_minus)
     st = QuantumState.from_label(("Uu", "r+", "r-"), "Uu")
     peak = propagate(st, h, an.tau2_us).population("r+")
-    assert peak == pytest.approx(an.peak_population, abs=1e-3)
+    assert peak == pytest.approx(an.peak_amplitude**2, abs=1e-3)
 
 
 def test_pulse2_analytics_validation():
@@ -374,6 +385,12 @@ def test_pulse2_analytics_validation():
     with pytest.warns(UserWarning, match="marginal"):
         with pytest.raises(ValueError, match="no real oscillation rate"):
             pulse2_analytics(1000.0, 0.0, 100.0)
+    # a V+ or drive whose powers leave the float range is named, not an errno
+    with pytest.raises(ValueError, match="V\\+ = 1e\\+200 kHz .* outside the float range"):
+        pulse2_analytics(59.0, 1e200, 711.0)
+    with pytest.warns(UserWarning, match="marginal"):
+        with pytest.raises(ValueError, match="drive 1e\\+308 kHz .* outside the float range"):
+            pulse2_analytics(1e308, 5.0, 711.0)
 
 
 def test_tau2_approximate_frozen():

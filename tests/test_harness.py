@@ -1,5 +1,6 @@
 """Robustness scans, table/figure reproduction, serialization, and the CLI."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import rydex
 from rydex.atoms import QuantumDefectModel, RydbergLevel, level_energy
-from rydex.cli import _flatten, main
+from rydex.cli import _flatten, build_parser, main
 from rydex.dynamics import (
     PRODUCT_BASIS_8,
     SUPERPOSITION_BASIS_8,
@@ -45,12 +46,11 @@ from rydex.harness import (
     run_figure,
     run_table,
     to_jsonable,
-    write_csv,
-    write_json,
 )
 from rydex.protocols import pairwise_entangle, swap_gate
-from rydex.radial import rrr_coefficient
 from rydex.vdw import interaction_matrix
+
+from radial_reference import rrr_coefficient
 
 MODEL = QuantumDefectModel.default()
 
@@ -541,15 +541,18 @@ def test_rows_to_csv_formats_cells():
     assert text.endswith("\n")
 
 
-def test_write_json_and_csv_round_trip(tmp_path):
-    jpath = tmp_path / "out.json"
-    write_json({"x": 1.5}, str(jpath))
-    assert json.loads(jpath.read_text()) == {"x": 1.5}
-    assert jpath.read_text().endswith("\n")
-
-    cpath = tmp_path / "out.csv"
-    write_csv(["a", "b"], [[1, 2]], str(cpath))
-    assert cpath.read_text() == "a,b\n1,2\n"
+def test_write_json_and_csv_round_trip(capsys, tmp_path):
+    # --out writes exactly the bytes the command prints, in either format
+    argv = ["critical-radius", "--na", "73", "--nb", "75"]
+    for fmt in ("json", "csv"):
+        path = tmp_path / f"out.{fmt}"
+        assert main(argv + ["--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--format", fmt, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == printed.encode()
+        assert printed.endswith("\n")
+    assert json.loads((tmp_path / "out.json").read_text())["command"] == "critical-radius"
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +696,10 @@ _ZERO_WORKING_DRIVE = (
     "the working drive sqrt|V+ V-| is 0 for V+ = 0.0 kHz and V- = 0.0 kHz: "
     "derived drives need a nonzero --v-plus and --v-minus"
 )
+_INFINITE_WORKING_DRIVE = (
+    "the working drive sqrt|V+ V-| is inf for V+ = 1e+200 kHz and V- = 1e+200 kHz: "
+    "derived drives need a finite --v-plus and --v-minus"
+)
 
 
 @pytest.mark.parametrize(
@@ -768,6 +775,21 @@ _ZERO_WORKING_DRIVE = (
         # 2 pi |lambda| overflows before any duration multiplies it
         (["robustness", "--v-plus", "0.05", "--v-minus", "1e308", "--omega", "0.05",
           "--samples", "10"], "eigenvalue 1e+308 kHz of H overflows the phase 2 pi H t"),
+        # the pulse-2 closed form overflows in its drive or in V+; a hierarchy warning first
+        pytest.param(["pair-sim", "--omega2=1e308"],
+                     "pulse-2 drive 1e+308 kHz with V+ = 4.86528311708787 kHz and "
+                     "V- = 711.2447292433305 kHz puts the closed-form rate outside the float range",
+                     marks=pytest.mark.filterwarnings("ignore::UserWarning")),
+        pytest.param(["pair-sim", "--v-plus", "1e200", "--v-minus", "1", "--omega2", "1",
+                      "--omega3", "1"],
+                     "pulse-2 drive 1.0 kHz with V+ = 1e+200 kHz and V- = 1.0 kHz puts the "
+                     "closed-form rate outside the float range",
+                     marks=pytest.mark.filterwarnings("ignore::UserWarning")),
+        # injected couplings whose working drive overflows
+        (["pair-sim", "--v-plus", "1e200", "--v-minus", "1e200"], _INFINITE_WORKING_DRIVE),
+        (["pair-sim", "--optimize", "--v-plus", "1e200", "--v-minus", "1e200"],
+         _INFINITE_WORKING_DRIVE),
+        (["robustness", "--v-plus", "1e200", "--v-minus", "1e200"], _INFINITE_WORKING_DRIVE),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -778,6 +800,54 @@ def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
     assert err.count("\n") == 1
     assert "Traceback" not in err
     assert message in err
+
+
+_SUBCOMMANDS = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+# values fed to every option and positional, and the inputs a command needs to run
+_FUZZ_VALUES = ("0", "-1", "nan", "inf", "1e308")
+_FUZZ_REQUIRED = {"coeffs": {"--na": "73", "--nb": "75"},
+                  "critical-radius": {"--na": "73", "--nb": "75"},
+                  "table": {"table_id": "I"}, "figure": {"figure_id": "4"}}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_cli_fuzz_every_option(capsys, monkeypatch, tmp_path, command):
+    """Each option and positional of the parser, fed 0, -1, nan, inf and 1e308: a
+    clean exit 0 with strict JSON, one ``error:`` line with exit 1, or a usage error."""
+    monkeypatch.chdir(tmp_path)  # --out writes files named by the fuzzed values here
+    actions = [a for a in _SUBCOMMANDS[command]._actions if a.nargs != 0]  # not switches
+    flags = {s for a in actions for s in a.option_strings}
+    problems = []
+    for action in actions:
+        key = action.option_strings[0] if action.option_strings else action.dest
+        for value in _FUZZ_VALUES:
+            given = {**_FUZZ_REQUIRED.get(command, {}), key: value}
+            if "--samples" in flags and key != "--samples":
+                given["--samples"] = "200"
+            argv = [command, *(v for k, v in given.items() if not k.startswith("-")),
+                    *(f"{k}={v}" for k, v in given.items() if k.startswith("-"))]
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                rc = exc.code
+            out, err = capsys.readouterr()
+            if rc not in (0, 1, 2) or "Traceback" in err:
+                problems.append((argv, rc, err))
+            elif rc == 0:
+                text = (tmp_path / value).read_text() if key == "--out" else out
+                try:
+                    json.loads(text, parse_constant=_reject_constant)
+                except ValueError as exc:
+                    problems.append((argv, rc, str(exc)))
+            elif rc == 1 and (out or not err.splitlines()[-1].startswith("error: ")):
+                problems.append((argv, rc, err))
+    assert problems == []
 
 
 @pytest.mark.filterwarnings("ignore:outside the working hierarchy:UserWarning")

@@ -12,9 +12,10 @@ import rydex.protocols
 from rydex.atoms import QuantumDefectModel
 from rydex.dynamics import (
     CHANNELS,
+    HamiltonianMatrix,
     QuantumState,
-    build_pulse2,
-    build_pulse3,
+    _pulse2_matrices,
+    _pulse3_matrices,
     propagate,
     tau2_approximate,
 )
@@ -28,10 +29,9 @@ from rydex.protocols import (
     chain_fidelity_estimate,
     chain_ideal_state,
     chain_protocol,
-    chain_schedule,
     optimize_pairwise,
+    pair_couplings,
     pairwise_entangle,
-    spectator_blockade,
     swap_gate,
 )
 
@@ -145,7 +145,8 @@ def test_optimizer_improves_and_is_deterministic():
 def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> float:
     """One point of ``_sector_fidelities``, one eigensolve per pulse: the objective
     the lockstep search replaced, kept as its reference."""
-    h2, h3 = build_pulse2(x[0], v_plus_khz, v_minus_khz), build_pulse3(x[1], v_plus_khz)
+    h2 = HamiltonianMatrix(("Uu", "r+", "r-"), _pulse2_matrices(x[0], v_plus_khz, v_minus_khz))
+    h3 = HamiltonianMatrix(("r+", "e_up+", "e_dn+", "g+"), _pulse3_matrices(x[1], v_plus_khz))
     a_uu, a_rp, _ = propagate(QuantumState.from_label(h2.basis, "Uu"), h2, x[2]).amplitudes
     u_g = propagate(QuantumState.from_label(h3.basis, "g+"), h3, x[3]).amplitudes
     return float(abs(u_g[0] * a_rp + u_g[1] * a_uu / math.sqrt(2.0)) ** 2)
@@ -227,26 +228,6 @@ def test_lockstep_search_is_scipy_nelder_mead(v_plus, v_minus, lo_scale, hi_scal
     ref_x, ref_converged = _scipy_search(starts, lo, hi, tol, v_plus, v_minus)
     assert [v.hex() for v in x.tolist()] == [v.hex() for v in ref_x.tolist()]
     assert converged == ref_converged
-
-
-def test_optimizer_degenerate_box():
-    point = {
-        "omega_pulse2": (119.0, 119.0),
-        "omega_pulse3": (128.0, 128.0),
-        "tau2": (5.9315835828269235, 5.9315835828269235),
-        "tau3": (3.90625, 3.90625),
-    }
-    opt = optimize_pairwise(5.0, 711.0, bounds=point)
-    assert opt.converged
-    assert opt.omega_pulse2_khz == 119.0
-    assert opt.result.fidelity == opt.start_fidelity
-
-
-def test_optimizer_bound_validation():
-    with pytest.raises(ValueError, match="unknown bound keys"):
-        optimize_pairwise(5.0, 711.0, bounds={"omega": (1.0, 2.0)})
-    with pytest.raises(ValueError, match="empty bounds box"):
-        optimize_pairwise(5.0, 711.0, bounds={"tau2": (2.0, 1.0)})
 
 
 # --- SWAP gate ------------------------------------------------------------------
@@ -359,13 +340,15 @@ def test_chain_spec_validation():
         ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75), gamma_per_ms=-1.0)
 
 
+def _chain(atom_count: int, spacing_um: float = 15.0):
+    """``chain_protocol`` of the (73, 75) chain with f1, f_swap and tau given,
+    so it runs no simulation: the schedule and the spectator shift."""
+    spec = ChainSpec(atom_count=atom_count, spacing_um=spacing_um, pair=(73, 75))
+    return chain_protocol(MODEL, spec, f1=1.0, f_swap=1.0, tau_us=0.0)
+
+
 def test_schedule_pulse_counts():
-    sch4 = chain_schedule(MODEL, ChainSpec(atom_count=4, spacing_um=15.0,
-                                           pair=(73, 75)))
-    sch6 = chain_schedule(MODEL, ChainSpec(atom_count=6, spacing_um=15.0,
-                                           pair=(73, 75)))
-    sch8 = chain_schedule(MODEL, ChainSpec(atom_count=8, spacing_um=15.0,
-                                           pair=(73, 75)))
+    sch4, sch6, sch8 = (_chain(n).schedule for n in (4, 6, 8))
     assert len(sch4.pulses) == 9     # step 4 has no pair to act on
     assert len(sch6.pulses) == 12
     assert len(sch8.pulses) == 12
@@ -376,8 +359,7 @@ def test_schedule_pulse_counts():
 def test_schedule_duration_is_length_independent():
     durations = set()
     for count in (4, 8, 16):
-        sch = chain_schedule(MODEL, ChainSpec(atom_count=count, spacing_um=15.0,
-                                              pair=(73, 75)))
+        sch = _chain(count).schedule
         durations.add(sch.total_duration_us)
     assert len(durations) == 1
     only = durations.pop()
@@ -385,8 +367,7 @@ def test_schedule_duration_is_length_independent():
 
 
 def test_schedule_structure_four_atoms():
-    sch = chain_schedule(MODEL, ChainSpec(atom_count=4, spacing_um=15.0,
-                                          pair=(73, 75)))
+    sch = _chain(4).schedule
     by_index = {p.pulse_index: p for p in sch.pulses}
     assert by_index[1].targets == ("A1",)
     assert by_index[2].targets == ("B1",)
@@ -408,8 +389,7 @@ def test_schedule_structure_four_atoms():
 
 
 def test_schedule_parallelism_eight_atoms():
-    sch = chain_schedule(MODEL, ChainSpec(atom_count=8, spacing_um=15.0,
-                                          pair=(73, 75)))
+    sch = _chain(8).schedule
     by_index = {p.pulse_index: p for p in sch.pulses}
     assert by_index[1].targets == ("A1", "A2")
     assert by_index[3].targets == ("A1", "A2", "B1", "B2")
@@ -483,8 +463,7 @@ _FROZEN_SCHEDULES = {
 
 @pytest.mark.parametrize("count", sorted(_FROZEN_SCHEDULES))
 def test_schedule_slots_frozen(count):
-    sch = chain_schedule(MODEL, ChainSpec(atom_count=count, spacing_um=15.0,
-                                          pair=(73, 75)))
+    sch = _chain(count).schedule
     slots = []
     for p in sch.pulses:
         amps = {c: p.spec.amplitude(c) for c in CHANNELS if p.spec.amplitude(c) != 0}
@@ -499,8 +478,7 @@ def test_schedule_slots_frozen(count):
 
 def test_schedule_requires_perturbative_spacing():
     with pytest.raises(ValueError, match="critical radius"):
-        chain_schedule(MODEL, ChainSpec(atom_count=4, spacing_um=5.0,
-                                        pair=(73, 75)))
+        _chain(4, spacing_um=5.0)
 
 
 # --- chain states ------------------------------------------------------------------
@@ -580,8 +558,7 @@ def test_chain_estimate_validation_and_warning():
 
 
 def test_spectator_blockade_frozen():
-    spec = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75))
-    sb = spectator_blockade(MODEL, spec)
+    sb = _chain(4).spectator
     assert sb.shift_khz == pytest.approx(0.7334017389736212, rel=1e-12)
     assert sb.separation_um == 45.0
     assert sb.ratio_to_v_plus == pytest.approx(0.1507418420107484, rel=1e-12)
@@ -589,10 +566,7 @@ def test_spectator_blockade_frozen():
 
 
 def test_spectator_blockade_scaling():
-    near = spectator_blockade(MODEL, ChainSpec(atom_count=4, spacing_um=15.0,
-                                               pair=(73, 75)))
-    far = spectator_blockade(MODEL, ChainSpec(atom_count=4, spacing_um=30.0,
-                                              pair=(73, 75)))
+    near, far = _chain(4).spectator, _chain(4, spacing_um=30.0).spectator
     assert near.shift_khz / far.shift_khz == pytest.approx(64.0, rel=1e-12)
 
 
@@ -611,8 +585,10 @@ def test_chain_protocol_builds_the_interaction_matrix_once(monkeypatch):
                      gamma_per_ms=1.0 / 0.45)
     chain = chain_protocol(MODEL, spec)
     assert len(calls) == 1
-    assert chain.schedule == chain_schedule(MODEL, spec)
-    assert chain.spectator == spectator_blockade(MODEL, spec)
+    # the simulating run derives the same schedule and spectator as one without
+    assert chain.schedule == _chain(4).schedule
+    assert chain.spectator == _chain(4).spectator
+    assert chain.spectator.shift_khz == pair_couplings(MODEL, 73, 75, 15.0).corner_khz / 3**6
 
 
 def test_chain_protocol_overrides_frozen():

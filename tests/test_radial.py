@@ -17,8 +17,9 @@ from rydex.radial import (
     _sp_table,
     effective_orbital,
     radial_integral,
-    rrr_coefficient,
 )
+
+from radial_reference import rrr_coefficient
 
 MODEL = QuantumDefectModel.default()
 

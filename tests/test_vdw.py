@@ -16,7 +16,6 @@ from rydex.atoms import (
     level_energy,
 )
 from rydex.harness import REFERENCE_TABLE_I
-from rydex.radial import rrr_coefficient
 from rydex.vdw import (
     NEAR_RESONANCE_GHZ,
     SPIN_BASIS,
@@ -24,8 +23,8 @@ from rydex.vdw import (
     SingularChannelError,
     _D_MATRICES,
     _M_MATRICES,
+    _m_rows,
     _pair_terms,
-    angular_channel,
     c6_pair,
     channel_c6,
     critical_radius,
@@ -33,6 +32,8 @@ from rydex.vdw import (
     interference_decomposition,
     v_plus_minus,
 )
+
+from radial_reference import rrr_coefficient
 
 MODEL = QuantumDefectModel.default()
 
@@ -95,19 +96,19 @@ def test_channel_3_is_channel_2_with_atoms_swapped():
 def test_m_matrix_signed_entries(k, row, col, expected):
     # D = M^T M and max|M| cannot see a flipped row sign or a swapped
     # Clebsch-Gordan argument order; the signed entries can
-    ch = angular_channel(k)
-    value = ch.m_matrix[ch.row_labels.index(row), ch.col_labels.index(col)]
+    rows = _m_rows(*CHANNEL_FINE_STRUCTURE[k])
+    value = _M_MATRICES[k][rows.index(row), SPIN_BASIS.index(col)]
     assert value == pytest.approx(expected, abs=1e-15)
 
 
 def test_angular_channel_exposes_labels():
-    ch = angular_channel(2)
-    assert ch.d_matrix.shape == (4, 4)
-    assert ch.col_labels == SPIN_BASIS
-    assert ch.j_final == (1.5, 0.5)
-    assert ch.max_coupling == pytest.approx(math.sqrt(8.0) / 9.0, abs=1e-15)
-    with pytest.raises(ValueError, match="channel must be 1..4"):
-        angular_channel(5)
+    # channel 2 puts j = 3/2 on atom A: M has one row per (m_A', m_B') pair,
+    # m_A' outer, and one column per SPIN_BASIS state
+    assert CHANNEL_FINE_STRUCTURE[2] == (1.5, 0.5)
+    rows = _m_rows(1.5, 0.5)
+    assert rows == tuple((a, b) for a in (-1.5, -0.5, 0.5, 1.5) for b in (-0.5, 0.5))
+    assert _M_MATRICES[2].shape == (len(rows), len(SPIN_BASIS))
+    assert _D_MATRICES[2].shape == (4, 4)
 
 
 def test_spin_basis_order():
@@ -213,7 +214,7 @@ def test_near_resonant_terms_excluded_with_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
         parts = interference_decomposition(model, 50, 52, dn_cutoff=1)
     assert any("near-resonant" in r.message for r in caplog.records)
-    d_diag = angular_channel(1).d_matrix[1, 1]
+    d_diag = _D_MATRICES[1][1, 1]
     total = sum(p.c6_plus + p.c6_minus for p in parts if p.channel == 1)
     assert total / (2.0 * d_diag) == pytest.approx(value, rel=1e-12)
 
@@ -318,9 +319,11 @@ def test_v_plus_minus_frozen():
 def test_v_plus_minus_eigenvectors_and_scaling():
     pair = c6_pair(MODEL, 73, 75)
     vp = v_plus_minus(pair, 15.0)
+    # r+- = (|-1/2, +1/2> +- |+1/2, -1/2>)/sqrt 2 diagonalize the middle block at V+-
+    middle = interaction_matrix(MODEL, 73, 75, 15.0).v1_khz[1:3, 1:3]
     inv = 1.0 / math.sqrt(2.0)
-    assert vp.eigenvectors["r+"] == pytest.approx((inv, inv))
-    assert vp.eigenvectors["r-"] == pytest.approx((-inv, inv))
+    for vec, shift in (((inv, inv), vp.v_plus_khz), ((inv, -inv), vp.v_minus_khz)):
+        assert middle @ np.array(vec) == pytest.approx(shift * np.array(vec), rel=1e-12)
     double = v_plus_minus(pair, 30.0)
     assert double.v_plus_khz == pytest.approx(vp.v_plus_khz / 64.0, rel=1e-12)
     assert double.v_minus_khz == pytest.approx(vp.v_minus_khz / 64.0, rel=1e-12)
