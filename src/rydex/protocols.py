@@ -423,6 +423,8 @@ def optimize_pairwise(
     on its tolerance test. The start and the result run the 8-state
     ``pairwise_entangle``, and the result is never below the start.
     """
+    _require_finite("v_plus_khz", v_plus_khz)
+    _require_finite("v_minus_khz", v_minus_khz)
     omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)  # all > 0
     start = np.array([omega, omega, tau2, tau3])
     lo, hi = start * np.array([0.5, 0.5, 0.25, 0.25]), start * np.array([3.0, 3.0, 2.0, 2.0])

@@ -142,6 +142,14 @@ def test_optimizer_improves_and_is_deterministic():
     )
 
 
+def test_optimizer_rejects_non_finite_couplings():
+    # named by the coupling, not by the closed-form rate they would overflow
+    with pytest.raises(ValueError, match="v_plus_khz must be finite, got nan"):
+        optimize_pairwise(math.nan, 711.0)
+    with pytest.raises(ValueError, match="v_minus_khz must be finite, got inf"):
+        optimize_pairwise(5.0, math.inf)
+
+
 def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> float:
     """One point of ``_sector_fidelities``, one eigensolve per pulse: the objective
     the lockstep search replaced, kept as its reference."""
