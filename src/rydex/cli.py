@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .atoms import DefectDataError, QuantumDefectModel
+from .atoms import DefectDataError, QuantumDefectModel, _require_finite
 from .harness import (
     SCHEMA,
     RobustnessConfig,
@@ -312,6 +312,9 @@ def _cmd_pair_sim(args, model):
 def _cmd_swap_sim(args, model):
     v_plus, v_minus, coup = _couplings(args, model)
     if args.v_blockade is not None:
+        # the library takes an infinite blockade as a perfect one; the echoed
+        # value must fit strict JSON and CSV
+        _require_finite("--v-blockade", args.v_blockade)
         v_blockade = args.v_blockade
     elif coup is not None:
         v_blockade = coup.corner_khz

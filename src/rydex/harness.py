@@ -35,13 +35,7 @@ from .dynamics import (
     propagate,
     tau2_approximate,
 )
-from .protocols import (
-    PairCouplings,
-    _exchange_split,
-    _half_period,
-    pair_couplings,
-    pairwise_entangle,
-)
+from .protocols import _exchange_split, _half_period, pair_couplings, pairwise_entangle
 from .vdw import _pair_terms, c6_pair, channel_c6
 
 __all__ = [
@@ -49,7 +43,6 @@ __all__ = [
     "RobustnessConfig",
     "FidelityHistogram",
     "robustness_scan",
-    "PairCouplings",
     "pair_couplings",
     "run_table",
     "run_figure",
@@ -358,10 +351,8 @@ def _table_channels(model: QuantumDefectModel, table_id: str) -> dict:
     return {"schema": SCHEMA, "table": table_id, "columns": columns, "rows": rows}
 
 
-def run_table(table_id: str, model: QuantumDefectModel | None = None) -> dict:
+def run_table(table_id: str, model: QuantumDefectModel) -> dict:
     """Computed-vs-reference rows for one of the bundled tables."""
-    if model is None:
-        model = QuantumDefectModel.default()
     normalized = table_id.strip().upper()
     if normalized == "I":
         return _table_i(model)
@@ -376,7 +367,7 @@ def run_table(table_id: str, model: QuantumDefectModel | None = None) -> dict:
 # figure reproduction
 
 
-def _figure_trajectory(samples_per_pulse: int) -> dict:
+def _figure_trajectory() -> dict:
     """Population curves of pulses 2 and 3 at the high-fidelity point.
 
     Uses the quoted couplings of the default pair and the optimized
@@ -389,7 +380,6 @@ def _figure_trajectory(samples_per_pulse: int) -> dict:
         QUOTED_V_PLUS_KHZ,
         QUOTED_V_MINUS_KHZ,
         tau2_us=tau2_approximate(FIGURE3_OMEGA2_KHZ, QUOTED_V_PLUS_KHZ),
-        samples_per_pulse=samples_per_pulse,
         keep_trajectory=True,
     )
     traj = result.trajectory
@@ -447,16 +437,13 @@ def _figure_histograms(
 
 def run_figure(
     figure_id: int,
-    model: QuantumDefectModel | None = None,
+    model: QuantumDefectModel,
     samples: int = 100000,
     seed: int = 12345,
-    samples_per_pulse: int = 400,
 ) -> dict:
     """Plot data for the trajectory figure (3) or histogram figure (4)."""
-    if model is None:
-        model = QuantumDefectModel.default()
     if figure_id == 3:
-        return _figure_trajectory(samples_per_pulse)
+        return _figure_trajectory()
     if figure_id == 4:
         return _figure_histograms(model, samples, seed)
     raise ValueError(f"unknown figure id {figure_id!r}; expected 3 or 4")

@@ -79,6 +79,9 @@ MAX_CHAIN_ATOMS = 2**19
 
 _SQRT2 = math.sqrt(2.0)
 
+# Propagation samples per pulse, each end included, of every sampled run
+_SAMPLES_PER_PULSE = 400
+
 # Signed SWAP on the ground-spin basis (uu, ud, du, dd): the swap block
 # is +1 and the parallel-spin states pick up -1. The physical pulse
 # composition realizes this matrix times a global -1.
@@ -96,9 +99,6 @@ SWAP_MATRIX_IDEAL = np.array(
 class PairCouplings:
     """Interaction scales of an (n_a, n_b) pair at a given spacing."""
 
-    n_a: int
-    n_b: int
-    spacing_um: float
     v_plus_khz: float
     v_minus_khz: float
     corner_khz: float
@@ -114,8 +114,8 @@ def pair_couplings(
     """V+, V- and the parallel-spin blockade corner from one interaction matrix."""
     inter = interaction_matrix(model, n_a, n_b, spacing_um)
     v_plus, v_minus = inter.v_plus_minus_khz
-    coup = PairCouplings(n_a=n_a, n_b=n_b, spacing_um=spacing_um, v_plus_khz=v_plus,
-                         v_minus_khz=v_minus, corner_khz=float(inter.v1_khz[0, 0]))
+    coup = PairCouplings(v_plus_khz=v_plus, v_minus_khz=v_minus,
+                         corner_khz=float(inter.v1_khz[0, 0]))
     if not math.isfinite(coup.nominal_omega_khz):
         raise ValueError(f"spacing {spacing_um} um overflows the working drive sqrt|V+ V-|")
     return coup
@@ -171,9 +171,8 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled amplitudes of a protocol run, pulses concatenated."""
+    """Sampled amplitudes on PRODUCT_BASIS_8 of a protocol run, pulses concatenated."""
 
-    basis: tuple[str, ...]
     times_us: np.ndarray
     amplitudes: np.ndarray
     pulse_boundaries_us: tuple[float, ...]
@@ -217,8 +216,6 @@ class ProtocolResult:
     omega_pulse3_khz: float
     tau2_us: float
     tau3_us: float
-    v_plus_khz: float
-    v_minus_khz: float
     trajectory: Trajectory | None = None
 
 
@@ -230,7 +227,6 @@ def pairwise_entangle(
     tau2_us: float | None = None,
     tau3_us: float | None = None,
     phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-    samples_per_pulse: int = 400,
     keep_trajectory: bool = False,
 ) -> ProtocolResult:
     """Three-pulse Bell-state preparation |du> -> |g+>.
@@ -270,21 +266,20 @@ def pairwise_entangle(
     phi = {f"phi_{c}": p for c, p in zip(CHANNELS, phases, strict=True)}
     v_s, v_c = _exchange_split(v_plus_khz, v_minus_khz)
 
-    n = max(2, samples_per_pulse)
     state = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")  # after ideal pulse 1
 
     pulse2 = PulseSpec(
         omega_uD_B=omega_pulse2_khz, phi_uD_B=phi["phi_uD_B"], duration_us=tau2_us
     )
     h2 = build_full8(pulse2, v_s, v_c)
-    t2, a2 = propagate_sampled(state, h2, tau2_us, n)
+    t2, a2 = propagate_sampled(state, h2, tau2_us, _SAMPLES_PER_PULSE)
     state = QuantumState(basis=PRODUCT_BASIS_8, amplitudes=a2[-1])
 
     pulse3 = PulseSpec(
         duration_us=tau3_us, **phi, **{f"omega_{c}": omega_pulse3_khz for c in CHANNELS}
     )
     h3 = build_full8(pulse3, v_s, v_c)
-    t3, a3 = propagate_sampled(state, h3, tau3_us, n)
+    t3, a3 = propagate_sampled(state, h3, tau3_us, _SAMPLES_PER_PULSE)
     final = a3[-1]
 
     g_plus_row = relabeling_matrix(**phi)[0]  # SUPERPOSITION_BASIS_8 starts with g+
@@ -295,7 +290,6 @@ def pairwise_entangle(
         times = np.concatenate([t2, tau2_us + t3[1:]])
         amps = np.concatenate([a2, a3[1:]], axis=0)
         trajectory = Trajectory(
-            basis=PRODUCT_BASIS_8,
             times_us=times,
             amplitudes=amps,
             pulse_boundaries_us=(0.0, tau2_us, tau2_us + tau3_us),
@@ -309,20 +303,14 @@ def pairwise_entangle(
         omega_pulse3_khz=omega_pulse3_khz,
         tau2_us=tau2_us,
         tau3_us=tau3_us,
-        v_plus_khz=v_plus_khz,
-        v_minus_khz=v_minus_khz,
         trajectory=trajectory,
     )
 
 
 @dataclass(frozen=True)
 class PairwiseOptimum:
-    """Best parameters found by ``optimize_pairwise``."""
+    """Best run found by ``optimize_pairwise``: ``result`` carries its drives and durations."""
 
-    omega_pulse2_khz: float
-    omega_pulse3_khz: float
-    tau2_us: float
-    tau3_us: float
     result: ProtocolResult
     start_fidelity: float
     converged: bool
@@ -410,7 +398,6 @@ def optimize_pairwise(
     v_minus_khz: float,
     seed: int = 0,
     restarts: int = 10,
-    tol: float = 1e-6,
 ) -> PairwiseOptimum:
     """Maximize pairwise fidelity over (omega2, omega3, tau2, tau3).
 
@@ -418,7 +405,7 @@ def optimize_pairwise(
     its durations: the first start is the working point (omega2 = omega3 =
     sqrt|V+ V-| with closed-form durations), the rest are drawn uniformly from the
     box by a counter-based generator, so results are deterministic for a seed. The
-    restarts take scipy's Nelder-Mead steps (xatol ``tol``, fatol 1e-9, maxiter 400)
+    restarts take scipy's Nelder-Mead steps (xatol 1e-6, fatol 1e-9, maxiter 400)
     bit for bit, in lockstep (``_lockstep_nelder_mead``); ``converged`` if any stops
     on its tolerance test. The start and the result run the 8-state
     ``pairwise_entangle``, and the result is never below the start.
@@ -438,16 +425,12 @@ def optimize_pairwise(
     at_start = run(start)
     rng = np.random.Generator(np.random.Philox(seed))
     starts = [start] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
-    best_x, converged = _lockstep_nelder_mead(starts, lo, hi, tol, v_plus_khz, v_minus_khz)
+    best_x, converged = _lockstep_nelder_mead(starts, lo, hi, 1e-6, v_plus_khz, v_minus_khz)
 
-    x, final = best_x, run(best_x)
+    final = run(best_x)
     if final.fidelity < at_start.fidelity:  # the sectors' rounding picked a worse point
-        x, final = start, at_start
+        final = at_start
     return PairwiseOptimum(
-        omega_pulse2_khz=float(x[0]),
-        omega_pulse3_khz=float(x[1]),
-        tau2_us=float(x[2]),
-        tau3_us=float(x[3]),
         result=final,
         start_fidelity=at_start.fidelity,
         converged=converged,
@@ -473,12 +456,11 @@ class SwapGateResult:
 
 def swap_gate(
     omega_khz: float,
-    v_plus_khz: float | None,
+    v_plus_khz: float,
     v_minus_khz: float | None,
     v_blockade_khz: float,
     t_2pi_us: float,
     phi: float = 0.0,
-    samples_per_pulse: int = 400,
 ) -> SwapGateResult:
     """Signed-SWAP gate: ideal pi pulses on atom B around a 2pi on atom A.
 
@@ -497,9 +479,9 @@ def swap_gate(
     _require_finite("omega_khz", omega_khz)
     _require_finite("t_2pi_us", t_2pi_us, 0.0)
     _require_finite("phi", phi)
-    for name, value in (("v_plus_khz", v_plus_khz), ("v_minus_khz", v_minus_khz)):
-        if value is not None:
-            _require_finite(name, value)
+    _require_finite("v_plus_khz", v_plus_khz)
+    if v_minus_khz is not None:
+        _require_finite("v_minus_khz", v_minus_khz)
     if math.isnan(v_blockade_khz):
         raise ValueError("v_blockade_khz must not be nan")
     if not math.isinf(v_blockade_khz) and abs(v_blockade_khz) < 3.0 * abs(omega_khz):
@@ -508,20 +490,19 @@ def swap_gate(
             f"the drive {omega_khz:.3g} kHz; parallel-spin channels leak",
             stacklevel=2,
         )
-    n = max(2, samples_per_pulse)
 
     # Exchange (antiparallel) channels. Ideal pulse 7 maps du -> dD and
     # ud -> uU; pulse 9 maps the target back. Success amplitude of
     # du -> ud is <uU| U(t) |dD>, and ud -> du is the transpose element.
     if v_minus_khz is None:
         # r- is sliced away, so the V- passed here never enters
-        full = build_swap_2pi(omega_khz, phi, v_plus_khz or 0.0, 0.0)
+        full = build_swap_2pi(omega_khz, phi, v_plus_khz, 0.0)
         h_ex = HamiltonianMatrix(basis=full.basis[:3], matrix=full.matrix[:3, :3])
     else:
         h_ex = build_swap_2pi(omega_khz, phi, v_plus_khz, v_minus_khz)
 
     t_ex, a_ex = propagate_sampled(
-        QuantumState.from_label(h_ex.basis, "dD"), h_ex, t_2pi_us, n
+        QuantumState.from_label(h_ex.basis, "dD"), h_ex, t_2pi_us, _SAMPLES_PER_PULSE
     )
     fid_du = float(abs(a_ex[-1][h_ex.basis.index("uU")]) ** 2)
     state_uu = QuantumState.from_label(h_ex.basis, "uU")
@@ -543,7 +524,7 @@ def swap_gate(
     else:
         h_bl = build_blocked2(omega_khz, phi, v_blockade_khz)
         t_bl, a_bl = propagate_sampled(
-            QuantumState.from_label(h_bl.basis, "ground"), h_bl, t_2pi_us, n
+            QuantumState.from_label(h_bl.basis, "ground"), h_bl, t_2pi_us, _SAMPLES_PER_PULSE
         )
         fid_block = float(abs(a_bl[-1][0]) ** 2)
         exposure_a_bl = _trapezoid(np.abs(a_bl[:, 1]) ** 2, float(t_bl[1] - t_bl[0]))
@@ -615,7 +596,6 @@ class PulseSchedule:
     unoccupied, so the total duration is independent of chain length.
     """
 
-    atom_count: int
     pulses: tuple[SchedulePulse, ...]
     step_durations_us: tuple[float, float, float, float]
 
@@ -678,7 +658,6 @@ def _chain_schedule(model: QuantumDefectModel,
                     tuple((n_a, n_b)[p % 2] for p in atoms),
                 ))
     return coup, PulseSchedule(
-        atom_count=spec.atom_count,
         pulses=tuple(pulses),
         step_durations_us=tuple(sum(slot[3] for slot in slots) for _, slots in table),
     )
@@ -754,21 +733,18 @@ def chain_fidelity_estimate(
     spec: ChainSpec,
     f1: float,
     f_swap: float,
-    tau_us: float | None = None,
+    tau_us: float,
 ) -> ChainFidelityEstimate:
     """Estimate the entangled-chain fidelity including Rydberg decay.
 
     ``tau_us`` is the per-operation Rydberg exposure per atom; each
     operation involves two atoms, hence the 2 gamma tau per factor.
-    When no simulated exposure is available the nominal 10 us operation
-    scale is used; a given exposure must be finite and >= 0, and gamma
-    tau finite. Warns when gamma tau approaches 1 (the exponential
-    estimate stops being a small correction).
+    The exposure must be finite and >= 0, and gamma tau finite. Warns
+    when gamma tau approaches 1 (the exponential estimate stops being a
+    small correction).
     """
     if not 0.0 <= f1 <= 1.0 or not 0.0 <= f_swap <= 1.0:
         raise ValueError("fidelities must lie in [0, 1]")
-    if tau_us is None:
-        tau_us = 10.0
     _require_finite("tau_us", tau_us, 0.0)
     gamma_tau = spec.gamma_per_ms * tau_us * 1e-3
     _require_finite("gamma tau = gamma_per_ms * tau_us", gamma_tau)

@@ -272,26 +272,19 @@ def _channel_sums(
 
 
 def channel_c6(
-    model: QuantumDefectModel,
-    n_a: int,
-    n_b: int,
-    k: int,
-    dn_cutoff: int = 10,
-    exchange: bool = False,
+    model: QuantumDefectModel, n_a: int, n_b: int, k: int, dn_cutoff: int = 10
 ) -> float:
-    """Perturbative C6 sum of one channel, in GHz um^6.
+    """Perturbative direct C6 sum of one channel, in GHz um^6.
 
-    Sums -R_k R_k' / defect over the square window of intermediate
-    principal numbers; with ``exchange=False`` both factors are the
-    direct coupling, with ``exchange=True`` the second factor re-emits
-    into the atom-exchanged pair (the V2 block). Terms with an energy
-    defect below NEAR_RESONANCE_GHZ are excluded with a logged warning;
-    an exactly resonant term raises SingularChannelError.
+    Sums -R_k^2 / defect over the square window of intermediate
+    principal numbers, each atom keeping its own transition. Terms with
+    an energy defect below NEAR_RESONANCE_GHZ are excluded with a logged
+    warning; an exactly resonant term raises SingularChannelError.
     """
     if k not in CHANNEL_FINE_STRUCTURE:
         raise ValueError(f"channel must be 1..4, got {k}")
-    direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
-    return (cross if exchange else direct)[k]
+    direct, _ = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
+    return direct[k]
 
 
 @dataclass(frozen=True)
@@ -373,18 +366,11 @@ class InteractionMatrix:
 
     ``v1_khz`` acts within the ordered pair |n_A s, n_B s> and
     ``v2_khz`` couples it to the atom-exchanged pair |n_B s, n_A s>;
-    both are 4x4 on SPIN_BASIS, in kHz. The GHz um^6 coefficient
-    matrices (spacing-independent) are kept alongside. ``vs_khz`` and
-    ``vc_khz`` are the middle-block diagonal and off-diagonal of v1.
+    both are 4x4 on SPIN_BASIS, in kHz. ``vs_khz`` and ``vc_khz`` are
+    the middle-block diagonal and off-diagonal of v1.
     """
 
-    n_a: int
-    n_b: int
     spacing_um: float
-    dn_cutoff: int
-    basis: tuple[tuple[float, float], ...]
-    c6_v1_ghz_um6: np.ndarray
-    c6_v2_ghz_um6: np.ndarray
     v1_khz: np.ndarray
     v2_khz: np.ndarray
     vs_khz: float
@@ -401,15 +387,12 @@ def interaction_matrix(
     n_a: int,
     n_b: int,
     spacing_um: float,
-    dn_cutoff: int = 10,
 ) -> InteractionMatrix:
     """Direct and exchange 4x4 interaction matrices at spacing L (um)."""
     if n_a == n_b:
         raise ValueError("interaction_matrix requires distinct principal numbers")
-    direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
-    c6_v1 = _assemble(direct)
-    c6_v2 = _assemble(cross)
-    v1, v2 = _khz_per_ghz_um6(spacing_um, c6_v1, c6_v2)
+    direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, 10), n_a, n_b)
+    v1, v2 = _khz_per_ghz_um6(spacing_um, _assemble(direct), _assemble(cross))
     lc = critical_radius(model, n_a, n_b).radius_um
     if spacing_um < lc:
         warnings.warn(
@@ -418,13 +401,7 @@ def interaction_matrix(
             stacklevel=2,
         )
     return InteractionMatrix(
-        n_a=n_a,
-        n_b=n_b,
         spacing_um=spacing_um,
-        dn_cutoff=dn_cutoff,
-        basis=SPIN_BASIS,
-        c6_v1_ghz_um6=c6_v1,
-        c6_v2_ghz_um6=c6_v2,
         v1_khz=v1,
         v2_khz=v2,
         vs_khz=float(v1[1, 1]),
@@ -445,14 +422,13 @@ class VPlusMinus:
 
     v_plus_khz: float
     v_minus_khz: float
-    spacing_um: float
 
 
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
     vs, vc = _khz_per_ghz_um6(spacing_um, pair.c6, pair.c6_exchange)
     v_plus, v_minus = _v_plus_minus(spacing_um, vs, vc)
-    return VPlusMinus(v_plus_khz=v_plus, v_minus_khz=v_minus, spacing_um=spacing_um)
+    return VPlusMinus(v_plus_khz=v_plus, v_minus_khz=v_minus)
 
 
 @dataclass(frozen=True)

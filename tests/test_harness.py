@@ -463,11 +463,11 @@ def test_table_rerun_is_byte_identical():
 
 
 def test_trajectory_figure_populations():
-    data = run_figure(3, MODEL, samples_per_pulse=60)
+    data = run_figure(3, MODEL)
     assert data["figure"] == 3
     assert data["columns"] == ["t_us", "p_bell_ground", "p_bell_rydberg", "p_other"]
     rows = data["rows"]
-    assert len(rows) == 119
+    assert len(rows) == 799  # 400 samples per pulse, the shared boundary once
     for t, p_g, p_r, p_o in rows:
         assert p_o > -1e-9
         assert p_g + p_r + p_o == pytest.approx(1.0, abs=1e-9)
@@ -730,8 +730,9 @@ _INFINITE_WORKING_DRIVE = (
          "pulse duration 1e+308 us overflows the phase 2 pi H t"),
         (["swap-sim", "--t2pi", "1e308", "--format", "csv"],
          "pulse duration 1e+308 us overflows the phase 2 pi H t"),
+        # a non-finite blockade is refused by its flag, not by the writer
         (["swap-sim", "--v-blockade", "inf", "--format", "csv"],
-         "Out of range float values are not CSV compliant: inf"),
+         "--v-blockade must be finite, got inf"),
         (["chain", "--tau", "1e308", "--format", "csv"],
          "gamma tau = gamma_per_ms * tau_us must be finite, got inf"),
         (["pair-sim", "--spacing", "1e-50"],
@@ -790,6 +791,8 @@ _INFINITE_WORKING_DRIVE = (
         (["pair-sim", "--optimize", "--v-plus", "1e200", "--v-minus", "1e200"],
          _INFINITE_WORKING_DRIVE),
         (["robustness", "--v-plus", "1e200", "--v-minus", "1e200"], _INFINITE_WORKING_DRIVE),
+        (["swap-sim", "--v-blockade", "inf"], "--v-blockade must be finite, got inf"),
+        (["swap-sim", "--v-blockade", "nan"], "--v-blockade must be finite, got nan"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):

@@ -116,13 +116,12 @@ def test_pairwise_bookkeeping_bit_exact(phases, fidelity, exposure, thresholded)
 
 
 def test_pairwise_trajectory():
-    res = pairwise_entangle(119.0, 128.0, 5.0, 711.0, samples_per_pulse=50,
-                            keep_trajectory=True)
+    res = pairwise_entangle(119.0, 128.0, 5.0, 711.0, keep_trajectory=True)
     traj = res.trajectory
     assert traj is not None
     assert traj.pulse_boundaries_us == (0.0, res.tau2_us,
                                         res.tau2_us + res.tau3_us)
-    assert traj.amplitudes.shape == (99, 8)
+    assert traj.amplitudes.shape == (799, 8)  # 400 + 399 samples
     assert np.all(np.diff(traj.times_us) > 0)
     norms = (np.abs(traj.amplitudes) ** 2).sum(axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
@@ -137,8 +136,9 @@ def test_optimizer_improves_and_is_deterministic():
     assert a.start_fidelity == pytest.approx(0.9841601651846972, rel=1e-9)
     assert a.converged
     b = optimize_pairwise(5.0, 711.0, restarts=3, seed=1)
-    assert (b.omega_pulse2_khz, b.omega_pulse3_khz, b.tau2_us, b.tau3_us) == (
-        a.omega_pulse2_khz, a.omega_pulse3_khz, a.tau2_us, a.tau3_us
+    assert (b.result.omega_pulse2_khz, b.result.omega_pulse3_khz,
+            b.result.tau2_us, b.result.tau3_us) == (
+        a.result.omega_pulse2_khz, a.result.omega_pulse3_khz, a.result.tau2_us, a.result.tau3_us
     )
 
 
@@ -182,8 +182,8 @@ def test_sector_fidelity_is_the_8_state_fidelity(omega2, omega3, tau2, tau3):
     for row, fid in zip(rows, batched, strict=True):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # hierarchy warnings at the box edges
-            full = pairwise_entangle(*row[:2], 5.0, 711.0, tau2_us=row[2], tau3_us=row[3],
-                                     samples_per_pulse=2).fidelity
+            full = pairwise_entangle(*row[:2], 5.0, 711.0, tau2_us=row[2],
+                                     tau3_us=row[3]).fidelity
         assert abs(fid - full) <= 1e-13
         assert fid == _sector_fidelity(row, 5.0, 711.0)
 
@@ -542,13 +542,13 @@ def test_chain_estimate_frozen():
 def test_chain_estimate_default_exposure():
     spec = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75),
                      gamma_per_ms=1.0 / 0.45)
-    est = chain_fidelity_estimate(spec, 0.9906, 0.9831)
+    est = chain_fidelity_estimate(spec, 0.9906, 0.9831, tau_us=10.0)  # the nominal operation
     assert est.fidelity == pytest.approx(0.8442837150521967, rel=1e-12)
 
 
 def test_chain_estimate_operation_counts():
     spec = ChainSpec(atom_count=8, spacing_um=15.0, pair=(73, 75))
-    est = chain_fidelity_estimate(spec, 1.0, 1.0)
+    est = chain_fidelity_estimate(spec, 1.0, 1.0, tau_us=10.0)
     assert (est.pairwise_ops, est.swap_ops) == (4, 3)
     assert est.fidelity == 1.0
 
@@ -557,7 +557,7 @@ def test_chain_estimate_validation_and_warning():
     spec = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75),
                      gamma_per_ms=200.0)
     with pytest.raises(ValueError, match="fidelities"):
-        chain_fidelity_estimate(spec, 1.2, 0.9)
+        chain_fidelity_estimate(spec, 1.2, 0.9, tau_us=10.0)
     with pytest.warns(UserWarning, match="not small"):
         chain_fidelity_estimate(spec, 0.99, 0.98, tau_us=10.0)
     # 200 * 1e308 overflows before the 1e-3 scale applies

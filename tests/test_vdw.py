@@ -23,6 +23,8 @@ from rydex.vdw import (
     SingularChannelError,
     _D_MATRICES,
     _M_MATRICES,
+    _channel_sums,
+    _khz_per_ghz_um6,
     _m_rows,
     _pair_terms,
     c6_pair,
@@ -168,9 +170,8 @@ def test_channel_c6_against_direct_sum():
 
 
 def test_channel_c6_exchange_branch():
-    assert channel_c6(MODEL, 73, 75, 2, exchange=True) == pytest.approx(
-        667.05180461046, rel=1e-12
-    )
+    _, cross = _channel_sums(_pair_terms(MODEL, 73, 75, 10), 73, 75)
+    assert cross[2] == pytest.approx(667.05180461046, rel=1e-12)
     assert channel_c6(MODEL, 73, 75, 2) == pytest.approx(
         21743.542444974137, rel=1e-12
     )
@@ -256,7 +257,6 @@ def test_interaction_matrix_frozen_73_75():
     with pytest.warns(UserWarning, match="critical radius"):
         im = interaction_matrix(MODEL, 73, 75, 5.0)
     im = interaction_matrix(MODEL, 73, 75, 15.0)
-    assert im.basis == SPIN_BASIS
     assert im.v1_khz[0, 0] == pytest.approx(534.6498677117698, rel=1e-12)
     assert im.vs_khz == pytest.approx(358.0550061802092, rel=1e-12)
     assert im.vc_khz == pytest.approx(-353.18972306312133, rel=1e-12)
@@ -449,13 +449,14 @@ def test_vectorized_window_bit_identical_to_scalar_walk(n_a, n_b):
     assert pair.channel_sums == tuple(direct[k] for k in (1, 2, 3, 4))
     assert pair.c6 == sum(direct[k] * _D_MATRICES[k][1, 1] for k in direct)
     assert pair.c6_exchange == sum(direct[k] * _D_MATRICES[k][1, 2] for k in direct)
-    for k in (1, 2, 3, 4):
-        assert channel_c6(MODEL, n_a, n_b, k, exchange=True) == cross[k]
+    assert _channel_sums(_pair_terms(MODEL, n_a, n_b, 10), n_a, n_b)[1] == cross
 
     cr = critical_radius(MODEL, n_a, n_b)
-    im = interaction_matrix(MODEL, n_a, n_b, 2.0 * cr.radius_um)
-    assert np.array_equal(im.c6_v1_ghz_um6, _scalar_block(direct))
-    assert np.array_equal(im.c6_v2_ghz_um6, _scalar_block(cross))
+    spacing = 2.0 * cr.radius_um
+    im = interaction_matrix(MODEL, n_a, n_b, spacing)
+    v1, v2 = _khz_per_ghz_um6(spacing, _scalar_block(direct), _scalar_block(cross))
+    assert np.array_equal(im.v1_khz, v1)
+    assert np.array_equal(im.v2_khz, v2)
 
     rows = [
         (k, ns, nt, defect, rr)
