@@ -22,6 +22,7 @@ propagation, in ``dynamics``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -49,6 +50,16 @@ def _require_finite(
     if not (math.isfinite(value) and in_range):
         bound = "" if lower == -math.inf else f" and {'>=' if inclusive else '>'} {lower:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")
+
+
+def _require_int(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integer is refused by ``name``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class DefectDataError(Exception):

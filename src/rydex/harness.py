@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel, _require_finite
+from .atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel, _require_finite, _require_int
 from .dynamics import (
     PRODUCT_BASIS_8,
     PulseSpec,
@@ -145,6 +145,8 @@ class RobustnessConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        for name in ("samples", "seed"):
+            _require_int(name, getattr(self, name))
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 2**64:

@@ -39,6 +39,8 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +49,7 @@ from .atoms import (
     CHANNEL_FINE_STRUCTURE,
     QuantumDefectModel,
     RydbergLevel,
+    _require_int,
     clebsch_gordan,
     level_energy,
     quantum_defect,
@@ -83,6 +86,12 @@ SPIN_BASIS: tuple[tuple[float, float], ...] = (
 # Foerster resonances: perturbation theory does not apply to them, so
 # they are excluded from channel sums with a logged warning.
 NEAR_RESONANCE_GHZ = 1e-3
+
+# Highest principal number a channel window may reach. Above n ~ 550 the
+# NEAR_RESONANCE_GHZ exclusion drops terms systematically, not by accident
+# (3% of them at n = 1000, all from n = 6000), and C6 goes wrong without an
+# error. Table II's windows reach n = 120.
+MAX_PRINCIPAL_N = 500
 
 
 class SingularChannelError(ValueError):
@@ -169,17 +178,47 @@ def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
 def _pair_terms(
     model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int
 ) -> dict[int, _ChannelTerms]:
-    """Every intermediate pair of the window, per channel, as flat arrays.
+    """Every intermediate pair of the window, per channel, as flat read-only arrays.
 
     The window is a full square: ns = n_a + da and nt = n_b + db with da,
     db in [-dn_cutoff, dn_cutoff]. ``rr`` is the coupling with each atom
     keeping its own transition, ``rr_cross`` re-emits into the
-    atom-exchanged pair. Both factorize into per-atom radial vectors, so
+    atom-exchanged pair. Windows are cached by the model's content, not
+    its identity: ``QuantumDefectModel`` is mutable, so an edited model
+    gets a fresh window. Exclusions (``_included``) stay per call.
+    """
+    n_a, n_b, dn_cutoff = (
+        _require_int(name, value)
+        for name, value in (("n_a", n_a), ("n_b", n_b), ("dn_cutoff", dn_cutoff))
+    )
+    if dn_cutoff < 0:
+        raise ValueError(f"dn_cutoff must be non-negative, got {dn_cutoff}")
+    name, n = ("n_a", n_a) if n_a >= n_b else ("n_b", n_b)
+    if n + dn_cutoff > MAX_PRINCIPAL_N:
+        raise ValueError(
+            f"{name}={n} with dn_cutoff={dn_cutoff} reaches n={n + dn_cutoff}, "
+            f"above the channel-sum domain n <= {MAX_PRINCIPAL_N}"
+        )
+    series = tuple(model.series.items())
+    return _window(model.species, model.rydberg_constant_ghz, series, n_a, n_b, dn_cutoff)
+
+
+@lru_cache(maxsize=8)  # 64 raised peak RSS by 1.1 MB at the same speed
+def _window(
+    species: str,
+    rydberg_constant_ghz: float,
+    series: tuple,
+    n_a: int,
+    n_b: int,
+    dn_cutoff: int,
+) -> dict[int, _ChannelTerms]:
+    """``_pair_terms`` of the model with this content, built once.
+
+    ``rr`` and ``rr_cross`` factorize into per-atom radial vectors, so
     each atom costs 2 dn_cutoff + 1 levels per p_j component instead of
     one level per term.
     """
-    if dn_cutoff < 0:
-        raise ValueError(f"dn_cutoff must be non-negative, got {dn_cutoff}")
+    model = QuantumDefectModel(species, rydberg_constant_ghz, dict(series))
     floor_n = max(_lowest_bound_p(model, j) for j in (0.5, 1.5))
     for name, n in (("n_a", n_a), ("n_b", n_b)):
         if n - dn_cutoff < floor_n:
@@ -224,6 +263,8 @@ def _pair_terms(
             rr=((E2A02_GHZ_UM3 * r_a)[:, None] * r_b[None, :]).ravel(),
             rr_cross=((E2A02_GHZ_UM3 * x_a)[:, None] * x_b[None, :]).ravel(),
         )
+        for array in terms[k]:
+            array.setflags(write=False)  # one window serves every caller
     return terms
 
 
@@ -489,8 +530,7 @@ def critical_radius(
     )
 
 
-@dataclass(frozen=True)
-class ChannelContribution:
+class ChannelContribution(NamedTuple):
     """One intermediate pair's contribution to V+ and V- (GHz um^6)."""
 
     channel: int
@@ -520,15 +560,16 @@ def interference_decomposition(
         rr, defect = t.rr[keep], t.defect[keep]
         term = -rr * rr / defect
         out.extend(
-            ChannelContribution(
-                channel=k, ns=ns, nt=nt, defect_ghz=d, c6_plus=p, c6_minus=m
-            )
-            for ns, nt, d, p, m in zip(
-                t.ns[keep].tolist(),
-                t.nt[keep].tolist(),
-                defect.tolist(),
-                (term * (d_diag + d_off)).tolist(),
-                (term * (d_diag - d_off)).tolist(),
+            map(
+                ChannelContribution._make,
+                zip(
+                    repeat(k),
+                    t.ns[keep].tolist(),
+                    t.nt[keep].tolist(),
+                    defect.tolist(),
+                    (term * (d_diag + d_off)).tolist(),
+                    (term * (d_diag - d_off)).tolist(),
+                ),
             )
         )
     return tuple(out)

@@ -104,6 +104,10 @@ def test_pair_couplings_match_interaction_matrix():
         (dict(omega_khz=math.inf), "omega_khz must be finite, got inf"),
         (dict(v_plus_khz=math.nan), "v_plus_khz must be finite, got nan"),
         (dict(v_minus_khz=-math.inf), "v_minus_khz must be finite, got -inf"),
+        (dict(samples=2.5), "samples must be an integer, got 2.5"),
+        (dict(samples=math.nan), "samples must be an integer, got nan"),
+        (dict(seed=1.5), "seed must be an integer, got 1.5"),
+        (dict(seed=True), "seed must be an integer, got True"),
     ],
 )
 def test_robustness_config_validation(kwargs, fragment):
@@ -738,7 +742,7 @@ _INFINITE_WORKING_DRIVE = (
         (["pair-sim", "--spacing", "1e-50"],
          "spacing 1e-50 um puts the couplings outside the float range"),
         (["coeffs", "--na", "73", "--nb", "99999"],
-         "Anger functions do not converge for n_eff 99995.8688"),
+         "n_b=99999 with dn_cutoff=10 reaches n=100009, above the channel-sum domain n <= 500"),
         # inside the critical radius, so a warning precedes the error
         pytest.param(["pair-sim", "--spacing", "1.85e-50"],
                      "spacing 1.85e-50 um puts the couplings outside the float range",
@@ -793,6 +797,9 @@ _INFINITE_WORKING_DRIVE = (
         (["robustness", "--v-plus", "1e200", "--v-minus", "1e200"], _INFINITE_WORKING_DRIVE),
         (["swap-sim", "--v-blockade", "inf"], "--v-blockade must be finite, got inf"),
         (["swap-sim", "--v-blockade", "nan"], "--v-blockade must be finite, got nan"),
+        # past the domain cap C6 / C6ex would be inf, which no writer takes
+        (["coeffs", "--na", "100000", "--nb", "100003"],
+         "n_b=100003 with dn_cutoff=10 reaches n=100013, above the channel-sum domain"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):

@@ -1,5 +1,6 @@
 """Angular structure matrices, C6 sums, and the Bell-basis interaction."""
 
+import dataclasses
 import logging
 import math
 import re
@@ -27,6 +28,7 @@ from rydex.vdw import (
     _khz_per_ghz_um6,
     _m_rows,
     _pair_terms,
+    _window,
     c6_pair,
     channel_c6,
     critical_radius,
@@ -251,6 +253,70 @@ def test_lowest_window_level_accepted():
         assert math.isfinite(channel_c6(MODEL, 14, 15, 2, dn_cutoff=10))
 
 
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: c6_pair(MODEL, 73.0, 75), r"n_a must be an integer, got 73\.0"),
+        (lambda: c6_pair(MODEL, True, 75), r"n_a must be an integer, got True"),
+        (lambda: channel_c6(MODEL, 73, 75.0, 1), r"n_b must be an integer, got 75\.0"),
+        (lambda: critical_radius(MODEL, 73, 75, dn_cutoff=3.0), r"dn_cutoff must be an integer"),
+        # the domain cap: the highest window level above MAX_PRINCIPAL_N = 500
+        (lambda: c6_pair(MODEL, 491, 495), r"n_b=495 with dn_cutoff=10 reaches n=505, "
+                                           r"above the channel-sum domain n <= 500"),
+        (lambda: critical_radius(MODEL, 498, 497), r"n_a=498 with dn_cutoff=3 reaches n=501"),
+    ],
+)
+def test_window_outside_integer_domain_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_highest_window_level_accepted():
+    assert math.isfinite(critical_radius(MODEL, 497, 496).radius_um)  # tops out at n = 500
+
+
+# --- the window cache ---------------------------------------------------------
+
+def test_equal_models_share_one_window():
+    a, b = QuantumDefectModel.default(), QuantumDefectModel.default()
+    assert a is not b
+    assert _pair_terms(a, 61, 64, 10) is _pair_terms(b, 61, 64, 10)
+
+
+def test_edited_model_gets_a_fresh_window():
+    model = QuantumDefectModel.default()
+    before = c6_pair(model, 61, 64)
+    p = model.series[(1, 0.5)]
+    model.series[(1, 0.5)] = dataclasses.replace(p, delta0=p.delta0 + 1e-3)
+    after = _pair_terms(model, 61, 64, 10)
+    # built straight from the edited content, past the cache
+    fresh = _window.__wrapped__(
+        model.species, model.rydberg_constant_ghz, tuple(model.series.items()), 61, 64, 10
+    )
+    for k in CHANNEL_FINE_STRUCTURE:
+        for got, want in zip(after[k], fresh[k]):
+            assert np.array_equal(got, want)
+    assert c6_pair(model, 61, 64).c6 != before.c6
+
+
+def test_cached_window_refuses_writes():
+    for terms in _pair_terms(MODEL, 73, 75, 10).values():
+        for array in terms:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+    assert c6_pair(MODEL, 73, 75).c6 == pytest.approx(4078.470304771446, rel=1e-12)
+
+
+def test_near_resonant_exclusion_logged_on_every_call(caplog):
+    # (180, 183) at dn 10 holds two accidental near-resonances of the Rb-87 model
+    with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
+        first = c6_pair(MODEL, 180, 183)
+        logged = [r.getMessage() for r in caplog.records]
+        assert c6_pair(MODEL, 180, 183) == first  # served by the warm cache
+    assert len(logged) == 2 and all("near-resonant" in m for m in logged)
+    assert [r.getMessage() for r in caplog.records] == logged * 2
+
+
 # --- spacing-resolved quantities --------------------------------------------
 
 def test_interaction_matrix_frozen_73_75():
@@ -394,6 +460,14 @@ def test_channel_4_feeds_only_v_plus():
     assert ch4
     assert all(p.c6_minus == 0.0 for p in ch4)
     assert any(p.c6_plus != 0.0 for p in ch4)
+
+
+def test_decomposition_rows_are_plain_tuples():
+    row = interference_decomposition(MODEL, 73, 75)[660]
+    frozen = (2, 73, 74, -0.041145898329091324, 522.8126239525762, 4705.313615573186)
+    assert row == frozen
+    assert (row.channel, row.ns, row.nt) == frozen[:3]
+    assert (row.defect_ghz, row.c6_plus, row.c6_minus) == frozen[3:]
 
 
 def test_decomposition_singular_term_raises():
