@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 from .atoms import DefectDataError, QuantumDefectModel, _require_finite
@@ -34,19 +35,12 @@ from .harness import (
     run_table,
     to_jsonable,
 )
-from .protocols import (
-    ChainSpec,
-    _nominal_omega,
-    _swap_point,
-    chain_protocol,
-    optimize_pairwise,
-    pair_couplings,
-    pairwise_entangle,
-    swap_gate,
-)
 from .vdw import c6_pair, critical_radius
 
-__all__ = ["build_parser", "main"]
+# the commands that run protocols import it themselves, so coeffs,
+# critical-radius and table load no dynamics
+
+__all__ = ["build_parser", "main", "run"]
 
 
 def _add_pair_options(p: argparse.ArgumentParser, required: bool) -> None:
@@ -219,6 +213,8 @@ def _emit(args, data: dict, csv_spec: tuple[list[str], list] | None = None) -> N
 
 
 def _couplings(args, model):
+    from .protocols import pair_couplings
+
     if (args.v_plus is None) != (args.v_minus is None):
         raise ValueError("--v-plus and --v-minus must be given together")
     if args.v_plus is not None:
@@ -258,6 +254,8 @@ def _cmd_critical_radius(args, model):
 def _working_drive(v_plus: float, v_minus: float) -> float:
     """sqrt|V+ V-|, which a command derives its default drives from; refused when
     0 or past the float range."""
+    from .protocols import _nominal_omega
+
     omega = _nominal_omega(v_plus, v_minus)
     if not 0 < omega < math.inf:
         need = "nonzero" if omega == 0 else "finite"
@@ -267,6 +265,8 @@ def _working_drive(v_plus: float, v_minus: float) -> float:
 
 
 def _cmd_pair_sim(args, model):
+    from .protocols import optimize_pairwise, pairwise_entangle
+
     v_plus, v_minus, _ = _couplings(args, model)
     derived = args.optimize or args.omega2 is None or args.omega3 is None
     nominal = _working_drive(v_plus, v_minus) if derived else None
@@ -310,6 +310,8 @@ def _cmd_pair_sim(args, model):
 
 
 def _cmd_swap_sim(args, model):
+    from .protocols import _nominal_omega, _swap_point, swap_gate
+
     v_plus, v_minus, coup = _couplings(args, model)
     if args.v_blockade is not None:
         # the library takes an infinite blockade as a perfect one; the echoed
@@ -341,6 +343,8 @@ def _cmd_swap_sim(args, model):
 
 
 def _cmd_chain(args, model):
+    from .protocols import ChainSpec, chain_protocol
+
     spec = ChainSpec(
         atom_count=args.atoms,
         spacing_um=args.spacing,
@@ -458,5 +462,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def run() -> int:
+    """The ``rydex`` console command: ``main`` with each warning printed as one
+    ``warning: <message>`` line on stderr, without a source path."""
+    warnings.showwarning = _warning_line
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -18,6 +18,7 @@ keys, so a fixed seed and config produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -26,16 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel, _require_finite, _require_int
-from .dynamics import (
-    PRODUCT_BASIS_8,
-    PulseSpec,
-    QuantumState,
-    _batched_pulse3_fidelities,
-    build_full8,
-    propagate,
-    tau2_approximate,
-)
-from .protocols import _exchange_split, _half_period, pair_couplings, pairwise_entangle
 from .vdw import _pair_terms, c6_pair, channel_c6
 
 __all__ = [
@@ -52,6 +43,17 @@ __all__ = [
 ]
 
 SCHEMA = "rydex/1"
+
+# names read through this module whose homes load only where a scan or figure
+# runs, so the tables and the serializers cost no dynamics
+_LAZY = {"pair_couplings": "protocols", "_batched_pulse3_fidelities": "dynamics"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f"{__package__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 HISTOGRAM_BIN_COUNT = 200
 HISTOGRAM_RANGE = (0.8, 1.0)
@@ -150,7 +152,7 @@ class RobustnessConfig:
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         for name in ("omega_khz", "v_plus_khz", "v_minus_khz"):
             _require_finite(name, getattr(self, name))
 
@@ -218,6 +220,17 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
     pulse 3 with four independently dispersed Rabi frequencies for the
     fixed nominal half-period.
     """
+    from .dynamics import (
+        PRODUCT_BASIS_8,
+        PulseSpec,
+        QuantumState,
+        _batched_pulse3_fidelities,
+        build_full8,
+        propagate,
+        tau2_approximate,
+    )
+    from .protocols import _exchange_split, _half_period
+
     tau3 = _half_period("omega_khz", cfg.omega_khz)
     tau2 = tau2_approximate(cfg.omega_khz, cfg.v_plus_khz)
     v_s, v_c = _exchange_split(cfg.v_plus_khz, cfg.v_minus_khz)
@@ -376,6 +389,9 @@ def _figure_trajectory() -> dict:
     drive pair; emits the ground Bell, Rydberg Bell, and remaining
     population at each sample time.
     """
+    from .dynamics import tau2_approximate
+    from .protocols import pairwise_entangle
+
     result = pairwise_entangle(
         FIGURE3_OMEGA2_KHZ,
         FIGURE3_OMEGA3_KHZ,
@@ -408,6 +424,8 @@ def _figure_trajectory() -> dict:
 def _figure_histograms(
     model: QuantumDefectModel, samples: int, seed: int
 ) -> dict:
+    from .protocols import pair_couplings
+
     coup = pair_couplings(model, *DEFAULT_PAIR, DEFAULT_SPACING_UM)
     hists = {}
     for eps in (0.1, 0.2):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import QuantumDefectModel, _require_finite
+from .atoms import QuantumDefectModel, _require_finite, _require_int
 from .dynamics import (
     CHANNELS,
     PRODUCT_BASIS_8,
@@ -412,6 +412,8 @@ def optimize_pairwise(
     """
     _require_finite("v_plus_khz", v_plus_khz)
     _require_finite("v_minus_khz", v_minus_khz)
+    if _require_int("seed", seed) < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)  # all > 0
     start = np.array([omega, omega, tau2, tau3])
     lo, hi = start * np.array([0.5, 0.5, 0.25, 0.25]), start * np.array([3.0, 3.0, 2.0, 2.0])

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import rydex
 from rydex.atoms import QuantumDefectModel, RydbergLevel, level_energy
 from rydex.cli import _flatten, build_parser, main
 from rydex.dynamics import (
@@ -647,7 +646,7 @@ def test_cli_config_fills_gaps_and_flags_win(capsys, tmp_path, monkeypatch):
     def optimizer_reached(v_plus, v_minus, seed):
         raise ValueError(f"optimizer reached with seed {seed}")
 
-    monkeypatch.setattr("rydex.cli.optimize_pairwise", optimizer_reached)
+    monkeypatch.setattr("rydex.protocols.optimize_pairwise", optimizer_reached)
     cfg.write_text("optimize yes\nseed 7\n")
     rc, out, err = _run_cli(capsys, ["pair-sim", "--config", str(cfg)])
     assert (rc, out, err) == (1, "", "error: optimizer reached with seed 7\n")
@@ -800,6 +799,9 @@ _INFINITE_WORKING_DRIVE = (
         # past the domain cap C6 / C6ex would be inf, which no writer takes
         (["coeffs", "--na", "100000", "--nb", "100003"],
          "n_b=100003 with dn_cutoff=10 reaches n=100013, above the channel-sum domain"),
+        # a negative seed is refused by name, not by numpy's bit generator
+        (["pair-sim", "--optimize", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["robustness", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -887,13 +889,14 @@ def test_rows_to_csv_rejects_non_finite():
         _flatten({"x": [1.0, math.nan]})
 
 
+def _fresh_process(*argv: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root)
+
+
 def test_cli_bare_config_is_reported_by_the_subcommand():
-    src = str(Path(rydex.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "rydex.cli", "coeffs", "--na", "73", "--nb", "75", "--config"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _fresh_process("-m", "rydex.cli", "coeffs", "--na", "73", "--nb", "75", "--config")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "usage: rydex coeffs" in proc.stderr
@@ -901,19 +904,63 @@ def test_cli_bare_config_is_reported_by_the_subcommand():
     assert "cli.py" not in proc.stderr
 
 
-def test_import_does_not_load_scipy():
-    # scipy is a test-only dependency: neither the import nor the optimizer loads it
-    src = str(Path(rydex.__file__).resolve().parents[1])
-    code = (
-        "import sys, rydex, rydex.cli; "
-        "rydex.optimize_pairwise(5.0, 711.0, restarts=2); "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout == "[]\n"
+_VDW_ONLY = ("rydex.dynamics", "rydex.protocols", "mpmath")
+
+
+@pytest.mark.parametrize(
+    "code, absent",
+    [
+        ("import rydex", ("rydex.", "numpy", "mpmath")),
+        ("from rydex.cli import main; main(['coeffs', '--na', '73', '--nb', '75'])", _VDW_ONLY),
+        ("from rydex.cli import main; main(['table', 'I'])", _VDW_ONLY),
+        # scipy is a test-only dependency
+        ("import rydex, rydex.cli; rydex.optimize_pairwise(5.0, 711.0, restarts=2)", ("scipy",)),
+    ],
+    ids=["import", "coeffs", "table-I", "optimizer"],
+)
+def test_start_up_loads_only_what_a_command_runs(code, absent):
+    """In a fresh process, a bare import loads no layer, and a command no layer,
+    nor mpmath, that it does not run."""
+    listing = "import sys; print(*sorted(sys.modules), file=sys.stderr)"
+    proc = _fresh_process("-c", f"{code}\n{listing}")
+    assert proc.returncode == 0
+    loaded = proc.stderr.split()
+    assert "rydex" in loaded
+    assert [m for m in loaded if m.startswith(absent)] == []
+
+
+@pytest.mark.parametrize(
+    "argv, fragments",
+    [
+        (["pair-sim", "--v-plus", "50", "--v-minus", "100"],
+         ["outside the working hierarchy", "pulse-2 closed form is marginal"]),
+        (["swap-sim", "--v-blockade", "10"], ["blockade shift 10 kHz is not large"]),
+        (["chain", "--gamma", "500"], ["gamma tau = 5.49 is not small"]),
+    ],
+)
+def test_cli_prints_each_warning_as_one_line(capsys, argv, fragments):
+    """The console command prints ``warning: <message>`` lines and the same stdout
+    as ``main``, which still raises each warning as a ``UserWarning``."""
+    with pytest.warns(UserWarning) as caught:
+        rc, out, _ = _run_cli(capsys, argv)
+    proc = _fresh_process("-m", "rydex.cli", *argv)
+    assert rc == proc.returncode == 0
+    assert proc.stdout == out
+    lines = proc.stderr.splitlines()
+    assert lines == [f"warning: {w.message}" for w in caught]
+    assert len(lines) == len(fragments)
+    assert all(fragment in line for fragment, line in zip(fragments, lines))
+
+
+@pytest.mark.parametrize("argv", [["coeffs", "--na", "73", "--nb", "75"],
+                                  ["robustness", "--samples", "100"]])
+def test_benchmark_tracer_finds_every_probe(argv):
+    """perfbench's tracer reaches every name it wraps or counts, wherever rydex
+    imports it."""
+    proc = _fresh_process("perfbench/cli_shim.py", *argv)
+    assert proc.returncode == 0
+    line = next(x for x in proc.stderr.splitlines() if x.startswith("perfbench-trace "))
+    assert json.loads(line.split(" ", 1)[1])["missing"] == {}
 
 
 def test_cli_swap_sim_injected_matches_library(capsys):

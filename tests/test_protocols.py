@@ -150,6 +150,14 @@ def test_optimizer_rejects_non_finite_couplings():
         optimize_pairwise(5.0, math.inf)
 
 
+@pytest.mark.parametrize("seed, message", [(-1, "seed must be >= 0, got -1"),
+                                           (1.5, "seed must be an integer, got 1.5"),
+                                           (True, "seed must be an integer, got True")])
+def test_optimizer_rejects_a_bad_seed_by_name(seed, message):
+    with pytest.raises(ValueError, match=message):
+        optimize_pairwise(5.0, 711.0, seed=seed)
+
+
 def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> float:
     """One point of ``_sector_fidelities``, one eigensolve per pulse: the objective
     the lockstep search replaced, kept as its reference."""

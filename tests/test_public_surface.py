@@ -1,10 +1,15 @@
-"""The public surface: every library function has a caller outside the tests, and
-every parameter with a default is set by one."""
+"""The public surface: every library function has a caller outside the tests, every
+parameter with a default is set by one, and the package's names all resolve."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import mpmath
+import pytest
+
+import rydex
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("atoms", "radial", "vdw", "dynamics", "protocols", "harness")
@@ -72,3 +77,25 @@ def test_every_default_parameter_is_set_outside_the_tests():
                   if p.default is not p.empty and p.name not in passed}
     assert sorted(unset - ALLOWED_PARAMETERS.keys()) == []
     assert ALLOWED_PARAMETERS.keys() <= unset, "an allowed parameter has gained a setter: drop it"
+
+
+def test_package_names_load_lazily_and_completely():
+    """Every package name is its layer's own object, ``dir`` lists it, and an
+    unknown name fails by name."""
+    layers = [importlib.import_module(f"rydex.{m}") for m in MODULES]
+    for name in rydex.__all__:
+        homes = [layer for layer in layers if name in layer.__all__]
+        assert homes, f"{name} is in no layer's __all__"
+        assert all(getattr(rydex, name) is getattr(layer, name) for layer in homes)
+    assert set(rydex.__all__) <= set(dir(rydex))
+    with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
+        rydex.frobnicate  # noqa: B018
+
+    # names read through a layer that loads their home module on first use
+    harness, radial = layers[MODULES.index("harness")], layers[MODULES.index("radial")]
+    assert harness.pair_couplings is rydex.protocols.pair_couplings
+    assert harness._batched_pulse3_fidelities is rydex.dynamics._batched_pulse3_fidelities
+    assert radial.mpmath is mpmath
+    for layer in (harness, radial):
+        with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
+            layer.frobnicate  # noqa: B018
