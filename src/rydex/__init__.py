@@ -22,10 +22,9 @@ _EXPORTS = {
     "vdw": ("SPIN_BASIS", "C6Pair", "ChannelContribution", "CriticalRadius", "InteractionMatrix",
             "SingularChannelError", "VPlusMinus", "c6_pair", "channel_c6", "critical_radius",
             "interaction_matrix", "interference_decomposition", "v_plus_minus"),
-    "dynamics": ("CHANNELS", "PRODUCT_BASIS_8", "SUPERPOSITION_BASIS_8", "HamiltonianMatrix",
-                 "Pulse2Analytics", "PulseSpec", "QuantumState", "build_blocked2", "build_full8",
-                 "build_swap_2pi", "propagate", "propagate_sampled", "pulse2_analytics",
-                 "relabeling_matrix", "tau2_approximate"),
+    "dynamics": ("CHANNELS", "PRODUCT_BASIS_8", "HamiltonianMatrix", "Pulse2Analytics",
+                 "PulseSpec", "QuantumState", "build_blocked2", "build_full8", "build_swap_2pi",
+                 "propagate", "propagate_sampled", "pulse2_analytics", "tau2_approximate"),
     "protocols": ("RYDBERG_POPULATION_THRESHOLD", "SWAP_MATRIX_IDEAL", "ChainFidelityEstimate",
                   "ChainResult", "ChainSpec", "PairCouplings", "PairwiseOptimum",
                   "ProtocolResult", "PulseSchedule", "SchedulePulse", "SpectatorBlockade",

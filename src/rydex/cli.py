@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 import warnings
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pulse-3 duration in us (default: half period)")
     p.add_argument("--optimize", action="store_true",
                    help="run the restarted simplex search instead of one shot")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for the optimizer restarts (default 0)")
 
     p = sub.add_parser("swap-sim", parents=[common],
@@ -282,14 +283,17 @@ def _cmd_pair_sim(args, model):
         "v_minus_khz": v_minus,
     }
     if args.optimize:
-        opt = optimize_pairwise(v_plus, v_minus, seed=args.seed)
+        seed = 0 if args.seed is None else args.seed
+        opt = optimize_pairwise(v_plus, v_minus, seed=seed)
         result = opt.result
         data["optimizer"] = {
             "start_fidelity": opt.start_fidelity,
             "converged": opt.converged,
-            "seed": args.seed,
+            "seed": seed,
         }
     else:
+        if args.seed is not None:  # not an error: a shared --config may set seed
+            warnings.warn(f"--seed {args.seed} has no effect without --optimize")
         result = pairwise_entangle(
             omega2, omega3, v_plus, v_minus, tau2_us=args.tau2, tau3_us=args.tau3
         )
@@ -467,9 +471,12 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def run() -> int:
-    """The ``rydex`` console command: ``main`` with each warning printed as one
-    ``warning: <message>`` line on stderr, without a source path."""
+    """The ``rydex`` console command: ``main`` with each raised or logged warning printed
+    as one ``warning: <message>`` line on stderr, without a source path."""
     warnings.showwarning = _warning_line
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logging.getLogger("rydex").addHandler(handler)
     return main()
 
 

@@ -9,10 +9,13 @@ spins and two Rydberg spins, written per atom as
 so a two-atom product label is a two-character string with atom A
 first, e.g. "uU" = A in ground-up, B in Rydberg-up. Two two-photon
 drive channels exist per atom: "dU" couples d <-> U and "uD" couples
-u <-> D. All four channel amplitudes are ordinary frequencies in kHz;
-times are microseconds; the factor of 2 pi enters only in this
-module, where a pulse is propagated: in ``_evolve`` (behind
-``propagate``), ``propagate_sampled`` and the batched pulse-3 kernel
+u <-> D, so channel "gR_X" links each product label whose atom X
+holds the ground spin g to the label with R in that place: these links,
+derived from the labels, are the sector's whole drive topology. All
+four channel amplitudes are ordinary frequencies in kHz; times are
+microseconds; the factor of 2 pi enters only in this module, where a
+pulse is propagated: in ``_evolve`` (behind ``propagate``),
+``propagate_sampled`` and the batched pulse-3 kernel
 ``_batched_pulse3_fidelities``.
 
 The full one-excitation-exchange sector spans eight product states.
@@ -41,14 +44,12 @@ from .atoms import _require_finite
 __all__ = [
     "CHANNELS",
     "PRODUCT_BASIS_8",
-    "SUPERPOSITION_BASIS_8",
     "PulseSpec",
     "QuantumState",
     "HamiltonianMatrix",
     "build_full8",
     "build_swap_2pi",
     "build_blocked2",
-    "relabeling_matrix",
     "propagate",
     "propagate_sampled",
     "Pulse2Analytics",
@@ -65,22 +66,14 @@ CHANNELS = ("dU_A", "uD_A", "dU_B", "uD_B")
 # ground/Rydberg spin labels), atom A first.
 PRODUCT_BASIS_8 = ("du", "ud", "dD", "uU", "Dd", "Uu", "DU", "UD")
 
-# Superposition labels: g(round) Bell pair, singly excited with spin up
-# or down shared, and the doubly excited Bell pair. "+" states form the
-# driven sector when both atoms are driven symmetrically.
-SUPERPOSITION_BASIS_8 = ("g+", "e_up+", "e_dn+", "r+", "g-", "e_up-", "e_dn-", "r-")
-
-# One-photon links of the sector: (row, column) in PRODUCT_BASIS_8 and
-# the index in CHANNELS of the drive that connects them.
-_SECTOR_LINKS = (
-    (0, 2, 3),  # du <-> dD, uD_B
-    (0, 5, 0),  # du <-> Uu, dU_A
-    (1, 3, 2),  # ud <-> uU, dU_B
-    (1, 4, 1),  # ud <-> Dd, uD_A
-    (2, 7, 0),  # dD <-> UD, dU_A
-    (3, 6, 1),  # uU <-> DU, uD_A
-    (4, 6, 2),  # Dd <-> DU, dU_B
-    (5, 7, 3),  # Uu <-> UD, uD_B
+# One-photon links (row, column, channel index) of the sector: channel "gR_X" takes
+# each label whose atom X holds ground spin g (the row) to the label with R there.
+_SECTOR_LINKS = tuple(
+    (row, PRODUCT_BASIS_8.index(label[:x] + rydberg + label[x + 1 :]), k)
+    for k, (ground, rydberg, _, atom) in enumerate(CHANNELS)
+    for x in ["AB".index(atom)]
+    for row, label in enumerate(PRODUCT_BASIS_8)
+    if label[x] == ground
 )
 
 # Each sector state has two drive links; row j of these (2, 8) tables holds every
@@ -92,6 +85,11 @@ _MINUS_I_POWER_PARTS = np.array([1.0, -1.0, -1.0, 1.0])
 # Break-even of the two pulse-3 kernels: one batched 8x8 eigh costs about as much
 # per sample as this many Chebyshev terms (2-core x86 VM, BLAS at 1 thread).
 _CHEBYSHEV_MAX_TERMS = 250
+
+
+def _phasor(phi: float) -> complex:
+    """e^{i phi}, the phase factor of every drive."""
+    return complex(math.cos(phi), math.sin(phi))
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,7 @@ class PulseSpec:
             raise ValueError(f"unknown channel {channel!r}")
         omega = getattr(self, f"omega_{channel}")
         phi = getattr(self, f"phi_{channel}")
-        return omega * complex(math.cos(phi), math.sin(phi))
+        return omega * _phasor(phi)
 
 
 @dataclass(frozen=True)
@@ -242,7 +240,7 @@ def build_swap_2pi(
     excited states to the Bell pair with amplitude omega/(2 sqrt 2),
     with a sign flip of the |uU> <-> |r-> leg.
     """
-    c = omega / (2.0 * _SQRT2) * complex(math.cos(phi), math.sin(phi))
+    c = omega / (2.0 * _SQRT2) * _phasor(phi)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 2] = c
     m[0, 3] = -c
@@ -256,48 +254,9 @@ def build_swap_2pi(
 
 def build_blocked2(omega: float, phi: float, v_blockade: float) -> HamiltonianMatrix:
     """2x2 matrix of a blockaded drive: [[0, O/2 e^{i phi}], [c.c., V]]."""
-    c = omega / 2.0 * complex(math.cos(phi), math.sin(phi))
+    c = omega / 2.0 * _phasor(phi)
     m = np.array([[0.0, c], [c.conjugate(), v_blockade]], dtype=complex)
     return HamiltonianMatrix(basis=("ground", "blocked"), matrix=m)
-
-
-def relabeling_matrix(
-    phi_dU_A: float = 0.0,
-    phi_uD_A: float = 0.0,
-    phi_dU_B: float = 0.0,
-    phi_uD_B: float = 0.0,
-) -> np.ndarray:
-    """Unitary taking product amplitudes to superposition amplitudes.
-
-    Row i, column j is <superposition_i | product_j> for the bases
-    SUPERPOSITION_BASIS_8 and PRODUCT_BASIS_8. With nonzero drive
-    phases the superposition states are dressed so that the symmetric
-    sector stays the driven one:
-
-        g+-   = [e^{i(phi_dU_A + phi_uD_B)} |du> +- e^{i(phi_uD_A + phi_dU_B)} |ud>] / sqrt 2
-        e_up+- = [e^{i phi_uD_B} |Uu> +- e^{i phi_dU_A} |uU>] / sqrt 2
-        e_dn+- = [e^{i phi_dU_B} |Dd> +- e^{i phi_uD_A} |dD>] / sqrt 2
-        r+-   = [|UD> +- |DU>] / sqrt 2
-    """
-
-    def bra(*pairs: tuple[str, complex]) -> np.ndarray:
-        row = np.zeros(8, dtype=complex)
-        for label, coeff in pairs:
-            row[PRODUCT_BASIS_8.index(label)] = coeff.conjugate() / _SQRT2
-        return row
-
-    e = lambda p: complex(math.cos(p), math.sin(p))
-    rows = {
-        "g+": bra(("du", e(phi_dU_A + phi_uD_B)), ("ud", e(phi_uD_A + phi_dU_B))),
-        "g-": bra(("du", e(phi_dU_A + phi_uD_B)), ("ud", -e(phi_uD_A + phi_dU_B))),
-        "e_up+": bra(("Uu", e(phi_uD_B)), ("uU", e(phi_dU_A))),
-        "e_up-": bra(("Uu", e(phi_uD_B)), ("uU", -e(phi_dU_A))),
-        "e_dn+": bra(("Dd", e(phi_dU_B)), ("dD", e(phi_uD_A))),
-        "e_dn-": bra(("Dd", e(phi_dU_B)), ("dD", -e(phi_uD_A))),
-        "r+": bra(("UD", 1.0 + 0.0j), ("DU", 1.0 + 0.0j)),
-        "r-": bra(("UD", 1.0 + 0.0j), ("DU", -(1.0 + 0.0j))),
-    }
-    return np.array([rows[label] for label in SUPERPOSITION_BASIS_8])
 
 
 def _eigen_coefficients(h: np.ndarray, psi: np.ndarray, t_us):

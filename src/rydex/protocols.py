@@ -35,6 +35,7 @@ from .dynamics import (
     PulseSpec,
     QuantumState,
     _evolve,
+    _phasor,
     _pulse2_matrices,
     _pulse3_matrices,
     build_blocked2,
@@ -43,7 +44,6 @@ from .dynamics import (
     propagate,
     propagate_sampled,
     pulse2_analytics,
-    relabeling_matrix,
 )
 from .vdw import critical_radius, interaction_matrix
 
@@ -282,8 +282,10 @@ def pairwise_entangle(
     t3, a3 = propagate_sampled(state, h3, tau3_us, _SAMPLES_PER_PULSE)
     final = a3[-1]
 
-    g_plus_row = relabeling_matrix(**phi)[0]  # SUPERPOSITION_BASIS_8 starts with g+
-    fidelity = float(abs(g_plus_row @ final) ** 2)
+    g_plus = np.zeros(8, dtype=complex)  # <g+|: |du> and |ud> dressed as pulse 3 drives them
+    g_plus[0] = _phasor(phi["phi_dU_A"] + phi["phi_uD_B"]).conjugate() / _SQRT2
+    g_plus[1] = _phasor(phi["phi_uD_A"] + phi["phi_dU_B"]).conjugate() / _SQRT2
+    fidelity = float(abs(g_plus @ final) ** 2)
     exposure, thresholded = _exposure((t2, a2), (t3, a3))
     trajectory = None
     if keep_trajectory:

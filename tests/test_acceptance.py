@@ -18,7 +18,6 @@ from rydex.dynamics import (
     QuantumState,
     build_full8,
     propagate,
-    relabeling_matrix,
     tau2_approximate,
 )
 from rydex.harness import (
@@ -40,6 +39,7 @@ from rydex.protocols import (
 from rydex.vdw import _D_MATRICES, _M_MATRICES, c6_pair, channel_c6, critical_radius
 
 from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix
+from sector_reference import relabeling_matrix
 
 MODEL = QuantumDefectModel.default()
 

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from rydex.dynamics import (
     CHANNELS,
     PRODUCT_BASIS_8,
-    SUPERPOSITION_BASIS_8,
     HamiltonianMatrix,
     PulseSpec,
     QuantumState,
+    _SECTOR_LINKS,
     _eigen_coefficients,
     _pulse2_matrices,
     _pulse3_matrices,
@@ -25,9 +25,10 @@ from rydex.dynamics import (
     propagate,
     propagate_sampled,
     pulse2_analytics,
-    relabeling_matrix,
     tau2_approximate,
 )
+
+from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
 
 SQRT2 = math.sqrt(2.0)
 
@@ -430,3 +431,9 @@ def test_blocked_two_level_adiabatic_leakage(ratio):
 def test_channels_tuple():
     assert CHANNELS == ("dU_A", "uD_A", "dU_B", "uD_B")
     assert len(PRODUCT_BASIS_8) == len(SUPERPOSITION_BASIS_8) == 8
+
+
+def test_sector_links_derived_from_the_labels():
+    # (ground-spin row, Rydberg column, channel index), frozen
+    assert sorted(_SECTOR_LINKS) == [(0, 2, 3), (0, 5, 0), (1, 3, 2), (1, 4, 1),
+                                     (2, 7, 0), (3, 6, 1), (4, 6, 2), (5, 7, 3)]

@@ -19,7 +19,6 @@ from rydex.atoms import QuantumDefectModel, RydbergLevel, level_energy
 from rydex.cli import _flatten, build_parser, main
 from rydex.dynamics import (
     PRODUCT_BASIS_8,
-    SUPERPOSITION_BASIS_8,
     PulseSpec,
     QuantumState,
     _CHEBYSHEV_MAX_TERMS,
@@ -27,7 +26,6 @@ from rydex.dynamics import (
     _chebyshev_terms,
     build_full8,
     propagate,
-    relabeling_matrix,
 )
 from rydex.harness import (
     REFERENCE_TABLE_III,
@@ -50,6 +48,7 @@ from rydex.protocols import pairwise_entangle, swap_gate
 from rydex.vdw import interaction_matrix
 
 from radial_reference import rrr_coefficient
+from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
 
 MODEL = QuantumDefectModel.default()
 
@@ -323,7 +322,7 @@ def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c
 def test_chebyshev_terms_are_the_bessel_values():
     from scipy import special
 
-    for x in (0.0, 1e-30, 1e-3, 0.5, 3.0, 22.4, 100.0, 180.0):
+    for x in (0.0, 1e-30, 1e-15, 1e-8, 1e-3, 0.5, 3.0, 22.4, 100.0, 180.0):
         terms = _chebyshev_terms(x)
         exact = special.jv(np.arange(len(terms) + 40), x)
         np.testing.assert_allclose(terms, exact[: len(terms)], rtol=0, atol=1e-14)
@@ -936,18 +935,28 @@ def test_start_up_loads_only_what_a_command_runs(code, absent):
          ["outside the working hierarchy", "pulse-2 closed form is marginal"]),
         (["swap-sim", "--v-blockade", "10"], ["blockade shift 10 kHz is not large"]),
         (["chain", "--gamma", "500"], ["gamma tau = 5.49 is not small"]),
+        (["pair-sim", "--seed", "7"], ["--seed 7 has no effect without --optimize"]),
+        # logged, not raised: near-resonant terms the channel sums leave out
+        (["coeffs", "--na", "180", "--nb", "183"],
+         ["excluding near-resonant channel 1 term (180p, 182p)",
+          "excluding near-resonant channel 1 term (182p, 180p)"]),
     ],
 )
-def test_cli_prints_each_warning_as_one_line(capsys, argv, fragments):
+def test_cli_prints_each_warning_as_one_line(capsys, caplog, argv, fragments):
     """The console command prints ``warning: <message>`` lines and the same stdout
-    as ``main``, which still raises each warning as a ``UserWarning``."""
-    with pytest.warns(UserWarning) as caught:
+    as ``main``, which still raises each warning as a ``UserWarning`` or logs it
+    to the ``rydex`` logger."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc, out, _ = _run_cli(capsys, argv)
+    assert all(w.category is UserWarning for w in caught)
+    messages = [str(w.message) for w in caught]
+    messages += [r.getMessage() for r in caplog.records if r.name.startswith("rydex")]
     proc = _fresh_process("-m", "rydex.cli", *argv)
     assert rc == proc.returncode == 0
     assert proc.stdout == out
     lines = proc.stderr.splitlines()
-    assert lines == [f"warning: {w.message}" for w in caught]
+    assert lines == [f"warning: {m}" for m in messages]
     assert len(lines) == len(fragments)
     assert all(fragment in line for fragment, line in zip(fragments, lines))
 

@@ -36,6 +36,7 @@ from rydex.protocols import (
 )
 
 from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix
+from sector_reference import relabeling_matrix
 
 MODEL = QuantumDefectModel.default()
 
@@ -97,6 +98,15 @@ def test_pairwise_phase_covariance():
         assert got == pytest.approx(base, abs=1e-12)
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(phases=st.tuples(*[st.floats(-100.0, 100.0)] * 4))
+def test_pairwise_g_plus_is_the_relabeling_row(phases):
+    # the protocol's dressed <g+| is the reference's g+ row, bit for bit
+    res = pairwise_entangle(59.0, 61.0, 5.0, 711.0, phases=phases, keep_trajectory=True)
+    g_plus = relabeling_matrix(*phases)[0]
+    assert res.fidelity == abs(g_plus @ res.trajectory.amplitudes[-1]) ** 2
+
+
 @pytest.mark.parametrize(
     "phases, fidelity, exposure, thresholded",
     [
@@ -156,6 +166,19 @@ def test_optimizer_rejects_non_finite_couplings():
 def test_optimizer_rejects_a_bad_seed_by_name(seed, message):
     with pytest.raises(ValueError, match=message):
         optimize_pairwise(5.0, 711.0, seed=seed)
+
+
+def test_optimizer_never_returns_below_its_start(monkeypatch):
+    # a search that ends on a worse point than the working point gives the start back
+    def worse(starts, lo, hi, tol, v_plus_khz, v_minus_khz):
+        return lo, False
+
+    monkeypatch.setattr(rydex.protocols, "_lockstep_nelder_mead", worse)
+    opt = optimize_pairwise(5.0, 711.0, restarts=2)
+    omega, tau2, tau3 = _nominal_point(5.0, 711.0)
+    assert opt.result.fidelity == opt.start_fidelity
+    assert (opt.result.omega_pulse2_khz, opt.result.omega_pulse3_khz,
+            opt.result.tau2_us, opt.result.tau3_us) == (omega, omega, tau2, tau3)
 
 
 def _sector_fidelity(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> float:
@@ -328,6 +351,12 @@ def test_swap_matrix_constant():
         [0, 0, 0, -1],
     ], dtype=float)
     assert np.array_equal(SWAP_MATRIX_IDEAL, want)
+
+
+def test_swap_gate_refuses_a_nan_blockade():
+    # an infinite blockade is a perfect one; nan is no blockade at all
+    with pytest.raises(ValueError, match="v_blockade_khz must not be nan"):
+        swap_gate(89.0, V_PLUS, V_MINUS, math.nan, 11.12)
 
 
 def test_swap_gate_weak_blockade_warns():

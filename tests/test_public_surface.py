@@ -1,5 +1,6 @@
 """The public surface: every library function has a caller outside the tests, every
-parameter with a default is set by one, and the package's names all resolve."""
+constant and class a reader there, every parameter with a default is set by one, and
+the package's names all resolve."""
 
 import ast
 import importlib
@@ -18,6 +19,9 @@ SOURCES += list((ROOT / "perfbench").glob("*.py"))
 TREES = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
 # public functions that only tests call, each with the reason it stays
 ALLOWED = {"chain_ideal_state": "acceptance criterion 8"}
+# public constants and classes that no source reads, each with the reason it stays
+ALLOWED_NAMES = {"SWAP_MATRIX_IDEAL": "the gate the SWAP sequence realizes, documented physics "
+                                      "pinned by test_swap_matrix_constant"}
 # parameters with a default that only tests set, each with the reason it stays
 ALLOWED_PARAMETERS = {
     "optimize_pairwise.restarts": "the determinism test freezes its optimum at 3 restarts",
@@ -61,6 +65,13 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     uncalled = {name for name, _ in _public_functions() if name not in used}
     assert sorted(uncalled - ALLOWED.keys()) == []
     assert ALLOWED.keys() <= uncalled, "an allowed name has gained a caller: drop it"
+
+
+def test_every_public_constant_and_class_is_read_outside_the_tests():
+    names = {name for m in MODULES for name in importlib.import_module(f"rydex.{m}").__all__}
+    unread = names - {name for name, _ in _public_functions()} - _loaded_names()
+    assert sorted(unread - ALLOWED_NAMES.keys()) == []
+    assert ALLOWED_NAMES.keys() <= unread, "an allowed name has gained a reader: drop it"
 
 
 def test_every_default_parameter_is_set_outside_the_tests():

@@ -205,6 +205,12 @@ def test_exactly_resonant_channel_raises():
         channel_c6(_degenerate_model(0.0), 50, 50, 1, dn_cutoff=0)
 
 
+def test_critical_radius_refuses_an_exactly_resonant_channel():
+    # the zero defect is the dominant channel, so no finite radius exists
+    with pytest.raises(SingularChannelError, match=r"dominant channel \(50p, 50p\) is exactly"):
+        critical_radius(_degenerate_model(0.0), 50, 50, dn_cutoff=0)
+
+
 def test_near_resonant_terms_excluded_with_warning(caplog):
     model = _degenerate_model(4e-9)
     with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
