@@ -80,18 +80,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coeffs", parents=[common],
                        help="van der Waals coefficients of an (na, nb) pair")
+    p.set_defaults(handler=_cmd_coeffs)
     _add_pair_options(p, required=True)
     p.add_argument("--dn", type=int, default=10,
                    help="intermediate-level window half-width (default 10)")
 
     p = sub.add_parser("critical-radius", parents=[common],
                        help="crossover radius to the resonant dipole regime")
+    p.set_defaults(handler=_cmd_critical_radius)
     _add_pair_options(p, required=True)
     p.add_argument("--dn", type=int, default=3,
                    help="intermediate-level window half-width (default 3)")
 
     p = sub.add_parser("pair-sim", parents=[common],
                        help="three-pulse Bell-state preparation")
+    p.set_defaults(handler=_cmd_pair_sim)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
     p.add_argument("--omega2", type=float, default=None,
@@ -109,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("swap-sim", parents=[common],
                        help="pi/2pi/pi signed-SWAP gate")
+    p.set_defaults(handler=_cmd_swap_sim)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
     p.add_argument("--omega", type=float, default=None,
@@ -122,6 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chain", parents=[common],
                        help="chain schedule, fidelity estimate, spectator shift")
+    p.set_defaults(handler=_cmd_chain)
     p.add_argument("--atoms", type=int, default=4,
                    help="chain length: 4, 6, or a multiple of 4 up to 2**19 (default 4)")
     _add_pair_options(p, required=False)
@@ -139,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robustness", parents=[common],
                        help="Monte Carlo fidelity distribution under drive dispersion")
+    p.set_defaults(handler=_cmd_robustness)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
     p.add_argument("--epsilon", type=float, default=0.1,
@@ -152,10 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", parents=[common],
                        help="reproduce a reference table with deviations")
+    p.set_defaults(handler=_cmd_table)
     p.add_argument("table_id", choices=("I", "II", "III", "IV"), metavar="{I,II,III,IV}")
 
     p = sub.add_parser("figure", parents=[common],
                        help="emit plot data for the trajectory or histogram figure")
+    p.set_defaults(handler=_cmd_figure)
     p.add_argument("figure_id", type=int, choices=(3, 4), metavar="{3,4}")
     p.add_argument("--samples", type=int, default=100000,
                    help="Monte Carlo samples for the histogram figure")
@@ -265,6 +273,12 @@ def _working_drive(v_plus: float, v_minus: float) -> float:
     return omega
 
 
+def _pair_header(args, v_plus: float, v_minus: float) -> dict:
+    """The keys that open the pair-sim and swap-sim payloads."""
+    return {"schema": SCHEMA, "command": args.command, "n_a": args.na, "n_b": args.nb,
+            "spacing_um": args.spacing, "v_plus_khz": v_plus, "v_minus_khz": v_minus}
+
+
 def _cmd_pair_sim(args, model):
     from .protocols import optimize_pairwise, pairwise_entangle
 
@@ -273,15 +287,7 @@ def _cmd_pair_sim(args, model):
     nominal = _working_drive(v_plus, v_minus) if derived else None
     omega2 = args.omega2 if args.omega2 is not None else nominal
     omega3 = args.omega3 if args.omega3 is not None else nominal
-    data = {
-        "schema": SCHEMA,
-        "command": "pair-sim",
-        "n_a": args.na,
-        "n_b": args.nb,
-        "spacing_um": args.spacing,
-        "v_plus_khz": v_plus,
-        "v_minus_khz": v_minus,
-    }
+    data = _pair_header(args, v_plus, v_minus)
     if args.optimize:
         seed = 0 if args.seed is None else args.seed
         opt = optimize_pairwise(v_plus, v_minus, seed=seed)
@@ -297,24 +303,13 @@ def _cmd_pair_sim(args, model):
         result = pairwise_entangle(
             omega2, omega3, v_plus, v_minus, tau2_us=args.tau2, tau3_us=args.tau3
         )
-    data.update(
-        {
-            "fidelity": result.fidelity,
-            "omega_pulse2_khz": result.omega_pulse2_khz,
-            "omega_pulse3_khz": result.omega_pulse3_khz,
-            "tau2_us": result.tau2_us,
-            "tau3_us": result.tau3_us,
-            "per_pulse_durations_us": list(result.per_pulse_durations_us),
-            "total_duration_us": sum(result.per_pulse_durations_us),
-            "total_rydberg_time_us": result.total_rydberg_time_us,
-            "rydberg_exposure_us": result.rydberg_exposure_us,
-        }
-    )
+    data.update(asdict(result), total_duration_us=sum(result.per_pulse_durations_us))
+    del data["trajectory"]
     return data, None
 
 
 def _cmd_swap_sim(args, model):
-    from .protocols import _nominal_omega, _swap_point, swap_gate
+    from .protocols import _swap_point, swap_gate
 
     v_plus, v_minus, coup = _couplings(args, model)
     if args.v_blockade is not None:
@@ -326,18 +321,11 @@ def _cmd_swap_sim(args, model):
         v_blockade = coup.corner_khz
     else:
         raise ValueError("--v-blockade is required when couplings are injected")
-    if args.omega is None:
-        _working_drive(v_plus, v_minus)  # the SWAP drive derives from it
-    omega, t_2pi = _swap_point(_nominal_omega(v_plus, v_minus), args.omega, args.t2pi)
+    nominal = _working_drive(v_plus, v_minus) if args.omega is None else None
+    omega, t_2pi = _swap_point(nominal, args.omega, args.t2pi)
     result = swap_gate(omega, v_plus, v_minus, v_blockade, t_2pi, phi=args.phi)
     return {
-        "schema": SCHEMA,
-        "command": "swap-sim",
-        "n_a": args.na,
-        "n_b": args.nb,
-        "spacing_um": args.spacing,
-        "v_plus_khz": v_plus,
-        "v_minus_khz": v_minus,
+        **_pair_header(args, v_plus, v_minus),
         "v_blockade_khz": v_blockade,
         "omega_khz": omega,
         "t_2pi_us": t_2pi,
@@ -402,18 +390,6 @@ def _cmd_figure(args, model):
     return data, (data["columns"], data["rows"])
 
 
-_COMMANDS = {
-    "coeffs": _cmd_coeffs,
-    "critical-radius": _cmd_critical_radius,
-    "pair-sim": _cmd_pair_sim,
-    "swap-sim": _cmd_swap_sim,
-    "chain": _cmd_chain,
-    "robustness": _cmd_robustness,
-    "table": _cmd_table,
-    "figure": _cmd_figure,
-}
-
-
 def _splice_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
     """Insert ``--config`` entries as ``--key=value`` tokens right after the
     subcommand: argparse then coerces and checks them, and typed flags,
@@ -458,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.defects
             else QuantumDefectModel.default()
         )
-        data, csv_spec = _COMMANDS[args.command](args, model)
+        data, csv_spec = args.handler(args, model)
         _emit(args, data, csv_spec)
     except (ValueError, ArithmeticError, DefectDataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

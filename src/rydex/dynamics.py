@@ -367,9 +367,9 @@ def _batched_pulse3_fidelities(
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
     channel's largest drive over the whole array, so the term count is the
     same for every pass. Past _CHEBYSHEV_MAX_TERMS terms (long pulses, wide
-    spectra such as a huge V-) each pass instead goes through
-    ``_eigen_coefficients``, one 8x8 eigensolve per sample whose cost does not
-    grow with x, and its check names a duration whose phase overflows.
+    spectra such as a huge V-) each pass instead goes through ``_evolve``, one
+    8x8 eigensolve per sample whose cost does not grow with x, and its check
+    names a duration whose phase overflows.
 
     The kernel sits here, next to _SECTOR_LINKS, its only data;
     ``harness.robustness_scan`` calls it under the same name.
@@ -387,8 +387,7 @@ def _batched_pulse3_fidelities(
     if terms is None:
         for start in range(0, n, chunk):
             h = _sector_matrices(omegas_khz[start : start + chunk], v_s, v_c)
-            w, v, coef = _eigen_coefficients(h, psi2, tau3_us)
-            amps = np.einsum("bij,bj->bi", v, np.exp(-2j * np.pi * w * tau3_us * 1e-3) * coef)
+            amps = _evolve(h, psi2, tau3_us)
             fids[start : start + chunk] = 0.5 * np.abs(amps[:, 0] + amps[:, 1]) ** 2
         return fids
     weights = 2.0 * terms * _MINUS_I_POWER_PARTS[np.arange(len(terms)) % 4]

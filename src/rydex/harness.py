@@ -22,7 +22,7 @@ import importlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -263,12 +263,7 @@ def histogram_payload(cfg: RobustnessConfig, hist: FidelityHistogram) -> dict:
     return {
         "schema": SCHEMA,
         "command": "robustness",
-        "epsilon": cfg.epsilon,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "omega_khz": cfg.omega_khz,
-        "v_plus_khz": cfg.v_plus_khz,
-        "v_minus_khz": cfg.v_minus_khz,
+        **asdict(cfg),
         "bin_edges": list(hist.bin_edges),
         "counts": list(hist.counts),
         "fraction_above": {f"{t:.2f}": v for t, v in hist.fraction_above.items()},
@@ -294,7 +289,7 @@ def _rel_dev(computed: float, reference: float) -> float:
     return (computed - reference) / abs(reference)
 
 
-def _table_i(model: QuantumDefectModel) -> dict:
+def _table_i(model: QuantumDefectModel) -> list[dict]:
     rows = []
     for n_a, n_b, ref_c6, ref_ex in REFERENCE_TABLE_I:
         pair = c6_pair(model, n_a, n_b)
@@ -315,11 +310,10 @@ def _table_i(model: QuantumDefectModel) -> dict:
                 "ratio_difference": ratio - ref_ratio,
             }
         )
-    columns = list(rows[0].keys())
-    return {"schema": SCHEMA, "table": "I", "columns": columns, "rows": rows}
+    return rows
 
 
-def _table_ii(model: QuantumDefectModel) -> dict:
+def _table_ii(model: QuantumDefectModel) -> list[dict]:
     rows = []
     for dn, ref in REFERENCE_TABLE_II:
         value = channel_c6(model, 100, 100, 2, dn_cutoff=dn)
@@ -331,15 +325,14 @@ def _table_ii(model: QuantumDefectModel) -> dict:
                 "rel_dev": _rel_dev(value, ref),
             }
         )
-    columns = list(rows[0].keys())
-    return {"schema": SCHEMA, "table": "II", "columns": columns, "rows": rows}
+    return rows
 
 
 def _format_p_level(n: int, j: float) -> str:
     return f"{n}p{'1/2' if j == 0.5 else '3/2'}"
 
 
-def _table_channels(model: QuantumDefectModel, table_id: str) -> dict:
+def _table_channels(model: QuantumDefectModel, table_id: str) -> list[dict]:
     n_a, n_b = TABLE_PAIRS[table_id]
     reference = REFERENCE_TABLE_III if table_id == "III" else REFERENCE_TABLE_IV
     terms = _pair_terms(model, n_a, n_b, 2)  # every tabulated row lies within dn 2
@@ -362,20 +355,21 @@ def _table_channels(model: QuantumDefectModel, table_id: str) -> dict:
                 "rr_rel_dev": _rel_dev(rr, ref_rr),
             }
         )
-    columns = list(rows[0].keys())
-    return {"schema": SCHEMA, "table": table_id, "columns": columns, "rows": rows}
+    return rows
 
 
 def run_table(table_id: str, model: QuantumDefectModel) -> dict:
     """Computed-vs-reference rows for one of the bundled tables."""
     normalized = table_id.strip().upper()
     if normalized == "I":
-        return _table_i(model)
-    if normalized == "II":
-        return _table_ii(model)
-    if normalized in TABLE_PAIRS:
-        return _table_channels(model, normalized)
-    raise ValueError(f"unknown table id {table_id!r}; expected I, II, III, or IV")
+        rows = _table_i(model)
+    elif normalized == "II":
+        rows = _table_ii(model)
+    elif normalized in TABLE_PAIRS:
+        rows = _table_channels(model, normalized)
+    else:
+        raise ValueError(f"unknown table id {table_id!r}; expected I, II, III, or IV")
+    return {"schema": SCHEMA, "table": normalized, "columns": list(rows[0]), "rows": rows}
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +479,12 @@ def to_jsonable(obj):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return _round_float(float(obj))
-    if isinstance(obj, complex):
-        return {"re": _round_float(obj.real), "im": _round_float(obj.imag)}
     return obj
 
 

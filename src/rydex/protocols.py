@@ -147,10 +147,10 @@ def _nominal_point(v_plus_khz: float, v_minus_khz: float) -> tuple[float, float,
     return omega, tau2, _half_period("omega_khz", omega)
 
 
-def _swap_point(omega_khz: float, omega_swap: float | None = None,
+def _swap_point(omega_khz: float | None, omega_swap: float | None = None,
                 t_2pi: float | None = None) -> tuple[float, float]:
     """(SWAP drive, 2pi window) for pair drive omega: 1.5 omega and one
-    period of that drive, unless given."""
+    period of that drive, unless given; omega is read only when the SWAP drive is not."""
     omega_swap = 1.5 * omega_khz if omega_swap is None else omega_swap
     if t_2pi is None and omega_swap == 0:
         raise ValueError("SWAP drive omega_khz must be nonzero to derive t_2pi_us")
@@ -202,10 +202,10 @@ class ProtocolResult:
     """Outcome of one protocol run.
 
     ``total_rydberg_time_us`` is the sampled duration with total
-    Rydberg population above RYDBERG_POPULATION_THRESHOLD (used as the
-    decay-exposure default); ``rydberg_exposure_us`` is the per-atom
-    time integral of Rydberg population, the quantity that multiplies a
-    per-atom decay rate in chain estimates.
+    Rydberg population above RYDBERG_POPULATION_THRESHOLD, reported
+    only; ``rydberg_exposure_us`` is the per-atom time integral of
+    Rydberg population, the quantity that multiplies a per-atom decay
+    rate in chain estimates (``chain_protocol`` weights it).
     """
 
     fidelity: float

@@ -16,6 +16,7 @@ from rydex.dynamics import (
     QuantumState,
     _SECTOR_LINKS,
     _eigen_coefficients,
+    _evolve,
     _pulse2_matrices,
     _pulse3_matrices,
     _sector_matrices,
@@ -321,6 +322,21 @@ def test_stacked_eigensolve_is_the_per_matrix_one():
         _eigen_coefficients(h, psi, 1e308)
     with pytest.raises(ValueError, match="pulse duration 1e\\+308 us overflows"):
         _eigen_coefficients(h, psi, np.where(np.arange(b) == 7, 1e308, 1.0))
+
+
+def test_stacked_evolve_is_the_per_matrix_one():
+    """Each row of a stacked ``_evolve`` has the bits of its matrix evolved alone,
+    with one duration for the stack or one per row: the lockstep optimizer and the
+    pulse-3 eigh fallback's chunk invariance rest on it."""
+    rng = np.random.default_rng(29)
+    for b in (1, 2, 7, 64, 300):
+        h = _sector_matrices(rng.uniform(-200.0, 200.0, (b, 4)),
+                             rng.uniform(-1000, 1000), rng.uniform(-1000, 1000))
+        psi = _random_state(rng, PRODUCT_BASIS_8).amplitudes
+        for t in (float(rng.uniform(-20.0, 20.0)), rng.uniform(-20.0, 20.0, b)):
+            stacked = _evolve(h, psi, t)
+            for i in range(b):
+                assert np.array_equal(stacked[i], _evolve(h[i], psi, np.broadcast_to(t, b)[i]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
