@@ -23,13 +23,15 @@ every entry of D_k is a multiple of 1/81.
 Radial physics enters through perturbative channel sums over a window
 of principal quantum numbers around (n_A, n_B); see ``channel_c6``.
 Each term is -R R' / defect with R = e^2 r_A r_B. The product is
-separable, R[da, db] = (E2A02 r_A[da]) r_B[db], so one call builds the
-whole window per channel from four per-atom radial vectors (own and
-crossed s -> p elements of each atom) and two per-atom energy vectors,
-and every returned quantity is a reduction over those arrays. Sums run
-left to right in window order (da outer, db inner), as a scalar loop
-adds them: a pairwise ``np.sum`` would move the last digits of
-published values.
+separable, R[da, db] = (E2A02 r_A[da]) r_B[db], so a window is built
+per channel from four per-atom radial vectors (own and crossed s -> p
+elements of each atom) and two per-atom energy vectors. It is built
+once per model content and cached, and its reductions (kept terms,
+channel sums, critical radius) are computed once on it; only the
+near-resonant log lines and the exact-resonance error repeat per call.
+Sums run left to right in window order (da outer, db inner), as a
+scalar loop adds them: a pairwise ``np.sum`` would move the last
+digits of published values.
 All coefficients are in GHz um^6, all pair interactions in kHz.
 """
 
@@ -39,8 +41,9 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -177,7 +180,7 @@ def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
 
 def _pair_terms(
     model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int
-) -> dict[int, _ChannelTerms]:
+) -> _Window:
     """Every intermediate pair of the window, per channel, as flat read-only arrays.
 
     The window is a full square: ns = n_a + da and nt = n_b + db with da,
@@ -211,7 +214,7 @@ def _window(
     n_a: int,
     n_b: int,
     dn_cutoff: int,
-) -> dict[int, _ChannelTerms]:
+) -> _Window:
     """``_pair_terms`` of the model with this content, built once.
 
     ``rr`` and ``rr_cross`` factorize into per-atom radial vectors, so
@@ -265,33 +268,63 @@ def _window(
         )
         for array in terms[k]:
             array.setflags(write=False)  # one window serves every caller
-    return terms
+    return _Window(terms)
 
 
-def _included(terms: _ChannelTerms, k: int, n_a: int, n_b: int) -> np.ndarray:
-    """Mask of the terms the channel sums keep; exact resonance raises.
+class _Window(dict):
+    """Channel k -> ``_ChannelTerms`` of one window. Its reductions are computed on
+    first use and kept on the window, so the ``_window`` cache bounds them too."""
 
-    Terms with |defect| below NEAR_RESONANCE_GHZ are dropped and logged
-    one by one in window order.
-    """
-    near = np.abs(terms.defect) < NEAR_RESONANCE_GHZ
-    for i in np.flatnonzero(near):
-        ns, nt, defect = int(terms.ns[i]), int(terms.nt[i]), float(terms.defect[i])
-        if defect == 0.0:
-            raise SingularChannelError(
-                f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly "
-                f"resonant with ({n_a}s, {n_b}s)"
+    @cached_property
+    def kept(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per channel, read-only: the kept-term mask, the indices with |defect|
+        below NEAR_RESONANCE_GHZ, and the kept direct terms -R R / defect."""
+        out = {}
+        for k, t in self.items():
+            near = np.abs(t.defect) < NEAR_RESONANCE_GHZ
+            rr, defect = t.rr[~near], t.defect[~near]
+            out[k] = (~near, np.flatnonzero(near), -rr * rr / defect)
+            for array in out[k]:
+                array.setflags(write=False)
+        return out
+
+    @cached_property
+    def sums(self) -> tuple[MappingProxyType, MappingProxyType]:
+        """Direct and exchange channel sums of -R R' / defect over kept terms."""
+        direct, cross = {}, {}
+        for k, t in self.items():
+            keep, _, term = self.kept[k]
+            direct[k] = _ordered_sum(term)
+            cross[k] = _ordered_sum(-t.rr[keep] * t.rr_cross[keep] / t.defect[keep])
+        return MappingProxyType(direct), MappingProxyType(cross)
+
+    @cached_property
+    def critical_radius(self) -> CriticalRadius:
+        """``critical_radius`` of this window; an exact resonance raises each time."""
+        return _critical_radius(self)
+
+
+def _replay_exclusions(window: _Window, n_a: int, n_b: int) -> None:
+    """Log the dropped near-resonant terms one by one in window order, on every
+    summing call; an exactly resonant term raises instead."""
+    for k, (_, near, _) in window.kept.items():
+        t = window[k]
+        for i in near:
+            ns, nt, defect = int(t.ns[i]), int(t.nt[i]), float(t.defect[i])
+            if defect == 0.0:
+                raise SingularChannelError(
+                    f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly "
+                    f"resonant with ({n_a}s, {n_b}s)"
+                )
+            logger.warning(
+                "excluding near-resonant channel %d term (%dp, %dp): "
+                "defect %.3g GHz below %.0e GHz",
+                k,
+                ns,
+                nt,
+                defect,
+                NEAR_RESONANCE_GHZ,
             )
-        logger.warning(
-            "excluding near-resonant channel %d term (%dp, %dp): "
-            "defect %.3g GHz below %.0e GHz",
-            k,
-            ns,
-            nt,
-            defect,
-            NEAR_RESONANCE_GHZ,
-        )
-    return ~near
 
 
 def _ordered_sum(values: np.ndarray) -> float:
@@ -299,17 +332,10 @@ def _ordered_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
 
 
-def _channel_sums(
-    terms: dict[int, _ChannelTerms], n_a: int, n_b: int
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Direct and exchange channel sums of -R R' / defect over kept terms."""
-    direct, cross = {}, {}
-    for k, t in terms.items():
-        keep = _included(t, k, n_a, n_b)
-        rr, defect = t.rr[keep], t.defect[keep]
-        direct[k] = _ordered_sum(-rr * rr / defect)
-        cross[k] = _ordered_sum(-rr * t.rr_cross[keep] / defect)
-    return direct, cross
+def _channel_sums(window: _Window, n_a: int, n_b: int) -> tuple[MappingProxyType, ...]:
+    """Direct and exchange channel sums of the window, after its exclusions."""
+    _replay_exclusions(window, n_a, n_b)
+    return window.sums
 
 
 def channel_c6(
@@ -322,7 +348,7 @@ def channel_c6(
     an energy defect below NEAR_RESONANCE_GHZ are excluded with a logged
     warning; an exactly resonant term raises SingularChannelError.
     """
-    if k not in CHANNEL_FINE_STRUCTURE:
+    if _require_int("k", k) not in CHANNEL_FINE_STRUCTURE:
         raise ValueError(f"channel must be 1..4, got {k}")
     direct, _ = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
     return direct[k]
@@ -434,7 +460,7 @@ def interaction_matrix(
         raise ValueError("interaction_matrix requires distinct principal numbers")
     direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, 10), n_a, n_b)
     v1, v2 = _khz_per_ghz_um6(spacing_um, _assemble(direct), _assemble(cross))
-    lc = critical_radius(model, n_a, n_b).radius_um
+    lc = critical_radius(model, n_a, n_b).radius_um  # the dn-3 window's cached radius
     if spacing_um < lc:
         warnings.warn(
             f"spacing {spacing_um} um is inside the critical radius {lc:.2f} um; "
@@ -500,7 +526,10 @@ def critical_radius(
     least 1% of the window maximum); ties go to the larger coupling.
     The radius solves max|M_k| * R / L^3 = |defect|.
     """
-    terms = _pair_terms(model, n_a, n_b, dn_cutoff)
+    return _pair_terms(model, n_a, n_b, dn_cutoff).critical_radius
+
+
+def _critical_radius(terms: _Window) -> CriticalRadius:
     rrs = np.stack([t.rr for t in terms.values()])  # (channel, window term)
     defects = np.stack([t.defect for t in terms.values()])
     candidates = np.flatnonzero(np.abs(rrs) >= 0.01 * np.abs(rrs).max())
@@ -552,21 +581,22 @@ def interference_decomposition(
     Contributions sum exactly to c6 +- c6_exchange of ``c6_pair`` under
     the same window and exclusion rules.
     """
+    window = _pair_terms(model, n_a, n_b, dn_cutoff)
+    _replay_exclusions(window, n_a, n_b)
+    row = partial(tuple.__new__, ChannelContribution)  # _make without its length check
     out = []
-    for k, t in _pair_terms(model, n_a, n_b, dn_cutoff).items():
+    for k, t in window.items():
         d_diag = _D_MATRICES[k][1, 1]
         d_off = _D_MATRICES[k][1, 2]
-        keep = _included(t, k, n_a, n_b)
-        rr, defect = t.rr[keep], t.defect[keep]
-        term = -rr * rr / defect
+        keep, _, term = window.kept[k]
         out.extend(
             map(
-                ChannelContribution._make,
+                row,
                 zip(
                     repeat(k),
                     t.ns[keep].tolist(),
                     t.nt[keep].tolist(),
-                    defect.tolist(),
+                    t.defect[keep].tolist(),
                     (term * (d_diag + d_off)).tolist(),
                     (term * (d_diag - d_off)).tolist(),
                 ),

@@ -16,6 +16,7 @@ from rydex.atoms import (
     RydbergLevel,
     level_energy,
 )
+from rydex import vdw
 from rydex.harness import REFERENCE_TABLE_I
 from rydex.vdw import (
     NEAR_RESONANCE_GHZ,
@@ -270,6 +271,9 @@ def test_lowest_window_level_accepted():
         (lambda: c6_pair(MODEL, 491, 495), r"n_b=495 with dn_cutoff=10 reaches n=505, "
                                            r"above the channel-sum domain n <= 500"),
         (lambda: critical_radius(MODEL, 498, 497), r"n_a=498 with dn_cutoff=3 reaches n=501"),
+        # a bool or float channel used to pass as channel 1
+        (lambda: channel_c6(MODEL, 73, 75, True), r"k must be an integer, got True"),
+        (lambda: channel_c6(MODEL, 73, 75, 1.0), r"k must be an integer, got 1\.0"),
     ],
 )
 def test_window_outside_integer_domain_rejected(call, match):
@@ -321,6 +325,74 @@ def test_near_resonant_exclusion_logged_on_every_call(caplog):
         assert c6_pair(MODEL, 180, 183) == first  # served by the warm cache
     assert len(logged) == 2 and all("near-resonant" in m for m in logged)
     assert [r.getMessage() for r in caplog.records] == logged * 2
+
+
+def test_cold_pair_reduces_each_window_once(monkeypatch):
+    # the workload's pair op: the dn-10 window's sums serve c6_pair and every
+    # interaction_matrix, the dn-3 window's radius every radius lookup
+    sums, radii = [], []
+    ordered_sum, search = vdw._ordered_sum, vdw._critical_radius
+    monkeypatch.setattr(vdw, "_ordered_sum", lambda v: sums.append(1) or ordered_sum(v))
+    monkeypatch.setattr(vdw, "_critical_radius", lambda w: radii.append(1) or search(w))
+    _window.cache_clear()
+    c6_pair(MODEL, 73, 75)
+    lc = critical_radius(MODEL, 73, 75).radius_um
+    for factor in (1.5, 2.0, 3.0):
+        interaction_matrix(MODEL, 73, 75, factor * lc)
+    assert (len(sums), len(radii)) == (8, 1)  # 2 sums x 4 channels, one search
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: interaction_matrix(MODEL, 180, 183, 600.0),
+        lambda: interference_decomposition(MODEL, 180, 183),
+    ],
+    ids=["interaction_matrix", "interference_decomposition"],
+)
+def test_warm_calls_still_log_each_exclusion(call, caplog):
+    c6_pair(MODEL, 180, 183)  # fills the window's sums
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
+        call()
+        call()
+    logged = [r.getMessage() for r in caplog.records]
+    assert len(logged) == 4 and logged[:2] == logged[2:]
+    assert all("near-resonant" in m for m in logged)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: channel_c6(_degenerate_model(0.0), 50, 50, 1, dn_cutoff=0),
+        lambda: interference_decomposition(_degenerate_model(0.0), 50, 50, dn_cutoff=0),
+        lambda: critical_radius(_degenerate_model(0.0), 50, 50, dn_cutoff=0),
+    ],
+    ids=["channel_c6", "interference_decomposition", "critical_radius"],
+)
+def test_exact_resonance_raises_on_every_call(call):
+    for _ in range(2):
+        with pytest.raises(SingularChannelError, match="exactly resonant"):
+            call()
+
+
+def test_inside_radius_warning_on_every_call():
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="inside the critical radius"):
+            interaction_matrix(MODEL, 73, 75, 5.0)
+
+
+def test_cached_reductions_refuse_writes():
+    window = _pair_terms(MODEL, 180, 183, 10)
+    _channel_sums(window, 180, 183)
+    for keep, near, term in window.kept.values():
+        for array in (keep, near, term):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+    for sums in window.sums:
+        with pytest.raises(TypeError):
+            sums[1] = 0.0
+    assert c6_pair(MODEL, 180, 183).channel_sums == tuple(window.sums[0].values())
 
 
 # --- spacing-resolved quantities --------------------------------------------

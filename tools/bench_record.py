@@ -62,22 +62,27 @@ def quartiles(values: list[float]) -> dict:
 
 
 def compare(runs: dict[str, list[dict]]) -> dict:
-    """Per end-to-end metric: each side's quartiles, the change ratio and pair wins."""
+    """Per end-to-end metric: each side's quartiles, the change ratio and pair wins.
+
+    ``runs[side][i]`` is side's run of pair i (same seed and order on both sides).
+    A pair with an errored run on either side is skipped whole, so the rest stay paired.
+    """
+    ok = [pair for pair in zip(runs["base"], runs["head"]) if not any("error" in r for r in pair)]
     out = {}
     for spec in SPEC["end_to_end"]:
         name, lower = spec["name"], spec["better"] == "lower"
-        vals = {s: [r["metrics"][name]["value"] for r in rs if "error" not in r]
-                for s, rs in runs.items()}
-        if not vals["base"] or not vals["head"]:
-            out[name] = {"unresolved": "a side has no successful run"}
+        if not ok:
+            out[name] = {"unresolved": "no pair ran without error on both sides"}
             continue
+        vals = {s: [pair[i]["metrics"][name]["value"] for pair in ok]
+                for i, s in enumerate(("base", "head"))}
         side = {s: quartiles(v) for s, v in vals.items()}
         ratio = side["head"]["median"] / side["base"]["median"]
         wins = sum((h < b) if lower else (h > b) for b, h in zip(vals["base"], vals["head"]))
         worse = ratio - 1.0 if lower else 1.0 - ratio
         out[name] = dict(side, unit=spec["unit"], better=spec["better"], ratio=ratio,
                          bound=spec["bound"], within_bound=worse <= spec["bound"],
-                         head_wins=wins, pairs=min(len(vals["base"]), len(vals["head"])),
+                         head_wins=wins, pairs=len(ok), skipped_pairs=len(runs["base"]) - len(ok),
                          base_runs=vals["base"], head_runs=vals["head"])
     return out
 
