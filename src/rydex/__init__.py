@@ -17,8 +17,8 @@ import importlib
 # layer module -> the public names the package re-exports from it
 _EXPORTS = {
     "atoms": ("CHANNEL_FINE_STRUCTURE", "DefectDataError", "DefectSeries", "QuantumDefectModel",
-              "RydbergLevel", "clebsch_gordan", "level_energy", "quantum_defect"),
-    "radial": ("E2A02_GHZ_UM3", "RadialOrbital", "effective_orbital", "radial_integral"),
+              "clebsch_gordan", "quantum_defect"),
+    "radial": ("E2A02_GHZ_UM3", "radial_integral"),
     "vdw": ("SPIN_BASIS", "C6Pair", "ChannelContribution", "CriticalRadius", "InteractionMatrix",
             "SingularChannelError", "VPlusMinus", "c6_pair", "channel_c6", "critical_radius",
             "interaction_matrix", "interference_decomposition", "v_plus_minus"),

@@ -2,13 +2,15 @@
 
 Level energies follow the modified Rydberg-Ritz parametrization
 
-    E(n, l, j) = -Ry / (n - delta(n))**2,
-    delta(n)   = delta0 + delta2 / (n - delta0)**2,
+    delta(n) = delta0 + delta2 / (n - delta0)**2,
+    nu(n)    = n - delta(n),
+    E(n)     = -Ry / nu(n)**2,
 
 with the species-specific Rydberg constant and defect coefficients read
 from a small key-value data file (a file for rubidium-87 is bundled).
-All energies are in GHz, i.e. E = -Ry_GHz / nu**2 with nu the effective
-principal quantum number.
+nu is the effective principal quantum number and all energies are in
+GHz. The three are computed in one place, ``_rydberg_ritz``, per (l, j)
+series over a range of n.
 
 The module also carries the angular-momentum utility needed elsewhere:
 Clebsch-Gordan coefficients.
@@ -31,10 +33,8 @@ __all__ = [
     "DefectDataError",
     "DefectSeries",
     "QuantumDefectModel",
-    "RydbergLevel",
     "CHANNEL_FINE_STRUCTURE",
     "quantum_defect",
-    "level_energy",
     "clebsch_gordan",
 ]
 
@@ -192,19 +192,25 @@ def _parse_l(token: str, lineno: int, fail) -> int:
     return l
 
 
-@dataclass(frozen=True)
-class RydbergLevel:
-    """A single |n, l, j> Rydberg level."""
-
-    n: int
-    l: int
-    j: float
-
-    def __post_init__(self) -> None:
-        if self.l < 0 or self.l >= self.n:
-            raise ValueError(f"need 0 <= l < n, got n={self.n}, l={self.l}")
-        if abs(self.j - self.l) != 0.5 or self.j < 0:
-            raise ValueError(f"j={self.j} is not l +- 1/2 for l={self.l}")
+def _rydberg_ritz(
+    model: QuantumDefectModel, l: int, j: float, ns
+) -> tuple[list[float], list[float], list[float]]:
+    """Defects delta(n), effective numbers nu and energies E (GHz) of the (l, j)
+    series over ``ns``, as three lists: the package's one typing of the
+    Rydberg-Ritz formula. E is nan where nu <= 0 (no bound level); an n not
+    above delta0 is refused as ``quantum_defect`` documents."""
+    s = model.series_for(l, j)
+    ry = model.rydberg_constant_ghz
+    deltas, nus, energies = [], [], []
+    for n in ns:
+        if n <= s.delta0:
+            raise ValueError(f"n={n} must exceed delta0={s.delta0} for series l={l}, j={j}")
+        delta = s.delta0 + s.delta2 / (n - s.delta0) ** 2
+        nu = n - delta
+        deltas.append(delta)
+        nus.append(nu)
+        energies.append(-ry / nu**2 if nu > 0 else math.nan)
+    return deltas, nus, energies
 
 
 def quantum_defect(model: QuantumDefectModel, l: int, j: float, n: int) -> float:
@@ -215,20 +221,10 @@ def quantum_defect(model: QuantumDefectModel, l: int, j: float, n: int) -> float
     DefectDataError
         If the model has no data for the requested series.
     ValueError
-        If n does not exceed delta0 (no bound Rydberg state).
+        If n is not an integer, or does not exceed delta0 (no bound Rydberg state).
     """
-    s = model.series_for(l, j)
-    if n <= s.delta0:
-        raise ValueError(
-            f"n={n} must exceed delta0={s.delta0} for series l={l}, j={j}"
-        )
-    return s.delta0 + s.delta2 / (n - s.delta0) ** 2
-
-
-def level_energy(model: QuantumDefectModel, level: RydbergLevel) -> float:
-    """Binding energy of a Rydberg level in GHz (negative below threshold)."""
-    nu = level.n - quantum_defect(model, level.l, level.j, level.n)
-    return -model.rydberg_constant_ghz / nu**2
+    (delta,), _, _ = _rydberg_ritz(model, l, j, (_require_int("n", n),))
+    return delta
 
 
 # The four p-state fine-structure channels reachable from a two-atom

@@ -21,16 +21,13 @@ import sys
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from importlib import resources
 
-from .atoms import QuantumDefectModel, RydbergLevel, quantum_defect
+from .atoms import _require_finite, _require_int
 
 __all__ = [
     "E2A02_GHZ_UM3",
-    "RadialOrbital",
-    "effective_orbital",
     "radial_integral",
 ]
 
@@ -53,26 +50,6 @@ def __getattr__(name: str):
 # e = 1.602176634e-19 C, a0 = 5.29177210903e-11 m,
 # eps0 = 8.8541878128e-12 F/m, h = 6.62607015e-34 J s.
 E2A02_GHZ_UM3 = 9.750085633e-7
-
-
-@dataclass(frozen=True)
-class RadialOrbital:
-    """A radial wavefunction identified by effective quantum number and l."""
-
-    n_eff: float
-    l: int
-
-    def __post_init__(self) -> None:
-        if self.n_eff <= 0:
-            raise ValueError(f"n_eff must be positive, got {self.n_eff}")
-        if self.l < 0:
-            raise ValueError(f"l must be non-negative, got {self.l}")
-
-
-def effective_orbital(model: QuantumDefectModel, level: RydbergLevel) -> RadialOrbital:
-    """Reduce a |n, l, j> level to its radial orbital (n_eff, l)."""
-    nu = level.n - quantum_defect(model, level.l, level.j, level.n)
-    return RadialOrbital(n_eff=nu, l=level.l)
 
 
 def _centre(nu1: float, l1: int, nu2: float, l2: int) -> tuple[float, float]:
@@ -136,13 +113,15 @@ def _kaulakys(nu1: float, l1: int, nu2: float, l2: int) -> float:
     return _live_element(nu1, l1, nu2, l2)
 
 
-def radial_integral(bra: RadialOrbital, ket: RadialOrbital) -> float:
-    """<bra | r | ket> in units of the Bohr radius.
+def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
+    """<n_eff1 l1 | r | n_eff2 l2> in units of the Bohr radius.
 
     Parameters
     ----------
-    bra, ket : RadialOrbital
-        The two radial orbitals; their l must differ by exactly one.
+    n_eff1, n_eff2 : float
+        Effective quantum numbers of the two radial orbitals, finite and positive.
+    l1, l2 : int
+        Their orbital quantum numbers, non-negative and differing by exactly one.
 
     Notes
     -----
@@ -150,15 +129,27 @@ def radial_integral(bra: RadialOrbital, ket: RadialOrbital) -> float:
     effective quantum numbers. A warning is emitted below n_eff = 10,
     where its accuracy degrades.
     """
-    if abs(bra.l - ket.l) != 1:
+    # one chained test on the window's hot path; the checks that name the
+    # argument run only when it fails
+    if not (
+        0.0 < n_eff1 < math.inf
+        and 0.0 < n_eff2 < math.inf
+        and type(l1) is type(l2) is int
+        and l1 >= 0
+        and l2 >= 0
+    ):
+        for name, n_eff in (("n_eff1", n_eff1), ("n_eff2", n_eff2)):
+            _require_finite(name, n_eff, 0.0, inclusive=False)
+        for name, l in (("l1", l1), ("l2", l2)):
+            if _require_int(name, l) < 0:
+                raise ValueError(f"{name} must be non-negative, got {l}")
+    if abs(l1 - l2) != 1:
         raise ValueError(
-            f"dipole selection rule requires |l1 - l2| = 1, got l1={bra.l}, l2={ket.l}"
+            f"dipole selection rule requires |l1 - l2| = 1, got l1={l1}, l2={l2}"
         )
-    if min(bra.n_eff, ket.n_eff) < 10.0:
+    if min(n_eff1, n_eff2) < 10.0:
         warnings.warn(
-            f"quasiclassical radial element marginal at n_eff="
-            f"{min(bra.n_eff, ket.n_eff):.2f} (< 10)",
+            f"quasiclassical radial element marginal at n_eff={min(n_eff1, n_eff2):.2f} (< 10)",
             stacklevel=2,
         )
-    return _kaulakys(bra.n_eff, bra.l, ket.n_eff, ket.l)
-
+    return _kaulakys(n_eff1, l1, n_eff2, l2)

@@ -51,13 +51,12 @@ import numpy as np
 from .atoms import (
     CHANNEL_FINE_STRUCTURE,
     QuantumDefectModel,
-    RydbergLevel,
     _require_int,
+    _rydberg_ritz,
     clebsch_gordan,
-    level_energy,
     quantum_defect,
 )
-from .radial import E2A02_GHZ_UM3, effective_orbital, radial_integral
+from .radial import E2A02_GHZ_UM3, radial_integral
 
 __all__ = [
     "SingularChannelError",
@@ -164,8 +163,8 @@ class _ChannelTerms(NamedTuple):
 def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
     """Lowest n of the p_j series with a positive effective quantum number.
 
-    n - delta(n) > 0 means (n - delta0)^3 > delta2, so the search starts
-    at the closed-form floor and only steps over rounding.
+    nu(n) > 0 means (n - delta0)^3 > delta2, so the search starts at the
+    closed-form floor and only steps over rounding.
     """
     s = model.series_for(1, j)
     n = max(
@@ -173,7 +172,7 @@ def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
         math.floor(s.delta0) + 1,
         math.floor(s.delta0 + max(s.delta2, 0.0) ** (1.0 / 3.0)),
     )
-    while n - quantum_defect(model, 1, j, n) <= 0:
+    while n <= quantum_defect(model, 1, j, n):  # nu(n) <= 0, exactly in floats
         n += 1
     return n
 
@@ -188,7 +187,8 @@ def _pair_terms(
     keeping its own transition, ``rr_cross`` re-emits into the
     atom-exchanged pair. Windows are cached by the model's content, not
     its identity: ``QuantumDefectModel`` is mutable, so an edited model
-    gets a fresh window. Exclusions (``_included``) stay per call.
+    gets a fresh window. Exclusion log lines (``_replay_exclusions``)
+    stay per call.
     """
     n_a, n_b, dn_cutoff = (
         _require_int(name, value)
@@ -229,29 +229,22 @@ def _window(
                 f"{name}={n} with dn_cutoff={dn_cutoff} reaches n={n - dn_cutoff}, "
                 f"below the lowest bound p level n={floor_n}"
             )
-    s_a = RydbergLevel(n_a, 0, 0.5)
-    s_b = RydbergLevel(n_b, 0, 0.5)
-    e_sa = level_energy(model, s_a)
-    e_sb = level_energy(model, s_b)
-    orb_sa = effective_orbital(model, s_a)
-    orb_sb = effective_orbital(model, s_b)
-    offsets = range(-dn_cutoff, dn_cutoff + 1)
+    _, (nu_sa, nu_sb), (e_sa, e_sb) = _rydberg_ritz(model, 0, 0.5, (n_a, n_b))
 
     def atom_vectors(n, own, other):
         # per p_j: energies, <own s|r|p> and <other s|r|p> over the window
         out = {}
         for j in (0.5, 1.5):
-            levels = [RydbergLevel(n + d, 1, j) for d in offsets]
-            orbs = [effective_orbital(model, p) for p in levels]
+            _, nus, energies = _rydberg_ritz(model, 1, j, range(n - dn_cutoff, n + dn_cutoff + 1))
             out[j] = (
-                np.array([level_energy(model, p) for p in levels]),
-                np.array([radial_integral(own, o) for o in orbs]),
-                np.array([radial_integral(other, o) for o in orbs]),
+                np.array(energies),
+                np.array([radial_integral(own, 0, nu, 1) for nu in nus]),
+                np.array([radial_integral(other, 0, nu, 1) for nu in nus]),
             )
         return out
 
-    vec_a = atom_vectors(n_a, orb_sa, orb_sb)
-    vec_b = atom_vectors(n_b, orb_sb, orb_sa)
+    vec_a = atom_vectors(n_a, nu_sa, nu_sb)
+    vec_b = atom_vectors(n_b, nu_sb, nu_sa)
     width = 2 * dn_cutoff + 1
     ns = np.repeat(np.arange(n_a - dn_cutoff, n_a + dn_cutoff + 1), width)
     nt = np.tile(np.arange(n_b - dn_cutoff, n_b + dn_cutoff + 1), width)
@@ -297,6 +290,19 @@ class _Window(dict):
             direct[k] = _ordered_sum(term)
             cross[k] = _ordered_sum(-t.rr[keep] * t.rr_cross[keep] / t.defect[keep])
         return MappingProxyType(direct), MappingProxyType(cross)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The direct and exchange blocks V1 and V2 in GHz um^6, read-only: each
+        channel's sum times its D_k, added in channel order."""
+        out = []
+        for sums in self.sums:
+            m = np.zeros((4, 4))
+            for k, s in sums.items():
+                m += s * _D_MATRICES[k]
+            m.setflags(write=False)
+            out.append(m)
+        return tuple(out)
 
     @cached_property
     def critical_radius(self) -> CriticalRadius:
@@ -381,8 +387,9 @@ def c6_pair(
     """
     if n_a == n_b:
         raise ValueError("c6_pair requires two distinct principal quantum numbers")
-    direct, _ = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
-    c6_v1 = _assemble(direct)  # the V1 block interaction_matrix builds
+    window = _pair_terms(model, n_a, n_b, dn_cutoff)
+    direct, _ = _channel_sums(window, n_a, n_b)
+    c6_v1 = window.blocks[0]  # the V1 block interaction_matrix scales
     return C6Pair(
         n_a=n_a,
         n_b=n_b,
@@ -420,14 +427,7 @@ def _v_plus_minus(spacing_um: float, vs_khz: float, vc_khz: float) -> tuple[floa
     return _finite_couplings(spacing_um, float(vs_khz + vc_khz), float(vs_khz - vc_khz))
 
 
-def _assemble(sums: dict[int, float]) -> np.ndarray:
-    m = np.zeros((4, 4))
-    for k, s in sums.items():
-        m += s * _D_MATRICES[k]
-    return m
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: == and hash go by identity
 class InteractionMatrix:
     """Second-order interaction blocks of a two-atom pair at spacing L.
 
@@ -458,8 +458,9 @@ def interaction_matrix(
     """Direct and exchange 4x4 interaction matrices at spacing L (um)."""
     if n_a == n_b:
         raise ValueError("interaction_matrix requires distinct principal numbers")
-    direct, cross = _channel_sums(_pair_terms(model, n_a, n_b, 10), n_a, n_b)
-    v1, v2 = _khz_per_ghz_um6(spacing_um, _assemble(direct), _assemble(cross))
+    window = _pair_terms(model, n_a, n_b, 10)
+    _replay_exclusions(window, n_a, n_b)
+    v1, v2 = _khz_per_ghz_um6(spacing_um, *window.blocks)
     lc = critical_radius(model, n_a, n_b).radius_um  # the dn-3 window's cached radius
     if spacing_um < lc:
         warnings.warn(

@@ -1,6 +1,8 @@
 """Test-side scalar reference for the vectorized channel window."""
 
-from rydex.radial import E2A02_GHZ_UM3, effective_orbital, radial_integral
+from rydex.radial import E2A02_GHZ_UM3, radial_integral
+
+from level_reference import effective_orbital
 
 
 def rrr_coefficient(model, initial, final) -> float:
@@ -12,6 +14,6 @@ def rrr_coefficient(model, initial, final) -> float:
     its window, so the two agree bit for bit.
     """
     (a0, b0), (a1, b1) = initial, final
-    r_a = radial_integral(effective_orbital(model, a0), effective_orbital(model, a1))
-    r_b = radial_integral(effective_orbital(model, b0), effective_orbital(model, b1))
+    r_a = radial_integral(*effective_orbital(model, a0), *effective_orbital(model, a1))
+    r_b = radial_integral(*effective_orbital(model, b0), *effective_orbital(model, b1))
     return E2A02_GHZ_UM3 * r_a * r_b

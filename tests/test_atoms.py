@@ -9,12 +9,12 @@ from rydex.atoms import (
     CHANNEL_FINE_STRUCTURE,
     DefectDataError,
     QuantumDefectModel,
-    RydbergLevel,
     clebsch_gordan,
-    level_energy,
     quantum_defect,
 )
 from rydex.vdw import _pair_terms
+
+from level_reference import RydbergLevel, level_energy
 
 MODEL = QuantumDefectModel.default()
 
@@ -127,6 +127,10 @@ def test_quantum_defect_approaches_series_limit():
 def test_quantum_defect_requires_bound_state():
     with pytest.raises(ValueError, match="must exceed delta0"):
         quantum_defect(MODEL, 0, 0.5, 3)
+    # a principal number is an integer: no defect between levels, none for a flag
+    for n in (73.5, math.nan, True):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            quantum_defect(MODEL, 0, 0.5, n)
 
 
 def test_level_energy_frozen_and_ordered():

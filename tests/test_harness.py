@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rydex.atoms import QuantumDefectModel, RydbergLevel, level_energy
+from rydex.atoms import QuantumDefectModel
 from rydex.cli import _flatten, build_parser, main
 from rydex.dynamics import (
     PRODUCT_BASIS_8,
@@ -49,6 +49,7 @@ from rydex.harness import (
 from rydex.protocols import pairwise_entangle, swap_gate
 from rydex.vdw import interaction_matrix
 
+from level_reference import RydbergLevel, level_energy
 from radial_reference import rrr_coefficient
 from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
 

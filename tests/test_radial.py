@@ -2,23 +2,25 @@
 
 import dataclasses
 import importlib.util
+import math
 import random
+import re
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
-from rydex.atoms import DefectSeries, QuantumDefectModel, RydbergLevel
+from rydex.atoms import DefectSeries, QuantumDefectModel
 from rydex.radial import (
     E2A02_GHZ_UM3,
-    RadialOrbital,
     _kaulakys,
     _live_element,
     _sp_table,
-    effective_orbital,
     radial_integral,
 )
 
+from level_reference import RydbergLevel, effective_orbital
 from radial_reference import rrr_coefficient
 
 MODEL = QuantumDefectModel.default()
@@ -31,11 +33,30 @@ def test_coupling_constant_matches_codata():
     assert hz_m3 * 1e18 / 1e9 == pytest.approx(E2A02_GHZ_UM3, rel=1e-8)
 
 
-def test_radial_orbital_validation():
-    with pytest.raises(ValueError, match="n_eff must be positive"):
-        RadialOrbital(n_eff=-2.0, l=0)
-    with pytest.raises(ValueError, match="l must be non-negative"):
-        RadialOrbital(n_eff=50.0, l=-1)
+@pytest.mark.parametrize(
+    "args,match",
+    [
+        ((-2.0, 0, 50.0, 1), "n_eff1 must be finite and > 0, got -2.0"),
+        ((50.0, 0, 0.0, 1), "n_eff2 must be finite and > 0, got 0.0"),
+        ((math.nan, 0, 50.0, 1), "n_eff1 must be finite and > 0, got nan"),
+        ((50.0, 0, math.inf, 1), "n_eff2 must be finite and > 0, got inf"),
+        ((50.0, -1, 50.0, 0), "l1 must be non-negative, got -1"),
+        ((50.0, 0.5, 50.0, 1), "l1 must be an integer, got 0.5"),
+        ((50.0, 0, 50.0, True), "l2 must be an integer, got True"),
+    ],
+    ids=["n_eff-negative", "n_eff-zero", "n_eff-nan", "n_eff-inf", "l-negative",
+         "l-half", "l-bool"],
+)
+def test_radial_integral_input_checks(args, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        radial_integral(*args)
+
+
+def test_radial_integral_takes_numpy_numbers():
+    # past the hot-path test, the named checks let a valid numpy scalar through
+    assert radial_integral(np.float64(69.87), np.int64(0), 69.37, np.int8(1)) == (
+        radial_integral(69.87, 0, 69.37, 1)
+    )
 
 
 def test_effective_orbital_frozen():
@@ -46,9 +67,9 @@ def test_effective_orbital_frozen():
 
 def test_selection_rule_enforced():
     with pytest.raises(ValueError, match="l1 - l2"):
-        radial_integral(RadialOrbital(50.0, 0), RadialOrbital(50.0, 0))
+        radial_integral(50.0, 0, 50.0, 0)
     with pytest.raises(ValueError, match="l1 - l2"):
-        radial_integral(RadialOrbital(50.0, 0), RadialOrbital(49.0, 2))
+        radial_integral(50.0, 0, 49.0, 2)
 
 
 def test_low_orbital_angular_momentum_guard():
@@ -56,36 +77,36 @@ def test_low_orbital_angular_momentum_guard():
     # fires first on orbitals this deep
     with pytest.warns(UserWarning, match="marginal"):
         with pytest.raises(ValueError, match="l_c"):
-            radial_integral(RadialOrbital(1.4, 1), RadialOrbital(1.5, 2))
+            radial_integral(1.4, 1, 1.5, 2)
 
 
 def test_far_apart_levels_are_named():
     # the Anger series of a ~1e5 n_eff difference does not converge
     with pytest.raises(ValueError, match="do not converge for n_eff 70 and 99990"):
-        radial_integral(RadialOrbital(70, 0), RadialOrbital(99990, 1))
+        radial_integral(70, 0, 99990, 1)
 
 
 def test_low_n_warning():
     with pytest.warns(UserWarning, match="marginal at n_eff"):
-        radial_integral(RadialOrbital(5.5, 0), RadialOrbital(6.0, 1))
+        radial_integral(5.5, 0, 6.0, 1)
 
 
 def test_symmetry_under_state_exchange():
-    a = radial_integral(RadialOrbital(69.87, 0), RadialOrbital(69.37, 1))
-    b = radial_integral(RadialOrbital(69.37, 1), RadialOrbital(69.87, 0))
+    a = radial_integral(69.87, 0, 69.37, 1)
+    b = radial_integral(69.37, 1, 69.87, 0)
     assert a == b
 
 
 def test_diagonal_scaling_limit():
     # <nu l|r|nu' l'> -> 1.5 nu^2 as the transition becomes diagonal
     for nu in (40.0, 80.0):
-        near = radial_integral(RadialOrbital(nu, 0), RadialOrbital(nu - 1e-9, 1))
+        near = radial_integral(nu, 0, nu - 1e-9, 1)
         assert near / nu**2 == pytest.approx(1.5, rel=1e-3)
 
 
 def test_quadratic_growth():
-    r40 = radial_integral(RadialOrbital(40.0, 0), RadialOrbital(39.5, 1))
-    r80 = radial_integral(RadialOrbital(80.0, 0), RadialOrbital(79.5, 1))
+    r40 = radial_integral(40.0, 0, 39.5, 1)
+    r80 = radial_integral(80.0, 0, 79.5, 1)
     assert r80 / r40 == pytest.approx(4.0, rel=0.05)
 
 

@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydex.atoms import (
-    CHANNEL_FINE_STRUCTURE,
-    QuantumDefectModel,
-    RydbergLevel,
-    level_energy,
-)
+from rydex.atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel
 from rydex import vdw
 from rydex.harness import REFERENCE_TABLE_I
 from rydex.vdw import (
@@ -38,6 +33,7 @@ from rydex.vdw import (
     v_plus_minus,
 )
 
+from level_reference import RydbergLevel, level_energy
 from radial_reference import rrr_coefficient
 
 MODEL = QuantumDefectModel.default()
@@ -186,17 +182,22 @@ def test_window_saturation():
     assert abs(c15 - c10) / abs(c10) < 1e-3
 
 
-def _degenerate_model(eps: float) -> QuantumDefectModel:
-    """s and p series this close produce a (na p, nb p) defect near zero."""
+def _model_with_p(delta0: float, delta2: float) -> QuantumDefectModel:
+    """An s series at delta0 = 3 and both p_j series at (delta0, delta2)."""
     text = (
         "format_version 1\n"
         "species test\n"
         "rydberg_constant_ghz 3289821.194553\n"
         "series s 0.5 3.0 0.0\n"
-        f"series p 0.5 {3.0 + eps!r} 0.0\n"
-        f"series p 1.5 {3.0 + eps!r} 0.0\n"
+        f"series p 0.5 {delta0!r} {delta2!r}\n"
+        f"series p 1.5 {delta0!r} {delta2!r}\n"
     )
     return QuantumDefectModel._parse(text)
+
+
+def _degenerate_model(eps: float) -> QuantumDefectModel:
+    """s and p series this close produce a (na p, nb p) defect near zero."""
+    return _model_with_p(3.0 + eps, 0.0)
 
 
 def test_exactly_resonant_channel_raises():
@@ -246,6 +247,8 @@ def test_near_resonant_terms_excluded_with_warning(caplog):
         (lambda: channel_c6(MODEL, 13, 20, 2), r"n_a=13 .* reaches n=3"),
         (lambda: interference_decomposition(MODEL, 8, 30), r"n_a=8"),
         (lambda: interaction_matrix(MODEL, 30, 9, 15.0), r"n_b=9"),
+        # delta0 = 2, delta2 = 1 puts 3p at nu = 0 exactly, a level with no energy
+        (lambda: channel_c6(_model_with_p(2.0, 1.0), 12, 14, 1), r"n_a=12 .* reaches n=2"),
     ],
 )
 def test_window_below_bound_p_levels_rejected(call, match):
@@ -392,6 +395,9 @@ def test_cached_reductions_refuse_writes():
     for sums in window.sums:
         with pytest.raises(TypeError):
             sums[1] = 0.0
+    for block in window.blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[1, 1] = 0.0
     assert c6_pair(MODEL, 180, 183).channel_sums == tuple(window.sums[0].values())
 
 
@@ -417,6 +423,13 @@ def test_interaction_matrix_frozen_97_100():
     assert im.vs_khz == pytest.approx(-193.4319961038944, rel=1e-12)
     assert im.vc_khz == pytest.approx(190.2448313211742, rel=1e-12)
     assert im.v2_khz[0, 0] == pytest.approx(-1.7375938351659128, rel=1e-12)
+
+
+def test_interaction_matrix_compares_and_hashes_by_identity():
+    # its ndarray fields have no truth value, so == and hash() must not reach them
+    a, b = (interaction_matrix(MODEL, 73, 75, 15.0) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, a, b}) == 2
 
 
 def test_interaction_matrix_validation():
@@ -591,7 +604,11 @@ def _scalar_block(sums):
     return m
 
 
-@pytest.mark.parametrize("n_a,n_b", [row[:2] for row in REFERENCE_TABLE_I])
+# Table I's pairs, the window floor (where the marginal warning fires) and a
+# reversed atom order
+@pytest.mark.parametrize(
+    "n_a,n_b", [row[:2] for row in REFERENCE_TABLE_I] + [(14, 15), (75, 73)]
+)
 def test_vectorized_window_bit_identical_to_scalar_walk(n_a, n_b):
     wide = {k: list(_scalar_terms(MODEL, n_a, n_b, k, 10)) for k in (1, 2, 3, 4)}
     direct = {k: _scalar_sum(t, False) for k, t in wide.items()}

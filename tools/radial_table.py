@@ -23,8 +23,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from rydex.atoms import QuantumDefectModel, RydbergLevel  # noqa: E402
-from rydex.radial import _live_element, effective_orbital  # noqa: E402
+from rydex.atoms import QuantumDefectModel, _rydberg_ritz  # noqa: E402
+from rydex.radial import _live_element  # noqa: E402
 from rydex.vdw import _lowest_bound_p  # noqa: E402
 
 TABLE = ROOT / "src" / "rydex" / "data" / "radial_sp.f64"
@@ -35,12 +35,12 @@ N_S_MIN, N_S_MAX, DN_MAX = 20, 200, 24
 def grid(model: QuantumDefectModel) -> list[tuple[float, float]]:
     """Every (nu_s, nu_p) key of the domain, in grid order."""
     keys = []
-    for n_s in range(N_S_MIN, N_S_MAX + 1):
-        nu_s = effective_orbital(model, RydbergLevel(n_s, 0, 0.5)).n_eff
+    _, nus_s, _ = _rydberg_ritz(model, 0, 0.5, range(N_S_MIN, N_S_MAX + 1))
+    for n_s, nu_s in zip(range(N_S_MIN, N_S_MAX + 1), nus_s):
         for j in (0.5, 1.5):
             low = max(n_s - DN_MAX, _lowest_bound_p(model, j))
-            for n_p in range(low, n_s + DN_MAX + 1):
-                keys.append((nu_s, effective_orbital(model, RydbergLevel(n_p, 1, j)).n_eff))
+            _, nus_p, _ = _rydberg_ritz(model, 1, j, range(low, n_s + DN_MAX + 1))
+            keys.extend((nu_s, nu_p) for nu_p in nus_p)
     return keys
 
 
