@@ -20,7 +20,7 @@ _EXPORTS = {
               "clebsch_gordan", "quantum_defect"),
     "radial": ("E2A02_GHZ_UM3", "radial_integral"),
     "vdw": ("SPIN_BASIS", "C6Pair", "ChannelContribution", "CriticalRadius", "InteractionMatrix",
-            "SingularChannelError", "VPlusMinus", "c6_pair", "channel_c6", "critical_radius",
+            "InterferenceDecomposition", "SingularChannelError", "VPlusMinus", "c6_pair", "channel_c6", "critical_radius",
             "interaction_matrix", "interference_decomposition", "v_plus_minus"),
     "dynamics": ("CHANNELS", "PRODUCT_BASIS_8", "HamiltonianMatrix", "Pulse2Analytics",
                  "PulseSpec", "QuantumState", "build_blocked2", "build_full8", "build_swap_2pi",

@@ -27,8 +27,8 @@ separable, R[da, db] = (E2A02 r_A[da]) r_B[db], so a window is built
 per channel from four per-atom radial vectors (own and crossed s -> p
 elements of each atom) and two per-atom energy vectors. It is built
 once per model content and cached, and its reductions (kept terms,
-channel sums, critical radius) are computed once on it; only the
-near-resonant log lines and the exact-resonance error repeat per call.
+channel sums, critical radius, decomposition) are computed once on it; only
+the near-resonant log lines and the exact-resonance error repeat per call.
 Sums run left to right in window order (da outer, db inner), as a
 scalar loop adds them: a pairwise ``np.sum`` would move the last
 digits of published values.
@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import warnings
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from itertools import repeat
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -70,6 +71,7 @@ __all__ = [
     "CriticalRadius",
     "critical_radius",
     "ChannelContribution",
+    "InterferenceDecomposition",
     "interference_decomposition",
     "SPIN_BASIS",
 ]
@@ -305,6 +307,17 @@ class _Window(dict):
         return tuple(out)
 
     @cached_property
+    def decomposition(self) -> InterferenceDecomposition:
+        """``interference_decomposition`` of this window, from the kept terms."""
+        parts = []
+        for k, t in self.items():
+            keep, _, term = self.kept[k]
+            d_diag, d_off = _D_MATRICES[k][1, 1], _D_MATRICES[k][1, 2]
+            parts.append((np.full(term.size, k), t.ns[keep], t.nt[keep], t.defect[keep],
+                          term * (d_diag + d_off), term * (d_diag - d_off)))
+        return InterferenceDecomposition(*map(np.concatenate, zip(*parts)))
+
+    @cached_property
     def critical_radius(self) -> CriticalRadius:
         """``critical_radius`` of this window; an exact resonance raises each time."""
         return _critical_radius(self)
@@ -402,6 +415,8 @@ def c6_pair(
 
 def _khz_per_ghz_um6(spacing_um: float, *coefficients):
     """GHz um^6 ``coefficients`` in kHz at spacing L (um), each times 1e6 / L^6."""
+    if isinstance(spacing_um, bool):
+        raise ValueError(f"spacing must be a number of um, got {spacing_um!r}")
     if not math.isfinite(spacing_um) or spacing_um <= 0:
         raise ValueError(f"spacing must be positive and finite, got {spacing_um}")
     try:
@@ -571,36 +586,46 @@ class ChannelContribution(NamedTuple):
     c6_minus: float
 
 
+@dataclass(frozen=True, eq=False)  # ndarray fields: == and hash go by identity
+class InterferenceDecomposition(Sequence):
+    """A window's kept terms in window order, as read-only columns named as the
+    ``ChannelContribution`` fields; as a sequence, the rows, built only when read,
+    of Python ints and floats bit-equal to the columns."""
+
+    channel: np.ndarray
+    ns: np.ndarray
+    nt: np.ndarray
+    defect_ghz: np.ndarray
+    c6_plus: np.ndarray
+    c6_minus: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in vars(self).values():
+            column.setflags(write=False)  # one record serves every caller
+
+    def __len__(self) -> int:
+        return len(self.channel)
+
+    def __getitem__(self, i: int) -> ChannelContribution:  # IndexError out of range
+        return ChannelContribution._make(c[operator.index(i)].item() for c in vars(self).values())
+
+    def __iter__(self) -> Iterator[ChannelContribution]:
+        return map(ChannelContribution._make, zip(*(c.tolist() for c in vars(self).values())))
+
+
 def interference_decomposition(
     model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int = 10
-) -> tuple[ChannelContribution, ...]:
+) -> InterferenceDecomposition:
     """Per-channel, per-intermediate-pair breakdown of C6 +- C6ex.
 
     Useful for reading off how fine-structure channels interfere: the
     j=1/2 x 3/2 channels (2 and 3) push V+ and V- apart (1:9 weight
     ratio), channel 1 adds with 17:9, and channel 4 feeds only V+.
-    Contributions sum exactly to c6 +- c6_exchange of ``c6_pair`` under
-    the same window and exclusion rules.
+    The rows sum to c6 +- c6_exchange of ``c6_pair`` under the same window
+    and exclusion rules only to rounding (a few 1e-14 relative on Table I), as
+    ``c6_pair`` weights each channel's sum and a row its own term. The
+    record is cached on the window; each call still replays the exclusions.
     """
     window = _pair_terms(model, n_a, n_b, dn_cutoff)
     _replay_exclusions(window, n_a, n_b)
-    row = partial(tuple.__new__, ChannelContribution)  # _make without its length check
-    out = []
-    for k, t in window.items():
-        d_diag = _D_MATRICES[k][1, 1]
-        d_off = _D_MATRICES[k][1, 2]
-        keep, _, term = window.kept[k]
-        out.extend(
-            map(
-                row,
-                zip(
-                    repeat(k),
-                    t.ns[keep].tolist(),
-                    t.nt[keep].tolist(),
-                    t.defect[keep].tolist(),
-                    (term * (d_diag + d_off)).tolist(),
-                    (term * (d_diag - d_off)).tolist(),
-                ),
-            )
-        )
-    return tuple(out)
+    return window.decomposition

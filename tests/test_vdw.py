@@ -464,6 +464,16 @@ def test_spacing_outside_float_range_is_named():
         v_plus_minus(pair, 1.7340741900686617e-50)
 
 
+def test_bool_spacing_is_refused_by_name():
+    # True would otherwise be 1 um and give couplings of about 4e9 kHz
+    pair = c6_pair(MODEL, 73, 75)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match=f"spacing must be a number of um, got {bad}"):
+            v_plus_minus(pair, bad)
+        with pytest.raises(ValueError, match=f"spacing must be a number of um, got {bad}"):
+            interaction_matrix(MODEL, 73, 75, bad)
+
+
 def test_v_plus_minus_frozen():
     vp = v_plus_minus(c6_pair(MODEL, 73, 75), 15.0)
     assert vp.v_plus_khz == pytest.approx(4.86528311708787, rel=1e-12)
@@ -566,6 +576,36 @@ def test_decomposition_singular_term_raises():
         interference_decomposition(_degenerate_model(0.0), 50, 50, dn_cutoff=0)
 
 
+def test_decomposition_columns_are_read_only_and_rows_built_on_read():
+    parts = interference_decomposition(MODEL, 73, 75)
+    kept = _pair_terms(MODEL, 73, 75, 10).kept
+    assert len(parts) == sum(int(keep.sum()) for keep, _, _ in kept.values()) == 1764
+    for name in ChannelContribution._fields:
+        column = getattr(parts, name)
+        assert len(column) == len(parts) and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    rows = list(parts)
+    assert [parts[i] for i in range(len(parts))] == rows
+    assert parts[-1] == rows[-1] and parts[-len(parts)] == rows[0]
+    for got in (parts[660], parts[-1], rows[660], rows[-1]):
+        assert type(got) is ChannelContribution
+        assert [type(x) for x in got] == [int, int, int, float, float, float]
+    assert [x.hex() for x in parts[660][3:]] == [x.hex() for x in rows[660][3:]]
+    for bad in (len(parts), -len(parts) - 1):
+        with pytest.raises(IndexError):
+            parts[bad]  # noqa: B018
+
+
+def test_decomposition_is_cached_per_window_and_still_logs(caplog):
+    first = interference_decomposition(MODEL, 180, 183)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
+        assert interference_decomposition(MODEL, 180, 183) is first
+    assert len(caplog.records) == 2
+    assert all("near-resonant" in r.getMessage() for r in caplog.records)
+
+
 # --- bit identity with the scalar window walk --------------------------------
 
 def _scalar_terms(model, n_a, n_b, k, dn_cutoff):
@@ -657,7 +697,8 @@ def test_vectorized_window_bit_identical_to_scalar_walk(n_a, n_b):
                         c6_minus=float(term * (d_diag - d_off)),
                     )
                 )
-    assert interference_decomposition(MODEL, n_a, n_b) == tuple(expected)
+    parts = interference_decomposition(MODEL, n_a, n_b)
+    assert tuple(parts) == tuple(expected)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
