@@ -147,8 +147,8 @@ class QuantumDefectModel:
                     rydberg = float(tokens[1])
                 except ValueError:
                     raise fail(lineno, f"bad float {tokens[1]!r}") from None
-                if rydberg <= 0:
-                    raise fail(lineno, "rydberg_constant_ghz must be positive")
+                if not 0 < rydberg < math.inf:
+                    raise fail(lineno, "rydberg_constant_ghz must be positive and finite")
             elif key == "series":
                 if len(tokens) != 5:
                     raise fail(lineno, "series takes l, j, delta0, delta2")
@@ -157,6 +157,8 @@ class QuantumDefectModel:
                     j, delta0, delta2 = (float(t) for t in tokens[2:5])
                 except ValueError:
                     raise fail(lineno, f"bad float in {tokens[2:5]}") from None
+                if not all(map(math.isfinite, (delta0, delta2))):
+                    raise fail(lineno, f"non-finite defect in {tokens[3:5]}")
                 if abs(j - l) != 0.5:
                     raise fail(lineno, f"j={j} is not l +- 1/2 for l={l}")
                 if (l, j) in series:

@@ -19,6 +19,7 @@ import argparse
 import json
 import logging
 import math
+import re
 import sys
 import warnings
 from dataclasses import asdict
@@ -42,6 +43,9 @@ from .vdw import c6_pair, critical_radius
 # critical-radius and table load no dynamics
 
 __all__ = ["build_parser", "main", "run"]
+
+# what float() reads after a minus sign; argparse's own pattern leaves out exponents
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
 
 def _add_pair_options(p: argparse.ArgumentParser, required: bool) -> None:
@@ -170,6 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=12345,
                    help="seed for the histogram figure")
 
+    for child in sub.choices.values():  # "-5e0" is a value, as in "--v-plus=-5e0"
+        child._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
@@ -289,6 +295,10 @@ def _cmd_pair_sim(args, model):
     omega3 = args.omega3 if args.omega3 is not None else nominal
     data = _pair_header(args, v_plus, v_minus)
     if args.optimize:
+        ignored = [f"--{k}" for k in ("omega2", "omega3", "tau2", "tau3")
+                   if vars(args)[k] is not None]
+        if ignored:  # not an error either: a shared --config may set them
+            warnings.warn(f"--optimize ignores {', '.join(ignored)}: it sets its own drives and times")
         seed = 0 if args.seed is None else args.seed
         opt = optimize_pairwise(v_plus, v_minus, seed=seed)
         result = opt.result

@@ -335,14 +335,13 @@ def _format_p_level(n: int, j: float) -> str:
 def _table_channels(model: QuantumDefectModel, table_id: str) -> list[dict]:
     n_a, n_b = TABLE_PAIRS[table_id]
     reference = REFERENCE_TABLE_III if table_id == "III" else REFERENCE_TABLE_IV
-    terms = _pair_terms(model, n_a, n_b, 2)  # every tabulated row lies within dn 2
-    channel = {js: k for k, js in CHANNEL_FINE_STRUCTURE.items()}
+    window = _pair_terms(model, n_a, n_b, 2)  # every tabulated row lies within dn 2
+    channel_row = {js: c for c, js in enumerate(CHANNEL_FINE_STRUCTURE.values())}
     rows = []
     for (n1, j1), (n2, j2), ref_defect_mhz, ref_rr in reference:
-        t = terms[channel[j1, j2]]
-        i = int(np.flatnonzero((t.ns == n1) & (t.nt == n2))[0])
-        defect_mhz = 1e3 * float(t.defect[i])
-        rr = abs(float(t.rr[i]))
+        c, i = channel_row[j1, j2], int(np.flatnonzero((window.ns == n1) & (window.nt == n2))[0])
+        defect_mhz = 1e3 * float(window.defect[c, i])
+        rr = abs(float(window.rr[c, i]))
         rows.append(
             {
                 "atom1": _format_p_level(n1, j1),

@@ -561,7 +561,7 @@ class ChainSpec:
     gamma_per_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.atom_count > MAX_CHAIN_ATOMS:
+        if _require_int("atom_count", self.atom_count) > MAX_CHAIN_ATOMS:
             raise ValueError(
                 f"atom_count must be at most {MAX_CHAIN_ATOMS}, got {self.atom_count}"
             )

@@ -24,14 +24,14 @@ Radial physics enters through perturbative channel sums over a window
 of principal quantum numbers around (n_A, n_B); see ``channel_c6``.
 Each term is -R R' / defect with R = e^2 r_A r_B. The product is
 separable, R[da, db] = (E2A02 r_A[da]) r_B[db], so a window is built
-per channel from four per-atom radial vectors (own and crossed s -> p
-elements of each atom) and two per-atom energy vectors. It is built
-once per model content and cached, and its reductions (kept terms,
-channel sums, critical radius, decomposition) are computed once on it; only
-the near-resonant log lines and the exact-resonance error repeat per call.
-Sums run left to right in window order (da outer, db inner), as a
-scalar loop adds them: a pairwise ``np.sum`` would move the last
-digits of published values.
+from per-atom radial vectors (own and crossed s -> p elements of each
+atom) and per-atom energy vectors, as one record of (channel, term)
+arrays. It is built once per model content and cached, and its
+reductions (kept-term mask, channel sums, blocks, critical radius,
+decomposition) are computed once on it; only the near-resonant log lines
+and the exact-resonance error repeat per call. Sums run left to right in
+window order (da outer, db inner), as a scalar loop adds them: a pairwise
+``np.sum`` would move the last digits of published values.
 All coefficients are in GHz um^6, all pair interactions in kHz.
 """
 
@@ -44,7 +44,6 @@ import warnings
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -150,16 +149,7 @@ _M_MATRICES: dict[int, np.ndarray] = {
     k: _transition_matrix(j_a, j_b) for k, (j_a, j_b) in CHANNEL_FINE_STRUCTURE.items()
 }
 _D_MATRICES: dict[int, np.ndarray] = {k: _exact_gram(m) for k, m in _M_MATRICES.items()}
-
-
-class _ChannelTerms(NamedTuple):
-    """One channel's window, flattened with da outer and db inner."""
-
-    ns: np.ndarray
-    nt: np.ndarray
-    defect: np.ndarray
-    rr: np.ndarray
-    rr_cross: np.ndarray
+_CHANNELS = np.array(list(CHANNEL_FINE_STRUCTURE))  # the channel of each window row
 
 
 def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
@@ -182,15 +172,15 @@ def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
 def _pair_terms(
     model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int
 ) -> _Window:
-    """Every intermediate pair of the window, per channel, as flat read-only arrays.
+    """Every intermediate pair of the window, as one read-only ``_Window`` record.
 
     The window is a full square: ns = n_a + da and nt = n_b + db with da,
-    db in [-dn_cutoff, dn_cutoff]. ``rr`` is the coupling with each atom
-    keeping its own transition, ``rr_cross`` re-emits into the
-    atom-exchanged pair. Windows are cached by the model's content, not
-    its identity: ``QuantumDefectModel`` is mutable, so an edited model
-    gets a fresh window. Exclusion log lines (``_replay_exclusions``)
-    stay per call.
+    db in [-dn_cutoff, dn_cutoff], one row of terms per channel. ``rr`` is
+    the coupling with each atom keeping its own transition, ``rr_cross``
+    re-emits into the atom-exchanged pair. Windows are cached by the model's
+    content, not its identity: ``QuantumDefectModel`` is mutable, so an
+    edited model gets a fresh window. Exclusion log lines
+    (``_Window.replay_exclusions``) stay per call.
     """
     n_a, n_b, dn_cutoff = (
         _require_int(name, value)
@@ -233,107 +223,104 @@ def _window(
             )
     _, (nu_sa, nu_sb), (e_sa, e_sb) = _rydberg_ritz(model, 0, 0.5, (n_a, n_b))
 
-    def atom_vectors(n, own, other):
-        # per p_j: energies, <own s|r|p> and <other s|r|p> over the window
+    def atom_vectors(n, own, other, js):
+        # energies, <own s|r|p> and <other s|r|p> over the window, (channel, level) each
         out = {}
         for j in (0.5, 1.5):
             _, nus, energies = _rydberg_ritz(model, 1, j, range(n - dn_cutoff, n + dn_cutoff + 1))
             out[j] = (
-                np.array(energies),
-                np.array([radial_integral(own, 0, nu, 1) for nu in nus]),
-                np.array([radial_integral(other, 0, nu, 1) for nu in nus]),
+                energies,
+                [radial_integral(own, 0, nu, 1) for nu in nus],
+                [radial_integral(other, 0, nu, 1) for nu in nus],
             )
-        return out
+        return (np.array([out[j][v] for j in js]) for v in range(3))
 
-    vec_a = atom_vectors(n_a, nu_sa, nu_sb)
-    vec_b = atom_vectors(n_b, nu_sb, nu_sa)
-    width = 2 * dn_cutoff + 1
-    ns = np.repeat(np.arange(n_a - dn_cutoff, n_a + dn_cutoff + 1), width)
-    nt = np.tile(np.arange(n_b - dn_cutoff, n_b + dn_cutoff + 1), width)
-    terms = {}
-    for k, (j_a, j_b) in CHANNEL_FINE_STRUCTURE.items():
-        e_pa, r_a, x_a = vec_a[j_a]
-        e_pb, r_b, x_b = vec_b[j_b]
-        terms[k] = _ChannelTerms(
-            ns=ns,
-            nt=nt,
-            defect=(((e_pa[:, None] + e_pb[None, :]) - e_sa) - e_sb).ravel(),
-            rr=((E2A02_GHZ_UM3 * r_a)[:, None] * r_b[None, :]).ravel(),
-            rr_cross=((E2A02_GHZ_UM3 * x_a)[:, None] * x_b[None, :]).ravel(),
-        )
-        for array in terms[k]:
-            array.setflags(write=False)  # one window serves every caller
-    return _Window(terms)
+    js_a, js_b = zip(*CHANNEL_FINE_STRUCTURE.values())
+    e_a, r_a, x_a = atom_vectors(n_a, nu_sa, nu_sb, js_a)
+    e_b, r_b, x_b = atom_vectors(n_b, nu_sb, nu_sa, js_b)
+    width, rows = 2 * dn_cutoff + 1, (len(js_a), -1)
+    return _Window(
+        n_a=n_a,
+        n_b=n_b,
+        ns=np.repeat(np.arange(n_a - dn_cutoff, n_a + dn_cutoff + 1), width),
+        nt=np.tile(np.arange(n_b - dn_cutoff, n_b + dn_cutoff + 1), width),
+        defect=(((e_a[:, :, None] + e_b[:, None, :]) - e_sa) - e_sb).reshape(rows),
+        rr=((E2A02_GHZ_UM3 * r_a)[:, :, None] * r_b[:, None, :]).reshape(rows),
+        rr_cross=((E2A02_GHZ_UM3 * x_a)[:, :, None] * x_b[:, None, :]).reshape(rows),
+    )
 
 
-class _Window(dict):
-    """Channel k -> ``_ChannelTerms`` of one window. Its reductions are computed on
-    first use and kept on the window, so the ``_window`` cache bounds them too."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)  # one window serves every caller
+    return array
+
+
+@dataclass(frozen=True, eq=False)  # ndarray fields: == and hash go by identity
+class _Window:
+    """One window as read-only (channel, term) arrays, channels in
+    CHANNEL_FINE_STRUCTURE order and terms da outer, db inner; ``ns`` and ``nt``
+    label the term axis. Its reductions are computed on first use and kept on
+    the window, so the ``_window`` cache bounds them too."""
+
+    n_a: int
+    n_b: int
+    ns: np.ndarray
+    nt: np.ndarray
+    defect: np.ndarray
+    rr: np.ndarray
+    rr_cross: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.ns, self.nt, self.defect, self.rr, self.rr_cross):
+            _read_only(array)
 
     @cached_property
-    def kept(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per channel, read-only: the kept-term mask, the indices with |defect|
-        below NEAR_RESONANCE_GHZ, and the kept direct terms -R R / defect."""
-        out = {}
-        for k, t in self.items():
-            near = np.abs(t.defect) < NEAR_RESONANCE_GHZ
-            rr, defect = t.rr[~near], t.defect[~near]
-            out[k] = (~near, np.flatnonzero(near), -rr * rr / defect)
-            for array in out[k]:
-                array.setflags(write=False)
-        return out
+    def keep(self) -> np.ndarray:
+        """The terms with |defect| at least NEAR_RESONANCE_GHZ."""
+        return _read_only(np.abs(self.defect) >= NEAR_RESONANCE_GHZ)
 
     @cached_property
-    def sums(self) -> tuple[MappingProxyType, MappingProxyType]:
-        """Direct and exchange channel sums of -R R' / defect over kept terms."""
-        direct, cross = {}, {}
-        for k, t in self.items():
-            keep, _, term = self.kept[k]
-            direct[k] = _ordered_sum(term)
-            cross[k] = _ordered_sum(-t.rr[keep] * t.rr_cross[keep] / t.defect[keep])
-        return MappingProxyType(direct), MappingProxyType(cross)
+    def sums(self) -> np.ndarray:
+        """Direct and exchange channel sums of -R R' / defect over the kept terms,
+        (2, channel). Each adds left to right from 0.0, as a scalar loop adds:
+        np.sum pairs terms. A dropped term adds 0.0, which moves no sum started at
+        +0.0, and an exactly resonant one is never divided."""
+        terms = np.zeros((2, len(self.rr), self.rr.shape[1] + 1))  # column 0 starts each sum
+        np.divide(-self.rr * np.stack((self.rr, self.rr_cross)), self.defect,
+                  out=terms[..., 1:], where=self.keep)
+        return _read_only(np.cumsum(terms, axis=-1)[..., -1])
 
     @cached_property
     def blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """The direct and exchange blocks V1 and V2 in GHz um^6, read-only: each
         channel's sum times its D_k, added in channel order."""
-        out = []
-        for sums in self.sums:
-            m = np.zeros((4, 4))
-            for k, s in sums.items():
-                m += s * _D_MATRICES[k]
-            m.setflags(write=False)
-            out.append(m)
-        return tuple(out)
+        weighted = (map(operator.mul, sums, _D_MATRICES.values()) for sums in self.sums)
+        return tuple(_read_only(sum(terms, np.zeros((4, 4)))) for terms in weighted)
 
     @cached_property
     def decomposition(self) -> InterferenceDecomposition:
         """``interference_decomposition`` of this window, from the kept terms."""
-        parts = []
-        for k, t in self.items():
-            keep, _, term = self.kept[k]
-            d_diag, d_off = _D_MATRICES[k][1, 1], _D_MATRICES[k][1, 2]
-            parts.append((np.full(term.size, k), t.ns[keep], t.nt[keep], t.defect[keep],
-                          term * (d_diag + d_off), term * (d_diag - d_off)))
-        return InterferenceDecomposition(*map(np.concatenate, zip(*parts)))
+        c, i = np.nonzero(self.keep)
+        d = np.stack(list(_D_MATRICES.values()))
+        term = -self.rr[c, i] * self.rr[c, i] / self.defect[c, i]
+        return InterferenceDecomposition(_CHANNELS[c], self.ns[i], self.nt[i], self.defect[c, i],
+                                         term * (d[:, 1, 1] + d[:, 1, 2])[c],
+                                         term * (d[:, 1, 1] - d[:, 1, 2])[c])
 
     @cached_property
     def critical_radius(self) -> CriticalRadius:
         """``critical_radius`` of this window; an exact resonance raises each time."""
         return _critical_radius(self)
 
-
-def _replay_exclusions(window: _Window, n_a: int, n_b: int) -> None:
-    """Log the dropped near-resonant terms one by one in window order, on every
-    summing call; an exactly resonant term raises instead."""
-    for k, (_, near, _) in window.kept.items():
-        t = window[k]
-        for i in near:
-            ns, nt, defect = int(t.ns[i]), int(t.nt[i]), float(t.defect[i])
+    def replay_exclusions(self) -> None:
+        """Log the dropped near-resonant terms one by one in window order, on every
+        summing call; an exactly resonant term raises instead."""
+        for c, i in zip(*np.nonzero(~self.keep)):
+            k, ns, nt, defect = _CHANNELS[c], self.ns[i], self.nt[i], self.defect[c, i]
             if defect == 0.0:
                 raise SingularChannelError(
                     f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly "
-                    f"resonant with ({n_a}s, {n_b}s)"
+                    f"resonant with ({self.n_a}s, {self.n_b}s)"
                 )
             logger.warning(
                 "excluding near-resonant channel %d term (%dp, %dp): "
@@ -344,17 +331,6 @@ def _replay_exclusions(window: _Window, n_a: int, n_b: int) -> None:
                 defect,
                 NEAR_RESONANCE_GHZ,
             )
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    """Left-to-right sum from 0.0, as a scalar loop adds; np.sum pairs terms."""
-    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
-
-
-def _channel_sums(window: _Window, n_a: int, n_b: int) -> tuple[MappingProxyType, ...]:
-    """Direct and exchange channel sums of the window, after its exclusions."""
-    _replay_exclusions(window, n_a, n_b)
-    return window.sums
 
 
 def channel_c6(
@@ -369,8 +345,9 @@ def channel_c6(
     """
     if _require_int("k", k) not in CHANNEL_FINE_STRUCTURE:
         raise ValueError(f"channel must be 1..4, got {k}")
-    direct, _ = _channel_sums(_pair_terms(model, n_a, n_b, dn_cutoff), n_a, n_b)
-    return direct[k]
+    window = _pair_terms(model, n_a, n_b, dn_cutoff)
+    window.replay_exclusions()
+    return float(window.sums[0, k - 1])  # rows in CHANNEL_FINE_STRUCTURE order
 
 
 @dataclass(frozen=True)
@@ -401,7 +378,7 @@ def c6_pair(
     if n_a == n_b:
         raise ValueError("c6_pair requires two distinct principal quantum numbers")
     window = _pair_terms(model, n_a, n_b, dn_cutoff)
-    direct, _ = _channel_sums(window, n_a, n_b)
+    window.replay_exclusions()
     c6_v1 = window.blocks[0]  # the V1 block interaction_matrix scales
     return C6Pair(
         n_a=n_a,
@@ -409,7 +386,7 @@ def c6_pair(
         dn_cutoff=dn_cutoff,
         c6=float(c6_v1[1, 1]),
         c6_exchange=float(c6_v1[1, 2]),
-        channel_sums=tuple(direct.values()),
+        channel_sums=tuple(window.sums[0].tolist()),
     )
 
 
@@ -474,7 +451,7 @@ def interaction_matrix(
     if n_a == n_b:
         raise ValueError("interaction_matrix requires distinct principal numbers")
     window = _pair_terms(model, n_a, n_b, 10)
-    _replay_exclusions(window, n_a, n_b)
+    window.replay_exclusions()
     v1, v2 = _khz_per_ghz_um6(spacing_um, *window.blocks)
     lc = critical_radius(model, n_a, n_b).radius_um  # the dn-3 window's cached radius
     if spacing_um < lc:
@@ -545,17 +522,15 @@ def critical_radius(
     return _pair_terms(model, n_a, n_b, dn_cutoff).critical_radius
 
 
-def _critical_radius(terms: _Window) -> CriticalRadius:
-    rrs = np.stack([t.rr for t in terms.values()])  # (channel, window term)
-    defects = np.stack([t.defect for t in terms.values()])
+def _critical_radius(window: _Window) -> CriticalRadius:
+    rrs, defects = window.rr, window.defect
     candidates = np.flatnonzero(np.abs(rrs) >= 0.01 * np.abs(rrs).max())
     # smallest |defect| first, ties to the larger coupling, then window order
     order = np.lexsort(
         (-np.abs(rrs.flat[candidates]), np.abs(defects.flat[candidates]))
     )
     c, i = divmod(int(candidates[order[0]]), rrs.shape[1])
-    k = list(terms)[c]
-    ns, nt = int(terms[k].ns[i]), int(terms[k].nt[i])
+    k, ns, nt = int(_CHANNELS[c]), int(window.ns[i]), int(window.nt[i])
     defect, rr = float(defects[c, i]), float(rrs[c, i])
     mmax = float(np.abs(_M_MATRICES[k]).max())
     if defect == 0.0:
@@ -627,5 +602,5 @@ def interference_decomposition(
     record is cached on the window; each call still replays the exclusions.
     """
     window = _pair_terms(model, n_a, n_b, dn_cutoff)
-    _replay_exclusions(window, n_a, n_b)
+    window.replay_exclusions()
     return window.decomposition

@@ -55,8 +55,10 @@ BAD_LINES = [
     ("species Rb 87", "exactly one value"),
     ("rydberg_constant_ghz lots", "bad float"),
     ("rydberg_constant_ghz -1", "must be positive"),
+    ("rydberg_constant_ghz nan", "must be positive and finite"),
     ("series p 1.5 2.6416737", "takes l, j"),
     ("series p 1.5 x 0.2950", "bad float in"),
+    ("series p 1.5 inf 0.0", r"non-finite defect in \['inf', '0.0'\]"),
     ("series p 2.5 2.6416737 0.2950", "j=2.5 is not l"),
     ("series q 1.5 2.6416737 0.2950", "bad orbital quantum number"),
     ("series -1 1.5 2.6416737 0.2950", "negative orbital quantum number"),
@@ -157,12 +159,12 @@ FROZEN_DEFECTS_MHZ = {
 @pytest.mark.parametrize("key", sorted(FROZEN_DEFECTS_MHZ))
 def test_energy_defects_frozen(key):
     n_a, n_b, ns, nt = key
-    terms = _pair_terms(MODEL, n_a, n_b, max(abs(ns - n_a), abs(nt - n_b)))
-    assert tuple(terms) == (1, 2, 3, 4)
-    for channel, t in terms.items():
-        i = int(np.flatnonzero((t.ns == ns) & (t.nt == nt))[0])
-        assert t.defect[i] * 1e3 == pytest.approx(FROZEN_DEFECTS_MHZ[key][channel],
-                                                  abs=1e-6)
+    window = _pair_terms(MODEL, n_a, n_b, max(abs(ns - n_a), abs(nt - n_b)))
+    i = int(np.flatnonzero((window.ns == ns) & (window.nt == nt))[0])
+    assert len(window.defect) == len(FROZEN_DEFECTS_MHZ[key])  # one row per channel 1..4
+    for row, channel in enumerate((1, 2, 3, 4)):
+        assert window.defect[row, i] * 1e3 == pytest.approx(FROZEN_DEFECTS_MHZ[key][channel],
+                                                            abs=1e-6)
 
 
 def test_energy_defect_channel_map():

@@ -981,6 +981,8 @@ def test_start_up_loads_only_what_a_command_runs(code, absent):
         (["coeffs", "--na", "180", "--nb", "183"],
          ["excluding near-resonant channel 1 term (180p, 182p)",
           "excluding near-resonant channel 1 term (182p, 180p)"]),
+        (["pair-sim", "--optimize", "--omega2", "300", "--tau3", "1"],
+         ["--optimize ignores --omega2, --tau3: it sets its own drives and times"]),
     ],
 )
 def test_cli_prints_each_warning_as_one_line(capsys, caplog, argv, fragments):
@@ -1000,6 +1002,23 @@ def test_cli_prints_each_warning_as_one_line(capsys, caplog, argv, fragments):
     assert lines == [f"warning: {m}" for m in messages]
     assert len(lines) == len(fragments)
     assert all(fragment in line for fragment, line in zip(fragments, lines))
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, rest",
+    [
+        ("pair-sim", "--v-plus", "-5e0", ["--v-minus", "711"]),
+        ("swap-sim", "--v-blockade", "-1e9", []),
+        ("robustness", "--v-plus", "-.5E+1", ["--v-minus", "711", "--samples", "100"]),
+    ],
+)
+def test_cli_reads_a_spaced_negative_exponent_as_a_value(capsys, command, flag, value, rest):
+    """argparse alone takes "-5e0" for an option; the spaced form must print what
+    the "--flag=value" form prints."""
+    spaced = _run_cli(capsys, [command, flag, value, *rest])
+    joined = _run_cli(capsys, [command, f"{flag}={value}", *rest])
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1] == joined[1] != ""
 
 
 @pytest.mark.parametrize("argv", [["coeffs", "--na", "73", "--nb", "75"],

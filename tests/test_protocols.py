@@ -366,7 +366,7 @@ def test_swap_gate_weak_blockade_warns():
 
 # --- chain spec and schedule ------------------------------------------------------
 
-@pytest.mark.parametrize("count", [5, 7, 10, 3, 0, MAX_CHAIN_ATOMS + 4, 2**64])
+@pytest.mark.parametrize("count", [5, 7, 10, 3, 0, MAX_CHAIN_ATOMS + 4, 2**64, 8.0])
 def test_chain_spec_rejects_bad_counts(count):
     with pytest.raises(ValueError, match="atom_count"):
         ChainSpec(atom_count=count, spacing_um=15.0, pair=(73, 75))

@@ -4,6 +4,8 @@ import dataclasses
 import logging
 import math
 import re
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from rydex.vdw import (
     SingularChannelError,
     _D_MATRICES,
     _M_MATRICES,
-    _channel_sums,
     _khz_per_ghz_um6,
     _m_rows,
     _pair_terms,
@@ -169,8 +170,8 @@ def test_channel_c6_against_direct_sum():
 
 
 def test_channel_c6_exchange_branch():
-    _, cross = _channel_sums(_pair_terms(MODEL, 73, 75, 10), 73, 75)
-    assert cross[2] == pytest.approx(667.05180461046, rel=1e-12)
+    cross = _pair_terms(MODEL, 73, 75, 10).sums[1]  # one row per channel, 1..4
+    assert cross[1] == pytest.approx(667.05180461046, rel=1e-12)
     assert channel_c6(MODEL, 73, 75, 2) == pytest.approx(
         21743.542444974137, rel=1e-12
     )
@@ -306,17 +307,19 @@ def test_edited_model_gets_a_fresh_window():
     fresh = _window.__wrapped__(
         model.species, model.rydberg_constant_ghz, tuple(model.series.items()), 61, 64, 10
     )
-    for k in CHANNEL_FINE_STRUCTURE:
-        for got, want in zip(after[k], fresh[k]):
-            assert np.array_equal(got, want)
+    for name in ("ns", "nt", "defect", "rr", "rr_cross"):
+        assert np.array_equal(getattr(after, name), getattr(fresh, name))
     assert c6_pair(model, 61, 64).c6 != before.c6
 
 
 def test_cached_window_refuses_writes():
-    for terms in _pair_terms(MODEL, 73, 75, 10).values():
-        for array in terms:
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = 0
+    window = _pair_terms(MODEL, 73, 75, 10)
+    assert window.defect.shape == window.rr.shape == window.rr_cross.shape == (4, 441)
+    for array in (window.ns, window.nt, window.defect, window.rr, window.rr_cross):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        window.rr = np.zeros_like(window.rr)
     assert c6_pair(MODEL, 73, 75).c6 == pytest.approx(4078.470304771446, rel=1e-12)
 
 
@@ -333,16 +336,19 @@ def test_near_resonant_exclusion_logged_on_every_call(caplog):
 def test_cold_pair_reduces_each_window_once(monkeypatch):
     # the workload's pair op: the dn-10 window's sums serve c6_pair and every
     # interaction_matrix, the dn-3 window's radius every radius lookup
-    sums, radii = [], []
-    ordered_sum, search = vdw._ordered_sum, vdw._critical_radius
-    monkeypatch.setattr(vdw, "_ordered_sum", lambda v: sums.append(1) or ordered_sum(v))
-    monkeypatch.setattr(vdw, "_critical_radius", lambda w: radii.append(1) or search(w))
+    calls = Counter()
+    for name in ("keep", "sums", "blocks", "critical_radius"):
+        reduce = vdw._Window.__dict__[name].func
+        counted = cached_property(lambda w, n=name, f=reduce: calls.update([n]) or f(w))
+        counted.__set_name__(vdw._Window, name)
+        monkeypatch.setattr(vdw._Window, name, counted)
     _window.cache_clear()
     c6_pair(MODEL, 73, 75)
     lc = critical_radius(MODEL, 73, 75).radius_um
     for factor in (1.5, 2.0, 3.0):
         interaction_matrix(MODEL, 73, 75, factor * lc)
-    assert (len(sums), len(radii)) == (8, 1)  # 2 sums x 4 channels, one search
+    # the dn-10 window: its mask, sums and blocks; the dn-3 window: its radius
+    assert calls == {"keep": 1, "sums": 1, "blocks": 1, "critical_radius": 1}
 
 
 @pytest.mark.parametrize(
@@ -387,18 +393,13 @@ def test_inside_radius_warning_on_every_call():
 
 def test_cached_reductions_refuse_writes():
     window = _pair_terms(MODEL, 180, 183, 10)
-    _channel_sums(window, 180, 183)
-    for keep, near, term in window.kept.values():
-        for array in (keep, near, term):
-            with pytest.raises(ValueError, match="read-only"):
-                array[...] = 0
-    for sums in window.sums:
-        with pytest.raises(TypeError):
-            sums[1] = 0.0
-    for block in window.blocks:
+    assert (~window.keep).sum() == 2  # two near-resonant terms dropped
+    for array in (window.keep, window.sums, *window.blocks):
         with pytest.raises(ValueError, match="read-only"):
-            block[1, 1] = 0.0
-    assert c6_pair(MODEL, 180, 183).channel_sums == tuple(window.sums[0].values())
+            array[1, 1] = 0
+    channel_sums = c6_pair(MODEL, 180, 183).channel_sums
+    assert channel_sums == tuple(window.sums[0].tolist())
+    assert [type(x) for x in channel_sums] == [float] * 4
 
 
 # --- spacing-resolved quantities --------------------------------------------
@@ -578,8 +579,7 @@ def test_decomposition_singular_term_raises():
 
 def test_decomposition_columns_are_read_only_and_rows_built_on_read():
     parts = interference_decomposition(MODEL, 73, 75)
-    kept = _pair_terms(MODEL, 73, 75, 10).kept
-    assert len(parts) == sum(int(keep.sum()) for keep, _, _ in kept.values()) == 1764
+    assert len(parts) == int(_pair_terms(MODEL, 73, 75, 10).keep.sum()) == 1764
     for name in ChannelContribution._fields:
         column = getattr(parts, name)
         assert len(column) == len(parts) and not column.flags.writeable
@@ -658,7 +658,7 @@ def test_vectorized_window_bit_identical_to_scalar_walk(n_a, n_b):
     assert pair.channel_sums == tuple(direct[k] for k in (1, 2, 3, 4))
     assert pair.c6 == sum(direct[k] * _D_MATRICES[k][1, 1] for k in direct)
     assert pair.c6_exchange == sum(direct[k] * _D_MATRICES[k][1, 2] for k in direct)
-    assert _channel_sums(_pair_terms(MODEL, n_a, n_b, 10), n_a, n_b)[1] == cross
+    assert _pair_terms(MODEL, n_a, n_b, 10).sums[1].tolist() == list(cross.values())
 
     cr = critical_radius(MODEL, n_a, n_b)
     spacing = 2.0 * cr.radius_um
@@ -711,8 +711,7 @@ def test_c6_pair_is_symmetric_under_atom_exchange(n_a, dn):
     sum, 1e-13 to 1e-11 relative; it reaches 7e-12 at (82, 85)."""
     n_b = n_a + dn
     ab, ba = c6_pair(MODEL, n_a, n_b), c6_pair(MODEL, n_b, n_a)
-    terms = _pair_terms(MODEL, n_a, n_b, ab.dn_cutoff)
-    defects = np.abs(np.concatenate([t.defect for t in terms.values()]))
+    defects = np.abs(_pair_terms(MODEL, n_a, n_b, ab.dn_cutoff).defect)
     e_s = abs(level_energy(MODEL, RydbergLevel(n_a, 0, 0.5)))
     cond = e_s / defects[defects >= NEAR_RESONANCE_GHZ].min()
     tol = 4.0 * np.finfo(float).eps * cond * max(map(abs, ab.channel_sums))
