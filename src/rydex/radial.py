@@ -129,20 +129,11 @@ def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
     effective quantum numbers. A warning is emitted below n_eff = 10,
     where its accuracy degrades.
     """
-    # one chained test on the window's hot path; the checks that name the
-    # argument run only when it fails
-    if not (
-        0.0 < n_eff1 < math.inf
-        and 0.0 < n_eff2 < math.inf
-        and type(l1) is type(l2) is int
-        and l1 >= 0
-        and l2 >= 0
-    ):
-        for name, n_eff in (("n_eff1", n_eff1), ("n_eff2", n_eff2)):
-            _require_finite(name, n_eff, 0.0, inclusive=False)
-        for name, l in (("l1", l1), ("l2", l2)):
-            if _require_int(name, l) < 0:
-                raise ValueError(f"{name} must be non-negative, got {l}")
+    for name, n_eff in (("n_eff1", n_eff1), ("n_eff2", n_eff2)):
+        _require_finite(name, n_eff, 0.0, inclusive=False)
+    for name, l in (("l1", l1), ("l2", l2)):
+        if _require_int(name, l) < 0:
+            raise ValueError(f"{name} must be non-negative, got {l}")
     if abs(l1 - l2) != 1:
         raise ValueError(
             f"dipole selection rule requires |l1 - l2| = 1, got l1={l1}, l2={l2}"
@@ -153,3 +144,11 @@ def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
             stacklevel=2,
         )
     return _kaulakys(n_eff1, l1, n_eff2, l2)
+
+
+def _sp_row(nu_s: float, nus: list[float]) -> list[float] | None:
+    """``radial_integral(nu_s, 0, nu, 1)`` for each ``nu`` of ``nus``, its checks run once
+    on the row (a finite sum, a least n_eff of 10); None where one would fire."""
+    if math.isfinite(nu_s + sum(nus)) and min(nu_s, *nus) >= 10.0:
+        return [_kaulakys(nu_s, 0, nu, 1) for nu in nus]
+    return None

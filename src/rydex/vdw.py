@@ -28,8 +28,9 @@ from per-atom radial vectors (own and crossed s -> p elements of each
 atom) and per-atom energy vectors, as one record of (channel, term)
 arrays. It is built once per model content and cached, and its
 reductions (kept-term mask, channel sums, blocks, critical radius,
-decomposition) are computed once on it; only the near-resonant log lines
-and the exact-resonance error repeat per call. Sums run left to right in
+decomposition) are computed once on it. Its near-resonant exclusions are
+collected once per window and replayed per call: their log lines and the
+exact-resonance error repeat on every summing call. Sums run left to right in
 window order (da outer, db inner), as a scalar loop adds them: a pairwise
 ``np.sum`` would move the last digits of published values.
 All coefficients are in GHz um^6, all pair interactions in kHz.
@@ -51,12 +52,13 @@ import numpy as np
 from .atoms import (
     CHANNEL_FINE_STRUCTURE,
     QuantumDefectModel,
+    _require_finite,
     _require_int,
     _rydberg_ritz,
     clebsch_gordan,
     quantum_defect,
 )
-from .radial import E2A02_GHZ_UM3, radial_integral
+from .radial import E2A02_GHZ_UM3, _sp_row, radial_integral
 
 __all__ = [
     "SingularChannelError",
@@ -150,6 +152,8 @@ _M_MATRICES: dict[int, np.ndarray] = {
 }
 _D_MATRICES: dict[int, np.ndarray] = {k: _exact_gram(m) for k, m in _M_MATRICES.items()}
 _CHANNELS = np.array(list(CHANNEL_FINE_STRUCTURE))  # the channel of each window row
+# each channel's weight in C6 + C6ex and in C6 - C6ex, (2, channel)
+_PLUS_MINUS = np.array([(d[1, 1] + d[1, 2], d[1, 1] - d[1, 2]) for d in _D_MATRICES.values()]).T
 
 
 def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
@@ -167,6 +171,13 @@ def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
     while n <= quantum_defect(model, 1, j, n):  # nu(n) <= 0, exactly in floats
         n += 1
     return n
+
+
+@lru_cache(maxsize=8)  # bounded like _window
+def _p_floor(species: str, rydberg_constant_ghz: float, series: tuple) -> int:
+    """Lowest n bound in both p series of the model with this content."""
+    model = QuantumDefectModel(species, rydberg_constant_ghz, dict(series))
+    return max(_lowest_bound_p(model, j) for j in (0.5, 1.5))
 
 
 def _pair_terms(
@@ -214,7 +225,7 @@ def _window(
     one level per term.
     """
     model = QuantumDefectModel(species, rydberg_constant_ghz, dict(series))
-    floor_n = max(_lowest_bound_p(model, j) for j in (0.5, 1.5))
+    floor_n = _p_floor(species, rydberg_constant_ghz, series)
     for name, n in (("n_a", n_a), ("n_b", n_b)):
         if n - dn_cutoff < floor_n:
             raise ValueError(
@@ -228,10 +239,12 @@ def _window(
         out = {}
         for j in (0.5, 1.5):
             _, nus, energies = _rydberg_ritz(model, 1, j, range(n - dn_cutoff, n + dn_cutoff + 1))
+            # element by element where a check fires, from one line per row: the
+            # console's filter shows a warning once per message and source line
             out[j] = (
                 energies,
-                [radial_integral(own, 0, nu, 1) for nu in nus],
-                [radial_integral(other, 0, nu, 1) for nu in nus],
+                _sp_row(own, nus) or [radial_integral(own, 0, nu, 1) for nu in nus],
+                _sp_row(other, nus) or [radial_integral(other, 0, nu, 1) for nu in nus],
             )
         return (np.array([out[j][v] for j in js]) for v in range(3))
 
@@ -300,23 +313,30 @@ class _Window:
     @cached_property
     def decomposition(self) -> InterferenceDecomposition:
         """``interference_decomposition`` of this window, from the kept terms."""
-        c, i = np.nonzero(self.keep)
-        d = np.stack(list(_D_MATRICES.values()))
-        term = -self.rr[c, i] * self.rr[c, i] / self.defect[c, i]
-        return InterferenceDecomposition(_CHANNELS[c], self.ns[i], self.nt[i], self.defect[c, i],
-                                         term * (d[:, 1, 1] + d[:, 1, 2])[c],
-                                         term * (d[:, 1, 1] - d[:, 1, 2])[c])
+        keep, counts = self.keep, self.keep.sum(axis=1)  # a mask reads in C order, as nonzero
+        rr, defect = self.rr[keep], self.defect[keep]
+        term = -rr * rr / defect
+        plus, minus = np.repeat(_PLUS_MINUS, counts, axis=1)  # each kept term's channel weights
+        ns, nt = (np.broadcast_to(n, keep.shape)[keep] for n in (self.ns, self.nt))
+        return InterferenceDecomposition(np.repeat(_CHANNELS, counts), ns, nt, defect,
+                                         term * plus, term * minus)
 
     @cached_property
     def critical_radius(self) -> CriticalRadius:
         """``critical_radius`` of this window; an exact resonance raises each time."""
         return _critical_radius(self)
 
+    @cached_property
+    def exclusions(self) -> tuple[tuple[int, int, int, float], ...]:
+        """(channel, ns, nt, defect) of each dropped term, in window order."""
+        c, i = np.nonzero(~self.keep)
+        columns = (_CHANNELS[c], self.ns[i], self.nt[i], self.defect[c, i])
+        return tuple(zip(*(column.tolist() for column in columns)))
+
     def replay_exclusions(self) -> None:
         """Log the dropped near-resonant terms one by one in window order, on every
         summing call; an exactly resonant term raises instead."""
-        for c, i in zip(*np.nonzero(~self.keep)):
-            k, ns, nt, defect = _CHANNELS[c], self.ns[i], self.nt[i], self.defect[c, i]
+        for k, ns, nt, defect in self.exclusions:
             if defect == 0.0:
                 raise SingularChannelError(
                     f"channel {k} intermediate pair ({ns}p, {nt}p) is exactly "
@@ -391,7 +411,17 @@ def c6_pair(
 
 
 def _khz_per_ghz_um6(spacing_um: float, *coefficients):
-    """GHz um^6 ``coefficients`` in kHz at spacing L (um), each times 1e6 / L^6."""
+    """GHz um^6 ``coefficients`` (arrays) in kHz at spacing L (um), each times 1e6 / L^6."""
+    scale = _khz_scale(spacing_um)
+    with np.errstate(over="ignore"):
+        scaled = [c * scale for c in coefficients]
+    if not all(np.isfinite(c).all() for c in scaled):
+        raise ValueError(f"spacing {spacing_um} um puts the couplings outside the float range")
+    return scaled
+
+
+def _khz_scale(spacing_um: float) -> float:
+    """1e6 / L^6, the kHz per GHz um^6 at spacing L (um); names a bad spacing."""
     if isinstance(spacing_um, bool):
         raise ValueError(f"spacing must be a number of um, got {spacing_um!r}")
     if not math.isfinite(spacing_um) or spacing_um <= 0:
@@ -402,21 +432,15 @@ def _khz_per_ghz_um6(spacing_um: float, *coefficients):
         scale = 0.0
     if not 0.0 < scale < math.inf:
         raise ValueError(f"spacing {spacing_um} um puts 1/L^6 outside the float range")
-    with np.errstate(over="ignore"):
-        scaled = [c * scale for c in coefficients]
-    return _finite_couplings(spacing_um, *scaled)
-
-
-def _finite_couplings(spacing_um: float, *couplings):
-    """``couplings`` as given, if none has overflowed; else name the spacing."""
-    if not all(np.isfinite(c).all() for c in couplings):
-        raise ValueError(f"spacing {spacing_um} um puts the couplings outside the float range")
-    return couplings
+    return scale
 
 
 def _v_plus_minus(spacing_um: float, vs_khz: float, vc_khz: float) -> tuple[float, float]:
     """(V+, V-) = (vs + vc, vs - vc) in kHz; names the spacing if either overflows."""
-    return _finite_couplings(spacing_um, float(vs_khz + vc_khz), float(vs_khz - vc_khz))
+    v_plus, v_minus = float(vs_khz + vc_khz), float(vs_khz - vc_khz)
+    if not (math.isfinite(v_plus) and math.isfinite(v_minus)):
+        raise ValueError(f"spacing {spacing_um} um puts the couplings outside the float range")
+    return v_plus, v_minus
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: == and hash go by identity
@@ -486,9 +510,12 @@ class VPlusMinus:
 
 def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     """Evaluate V+ and V- (kHz) of a coefficient pair at spacing L (um)."""
-    vs, vc = _khz_per_ghz_um6(spacing_um, pair.c6, pair.c6_exchange)
-    v_plus, v_minus = _v_plus_minus(spacing_um, vs, vc)
-    return VPlusMinus(v_plus_khz=v_plus, v_minus_khz=v_minus)
+    c6, c6_exchange = float(pair.c6), float(pair.c6_exchange)  # numpy's would warn on overflow
+    _require_finite("c6", c6)
+    _require_finite("c6_exchange", c6_exchange)
+    scale = _khz_scale(spacing_um)
+    # an overflowed product makes V+ or V- infinite or nan
+    return VPlusMinus(*_v_plus_minus(spacing_um, c6 * scale, c6_exchange * scale))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import dataclasses
 import logging
 import math
 import re
+import warnings
 from collections import Counter
 from functools import cached_property
 
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydex.atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel
+from rydex.atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel, _rydberg_ritz
 from rydex import vdw
+from rydex.radial import radial_integral
 from rydex.harness import REFERENCE_TABLE_I
 from rydex.vdw import (
     NEAR_RESONANCE_GHZ,
     SPIN_BASIS,
+    C6Pair,
     ChannelContribution,
     SingularChannelError,
     _D_MATRICES,
@@ -264,6 +267,43 @@ def test_lowest_window_level_accepted():
         assert math.isfinite(channel_c6(MODEL, 14, 15, 2, dn_cutoff=10))
 
 
+def _marginal_messages(action, call):
+    _window.cache_clear()  # a warm window warns no more
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        call()
+    return [str(w.message) for w in caught]
+
+
+def test_window_rows_warn_as_element_by_element():
+    # c6_pair(14, 15) reaches n = 4, n_eff < 10: the window checks each radial row
+    # once, and a row where a check fires goes element by element. In build
+    # order: atom a then b, p_1/2 then p_3/2, its own s level's row then the other's
+    (_, (nu_a, nu_b), _) = _rydberg_ritz(MODEL, 0, 0.5, (14, 15))
+    rows = [
+        (kind, nu_s, _rydberg_ritz(MODEL, 1, j, range(n - 10, n + 11))[1])
+        for n, own, other in ((14, nu_a, nu_b), (15, nu_b, nu_a))
+        for j in (0.5, 1.5)
+        for kind, nu_s in (("own", own), ("cross", other))
+    ]
+    marginal = [(kind, min(nu_s, nu)) for kind, nu_s, nus in rows for nu in nus]
+    marginal = [(kind, f"{x:.2f}") for kind, x in marginal if x < 10.0]
+    assert len(marginal) == 68  # p levels 4..12 of atom a, 5..12 of atom b, x 2 j x 2 rows
+    one_by_one = _marginal_messages(
+        "always", lambda: [radial_integral(nu_s, 0, nu, 1) for _, nu_s, nus in rows for nu in nus]
+    )
+    assert one_by_one == [
+        f"quasiclassical radial element marginal at n_eff={x} (< 10)" for _, x in marginal
+    ]
+    assert _marginal_messages("always", lambda: c6_pair(MODEL, 14, 15)) == one_by_one
+    # the console's default filter shows a message once per source line, and the
+    # own and the crossed rows warn from a line each
+    shown = _marginal_messages("default", lambda: c6_pair(MODEL, 14, 15))
+    firsts = list(dict.fromkeys(marginal))
+    assert shown == [f"quasiclassical radial element marginal at n_eff={x} (< 10)" for _, x in firsts]
+    assert len(shown) < len(one_by_one)
+
+
 @pytest.mark.parametrize(
     "call,match",
     [
@@ -337,7 +377,7 @@ def test_cold_pair_reduces_each_window_once(monkeypatch):
     # the workload's pair op: the dn-10 window's sums serve c6_pair and every
     # interaction_matrix, the dn-3 window's radius every radius lookup
     calls = Counter()
-    for name in ("keep", "sums", "blocks", "critical_radius"):
+    for name in ("keep", "sums", "blocks", "critical_radius", "exclusions"):
         reduce = vdw._Window.__dict__[name].func
         counted = cached_property(lambda w, n=name, f=reduce: calls.update([n]) or f(w))
         counted.__set_name__(vdw._Window, name)
@@ -347,8 +387,21 @@ def test_cold_pair_reduces_each_window_once(monkeypatch):
     lc = critical_radius(MODEL, 73, 75).radius_um
     for factor in (1.5, 2.0, 3.0):
         interaction_matrix(MODEL, 73, 75, factor * lc)
-    # the dn-10 window: its mask, sums and blocks; the dn-3 window: its radius
-    assert calls == {"keep": 1, "sums": 1, "blocks": 1, "critical_radius": 1}
+    # the dn-10 window: its mask, sums, blocks and excluded terms; the dn-3
+    # window: its radius
+    assert calls == {"keep": 1, "sums": 1, "blocks": 1, "critical_radius": 1, "exclusions": 1}
+
+
+def test_edited_p_series_moves_the_window_floor():
+    model = QuantumDefectModel.default()
+    c6_pair(model, 61, 64)  # a build under the original p series, floor n = 4
+    with pytest.raises(ValueError, match=r"reaches n=3, below the lowest bound p level n=4$"):
+        c6_pair(model, 13, 15)
+    p = model.series[(1, 0.5)]
+    model.series[(1, 0.5)] = dataclasses.replace(p, delta0=p.delta0 + 3.0)
+    # nu(n) = n - delta(n) first turns positive at n = 7 in the edited p_1/2 series
+    with pytest.raises(ValueError, match=r"n_a=14 .* reaches n=4, below the lowest bound p level n=7$"):
+        c6_pair(model, 14, 15)
 
 
 @pytest.mark.parametrize(
@@ -482,6 +535,19 @@ def test_v_plus_minus_frozen():
     vp97 = v_plus_minus(c6_pair(MODEL, 97, 100), 26.0)
     assert vp97.v_plus_khz == pytest.approx(-3.1871647827202025, rel=1e-12)
     assert vp97.v_minus_khz == pytest.approx(-383.6768274250686, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["c6", "c6_exchange"])
+def test_v_plus_minus_refuses_a_non_finite_coefficient_by_name(field, bad):
+    # a hand-built pair: its nan used to be blamed on the spacing
+    pair = C6Pair(73, 75, 10, 4078.0, -1.0, (0.0,) * 4)
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {bad}")):
+        v_plus_minus(dataclasses.replace(pair, **{field: bad}), 15.0)
+    # a numpy coefficient overflows as quietly as a Python float
+    for c6 in (4078.0, np.float64(4078.0)):
+        with pytest.raises(ValueError, match="spacing 1e-50 um puts the couplings outside"):
+            v_plus_minus(dataclasses.replace(pair, c6=c6), 1e-50)
 
 
 def test_v_plus_minus_eigenvectors_and_scaling():

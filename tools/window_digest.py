@@ -6,12 +6,14 @@ The windows are every (n, n + d) with d = 1..3 and n = 40..130, in both
 atom orders, at dn 10 and dn 3: 1,092 in all. Per window the digest takes
 each ``interference_decomposition`` row (each field's type and float hex),
 ``c6_pair`` (``c6``, ``c6_exchange`` and ``channel_sums`` as hex),
-``channel_c6`` for k = 1..4 and ``critical_radius``; at dn 10 also the bytes
-of ``interaction_matrix`` at twice that radius. Only public names are used,
-so the same file checks a refactor against the commit before it: equal
-digests mean bit-equal outputs. The near-resonant log lines and the
-critical-radius warning are silenced. Takes about 15 s on a 2-core VM. Stdlib
-and rydex only.
+``channel_c6`` for k = 1..4, ``critical_radius`` and ``v_plus_minus`` of that
+``c6_pair`` at twice the radius; at dn 10 also the bytes of
+``interaction_matrix`` at that spacing. It also takes the near-resonant log
+lines of all those calls, in order, which each summing call repeats. Only
+public names are used, so the same file checks a refactor against the commit
+before it: equal digests mean bit-equal outputs. The log lines and the
+critical-radius warning are not printed. Takes about 15 s on a 2-core VM.
+Stdlib and rydex only.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from rydex.vdw import (  # noqa: E402
     critical_radius,
     interaction_matrix,
     interference_decomposition,
+    v_plus_minus,
 )
 
 
@@ -51,7 +54,18 @@ def encode(value) -> str:
     return repr(value)
 
 
-def digest(model: QuantumDefectModel) -> str:
+class Lines(logging.Handler):
+    """Keeps each log record's message."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lines: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.lines.append(record.getMessage())
+
+
+def digest(model: QuantumDefectModel, log: Lines) -> str:
     h = hashlib.sha256()
     for n_a, n_b, dn in windows():
         h.update(f"[{n_a},{n_b},{dn}]".encode())
@@ -62,17 +76,24 @@ def digest(model: QuantumDefectModel) -> str:
         h.update(encode([channel_c6(model, n_a, n_b, k, dn) for k in (1, 2, 3, 4)]).encode())
         radius = critical_radius(model, n_a, n_b, dn)
         h.update(encode(dataclasses.astuple(radius)).encode())
+        spacing = 2.0 * radius.radius_um
+        h.update(encode(dataclasses.astuple(v_plus_minus(pair, spacing))).encode())
         if dn == 10:
-            im = interaction_matrix(model, n_a, n_b, 2.0 * radius.radius_um)
+            im = interaction_matrix(model, n_a, n_b, spacing)
             h.update(im.v1_khz.tobytes() + im.v2_khz.tobytes())
+        h.update(encode(log.lines).encode())
+        log.lines.clear()
     return h.hexdigest()
 
 
 def main() -> None:
-    logging.getLogger("rydex.vdw").setLevel(logging.ERROR)
+    log = Lines()
+    logger = logging.getLogger("rydex.vdw")
+    logger.addHandler(log)
+    logger.propagate = False  # kept, not printed
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        print(digest(QuantumDefectModel.default()))
+        print(digest(QuantumDefectModel.default(), log))
 
 
 if __name__ == "__main__":
