@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 __all__ = [
     "DefectDataError",
@@ -76,9 +78,11 @@ class DefectSeries:
     delta2: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantumDefectModel:
-    """Quantum defect data for one atomic species.
+    """Quantum defect data for one atomic species, as an immutable value: equal
+    content means equal models with equal hashes, and an edit is a
+    ``dataclasses.replace`` copy.
 
     Attributes
     ----------
@@ -86,13 +90,19 @@ class QuantumDefectModel:
         Species tag, e.g. ``"Rb-87"``.
     rydberg_constant_ghz : float
         Reduced-mass-corrected Rydberg constant in GHz.
-    series : dict[tuple[int, float], DefectSeries]
-        Defect coefficients keyed by (l, j).
+    series : Mapping[tuple[int, float], DefectSeries]
+        Defect coefficients keyed by (l, j), read-only: a copy of the mapping given.
     """
 
     species: str
     rydberg_constant_ghz: float
-    series: dict[tuple[int, float], DefectSeries] = field(default_factory=dict)
+    series: Mapping[tuple[int, float], DefectSeries] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
+
+    def __hash__(self) -> int:  # a frozenset, as == of two mappings ignores their order
+        return hash((self.species, self.rydberg_constant_ghz, frozenset(self.series.items())))
 
     def series_for(self, l: int, j: float) -> DefectSeries:
         try:
@@ -274,17 +284,11 @@ def clebsch_gordan(
         return 0.0
     if tj < abs(tj1 - tj2) or tj > tj1 + tj2:
         return 0.0
-    if (tj1 + tj2 + tj) % 2 != 0:
-        return 0.0
 
     def f(twice: int) -> int:
-        # factorial of an integer given as twice its value
-        if twice % 2 != 0:
-            raise ValueError("internal: non-integer factorial argument")
-        arg = twice // 2
-        if arg < 0:
-            raise ValueError("internal: negative factorial argument")
-        return math.factorial(arg)
+        # factorial of an integer given as twice its value: with each m and j of one
+        # parity and m1 + m2 = m, every argument below is even and non-negative
+        return math.factorial(twice // 2)
 
     pref = (tj + 1) * f(tj1 + tj2 - tj) * f(tj1 - tj2 + tj) * f(-tj1 + tj2 + tj)
     pref = pref / f(tj1 + tj2 + tj + 2)

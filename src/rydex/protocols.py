@@ -667,54 +667,31 @@ def _chain_schedule(model: QuantumDefectModel,
     )
 
 
-def _ground_basis(atom_count: int) -> tuple[str, ...]:
-    return tuple(
-        "".join(bits) for bits in itertools.product("ud", repeat=atom_count)
-    )
-
-
-def _apply_signed_swap(
-    basis: tuple[str, ...], amps: np.ndarray, i: int, j: int
-) -> np.ndarray:
-    """Apply the pulse-composition SWAP map to atoms i < j of a ground state.
-
-    Antiparallel spins swap and pick up -1, parallel spins are left
-    alone: the map is -SWAP_MATRIX_IDEAL.
-    """
-    out = np.zeros_like(amps)
-    for idx, label in enumerate(basis):
-        if amps[idx] == 0:
-            continue
-        si, sj = label[i], label[j]
-        if si == sj:
-            out[idx] += amps[idx]
-        else:
-            swapped = label[:i] + sj + label[i + 1 : j] + si + label[j + 1 :]
-            out[basis.index(swapped)] -= amps[idx]
-    return out
-
-
 def chain_ideal_state(atom_count: int) -> QuantumState:
     """Exact chain target state from the ideal pulse maps.
 
     Starts from the product of Bell pairs g+ produced by steps 1 and 2
     and applies the composed SWAP pulse maps (pi, 2pi lambda with its
-    -1 phases, blockade-protected identity) across the linking pairs.
-    Only the 4- and 6-atom cases have printed closed forms; larger
+    -1 phases, blockade-protected identity) across the linking pairs:
+    antiparallel spins swap and pick up -1, parallel spins are left alone,
+    so each link applies -SWAP_MATRIX_IDEAL to its two axes of the spin
+    tensor. Only the 4- and 6-atom cases have printed closed forms; larger
     chains follow the same construction but are not enumerated here.
     """
     if atom_count not in (4, 6):
         raise ValueError(f"closed-form chain state only for 4 or 6 atoms, got {atom_count}")
-    basis = _ground_basis(atom_count)
     bell = np.zeros(4)
     bell[1] = bell[2] = 1.0 / _SQRT2  # (|du> + |ud>)/sqrt(2) on one pair
     amps = bell
     for _ in range(atom_count // 2 - 1):
         amps = np.kron(amps, bell)
-    amps = amps.astype(complex)
+    spins = amps.astype(complex).reshape((2,) * atom_count)  # one axis per atom, u then d
+    swap = -SWAP_MATRIX_IDEAL.reshape(2, 2, 2, 2)  # (out i, out j, in i, in j)
     for link in range(1, atom_count - 1, 2):
-        amps = _apply_signed_swap(basis, amps, link, link + 1)
-    return QuantumState(basis=basis, amplitudes=amps)
+        pair = (link, link + 1)
+        spins = np.moveaxis(np.tensordot(swap, spins, axes=((2, 3), pair)), (0, 1), pair)
+    basis = tuple("".join(bits) for bits in itertools.product("ud", repeat=atom_count))
+    return QuantumState(basis=basis, amplitudes=spins.reshape(-1))
 
 
 @dataclass(frozen=True)

@@ -146,9 +146,10 @@ def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
     return _kaulakys(n_eff1, l1, n_eff2, l2)
 
 
-def _sp_row(nu_s: float, nus: list[float]) -> list[float] | None:
+def _sp_row(nu_s: float, nus: list[float]) -> list[float]:
     """``radial_integral(nu_s, 0, nu, 1)`` for each ``nu`` of ``nus``, its checks run once
-    on the row (a finite sum, a least n_eff of 10); None where one would fire."""
+    on the row (a finite sum, a least n_eff of 10), element by element where one would
+    fire: from one source line, so the console shows each distinct warning once."""
     if math.isfinite(nu_s + sum(nus)) and min(nu_s, *nus) >= 10.0:
         return [_kaulakys(nu_s, 0, nu, 1) for nu in nus]
-    return None
+    return [radial_integral(nu_s, 0, nu, 1) for nu in nus]

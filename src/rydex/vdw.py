@@ -26,9 +26,9 @@ Each term is -R R' / defect with R = e^2 r_A r_B. The product is
 separable, R[da, db] = (E2A02 r_A[da]) r_B[db], so a window is built
 from per-atom radial vectors (own and crossed s -> p elements of each
 atom) and per-atom energy vectors, as one record of (channel, term)
-arrays. It is built once per model content and cached, and its
-reductions (kept-term mask, channel sums, blocks, critical radius,
-decomposition) are computed once on it. Its near-resonant exclusions are
+arrays. It is built once per model (an immutable value, so equal models
+share it) and cached, and its reductions (kept-term mask, channel sums,
+blocks, critical radius, decomposition) are computed once on it. Its near-resonant exclusions are
 collected once per window and replayed per call: their log lines and the
 exact-resonance error repeat on every summing call. Sums run left to right in
 window order (da outer, db inner), as a scalar loop adds them: a pairwise
@@ -58,7 +58,7 @@ from .atoms import (
     clebsch_gordan,
     quantum_defect,
 )
-from .radial import E2A02_GHZ_UM3, _sp_row, radial_integral
+from .radial import E2A02_GHZ_UM3, _sp_row
 
 __all__ = [
     "SingularChannelError",
@@ -174,9 +174,8 @@ def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
 
 
 @lru_cache(maxsize=8)  # bounded like _window
-def _p_floor(species: str, rydberg_constant_ghz: float, series: tuple) -> int:
-    """Lowest n bound in both p series of the model with this content."""
-    model = QuantumDefectModel(species, rydberg_constant_ghz, dict(series))
+def _p_floor(model: QuantumDefectModel) -> int:
+    """Lowest n bound in both p series of ``model``."""
     return max(_lowest_bound_p(model, j) for j in (0.5, 1.5))
 
 
@@ -188,10 +187,9 @@ def _pair_terms(
     The window is a full square: ns = n_a + da and nt = n_b + db with da,
     db in [-dn_cutoff, dn_cutoff], one row of terms per channel. ``rr`` is
     the coupling with each atom keeping its own transition, ``rr_cross``
-    re-emits into the atom-exchanged pair. Windows are cached by the model's
-    content, not its identity: ``QuantumDefectModel`` is mutable, so an
-    edited model gets a fresh window. Exclusion log lines
-    (``_Window.replay_exclusions``) stay per call.
+    re-emits into the atom-exchanged pair. The integer and domain checks run
+    before the cache, which would let a warm int entry answer an equal float or
+    bool. Exclusion log lines (``_Window.replay_exclusions``) stay per call.
     """
     n_a, n_b, dn_cutoff = (
         _require_int(name, value)
@@ -205,27 +203,18 @@ def _pair_terms(
             f"{name}={n} with dn_cutoff={dn_cutoff} reaches n={n + dn_cutoff}, "
             f"above the channel-sum domain n <= {MAX_PRINCIPAL_N}"
         )
-    series = tuple(model.series.items())
-    return _window(model.species, model.rydberg_constant_ghz, series, n_a, n_b, dn_cutoff)
+    return _window(model, n_a, n_b, dn_cutoff)
 
 
 @lru_cache(maxsize=8)  # 64 raised peak RSS by 1.1 MB at the same speed
-def _window(
-    species: str,
-    rydberg_constant_ghz: float,
-    series: tuple,
-    n_a: int,
-    n_b: int,
-    dn_cutoff: int,
-) -> _Window:
-    """``_pair_terms`` of the model with this content, built once.
+def _window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int) -> _Window:
+    """``_pair_terms`` of ``model``, built once.
 
     ``rr`` and ``rr_cross`` factorize into per-atom radial vectors, so
     each atom costs 2 dn_cutoff + 1 levels per p_j component instead of
     one level per term.
     """
-    model = QuantumDefectModel(species, rydberg_constant_ghz, dict(series))
-    floor_n = _p_floor(species, rydberg_constant_ghz, series)
+    floor_n = _p_floor(model)
     for name, n in (("n_a", n_a), ("n_b", n_b)):
         if n - dn_cutoff < floor_n:
             raise ValueError(
@@ -239,13 +228,7 @@ def _window(
         out = {}
         for j in (0.5, 1.5):
             _, nus, energies = _rydberg_ritz(model, 1, j, range(n - dn_cutoff, n + dn_cutoff + 1))
-            # element by element where a check fires, from one line per row: the
-            # console's filter shows a warning once per message and source line
-            out[j] = (
-                energies,
-                _sp_row(own, nus) or [radial_integral(own, 0, nu, 1) for nu in nus],
-                _sp_row(other, nus) or [radial_integral(other, 0, nu, 1) for nu in nus],
-            )
+            out[j] = (energies, _sp_row(own, nus), _sp_row(other, nus))
         return (np.array([out[j][v] for j in js]) for v in range(3))
 
     js_a, js_b = zip(*CHANNEL_FINE_STRUCTURE.values())

@@ -1004,6 +1004,18 @@ def test_cli_prints_each_warning_as_one_line(capsys, caplog, argv, fragments):
     assert all(fragment in line for fragment, line in zip(fragments, lines))
 
 
+def test_cli_prints_each_distinct_radial_warning_once():
+    """``coeffs --na 14 --nb 15`` reaches p levels below n_eff = 10: the console shows
+    each distinct "marginal" message once, though the own and the crossed radial
+    rows both raise it."""
+    proc = _fresh_process("-m", "rydex.cli", "coeffs", "--na", "14", "--nb", "15")
+    assert proc.returncode == 0
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: quasiclassical radial element marginal")
+                         for line in lines)
+    assert len(lines) == len(set(lines))
+
+
 @pytest.mark.parametrize(
     "command, flag, value, rest",
     [

@@ -20,8 +20,7 @@ TREES = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
 # public functions that only tests call, each with the reason it stays
 ALLOWED = {"chain_ideal_state": "acceptance criterion 8"}
 # public constants and classes that no source reads, each with the reason it stays
-ALLOWED_NAMES = {"SWAP_MATRIX_IDEAL": "the gate the SWAP sequence realizes, documented physics "
-                                      "pinned by test_swap_matrix_constant"}
+ALLOWED_NAMES: dict[str, str] = {}
 # parameters with a default that only tests set, each with the reason it stays
 ALLOWED_PARAMETERS = {
     "optimize_pairwise.restarts": "the determinism test freezes its optimum at 3 restarts",

@@ -296,11 +296,11 @@ def test_window_rows_warn_as_element_by_element():
         f"quasiclassical radial element marginal at n_eff={x} (< 10)" for _, x in marginal
     ]
     assert _marginal_messages("always", lambda: c6_pair(MODEL, 14, 15)) == one_by_one
-    # the console's default filter shows a message once per source line, and the
-    # own and the crossed rows warn from a line each
+    # the console's default filter shows a message once per source line, and every
+    # row warns from one line: each distinct message shows once
     shown = _marginal_messages("default", lambda: c6_pair(MODEL, 14, 15))
-    firsts = list(dict.fromkeys(marginal))
-    assert shown == [f"quasiclassical radial element marginal at n_eff={x} (< 10)" for _, x in firsts]
+    firsts = list(dict.fromkeys(x for _, x in marginal))
+    assert shown == [f"quasiclassical radial element marginal at n_eff={x} (< 10)" for x in firsts]
     assert len(shown) < len(one_by_one)
 
 
@@ -321,6 +321,7 @@ def test_window_rows_warn_as_element_by_element():
     ],
 )
 def test_window_outside_integer_domain_rejected(call, match):
+    c6_pair(MODEL, 73, 75)  # a warm int window answers no equal float or bool
     with pytest.raises(ValueError, match=match):
         call()
 
@@ -331,25 +332,45 @@ def test_highest_window_level_accepted():
 
 # --- the window cache ---------------------------------------------------------
 
+def _edited_p_series(model, delta0_shift):
+    """A copy of ``model`` with the p_1/2 series' delta0 moved by ``delta0_shift``."""
+    p = model.series[(1, 0.5)]
+    series = {**model.series, (1, 0.5): dataclasses.replace(p, delta0=p.delta0 + delta0_shift)}
+    return dataclasses.replace(model, series=series)
+
+
+def test_model_is_an_immutable_value():
+    model = QuantumDefectModel.default()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.rydberg_constant_ghz = 1.0
+    with pytest.raises(TypeError):
+        model.series[(1, 0.5)] = model.series[(1, 1.5)]
+    # the model copies the mapping it is given: editing that dict moves nothing
+    given_series = dict(model.series)
+    copy = dataclasses.replace(model, series=given_series)
+    given_series.clear()
+    assert copy == model and hash(copy) == hash(model)
+    assert _edited_p_series(model, 1e-3) != model
+
+
 def test_equal_models_share_one_window():
     a, b = QuantumDefectModel.default(), QuantumDefectModel.default()
     assert a is not b
+    assert a == b and hash(a) == hash(b)
     assert _pair_terms(a, 61, 64, 10) is _pair_terms(b, 61, 64, 10)
 
 
 def test_edited_model_gets_a_fresh_window():
     model = QuantumDefectModel.default()
     before = c6_pair(model, 61, 64)
-    p = model.series[(1, 0.5)]
-    model.series[(1, 0.5)] = dataclasses.replace(p, delta0=p.delta0 + 1e-3)
-    after = _pair_terms(model, 61, 64, 10)
-    # built straight from the edited content, past the cache
-    fresh = _window.__wrapped__(
-        model.species, model.rydberg_constant_ghz, tuple(model.series.items()), 61, 64, 10
-    )
+    edited = _edited_p_series(model, 1e-3)
+    after = _pair_terms(edited, 61, 64, 10)
+    # built straight from the edited copy, past the cache
+    fresh = _window.__wrapped__(edited, 61, 64, 10)
     for name in ("ns", "nt", "defect", "rr", "rr_cross"):
         assert np.array_equal(getattr(after, name), getattr(fresh, name))
-    assert c6_pair(model, 61, 64).c6 != before.c6
+    assert c6_pair(edited, 61, 64).c6 != before.c6
+    assert c6_pair(model, 61, 64) == before
 
 
 def test_cached_window_refuses_writes():
@@ -397,11 +418,12 @@ def test_edited_p_series_moves_the_window_floor():
     c6_pair(model, 61, 64)  # a build under the original p series, floor n = 4
     with pytest.raises(ValueError, match=r"reaches n=3, below the lowest bound p level n=4$"):
         c6_pair(model, 13, 15)
-    p = model.series[(1, 0.5)]
-    model.series[(1, 0.5)] = dataclasses.replace(p, delta0=p.delta0 + 3.0)
+    edited = _edited_p_series(model, 3.0)
     # nu(n) = n - delta(n) first turns positive at n = 7 in the edited p_1/2 series
     with pytest.raises(ValueError, match=r"n_a=14 .* reaches n=4, below the lowest bound p level n=7$"):
-        c6_pair(model, 14, 15)
+        c6_pair(edited, 14, 15)
+    with pytest.raises(ValueError, match=r"reaches n=3, below the lowest bound p level n=4$"):
+        c6_pair(model, 13, 15)
 
 
 @pytest.mark.parametrize(
@@ -716,6 +738,14 @@ def _scalar_block(sums):
     "n_a,n_b", [row[:2] for row in REFERENCE_TABLE_I] + [(14, 15), (75, 73)]
 )
 def test_vectorized_window_bit_identical_to_scalar_walk(n_a, n_b):
+    if (n_a, n_b) == (14, 15):  # p levels below n_eff = 10
+        with pytest.warns(UserWarning, match="marginal"):
+            _assert_window_matches_scalar_walk(n_a, n_b)
+    else:
+        _assert_window_matches_scalar_walk(n_a, n_b)
+
+
+def _assert_window_matches_scalar_walk(n_a, n_b):
     wide = {k: list(_scalar_terms(MODEL, n_a, n_b, k, 10)) for k in (1, 2, 3, 4)}
     direct = {k: _scalar_sum(t, False) for k, t in wide.items()}
     cross = {k: _scalar_sum(t, True) for k, t in wide.items()}
