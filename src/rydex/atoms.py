@@ -46,8 +46,10 @@ _L_LETTERS = "spdfghik"
 def _require_finite(
     name: str, value: float, lower: float = -math.inf, inclusive: bool = True
 ) -> None:
-    """Reject a non-finite ``value``, or one below ``lower`` (or at it unless
-    ``inclusive``), with a one-line error that names the parameter."""
+    """Reject a bool, a non-finite ``value``, or one below ``lower`` (or at it
+    unless ``inclusive``), with a one-line error that names the parameter."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     in_range = value >= lower if inclusive else value > lower
     if not (math.isfinite(value) and in_range):
         bound = "" if lower == -math.inf else f" and {'>=' if inclusive else '>'} {lower:g}"
@@ -100,9 +102,12 @@ class QuantumDefectModel:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
+        # hashed once, not a field; a frozenset, as == of two mappings ignores their order
+        content = (self.species, self.rydberg_constant_ghz, frozenset(self.series.items()))
+        object.__setattr__(self, "_hash", hash(content))
 
-    def __hash__(self) -> int:  # a frozenset, as == of two mappings ignores their order
-        return hash((self.species, self.rydberg_constant_ghz, frozenset(self.series.items())))
+    def __hash__(self) -> int:
+        return self._hash
 
     def series_for(self, l: int, j: float) -> DefectSeries:
         try:

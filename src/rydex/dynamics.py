@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,7 +112,9 @@ class PulseSpec:
     duration_us: float = 0.0
 
     def __post_init__(self) -> None:
-        _require_finite("duration_us", self.duration_us, 0.0)
+        for f in fields(self):  # drives and phases finite, the duration also >= 0
+            lower = 0.0 if f.name == "duration_us" else -math.inf
+            _require_finite(f.name, getattr(self, f.name), lower)
 
     def amplitude(self, channel: str) -> complex:
         """Complex amplitude omega * exp(i phi) of one channel."""
@@ -240,6 +242,8 @@ def build_swap_2pi(
     excited states to the Bell pair with amplitude omega/(2 sqrt 2),
     with a sign flip of the |uU> <-> |r-> leg.
     """
+    for name, value in (("omega", omega), ("phi", phi), ("v_plus", v_plus), ("v_minus", v_minus)):
+        _require_finite(name, value)
     c = omega / (2.0 * _SQRT2) * _phasor(phi)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 2] = c
@@ -254,6 +258,8 @@ def build_swap_2pi(
 
 def build_blocked2(omega: float, phi: float, v_blockade: float) -> HamiltonianMatrix:
     """2x2 matrix of a blockaded drive: [[0, O/2 e^{i phi}], [c.c., V]]."""
+    for name, value in (("omega", omega), ("phi", phi), ("v_blockade", v_blockade)):
+        _require_finite(name, value)
     c = omega / 2.0 * _phasor(phi)
     m = np.array([[0.0, c], [c.conjugate(), v_blockade]], dtype=complex)
     return HamiltonianMatrix(basis=("ground", "blocked"), matrix=m)

@@ -26,9 +26,13 @@ Each term is -R R' / defect with R = e^2 r_A r_B. The product is
 separable, R[da, db] = (E2A02 r_A[da]) r_B[db], so a window is built
 from per-atom radial vectors (own and crossed s -> p elements of each
 atom) and per-atom energy vectors, as one record of (channel, term)
-arrays. It is built once per model (an immutable value, so equal models
-share it) and cached, and its reductions (kept-term mask, channel sums,
-blocks, critical radius, decomposition) are computed once on it. Its near-resonant exclusions are
+arrays. The p levels are computed once per series and model (an immutable
+value, so equal models share them), and each window slices its own. A pair's
+windows are cached together: a narrower one is cut from a wider one the pair
+already holds, and one is built only when the pair holds none wider, so a cut
+never computes a level or element the request does not read. Each window's
+reductions (kept-term mask, channel sums, blocks, critical radius,
+decomposition) are computed once on it. Its near-resonant exclusions are
 collected once per window and replayed per call: their log lines and the
 exact-resonance error repeat on every summing call. Sums run left to right in
 window order (da outer, db inner), as a scalar loop adds them: a pairwise
@@ -156,27 +160,21 @@ _CHANNELS = np.array(list(CHANNEL_FINE_STRUCTURE))  # the channel of each window
 _PLUS_MINUS = np.array([(d[1, 1] + d[1, 2], d[1, 1] - d[1, 2]) for d in _D_MATRICES.values()]).T
 
 
-def _lowest_bound_p(model: QuantumDefectModel, j: float) -> int:
-    """Lowest n of the p_j series with a positive effective quantum number.
-
-    nu(n) > 0 means (n - delta0)^3 > delta2, so the search starts at the
-    closed-form floor and only steps over rounding.
-    """
-    s = model.series_for(1, j)
-    n = max(
-        2,
-        math.floor(s.delta0) + 1,
-        math.floor(s.delta0 + max(s.delta2, 0.0) ** (1.0 / 3.0)),
-    )
-    while n <= quantum_defect(model, 1, j, n):  # nu(n) <= 0, exactly in floats
-        n += 1
-    return n
-
-
-@lru_cache(maxsize=8)  # bounded like _window
-def _p_floor(model: QuantumDefectModel) -> int:
-    """Lowest n bound in both p series of ``model``."""
-    return max(_lowest_bound_p(model, j) for j in (0.5, 1.5))
+@lru_cache(maxsize=8)  # models
+def _p_levels(model: QuantumDefectModel) -> dict[float, tuple[int, list, list]]:
+    """Per p_j series of ``model``: its lowest n with a positive effective quantum
+    number, and the nu and E lists from there to MAX_PRINCIPAL_N, which every
+    window slices. nu(n) > 0 means (n - delta0)^3 > delta2, so the search starts
+    at the closed-form floor and only steps over rounding."""
+    levels = {}
+    for j in (0.5, 1.5):
+        s = model.series_for(1, j)
+        n = max(2, math.floor(s.delta0) + 1,
+                math.floor(s.delta0 + max(s.delta2, 0.0) ** (1.0 / 3.0)))
+        while n <= quantum_defect(model, 1, j, n):  # nu(n) <= 0, exactly in floats
+            n += 1
+        levels[j] = (n, *_rydberg_ritz(model, 1, j, range(n, MAX_PRINCIPAL_N + 1))[1:])
+    return levels
 
 
 def _pair_terms(
@@ -203,18 +201,29 @@ def _pair_terms(
             f"{name}={n} with dn_cutoff={dn_cutoff} reaches n={n + dn_cutoff}, "
             f"above the channel-sum domain n <= {MAX_PRINCIPAL_N}"
         )
-    return _window(model, n_a, n_b, dn_cutoff)
+    built = _pair_windows(model, n_a, n_b)
+    if dn_cutoff not in built:
+        wider = [dn for dn in built if dn > dn_cutoff]
+        built[dn_cutoff] = (built[min(wider)].cut(dn_cutoff) if wider
+                            else _build_window(model, n_a, n_b, dn_cutoff))
+    return built[dn_cutoff]
 
 
-@lru_cache(maxsize=8)  # 64 raised peak RSS by 1.1 MB at the same speed
-def _window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int) -> _Window:
-    """``_pair_terms`` of ``model``, built once.
+@lru_cache(maxsize=4)  # 8 windows: a dn-10 and its dn-3 cut per pair; 8 pairs cost 0.6 MB of RSS
+def _pair_windows(model: QuantumDefectModel, n_a: int, n_b: int) -> dict[int, _Window]:
+    """The windows of one pair of ``model`` built or cut so far, by dn_cutoff."""
+    return {}
+
+
+def _build_window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int) -> _Window:
+    """``_pair_terms`` of ``model``, built from its levels and radial rows.
 
     ``rr`` and ``rr_cross`` factorize into per-atom radial vectors, so
     each atom costs 2 dn_cutoff + 1 levels per p_j component instead of
     one level per term.
     """
-    floor_n = _p_floor(model)
+    p_levels = _p_levels(model)
+    floor_n = max(lowest for lowest, _, _ in p_levels.values())
     for name, n in (("n_a", n_a), ("n_b", n_b)):
         if n - dn_cutoff < floor_n:
             raise ValueError(
@@ -227,8 +236,9 @@ def _window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int) -> _W
         # energies, <own s|r|p> and <other s|r|p> over the window, (channel, level) each
         out = {}
         for j in (0.5, 1.5):
-            _, nus, energies = _rydberg_ritz(model, 1, j, range(n - dn_cutoff, n + dn_cutoff + 1))
-            out[j] = (energies, _sp_row(own, nus), _sp_row(other, nus))
+            lowest, nus, energies = p_levels[j]
+            levels = slice(n - dn_cutoff - lowest, n + dn_cutoff + 1 - lowest)
+            out[j] = (energies[levels], _sp_row(own, nus[levels]), _sp_row(other, nus[levels]))
         return (np.array([out[j][v] for j in js]) for v in range(3))
 
     js_a, js_b = zip(*CHANNEL_FINE_STRUCTURE.values())
@@ -238,6 +248,7 @@ def _window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int) -> _W
     return _Window(
         n_a=n_a,
         n_b=n_b,
+        dn_cutoff=dn_cutoff,
         ns=np.repeat(np.arange(n_a - dn_cutoff, n_a + dn_cutoff + 1), width),
         nt=np.tile(np.arange(n_b - dn_cutoff, n_b + dn_cutoff + 1), width),
         defect=(((e_a[:, :, None] + e_b[:, None, :]) - e_sa) - e_sb).reshape(rows),
@@ -256,10 +267,11 @@ class _Window:
     """One window as read-only (channel, term) arrays, channels in
     CHANNEL_FINE_STRUCTURE order and terms da outer, db inner; ``ns`` and ``nt``
     label the term axis. Its reductions are computed on first use and kept on
-    the window, so the ``_window`` cache bounds them too."""
+    the window, so the ``_pair_windows`` cache bounds them too."""
 
     n_a: int
     n_b: int
+    dn_cutoff: int
     ns: np.ndarray
     nt: np.ndarray
     defect: np.ndarray
@@ -269,6 +281,19 @@ class _Window:
     def __post_init__(self) -> None:
         for array in (self.ns, self.nt, self.defect, self.rr, self.rr_cross):
             _read_only(array)
+
+    def cut(self, dn_cutoff: int) -> _Window:
+        """The window of a smaller ``dn_cutoff``: the (channel, da, db) square of
+        each array sliced out, bit-equal to a build and computing no new level
+        or radial element."""
+        width, lo = 2 * self.dn_cutoff + 1, self.dn_cutoff - dn_cutoff
+
+        def square(a):
+            return a.reshape(*a.shape[:-1], width, width)[..., lo:width - lo, lo:width - lo]
+
+        arrays = (self.ns, self.nt, self.defect, self.rr, self.rr_cross)
+        return _Window(self.n_a, self.n_b, dn_cutoff,
+                       *(square(a).reshape(*a.shape[:-1], -1) for a in arrays))
 
     @cached_property
     def keep(self) -> np.ndarray:
@@ -307,7 +332,21 @@ class _Window:
     @cached_property
     def critical_radius(self) -> CriticalRadius:
         """``critical_radius`` of this window; an exact resonance raises each time."""
-        return _critical_radius(self)
+        rrs, defects = self.rr, self.defect
+        candidates = np.flatnonzero(np.abs(rrs) >= 0.01 * np.abs(rrs).max())
+        # smallest |defect| first, ties to the larger coupling, then window order
+        order = np.lexsort((-np.abs(rrs.flat[candidates]), np.abs(defects.flat[candidates])))
+        c, i = divmod(int(candidates[order[0]]), rrs.shape[1])
+        k, ns, nt = int(_CHANNELS[c]), int(self.ns[i]), int(self.nt[i])
+        defect, rr = float(defects[c, i]), float(rrs[c, i])
+        mmax = float(np.abs(_M_MATRICES[k]).max())
+        if defect == 0.0:
+            raise SingularChannelError(
+                f"dominant channel ({ns}p, {nt}p) is exactly resonant; "
+                "no finite critical radius"
+            )
+        radius = (mmax * abs(rr) / abs(defect)) ** (1.0 / 3.0)
+        return CriticalRadius(float(radius), k, ns, nt, float(defect), float(rr), mmax)
 
     @cached_property
     def exclusions(self) -> tuple[tuple[int, int, int, float], ...]:
@@ -396,11 +435,10 @@ def c6_pair(
 def _khz_per_ghz_um6(spacing_um: float, *coefficients):
     """GHz um^6 ``coefficients`` (arrays) in kHz at spacing L (um), each times 1e6 / L^6."""
     scale = _khz_scale(spacing_um)
-    with np.errstate(over="ignore"):
-        scaled = [c * scale for c in coefficients]
-    if not all(np.isfinite(c).all() for c in scaled):
+    # rounding is monotone: no entry overflows unless the largest in magnitude does
+    if not all(math.isfinite(float(np.abs(c).max()) * scale) for c in coefficients):
         raise ValueError(f"spacing {spacing_um} um puts the couplings outside the float range")
-    return scaled
+    return [c * scale for c in coefficients]
 
 
 def _khz_scale(spacing_um: float) -> float:
@@ -530,34 +568,6 @@ def critical_radius(
     The radius solves max|M_k| * R / L^3 = |defect|.
     """
     return _pair_terms(model, n_a, n_b, dn_cutoff).critical_radius
-
-
-def _critical_radius(window: _Window) -> CriticalRadius:
-    rrs, defects = window.rr, window.defect
-    candidates = np.flatnonzero(np.abs(rrs) >= 0.01 * np.abs(rrs).max())
-    # smallest |defect| first, ties to the larger coupling, then window order
-    order = np.lexsort(
-        (-np.abs(rrs.flat[candidates]), np.abs(defects.flat[candidates]))
-    )
-    c, i = divmod(int(candidates[order[0]]), rrs.shape[1])
-    k, ns, nt = int(_CHANNELS[c]), int(window.ns[i]), int(window.nt[i])
-    defect, rr = float(defects[c, i]), float(rrs[c, i])
-    mmax = float(np.abs(_M_MATRICES[k]).max())
-    if defect == 0.0:
-        raise SingularChannelError(
-            f"dominant channel ({ns}p, {nt}p) is exactly resonant; "
-            "no finite critical radius"
-        )
-    radius = (mmax * abs(rr) / abs(defect)) ** (1.0 / 3.0)
-    return CriticalRadius(
-        radius_um=float(radius),
-        channel=k,
-        ns=ns,
-        nt=nt,
-        defect_ghz=float(defect),
-        rrr_ghz_um3=float(rr),
-        max_coupling=mmax,
-    )
 
 
 class ChannelContribution(NamedTuple):

@@ -1,5 +1,6 @@
 """Defect-model parsing, level energies, and angular algebra."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from rydex.atoms import (
     CHANNEL_FINE_STRUCTURE,
     DefectDataError,
     QuantumDefectModel,
+    _require_finite,
     clebsch_gordan,
     quantum_defect,
 )
@@ -124,6 +126,23 @@ def test_quantum_defect_approaches_series_limit():
     deltas = [quantum_defect(MODEL, 0, 0.5, n) for n in (20, 50, 100, 200)]
     assert deltas == sorted(deltas, reverse=True)
     assert deltas[-1] == pytest.approx(3.1311804, abs=1e-5)
+
+
+def test_model_hash_is_stored_once_outside_the_fields():
+    model = QuantumDefectModel.default()
+    series = dict(reversed(model.series.items()))  # == and hash ignore the order
+    copy = dataclasses.replace(model, series=series, species=model.species)
+    assert copy == model and hash(copy) == hash(QuantumDefectModel.default())
+    assert "_hash" not in {f.name for f in dataclasses.fields(model)}
+    assert "_hash" not in repr(model)
+    edited = dataclasses.replace(model, rydberg_constant_ghz=model.rydberg_constant_ghz + 1.0)
+    assert edited != model and hash(edited) != hash(model)
+
+
+@pytest.mark.parametrize("bad", [True, False])
+def test_require_finite_refuses_a_bool_by_name(bad):
+    with pytest.raises(ValueError, match=f"x must be a number, got {bad}"):
+        _require_finite("x", bad)
 
 
 def test_quantum_defect_requires_bound_state():

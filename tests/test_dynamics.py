@@ -1,6 +1,7 @@
 """Pulse matrices, propagation, and the pulse-2 closed form."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,33 @@ def test_pulse_spec_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="duration_us must be finite and >= 0"):
             PulseSpec(duration_us=bad)
+
+
+@pytest.mark.parametrize("name", [f"{kind}_{c}" for kind in ("omega", "phi") for c in CHANNELS])
+def test_pulse_spec_checks_every_drive_and_phase_by_name(name):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+            PulseSpec(duration_us=1.0, **{name: bad})
+    with pytest.raises(ValueError, match=f"{name} must be a number, got True"):
+        PulseSpec(duration_us=1.0, **{name: True})
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # an infinite phase used to fail in math.cos with "math domain error"
+        (lambda: build_swap_2pi(100.0, math.inf, 5.0, 711.0), "phi must be finite, got inf"),
+        (lambda: build_blocked2(100.0, -math.inf, 500.0), "phi must be finite, got -inf"),
+        # a nan drive used to end in "pulse matrix has non-finite entries"
+        (lambda: build_swap_2pi(math.nan, 0.0, 5.0, 711.0), "omega must be finite, got nan"),
+        (lambda: build_swap_2pi(100.0, 0.0, 5.0, math.inf), "v_minus must be finite, got inf"),
+        (lambda: build_blocked2(100.0, 0.0, math.nan), "v_blockade must be finite, got nan"),
+        (lambda: build_blocked2(True, 0.0, 500.0), "omega must be a number, got True"),
+    ],
+)
+def test_pulse_builders_name_a_bad_argument(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_pulse_spec_masked_amplitude():

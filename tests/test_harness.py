@@ -47,6 +47,7 @@ from rydex.harness import (
     to_jsonable,
 )
 from rydex.protocols import pairwise_entangle, swap_gate
+from rydex import vdw
 from rydex.vdw import interaction_matrix
 
 from level_reference import RydbergLevel, level_energy
@@ -109,6 +110,7 @@ def test_pair_couplings_match_interaction_matrix():
         (dict(samples=math.nan), "samples must be an integer, got nan"),
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(seed=True), "seed must be an integer, got True"),
+        (dict(omega_khz=True), "omega_khz must be a number, got True"),
     ],
 )
 def test_robustness_config_validation(kwargs, fragment):
@@ -564,6 +566,15 @@ def _run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def test_cli_critical_radius_computes_no_wider_window(capsys):
+    # the dn-3 window of (20, 22) stays above n_eff 10; a dn-10 one would warn marginal
+    vdw._pair_windows.cache_clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = _run_cli(capsys, ["critical-radius", "--na", "20", "--nb", "22"])
+    assert (rc, err, caught) == (0, "", [])
 
 
 def test_cli_coeffs_json(capsys):

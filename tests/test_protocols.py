@@ -359,6 +359,20 @@ def test_swap_gate_refuses_a_nan_blockade():
         swap_gate(89.0, V_PLUS, V_MINUS, math.nan, 11.12)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # True passed as finite: a fidelity of 0.99732 and a gate fidelity of 0.5000
+        (lambda: pairwise_entangle(60, 60, True, 711), "v_plus_khz must be a number, got True"),
+        (lambda: swap_gate(True, 5, 711, 500, 10), "omega_khz must be a number, got True"),
+        (lambda: ChainSpec(4, True, (73, 75)), "spacing_um must be a number, got True"),
+    ],
+)
+def test_a_bool_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_swap_gate_weak_blockade_warns():
     with pytest.warns(UserWarning, match="blockade"):
         swap_gate(89.0, V_PLUS, V_MINUS, 100.0, 11.12)

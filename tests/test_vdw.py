@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydex.atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel, _rydberg_ritz
-from rydex import vdw
+from rydex import radial, vdw
 from rydex.radial import radial_integral
 from rydex.harness import REFERENCE_TABLE_I
 from rydex.vdw import (
@@ -27,8 +27,10 @@ from rydex.vdw import (
     _M_MATRICES,
     _khz_per_ghz_um6,
     _m_rows,
+    _build_window,
+    _p_levels,
     _pair_terms,
-    _window,
+    _pair_windows,
     c6_pair,
     channel_c6,
     critical_radius,
@@ -268,7 +270,7 @@ def test_lowest_window_level_accepted():
 
 
 def _marginal_messages(action, call):
-    _window.cache_clear()  # a warm window warns no more
+    _pair_windows.cache_clear()  # a warm window warns no more
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter(action)
         call()
@@ -332,6 +334,9 @@ def test_highest_window_level_accepted():
 
 # --- the window cache ---------------------------------------------------------
 
+WINDOW_ARRAYS = ("ns", "nt", "defect", "rr", "rr_cross")
+
+
 def _edited_p_series(model, delta0_shift):
     """A copy of ``model`` with the p_1/2 series' delta0 moved by ``delta0_shift``."""
     p = model.series[(1, 0.5)]
@@ -365,9 +370,12 @@ def test_edited_model_gets_a_fresh_window():
     before = c6_pair(model, 61, 64)
     edited = _edited_p_series(model, 1e-3)
     after = _pair_terms(edited, 61, 64, 10)
-    # built straight from the edited copy, past the cache
-    fresh = _window.__wrapped__(edited, 61, 64, 10)
-    for name in ("ns", "nt", "defect", "rr", "rr_cross"):
+    assert after is not _pair_terms(model, 61, 64, 10)
+    assert _p_levels(edited) is not _p_levels(model)
+    # built straight from the edited copy, past both caches
+    _p_levels.cache_clear()
+    fresh = _build_window(edited, 61, 64, 10)
+    for name in WINDOW_ARRAYS:
         assert np.array_equal(getattr(after, name), getattr(fresh, name))
     assert c6_pair(edited, 61, 64).c6 != before.c6
     assert c6_pair(model, 61, 64) == before
@@ -403,14 +411,18 @@ def test_cold_pair_reduces_each_window_once(monkeypatch):
         counted = cached_property(lambda w, n=name, f=reduce: calls.update([n]) or f(w))
         counted.__set_name__(vdw._Window, name)
         monkeypatch.setattr(vdw._Window, name, counted)
-    _window.cache_clear()
+    build, cut = vdw._build_window, vdw._Window.cut
+    monkeypatch.setattr(vdw, "_build_window", lambda *a: calls.update(["build"]) or build(*a))
+    monkeypatch.setattr(vdw._Window, "cut", lambda w, dn: calls.update(["cut"]) or cut(w, dn))
+    _pair_windows.cache_clear()
     c6_pair(MODEL, 73, 75)
     lc = critical_radius(MODEL, 73, 75).radius_um
     for factor in (1.5, 2.0, 3.0):
         interaction_matrix(MODEL, 73, 75, factor * lc)
-    # the dn-10 window: its mask, sums, blocks and excluded terms; the dn-3
-    # window: its radius
-    assert calls == {"keep": 1, "sums": 1, "blocks": 1, "critical_radius": 1, "exclusions": 1}
+    # the dn-10 window, built once: its mask, sums, blocks and excluded terms;
+    # the dn-3 window, cut from it once: its radius
+    assert calls == {"build": 1, "cut": 1, "keep": 1, "sums": 1, "blocks": 1,
+                     "critical_radius": 1, "exclusions": 1}
 
 
 def test_edited_p_series_moves_the_window_floor():
@@ -424,6 +436,67 @@ def test_edited_p_series_moves_the_window_floor():
         c6_pair(edited, 14, 15)
     with pytest.raises(ValueError, match=r"reaches n=3, below the lowest bound p level n=4$"):
         c6_pair(model, 13, 15)
+
+
+# --- cut windows and the level table -------------------------------------------
+
+def _window_bits(window):
+    """Every array of ``window`` and of its reductions, as (name, dtype, shape, bytes)."""
+    parts = window.decomposition
+    arrays = [(name, getattr(window, name)) for name in WINDOW_ARRAYS]
+    arrays += [("sums", window.sums), *(("block", b) for b in window.blocks)]
+    arrays += [(f.name, getattr(parts, f.name)) for f in dataclasses.fields(parts)]
+    radius = tuple(x.hex() if isinstance(x, float) else x
+                   for x in dataclasses.astuple(window.critical_radius))
+    exclusions = tuple(tuple(x.hex() if isinstance(x, float) else x for x in row)
+                       for row in window.exclusions)
+    return ([(n, a.dtype, a.shape, a.tobytes()) for n, a in arrays],
+            (window.n_a, window.n_b, window.dn_cutoff), radius, exclusions)
+
+
+@pytest.mark.parametrize(
+    "n_a,n_b,dns",
+    [
+        (14, 15, (10, *range(10))),  # the dn-10 window reaches the p floor, n = 4
+        (487, 490, (10, 0, 3, 9, 1)),  # the dn-10 window tops out at n = 500
+        (100, 100, tuple(range(1, 21))),  # Table II, rising: every window a build
+        (100, 100, tuple(range(20, 0, -1))),  # falling: each cut from the one before
+        *((a, b, (10, 3)) for a, b, _, _ in REFERENCE_TABLE_I),
+        *((a, b, (3, 10, 2)) for a, b, _, _ in REFERENCE_TABLE_I),
+    ],
+)
+def test_cut_window_is_bit_equal_to_a_cold_build(n_a, n_b, dns):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # (14, 15) is marginal below n_eff 10
+        _pair_windows.cache_clear()
+        served = {dn: _pair_terms(MODEL, n_a, n_b, dn) for dn in dns}
+        assert set(_pair_windows(MODEL, n_a, n_b)) == set(dns)
+        for dn, window in served.items():
+            assert _window_bits(window) == _window_bits(_build_window(MODEL, n_a, n_b, dn))
+
+
+def test_cut_computes_no_level_or_radial_element(monkeypatch):
+    _pair_windows.cache_clear()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _pair_terms(MODEL, 20, 22, 10)  # reaches n = 10: its build warns marginal
+        assert caught and all("marginal" in str(w.message) for w in caught)
+        caught.clear()
+        before = radial._kaulakys.cache_info()
+        monkeypatch.setattr(vdw, "_rydberg_ritz", None)  # a level computed would raise
+        for dn in (3, 0, 9):
+            _pair_terms(MODEL, 20, 22, dn)
+        assert radial._kaulakys.cache_info() == before
+        assert caught == []
+
+
+def test_series_table_matches_rydberg_ritz():
+    levels = _p_levels(MODEL)
+    assert [lowest for lowest, _, _ in levels.values()] == [4, 4]  # Rb-87 p_1/2, p_3/2
+    for j, (lowest, nus, energies) in levels.items():
+        assert len(nus) == len(energies) == vdw.MAX_PRINCIPAL_N - lowest + 1
+        _, ends_nu, ends_e = _rydberg_ritz(MODEL, 1, j, (lowest, vdw.MAX_PRINCIPAL_N))
+        assert [nus[0], nus[-1]] == ends_nu and [energies[0], energies[-1]] == ends_e
 
 
 @pytest.mark.parametrize(
@@ -816,3 +889,24 @@ def test_c6_pair_is_symmetric_under_atom_exchange(n_a, dn):
     assert np.abs(np.subtract(ab.channel_sums, mirrored)).max() <= tol
     assert abs(ab.c6 - ba.c6) <= tol
     assert abs(ab.c6_exchange - ba.c6_exchange) <= tol
+
+
+# n_a = 40..481 and d = 1..3: every 7th n_a up to 200 (radial table), every 28th
+# above (live mpmath elements), the benchmark pairs reaching only n = 133
+DOMAIN_PAIRS = [(n_a, n_a + d) for n_a in (*range(40, 201, 7), *range(208, 482, 28), 481)
+                for d in (1, 2, 3)]
+
+
+def test_vdw_invariants_across_the_domain():
+    for n_a, n_b in DOMAIN_PAIRS:
+        pair = c6_pair(MODEL, n_a, n_b)
+        spacing = 2.0 * critical_radius(MODEL, n_a, n_b).radius_um
+        v = v_plus_minus(pair, spacing)
+        assert (v.v_plus_khz, v.v_minus_khz) == interaction_matrix(
+            MODEL, n_a, n_b, spacing).v_plus_minus_khz
+        assert 64.0 * v_plus_minus(pair, 2.0 * spacing).v_plus_khz == v.v_plus_khz
+        # a row adds its own term, c6_pair weights each channel's sum: rounding apart
+        parts = interference_decomposition(MODEL, n_a, n_b)
+        for column, value in ((parts.c6_plus, pair.c6 + pair.c6_exchange),
+                              (parts.c6_minus, pair.c6 - pair.c6_exchange)):
+            assert math.fsum(column.tolist()) == pytest.approx(value, rel=3e-14, abs=0.0)

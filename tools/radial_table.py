@@ -25,7 +25,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from rydex.atoms import QuantumDefectModel, _rydberg_ritz  # noqa: E402
 from rydex.radial import _live_element  # noqa: E402
-from rydex.vdw import _lowest_bound_p  # noqa: E402
+from rydex.vdw import _p_levels  # noqa: E402
 
 TABLE = ROOT / "src" / "rydex" / "data" / "radial_sp.f64"
 # |n_p - n_s| <= DN_MAX covers dn_cutoff <= 20 with |n_a - n_b| <= 4
@@ -38,7 +38,7 @@ def grid(model: QuantumDefectModel) -> list[tuple[float, float]]:
     _, nus_s, _ = _rydberg_ritz(model, 0, 0.5, range(N_S_MIN, N_S_MAX + 1))
     for n_s, nu_s in zip(range(N_S_MIN, N_S_MAX + 1), nus_s):
         for j in (0.5, 1.5):
-            low = max(n_s - DN_MAX, _lowest_bound_p(model, j))
+            low = max(n_s - DN_MAX, _p_levels(model)[j][0])
             _, nus_p, _ = _rydberg_ritz(model, 1, j, range(low, n_s + DN_MAX + 1))
             keys.extend((nu_s, nu_p) for nu_p in nus_p)
     return keys
