@@ -438,6 +438,57 @@ def test_edited_p_series_moves_the_window_floor():
         c6_pair(model, 13, 15)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: interaction_matrix(MODEL, 180, 183, 600.0),
+        lambda: interference_decomposition(MODEL, 180, 183),
+    ],
+    ids=["interaction_matrix", "interference_decomposition"],
+)
+def test_warm_calls_still_log_each_exclusion(call, caplog):
+    c6_pair(MODEL, 180, 183)  # fills the window's sums
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
+        call()
+        call()
+    logged = [r.getMessage() for r in caplog.records]
+    assert len(logged) == 4 and logged[:2] == logged[2:]
+    assert all("near-resonant" in m for m in logged)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: channel_c6(_degenerate_model(0.0), 50, 50, 1, dn_cutoff=0),
+        lambda: interference_decomposition(_degenerate_model(0.0), 50, 50, dn_cutoff=0),
+        lambda: critical_radius(_degenerate_model(0.0), 50, 50, dn_cutoff=0),
+    ],
+    ids=["channel_c6", "interference_decomposition", "critical_radius"],
+)
+def test_exact_resonance_raises_on_every_call(call):
+    for _ in range(2):
+        with pytest.raises(SingularChannelError, match="exactly resonant"):
+            call()
+
+
+def test_inside_radius_warning_on_every_call():
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="inside the critical radius"):
+            interaction_matrix(MODEL, 73, 75, 5.0)
+
+
+def test_cached_reductions_refuse_writes():
+    window = _pair_terms(MODEL, 180, 183, 10)
+    assert (~window.keep).sum() == 2  # two near-resonant terms dropped
+    for array in (window.keep, window.sums, *window.blocks):
+        with pytest.raises(ValueError, match="read-only"):
+            array[1, 1] = 0
+    channel_sums = c6_pair(MODEL, 180, 183).channel_sums
+    assert channel_sums == tuple(window.sums[0].tolist())
+    assert [type(x) for x in channel_sums] == [float] * 4
+
+
 # --- cut windows and the level table -------------------------------------------
 
 def _window_bits(window):
@@ -497,57 +548,6 @@ def test_series_table_matches_rydberg_ritz():
         assert len(nus) == len(energies) == vdw.MAX_PRINCIPAL_N - lowest + 1
         _, ends_nu, ends_e = _rydberg_ritz(MODEL, 1, j, (lowest, vdw.MAX_PRINCIPAL_N))
         assert [nus[0], nus[-1]] == ends_nu and [energies[0], energies[-1]] == ends_e
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: interaction_matrix(MODEL, 180, 183, 600.0),
-        lambda: interference_decomposition(MODEL, 180, 183),
-    ],
-    ids=["interaction_matrix", "interference_decomposition"],
-)
-def test_warm_calls_still_log_each_exclusion(call, caplog):
-    c6_pair(MODEL, 180, 183)  # fills the window's sums
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="rydex.vdw"):
-        call()
-        call()
-    logged = [r.getMessage() for r in caplog.records]
-    assert len(logged) == 4 and logged[:2] == logged[2:]
-    assert all("near-resonant" in m for m in logged)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: channel_c6(_degenerate_model(0.0), 50, 50, 1, dn_cutoff=0),
-        lambda: interference_decomposition(_degenerate_model(0.0), 50, 50, dn_cutoff=0),
-        lambda: critical_radius(_degenerate_model(0.0), 50, 50, dn_cutoff=0),
-    ],
-    ids=["channel_c6", "interference_decomposition", "critical_radius"],
-)
-def test_exact_resonance_raises_on_every_call(call):
-    for _ in range(2):
-        with pytest.raises(SingularChannelError, match="exactly resonant"):
-            call()
-
-
-def test_inside_radius_warning_on_every_call():
-    for _ in range(2):
-        with pytest.warns(UserWarning, match="inside the critical radius"):
-            interaction_matrix(MODEL, 73, 75, 5.0)
-
-
-def test_cached_reductions_refuse_writes():
-    window = _pair_terms(MODEL, 180, 183, 10)
-    assert (~window.keep).sum() == 2  # two near-resonant terms dropped
-    for array in (window.keep, window.sums, *window.blocks):
-        with pytest.raises(ValueError, match="read-only"):
-            array[1, 1] = 0
-    channel_sums = c6_pair(MODEL, 180, 183).channel_sums
-    assert channel_sums == tuple(window.sums[0].tolist())
-    assert [type(x) for x in channel_sums] == [float] * 4
 
 
 # --- spacing-resolved quantities --------------------------------------------
