@@ -28,7 +28,8 @@ Pulses are piecewise constant, so propagation is by spectral
 decomposition of the (Hermitian) pulse matrix, one checked eigensolve
 for one matrix or a stack of them; no ODE stepping. Batches of
 pulse-3 samples run on an exact Chebyshev expansion instead, while
-that is the cheaper of the two.
+that is the cheaper, on a layout of the sector's two 4-cycles of drive
+links where each state's partners are strided views.
 """
 
 from __future__ import annotations
@@ -80,10 +81,14 @@ _SECTOR_LINKS = tuple(
 # state's j-th linked state and its channel, sorted out of _SECTOR_LINKS.
 _LINKED = np.array(sorted(x for r, c, ch in _SECTOR_LINKS for x in ((r, c, ch), (c, r, ch))))
 _NEIGHBOURS, _NEIGHBOUR_CHANNELS = (_LINKED[:, i].reshape(8, 2).T for i in (1, 2))
+# The links form two 4-cycles, [[du, UD], [dD, Uu]] and [[ud, DU], [uU, Dd]] as (cycle,
+# group, member): the _NEIGHBOURS[j] partner of [c, g, m] is [c, 1-g, j]; V_c pairs [:, 0, 1]
+_CYCLES = np.array([[[s, _NEIGHBOURS[1, _NEIGHBOURS[0, s]]], _NEIGHBOURS[:, s]] for s in (0, 1)])
+_PARTNERS = [np.s_[:, ::-1, j : j + 1] for j in (0, 1)]  # as views, broadcast over m
 # (-i)^k is real for even k and imaginary for odd k; its nonzero part by k mod 4
 _MINUS_I_POWER_PARTS = np.array([1.0, -1.0, -1.0, 1.0])
-# Break-even of the two pulse-3 kernels: one batched 8x8 eigh costs about as much
-# per sample as this many Chebyshev terms (2-core x86 VM, BLAS at 1 thread).
+# Break-even of the two pulse-3 kernels: one batched 8x8 eigh costs as much per sample
+# as 230-280 Chebyshev terms, 260-380 on 3 nonzero rows (2-core x86 VM, BLAS 1 thread).
 _CHEBYSHEV_MAX_TERMS = 250
 
 
@@ -361,14 +366,17 @@ def _batched_pulse3_fidelities(
 
         U g+ = exp(-i x c/r) sum_k (2 - [k = 0]) (-i)^k J_k(x) T_k((H - c)/r) g+.
 
-    Each T_k g+ is real and follows T_k+1 = 2 (H - c)/r T_k - T_k-1, where H
-    applied to a batch is two gathers along the sector links plus the V_s, V_c
-    terms; the even and odd terms are summed apart and projected on psi2 once.
-    The sum runs until J_k < 1e-17, about |x| + 12 |x|^(1/3) terms, and matches
-    an eigensolve to ~1e-14; a negative t (a negative drive makes a negative
-    half-period) flips the sign of the odd terms. Only elementwise arithmetic
-    touches the samples, so ``chunk``, the number of samples per pass, does
-    not change a bit.
+    Each T_k g+ is real and follows T_k+1 = 2 (H - c)/r T_k - T_k-1. It sits in
+    the _CYCLES layout, where H reads each state's two link partners as strided
+    views of one buffer (_PARTNERS) and V_c as a slice, no copies; each state
+    still adds ((N0 l0 - T_k-1) + N1 l1) + diag T_k, then V_c, as a gather did.
+    The even and odd terms are summed apart, only on psi2's nonzero rows (pulse
+    2 from |Uu> reaches Uu, DU and UD), and projected on psi2 once: a zero row
+    would add exactly +-0. The sum runs until J_k < 1e-17, about |x| + 12
+    |x|^(1/3) terms, and matches an eigensolve to ~1e-14; a negative t (a
+    negative drive makes a negative half-period) flips the sign of the odd
+    terms. Only elementwise arithmetic touches the samples, so neither the
+    layout nor ``chunk``, the samples per pass, changes a bit.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
     channel's largest drive over the whole array, so the term count is the
@@ -400,28 +408,31 @@ def _batched_pulse3_fidelities(
     weights[0] = terms[0]
     if x < 0.0:  # a negative duration: J_k(-x) = (-1)^k J_k(x)
         weights[1::2] *= -1.0
-    diagonal = (2.0 * (centre - c) / r)[:, None]  # 2 (H - c)/r without the links
-    rows, cols = np.nonzero(coupling)
-    off = (2.0 * coupling[rows, cols] / r)[:, None]
+    diagonal = (2.0 * (centre - c) / r)[_CYCLES, None]  # 2 (H - c)/r without the links
+    off = (2.0 * coupling[_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]] / r)[:, None]
+    support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
+    slots = np.argsort(_CYCLES, axis=None)[support]
     for start in range(0, n, chunk):
-        om = omegas_khz[start : start + chunk]
-        links = [om[:, ch].T / r for ch in _NEIGHBOUR_CHANNELS]  # 2 x link entry / r
-        cur, nxt, g = np.zeros((3, 8, om.shape[0]))
-        cur[:2] = 1.0  # sqrt(2) g+
-        parts = np.zeros((2,) + cur.shape)  # sums of the even and of the odd terms
-        parts[0] += weights[0] * cur
+        om = omegas_khz[start : start + chunk].T
+        links = [om[ch[_CYCLES]] / r for ch in _NEIGHBOUR_CHANNELS]  # 2 x link entry / r
+        t = np.zeros((2, 2, 2, 2, om.shape[1]))  # T_k-1 and T_k in turn, cycle layout
+        t[0, :, 0, 0] = 1.0  # sqrt(2) g+
+        views = [[a[v] for v in _PARTNERS] for a in t]  # each one's partners, as views
+        g, flat = np.empty_like(t[0]), t.reshape(2, 8, -1)
+        parts = np.zeros((2, len(slots), om.shape[1]))  # sums of the even and odd terms
+        parts[0] += weights[0] * flat[0, slots]
         for k in range(1, len(terms)):
-            # nxt <- 2 (H - c)/r cur - nxt; then (T_k-1, T_k) <- (T_k, T_k+1)
-            np.subtract(np.multiply(np.take(cur, _NEIGHBOURS[0], 0, g), links[0], g), nxt, nxt)
-            nxt += np.multiply(np.take(cur, _NEIGHBOURS[1], 0, g), links[1], g)
+            # nxt <- 2 (H - c)/r cur - nxt, so t[k % 2] becomes T_k
+            (first, second), cur, nxt = views[1 - k % 2], t[1 - k % 2], t[k % 2]
+            np.subtract(np.multiply(first, links[0], g), nxt, nxt)
+            nxt += np.multiply(second, links[1], g)
             nxt += np.multiply(cur, diagonal, g)
-            nxt[rows] += off * cur[cols]
+            nxt[:, 0, 1] += off * cur[::-1, 0, 1]
             if k == 1:
                 nxt /= 2.0  # T_1 = (H - c)/r T_0
-            cur, nxt = nxt, cur
-            parts[k % 2] += np.multiply(cur, weights[k], g)
+            parts[k % 2] += flat[k % 2, slots] * weights[k]
         # sqrt(2) <g+|U|psi2> up to a phase, summed state by state in a fixed order
-        amp = sum(p * (e + 1j * o) for p, e, o in zip(psi2, *parts))
+        amp = sum(p * (e + 1j * o) for p, e, o in zip(psi2[support], *parts))
         fids[start : start + chunk] = 0.5 * np.abs(amp) ** 2
     return fids
 
@@ -450,6 +461,8 @@ def pulse2_analytics(
     in ordinary-frequency form (result in microseconds). Valid for
     |V-| >> o1; a warning is emitted when |V-| < 10 o1.
     """
+    for name, value in (("omega_uD_B", omega_uD_B), ("v_plus", v_plus), ("v_minus", v_minus)):
+        _require_finite(name, value)
     o1 = omega_uD_B / (2.0 * _SQRT2)
     if v_minus == 0:
         raise ValueError("pulse2_analytics requires a nonzero V-")
@@ -477,6 +490,8 @@ def pulse2_analytics(
 
 def tau2_approximate(omega_uD_B: float, v_plus: float) -> float:
     """Leading-order pulse-2 duration (us): (sqrt2/(2 omega)) (1 - (V+/omega)^2)."""
+    for name, value in (("omega_uD_B", omega_uD_B), ("v_plus", v_plus)):
+        _require_finite(name, value)
     if omega_uD_B == 0:
         raise ValueError("tau2_approximate requires a nonzero drive")
     try:

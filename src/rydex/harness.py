@@ -145,6 +145,7 @@ class RobustnessConfig:
     v_minus_khz: float
 
     def __post_init__(self) -> None:
+        _require_finite("epsilon", self.epsilon)
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         for name in ("samples", "seed"):

@@ -436,6 +436,16 @@ def test_pulse2_analytics_validation():
     with pytest.warns(UserWarning, match="marginal"):
         with pytest.raises(ValueError, match="drive 1e\\+308 kHz .* outside the float range"):
             pulse2_analytics(1e308, 5.0, 711.0)
+    # a bool or a non-finite argument is refused by its name, before any arithmetic
+    for args, message in [
+        ((100.0, 5.0, True), "v_minus must be a number, got True"),
+        ((True, 5.0, 711.0), "omega_uD_B must be a number, got True"),
+        ((math.nan, 5.0, 711.0), "omega_uD_B must be finite, got nan"),
+        ((59.0, math.inf, 711.0), "v_plus must be finite, got inf"),
+        ((59.0, 5.0, -math.inf), "v_minus must be finite, got -inf"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pulse2_analytics(*args)
 
 
 def test_tau2_approximate_frozen():
@@ -445,9 +455,19 @@ def test_tau2_approximate_frozen():
     with pytest.raises(ValueError, match="nonzero drive"):
         tau2_approximate(0.0, 5.0)
     # a negative duration, and one whose (V+/omega)^2 overflows, name the drive and V+
-    for omega in (1e-3, 4.99, 1e-300, math.nan):
+    for omega in (1e-3, 4.99, 1e-300):
         with pytest.raises(ValueError, match=f"pulse-2 drive {omega} kHz with V\\+ = 5.0 kHz"):
             tau2_approximate(omega, 5.0)
+    # a bool or a non-finite argument is refused by its name
+    for args, message in [
+        ((math.nan, 5.0), "omega_uD_B must be finite, got nan"),
+        ((-math.inf, 5.0), "omega_uD_B must be finite, got -inf"),
+        ((True, 5.0), "omega_uD_B must be a number, got True"),
+        ((59.0, math.nan), "v_plus must be finite, got nan"),
+        ((59.0, False), "v_plus must be a number, got False"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            tau2_approximate(*args)
     assert tau2_approximate(5.0, 5.0) == 0.0
 
 

@@ -24,8 +24,12 @@ from rydex.dynamics import (
     PulseSpec,
     QuantumState,
     _CHEBYSHEV_MAX_TERMS,
+    _CYCLES,
+    _NEIGHBOURS,
+    _PARTNERS,
     _batched_pulse3_fidelities,
     _chebyshev_terms,
+    _sector_matrices,
     build_full8,
     propagate,
 )
@@ -51,6 +55,7 @@ from rydex import vdw
 from rydex.vdw import interaction_matrix
 
 from level_reference import RydbergLevel, level_energy
+from pulse3_reference import _batched_pulse3_fidelities as gather_pulse3_fidelities
 from radial_reference import rrr_coefficient
 from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
 
@@ -111,6 +116,9 @@ def test_pair_couplings_match_interaction_matrix():
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(seed=True), "seed must be an integer, got True"),
         (dict(omega_khz=True), "omega_khz must be a number, got True"),
+        (dict(epsilon=math.nan), "epsilon must be finite, got nan"),
+        (dict(epsilon=True), "epsilon must be a number, got True"),
+        (dict(epsilon=False), "epsilon must be a number, got False"),
     ],
 )
 def test_robustness_config_validation(kwargs, fragment):
@@ -322,6 +330,50 @@ def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c
         assert np.array_equal(
             _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk), fids
         )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    psi=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    zeros=st.lists(st.booleans(), min_size=8, max_size=8),
+    samples=st.integers(1, 40),
+    chunk=st.sampled_from([1, 7, 2048, None]),
+    omega=st.floats(-150.0, 150.0),
+    v_s=st.floats(-800.0, 800.0),
+    v_c=st.floats(-800.0, 800.0),
+    turns=st.one_of(st.just(0.0), st.floats(-55.0, 55.0)),
+)
+def test_batched_pulse3_is_the_gather_kernel_bit_for_bit(
+    psi, zeros, samples, chunk, omega, v_s, v_c, turns
+):
+    """The cycle-layout kernel against the gather form it replaced, with psi2
+    exactly zero on any rows, chunks from 1 to past the sample count, forward
+    or backward pulses from one Chebyshev term to about the break-even."""
+    psi2 = np.where(zeros, 0.0, np.array(psi[:8]) + 1j * np.array(psi[8:]))
+    assume(np.linalg.norm(psi2) > 0.1 and (omega, v_s, v_c) != (0.0, 0.0, 0.0))  # H = 0: r = 0
+    psi2 /= np.linalg.norm(psi2)
+    tau3 = 1e3 * turns / (abs(v_s) + 2.0 * abs(v_c) + 4.0 * abs(omega) + 1.0)
+    omegas = omega * np.random.default_rng(samples).uniform(0.5, 1.5, (samples, 4))
+    chunk = samples + 5 if chunk is None else chunk
+    assert np.array_equal(
+        _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
+        gather_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
+    )
+
+
+def test_cycle_layout_views_are_the_sector_links():
+    """Each state of the kernel's (cycle, group, member) layout finds its
+    _NEIGHBOURS[j] partner through view j, and V_c pairs the [:, 0, 1] states."""
+    assert sorted(_CYCLES.ravel()) == list(range(8))
+    assert [PRODUCT_BASIS_8[s] for s in _CYCLES[:, 0, 0]] == ["du", "ud"]  # g+
+    for j, view in enumerate(_PARTNERS):
+        partners = np.broadcast_to(_CYCLES[view], _CYCLES.shape)
+        assert np.array_equal(partners, _NEIGHBOURS[j][_CYCLES])
+        buffer = np.zeros((2, 2, 2, 3))
+        assert buffer[view].base is buffer  # a view of the same buffer, not a copy
+    h0 = _sector_matrices(np.zeros(4), 0.0, 1.0)
+    rows, cols = np.nonzero(h0)
+    assert set(zip(rows, cols)) == set(zip(_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]))
 
 
 def test_chebyshev_terms_are_the_bessel_values():

@@ -1,8 +1,13 @@
-"""Print one SHA-256 over every output the channel windows feed.
+"""Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py
+    python3 tools/window_digest.py [--section window|robustness]
 
-The windows are every (n, n + d) with d = 1..3 and n = 40..130, in both
+Each section hashes its outputs with every float as its hex, so equal
+digests mean bit-equal outputs. Run the same file against the commit before
+a change (copy it into that checkout's ``tools/``) and after it.
+
+``window`` (the default) hashes every output the channel windows feed. The
+windows are every (n, n + d) with d = 1..3 and n = 40..130, in both
 atom orders, at dn 10 and dn 3: 1,092 in all. Per window the digest takes
 each ``interference_decomposition`` row (each field's type and float hex),
 ``c6_pair`` (``c6``, ``c6_exchange`` and ``channel_sums`` as hex),
@@ -13,11 +18,21 @@ lines of all those calls, in order, which each summing call repeats. Only
 public names are used, so the same file checks a refactor against the commit
 before it: equal digests mean bit-equal outputs. The log lines and the
 critical-radius warning are not printed. Takes about 15 s on a 2-core VM.
-Stdlib and rydex only.
+
+``robustness`` hashes the batched pulse-3 fidelities,
+``dynamics._batched_pulse3_fidelities``, of 300 fixed draws for two psi2
+(one with every row nonzero, one zero on the five rows a robustness scan's
+psi2 never reaches), two (V_s, V_c) and eight pulse-3 durations: short,
+long and negative ones on the Chebyshev kernel, the longest on the eigh
+one. It also hashes the ``histogram_payload`` of three 1,000-sample
+``robustness_scan`` runs, one of them on the eigh kernel. Takes about 2 s.
+
+Stdlib, numpy and rydex only.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import logging
@@ -28,7 +43,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from rydex.atoms import QuantumDefectModel  # noqa: E402
+from rydex.dynamics import _batched_pulse3_fidelities  # noqa: E402
+from rydex.harness import RobustnessConfig, histogram_payload, robustness_scan  # noqa: E402
 from rydex.vdw import (  # noqa: E402
     c6_pair,
     channel_c6,
@@ -51,6 +70,8 @@ def encode(value) -> str:
         return value.hex()
     if isinstance(value, (tuple, list)):
         return "(" + ",".join(encode(v) for v in value) + ")"
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{k!r}:{encode(v)}" for k, v in sorted(value.items())) + "}"
     return repr(value)
 
 
@@ -86,14 +107,46 @@ def digest(model: QuantumDefectModel, log: Lines) -> str:
     return h.hexdigest()
 
 
-def main() -> None:
+def window_section() -> str:
     log = Lines()
     logger = logging.getLogger("rydex.vdw")
     logger.addHandler(log)
     logger.propagate = False  # kept, not printed
+    return digest(QuantumDefectModel.default(), log)
+
+
+# the (73, 75) pair at 15 um: V+, V- and the drive sqrt(V+ V-), in kHz
+V_PLUS, V_MINUS, OMEGA = 4.86528311708787, 711.2447292433305, 58.8
+
+
+def robustness_section() -> str:
+    h = hashlib.sha256()
+    rng = np.random.Generator(np.random.Philox(key=[2027, 0]))
+    general = rng.normal(size=8) + 1j * rng.normal(size=8)
+    omegas = OMEGA * rng.uniform(0.8, 1.2, size=(300, 4))
+    for psi2 in (general, np.where(np.arange(8) < 5, 0.0, general)):
+        psi2 = psi2 / np.linalg.norm(psi2)
+        for v_s, v_c in ((358.05, -353.19), (-40.0, 25.0)):
+            for tau3 in (0.0, 1e-3, 8.5, -8.5, 40.0, 120.0, -120.0, 400.0):
+                h.update(f"[{v_s},{v_c},{tau3}]".encode())
+                fids = _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
+                h.update(encode(fids.tolist()).encode())
+    for epsilon, seed, omega in ((0.1, 1, OMEGA), (0.3, 2, OMEGA), (0.1, 3, 5.0)):
+        cfg = RobustnessConfig(epsilon, 1000, seed, omega, V_PLUS, V_MINUS)
+        h.update(encode(histogram_payload(cfg, robustness_scan(cfg))).encode())
+    return h.hexdigest()
+
+
+SECTIONS = {"window": window_section, "robustness": robustness_section}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description="SHA-256 over one section of pinned outputs.")
+    parser.add_argument("--section", choices=SECTIONS, default="window")
+    section = SECTIONS[parser.parse_args().section]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        print(digest(QuantumDefectModel.default(), log))
+        print(section())
 
 
 if __name__ == "__main__":
