@@ -238,8 +238,10 @@ def quantum_defect(model: QuantumDefectModel, l: int, j: float, n: int) -> float
     DefectDataError
         If the model has no data for the requested series.
     ValueError
-        If n is not an integer, or does not exceed delta0 (no bound Rydberg state).
+        If j is not finite, n is not an integer, or n does not exceed delta0
+        (no bound Rydberg state).
     """
+    _require_finite("j", j)
     (delta,), _, _ = _rydberg_ritz(model, l, j, (_require_int("n", n),))
     return delta
 
@@ -256,6 +258,7 @@ CHANNEL_FINE_STRUCTURE: dict[int, tuple[float, float]] = {
 
 
 def _as_twice(x: float, name: str) -> int:
+    _require_finite(name, x)
     t = 2.0 * x
     ti = round(t)
     if abs(t - ti) > 1e-9:
@@ -272,7 +275,7 @@ def clebsch_gordan(
     rounding. Arguments may be integers or half-integers. Selection-rule
     violations (m != m1 + m2, triangle rule, mismatched parity of the
     couplings) give 0.0; structurally invalid angular momenta (negative
-    j, |m| > j, non-half-integer values) raise ValueError.
+    j, |m| > j, non-half-integer, non-finite or bool values) raise ValueError.
     """
     tj1, tm1 = _as_twice(j1, "j1"), _as_twice(m1, "m1")
     tj2, tm2 = _as_twice(j2, "j2"), _as_twice(m2, "m2")

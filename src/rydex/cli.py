@@ -323,8 +323,7 @@ def _cmd_swap_sim(args, model):
 
     v_plus, v_minus, coup = _couplings(args, model)
     if args.v_blockade is not None:
-        # the library takes an infinite blockade as a perfect one; the echoed
-        # value must fit strict JSON and CSV
+        # refused under the flag's name before swap_gate refuses it under its own
         _require_finite("--v-blockade", args.v_blockade)
         v_blockade = args.v_blockade
     elif coup is not None:

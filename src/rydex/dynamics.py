@@ -215,8 +215,10 @@ def build_full8(pulse: PulseSpec, v_s: float, v_c: float) -> HamiltonianMatrix:
     """Full 8x8 matrix of the spin-exchange sector for one pulse.
 
     ``v_s`` is the diagonal shift of the doubly excited product states
-    and ``v_c`` their spin-exchange coupling, both in kHz.
+    and ``v_c`` their spin-exchange coupling, both in kHz and finite.
     """
+    for name, value in (("v_s", v_s), ("v_c", v_c)):
+        _require_finite(name, value)
     amps = np.array([pulse.amplitude(ch) for ch in CHANNELS])
     return HamiltonianMatrix(
         basis=PRODUCT_BASIS_8, matrix=_sector_matrices(amps, v_s, v_c)
@@ -298,9 +300,10 @@ def _evolve(h: np.ndarray, psi: np.ndarray, t_us) -> np.ndarray:
 def propagate(state: QuantumState, h: HamiltonianMatrix, t_us: float) -> QuantumState:
     """Evolve a state by exp(-i 2 pi H t) for a constant pulse matrix.
 
-    H entries are ordinary frequencies in kHz and t is in microseconds;
-    the phase is 2 pi H t * 1e-3 radians.
+    H entries are ordinary frequencies in kHz and t is in microseconds,
+    finite; the phase is 2 pi H t * 1e-3 radians.
     """
+    _require_finite("t_us", t_us)
     if state.basis != h.basis:
         raise ValueError(f"state basis {state.basis} does not match Hamiltonian basis {h.basis}")
     amps = _evolve(h.matrix, state.amplitudes, t_us)
@@ -313,9 +316,10 @@ def propagate_sampled(
     """Amplitudes on a uniform time grid over one pulse.
 
     Returns (times, amps) with times of shape (n_samples,) spanning
-    [0, t_us] inclusive and amps of shape (n_samples, dim). Used for
-    trajectory export and Rydberg-exposure integrals.
+    [0, t_us] inclusive and amps of shape (n_samples, dim), ``t_us``
+    finite. Used for trajectory export and Rydberg-exposure integrals.
     """
+    _require_finite("t_us", t_us)
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if state.basis != h.basis:
@@ -373,17 +377,18 @@ def _batched_pulse3_fidelities(
     The even and odd terms are summed apart, only on psi2's nonzero rows (pulse
     2 from |Uu> reaches Uu, DU and UD), and projected on psi2 once: a zero row
     would add exactly +-0. The sum runs until J_k < 1e-17, about |x| + 12
-    |x|^(1/3) terms, and matches an eigensolve to ~1e-14; a negative t (a
-    negative drive makes a negative half-period) flips the sign of the odd
-    terms. Only elementwise arithmetic touches the samples, so neither the
-    layout nor ``chunk``, the samples per pass, changes a bit.
+    |x|^(1/3) terms, and matches an eigensolve to ~1e-14; a negative t (only a
+    direct call passes one: ``_half_period`` refuses a negative drive) flips the
+    sign of the odd terms. Only elementwise arithmetic touches the samples, so
+    neither the layout nor ``chunk``, the samples per pass, changes a bit.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
     channel's largest drive over the whole array, so the term count is the
     same for every pass. Past _CHEBYSHEV_MAX_TERMS terms (long pulses, wide
-    spectra such as a huge V-) each pass instead goes through ``_evolve``, one
-    8x8 eigensolve per sample whose cost does not grow with x, and its check
-    names a duration whose phase overflows.
+    spectra such as a huge V-), or at r = 0 (every H zero, nothing to scale
+    by), each pass instead goes through ``_evolve``, one 8x8 eigensolve per
+    sample whose cost does not grow with x, and its check names a duration
+    whose phase overflows.
 
     The kernel sits here, next to _SECTOR_LINKS, its only data;
     ``harness.robustness_scan`` calls it under the same name.
@@ -397,7 +402,7 @@ def _batched_pulse3_fidelities(
     lo, hi = (centre - radius).min(), (centre + radius).max()
     c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
     x = 2.0 * math.pi * float(r) * tau3_us * 1e-3  # a Python float overflows to inf quietly
-    terms = _chebyshev_terms(abs(x))
+    terms = _chebyshev_terms(abs(x)) if r > 0 else None
     if terms is None:
         for start in range(0, n, chunk):
             h = _sector_matrices(omegas_khz[start : start + chunk], v_s, v_c)

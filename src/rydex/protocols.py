@@ -31,7 +31,6 @@ from .atoms import QuantumDefectModel, _require_finite, _require_int
 from .dynamics import (
     CHANNELS,
     PRODUCT_BASIS_8,
-    HamiltonianMatrix,
     PulseSpec,
     QuantumState,
     _evolve,
@@ -461,7 +460,7 @@ class SwapGateResult:
 def swap_gate(
     omega_khz: float,
     v_plus_khz: float,
-    v_minus_khz: float | None,
+    v_minus_khz: float,
     v_blockade_khz: float,
     t_2pi_us: float,
     phi: float = 0.0,
@@ -471,24 +470,20 @@ def swap_gate(
     The antiparallel inputs pass through the exchange sector (the 2pi
     drive detours |dD> / |uU> through the Rydberg Bell states), the
     parallel inputs sit in a blockaded two-level system with shift
-    ``v_blockade_khz`` and ideally just return. Pass ``v_minus_khz
-    = None`` to decouple the antisymmetric Bell state (ideal-limit
-    check), and ``v_blockade_khz = inf`` for a perfect blockade.
+    ``v_blockade_khz`` and ideally just return. Large finite V- and
+    V_blockade, such as 1e9 kHz, reach the ideal limit.
 
     The pre-condition V_blockade >> omega keeps the parallel channels
     closed; a warning is emitted below a factor of 3. The drive, the
-    phase and the couplings must be finite (the blockade may be
-    infinite), the window finite and >= 0.
+    phase and the couplings must be finite, the window finite and >= 0.
     """
     _require_finite("omega_khz", omega_khz)
     _require_finite("t_2pi_us", t_2pi_us, 0.0)
     _require_finite("phi", phi)
     _require_finite("v_plus_khz", v_plus_khz)
-    if v_minus_khz is not None:
-        _require_finite("v_minus_khz", v_minus_khz)
-    if math.isnan(v_blockade_khz):
-        raise ValueError("v_blockade_khz must not be nan")
-    if not math.isinf(v_blockade_khz) and abs(v_blockade_khz) < 3.0 * abs(omega_khz):
+    _require_finite("v_minus_khz", v_minus_khz)
+    _require_finite("v_blockade_khz", v_blockade_khz)
+    if abs(v_blockade_khz) < 3.0 * abs(omega_khz):
         warnings.warn(
             f"blockade shift {v_blockade_khz:.3g} kHz is not large against "
             f"the drive {omega_khz:.3g} kHz; parallel-spin channels leak",
@@ -498,13 +493,7 @@ def swap_gate(
     # Exchange (antiparallel) channels. Ideal pulse 7 maps du -> dD and
     # ud -> uU; pulse 9 maps the target back. Success amplitude of
     # du -> ud is <uU| U(t) |dD>, and ud -> du is the transpose element.
-    if v_minus_khz is None:
-        # r- is sliced away, so the V- passed here never enters
-        full = build_swap_2pi(omega_khz, phi, v_plus_khz, 0.0)
-        h_ex = HamiltonianMatrix(basis=full.basis[:3], matrix=full.matrix[:3, :3])
-    else:
-        h_ex = build_swap_2pi(omega_khz, phi, v_plus_khz, v_minus_khz)
-
+    h_ex = build_swap_2pi(omega_khz, phi, v_plus_khz, v_minus_khz)
     t_ex, a_ex = propagate_sampled(
         QuantumState.from_label(h_ex.basis, "dD"), h_ex, t_2pi_us, _SAMPLES_PER_PULSE
     )
@@ -522,16 +511,13 @@ def swap_gate(
     )
 
     # Blocked (parallel) channels: both have the same corner shift, so
-    # one two-level run covers uu and dd; a perfect blockade never excites.
-    if math.isinf(v_blockade_khz):
-        fid_block, exposure_a_bl = 1.0, 0.0
-    else:
-        h_bl = build_blocked2(omega_khz, phi, v_blockade_khz)
-        t_bl, a_bl = propagate_sampled(
-            QuantumState.from_label(h_bl.basis, "ground"), h_bl, t_2pi_us, _SAMPLES_PER_PULSE
-        )
-        fid_block = float(abs(a_bl[-1][0]) ** 2)
-        exposure_a_bl = _trapezoid(np.abs(a_bl[:, 1]) ** 2, float(t_bl[1] - t_bl[0]))
+    # one two-level run covers uu and dd.
+    h_bl = build_blocked2(omega_khz, phi, v_blockade_khz)
+    t_bl, a_bl = propagate_sampled(
+        QuantumState.from_label(h_bl.basis, "ground"), h_bl, t_2pi_us, _SAMPLES_PER_PULSE
+    )
+    fid_block = float(abs(a_bl[-1][0]) ** 2)
+    exposure_a_bl = _trapezoid(np.abs(a_bl[:, 1]) ** 2, float(t_bl[1] - t_bl[0]))
 
     fidelities = {"uu": fid_block, "ud": fid_ud, "du": fid_du, "dd": fid_block}
     blocked = 0.5 * (exposure_a_bl + t_2pi_us)
@@ -720,12 +706,14 @@ def chain_fidelity_estimate(
 
     ``tau_us`` is the per-operation Rydberg exposure per atom; each
     operation involves two atoms, hence the 2 gamma tau per factor.
-    The exposure must be finite and >= 0, and gamma tau finite. Warns
-    when gamma tau approaches 1 (the exponential estimate stops being a
-    small correction).
+    The fidelities must lie in [0, 1], the exposure must be finite and
+    >= 0, and gamma tau finite. Warns when gamma tau approaches 1 (the
+    exponential estimate stops being a small correction).
     """
-    if not 0.0 <= f1 <= 1.0 or not 0.0 <= f_swap <= 1.0:
-        raise ValueError("fidelities must lie in [0, 1]")
+    for name, fidelity in (("f1", f1), ("f_swap", f_swap)):
+        _require_finite(name, fidelity, 0.0)
+        if fidelity > 1.0:
+            raise ValueError(f"fidelities must lie in [0, 1], got {name} = {fidelity}")
     _require_finite("tau_us", tau_us, 0.0)
     gamma_tau = spec.gamma_per_ms * tau_us * 1e-3
     _require_finite("gamma tau = gamma_per_ms * tau_us", gamma_tau)

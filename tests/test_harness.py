@@ -350,7 +350,8 @@ def test_batched_pulse3_is_the_gather_kernel_bit_for_bit(
     exactly zero on any rows, chunks from 1 to past the sample count, forward
     or backward pulses from one Chebyshev term to about the break-even."""
     psi2 = np.where(zeros, 0.0, np.array(psi[:8]) + 1j * np.array(psi[8:]))
-    assume(np.linalg.norm(psi2) > 0.1 and (omega, v_s, v_c) != (0.0, 0.0, 0.0))  # H = 0: r = 0
+    # H = 0 has r = 0, which the kernel sends to eigh but the gather reference divides by
+    assume(np.linalg.norm(psi2) > 0.1 and (omega, v_s, v_c) != (0.0, 0.0, 0.0))
     psi2 /= np.linalg.norm(psi2)
     tau3 = 1e3 * turns / (abs(v_s) + 2.0 * abs(v_c) + 4.0 * abs(omega) + 1.0)
     omegas = omega * np.random.default_rng(samples).uniform(0.5, 1.5, (samples, 4))
@@ -359,6 +360,18 @@ def test_batched_pulse3_is_the_gather_kernel_bit_for_bit(
         _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
         gather_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
     )
+
+
+def test_batched_pulse3_of_a_zero_hamiltonian_is_the_start_overlap():
+    """Every H zero gives a Gershgorin radius r = 0, nothing to scale by: the batch
+    goes to eigh, without a 0/0, and U = 1 leaves 0.5 |psi2[0] + psi2[1]|^2."""
+    rng = np.random.Generator(np.random.Philox(key=[12, 0]))
+    psi2 = rng.normal(size=8) + 1j * rng.normal(size=8)
+    psi2 /= np.linalg.norm(psi2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fids = _batched_pulse3_fidelities(psi2, np.zeros((3, 4)), 0.0, 0.0, 8.5)
+    np.testing.assert_allclose(fids, 0.5 * abs(psi2[0] + psi2[1]) ** 2, rtol=1e-14, atol=0)
 
 
 def test_cycle_layout_views_are_the_sector_links():

@@ -1,5 +1,6 @@
 """Entanglement protocols: pulse sequences, SWAP gate, chain schedule."""
 
+import cmath
 import math
 import warnings
 
@@ -23,6 +24,7 @@ from rydex.protocols import (
     MAX_CHAIN_ATOMS,
     SWAP_MATRIX_IDEAL,
     ChainSpec,
+    _chain_schedule,
     _lockstep_nelder_mead,
     _nominal_point,
     _sector_fidelities,
@@ -36,6 +38,7 @@ from rydex.protocols import (
 )
 
 from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix
+from chain_states import composed_chain_amplitudes, pair_ground_vector, swap_ground_map
 from sector_reference import relabeling_matrix
 
 MODEL = QuantumDefectModel.default()
@@ -286,32 +289,33 @@ def test_swap_gate_frozen():
 
 
 def test_swap_gate_ideal_limit():
-    res = swap_gate(100.0, 0.0, None, float("inf"), 10.0)
+    # V- and the blockade at 1e9 kHz: r- and the doubly excited state never fill
+    res = swap_gate(100.0, 0.0, 1e9, 1e9, 10.0)
     for fid in res.basis_fidelities.values():
         assert fid == pytest.approx(1.0, abs=1e-9)
     assert res.gate_fidelity == pytest.approx(1.0, abs=1e-9)
 
 
 def test_swap_gate_decoupled_minus_with_shift_frozen():
-    # v_minus=None with a nonzero V+ and drive phase
-    res = swap_gate(89.0, V_PLUS, None, CORNER, 11.12, phi=0.3)
-    assert res.basis_fidelities["du"] == pytest.approx(0.9922845907076863,
+    # V- = 1e9 kHz decouples r-, with a nonzero V+ and drive phase
+    res = swap_gate(89.0, V_PLUS, 1e9, CORNER, 11.12, phi=0.3)
+    assert res.basis_fidelities["du"] == pytest.approx(0.992284578733199,
                                                        rel=1e-12)
-    assert res.basis_fidelities["ud"] == pytest.approx(0.9922845907076865,
+    assert res.basis_fidelities["ud"] == pytest.approx(0.992284578733199,
                                                        rel=1e-9)
     assert res.basis_fidelities["uu"] == pytest.approx(0.9998047934889989,
                                                        rel=1e-12)
-    assert res.gate_fidelity == pytest.approx(0.9960446920983426, rel=1e-12)
-    assert res.rydberg_exposure_us == pytest.approx(6.296418804969008, rel=1e-9)
+    assert res.gate_fidelity == pytest.approx(0.996044686111099, rel=1e-12)
+    assert res.rydberg_exposure_us == pytest.approx(6.296418805131619, rel=1e-9)
 
 
 @pytest.mark.parametrize(
     "v_blockade, v_minus, fidelity, exposure",
     [
         (535.0, 711.0, "0x1.f71f386844eacp-1", "0x1.93a4dc64fe454p+2"),
-        (535.0, None, "0x1.fddb5fc98e468p-1", "0x1.92f47e4621daep+2"),
-        (math.inf, 711.0, "0x1.f72fdc45e6b7cp-1", "0x1.9142b772e0466p+2"),
-        (math.inf, None, "0x1.fdec03a730137p-1", "0x1.9092595403dc0p+2"),
+        (535.0, 1e9, "0x1.fddb5f97501f9p-1", "0x1.92f47e461d4c0p+2"),
+        (1e9, 711.0, "0x1.f72fdc45e6b7ep-1", "0x1.9142b772e0474p+2"),
+        (1e9, 1e9, "0x1.fdec0374f1ecap-1", "0x1.90925953ff4e0p+2"),
     ],
 )
 def test_swap_gate_bookkeeping_bit_exact(v_blockade, v_minus, fidelity, exposure):
@@ -321,24 +325,10 @@ def test_swap_gate_bookkeeping_bit_exact(v_blockade, v_minus, fidelity, exposure
 
 
 def test_swap_gate_composition_is_signed_swap():
-    # amplitudes of the ideal-limit sequence assemble to -SWAP_MATRIX_IDEAL
+    # the ground map of the ideal-limit sequence is -SWAP_MATRIX_IDEAL
     omega, t_2pi = 100.0, 10.0
-    res = swap_gate(omega, 0.0, None, 1e9, t_2pi)
-    basis = ("uU", "dD", "r+")
-    c = omega / (2.0 * math.sqrt(2.0))
-    m = np.array([[0, 0, c], [0, 0, c], [c, c, 0]], dtype=complex)
-    from rydex.dynamics import HamiltonianMatrix, build_blocked2
-
-    h_ex = HamiltonianMatrix(basis=basis, matrix=m)
-    a_du = propagate(QuantumState.from_label(basis, "dD"), h_ex, t_2pi).amplitude("uU")
-    a_ud = propagate(QuantumState.from_label(basis, "uU"), h_ex, t_2pi).amplitude("dD")
-    h_bl = build_blocked2(omega, 0.0, 1e9)
-    a_bl = propagate(
-        QuantumState.from_label(h_bl.basis, "ground"), h_bl, t_2pi
-    ).amplitude("ground")
-    gate = np.diag([a_bl, 0.0, 0.0, a_bl]).astype(complex)
-    gate[1, 2] = a_du  # du input ends up on ud
-    gate[2, 1] = a_ud
+    res = swap_gate(omega, 0.0, 1e9, 1e9, t_2pi)
+    gate = swap_ground_map(omega, 0.0, 1e9, 1e9, t_2pi)
     assert np.abs(gate - (-SWAP_MATRIX_IDEAL)).max() < 1e-5
     assert res.gate_fidelity == pytest.approx(1.0, abs=1e-9)
 
@@ -354,9 +344,11 @@ def test_swap_matrix_constant():
 
 
 def test_swap_gate_refuses_a_nan_blockade():
-    # an infinite blockade is a perfect one; nan is no blockade at all
-    with pytest.raises(ValueError, match="v_blockade_khz must not be nan"):
-        swap_gate(89.0, V_PLUS, V_MINUS, math.nan, 11.12)
+    # a perfect blockade is reached by a large finite one, such as 1e9 kHz
+    for bad, message in ((math.nan, "finite, got nan"), (math.inf, "finite, got inf"),
+                         (-math.inf, "finite, got -inf"), (True, "a number, got True")):
+        with pytest.raises(ValueError, match=f"v_blockade_khz must be {message}"):
+            swap_gate(89.0, V_PLUS, V_MINUS, bad, 11.12)
 
 
 @pytest.mark.parametrize(
@@ -657,3 +649,67 @@ def test_chain_protocol_overrides_frozen():
     assert (chain.f1, chain.f_swap, chain.tau_us) == (0.9906, 0.9831, 6.3699)
     assert chain.estimate.fidelity == pytest.approx(0.8861532700907033, rel=1e-12)
     assert (chain.estimate.pairwise_ops, chain.estimate.swap_ops) == (2, 1)
+
+
+# --- chain composed from the simulated maps ------------------------------------------
+
+def _simulated(count: int):
+    """The (73, 75) chain at 15 um: its spec, couplings and schedule, the pair's ground
+    vector and the SWAP's ground map, both simulated at the schedule's own drives and
+    durations."""
+    spec = ChainSpec(atom_count=count, spacing_um=15.0, pair=(73, 75))
+    coup, schedule = _chain_schedule(MODEL, spec)
+    slot = {p.pulse_index: p.spec for p in schedule.pulses}
+    pulse2, pulse3, swap_2pi = slot[2], slot[3], slot[8]  # as chain_protocol reads them
+    pair = pairwise_entangle(pulse2.omega_uD_B, pulse3.omega_dU_A, coup.v_plus_khz,
+                             coup.v_minus_khz, tau2_us=pulse2.duration_us,
+                             tau3_us=pulse3.duration_us, keep_trajectory=True)
+    link = swap_ground_map(swap_2pi.omega_dU_A, coup.v_plus_khz, coup.v_minus_khz,
+                           coup.corner_khz, swap_2pi.duration_us)
+    return spec, coup, schedule, pair_ground_vector(pair), link
+
+
+@pytest.mark.parametrize("count", [4, 6])
+def test_composed_chain_in_the_ideal_limit_is_the_ideal_state(count):
+    schedule = _chain(count).schedule
+    ideal = chain_ideal_state(count).amplitudes
+    bell = np.array([0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    np.testing.assert_allclose(
+        composed_chain_amplitudes(schedule, bell, -SWAP_MATRIX_IDEAL), ideal, rtol=0, atol=1e-15
+    )
+    # V+ = 0, V- and the blockade at 1e9 kHz, one 2pi period: both maps reach their ideal
+    pair = pair_ground_vector(pairwise_entangle(100.0, 100.0, 0.0, 1e9, keep_trajectory=True))
+    link = swap_ground_map(150.0, 0.0, 1e9, 1e9, 1e3 / 150.0)
+    composed = composed_chain_amplitudes(schedule, pair, link)
+    assert abs(np.vdot(ideal, composed)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("count, with_phase", [(4, 0.936223), (6, 0.890297), (8, 0.846627)])
+def test_composed_chain_is_the_product_estimate_without_the_blocked_phase(count, with_phase):
+    """The product of population fidelities misses one coherent phase: the light
+    shift the blocked (parallel-spin) branch picks up. Without it the composed chain
+    is the estimate to ~1e-4; with it, the composed fidelity is lower."""
+    spec, _, schedule, pair, link = _simulated(count)
+    target = _chain_state_by_gate_matrix(count).amplitudes  # any N, up to a global sign
+    composed = abs(np.vdot(target, composed_chain_amplitudes(schedule, pair, link))) ** 2
+    assert composed == pytest.approx(with_phase, abs=1e-6)
+    link[0, 0] = link[3, 3] = abs(link[0, 0])
+    no_phase = abs(np.vdot(target, composed_chain_amplitudes(schedule, pair, link))) ** 2
+    estimate = chain_protocol(MODEL, spec).estimate  # gamma = 0: F1^P F_swap^S
+    assert no_phase == pytest.approx(estimate.fidelity, abs=1e-4)
+
+
+def test_composed_chain_blocked_phase_is_the_two_level_amplitude():
+    """The blocked branch's amplitude is exp(-i pi V t)(cos pi W t + i (V/W) sin pi W t),
+    W = sqrt(V^2 + omega^2), at the corner blockade V and the 2pi drive omega."""
+    _, coup, schedule, _, link = _simulated(4)
+    swap_2pi = {p.pulse_index: p.spec for p in schedule.pulses}[8]
+    v, omega = coup.corner_khz, swap_2pi.omega_dU_A
+    w, t = math.hypot(v, omega), swap_2pi.duration_us * 1e-3  # kHz, ms
+    exact = cmath.exp(-1j * math.pi * v * t) * (
+        math.cos(math.pi * w * t) + 1j * v / w * math.sin(math.pi * w * t)
+    )
+    assert link[0, 0] == link[3, 3]
+    assert abs(link[0, 0] - exact) < 1e-12
+    assert math.degrees(cmath.phase(exact)) == pytest.approx(14.4566, abs=1e-4)
+    assert abs(exact) ** 2 == pytest.approx(0.99512, abs=1e-5)

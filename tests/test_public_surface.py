@@ -1,10 +1,13 @@
 """The public surface: every library function has a caller outside the tests, every
-constant and class a reader there, every parameter with a default is set by one, and
-the package's names all resolve."""
+constant and class a reader there, every parameter with a default is set by one, the
+package's names all resolve, and each float parameter refuses a bad float by name."""
 
 import ast
 import importlib
 import inspect
+import math
+import re
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -109,3 +112,85 @@ def test_package_names_load_lazily_and_completely():
     for layer in (harness, radial):
         with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
             layer.frobnicate  # noqa: B018
+
+
+# one valid call, by keyword, of each public function and checked record with a float parameter
+_MODEL = rydex.QuantumDefectModel.default()
+_H = rydex.build_blocked2(100.0, 0.0, 500.0)
+_STATE = rydex.QuantumState.from_label(_H.basis, "ground")
+_SPEC = rydex.ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75))
+VALID_CALLS = {
+    "clebsch_gordan": dict(j1=1, m1=0, j2=1, m2=0, j=2, m=0),
+    "quantum_defect": dict(model=_MODEL, l=1, j=0.5, n=60),
+    "radial_integral": dict(n_eff1=59.7, l1=0, n_eff2=60.3, l2=1),
+    "PulseSpec": dict(omega_dU_A=10.0, duration_us=1.0),
+    "build_blocked2": dict(omega=100.0, phi=0.0, v_blockade=500.0),
+    "build_full8": dict(pulse=rydex.PulseSpec(), v_s=358.0, v_c=-353.0),
+    "build_swap_2pi": dict(omega=100.0, phi=0.0, v_plus=5.0, v_minus=711.0),
+    "propagate": dict(state=_STATE, h=_H, t_us=1.0),
+    "propagate_sampled": dict(state=_STATE, h=_H, t_us=1.0, n_samples=3),
+    "pulse2_analytics": dict(omega_uD_B=59.0, v_plus=5.0, v_minus=711.0),
+    "tau2_approximate": dict(omega_uD_B=59.0, v_plus=5.0),
+    "ChainSpec": dict(atom_count=4, spacing_um=15.0, pair=(73, 75)),
+    "chain_fidelity_estimate": dict(spec=_SPEC, f1=0.99, f_swap=0.98, tau_us=6.0),
+    "chain_protocol": dict(model=_MODEL, spec=_SPEC, f1=0.99, f_swap=0.98, tau_us=6.0),
+    "optimize_pairwise": dict(v_plus_khz=5.0, v_minus_khz=711.0),
+    "pairwise_entangle": dict(omega_pulse2_khz=59.0, omega_pulse3_khz=59.0, v_plus_khz=5.0,
+                              v_minus_khz=711.0, tau2_us=12.0, tau3_us=8.5),
+    "swap_gate": dict(omega_khz=89.0, v_plus_khz=5.0, v_minus_khz=711.0, v_blockade_khz=535.0,
+                      t_2pi_us=11.12),
+    "RobustnessConfig": dict(epsilon=0.1, samples=10, seed=1, omega_khz=58.8, v_plus_khz=5.0,
+                             v_minus_khz=711.0),
+}
+_RESULT = "a result record the library fills, not an input"
+# float parameters that a bad float may reach without its name, each with the reason
+ALLOWED_UNNAMED = {
+    **{name: _RESULT for name in (
+        "C6Pair", "ChannelContribution", "CriticalRadius", "InteractionMatrix", "VPlusMinus",
+        "Pulse2Analytics", "ChainFidelityEstimate", "ChainResult", "PairCouplings",
+        "PairwiseOptimum", "ProtocolResult", "SpectatorBlockade", "SwapGateResult",
+        "FidelityHistogram")},
+    "DefectSeries": "a data record the defect-file parser fills; it refuses a non-finite "
+                    "number by its line",
+    "QuantumDefectModel": "the same parser refuses a non-finite rydberg_constant_ghz by its line",
+    **{f"{name}.spacing_um": "its messages say 'spacing', and the CLI tests pin them"
+       for name in ("interaction_matrix", "v_plus_minus", "pair_couplings")},
+}
+
+
+def _float_parameters():
+    """(name, callable, parameter) of each float parameter in ``rydex.__all__``."""
+    for name in rydex.__all__:
+        obj = getattr(rydex, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, BaseException):
+            continue
+        for p in inspect.signature(obj).parameters.values():
+            if re.fullmatch(r"(ForwardRef\(')?float('\))?( \| None)?", str(p.annotation)):
+                yield name, obj, p.name
+
+
+def test_every_float_parameter_refuses_a_bad_float_by_name():
+    """nan, +-inf and True for each float parameter raise a ValueError naming it;
+    the library twin of the CLI fuzz in test_harness."""
+    unnamed, seen, checked = [], set(), set()
+    for name, func, param in _float_parameters():
+        seen |= {name, f"{name}.{param}"}
+        if name in ALLOWED_UNNAMED or f"{name}.{param}" in ALLOWED_UNNAMED:
+            continue
+        checked.add(name)
+        for bad in (math.nan, math.inf, -math.inf, True):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # a regime warning before the check
+                    func(**dict(VALID_CALLS[name], **{param: bad}))
+            except Exception as error:  # any other failure is listed too
+                if isinstance(error, ValueError) and re.search(rf"\b{param}\b", str(error)):
+                    continue
+            unnamed.append(f"{name}.{param}={bad!r}")
+    assert unnamed == []
+    assert ALLOWED_UNNAMED.keys() <= seen, "an allowed name has no float parameter: drop it"
+    assert VALID_CALLS.keys() == checked
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, kwargs in VALID_CALLS.items():  # each substitution is the one bad argument
+            getattr(rydex, name)(**kwargs)

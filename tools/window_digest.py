@@ -1,6 +1,6 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness]
+    python3 tools/window_digest.py [--section window|robustness|protocols]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -27,6 +27,15 @@ long and negative ones on the Chebyshev kernel, the longest on the eigh
 one. It also hashes the ``histogram_payload`` of three 1,000-sample
 ``robustness_scan`` runs, one of them on the eigh kernel. Takes about 2 s.
 
+``protocols`` hashes, on fixed grids, every field of 48 ``pairwise_entangle``
+runs (drives, couplings from the working hierarchy to V+ = 0 with V- = 1e9 kHz,
+closed-form and given durations, zero and nonzero phases) with each run's final
+amplitudes; every field of 96 ``swap_gate`` runs (V- and the blockade up to
+1e9 kHz, a weak blockade, two windows and phases); and ``propagate`` and
+``propagate_sampled`` from every basis state of an 8-state, an exchange-sector
+and a blocked Hamiltonian over zero, forward and backward durations. Takes
+about 1 s.
+
 Stdlib, numpy and rydex only.
 """
 
@@ -35,6 +44,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import logging
 import sys
 import warnings
@@ -47,7 +57,17 @@ import numpy as np  # noqa: E402
 
 from rydex.atoms import QuantumDefectModel  # noqa: E402
 from rydex.dynamics import _batched_pulse3_fidelities  # noqa: E402
+from rydex.dynamics import (  # noqa: E402
+    PulseSpec,
+    QuantumState,
+    build_blocked2,
+    build_full8,
+    build_swap_2pi,
+    propagate,
+    propagate_sampled,
+)
 from rydex.harness import RobustnessConfig, histogram_payload, robustness_scan  # noqa: E402
+from rydex.protocols import pairwise_entangle, swap_gate  # noqa: E402
 from rydex.vdw import (  # noqa: E402
     c6_pair,
     channel_c6,
@@ -137,7 +157,45 @@ def robustness_section() -> str:
     return h.hexdigest()
 
 
-SECTIONS = {"window": window_section, "robustness": robustness_section}
+def amplitudes(values) -> str:
+    """Complex amplitudes as the float hex of their real and imaginary parts."""
+    return encode(np.asarray(values, dtype=complex).view(float).tolist())
+
+
+def protocols_section() -> str:
+    h = hashlib.sha256()
+    phases = ((0.0, 0.0, 0.0, 0.0), (0.3, -0.2, 0.1, 0.5))
+    couplings = ((5.0, 711.0), (V_PLUS, V_MINUS), (0.0, 1e9))
+    durations = ((None, None), (12.0, 8.5))
+    for omega2, omega3 in ((59.0, 59.0), (89.0, 64.0)):
+        for (v_plus, v_minus), (tau2, tau3), phi in itertools.product(couplings, durations, phases):
+            h.update(f"[{omega2},{omega3},{v_plus},{v_minus},{tau2},{tau3},{phi}]".encode())
+            run = pairwise_entangle(omega2, omega3, v_plus, v_minus, tau2, tau3, phi, True)
+            fields = dataclasses.replace(run, trajectory=None)
+            h.update(encode(dataclasses.astuple(fields)).encode())
+            h.update(amplitudes(run.trajectory.amplitudes[-1]).encode())
+            h.update(encode(run.trajectory.pulse_boundaries_us).encode())
+    grid = itertools.product((89.0, 150.0), (0.0, 5.0), (711.0, 1e9), (535.0, 1e9, 100.0),
+                             (11.12, 1e3 / 150.0), (0.0, 0.3))
+    for omega, v_plus, v_minus, v_blockade, t_2pi, phi in grid:
+        h.update(f"[{omega},{v_plus},{v_minus},{v_blockade},{t_2pi},{phi}]".encode())
+        result = swap_gate(omega, v_plus, v_minus, v_blockade, t_2pi, phi=phi)
+        h.update(encode(dataclasses.astuple(result)).encode())
+    pulse = PulseSpec(59.0, 61.0, 57.0, 60.0, 0.3, -0.2, 0.1, 0.5, 8.5)
+    hamiltonians = (build_full8(pulse, 358.05, -353.19), build_swap_2pi(89.0, 0.3, 5.0, 711.0),
+                    build_blocked2(89.0, 0.3, 535.0))
+    for hamiltonian in hamiltonians:
+        for label, t_us in itertools.product(hamiltonian.basis, (0.0, 1.0, 8.5, -3.0)):
+            state = QuantumState.from_label(hamiltonian.basis, label)
+            h.update(f"[{label},{t_us}]".encode())
+            h.update(amplitudes(propagate(state, hamiltonian, t_us).amplitudes).encode())
+            times, amps = propagate_sampled(state, hamiltonian, t_us, 5)
+            h.update((encode(times.tolist()) + amplitudes(amps)).encode())
+    return h.hexdigest()
+
+
+SECTIONS = {"window": window_section, "robustness": robustness_section,
+            "protocols": protocols_section}
 
 
 def main() -> None:
