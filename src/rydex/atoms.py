@@ -72,12 +72,21 @@ class DefectDataError(Exception):
 
 @dataclass(frozen=True)
 class DefectSeries:
-    """Rydberg-Ritz coefficients for one (l, j) series."""
+    """Rydberg-Ritz coefficients for one (l, j) series: l an int >= 0, j = l +- 1/2,
+    both defects finite; a bad value is refused by its name."""
 
     l: int
     j: float
     delta0: float
     delta2: float
+
+    def __post_init__(self) -> None:
+        if _require_int("l", self.l) < 0:
+            raise ValueError(f"l must be >= 0, got {self.l}")
+        for name in ("j", "delta0", "delta2"):
+            _require_finite(name, getattr(self, name))
+        if abs(self.j - self.l) != 0.5:
+            raise ValueError(f"j must be l +- 1/2 for l={self.l}, got {self.j}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +100,9 @@ class QuantumDefectModel:
     species : str
         Species tag, e.g. ``"Rb-87"``.
     rydberg_constant_ghz : float
-        Reduced-mass-corrected Rydberg constant in GHz.
+        Reduced-mass-corrected Rydberg constant in GHz, finite and > 0.
     series : Mapping[tuple[int, float], DefectSeries]
-        Defect coefficients keyed by (l, j), read-only: a copy of the mapping given.
+        Defect coefficients keyed by their (l, j), read-only: a copy of the mapping given.
     """
 
     species: str
@@ -101,7 +110,12 @@ class QuantumDefectModel:
     series: Mapping[tuple[int, float], DefectSeries] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _require_finite("rydberg_constant_ghz", self.rydberg_constant_ghz, 0.0, inclusive=False)
         object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
+        for key, record in self.series.items():
+            if not (isinstance(record, DefectSeries) and key == (record.l, record.j)):
+                raise ValueError(f"series[{key!r}] must be a DefectSeries of that (l, j), "
+                                 f"got {record!r}")
         # hashed once, not a field; a frozenset, as == of two mappings ignores their order
         content = (self.species, self.rydberg_constant_ghz, frozenset(self.series.items()))
         object.__setattr__(self, "_hash", hash(content))

@@ -35,6 +35,8 @@ links where each state's partners are strided views.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass, fields
 
@@ -85,11 +87,17 @@ _NEIGHBOURS, _NEIGHBOUR_CHANNELS = (_LINKED[:, i].reshape(8, 2).T for i in (1, 2
 # group, member): the _NEIGHBOURS[j] partner of [c, g, m] is [c, 1-g, j]; V_c pairs [:, 0, 1]
 _CYCLES = np.array([[[s, _NEIGHBOURS[1, _NEIGHBOURS[0, s]]], _NEIGHBOURS[:, s]] for s in (0, 1)])
 _PARTNERS = [np.s_[:, ::-1, j : j + 1] for j in (0, 1)]  # as views, broadcast over m
+# The channel of the link to partner 0 depends on cycle and member only; partner 1's is
+# partner 0's with the members swapped: one (cycle, 1, member) table serves both
+_LINK_CHANNELS = _NEIGHBOUR_CHANNELS[0][_CYCLES][:, :1]
 # (-i)^k is real for even k and imaginary for odd k; its nonzero part by k mod 4
 _MINUS_I_POWER_PARTS = np.array([1.0, -1.0, -1.0, 1.0])
 # Break-even of the two pulse-3 kernels: one batched 8x8 eigh costs as much per sample
 # as 230-280 Chebyshev terms, 260-380 on 3 nonzero rows (2-core x86 VM, BLAS 1 thread).
 _CHEBYSHEV_MAX_TERMS = 250
+# Most 8x8 matrices one pass of the eigh fallback solves: each takes about 3.5 kB of
+# stacks at once, so 5120 of them raised a 20k-sample scan's peak RSS by 11 MB over 2048
+_EIGH_PASS = 2048
 
 
 def _phasor(phi: float) -> complex:
@@ -352,13 +360,75 @@ def _chebyshev_terms(x: float) -> np.ndarray | None:
     return j[:k] if 0 < k <= _CHEBYSHEV_MAX_TERMS else None
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _ChebyshevBuffers:
+    """One worker's arrays for passes of m samples, ``rows`` of them summed.
+
+    The calling thread allocates them, since glibc would grow a thread's own
+    arena for what the thread allocates, and the worker reuses them, with the
+    views built here, for every pass; each pass writes into them with ``out=``.
+    """
+
+    def __init__(self, m: int, rows: int) -> None:
+        self.t = np.empty((2, 2, 2, 2, m))  # T_k-1 and T_k in turn, cycle layout
+        self.flat = self.t.reshape(2, 8, m)
+        # per T: its two link partners (_PARTNERS), its V_c slots and their partners
+        self.views = [([a[v] for v in _PARTNERS], a[:, 0, 1], a[::-1, 0, 1]) for a in self.t]
+        self.g = np.empty((2, 2, 2, m))  # scratch: one product, or the rows summed
+        self.g_pair, self.gathered = self.g[:, 0, 1], self.g.reshape(8, m)[:rows]
+        # and after the last term the projection's amplitude, term and product (complex
+        # multiply rounds differently in place, so the product has its own out)
+        self.amp, self.term, self.product = self.g.ravel().view(complex)[: 3 * m].reshape(3, m)
+        self.links = np.empty((2, 1, 2, m))  # 2 x link entry / r, broadcast over the group
+        self.partner_links = (self.links, self.links[:, :, ::-1])
+        self.parts = np.empty((2, rows, m))  # sums of the even and odd terms
+
+
+def _chebyshev_pass(b: _ChebyshevBuffers, om, out, weights, diagonal, off, r, slots, coeffs):
+    """One pass of the pulse-3 expansion: the fidelities of the (4, m) drives ``om``
+    into ``out``, in the buffers ``b``; the sum runs on psi2's ``slots`` rows of the
+    cycle layout, whose amplitudes are ``coeffs``."""
+    np.divide(np.take(om, _LINK_CHANNELS, axis=0, out=b.links, mode="clip"), r, out=b.links)
+    t, flat, g, gathered, (link0, link1) = b.t, b.flat, b.g, b.gathered, b.partner_links
+    t.fill(0.0)
+    t[0, :, 0, 0] = 1.0  # sqrt(2) g+
+    b.parts.fill(0.0)
+    b.parts[0] += np.multiply(np.take(flat[0], slots, 0, gathered, "clip"), weights[0], gathered)
+    for k in range(1, len(weights)):
+        # nxt <- 2 (H - c)/r cur - nxt, so t[k % 2] becomes T_k
+        ((first, second), _, across), nxt_pair = b.views[1 - k % 2], b.views[k % 2][1]
+        cur, nxt = t[1 - k % 2], t[k % 2]
+        np.subtract(np.multiply(first, link0, g), nxt, nxt)
+        nxt += np.multiply(second, link1, g)
+        nxt += np.multiply(cur, diagonal, g)
+        nxt_pair += np.multiply(off, across, b.g_pair)
+        if k == 1:
+            nxt /= 2.0  # T_1 = (H - c)/r T_0
+        np.take(flat[k % 2], slots, 0, gathered, "clip")
+        b.parts[k % 2] += np.multiply(gathered, weights[k], gathered)
+    # sqrt(2) <g+|U|psi2> up to a phase, summed state by state in a fixed order
+    amp, term, product = b.amp, b.term, b.product
+    amp.fill(0.0)
+    for p, e, o in zip(coeffs, *b.parts):
+        np.add(e, np.multiply(1j, o, term), term)
+        amp += np.multiply(p, term, product)
+    np.square(np.abs(amp, out), out)
+    out *= 0.5
+
+
 def _batched_pulse3_fidelities(
     psi2: np.ndarray,
     omegas_khz: np.ndarray,
     v_s: float,
     v_c: float,
     tau3_us: float,
-    chunk: int = 2048,
+    chunk: int = 5120,
 ) -> np.ndarray:
     """Fidelities |<g+| exp(-2 pi i H t) |psi2>|^2 after pulse 3 for stacked draws.
 
@@ -379,16 +449,29 @@ def _batched_pulse3_fidelities(
     would add exactly +-0. The sum runs until J_k < 1e-17, about |x| + 12
     |x|^(1/3) terms, and matches an eigensolve to ~1e-14; a negative t (only a
     direct call passes one: ``_half_period`` refuses a negative drive) flips the
-    sign of the odd terms. Only elementwise arithmetic touches the samples, so
-    neither the layout nor ``chunk``, the samples per pass, changes a bit.
+    sign of the odd terms.
+
+    ``chunk`` is the most samples one pass holds. A batch of more than one
+    chunk runs on two workers when the process may use two CPUs: the caller
+    and one thread, each on its own contiguous half of the rows, in buffers
+    the caller allocates once (_ChebyshevBuffers). Each worker cuts its rows
+    into equal passes of at most ``chunk`` samples, the last one ending at the
+    block's end and so redoing a few rows, and runs them with numpy's ufunc
+    buffer no larger than one row: a buffer that holds two rows makes numpy
+    copy each broadcast operand (the links, the diagonal) through it, up to 3x
+    the cost of a multiply. A batch of one chunk, or a process on one CPU,
+    runs inline and starts no thread. Only elementwise arithmetic touches the
+    samples, so neither the layout, ``chunk``, the buffer nor the workers
+    change a bit. A worker's exception is raised in the caller once every
+    worker has ended, and no partly filled result is returned.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
     channel's largest drive over the whole array, so the term count is the
     same for every pass. Past _CHEBYSHEV_MAX_TERMS terms (long pulses, wide
     spectra such as a huge V-), or at r = 0 (every H zero, nothing to scale
-    by), each pass instead goes through ``_evolve``, one 8x8 eigensolve per
-    sample whose cost does not grow with x, and its check names a duration
-    whose phase overflows.
+    by), each pass of at most ``chunk`` and _EIGH_PASS samples instead goes
+    through ``_evolve`` in the caller, one 8x8 eigensolve per sample whose cost
+    does not grow with x, and its check names a duration whose phase overflows.
 
     The kernel sits here, next to _SECTOR_LINKS, its only data;
     ``harness.robustness_scan`` calls it under the same name.
@@ -404,10 +487,11 @@ def _batched_pulse3_fidelities(
     x = 2.0 * math.pi * float(r) * tau3_us * 1e-3  # a Python float overflows to inf quietly
     terms = _chebyshev_terms(abs(x)) if r > 0 else None
     if terms is None:
-        for start in range(0, n, chunk):
-            h = _sector_matrices(omegas_khz[start : start + chunk], v_s, v_c)
+        step = min(chunk, _EIGH_PASS)
+        for start in range(0, n, step):
+            h = _sector_matrices(omegas_khz[start : start + step], v_s, v_c)
             amps = _evolve(h, psi2, tau3_us)
-            fids[start : start + chunk] = 0.5 * np.abs(amps[:, 0] + amps[:, 1]) ** 2
+            fids[start : start + step] = 0.5 * np.abs(amps[:, 0] + amps[:, 1]) ** 2
         return fids
     weights = 2.0 * terms * _MINUS_I_POWER_PARTS[np.arange(len(terms)) % 4]
     weights[0] = terms[0]
@@ -417,28 +501,41 @@ def _batched_pulse3_fidelities(
     off = (2.0 * coupling[_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]] / r)[:, None]
     support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
     slots = np.argsort(_CYCLES, axis=None)[support]
-    for start in range(0, n, chunk):
-        om = omegas_khz[start : start + chunk].T
-        links = [om[ch[_CYCLES]] / r for ch in _NEIGHBOUR_CHANNELS]  # 2 x link entry / r
-        t = np.zeros((2, 2, 2, 2, om.shape[1]))  # T_k-1 and T_k in turn, cycle layout
-        t[0, :, 0, 0] = 1.0  # sqrt(2) g+
-        views = [[a[v] for v in _PARTNERS] for a in t]  # each one's partners, as views
-        g, flat = np.empty_like(t[0]), t.reshape(2, 8, -1)
-        parts = np.zeros((2, len(slots), om.shape[1]))  # sums of the even and odd terms
-        parts[0] += weights[0] * flat[0, slots]
-        for k in range(1, len(terms)):
-            # nxt <- 2 (H - c)/r cur - nxt, so t[k % 2] becomes T_k
-            (first, second), cur, nxt = views[1 - k % 2], t[1 - k % 2], t[k % 2]
-            np.subtract(np.multiply(first, links[0], g), nxt, nxt)
-            nxt += np.multiply(second, links[1], g)
-            nxt += np.multiply(cur, diagonal, g)
-            nxt[:, 0, 1] += off * cur[::-1, 0, 1]
-            if k == 1:
-                nxt /= 2.0  # T_1 = (H - c)/r T_0
-            parts[k % 2] += flat[k % 2, slots] * weights[k]
-        # sqrt(2) <g+|U|psi2> up to a phase, summed state by state in a fixed order
-        amp = sum(p * (e + 1j * o) for p, e, o in zip(psi2[support], *parts))
-        fids[start : start + chunk] = 0.5 * np.abs(amp) ** 2
+    step = (weights, diagonal, off, r, slots, psi2[support])
+    workers = 2 if n > chunk and _usable_cpus() >= 2 else 1  # two are measured, more not
+    edges = [n * i // workers for i in range(workers + 1)]
+    jobs = []
+    for start, stop in zip(edges, edges[1:]):
+        passes = -(-(stop - start) // chunk)
+        jobs.append((start, stop, _ChebyshevBuffers(-(-(stop - start) // passes), len(slots))))
+
+    errors = []
+
+    def work(start: int, stop: int, buffers: _ChebyshevBuffers) -> None:
+        m = buffers.t.shape[-1]
+        # a ufunc buffer no larger than a row (numpy takes multiples of 16)
+        bufsize = np.setbufsize(max(16, min(m, np.getbufsize()) // 16 * 16))
+        try:
+            for at in range(start, stop, m):
+                at = min(at, stop - m)  # the last pass ends at stop
+                _chebyshev_pass(buffers, omegas_khz[at : at + m].T, fids[at : at + m], *step)
+        except BaseException as exc:  # raised in the caller once every worker has ended
+            errors.append(exc)
+        finally:
+            np.setbufsize(bufsize)
+
+    threads = []
+    try:
+        for job in jobs[1:]:
+            thread = threading.Thread(target=work, args=job)
+            thread.start()
+            threads.append(thread)
+        work(*jobs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return fids
 
 

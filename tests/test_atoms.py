@@ -139,6 +139,41 @@ def test_model_hash_is_stored_once_outside_the_fields():
     assert edited != model and hash(edited) != hash(model)
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (dict(delta0=math.nan), "delta0 must be finite, got nan"),
+        (dict(delta0=math.inf), "delta0 must be finite, got inf"),
+        (dict(delta2=-math.inf), "delta2 must be finite, got -inf"),
+        (dict(j=True), "j must be a number, got True"),
+        (dict(j=1.0), r"j must be l \+- 1/2 for l=1, got 1.0"),
+        (dict(l=-1, j=-0.5), "l must be >= 0, got -1"),
+        (dict(l=True), "l must be an integer, got True"),
+        (dict(l=1.0), "l must be an integer, got 1.0"),
+    ],
+)
+def test_defect_series_refuses_a_bad_value_by_name(edit, message):
+    """Built directly or by ``dataclasses.replace``, as the parser never does."""
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(MODEL.series[(1, 0.5)], **edit)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, -1.0, 0.0])
+def test_model_refuses_a_bad_rydberg_constant_by_name(bad):
+    # before, c6_pair of such a copy returned 0.0 without an error
+    with pytest.raises(ValueError, match="rydberg_constant_ghz must be"):
+        dataclasses.replace(MODEL, rydberg_constant_ghz=bad)
+
+
+def test_model_series_are_defect_series_under_their_own_key():
+    p_half = MODEL.series[(1, 0.5)]
+    for record in (p_half, tuple(dataclasses.astuple(MODEL.series[(1, 1.5)]))):
+        with pytest.raises(ValueError, match=r"series\[\(1, 1.5\)\] must be a DefectSeries"):
+            dataclasses.replace(MODEL, series={**MODEL.series, (1, 1.5): record})
+    edited = {**MODEL.series, (1, 0.5): dataclasses.replace(p_half, delta0=2.6)}
+    assert dataclasses.replace(MODEL, series=edited).series[(1, 0.5)].delta0 == 2.6
+
+
 @pytest.mark.parametrize("bad", [True, False])
 def test_require_finite_refuses_a_bool_by_name(bad):
     with pytest.raises(ValueError, match=f"x must be a number, got {bad}"):

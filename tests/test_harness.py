@@ -3,14 +3,17 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from rydex.dynamics import (
     QuantumState,
     _CHEBYSHEV_MAX_TERMS,
     _CYCLES,
+    _LINK_CHANNELS,
+    _NEIGHBOUR_CHANNELS,
     _NEIGHBOURS,
     _PARTNERS,
     _batched_pulse3_fidelities,
@@ -51,7 +56,7 @@ from rydex.harness import (
     to_jsonable,
 )
 from rydex.protocols import pairwise_entangle, swap_gate
-from rydex import vdw
+from rydex import dynamics, vdw
 from rydex.vdw import interaction_matrix
 
 from level_reference import RydbergLevel, level_energy
@@ -274,6 +279,89 @@ def test_batched_fidelities_ignore_chunk_size():
     assert np.array_equal(small, full)
 
 
+DEFAULT_CHUNK = inspect.signature(_batched_pulse3_fidelities).parameters["chunk"].default
+
+
+def _inline_and_threaded(*args, **kwargs):
+    """The kernel's fids with one usable CPU (inline) and with two (two workers once
+    the batch spans more than one chunk), asserted bit-equal."""
+    runs = []
+    for cpus in (1, 2):
+        with mock.patch.object(dynamics, "_usable_cpus", return_value=cpus):
+            runs.append(_batched_pulse3_fidelities(*args, **kwargs))
+    assert np.array_equal(*runs)
+    return runs[0]
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
+def test_batched_fidelities_are_the_same_bits_on_two_workers(monkeypatch, chunk):
+    """Inline and two workers against the gather form, at 1, chunk - 1, chunk,
+    chunk + 1 and 2 chunk + 1 rows, and 20,000 at the default chunk; a thread
+    starts exactly when the batch spans more than one chunk."""
+    rng = np.random.Generator(np.random.Philox(key=[29, 0]))
+    psi2 = np.where(np.arange(8) < 5, 0.0, rng.normal(size=8) + 1j * rng.normal(size=8))
+    psi2 /= np.linalg.norm(psi2)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    bufsize = np.getbufsize()  # the passes run with a smaller one, then restore it
+    rows = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+    for n in rows + [20_000] * (chunk == DEFAULT_CHUNK):
+        omegas = 58.8 * rng.uniform(0.8, 1.2, size=(n, 4))
+        _CountedThread.started = 0
+        fids = _inline_and_threaded(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
+        assert _CountedThread.started == (n > chunk) and np.getbufsize() == bufsize
+        gather = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
+        assert np.array_equal(fids, gather), n
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_batched_fidelities_raise_a_failed_pass_in_the_caller(monkeypatch, failing):
+    """A pass that raises, in the thread or in the caller's own block, reaches the
+    caller once every worker has ended; no partial fids come back, and numpy's
+    ufunc buffer size is the caller's again."""
+    passes = dynamics._chebyshev_pass
+
+    def failing_pass(*args):
+        if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+            raise RuntimeError(f"pass failed in the {failing}")
+        passes(*args)
+
+    monkeypatch.setattr(dynamics, "_chebyshev_pass", failing_pass)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    omegas = 58.8 * np.random.default_rng(3).uniform(0.9, 1.1, size=(50, 4))
+    psi2 = np.eye(8)[5].astype(complex)
+    alive, bufsize = threading.active_count(), np.getbufsize()
+    with pytest.raises(RuntimeError, match=f"pass failed in the {failing}"):
+        _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+    assert threading.active_count() == alive and np.getbufsize() == bufsize
+
+
+def test_batched_fidelities_start_no_thread_for_one_chunk_or_one_cpu(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    psi2 = np.eye(8)[5].astype(complex)
+    omegas = 58.8 * np.random.default_rng(4).uniform(0.9, 1.1, size=(30, 4))
+    expected = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
+    assert np.array_equal(_batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5), expected)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    small = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+    assert np.array_equal(small, expected)
+    # where the affinity call is missing, the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    small = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+    assert np.array_equal(small, expected)
+
+
 def test_batched_fidelities_match_single_pulse_propagation():
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     psi2 = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -326,10 +414,9 @@ def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c
     np.testing.assert_allclose(
         fids, _propagated_fidelities(psi2, omegas, v_s, v_c, tau3), rtol=0, atol=1e-12
     )
-    for chunk in (1, 7):
-        assert np.array_equal(
-            _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk), fids
-        )
+    for chunk in (1, 7):  # inline and on two workers
+        chunked = _inline_and_threaded(psi2, omegas, v_s, v_c, tau3, chunk=chunk)
+        assert np.array_equal(chunked, fids)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -357,7 +444,7 @@ def test_batched_pulse3_is_the_gather_kernel_bit_for_bit(
     omegas = omega * np.random.default_rng(samples).uniform(0.5, 1.5, (samples, 4))
     chunk = samples + 5 if chunk is None else chunk
     assert np.array_equal(
-        _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
+        _inline_and_threaded(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
         gather_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
     )
 
@@ -376,7 +463,8 @@ def test_batched_pulse3_of_a_zero_hamiltonian_is_the_start_overlap():
 
 def test_cycle_layout_views_are_the_sector_links():
     """Each state of the kernel's (cycle, group, member) layout finds its
-    _NEIGHBOURS[j] partner through view j, and V_c pairs the [:, 0, 1] states."""
+    _NEIGHBOURS[j] partner through view j and that link's channel through the
+    _LINK_CHANNELS table, and V_c pairs the [:, 0, 1] states."""
     assert sorted(_CYCLES.ravel()) == list(range(8))
     assert [PRODUCT_BASIS_8[s] for s in _CYCLES[:, 0, 0]] == ["du", "ud"]  # g+
     for j, view in enumerate(_PARTNERS):
@@ -387,6 +475,10 @@ def test_cycle_layout_views_are_the_sector_links():
     h0 = _sector_matrices(np.zeros(4), 0.0, 1.0)
     rows, cols = np.nonzero(h0)
     assert set(zip(rows, cols)) == set(zip(_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]))
+    # one (cycle, 1, member) channel table, broadcast over the group, serves both partners
+    for j, table in enumerate((_LINK_CHANNELS, _LINK_CHANNELS[:, :, ::-1])):
+        channels = np.broadcast_to(table, _CYCLES.shape)
+        assert np.array_equal(channels, _NEIGHBOUR_CHANNELS[j][_CYCLES])
 
 
 def test_chebyshev_terms_are_the_bessel_values():

@@ -121,6 +121,8 @@ _STATE = rydex.QuantumState.from_label(_H.basis, "ground")
 _SPEC = rydex.ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75))
 VALID_CALLS = {
     "clebsch_gordan": dict(j1=1, m1=0, j2=1, m2=0, j=2, m=0),
+    "DefectSeries": dict(l=1, j=0.5, delta0=2.65, delta2=0.29),
+    "QuantumDefectModel": dict(species="Rb-87", rydberg_constant_ghz=3289.8, series=_MODEL.series),
     "quantum_defect": dict(model=_MODEL, l=1, j=0.5, n=60),
     "radial_integral": dict(n_eff1=59.7, l1=0, n_eff2=60.3, l2=1),
     "PulseSpec": dict(omega_dU_A=10.0, duration_us=1.0),
@@ -150,9 +152,6 @@ ALLOWED_UNNAMED = {
         "Pulse2Analytics", "ChainFidelityEstimate", "ChainResult", "PairCouplings",
         "PairwiseOptimum", "ProtocolResult", "SpectatorBlockade", "SwapGateResult",
         "FidelityHistogram")},
-    "DefectSeries": "a data record the defect-file parser fills; it refuses a non-finite "
-                    "number by its line",
-    "QuantumDefectModel": "the same parser refuses a non-finite rydberg_constant_ghz by its line",
     **{f"{name}.spacing_um": "its messages say 'spacing', and the CLI tests pin them"
        for name in ("interaction_matrix", "v_plus_minus", "pair_couplings")},
 }

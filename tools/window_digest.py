@@ -1,6 +1,6 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness|protocols]
+    python3 tools/window_digest.py [--section window|robustness|protocols|batches]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -35,6 +35,13 @@ amplitudes; every field of 96 ``swap_gate`` runs (V- and the blockade up to
 ``propagate_sampled`` from every basis state of an 8-state, an exchange-sector
 and a blocked Hamiltonian over zero, forward and backward durations. Takes
 about 1 s.
+
+``batches`` hashes the batched pulse-3 fidelities at the kernel's default
+``chunk`` for the first 1, 2047, 2049, 8191, 8193 and 20,000 of 20,000 fixed
+draws, for the two psi2 of ``robustness``: batch sizes on both sides of one
+and two chunks of 2048 and of 8192 samples, inline and on two workers. It
+also hashes the ``histogram_payload`` of one 20,000-sample
+``robustness_scan``. Takes about 1 s.
 
 Stdlib, numpy and rydex only.
 """
@@ -157,6 +164,22 @@ def robustness_section() -> str:
     return h.hexdigest()
 
 
+def batches_section() -> str:
+    h = hashlib.sha256()
+    rng = np.random.Generator(np.random.Philox(key=[2029, 0]))
+    general = rng.normal(size=8) + 1j * rng.normal(size=8)
+    omegas = OMEGA * rng.uniform(0.8, 1.2, size=(20_000, 4))
+    for psi2 in (general, np.where(np.arange(8) < 5, 0.0, general)):
+        psi2 = psi2 / np.linalg.norm(psi2)
+        for n in (1, 2047, 2049, 8191, 8193, 20_000):
+            h.update(f"[{n}]".encode())
+            fids = _batched_pulse3_fidelities(psi2, omegas[:n], 358.05, -353.19, 8.5)
+            h.update(encode(fids.tolist()).encode())
+    cfg = RobustnessConfig(0.1, 20_000, 4, OMEGA, V_PLUS, V_MINUS)
+    h.update(encode(histogram_payload(cfg, robustness_scan(cfg))).encode())
+    return h.hexdigest()
+
+
 def amplitudes(values) -> str:
     """Complex amplitudes as the float hex of their real and imaginary parts."""
     return encode(np.asarray(values, dtype=complex).view(float).tolist())
@@ -195,7 +218,7 @@ def protocols_section() -> str:
 
 
 SECTIONS = {"window": window_section, "robustness": robustness_section,
-            "protocols": protocols_section}
+            "protocols": protocols_section, "batches": batches_section}
 
 
 def main() -> None:
