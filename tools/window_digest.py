@@ -37,11 +37,12 @@ and a blocked Hamiltonian over zero, forward and backward durations. Takes
 about 1 s.
 
 ``batches`` hashes the batched pulse-3 fidelities at the kernel's default
-``chunk`` for the first 1, 2047, 2049, 8191, 8193 and 20,000 of 20,000 fixed
-draws, for the two psi2 of ``robustness``: batch sizes on both sides of one
-and two chunks of 2048 and of 8192 samples, inline and on two workers. It
-also hashes the ``histogram_payload`` of one 20,000-sample
-``robustness_scan``. Takes about 1 s.
+``chunk`` for the first 1, 2047, 2049, 5119, 5121, 8191, 8193, 10241 and
+20,000 of 20,000 fixed draws, for the two psi2 of ``robustness``: sizes on
+both sides of one and two chunks of 2048 (the old default), 5120 (the
+default, past which two workers run) and 8192 samples. It also hashes the
+``histogram_payload`` of one 20,000-sample ``robustness_scan``. Takes
+about 1 s.
 
 Stdlib, numpy and rydex only.
 """
@@ -171,7 +172,7 @@ def batches_section() -> str:
     omegas = OMEGA * rng.uniform(0.8, 1.2, size=(20_000, 4))
     for psi2 in (general, np.where(np.arange(8) < 5, 0.0, general)):
         psi2 = psi2 / np.linalg.norm(psi2)
-        for n in (1, 2047, 2049, 8191, 8193, 20_000):
+        for n in (1, 2047, 2049, 5119, 5121, 8191, 8193, 10241, 20_000):
             h.update(f"[{n}]".encode())
             fids = _batched_pulse3_fidelities(psi2, omegas[:n], 358.05, -353.19, 8.5)
             h.update(encode(fids.tolist()).encode())
