@@ -378,8 +378,6 @@ class _ChebyshevBuffers:
     def __init__(self, m: int, rows: int) -> None:
         self.t = np.empty((2, 2, 2, 2, m))  # T_k-1 and T_k in turn, cycle layout
         self.flat = self.t.reshape(2, 8, m)
-        # per T: its two link partners (_PARTNERS), its V_c slots and their partners
-        self.views = [([a[v] for v in _PARTNERS], a[:, 0, 1], a[::-1, 0, 1]) for a in self.t]
         self.g = np.empty((2, 2, 2, m))  # scratch: one product, or the rows summed
         self.g_pair, self.gathered = self.g[:, 0, 1], self.g.reshape(8, m)[:rows]
         # and after the last term the projection's amplitude, term and product (complex
@@ -388,30 +386,41 @@ class _ChebyshevBuffers:
         self.links = np.empty((2, 1, 2, m))  # 2 x link entry / r, broadcast over the group
         self.partner_links = (self.links, self.links[:, :, ::-1])
         self.parts = np.empty((2, rows, m))  # sums of the even and odd terms
+        # what term k reads and writes, by the parity p of k: T_k-1 = t[1 - p] through
+        # its two link partners (_PARTNERS), its V_c partners and whole; T_k = t[p]
+        # whole, at its V_c slots and flat; and the sum of the terms of parity p
+        t = self.t
+        self.steps = [
+            (*(t[1 - p][v] for v in _PARTNERS), t[1 - p, ::-1, 0, 1], t[1 - p], t[p],
+             t[p, :, 0, 1], self.flat[p], self.parts[p])
+            for p in (0, 1)
+        ]
 
 
 def _chebyshev_pass(b: _ChebyshevBuffers, om, out, weights, diagonal, off, r, slots, coeffs):
     """One pass of the pulse-3 expansion: the fidelities of the (4, m) drives ``om``
     into ``out``, in the buffers ``b``; the sum runs on psi2's ``slots`` rows of the
-    cycle layout, whose amplitudes are ``coeffs``."""
-    np.divide(np.take(om, _LINK_CHANNELS, axis=0, out=b.links, mode="clip"), r, out=b.links)
-    t, flat, g, gathered, (link0, link1) = b.t, b.flat, b.g, b.gathered, b.partner_links
-    t.fill(0.0)
-    t[0, :, 0, 0] = 1.0  # sqrt(2) g+
+    cycle layout, whose amplitudes are ``coeffs``. A term reads its views from
+    ``b.steps`` and its weight as a Python float, and every ufunc has an out, so a
+    term allocates and indexes nothing."""
+    multiply = np.multiply
+    np.divide(om.take(_LINK_CHANNELS, 0, b.links, "clip"), r, out=b.links)
+    g, g_pair, gathered, (link0, link1) = b.g, b.g_pair, b.gathered, b.partner_links
+    b.t.fill(0.0)
+    b.t[0, :, 0, 0] = 1.0  # sqrt(2) g+
     b.parts.fill(0.0)
-    b.parts[0] += np.multiply(np.take(flat[0], slots, 0, gathered, "clip"), weights[0], gathered)
-    for k in range(1, len(weights)):
+    w = weights.tolist()
+    b.parts[0] += multiply(b.flat[0].take(slots, 0, gathered, "clip"), w[0], gathered)
+    for k in range(1, len(w)):
         # nxt <- 2 (H - c)/r cur - nxt, so t[k % 2] becomes T_k
-        ((first, second), _, across), nxt_pair = b.views[1 - k % 2], b.views[k % 2][1]
-        cur, nxt = t[1 - k % 2], t[k % 2]
-        np.subtract(np.multiply(first, link0, g), nxt, nxt)
-        nxt += np.multiply(second, link1, g)
-        nxt += np.multiply(cur, diagonal, g)
-        nxt_pair += np.multiply(off, across, b.g_pair)
+        first, second, across, cur, nxt, nxt_pair, nxt_flat, part = b.steps[k & 1]
+        np.subtract(multiply(first, link0, g), nxt, nxt)
+        nxt += multiply(second, link1, g)
+        nxt += multiply(cur, diagonal, g)
+        nxt_pair += multiply(off, across, g_pair)
         if k == 1:
             nxt /= 2.0  # T_1 = (H - c)/r T_0
-        np.take(flat[k % 2], slots, 0, gathered, "clip")
-        b.parts[k % 2] += np.multiply(gathered, weights[k], gathered)
+        part += multiply(nxt_flat.take(slots, 0, gathered, "clip"), w[k], gathered)
     # sqrt(2) <g+|U|psi2> up to a phase, summed state by state in a fixed order
     amp, term, product = b.amp, b.term, b.product
     amp.fill(0.0)

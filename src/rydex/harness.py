@@ -6,10 +6,11 @@ that the calculator is expected to reproduce; ``run_table`` reports
 computed and reference values side by side with deviations.
 ``robustness_scan`` reruns the pairwise protocol with dispersed Rabi
 frequencies and histograms the resulting fidelities: pulse 2 runs once,
-the samples are drawn in one vectorized Philox pass, and pulse 3 of
-every sample is propagated in batches by ``dynamics``'
-``_batched_pulse3_fidelities``: a Chebyshev expansion or, where that
-would cost more, one 8x8 eigensolve per sample.
+the samples are drawn by a Philox4x64-10 computed on arrays of
+``_SAMPLE_CHUNK`` keys per pass, and pulse 3 of every sample is
+propagated in batches by ``dynamics``' ``_batched_pulse3_fidelities``: a
+Chebyshev expansion or, where that would cost more, one 8x8 eigensolve
+per sample.
 
 All output helpers serialize floats with 9 significant digits and sort
 keys, so a fixed seed and config produce byte-identical files.
@@ -183,34 +184,82 @@ class FidelityHistogram:
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
 _M0, _M1, _W0, _W1 = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157,
                                0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
-_SAMPLE_CHUNK = 4096  # keys per pass; one 100k-key pass raised peak RSS 55.9 -> 64.8 MB
+_LOW32 = np.uint64(0xFFFFFFFF)
+# Keys per pass. Each pass costs ~300 ufunc calls whatever its size, so a 100k-key draw
+# took 17, 14 and 12 ms at 4096, 8192 and 16384 keys (2-core x86 VM); the nine rows take
+# 0.6 MB at 8192. A 100k scan's peak RSS was the same at all three, and 3.5 MB higher
+# with one 100k-key pass.
+_SAMPLE_CHUNK = 8192
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) words of the 128-bit products m * x; high from 32-bit halves."""
-    s, lo32 = np.uint64(32), np.uint64(0xFFFFFFFF)
-    a, b = (m & lo32) * (x >> s), (m >> s) * (x & lo32)
-    mid = ((m & lo32) * (x & lo32) >> s) + (a & lo32) + (b & lo32)
-    return (m >> s) * (x >> s) + (a >> s) + (b >> s) + (mid >> s), m * x
+def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray,
+             v: np.ndarray) -> None:
+    """The 128-bit products m * x: the high words into ``hi`` and the low words over
+    ``x``, from 32-bit halves (t, u and v are scratch): with t = lh + (ll >> 32) and
+    u = hl + (t & M32), the high word is hh + (t >> 32) + (u >> 32)."""
+    mh, ml = m >> np.uint64(32), m & _LOW32
+    np.bitwise_and(x, _LOW32, out=t)  # xl
+    np.right_shift(x, 32, out=hi)  # xh
+    x *= m
+    np.multiply(t, ml, out=u)  # ll
+    t *= mh  # lh
+    u >>= 32
+    t += u
+    np.multiply(hi, ml, out=u)  # hl
+    hi *= mh  # hh
+    np.bitwise_and(t, _LOW32, out=v)
+    u += v
+    t >>= 32
+    u >>= 32
+    hi += t
+    hi += u
 
 
 def _sample_omegas(cfg: RobustnessConfig) -> np.ndarray:
     """Per-sample Rabi frequencies, (samples, 4), in kHz: sample i is
     ``Generator(Philox(key=[seed, i])).uniform(lo, hi, 4)`` with an exact uint64 key,
-    so any partition draws the same; each pass computes the first block of its keys."""
-    out = np.empty((cfg.samples, 4))
-    lo, hi = 1.0 - cfg.epsilon, 1.0 + cfg.epsilon
-    for start in range(0, cfg.samples, _SAMPLE_CHUNK):
-        k1 = np.arange(start, min(start + _SAMPLE_CHUNK, cfg.samples), dtype=np.uint64)
-        # numpy increments its zero counter before the first block: counter (1, 0, 0, 0)
-        k0, c = np.full_like(k1, cfg.seed), [np.ones_like(k1)] + 3 * [np.zeros_like(k1)]
-        for _ in range(10):
-            (h0, l0), (h1, l1) = _mulhilo(_M0, c[0]), _mulhilo(_M1, c[2])
-            c = [h1 ^ c[1] ^ k0, l1, h0 ^ c[3] ^ k1, l0]
-            k0, k1 = k0 + _W0, k1 + _W1  # uint64 arrays wrap silently, as Philox needs
-        u = (np.stack(c, axis=1) >> np.uint64(11)) * 2.0**-53
-        out[start : start + _SAMPLE_CHUNK] = lo + (hi - lo) * u
-    return cfg.omega_khz * out
+    so any partition draws the same; each pass computes the first block of its keys.
+
+    Key word 0 is the seed for every sample, so it and its bumps are Python ints.
+    numpy's counter starts at (1, 0, 0, 0), so round 1 gives (seed, 0, k1, M0) and
+    round 2 has one array mulhilo. The array words live in nine uint64 rows made
+    once per call; each round writes over the words it has read, so the four
+    counter rows rotate, and uint64 arithmetic wraps silently, as Philox needs.
+    """
+    n = cfg.samples
+    out = np.empty((n, 4))
+    lo = 1.0 - cfg.epsilon
+    width = (1.0 + cfg.epsilon) - lo
+    m = min(n, _SAMPLE_CHUNK)
+    words = np.empty((9, m), dtype=np.uint64)  # four counter words, k1, high and scratch
+    index = np.arange(m, dtype=np.uint64)
+    k0 = [np.uint64((cfg.seed + r * int(_W0)) % 2**64) for r in range(10)]
+    h0, l0 = divmod(int(_M0) * cfg.seed, 2**64)  # round 2's mulhilo(M0, seed)
+    for start in range(0, n, m):
+        c0, c1, c2, c3, k1, high, *scratch = (w[: min(m, n - start)] for w in words)
+        np.add(index[: len(k1)], np.uint64(start), out=c2)  # k1 of round 1
+        np.add(c2, _W1, out=k1)
+        _mulhilo(_M1, c2, c0, *scratch)
+        c0 ^= k0[1]
+        np.bitwise_xor(k1, np.uint64(h0) ^ _M0, out=c1)
+        c3.fill(l0)
+        c = [c0, c2, c1, c3]  # after round 2
+        for r in range(2, 10):
+            k1 += _W1
+            _mulhilo(_M0, c[0], high, *scratch)
+            c[3] ^= high
+            c[3] ^= k1
+            _mulhilo(_M1, c[2], high, *scratch)
+            c[1] ^= high
+            c[1] ^= k0[r]
+            c = [c[1], c[2], c[3], c[0]]  # (h1 ^ c1 ^ k0, l1, h0 ^ c3 ^ k1, l0)
+        for word, column in zip(c, out[start : start + m].T):
+            word >>= 11
+            np.multiply(word, 2.0**-53, out=column)
+            column *= width
+            column += lo
+    out *= cfg.omega_khz
+    return out
 
 
 def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
@@ -360,6 +409,8 @@ def _table_channels(model: QuantumDefectModel, table_id: str) -> list[dict]:
 
 def run_table(table_id: str, model: QuantumDefectModel) -> dict:
     """Computed-vs-reference rows for one of the bundled tables."""
+    if not isinstance(table_id, str):
+        raise ValueError(f"table_id must be a str, got {table_id!r}")
     normalized = table_id.strip().upper()
     if normalized == "I":
         rows = _table_i(model)
@@ -456,6 +507,7 @@ def run_figure(
     seed: int = 12345,
 ) -> dict:
     """Plot data for the trajectory figure (3) or histogram figure (4)."""
+    figure_id = _require_int("figure_id", figure_id)
     if figure_id == 3:
         return _figure_trajectory()
     if figure_id == 4:
@@ -468,13 +520,19 @@ def run_figure(
 
 
 def _round_float(x: float) -> float:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         return x
     return float(f"{x:.9g}")
 
 
 def to_jsonable(obj):
-    """Recursively convert to JSON-ready types with 9-digit floats."""
+    """Recursively convert to JSON-ready types with 9-digit floats; exact floats,
+    ints and strs first, then containers, numpy scalars, bools and subclasses."""
+    kind = type(obj)
+    if kind is float:
+        return _round_float(obj)
+    if kind is int or kind is str:
+        return obj
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -495,6 +553,11 @@ def dumps_json(data: dict) -> str:
 
 
 def _format_cell(value) -> str:
+    kind = type(value)  # the exact built-in types first
+    if kind is float and math.isfinite(value):
+        return f"{value:.9g}"
+    if kind is int or kind is str:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):

@@ -62,7 +62,9 @@ from rydex.vdw import interaction_matrix
 from level_reference import RydbergLevel, level_energy
 from pulse3_reference import _batched_pulse3_fidelities as gather_pulse3_fidelities
 from radial_reference import rrr_coefficient
+from sampler_reference import _sample_omegas as array_per_round_sampler
 from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
+import serialize_reference
 
 MODEL = QuantumDefectModel.default()
 
@@ -237,10 +239,28 @@ def test_sampler_matches_generator_loop():
         for samples in (1, 777):
             assert np.array_equal(_omegas(seed, samples), reference[:samples])
     assert np.array_equal(_omegas(12345, 777, 0.0), _generator_loop(12345, 777, 0.0))
-    # 4096 and 4097 sit on and just past the sampler's chunk boundary
-    reference = _generator_loop(12345, 10000, 0.2)
-    for samples in (4096, 4097, 10000):
+    # 4096 and 4097 sat on and just past the sampler's old chunk boundary; 8191, 8192
+    # and 8193 sit around the current one, and 16385 is two reused passes and a short one
+    reference = _generator_loop(12345, 16385, 0.2)
+    for samples in (4096, 4097, 8191, 8192, 8193, 10000, 16385):
         assert np.array_equal(_omegas(12345, samples, 0.2), reference[:samples])
+
+
+def test_sampler_key_word_0_wraps_on_its_first_bump():
+    """Seed 2**64 - 1 plus the first key increment wraps past 2**64: key word 0 is a
+    Python int in the sampler, reduced mod 2**64 as numpy's uint64 key wraps."""
+    reference = _generator_loop(2**64 - 1, 4097, 0.1, key_dtype=np.uint64)
+    assert np.array_equal(_omegas(2**64 - 1, 4097), reference)
+
+
+@pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 3 * 8192 + 5])
+@pytest.mark.parametrize("seed", [0, 12345, 2**63, 2**64 - 1])
+def test_sampler_is_the_array_per_round_form_bit_for_bit(seed, samples):
+    """The in-place passes give the bits of the sampler that allocated every Philox
+    word per round, at a partial, a full and a reused pass; seeds past 2**63 too."""
+    for epsilon in (0.0, 0.2):
+        cfg = RobustnessConfig(epsilon, samples, seed, NOMINAL_OMEGA, V_PLUS, V_MINUS)
+        assert _sample_omegas(cfg).tobytes() == array_per_round_sampler(cfg).tobytes()
 
 
 def test_seeds_from_2_63_keep_every_bit():
@@ -618,6 +638,12 @@ def test_unknown_table_rejected():
         run_table("V", MODEL)
 
 
+@pytest.mark.parametrize("table_id", [1, None, b"I", ["I"]])
+def test_table_id_must_be_a_str(table_id):
+    with pytest.raises(ValueError, match=r"^table_id must be a str, got "):
+        run_table(table_id, MODEL)
+
+
 def test_table_rerun_is_byte_identical():
     assert dumps_json(run_table("I", MODEL)) == dumps_json(run_table("I", MODEL))
 
@@ -659,6 +685,16 @@ def test_unknown_figure_rejected():
         run_figure(5, MODEL)
 
 
+@pytest.mark.parametrize("figure_id", [3.0, 4.0, True, "3", None])
+def test_figure_id_must_be_an_integer(figure_id):
+    with pytest.raises(ValueError, match=r"^figure_id must be an integer, got "):
+        run_figure(figure_id, MODEL, samples=10)
+
+
+def test_figure_id_may_be_a_numpy_integer():
+    assert run_figure(np.int64(3), MODEL) == run_figure(3, MODEL)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -677,6 +713,78 @@ def test_to_jsonable_conversions():
     assert out["i"] == 7
     assert isinstance(out["i"], int)
     assert out["t"] == [1.0, 2.0]
+
+
+class _Float(float):
+    """A float subclass, which the serializers take through their generic path."""
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    _FINITE,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0]),
+    _FINITE.map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    _FINITE.map(_Float),
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(max_size=4),
+)
+_KEYS = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.tuples(st.integers(0, 2), st.integers(0, 2)))
+_NESTED = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+_COLUMNS = ["a", "b", "c"]
+_ROWS = st.lists(
+    st.one_of(
+        st.lists(_LEAVES, min_size=3, max_size=3),
+        st.fixed_dictionaries({c: _LEAVES for c in _COLUMNS}),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=st.dictionaries(_KEYS, _NESTED, max_size=5), rows=_ROWS)
+def test_serializers_write_the_reference_bytes(payload, rows):
+    """The exact-type fast paths give the bytes of the isinstance-only serializers
+    on nested dicts, lists and tuples of numpy scalars, bools, float subclasses,
+    signed zeros, subnormals, huge floats, None, and int and tuple keys."""
+    assert dumps_json(payload) == serialize_reference.dumps_json(payload)
+    assert rows_to_csv(_COLUMNS, rows) == serialize_reference.rows_to_csv(_COLUMNS, rows)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf),
+     np.float32(math.inf), _Float(math.nan), _Float(math.inf)],
+    ids=repr,
+)
+def test_serializers_refuse_non_finite_floats_as_the_reference(bad):
+    """NaN and +-inf, bare or nested, raise the reference's ValueError in JSON and CSV."""
+    cases = [
+        (dumps_json, serialize_reference.dumps_json, "not JSON compliant", payload)
+        for payload in ({"x": bad}, {"x": [1.0, {"y": (bad,)}]})
+    ] + [
+        (lambda rows: rows_to_csv(["x"], rows), lambda rows: serialize_reference.rows_to_csv(["x"], rows),
+         "not CSV compliant", rows)
+        for rows in ([[bad]], [{"x": bad}], [[1.0], [bad]])
+    ]
+    for fast, reference, fragment, data in cases:
+        with pytest.raises(ValueError, match=fragment) as raised:
+            fast(data)
+        with pytest.raises(ValueError, match=fragment) as expected:
+            reference(data)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_dumps_json_sorted_and_terminated():

@@ -1,6 +1,6 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness|protocols|batches]
+    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -44,6 +44,23 @@ default, past which two workers run) and 8192 samples. It also hashes the
 ``histogram_payload`` of one 20,000-sample ``robustness_scan``. Takes
 about 1 s.
 
+``sampler`` hashes the float hex of the Monte Carlo draws,
+``harness._sample_omegas``, for the seeds 0, 1, 12345, 2**63 and
+2**64 - 1 (the last two wrap key word 0 on its first bump), at 1, 4095, 4096,
+4097, 8191, 8192, 8193, 16385 and 100,000 samples (on both sides of one
+and two passes of the old 4096 keys and the current 8192), each at
+epsilon 0, 0.1 and 0.2. Takes about 6 s.
+
+``serialize`` hashes the ``dumps_json`` and ``rows_to_csv`` bytes of
+``run_table`` I, II, III and IV, ``run_figure(3)`` and
+``run_figure(4, samples=1000)``. Takes under 1 s.
+
+Recorded digests (equal at the commit that added ``sampler`` and
+``serialize`` and at its parent, with the tool copied in):
+``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
+dea71713..., ``batches`` 0efd21e8..., ``sampler`` 07315d5a... and
+``serialize`` 3965c586....
+
 Stdlib, numpy and rydex only.
 """
 
@@ -74,7 +91,16 @@ from rydex.dynamics import (  # noqa: E402
     propagate,
     propagate_sampled,
 )
-from rydex.harness import RobustnessConfig, histogram_payload, robustness_scan  # noqa: E402
+from rydex.harness import (  # noqa: E402
+    RobustnessConfig,
+    _sample_omegas,
+    dumps_json,
+    histogram_payload,
+    robustness_scan,
+    rows_to_csv,
+    run_figure,
+    run_table,
+)
 from rydex.protocols import pairwise_entangle, swap_gate  # noqa: E402
 from rydex.vdw import (  # noqa: E402
     c6_pair,
@@ -181,6 +207,28 @@ def batches_section() -> str:
     return h.hexdigest()
 
 
+def sampler_section() -> str:
+    h = hashlib.sha256()
+    sizes = (1, 4095, 4096, 4097, 8191, 8192, 8193, 16385, 100_000)
+    for seed, samples, epsilon in itertools.product((0, 1, 12345, 2**63, 2**64 - 1), sizes,
+                                                    (0.0, 0.1, 0.2)):
+        h.update(f"[{seed},{samples},{epsilon}]".encode())
+        cfg = RobustnessConfig(epsilon, samples, seed, OMEGA, V_PLUS, V_MINUS)
+        h.update(encode(_sample_omegas(cfg).ravel().tolist()).encode())
+    return h.hexdigest()
+
+
+def serialize_section() -> str:
+    h = hashlib.sha256()
+    model = QuantumDefectModel.default()
+    outputs = [run_table(table_id, model) for table_id in ("I", "II", "III", "IV")]
+    outputs += [run_figure(3, model), run_figure(4, model, samples=1000)]
+    for data in outputs:
+        h.update(dumps_json(data).encode())
+        h.update(rows_to_csv(data["columns"], data["rows"]).encode())
+    return h.hexdigest()
+
+
 def amplitudes(values) -> str:
     """Complex amplitudes as the float hex of their real and imaginary parts."""
     return encode(np.asarray(values, dtype=complex).view(float).tolist())
@@ -219,7 +267,8 @@ def protocols_section() -> str:
 
 
 SECTIONS = {"window": window_section, "robustness": robustness_section,
-            "protocols": protocols_section, "batches": batches_section}
+            "protocols": protocols_section, "batches": batches_section,
+            "sampler": sampler_section, "serialize": serialize_section}
 
 
 def main() -> None:
