@@ -753,7 +753,7 @@ _ROWS = st.lists(
 )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(payload=st.dictionaries(_KEYS, _NESTED, max_size=5), rows=_ROWS)
 def test_serializers_write_the_reference_bytes(payload, rows):
     """The exact-type fast paths give the bytes of the isinstance-only serializers
