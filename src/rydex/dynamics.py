@@ -42,7 +42,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .atoms import _require_finite
+from .atoms import _require_finite, _require_int
 
 __all__ = [
     "CHANNELS",
@@ -325,11 +325,12 @@ def propagate_sampled(
 
     Returns (times, amps) with times of shape (n_samples,) spanning
     [0, t_us] inclusive and amps of shape (n_samples, dim), ``t_us``
-    finite. Used for trajectory export and Rydberg-exposure integrals.
+    finite and ``n_samples`` an int of at least 2. Used for trajectory export and
+    Rydberg-exposure integrals.
     """
     _require_finite("t_us", t_us)
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
+    if _require_int("n_samples", n_samples) < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if state.basis != h.basis:
         raise ValueError(f"state basis {state.basis} does not match Hamiltonian basis {h.basis}")
     w, v, coef = _eigen_coefficients(h.matrix, state.amplitudes, t_us)
@@ -347,15 +348,19 @@ def _chebyshev_terms(x: float) -> np.ndarray | None:
     if x < 1e-20:  # J_0 = 1 - x^2/4 rounds to 1 and J_1 = x/2 < 1e-17
         return np.ones(1)
     # Miller's backward recurrence from J_m+1 = 0 and J_m = 1, started past
-    # x + 12 x^(1/3) where J_k reaches 1e-17, then J_0 + 2 (J_2 + J_4 + ...) = 1
+    # x + 12 x^(1/3) where J_k reaches 1e-17, on Python floats (which round as
+    # float64 elements do), then numpy's sum for J_0 + 2 (J_2 + J_4 + ...) = 1
     m = int(x + 16.0 * x ** (1.0 / 3.0)) + 32
-    j = np.zeros(m + 2)
-    j[m] = 1.0
+    down = [0.0, 1.0]  # J_m+1, J_m, ... J_0
+    after, at = 0.0, 1.0
     for k in range(m, 0, -1):
-        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
-        if abs(j[k - 1]) > 1e250:
-            j[k - 1 :] *= 1e-250
-    j = j[: m + 1] / (j[0] + 2.0 * j[2 : m + 1 : 2].sum())
+        after, at = at, 2.0 * k / x * at - after
+        down.append(at)
+        if abs(at) > 1e250:
+            down = [v * 1e-250 for v in down]
+            after, at = down[-2], down[-1]
+    j = np.array(down[:0:-1])  # J_0 .. J_m
+    j = j / (j[0] + 2.0 * j[2::2].sum())
     k = int(np.argmax((np.arange(m + 1) > x) & (np.abs(j) < 1e-17)))
     return j[:k] if 0 < k <= _CHEBYSHEV_MAX_TERMS else None
 

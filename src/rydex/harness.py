@@ -5,25 +5,29 @@ coefficients, scattering-channel parameters, and convergence series
 that the calculator is expected to reproduce; ``run_table`` reports
 computed and reference values side by side with deviations.
 ``robustness_scan`` reruns the pairwise protocol with dispersed Rabi
-frequencies and histograms the resulting fidelities: pulse 2 runs once,
-the samples are drawn by a Philox4x64-10 computed on arrays of
-``_SAMPLE_CHUNK`` keys per pass, and pulse 3 of every sample is
+frequencies and histograms the resulting fidelities: pulse 2 runs once
+per working point and is kept for the next scans there, the samples are
+drawn by a Philox4x64-10 computed on arrays of ``_SAMPLE_CHUNK`` keys per
+pass, and pulse 3 of every sample is
 propagated in batches by ``dynamics``' ``_batched_pulse3_fidelities``: a
 Chebyshev expansion or, where that would cost more, one 8x8 eigensolve
 per sample.
 
 All output helpers serialize floats with 9 significant digits and sort
-keys, so a fixed seed and config produce byte-identical files.
+keys, so a fixed seed and config produce byte-identical files; each writes
+a float's text once and keeps it in a bounded memo.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import importlib
 import io
 import json
 import math
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -262,46 +266,65 @@ def _sample_omegas(cfg: RobustnessConfig) -> np.ndarray:
     return out
 
 
-def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
-    """Fidelity distribution of the protocol under drive dispersion.
+@functools.lru_cache(maxsize=8)
+def _pulse2_point(*key: tuple) -> tuple[float, float, float, float, np.ndarray]:
+    """(tau2, tau3, V_s, V_c, psi2) of one working point, psi2 read-only.
 
-    Pulse 2 runs once at the nominal frequency (its duration fixed by
-    the quadratic-correction formula); every sample then propagates
-    pulse 3 with four independently dispersed Rabi frequencies for the
-    fixed nominal half-period.
+    ``key`` holds (type, value, sign) of the drive, V+ and V-, so the cache
+    tells 0.0 from -0.0 and 5 from 5.0 and computes from the very floats a
+    scan passed; an error is raised again on every call, since it is not kept.
     """
     from .dynamics import (
         PRODUCT_BASIS_8,
         PulseSpec,
         QuantumState,
-        _batched_pulse3_fidelities,
         build_full8,
         propagate,
         tau2_approximate,
     )
     from .protocols import _exchange_split, _half_period
 
-    tau3 = _half_period("omega_khz", cfg.omega_khz)
-    tau2 = tau2_approximate(cfg.omega_khz, cfg.v_plus_khz)
-    v_s, v_c = _exchange_split(cfg.v_plus_khz, cfg.v_minus_khz)
-
+    (_, omega, _), (_, v_plus, _), (_, v_minus, _) = key
+    tau3 = _half_period("omega_khz", omega)
+    tau2 = tau2_approximate(omega, v_plus)
+    v_s, v_c = _exchange_split(v_plus, v_minus)
     start = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")
-    pulse2 = PulseSpec(omega_uD_B=cfg.omega_khz, duration_us=tau2)
+    pulse2 = PulseSpec(omega_uD_B=omega, duration_us=tau2)
     psi2 = propagate(start, build_full8(pulse2, v_s, v_c), tau2).amplitudes
+    psi2.flags.writeable = False
+    return tau2, tau3, v_s, v_c, psi2
 
+
+# the histogram's bin edges, as an array and as the floats of its records
+_EDGES = np.linspace(*HISTOGRAM_RANGE, HISTOGRAM_BIN_COUNT + 1)
+_EDGE_FLOATS = tuple(_EDGES.tolist())
+
+
+def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
+    """Fidelity distribution of the protocol under drive dispersion.
+
+    Pulse 2 runs once at the nominal frequency (its duration fixed by
+    the quadratic-correction formula), and once per process for each of
+    the last few working points; every sample then propagates pulse 3
+    with four independently dispersed Rabi frequencies for the fixed
+    nominal half-period.
+    """
+    from . import dynamics
+
+    point = (cfg.omega_khz, cfg.v_plus_khz, cfg.v_minus_khz)
+    _, tau3, v_s, v_c, psi2 = _pulse2_point(*((type(x), x, math.copysign(1.0, x)) for x in point))
     omegas = _sample_omegas(cfg)
-    fids = _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
+    fids = dynamics._batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
 
-    edges = np.linspace(*HISTOGRAM_RANGE, HISTOGRAM_BIN_COUNT + 1)
-    counts, _ = np.histogram(fids, bins=edges)
-    underflow = int(np.count_nonzero(fids < edges[0]))
+    counts, _ = np.histogram(fids, bins=_EDGES)
+    underflow = int(np.count_nonzero(fids < _EDGE_FLOATS[0]))
     fraction_above = {
         thr: float(np.count_nonzero(fids > thr) / cfg.samples)
         for thr in FRACTION_THRESHOLDS
     }
     return FidelityHistogram(
-        bin_edges=tuple(float(e) for e in edges),
-        counts=(underflow,) + tuple(int(c) for c in counts),
+        bin_edges=_EDGE_FLOATS,
+        counts=(underflow, *counts.tolist()),
         fraction_above=fraction_above,
         samples=cfg.samples,
         mean=float(fids.mean()),
@@ -519,24 +542,46 @@ def run_figure(
 # serialization
 
 
+# Most floats each serializer keeps the text of; a full memo starts over.
+_FLOAT_TEXTS = 4096
+_json_floats: dict[float, str] = {}
+_csv_floats: dict[float, str] = {}
+
+
+def _remember(memo: dict[float, str], x: float, text: str) -> str:
+    if x:  # 0.0 == -0.0 as keys, and their texts differ, so neither zero is kept
+        if len(memo) >= _FLOAT_TEXTS:
+            memo.clear()
+        memo[x] = text
+    return text
+
+
 def _round_float(x: float) -> float:
     if not math.isfinite(x):
         return x
     return float(f"{x:.9g}")
 
 
-def to_jsonable(obj):
-    """Recursively convert to JSON-ready types with 9-digit floats; exact floats,
-    ints and strs first, then containers, numpy scalars, bools and subclasses."""
+def _json_float(x: float) -> str:
+    """The JSON text of ``x`` rounded to 9 significant digits."""
+    text = _json_floats.get(x)
+    if text is None:
+        if not math.isfinite(x):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        text = _remember(_json_floats, x, repr(float(f"{x:.9g}")))
+    return text
+
+
+def _jsonable(obj):
     kind = type(obj)
     if kind is float:
         return _round_float(obj)
     if kind is int or kind is str:
         return obj
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -546,16 +591,62 @@ def to_jsonable(obj):
     return obj
 
 
+def to_jsonable(obj):
+    """Recursively convert to JSON-ready types with 9-digit floats; exact floats,
+    ints and strs first, then containers, numpy scalars, bools and subclasses."""
+    return _jsonable(obj)
+
+
+def _json_text(obj, newline: str) -> str:
+    """``obj`` as ``to_jsonable`` converts it and ``json.dumps`` writes it with
+    sorted keys at ``indent=2``, ``newline`` being its own line's break and indent."""
+    kind = type(obj)
+    if kind is float:
+        return _json_floats.get(obj) or _json_float(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return _json_string(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = {str(k): v for k, v in obj.items()}
+        inner = newline + "  "
+        fields = [f"{_json_string(k)}: {_json_text(items[k], inner)}" for k in sorted(items)]
+        return "{" + inner + ("," + inner).join(fields) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _json_float(float(obj))
+    return json.dumps(obj)  # None, a str subclass, or the encoder's TypeError
+
+
 def dumps_json(data: dict) -> str:
-    """Strict JSON text, keys sorted; a NaN or infinity raises ValueError."""
-    text = json.dumps(to_jsonable(data), sort_keys=True, indent=2, allow_nan=False)
-    return text + "\n"
+    """Strict JSON text, keys sorted; a NaN or infinity raises ValueError.
+
+    The bytes are those of ``json.dumps(to_jsonable(data), sort_keys=True,
+    indent=2, allow_nan=False) + "\n"``, errors and their messages included,
+    written in one pass without building the converted copy. Each float's text
+    is kept in a memo of at most _FLOAT_TEXTS floats, emptied when full.
+    """
+    return _json_text(data, "\n") + "\n"
 
 
 def _format_cell(value) -> str:
     kind = type(value)  # the exact built-in types first
-    if kind is float and math.isfinite(value):
-        return f"{value:.9g}"
+    if kind is float:
+        text = _csv_floats.get(value)
+        if text is None and math.isfinite(value):
+            text = _remember(_csv_floats, value, f"{value:.9g}")
+        if text is not None:
+            return text
     if kind is int or kind is str:
         return str(value)
     if isinstance(value, (bool, np.bool_)):
@@ -568,7 +659,13 @@ def _format_cell(value) -> str:
 
 
 def rows_to_csv(columns: list[str], rows: list) -> str:
-    """CSV text with a header row; rows may be lists or dicts; NaN/inf raise."""
+    """CSV text with a header row; rows may be lists or dicts; NaN/inf raise.
+
+    Cells are written by ``csv.writer``: floats with 9 significant digits, bools
+    as true/false, anything else as ``str``. Each float's text is kept in a memo
+    of at most _FLOAT_TEXTS floats, emptied when full, so the bytes and error
+    messages are those of formatting every cell afresh.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

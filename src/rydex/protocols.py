@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -75,6 +76,9 @@ RYDBERG_POPULATION_THRESHOLD = 1e-3
 
 # Largest chain a ChainSpec accepts: its schedule builds in well under a second.
 MAX_CHAIN_ATOMS = 2**19
+# Most restarts optimize_pairwise takes: each costs about 8 ms (2-core x86 VM), and
+# the starts are drawn before the first step
+MAX_RESTARTS = 1000
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -409,12 +413,15 @@ def optimize_pairwise(
     restarts take scipy's Nelder-Mead steps (xatol 1e-6, fatol 1e-9, maxiter 400)
     bit for bit, in lockstep (``_lockstep_nelder_mead``); ``converged`` if any stops
     on its tolerance test. The start and the result run the 8-state
-    ``pairwise_entangle``, and the result is never below the start.
+    ``pairwise_entangle``, and the result is never below the start. ``seed`` is an
+    int >= 0 and ``restarts`` an int from 1 to MAX_RESTARTS.
     """
     _require_finite("v_plus_khz", v_plus_khz)
     _require_finite("v_minus_khz", v_minus_khz)
     if _require_int("seed", seed) < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if not 1 <= _require_int("restarts", restarts) <= MAX_RESTARTS:
+        raise ValueError(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
     omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)  # all > 0
     start = np.array([omega, omega, tau2, tau3])
     lo, hi = start * np.array([0.5, 0.5, 0.25, 0.25]), start * np.array([3.0, 3.0, 2.0, 2.0])
@@ -547,6 +554,10 @@ class ChainSpec:
     gamma_per_ms: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (type(self.pair) is tuple and len(self.pair) == 2) or any(
+            isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in self.pair
+        ):
+            raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")
         if _require_int("atom_count", self.atom_count) > MAX_CHAIN_ATOMS:
             raise ValueError(
                 f"atom_count must be at most {MAX_CHAIN_ATOMS}, got {self.atom_count}"

@@ -1,19 +1,42 @@
 """Test-side reference for the batched pulse-3 kernel: the gather form it had
-before the cycle layout, kept verbatim (name and docstring included) so the
-fast kernel can be checked bit for bit against it."""
+before the cycle layout, and ``_chebyshev_terms`` with its recurrence on a
+numpy array, as it was before it ran on Python floats, each kept verbatim
+(name and docstring included) so the fast forms can be checked bit for bit
+against them."""
 
 import math
 
 import numpy as np
 
 from rydex.dynamics import (
+    _CHEBYSHEV_MAX_TERMS,
     _MINUS_I_POWER_PARTS,
     _NEIGHBOUR_CHANNELS,
     _NEIGHBOURS,
-    _chebyshev_terms,
     _evolve,
     _sector_matrices,
 )
+
+
+def _chebyshev_terms(x: float) -> np.ndarray | None:
+    """J_0(x) .. J_K-1(x), K the first order past x with J_K < 1e-17, or None
+    when K would pass _CHEBYSHEV_MAX_TERMS (or x is not finite)."""
+    if not x < _CHEBYSHEV_MAX_TERMS:
+        return None
+    if x < 1e-20:  # J_0 = 1 - x^2/4 rounds to 1 and J_1 = x/2 < 1e-17
+        return np.ones(1)
+    # Miller's backward recurrence from J_m+1 = 0 and J_m = 1, started past
+    # x + 12 x^(1/3) where J_k reaches 1e-17, then J_0 + 2 (J_2 + J_4 + ...) = 1
+    m = int(x + 16.0 * x ** (1.0 / 3.0)) + 32
+    j = np.zeros(m + 2)
+    j[m] = 1.0
+    for k in range(m, 0, -1):
+        j[k - 1] = 2.0 * k / x * j[k] - j[k + 1]
+        if abs(j[k - 1]) > 1e250:
+            j[k - 1 :] *= 1e-250
+    j = j[: m + 1] / (j[0] + 2.0 * j[2 : m + 1 : 2].sum())
+    k = int(np.argmax((np.arange(m + 1) > x) & (np.abs(j) < 1e-17)))
+    return j[:k] if 0 < k <= _CHEBYSHEV_MAX_TERMS else None
 
 
 def _batched_pulse3_fidelities(

@@ -1,7 +1,8 @@
 """Test-side reference for the serializers: ``to_jsonable`` and ``_format_cell``
 as they were before their exact-type fast paths, kept verbatim, with the
-``dumps_json`` and ``rows_to_csv`` built on them, so the fast forms can be
-checked byte for byte against them."""
+``dumps_json`` (``json.dumps`` of the converted copy) and ``rows_to_csv``
+built on them, so the one-pass writers can be checked byte for byte against
+them."""
 
 import csv
 import io

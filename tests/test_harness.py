@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import inspect
 import io
@@ -56,11 +57,12 @@ from rydex.harness import (
     to_jsonable,
 )
 from rydex.protocols import pairwise_entangle, swap_gate
-from rydex import dynamics, vdw
+from rydex import dynamics, harness, vdw
 from rydex.vdw import interaction_matrix
 
 from level_reference import RydbergLevel, level_energy
 from pulse3_reference import _batched_pulse3_fidelities as gather_pulse3_fidelities
+from pulse3_reference import _chebyshev_terms as reference_chebyshev_terms
 from radial_reference import rrr_coefficient
 from sampler_reference import _sample_omegas as array_per_round_sampler
 from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
@@ -207,6 +209,47 @@ def test_scan_is_deterministic_to_the_byte():
     assert dumps_json(histogram_payload(cfg, hist_a)) == dumps_json(
         histogram_payload(cfg, hist_b)
     )
+
+
+def _scan_bytes(cfg):
+    hist = robustness_scan(cfg)
+    return dumps_json(histogram_payload(cfg, hist)), rows_to_csv(*histogram_rows(hist))
+
+
+def test_scan_at_a_cached_working_point_writes_the_bytes_of_a_fresh_one():
+    """Pulse 2 runs once per working point: a second scan there hits the cache and
+    writes the bytes of a scan after the cache is cleared; psi2 is read-only."""
+    cfg = RobustnessConfig(0.15, 1000, 11, NOMINAL_OMEGA, V_PLUS, V_MINUS)
+    harness._pulse2_point.cache_clear()
+    fresh = _scan_bytes(cfg)
+    again = _scan_bytes(dataclasses.replace(cfg, seed=12))
+    assert harness._pulse2_point.cache_info()[:2] == (1, 1)  # (hits, misses)
+    harness._pulse2_point.cache_clear()
+    assert _scan_bytes(dataclasses.replace(cfg, seed=12)) == again
+    assert _scan_bytes(cfg) == fresh
+    psi2 = harness._pulse2_point(*((type(x), x, 1.0) for x in (NOMINAL_OMEGA, V_PLUS, V_MINUS)))[-1]
+    with pytest.raises(ValueError, match="read-only"):
+        psi2[0] = 0.0
+
+
+def test_pulse2_cache_keeps_signed_zeros_and_types_apart():
+    harness._pulse2_point.cache_clear()
+    for v_plus in (0.0, -0.0, 0, np.float64(0.0)):
+        robustness_scan(RobustnessConfig(0.1, 10, 1, 60.0, v_plus, 700.0))
+    assert harness._pulse2_point.cache_info()[:2] == (0, 4)
+
+
+def test_scan_errors_are_the_same_on_every_call():
+    """A working point pulse 2 refuses is not cached: each scan raises afresh."""
+    cfg = RobustnessConfig(0.1, 10, 1, 5.0, 6.0, 711.0)  # V+ > omega: no pulse-2 time
+    harness._pulse2_point.cache_clear()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="gives no duration") as raised:
+            robustness_scan(cfg)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert harness._pulse2_point.cache_info()[:3] == (0, 2, 8)  # (hits, misses, maxsize)
 
 
 def test_mean_fidelity_is_seed_insensitive():
@@ -515,6 +558,17 @@ def test_chebyshev_terms_are_the_bessel_values():
         assert _chebyshev_terms(x) is None
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.one_of(st.floats(0.0, 260.0), st.floats(1e-22, 1.0),
+                   st.sampled_from([0.0, 5e-324, 1e-20, 1e-21, 249.99, 250.0, math.inf, math.nan])))
+def test_chebyshev_terms_are_the_array_recurrence_bit_for_bit(x):
+    """The recurrence on Python floats gives the bits of the one on a numpy array."""
+    terms, reference = _chebyshev_terms(x), reference_chebyshev_terms(x)
+    assert (terms is None) == (reference is None)
+    if terms is not None:
+        assert terms.dtype == reference.dtype and terms.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("tau3,eigh_calls", [(8.5, 0), (120.0, 1), (-8.5, 0), (-120.0, 1)])
 def test_batched_pulse3_takes_eigh_only_past_the_break_even(monkeypatch, tau3, eigh_calls):
     calls = []
@@ -720,9 +774,12 @@ class _Float(float):
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# distinct floats whose 9-digit texts are the same, so a memo keyed on the text would fail
+_NEAR_TWINS = [0.1234567891, 0.1234567894, 0.12345678912345, 1.7e308, 1.7000000001e308,
+               -1.7e308, 1e-310, 1.0000000001e-310, 0.8, math.nextafter(0.8, 1.0)]
 _LEAVES = st.one_of(
     _FINITE,
-    st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0]),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0, *_NEAR_TWINS]),
     _FINITE.map(np.float64),
     st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
     _FINITE.map(_Float),
@@ -732,6 +789,7 @@ _LEAVES = st.one_of(
     st.booleans().map(np.bool_),
     st.none(),
     st.text(max_size=4),
+    st.sampled_from(['a,b', 'say "hi"', "two\nlines", "cr\r", "é ✓ \u2028", "\x00\x1f", ""]),
 )
 _KEYS = st.one_of(st.text(max_size=3), st.integers(-3, 3), st.tuples(st.integers(0, 2), st.integers(0, 2)))
 _NESTED = st.recursive(
@@ -753,14 +811,57 @@ _ROWS = st.lists(
 )
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(payload=st.dictionaries(_KEYS, _NESTED, max_size=5), rows=_ROWS)
-def test_serializers_write_the_reference_bytes(payload, rows):
-    """The exact-type fast paths give the bytes of the isinstance-only serializers
-    on nested dicts, lists and tuples of numpy scalars, bools, float subclasses,
-    signed zeros, subnormals, huge floats, None, and int and tuple keys."""
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(payload=st.dictionaries(_KEYS, _NESTED, max_size=5), rows=_ROWS,
+       twins=st.lists(st.sampled_from(_NEAR_TWINS + [-0.0, 0.0]), max_size=12))
+def test_serializers_write_the_reference_bytes(payload, rows, twins):
+    """dumps_json writes what json.dumps writes of the reference to_jsonable's
+    copy, and rows_to_csv what csv.writer writes of freshly formatted cells,
+    with the float memos cold and warm: nested dicts, lists and tuples of numpy
+    scalars, bools, float subclasses, signed zeros, subnormals, +-1.7e308,
+    distinct floats with the same 9 digits, None, int and tuple keys, and
+    strings with quotes, commas, newlines or non-ASCII characters."""
+    payload = {**payload, "twins": twins, "tuple": tuple(twins)}
+    rows = rows + [twins[i : i + 3] for i in range(0, len(twins) - 2, 3)]
+    for cold in (True, False):
+        if cold:
+            harness._json_floats.clear()
+            harness._csv_floats.clear()
+        assert dumps_json(payload) == serialize_reference.dumps_json(payload)
+        assert rows_to_csv(_COLUMNS, rows) == serialize_reference.rows_to_csv(_COLUMNS, rows)
+
+
+def test_float_memos_stay_bounded_and_exact():
+    """Past _FLOAT_TEXTS distinct floats a memo starts over, and the bytes hold."""
+    values = np.random.default_rng(3).standard_normal(3 * harness._FLOAT_TEXTS + 7).tolist()
+    payload = {"v": values + values[:50]}
     assert dumps_json(payload) == serialize_reference.dumps_json(payload)
+    rows = [values[i : i + 3] for i in range(0, len(values) - 2, 3)]
     assert rows_to_csv(_COLUMNS, rows) == serialize_reference.rows_to_csv(_COLUMNS, rows)
+    assert 0 < len(harness._json_floats) <= harness._FLOAT_TEXTS
+    assert 0 < len(harness._csv_floats) <= harness._FLOAT_TEXTS
+
+
+@pytest.mark.parametrize("bad", [object(), {1, 2}, np.arange(2), 1j], ids=repr)
+def test_dumps_json_refuses_what_json_refuses(bad):
+    """A value json cannot write raises the json module's TypeError, nested or not."""
+    for payload in ({"x": bad}, {"x": [1.0, {"y": (bad,)}]}):
+        with pytest.raises(TypeError) as raised:
+            dumps_json(payload)
+        with pytest.raises(TypeError) as expected:
+            serialize_reference.dumps_json(payload)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_to_jsonable_recurses_under_its_own_name_once(monkeypatch):
+    """Only the outer call goes through the public name, so a tracer that wraps
+    it opens one span per call, not one per nested value."""
+    calls = []
+    inner = harness.to_jsonable
+    monkeypatch.setattr(harness, "to_jsonable", lambda obj: calls.append(obj) or inner(obj))
+    payload = {"a": [1.0, {"b": (2, np.float64(3.5))}], "c": {"d": [True, None]}}
+    assert harness.to_jsonable(payload) == serialize_reference.to_jsonable(payload)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -784,6 +885,7 @@ def test_serializers_refuse_non_finite_floats_as_the_reference(bad):
             fast(data)
         with pytest.raises(ValueError, match=fragment) as expected:
             reference(data)
+        assert type(raised.value) is type(expected.value)
         assert str(raised.value) == str(expected.value)
 
 

@@ -193,3 +193,46 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
         warnings.simplefilter("ignore")
         for name, kwargs in VALID_CALLS.items():  # each substitution is the one bad argument
             getattr(rydex, name)(**kwargs)
+
+
+# out-of-domain ints past a non-integer and a bool, each to be refused by its parameter's name
+OUT_OF_DOMAIN_INTS = {
+    "DefectSeries.l": (-1,),
+    "quantum_defect.n": (0, -1),
+    "radial_integral.l1": (-1,),
+    "radial_integral.l2": (-1,),
+    "propagate_sampled.n_samples": (1, 0, -1),
+    "ChainSpec.atom_count": (0, 5, 10**30),
+    "ChainSpec.pair": (-1, (73,), (73, 75, 77), [73, 75], (73, 75.5), (73, True)),
+    "optimize_pairwise.seed": (-1,),
+    "optimize_pairwise.restarts": (0, -1, 10**30),
+    "RobustnessConfig.samples": (0, -1),
+    "RobustnessConfig.seed": (-1, 2**64),
+}
+
+
+def _int_parameters():
+    """(name, callable, parameter) of each int parameter of a ``VALID_CALLS`` entry."""
+    for name in VALID_CALLS:
+        for p in inspect.signature(getattr(rydex, name)).parameters.values():
+            if re.fullmatch(r"int|tuple\[int, int\]", str(p.annotation)):
+                yield name, getattr(rydex, name), p.name
+
+
+def test_every_int_parameter_refuses_a_bad_int_by_name():
+    """2.5, True and each listed out-of-domain int raise a ValueError naming the
+    parameter before any work starts; the int twin of the float walk."""
+    unnamed, seen = [], set()
+    for name, func, param in _int_parameters():
+        seen.add(f"{name}.{param}")
+        for bad in (2.5, True, *OUT_OF_DOMAIN_INTS.get(f"{name}.{param}", ())):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    func(**dict(VALID_CALLS[name], **{param: bad}))
+            except Exception as error:  # any other failure is listed too
+                if isinstance(error, ValueError) and re.search(rf"\b{param}\b", str(error)):
+                    continue
+            unnamed.append(f"{name}.{param}={bad!r}")
+    assert unnamed == []
+    assert OUT_OF_DOMAIN_INTS.keys() <= seen

@@ -81,9 +81,13 @@ def test_low_orbital_angular_momentum_guard():
 
 
 def test_far_apart_levels_are_named():
-    # the Anger series of a ~1e5 n_eff difference does not converge
+    # the Anger series of a ~1e5 n_eff difference does not converge, and mpmath
+    # meets a pole in its hypergeometric series at a 1e300 one
     with pytest.raises(ValueError, match="do not converge for n_eff 70 and 99990"):
         radial_integral(70, 0, 99990, 1)
+    for far, near in ((1e300, 60.3), (60.3, 1e300), (1e8, 60.3)):
+        with pytest.raises(ValueError, match=re.escape(f"do not converge for n_eff {far} and {near}")):
+            radial_integral(far, 0, near, 1)
 
 
 def test_low_n_warning():

@@ -1,6 +1,6 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize]
+    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -55,11 +55,19 @@ epsilon 0, 0.1 and 0.2. Takes about 6 s.
 ``run_table`` I, II, III and IV, ``run_figure(3)`` and
 ``run_figure(4, samples=1000)``. Takes under 1 s.
 
+``histogram`` hashes the ``dumps_json`` bytes of ``histogram_payload`` and the
+``rows_to_csv`` bytes of ``histogram_rows`` of eleven ``robustness_scan`` runs
+of 1,000, 10,000 and 100,000 samples at several (epsilon, seed) pairs on two
+working points, in an order that returns to each working point after a scan
+at the other, so a scan that repeats a working point is digested after one
+that first reaches it. Takes under 1 s.
+
 Recorded digests (equal at the commit that added ``sampler`` and
 ``serialize`` and at its parent, with the tool copied in):
 ``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
 dea71713..., ``batches`` 0efd21e8..., ``sampler`` 07315d5a... and
-``serialize`` 3965c586....
+``serialize`` 3965c586.... ``histogram`` was written before the pulse-2
+cache and the one-pass writers and read ebb013c9... at their parent.
 
 Stdlib, numpy and rydex only.
 """
@@ -96,6 +104,7 @@ from rydex.harness import (  # noqa: E402
     _sample_omegas,
     dumps_json,
     histogram_payload,
+    histogram_rows,
     robustness_scan,
     rows_to_csv,
     run_figure,
@@ -229,6 +238,26 @@ def serialize_section() -> str:
     return h.hexdigest()
 
 
+# a second working point: drive, V+ and V- in kHz, V+ negative
+OTHER_POINT = (41.5, -3.25, 530.0)
+
+
+def histogram_section() -> str:
+    h = hashlib.sha256()
+    first = (OMEGA, V_PLUS, V_MINUS)
+    scans = ((first, 1000, 0.1, 1), (first, 1000, 0.2, 2), (OTHER_POINT, 1000, 0.1, 3),
+             (first, 1000, 0.15, 2**64 - 1), (OTHER_POINT, 10_000, 0.05, 4),
+             (first, 10_000, 0.25, 5), (OTHER_POINT, 1000, 0.0, 6), (first, 100_000, 0.1, 12345),
+             (OTHER_POINT, 100_000, 0.2, 7), (first, 1000, 0.3, 8), (OTHER_POINT, 1000, 0.12, 9))
+    for (omega, v_plus, v_minus), samples, epsilon, seed in scans:
+        h.update(f"[{omega},{v_plus},{v_minus},{samples},{epsilon},{seed}]".encode())
+        cfg = RobustnessConfig(epsilon, samples, seed, omega, v_plus, v_minus)
+        hist = robustness_scan(cfg)
+        h.update(dumps_json(histogram_payload(cfg, hist)).encode())
+        h.update(rows_to_csv(*histogram_rows(hist)).encode())
+    return h.hexdigest()
+
+
 def amplitudes(values) -> str:
     """Complex amplitudes as the float hex of their real and imaginary parts."""
     return encode(np.asarray(values, dtype=complex).view(float).tolist())
@@ -268,7 +297,8 @@ def protocols_section() -> str:
 
 SECTIONS = {"window": window_section, "robustness": robustness_section,
             "protocols": protocols_section, "batches": batches_section,
-            "sampler": sampler_section, "serialize": serialize_section}
+            "sampler": sampler_section, "serialize": serialize_section,
+            "histogram": histogram_section}
 
 
 def main() -> None:
