@@ -325,8 +325,8 @@ def propagate_sampled(
 
     Returns (times, amps) with times of shape (n_samples,) spanning
     [0, t_us] inclusive and amps of shape (n_samples, dim), ``t_us``
-    finite and ``n_samples`` an int of at least 2. Used for trajectory export and
-    Rydberg-exposure integrals.
+    finite and ``n_samples`` an int of at least 2. Used for trajectory
+    export and Rydberg-exposure integrals.
     """
     _require_finite("t_us", t_us)
     if _require_int("n_samples", n_samples) < 2:

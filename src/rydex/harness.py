@@ -542,8 +542,9 @@ def run_figure(
 # serialization
 
 
-# Most floats each serializer keeps the text of; a full memo starts over.
-_FLOAT_TEXTS = 4096
+# Most floats each serializer keeps the text of (about 0.1 MB when full); a full memo
+# starts over. A scan payload repeats its 201 bin edges and adds a few other floats.
+_FLOAT_TEXTS = 1024
 _json_floats: dict[float, str] = {}
 _csv_floats: dict[float, str] = {}
 

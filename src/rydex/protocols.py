@@ -544,8 +544,9 @@ class ChainSpec:
 
     ``atom_count`` must be 4, 6, or a multiple of 4, and at most
     MAX_CHAIN_ATOMS = 2**19, whose schedule of 1.8 million addressed
-    atoms builds in about half a second (2-core x86 VM). Every drive and
-    duration follows from the pair's working point.
+    atoms builds in about half a second (2-core x86 VM). ``pair`` is a
+    tuple of two ints (n_a, n_b). Every drive and duration follows from
+    the pair's working point.
     """
 
     atom_count: int
@@ -554,10 +555,6 @@ class ChainSpec:
     gamma_per_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (type(self.pair) is tuple and len(self.pair) == 2) or any(
-            isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in self.pair
-        ):
-            raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")
         if _require_int("atom_count", self.atom_count) > MAX_CHAIN_ATOMS:
             raise ValueError(
                 f"atom_count must be at most {MAX_CHAIN_ATOMS}, got {self.atom_count}"
@@ -571,6 +568,10 @@ class ChainSpec:
             )
         _require_finite("spacing_um", self.spacing_um, 0.0, inclusive=False)
         _require_finite("decay rate gamma_per_ms", self.gamma_per_ms, 0.0)
+        if not (type(self.pair) is tuple and len(self.pair) == 2) or any(
+            isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in self.pair
+        ):
+            raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ def _live_element(nu1: float, l1: int, nu2: float, l2: int) -> float:
         try:
             a_minus = float(mpmath.angerj(dnu - 1, -dnu))
             a_plus = float(mpmath.angerj(dnu + 1, -dnu))
-        except (mpmath.libmp.NoConvergence, ZeroDivisionError):  # the latter a pole at 1e300
+        except (mpmath.libmp.NoConvergence, ZeroDivisionError):  # a series pole at 1e300
             raise ValueError(
                 f"Anger functions do not converge for n_eff {nu1} and {nu2}"
             ) from None
