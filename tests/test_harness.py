@@ -342,6 +342,29 @@ def test_batched_fidelities_ignore_chunk_size():
     assert np.array_equal(small, full)
 
 
+@pytest.mark.parametrize("offset", [8, 16, 32, 48])
+def test_batched_fidelities_ignore_buffer_alignment(monkeypatch, offset):
+    """The kernel's buffers start on 64-byte boundaries for speed only: buffers
+    ``offset`` bytes off one give the same bits, for a psi2 nonzero on every row
+    and one nonzero on a single row."""
+    def shifted(*shape):
+        size = math.prod(shape) * 8
+        raw = np.empty(size + 128, dtype=np.uint8)
+        start = -raw.ctypes.data % 64 + offset
+        return raw[start : start + size].view(np.float64).reshape(shape)
+
+    assert dynamics._aligned_empty(3, 1001).ctypes.data % 64 == 0
+    rng = np.random.Generator(np.random.Philox(key=[98, 0]))
+    general = rng.normal(size=8) + 1j * rng.normal(size=8)
+    omegas = 58.8 * rng.uniform(0.9, 1.1, size=(1001, 4))
+    for psi2 in (general / np.linalg.norm(general), np.eye(8)[5].astype(complex)):
+        aligned = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "_aligned_empty", shifted)
+            assert _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5).tobytes() == (
+                aligned.tobytes())
+
+
 DEFAULT_CHUNK = inspect.signature(_batched_pulse3_fidelities).parameters["chunk"].default
 
 
