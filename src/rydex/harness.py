@@ -8,10 +8,9 @@ computed and reference values side by side with deviations.
 frequencies and histograms the resulting fidelities: pulse 2 runs once
 per working point and is kept for the next scans there, the samples are
 drawn by a Philox4x64-10 computed on arrays of ``_SAMPLE_CHUNK`` keys per
-pass, and pulse 3 of every sample is
-propagated in batches by ``dynamics``' ``_batched_pulse3_fidelities``: a
-Chebyshev expansion or, where that would cost more, one 8x8 eigensolve
-per sample.
+pass, and pulse 3 of every sample is propagated in batches by
+``dynamics``' ``_batched_pulse3_fidelities``: a Chebyshev expansion or,
+where that would cost more, one 8x8 eigensolve per sample.
 
 All output helpers serialize floats with 9 significant digits and sort
 keys, so a fixed seed and config produce byte-identical files; each writes
@@ -309,12 +308,12 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
     with four independently dispersed Rabi frequencies for the fixed
     nominal half-period.
     """
-    from . import dynamics
+    from .dynamics import _batched_pulse3_fidelities
 
     point = (cfg.omega_khz, cfg.v_plus_khz, cfg.v_minus_khz)
     _, tau3, v_s, v_c, psi2 = _pulse2_point(*((type(x), x, math.copysign(1.0, x)) for x in point))
     omegas = _sample_omegas(cfg)
-    fids = dynamics._batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
+    fids = _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
 
     counts, _ = np.histogram(fids, bins=_EDGES)
     underflow = int(np.count_nonzero(fids < _EDGE_FLOATS[0]))
