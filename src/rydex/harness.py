@@ -159,7 +159,10 @@ class RobustnessConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         for name in ("omega_khz", "v_plus_khz", "v_minus_khz"):
-            _require_finite(name, getattr(self, name))
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):  # keys the pulse-2 cache, so it must hash
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            _require_finite(name, value)
 
 
 @dataclass(frozen=True)
@@ -542,7 +545,11 @@ def run_figure(
 
 
 # Most floats each serializer keeps the text of (about 0.1 MB when full); a full memo
-# starts over. A scan payload repeats its 201 bin edges and adds a few other floats.
+# starts over. The memos pay where one process writes many scans, whose 201 bin edges
+# are the same floats each time: over mc-scan's first 22 scans 88% of JSON and 97% of
+# CSV float lookups hit, and on a 2-core VM a warm 1k payload's JSON takes 0.08 ms
+# against 0.17 ms without the memos, its CSV 0.14 against 0.22 ms. A one-off payload
+# only pays the misses: figure 3's 6,400 floats, written once, 3.2 against 2.6 ms.
 _FLOAT_TEXTS = 1024
 _json_floats: dict[float, str] = {}
 _csv_floats: dict[float, str] = {}
@@ -602,7 +609,7 @@ def _json_text(obj, newline: str) -> str:
     sorted keys at ``indent=2``, ``newline`` being its own line's break and indent."""
     kind = type(obj)
     if kind is float:
-        return _json_floats.get(obj) or _json_float(obj)
+        return _json_float(obj)
     if kind is int:
         return int.__repr__(obj)
     if kind is str:

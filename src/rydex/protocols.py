@@ -568,7 +568,7 @@ class ChainSpec:
             )
         _require_finite("spacing_um", self.spacing_um, 0.0, inclusive=False)
         _require_finite("decay rate gamma_per_ms", self.gamma_per_ms, 0.0)
-        if not (type(self.pair) is tuple and len(self.pair) == 2) or any(
+        if not (isinstance(self.pair, tuple) and len(self.pair) == 2) or any(
             isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in self.pair
         ):
             raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")

@@ -128,6 +128,8 @@ def test_pair_couplings_match_interaction_matrix():
         (dict(epsilon=math.nan), "epsilon must be finite, got nan"),
         (dict(epsilon=True), "epsilon must be a number, got True"),
         (dict(epsilon=False), "epsilon must be a number, got False"),
+        (dict(omega_khz=np.array(NOMINAL_OMEGA)), r"omega_khz must be a number, got array\("),
+        (dict(v_minus_khz=np.array([V_MINUS])), r"v_minus_khz must be a number, got array\("),
     ],
 )
 def test_robustness_config_validation(kwargs, fragment):

@@ -1,6 +1,7 @@
 """Entanglement protocols: pulse sequences, SWAP gate, chain schedule."""
 
 import cmath
+import collections
 import math
 import warnings
 
@@ -389,6 +390,14 @@ def test_chain_spec_validation():
         ChainSpec(atom_count=4, spacing_um=0.0, pair=(73, 75))
     with pytest.raises(ValueError, match="decay rate"):
         ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75), gamma_per_ms=-1.0)
+
+
+def test_chain_spec_takes_a_tuple_subclass_as_pair():
+    Pair = collections.namedtuple("Pair", "n_a n_b")
+    by_name = ChainSpec(atom_count=4, spacing_um=15.0, pair=Pair(73, 75))
+    plain = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75))
+    tau = dict(f1=1.0, f_swap=1.0, tau_us=0.0)
+    assert chain_protocol(MODEL, by_name, **tau) == chain_protocol(MODEL, plain, **tau)
 
 
 def _chain(atom_count: int, spacing_um: float = 15.0):
