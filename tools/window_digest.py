@@ -1,6 +1,6 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram]
+    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram|chain]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -62,6 +62,14 @@ working points, in an order that returns to each working point after a scan
 at the other, so a scan that repeats a working point is digested after one
 that first reaches it. Takes under 1 s.
 
+``chain`` hashes ``chain_protocol`` of the (73, 75) chain at 15 um for 4, 6,
+8, 16 and 4,096 atoms, at a nonzero decay rate, once with f1, f_swap and tau
+given and once simulated. Each schedule slot is expanded atom by atom to
+(step, pulse index, label, n), followed by every ``PulseSpec`` field; then the
+step durations and total, the estimate, the spectator shift and the f1,
+f_swap and tau used. It also hashes ``chain_ideal_state`` for 4 and 6 atoms.
+Takes under 1 s.
+
 Recorded digests (equal at the commit that added ``sampler`` and
 ``serialize`` and at its parent, with the tool copied in):
 ``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
@@ -110,7 +118,13 @@ from rydex.harness import (  # noqa: E402
     run_figure,
     run_table,
 )
-from rydex.protocols import pairwise_entangle, swap_gate  # noqa: E402
+from rydex.protocols import (  # noqa: E402
+    ChainSpec,
+    chain_ideal_state,
+    chain_protocol,
+    pairwise_entangle,
+    swap_gate,
+)
 from rydex.vdw import (  # noqa: E402
     c6_pair,
     channel_c6,
@@ -295,10 +309,37 @@ def protocols_section() -> str:
     return h.hexdigest()
 
 
+def slot_atoms(pulse) -> list[tuple[str, int]]:
+    """(label, n) of each atom one schedule slot addresses, in schedule order."""
+    return list(zip(pulse.targets, pulse.rydberg_n))
+
+
+def chain_section() -> str:
+    h = hashlib.sha256()
+    model = QuantumDefectModel.default()
+    for count in (4, 6, 8, 16, 4096):
+        spec = ChainSpec(count, 15.0, (73, 75), gamma_per_ms=1.0 / 0.45)
+        for given in ((0.9906, 0.9831, 6.3699), (None, None, None)):
+            h.update(f"[{count},{given}]".encode())
+            chain = chain_protocol(model, spec, *given)
+            for pulse in chain.schedule.pulses:
+                h.update(encode((pulse.step, pulse.pulse_index, slot_atoms(pulse))).encode())
+                h.update(encode(dataclasses.astuple(pulse.spec)).encode())
+            schedule = chain.schedule
+            h.update(encode((schedule.step_durations_us, schedule.total_duration_us)).encode())
+            h.update(encode(dataclasses.astuple(chain.estimate)).encode())
+            h.update(encode(dataclasses.astuple(chain.spectator)).encode())
+            h.update(encode((chain.f1, chain.f_swap, chain.tau_us)).encode())
+    for count in (4, 6):
+        state = chain_ideal_state(count)
+        h.update((encode(state.basis) + amplitudes(state.amplitudes)).encode())
+    return h.hexdigest()
+
+
 SECTIONS = {"window": window_section, "robustness": robustness_section,
             "protocols": protocols_section, "batches": batches_section,
             "sampler": sampler_section, "serialize": serialize_section,
-            "histogram": histogram_section}
+            "histogram": histogram_section, "chain": chain_section}
 
 
 def main() -> None:
