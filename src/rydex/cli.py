@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="chain schedule, fidelity estimate, spectator shift")
     p.set_defaults(handler=_cmd_chain)
     p.add_argument("--atoms", type=int, default=4,
-                   help="chain length: 4, 6, or a multiple of 4 up to 2**19 (default 4)")
+                   help="chain length: 4, 6, or a multiple of 4 up to 2**53 (default 4)")
     _add_pair_options(p, required=False)
     p.add_argument("--spacing", type=float, default=15.0,
                    help="lattice spacing in um (default 15)")

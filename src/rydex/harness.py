@@ -537,7 +537,7 @@ def run_figure(
         return _figure_trajectory()
     if figure_id == 4:
         return _figure_histograms(model, samples, seed)
-    raise ValueError(f"unknown figure id {figure_id!r}; expected 3 or 4")
+    raise ValueError(f"unknown figure id: figure_id must be 3 or 4, got {figure_id!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,8 @@ __all__ = [
 # when its total Rydberg population exceeds this threshold.
 RYDBERG_POPULATION_THRESHOLD = 1e-3
 
-# Largest chain a ChainSpec accepts: its schedule builds in well under a second.
-MAX_CHAIN_ATOMS = 2**19
+# Largest chain a ChainSpec accepts: its operation counts and their sums are exact floats
+MAX_CHAIN_ATOMS = 2**53
 # Most restarts optimize_pairwise takes: each costs about 8 ms (2-core x86 VM), and
 # the starts are drawn before the first step
 MAX_RESTARTS = 1000
@@ -543,10 +543,11 @@ class ChainSpec:
     """Parameters of the chain protocol.
 
     ``atom_count`` must be 4, 6, or a multiple of 4, and at most
-    MAX_CHAIN_ATOMS = 2**19, whose schedule of 1.8 million addressed
-    atoms builds in about half a second (2-core x86 VM). ``pair`` is a
-    tuple of two ints (n_a, n_b). Every drive and duration follows from
-    the pair's working point.
+    MAX_CHAIN_ATOMS = 2**53, the largest count whose N/2 pairwise and
+    N/2 - 1 SWAP operations, and their sums, are exact floats; the
+    schedule costs the same at every count. ``pair`` is a tuple of two
+    ints (n_a, n_b). Every drive and duration follows from the pair's
+    working point.
     """
 
     atom_count: int
@@ -555,17 +556,11 @@ class ChainSpec:
     gamma_per_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if _require_int("atom_count", self.atom_count) > MAX_CHAIN_ATOMS:
-            raise ValueError(
-                f"atom_count must be at most {MAX_CHAIN_ATOMS}, got {self.atom_count}"
-            )
-        ok = self.atom_count == 6 or (
-            self.atom_count >= 4 and self.atom_count % 4 == 0
-        )
-        if not ok:
-            raise ValueError(
-                f"atom_count must be 4, 6, or a multiple of 4, got {self.atom_count}"
-            )
+        count = _require_int("atom_count", self.atom_count)
+        if count > MAX_CHAIN_ATOMS:
+            raise ValueError(f"atom_count must be at most {MAX_CHAIN_ATOMS}, got {count}")
+        if not (count == 6 or count >= 4 and count % 4 == 0):
+            raise ValueError(f"atom_count must be 4, 6, or a multiple of 4, got {count}")
         _require_finite("spacing_um", self.spacing_um, 0.0, inclusive=False)
         _require_finite("decay rate gamma_per_ms", self.gamma_per_ms, 0.0)
         if not (isinstance(self.pair, tuple) and len(self.pair) == 2) or any(
@@ -578,13 +573,15 @@ class ChainSpec:
 class SchedulePulse:
     """One pulse slot of the chain schedule.
 
-    ``targets`` lists the atoms addressed in parallel; ``rydberg_n``
-    the principal quantum number each target couples to.
+    ``targets`` holds the 0-based positions of the atoms addressed in
+    parallel as one stride-4 range per addressed member of a pair: the
+    first atoms, then for pulse 3 the second ones. ``rydberg_n`` holds
+    the principal quantum number of each range (a stride of 4 keeps it).
     """
 
     step: int
     pulse_index: int
-    targets: tuple[str, ...]
+    targets: tuple[range, ...]
     spec: PulseSpec
     rydberg_n: tuple[int, ...]
 
@@ -595,7 +592,8 @@ class PulseSchedule:
 
     ``step_durations_us`` always has four entries: the step structure
     is fixed, and a 4-atom chain simply leaves the step-4 slot
-    unoccupied, so the total duration is independent of chain length.
+    unoccupied, so the total duration is independent of chain length,
+    and so is the schedule's size: ranges describe the atoms of a slot.
     """
 
     pulses: tuple[SchedulePulse, ...]
@@ -604,10 +602,6 @@ class PulseSchedule:
     @property
     def total_duration_us(self) -> float:
         return float(sum(self.step_durations_us))
-
-
-def _atom_label(position: int) -> str:
-    return "ABCD"[position % 4] + str(position // 4 + 1)
 
 
 def _chain_schedule(model: QuantumDefectModel,
@@ -650,14 +644,13 @@ def _chain_schedule(model: QuantumDefectModel,
 
     pulses: list[SchedulePulse] = []
     for step, (offset, slots) in enumerate(table, start=1):
-        starts = range(offset, spec.atom_count - 1, 4)
         for who, channels, drive, duration in slots:
-            atoms = [p + k for k in who for p in starts]
-            if atoms:
+            targets = tuple(range(offset + k, spec.atom_count - 1 + k, 4) for k in who)
+            if targets[0]:
                 pulses.append(SchedulePulse(
-                    step, len(pulses) + 1, tuple(_atom_label(p) for p in atoms),
+                    step, len(pulses) + 1, targets,
                     PulseSpec(duration_us=duration, **{f"omega_{c}": drive for c in channels}),
-                    tuple((n_a, n_b)[p % 2] for p in atoms),
+                    tuple((n_a, n_b)[(offset + k) % 2] for k in who),
                 ))
     return coup, PulseSchedule(
         pulses=tuple(pulses),
@@ -676,8 +669,8 @@ def chain_ideal_state(atom_count: int) -> QuantumState:
     tensor. Only the 4- and 6-atom cases have printed closed forms; larger
     chains follow the same construction but are not enumerated here.
     """
-    if atom_count not in (4, 6):
-        raise ValueError(f"closed-form chain state only for 4 or 6 atoms, got {atom_count}")
+    if _require_int("atom_count", atom_count) not in (4, 6):
+        raise ValueError(f"atom_count must be 4 or 6 for a closed-form state, got {atom_count}")
     bell = np.zeros(4)
     bell[1] = bell[2] = 1.0 / _SQRT2  # (|du> + |ud>)/sqrt(2) on one pair
     amps = bell
@@ -708,6 +701,11 @@ class ChainFidelityEstimate:
     swap_ops: int
 
 
+def _operation_counts(spec: ChainSpec) -> tuple[int, int]:
+    """P pairwise operations, one per pair, and S SWAPs, one per link between pairs."""
+    return spec.atom_count // 2, spec.atom_count // 2 - 1
+
+
 def chain_fidelity_estimate(
     spec: ChainSpec,
     f1: float,
@@ -735,8 +733,7 @@ def chain_fidelity_estimate(
             "is outside its domain",
             stacklevel=2,
         )
-    pairwise_ops = spec.atom_count // 2
-    swap_ops = spec.atom_count // 2 - 1
+    pairwise_ops, swap_ops = _operation_counts(spec)
     decay = math.exp(-2.0 * gamma_tau)
     fidelity = (f1 * decay) ** pairwise_ops * (f_swap * decay) ** swap_ops
     linear_error = (
@@ -828,13 +825,9 @@ def chain_protocol(
         if f_swap is None:
             f_swap = swap_result.gate_fidelity
     if tau_us is None:
-        n_pair = spec.atom_count // 2
-        n_swap = n_pair - 1
-        total = (
-            n_pair * pair_result.rydberg_exposure_us
-            + n_swap * swap_result.rydberg_exposure_us
-        )
-        tau_us = total / (n_pair + n_swap)
+        n_pair, n_swap = _operation_counts(spec)
+        tau_us = (n_pair * pair_result.rydberg_exposure_us
+                  + n_swap * swap_result.rydberg_exposure_us) / (n_pair + n_swap)
     return ChainResult(
         schedule=schedule,
         estimate=chain_fidelity_estimate(spec, f1, f_swap, tau_us=tau_us),

@@ -386,7 +386,7 @@ def channel_c6(
     warning; an exactly resonant term raises SingularChannelError.
     """
     if _require_int("k", k) not in CHANNEL_FINE_STRUCTURE:
-        raise ValueError(f"channel must be 1..4, got {k}")
+        raise ValueError(f"channel must be 1..4, got k={k}")
     window = _pair_terms(model, n_a, n_b, dn_cutoff)
     window.replay_exclusions()
     return float(window.sums[0, k - 1])  # rows in CHANNEL_FINE_STRUCTURE order

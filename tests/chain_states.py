@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from rydex.dynamics import PRODUCT_BASIS_8, QuantumState, build_blocked2, build_swap_2pi, propagate
-from rydex.protocols import SWAP_MATRIX_IDEAL, ProtocolResult, PulseSchedule
+from rydex.protocols import SWAP_MATRIX_IDEAL, ProtocolResult, PulseSchedule, SchedulePulse
 
 GROUND_BASIS = ("uu", "ud", "du", "dd")  # one pair's ground spins, the first atom first
 
@@ -59,8 +59,17 @@ def swap_ground_map(omega_khz: float, v_plus_khz: float, v_minus_khz: float,
     return gate
 
 
-def _position(label: str) -> int:
-    return "ABCD".index(label[0]) + 4 * (int(label[1:]) - 1)
+def atom_label(position: int) -> str:
+    """The paper's label of the atom at 0-based ``position``: A1, B1, C1, D1, A2, ..."""
+    return "ABCD"[position % 4] + str(position // 4 + 1)
+
+
+def slot_atoms(pulse: SchedulePulse) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The label and the principal quantum number of each atom one schedule slot
+    addresses, expanded from its ranges in schedule order."""
+    atoms = [(atom_label(p), n) for span, n in zip(pulse.targets, pulse.rydberg_n)
+             for p in span]
+    return tuple(zip(*atoms))
 
 
 def composed_chain_amplitudes(schedule: PulseSchedule, pair: np.ndarray,
@@ -74,13 +83,13 @@ def composed_chain_amplitudes(schedule: PulseSchedule, pair: np.ndarray,
     """
     steps: dict[int, list] = {}
     for pulse in schedule.pulses:
-        steps.setdefault(pulse.step, []).append([_position(t) for t in pulse.targets])
+        steps.setdefault(pulse.step, []).append(pulse.targets)
     pairs, links = [], []
     for step, (pi, second, third) in sorted(steps.items()):
         if step < 3:  # pulse 3 drives the first atoms, then the second ones
-            pairs += zip(third[: len(third) // 2], third[len(third) // 2 :])
+            pairs += zip(*third)
         else:  # the 2pi on each first atom, the pi before it on the second
-            links += zip(second, pi)
+            links += zip(*second, *pi)
     order = [atom for p in pairs for atom in p]
     spins = functools.reduce(np.multiply.outer, [pair.reshape(2, 2)] * len(pairs))
     spins = np.transpose(spins, np.argsort(order))

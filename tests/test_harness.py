@@ -760,8 +760,10 @@ def test_histogram_figure_structure():
 
 
 def test_unknown_figure_rejected():
-    with pytest.raises(ValueError, match="unknown figure id"):
-        run_figure(5, MODEL)
+    for figure_id in (5, 0, -1):
+        with pytest.raises(ValueError, match="unknown figure id") as error:
+            run_figure(figure_id, MODEL)
+        assert str(error.value).endswith(f"figure_id must be 3 or 4, got {figure_id}")
 
 
 @pytest.mark.parametrize("figure_id", [3.0, 4.0, True, "3", None])
@@ -1202,7 +1204,7 @@ _INFINITE_WORKING_DRIVE = (
         (["robustness", "--v-plus", "0.05", "--v-minus", "1e307", "--omega", "0.05",
           "--samples", "10"], "pulse duration 10000.0 us overflows the phase 2 pi H t"),
         (["chain", "--atoms", "18446744073709551616"],
-         "atom_count must be at most 524288, got 18446744073709551616"),
+         "atom_count must be at most 9007199254740992, got 18446744073709551616"),
         # a negative drive whose duration is derived is refused by its name
         (["pair-sim", "--omega3=-100"],
          "omega_pulse3_khz must be positive to derive its half period, got -100.0"),
@@ -1245,6 +1247,9 @@ _INFINITE_WORKING_DRIVE = (
         # a negative seed is refused by name, not by numpy's bit generator
         (["pair-sim", "--optimize", "--seed", "-1"], "seed must be >= 0, got -1"),
         (["robustness", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+        # one chain past MAX_CHAIN_ATOMS = 2**53
+        (["chain", "--atoms", "9007199254740996"],
+         "atom_count must be at most 9007199254740992, got 9007199254740996"),
     ],
 )
 def test_cli_rejects_out_of_domain_input_in_one_line(capsys, argv, message):
@@ -1268,6 +1273,22 @@ _FUZZ_REQUIRED = {"coeffs": {"--na": "73", "--nb": "75"},
 
 def _reject_constant(name):
     raise ValueError(f"{name} in JSON output")
+
+
+def test_cli_chain_takes_the_largest_count(capsys):
+    """2**53 atoms, MAX_CHAIN_ATOMS, print finite strict JSON with a 4-atom chain's keys
+    and step durations, 12 slots and exact operation counts."""
+    outputs = []
+    for atoms in ("4", "9007199254740992"):
+        rc, out, _ = _run_cli(capsys, ["chain", "--atoms", atoms])
+        assert rc == 0
+        outputs.append(json.loads(out, parse_constant=_reject_constant))
+    small, large = outputs
+    assert large.keys() == small.keys()
+    assert large["atom_count"] == 2**53
+    assert (large["pairwise_ops"], large["swap_ops"]) == (2**52, 2**52 - 1)
+    assert large["schedule"]["step_durations_us"] == small["schedule"]["step_durations_us"]
+    assert large["schedule"]["pulse_count"] == 12
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")

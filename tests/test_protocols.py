@@ -3,6 +3,7 @@
 import cmath
 import collections
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -39,7 +40,7 @@ from rydex.protocols import (
 )
 
 from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix
-from chain_states import composed_chain_amplitudes, pair_ground_vector, swap_ground_map
+from chain_states import composed_chain_amplitudes, pair_ground_vector, slot_atoms, swap_ground_map
 from sector_reference import relabeling_matrix
 
 MODEL = QuantumDefectModel.default()
@@ -379,7 +380,7 @@ def test_chain_spec_rejects_bad_counts(count):
         ChainSpec(atom_count=count, spacing_um=15.0, pair=(73, 75))
 
 
-@pytest.mark.parametrize("count", [4, 6, 8, 12, 16, MAX_CHAIN_ATOMS])
+@pytest.mark.parametrize("count", [4, 6, 8, 12, 16, 2**19, MAX_CHAIN_ATOMS])
 def test_chain_spec_accepts_valid_counts(count):
     spec = ChainSpec(atom_count=count, spacing_um=15.0, pair=(73, 75))
     assert spec.atom_count == count
@@ -429,19 +430,21 @@ def test_schedule_duration_is_length_independent():
 def test_schedule_structure_four_atoms():
     sch = _chain(4).schedule
     by_index = {p.pulse_index: p for p in sch.pulses}
-    assert by_index[1].targets == ("A1",)
-    assert by_index[2].targets == ("B1",)
-    assert by_index[3].targets == ("A1", "B1")
-    assert by_index[4].targets == ("C1",)
-    assert by_index[6].targets == ("C1", "D1")
-    assert by_index[7].targets == ("C1",)
-    assert by_index[8].targets == ("B1",)
-    assert by_index[9].targets == ("C1",)
+    labels = {i: slot_atoms(p)[0] for i, p in by_index.items()}
+    ns = {i: slot_atoms(p)[1] for i, p in by_index.items()}
+    assert labels[1] == ("A1",)
+    assert labels[2] == ("B1",)
+    assert labels[3] == ("A1", "B1")
+    assert labels[4] == ("C1",)
+    assert labels[6] == ("C1", "D1")
+    assert labels[7] == ("C1",)
+    assert labels[8] == ("B1",)
+    assert labels[9] == ("C1",)
     # even positions hold the first species, odd the second
-    assert by_index[1].rydberg_n == (73,)
-    assert by_index[2].rydberg_n == (75,)
-    assert by_index[3].rydberg_n == (73, 75)
-    assert by_index[8].rydberg_n == (75,)
+    assert ns[1] == (73,)
+    assert ns[2] == (75,)
+    assert ns[3] == (73, 75)
+    assert ns[8] == (75,)
     # the instantaneous pi maps carry zero duration
     assert by_index[1].spec.duration_us == 0.0
     assert by_index[7].spec.duration_us == 0.0
@@ -451,10 +454,11 @@ def test_schedule_structure_four_atoms():
 def test_schedule_parallelism_eight_atoms():
     sch = _chain(8).schedule
     by_index = {p.pulse_index: p for p in sch.pulses}
-    assert by_index[1].targets == ("A1", "A2")
-    assert by_index[3].targets == ("A1", "A2", "B1", "B2")
-    assert by_index[10].targets == ("A2",)
-    assert by_index[11].targets == ("D1",)   # 2 pi on D_1 bridges to A_2
+    labels = {i: slot_atoms(p)[0] for i, p in by_index.items()}
+    assert labels[1] == ("A1", "A2")
+    assert labels[3] == ("A1", "A2", "B1", "B2")
+    assert labels[10] == ("A2",)
+    assert labels[11] == ("D1",)   # 2 pi on D_1 bridges to A_2
     assert by_index[11].spec.duration_us > 0.0
 
 
@@ -529,11 +533,33 @@ def test_schedule_slots_frozen(count):
         amps = {c: p.spec.amplitude(c) for c in CHANNELS if p.spec.amplitude(c) != 0}
         (drive,) = set(amps.values())
         assert drive.imag == 0.0
-        slots.append((p.step, p.pulse_index, " ".join(p.targets),
-                      " ".join(map(str, p.rydberg_n)), " ".join(amps),
-                      drive.real, p.spec.duration_us))
+        labels, ns = slot_atoms(p)
+        slots.append((p.step, p.pulse_index, " ".join(labels), " ".join(map(str, ns)),
+                      " ".join(amps), drive.real, p.spec.duration_us))
     assert tuple(slots) == _FROZEN_SCHEDULES[count]
     assert sch.step_durations_us == (_TAU2 + _TAU3, _TAU2 + _TAU3, _T_SWAP, _T_SWAP)
+
+
+def test_schedule_of_the_largest_chain_continues_the_eight_atom_pattern():
+    """Each slot of the largest chain starts at the 8-atom slot's first atom with its
+    stride and ends as far from the chain's end, read from the ranges without listing
+    an atom; the build allocates no more at 2**53 atoms than at 8."""
+    small = _chain_schedule(MODEL, ChainSpec(8, 15.0, (73, 75)))[1]  # fills the pair's caches
+    spec = ChainSpec(MAX_CHAIN_ATOMS, 15.0, (73, 75))
+    tracemalloc.start()
+    try:
+        large = _chain_schedule(MODEL, spec)[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert len(large.pulses) == len(small.pulses) == 12
+    for a, b in zip(small.pulses, large.pulses):
+        assert (a.step, a.pulse_index, a.spec, a.rydberg_n) == (
+            b.step, b.pulse_index, b.spec, b.rydberg_n)
+        assert [(r.start, r.step, r[-1] - 8) for r in a.targets] == [
+            (r.start, r.step, r[-1] - MAX_CHAIN_ATOMS) for r in b.targets]
+    assert large.step_durations_us == small.step_durations_us
 
 
 def test_schedule_requires_perturbative_spacing():

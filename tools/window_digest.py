@@ -75,7 +75,9 @@ Recorded digests (equal at the commit that added ``sampler`` and
 ``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
 dea71713..., ``batches`` 0efd21e8..., ``sampler`` 07315d5a... and
 ``serialize`` 3965c586.... ``histogram`` was written before the pulse-2
-cache and the one-pass writers and read ebb013c9... at their parent.
+cache and the one-pass writers and read ebb013c9... at their parent. ``chain``
+was written before the schedule held its atoms as ranges and read 5859a581...
+at that change's parent and after it.
 
 Stdlib, numpy and rydex only.
 """
@@ -310,8 +312,10 @@ def protocols_section() -> str:
 
 
 def slot_atoms(pulse) -> list[tuple[str, int]]:
-    """(label, n) of each atom one schedule slot addresses, in schedule order."""
-    return list(zip(pulse.targets, pulse.rydberg_n))
+    """(label, n) of each atom one schedule slot addresses, in schedule order; the
+    atom at 0-based position p is labelled A1, B1, C1, D1, A2, ... for p = 0, 1, ..."""
+    return [("ABCD"[p % 4] + str(p // 4 + 1), n)
+            for atoms, n in zip(pulse.targets, pulse.rydberg_n) for p in atoms]
 
 
 def chain_section() -> str:
