@@ -1,6 +1,6 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram|chain]
+    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram|chain|optimize]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -70,6 +70,10 @@ step durations and total, the estimate, the spectator shift and the f1,
 f_swap and tau used. It also hashes ``chain_ideal_state`` for 4 and 6 atoms.
 Takes under 1 s.
 
+``optimize`` hashes every field of ``optimize_pairwise`` (the result's fields,
+the start fidelity and ``converged``) for the seeds 0, 1 and 7 at the (73, 75)
+couplings at 15 um, and again with V+ and V- negated. Takes under 1 s.
+
 Recorded digests (equal at the commit that added ``sampler`` and
 ``serialize`` and at its parent, with the tool copied in):
 ``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
@@ -77,7 +81,9 @@ dea71713..., ``batches`` 0efd21e8..., ``sampler`` 07315d5a... and
 ``serialize`` 3965c586.... ``histogram`` was written before the pulse-2
 cache and the one-pass writers and read ebb013c9... at their parent. ``chain``
 was written before the schedule held its atoms as ranges and read 5859a581...
-at that change's parent and after it.
+at that change's parent and after it. ``optimize`` was written before the
+search held its records as named tuples and read 1eeb4f94... at that change's
+parent.
 
 Stdlib, numpy and rydex only.
 """
@@ -124,6 +130,7 @@ from rydex.protocols import (  # noqa: E402
     ChainSpec,
     chain_ideal_state,
     chain_protocol,
+    optimize_pairwise,
     pairwise_entangle,
     swap_gate,
 )
@@ -340,10 +347,20 @@ def chain_section() -> str:
     return h.hexdigest()
 
 
+def optimize_section() -> str:
+    h = hashlib.sha256()
+    for sign, seed in itertools.product((1.0, -1.0), (0, 1, 7)):
+        h.update(f"[{sign},{seed}]".encode())
+        opt = optimize_pairwise(sign * V_PLUS, sign * V_MINUS, seed)
+        h.update(encode(dataclasses.astuple(opt)).encode())
+    return h.hexdigest()
+
+
 SECTIONS = {"window": window_section, "robustness": robustness_section,
             "protocols": protocols_section, "batches": batches_section,
             "sampler": sampler_section, "serialize": serialize_section,
-            "histogram": histogram_section, "chain": chain_section}
+            "histogram": histogram_section, "chain": chain_section,
+            "optimize": optimize_section}
 
 
 def main() -> None:
