@@ -252,11 +252,14 @@ def quantum_defect(model: QuantumDefectModel, l: int, j: float, n: int) -> float
     DefectDataError
         If the model has no data for the requested series.
     ValueError
-        If j is not finite, l or n is not an integer, or n does not exceed
-        delta0 (no bound Rydberg state).
+        If j is not finite, l or n is not an integer, l is negative, or n
+        does not exceed delta0 (no bound Rydberg state).
     """
     _require_finite("j", j)
-    (delta,), _, _ = _rydberg_ritz(model, _require_int("l", l), j, (_require_int("n", n),))
+    l = _require_int("l", l)
+    if l < 0:
+        raise ValueError(f"l must be >= 0, got {l}")
+    (delta,), _, _ = _rydberg_ritz(model, l, j, (_require_int("n", n),))
     return delta
 
 

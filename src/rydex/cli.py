@@ -16,13 +16,13 @@ allocate included (nothing is written).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
 import re
 import sys
 import warnings
-from dataclasses import asdict
 
 from .atoms import DefectDataError, QuantumDefectModel, _require_finite
 from .harness import (
@@ -262,7 +262,7 @@ def _cmd_critical_radius(args, model):
         "command": "critical-radius",
         "n_a": args.na,
         "n_b": args.nb,
-        **asdict(cr),
+        **cr._asdict(),
     }, None
 
 
@@ -313,7 +313,7 @@ def _cmd_pair_sim(args, model):
         result = pairwise_entangle(
             omega2, omega3, v_plus, v_minus, tau2_us=args.tau2, tau3_us=args.tau3
         )
-    data.update(asdict(result), total_duration_us=sum(result.per_pulse_durations_us))
+    data.update(result._asdict(), total_duration_us=sum(result.per_pulse_durations_us))
     del data["trajectory"]
     return data, None
 
@@ -339,7 +339,7 @@ def _cmd_swap_sim(args, model):
         "omega_khz": omega,
         "t_2pi_us": t_2pi,
         "phi": args.phi,
-        **asdict(result),
+        **result._asdict(),
     }, None
 
 
@@ -364,13 +364,13 @@ def _cmd_chain(args, model):
         "f1": chain.f1,
         "f_swap": chain.f_swap,
         "tau_us": chain.tau_us,
-        **asdict(chain.estimate),
+        **chain.estimate._asdict(),
         "schedule": {
             "pulse_count": len(chain.schedule.pulses),
             "step_durations_us": list(chain.schedule.step_durations_us),
             "total_duration_us": chain.schedule.total_duration_us,
         },
-        "spectator": asdict(chain.spectator),
+        "spectator": chain.spectator._asdict(),
     }, None
 
 
@@ -462,7 +462,11 @@ def run() -> int:
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("warning: %(message)s"))
     logging.getLogger("rydex").addHandler(handler)
-    return main()
+    code = main()
+    # teardown's collections would walk every live object, numpy's too, for about a tenth
+    # of a short command; frozen, they are skipped, and atexit and flushing still run
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -325,12 +326,18 @@ def propagate_sampled(
 
     Returns (times, amps) with times of shape (n_samples,) spanning
     [0, t_us] inclusive and amps of shape (n_samples, dim), ``t_us``
-    finite and ``n_samples`` an int of at least 2. Used for trajectory
-    export and Rydberg-exposure integrals.
+    finite and ``n_samples`` an int of at least 2 and at most
+    np.iinfo(np.intp).max // (16 dim), past which numpy cannot describe
+    the complex amplitudes. Used for trajectory export and
+    Rydberg-exposure integrals.
     """
     _require_finite("t_us", t_us)
     if _require_int("n_samples", n_samples) < 2:
         raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    most = np.iinfo(np.intp).max // (16 * len(h.basis))
+    if n_samples > most:
+        raise ValueError(f"n_samples must be at most {most} for {len(h.basis)} states, "
+                         f"got {n_samples}")
     if state.basis != h.basis:
         raise ValueError(f"state basis {state.basis} does not match Hamiltonian basis {h.basis}")
     w, v, coef = _eigen_coefficients(h.matrix, state.amplitudes, t_us)
@@ -565,8 +572,7 @@ def _batched_pulse3_fidelities(
     return fids
 
 
-@dataclass(frozen=True)
-class Pulse2Analytics:
+class Pulse2Analytics(NamedTuple):
     """Closed-form pulse-2 duration and peak Bell amplitude.
 
     ``peak_amplitude`` is the closed-form |amplitude| on |r+> at the
@@ -610,10 +616,7 @@ def pulse2_analytics(
     if rate_sq <= 0:
         raise ValueError("pulse-2 closed form has no real oscillation rate here")
     rate = math.sqrt(rate_sq)  # kHz
-    return Pulse2Analytics(
-        tau2_us=1e3 / (2.0 * rate),
-        peak_amplitude=2.0 * o1 / rate,
-    )
+    return Pulse2Analytics(tau2_us=1e3 / (2.0 * rate), peak_amplitude=2.0 * o1 / rate)
 
 
 def tau2_approximate(omega_uD_B: float, v_plus: float) -> float:

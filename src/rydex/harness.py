@@ -131,6 +131,10 @@ FIGURE3_OMEGA3_KHZ = 128.0
 # ---------------------------------------------------------------------------
 # robustness scan
 
+# Most samples a scan takes: its largest array, the (samples, 4) float64 draws, must
+# have a byte count numpy's index type holds
+MAX_SAMPLES = np.iinfo(np.intp).max // 32
+
 
 @dataclass(frozen=True)
 class RobustnessConfig:
@@ -139,6 +143,9 @@ class RobustnessConfig:
     Each sample redraws the four pulse-3 Rabi frequencies uniformly in
     [1-epsilon, 1+epsilon] times ``omega_khz``; pulse 2 always runs at
     the nominal frequency with the quadratic-correction duration.
+    ``samples`` is an int from 1 to MAX_SAMPLES, past which numpy cannot
+    describe the scan's (samples, 4) draws; a count below it that the
+    memory cannot hold raises MemoryError when the scan runs.
     """
 
     epsilon: float
@@ -154,8 +161,8 @@ class RobustnessConfig:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
         for name in ("samples", "seed"):
             _require_int(name, getattr(self, name))
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {self.samples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         for name in ("omega_khz", "v_plus_khz", "v_minus_khz"):

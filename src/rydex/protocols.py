@@ -25,6 +25,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ SWAP_MATRIX_IDEAL = np.array(
 )
 
 
-@dataclass(frozen=True)
-class PairCouplings:
+class PairCouplings(NamedTuple):
     """Interaction scales of an (n_a, n_b) pair at a given spacing."""
 
     v_plus_khz: float
@@ -172,8 +172,7 @@ def _trapezoid(values: np.ndarray, dt: float) -> float:
     return float(0.5 * dt * (values[1:] + values[:-1]).sum())
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled amplitudes on PRODUCT_BASIS_8 of a protocol run, pulses concatenated."""
 
     times_us: np.ndarray
@@ -200,8 +199,7 @@ def _exposure(*pulses: tuple[np.ndarray, np.ndarray]) -> tuple[float, float]:
     return exposure, thresholded
 
 
-@dataclass(frozen=True)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     """Outcome of one protocol run.
 
     ``total_rydberg_time_us`` is the sampled duration with total
@@ -312,8 +310,7 @@ def pairwise_entangle(
     )
 
 
-@dataclass(frozen=True)
-class PairwiseOptimum:
+class PairwiseOptimum(NamedTuple):
     """Best run found by ``optimize_pairwise``: ``result`` carries its drives and durations."""
 
     result: ProtocolResult
@@ -440,15 +437,10 @@ def optimize_pairwise(
     final = run(best_x)
     if final.fidelity < at_start.fidelity:  # the sectors' rounding picked a worse point
         final = at_start
-    return PairwiseOptimum(
-        result=final,
-        start_fidelity=at_start.fidelity,
-        converged=converged,
-    )
+    return PairwiseOptimum(result=final, start_fidelity=at_start.fidelity, converged=converged)
 
 
-@dataclass(frozen=True)
-class SwapGateResult:
+class SwapGateResult(NamedTuple):
     """Fidelities of the pi / 2pi / pi SWAP sequence.
 
     ``basis_fidelities`` maps the ground-spin inputs 'uu', 'ud', 'du',
@@ -569,8 +561,7 @@ class ChainSpec:
             raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")
 
 
-@dataclass(frozen=True)
-class SchedulePulse:
+class SchedulePulse(NamedTuple):
     """One pulse slot of the chain schedule.
 
     ``targets`` holds the 0-based positions of the atoms addressed in
@@ -586,8 +577,7 @@ class SchedulePulse:
     rydberg_n: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PulseSchedule:
+class PulseSchedule(NamedTuple):
     """The four-step, twelve-slot chain schedule.
 
     ``step_durations_us`` always has four entries: the step structure
@@ -685,8 +675,7 @@ def chain_ideal_state(atom_count: int) -> QuantumState:
     return QuantumState(basis=basis, amplitudes=spins.reshape(-1))
 
 
-@dataclass(frozen=True)
-class ChainFidelityEstimate:
+class ChainFidelityEstimate(NamedTuple):
     """Closed-form decay-limited chain fidelity.
 
     ``fidelity = (F1 e^{-2 gamma tau})^P (F_swap e^{-2 gamma tau})^S``
@@ -741,17 +730,12 @@ def chain_fidelity_estimate(
         + swap_ops * (1.0 - f_swap)
         + 2.0 * gamma_tau * (pairwise_ops + swap_ops)
     )
-    return ChainFidelityEstimate(
-        fidelity=float(fidelity),
-        linear_error=float(linear_error),
-        gamma_tau=float(gamma_tau),
-        pairwise_ops=pairwise_ops,
-        swap_ops=swap_ops,
-    )
+    return ChainFidelityEstimate(fidelity=float(fidelity), linear_error=float(linear_error),
+                                 gamma_tau=float(gamma_tau), pairwise_ops=pairwise_ops,
+                                 swap_ops=swap_ops)
 
 
-@dataclass(frozen=True)
-class SpectatorBlockade:
+class SpectatorBlockade(NamedTuple):
     """Strongest parasitic blockade between parallel operations."""
 
     shift_khz: float
@@ -772,16 +756,11 @@ def _spectator(spec: ChainSpec, coup: PairCouplings) -> SpectatorBlockade:
     shift = coup.corner_khz / 3.0**6
     v_plus = coup.v_plus_khz
     ratio = abs(shift / v_plus) if v_plus != 0 else math.inf
-    return SpectatorBlockade(
-        shift_khz=shift,
-        separation_um=3.0 * spec.spacing_um,
-        ratio_to_v_plus=float(ratio),
-        negligible=bool(ratio < 0.2),
-    )
+    return SpectatorBlockade(shift_khz=shift, separation_um=3.0 * spec.spacing_um,
+                             ratio_to_v_plus=float(ratio), negligible=bool(ratio < 0.2))
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """What ``chain_protocol`` derived, with the f1, f_swap and tau it used."""
 
     schedule: PulseSchedule

@@ -514,8 +514,7 @@ def interaction_matrix(
     )
 
 
-@dataclass(frozen=True)
-class VPlusMinus:
+class VPlusMinus(NamedTuple):
     """Bell-basis interaction strengths of the spin-exchange block.
 
     The symmetric and antisymmetric combinations of the two middle
@@ -539,8 +538,7 @@ def v_plus_minus(pair: C6Pair, spacing_um: float) -> VPlusMinus:
     return VPlusMinus(*_v_plus_minus(spacing_um, c6 * scale, c6_exchange * scale))
 
 
-@dataclass(frozen=True)
-class CriticalRadius:
+class CriticalRadius(NamedTuple):
     """Blockade-crossover radius and the channel that sets it.
 
     Below ``radius_um`` the strongest first-order dipole coupling of the

@@ -1371,7 +1371,41 @@ def test_cli_bare_config_is_reported_by_the_subcommand():
     assert "cli.py" not in proc.stderr
 
 
-_VDW_ONLY = ("rydex.dynamics", "rydex.protocols", "mpmath")
+def test_console_command_out_file_in_a_fresh_process(tmp_path):
+    """``python -m rydex.cli`` runs ``run``: ``--out`` holds exactly the recorded bytes
+    and stdout stays empty; a computation error exits 1 and writes no file."""
+    recorded = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cli"
+    for argv, reference in ((["coeffs", "--na", "73", "--nb", "75"], "coeffs.out"),
+                            (["table", "IV", "--format", "csv"], "table-IV.out")):
+        path = tmp_path / reference
+        proc = _fresh_process("-m", "rydex.cli", *argv, "--out", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert path.read_bytes() == (recorded / reference).read_bytes()
+    path = tmp_path / "error.out"
+    proc = _fresh_process("-m", "rydex.cli", "coeffs", "--na", "73", "--nb", "73",
+                          "--out", str(path))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: c6_pair requires two distinct principal quantum numbers\n"
+    assert not path.exists()
+
+
+def test_console_command_exit_keeps_normal_finalization():
+    """``run`` skips teardown's collections only: atexit handlers still run after the
+    output is flushed, and ``cProfile`` still prints its profile."""
+    code = ("import atexit, sys; from rydex.cli import run; "
+            "atexit.register(print, 'atexit ran'); "
+            "sys.argv = ['rydex', 'coeffs', '--na', '73', '--nb', '75']; sys.exit(run())")
+    proc = _fresh_process("-c", code)
+    recorded = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "cli"
+    assert proc.returncode == 0
+    assert proc.stdout == (recorded / "coeffs.out").read_text(encoding="utf-8") + "atexit ran\n"
+    proc = _fresh_process("-m", "cProfile", "-m", "rydex.cli", "table", "I")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith((recorded / "table-I.out").read_text(encoding="utf-8"))
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+_VDW_ONLY =("rydex.dynamics", "rydex.protocols", "mpmath")
 
 
 @pytest.mark.parametrize(

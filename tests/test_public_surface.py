@@ -198,15 +198,16 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
 # out-of-domain ints past a non-integer and a bool, each to be refused by its parameter's name
 OUT_OF_DOMAIN_INTS = {
     "DefectSeries.l": (-1,),
+    "quantum_defect.l": (-1,),
     "quantum_defect.n": (0, -1),
     "radial_integral.l1": (-1,),
     "radial_integral.l2": (-1,),
-    "propagate_sampled.n_samples": (1, 0, -1),
+    "propagate_sampled.n_samples": (1, 0, -1, 10**30, 2**58),
     "ChainSpec.atom_count": (0, 5, 10**30),
     "ChainSpec.pair": (-1, (73,), (73, 75, 77), [73, 75], (73, 75.5), (73, True)),
     "optimize_pairwise.seed": (-1,),
     "optimize_pairwise.restarts": (0, -1, 10**30),
-    "RobustnessConfig.samples": (0, -1),
+    "RobustnessConfig.samples": (0, -1, 10**30, 2**58),
     "RobustnessConfig.seed": (-1, 2**64),
     "chain_ideal_state.atom_count": (4.0, 8, 5, 0, -1, 10**30),
 }

@@ -502,7 +502,7 @@ def _window_bits(window):
     arrays += [("sums", window.sums), *(("block", b) for b in window.blocks)]
     arrays += [(f.name, getattr(parts, f.name)) for f in dataclasses.fields(parts)]
     radius = tuple(x.hex() if isinstance(x, float) else x
-                   for x in dataclasses.astuple(window.critical_radius))
+                   for x in window.critical_radius)
     exclusions = tuple(tuple(x.hex() if isinstance(x, float) else x for x in row)
                        for row in window.exclusions)
     return ([(n, a.dtype, a.shape, a.tobytes()) for n, a in arrays],

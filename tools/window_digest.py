@@ -182,9 +182,9 @@ def digest(model: QuantumDefectModel, log: Lines) -> str:
         h.update(encode((pair.c6, pair.c6_exchange, pair.channel_sums)).encode())
         h.update(encode([channel_c6(model, n_a, n_b, k, dn) for k in (1, 2, 3, 4)]).encode())
         radius = critical_radius(model, n_a, n_b, dn)
-        h.update(encode(dataclasses.astuple(radius)).encode())
+        h.update(encode(tuple(radius)).encode())
         spacing = 2.0 * radius.radius_um
-        h.update(encode(dataclasses.astuple(v_plus_minus(pair, spacing))).encode())
+        h.update(encode(tuple(v_plus_minus(pair, spacing))).encode())
         if dn == 10:
             im = interaction_matrix(model, n_a, n_b, spacing)
             h.update(im.v1_khz.tobytes() + im.v2_khz.tobytes())
@@ -295,8 +295,8 @@ def protocols_section() -> str:
         for (v_plus, v_minus), (tau2, tau3), phi in itertools.product(couplings, durations, phases):
             h.update(f"[{omega2},{omega3},{v_plus},{v_minus},{tau2},{tau3},{phi}]".encode())
             run = pairwise_entangle(omega2, omega3, v_plus, v_minus, tau2, tau3, phi, True)
-            fields = dataclasses.replace(run, trajectory=None)
-            h.update(encode(dataclasses.astuple(fields)).encode())
+            fields = run._replace(trajectory=None)
+            h.update(encode(tuple(fields)).encode())
             h.update(amplitudes(run.trajectory.amplitudes[-1]).encode())
             h.update(encode(run.trajectory.pulse_boundaries_us).encode())
     grid = itertools.product((89.0, 150.0), (0.0, 5.0), (711.0, 1e9), (535.0, 1e9, 100.0),
@@ -304,7 +304,7 @@ def protocols_section() -> str:
     for omega, v_plus, v_minus, v_blockade, t_2pi, phi in grid:
         h.update(f"[{omega},{v_plus},{v_minus},{v_blockade},{t_2pi},{phi}]".encode())
         result = swap_gate(omega, v_plus, v_minus, v_blockade, t_2pi, phi=phi)
-        h.update(encode(dataclasses.astuple(result)).encode())
+        h.update(encode(tuple(result)).encode())
     pulse = PulseSpec(59.0, 61.0, 57.0, 60.0, 0.3, -0.2, 0.1, 0.5, 8.5)
     hamiltonians = (build_full8(pulse, 358.05, -353.19), build_swap_2pi(89.0, 0.3, 5.0, 711.0),
                     build_blocked2(89.0, 0.3, 535.0))
@@ -338,8 +338,8 @@ def chain_section() -> str:
                 h.update(encode(dataclasses.astuple(pulse.spec)).encode())
             schedule = chain.schedule
             h.update(encode((schedule.step_durations_us, schedule.total_duration_us)).encode())
-            h.update(encode(dataclasses.astuple(chain.estimate)).encode())
-            h.update(encode(dataclasses.astuple(chain.spectator)).encode())
+            h.update(encode(tuple(chain.estimate)).encode())
+            h.update(encode(tuple(chain.spectator)).encode())
             h.update(encode((chain.f1, chain.f_swap, chain.tau_us)).encode())
     for count in (4, 6):
         state = chain_ideal_state(count)
@@ -352,7 +352,7 @@ def optimize_section() -> str:
     for sign, seed in itertools.product((1.0, -1.0), (0, 1, 7)):
         h.update(f"[{sign},{seed}]".encode())
         opt = optimize_pairwise(sign * V_PLUS, sign * V_MINUS, seed)
-        h.update(encode(dataclasses.astuple(opt)).encode())
+        h.update(encode(tuple(opt)).encode())
     return h.hexdigest()
 
 
