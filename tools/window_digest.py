@@ -4,7 +4,9 @@
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
-a change (copy it into that checkout's ``tools/``) and after it.
+a change (copy it into that checkout's ``tools/``) and after it. The sections
+read the result records as named tuples (``tuple`` and ``_replace``), so a
+checkout from before they were named tuples runs its own copy of this file.
 
 ``window`` (the default) hashes every output the channel windows feed. The
 windows are every (n, n + d) with d = 1..3 and n = 40..130, in both
