@@ -1,6 +1,6 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram|chain|optimize]
+    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram|chain|optimize|radial]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -76,6 +76,17 @@ Takes under 1 s.
 the start fidelity and ``converged``) for the seeds 0, 1 and 7 at the (73, 75)
 couplings at 15 um, and again with V+ and V- negated. Takes under 1 s.
 
+``radial`` hashes the s -> p radial rows a window reads, ``radial._sp_row``.
+For every n_s from 20 to 200 and both p_j series it takes the p window of
+dn 3, 10 and 20 centred |n_a - n_b| = 0..4 levels to either side of n_s, cut
+at the series' lowest level, and rows that cross the bundled table's
+DN_MAX = 24 edge: dn 20 centred 5 levels off and dn 25 centred on n_s. It
+also takes rows at n_s 201 to 210, past the table, and two rows of a model
+whose p_3/2 delta0 is edited by 1e-6, which the table cannot answer; then
+``radial_integral`` of single elements on the table and off it (past its
+edges, with the s and p orbitals swapped, and a p -> d element). Takes about
+1 s.
+
 Recorded digests (equal at the commit that added ``sampler`` and
 ``serialize`` and at its parent, with the tool copied in):
 ``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
@@ -85,7 +96,8 @@ cache and the one-pass writers and read ebb013c9... at their parent. ``chain``
 was written before the schedule held its atoms as ranges and read 5859a581...
 at that change's parent and after it. ``optimize`` was written before the
 search held its records as named tuples and read 1eeb4f94... at that change's
-parent.
+parent. ``radial`` was written before a window's rows were served as table
+slices and read 89a573e0... at that change's parent.
 
 Stdlib, numpy and rydex only.
 """
@@ -106,7 +118,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from rydex.atoms import QuantumDefectModel  # noqa: E402
+from rydex.atoms import DefectSeries, QuantumDefectModel, _rydberg_ritz  # noqa: E402
 from rydex.dynamics import _batched_pulse3_fidelities  # noqa: E402
 from rydex.dynamics import (  # noqa: E402
     PulseSpec,
@@ -128,6 +140,7 @@ from rydex.harness import (  # noqa: E402
     run_figure,
     run_table,
 )
+from rydex.radial import _sp_row, _sp_table, radial_integral  # noqa: E402
 from rydex.protocols import (  # noqa: E402
     ChainSpec,
     chain_ideal_state,
@@ -137,6 +150,7 @@ from rydex.protocols import (  # noqa: E402
     swap_gate,
 )
 from rydex.vdw import (  # noqa: E402
+    _p_levels,
     c6_pair,
     channel_c6,
     critical_radius,
@@ -358,11 +372,44 @@ def optimize_section() -> str:
     return h.hexdigest()
 
 
+def radial_rows(model: QuantumDefectModel, ns: range, windows) -> list[tuple[float, list]]:
+    """(nu_s, nus) of the p rows of ``model`` around each n_s of ``ns``: per p_j series,
+    the levels within dn of n_s + offset for each (dn, offset) of ``windows``."""
+    rows = []
+    for n_s, nu_s in zip(ns, _rydberg_ritz(model, 0, 0.5, ns)[1]):
+        for lowest, nus, _ in _p_levels(model).values():
+            for dn, offset in windows:
+                centre = n_s + offset - lowest
+                rows.append((nu_s, nus[max(centre - dn, 0):centre + dn + 1]))
+    return rows
+
+
+def radial_section() -> str:
+    h = hashlib.sha256()
+    model = QuantumDefectModel.default()
+    s = model.series[(1, 1.5)]
+    edited = dataclasses.replace(model, series={
+        **model.series, (1, 1.5): DefectSeries(1, 1.5, s.delta0 + 1e-6, s.delta2)})
+    windows = [(dn, offset) for dn in (3, 10, 20) for offset in range(-4, 5)]
+    rows = (radial_rows(model, range(20, 201), windows + [(20, -5), (20, 5), (25, 0)])
+            + radial_rows(model, range(201, 211), [(10, 0), (3, 2)])
+            + radial_rows(edited, range(73, 76, 2), [(10, 0)])[1::2])
+    for nu_s, nus in rows:
+        h.update(encode((nu_s, len(nus), _sp_row(nu_s, nus))).encode())
+    nu_s, nu_p, _ = _sp_table()
+    on = [(nu_s[i], 0, nu_p[i], 1) for i in range(0, len(nu_p), 997)]
+    off = [(p, 1, s, 0) for s, _, p, _ in on[::4]] + [
+        (nu_s[-1] + 1.0, 0, nu_p[-1], 1), (69.87, 0, 69.37, 1), (50.3, 2, 49.8, 1)]
+    for args in on + off:
+        h.update(encode((args, radial_integral(*args))).encode())
+    return h.hexdigest()
+
+
 SECTIONS = {"window": window_section, "robustness": robustness_section,
             "protocols": protocols_section, "batches": batches_section,
             "sampler": sampler_section, "serialize": serialize_section,
             "histogram": histogram_section, "chain": chain_section,
-            "optimize": optimize_section}
+            "optimize": optimize_section, "radial": radial_section}
 
 
 def main() -> None:
