@@ -240,6 +240,11 @@ def _couplings(args, model):
 
 def _cmd_coeffs(args, model):
     pair = c6_pair(model, args.na, args.nb, dn_cutoff=args.dn)
+    if pair.c6 == 0.0:
+        raise ZeroDivisionError(
+            f"C6 of ({pair.n_a}s, {pair.n_b}s) at dn_cutoff {pair.dn_cutoff} sums to exactly 0, "
+            "so the ratio C6_exchange / C6 is undefined"
+        )
     return {
         "schema": SCHEMA,
         "command": "coeffs",
@@ -248,7 +253,7 @@ def _cmd_coeffs(args, model):
         "dn_cutoff": pair.dn_cutoff,
         "c6_ghz_um6": pair.c6,
         "c6_exchange_ghz_um6": pair.c6_exchange,
-        "ratio": abs(pair.c6_exchange / pair.c6) if pair.c6 else math.inf,
+        "ratio": abs(pair.c6_exchange / pair.c6),
         "channel_sums_ghz_um6": {
             str(k): v for k, v in enumerate(pair.channel_sums, start=1)
         },

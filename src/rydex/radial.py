@@ -99,14 +99,21 @@ def _sp_table() -> tuple[array, array, array]:
     return flat[0::3], flat[1::3], flat[2::3]
 
 
+@lru_cache(maxsize=1024)  # nu_s values: one per s level of each model in use
+def _s_block(nu_s: float) -> tuple[int, int]:
+    """The [lo, hi) rows of the bundled table keyed by ``nu_s``; empty off the table.
+    Keys match as exact floats, so a level an edited model no longer produces misses."""
+    s = _sp_table()[0]
+    lo = bisect_left(s, nu_s)
+    return lo, bisect_right(s, nu_s, lo)
+
+
 @lru_cache(maxsize=65536)
 def _kaulakys(nu1: float, l1: int, nu2: float, l2: int) -> float:
     _centre(nu1, l1, nu2, l2)
     if (l1, l2) == (0, 1):
-        # exact float keys: one an edited model no longer produces misses
-        s, p, element = _sp_table()
-        lo = bisect_left(s, nu1)
-        hi = bisect_right(s, nu1, lo)
+        _, p, element = _sp_table()
+        lo, hi = _s_block(nu1)
         i = bisect_left(p, nu2, lo, hi)
         if i < hi and p[i] == nu2:
             return element[i]
@@ -149,7 +156,17 @@ def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
 def _sp_row(nu_s: float, nus: list[float]) -> list[float]:
     """``radial_integral(nu_s, 0, nu, 1)`` for each ``nu`` of ``nus``, its checks run once
     on the row (a finite sum, a least n_eff of 10), element by element where one would
-    fire: from one source line, so the console shows each distinct warning once."""
+    fire: from one source line, so the console shows each distinct warning once.
+
+    In each nu_s block of the bundled table the two p_j series interleave by nu_p, so
+    a row of one series whose every key is in the table is one stride-2 slice of it,
+    read without the element cache. Any other row is looked up element by element."""
     if math.isfinite(nu_s + sum(nus)) and min(nu_s, *nus) >= 10.0:
+        _, p, element = _sp_table()
+        lo, hi = _s_block(nu_s)
+        start = bisect_left(p, nus[0], lo, hi)
+        row = slice(start, start + 2 * len(nus), 2)
+        if start + 2 * len(nus) - 2 < hi and p[row].tolist() == nus:
+            return element[row].tolist()
         return [_kaulakys(nu_s, 0, nu, 1) for nu in nus]
     return [radial_integral(nu_s, 0, nu, 1) for nu in nus]

@@ -104,7 +104,8 @@ MAX_PRINCIPAL_N = 500
 
 
 class SingularChannelError(ValueError):
-    """An intermediate channel is exactly resonant (zero energy defect)."""
+    """An intermediate channel is exactly resonant (zero energy defect), or the
+    dominant one is so close to resonance that no finite critical radius follows."""
 
 
 def _m_rows(j_a: float, j_b: float) -> tuple[tuple[float, float], ...]:
@@ -331,7 +332,8 @@ class _Window:
 
     @cached_property
     def critical_radius(self) -> CriticalRadius:
-        """``critical_radius`` of this window; an exact resonance raises each time."""
+        """``critical_radius`` of this window; an exact resonance, or a defect too small
+        for a finite radius, raises each time."""
         rrs, defects = self.rr, self.defect
         candidates = np.flatnonzero(np.abs(rrs) >= 0.01 * np.abs(rrs).max())
         # smallest |defect| first, ties to the larger coupling, then window order
@@ -346,6 +348,12 @@ class _Window:
                 "no finite critical radius"
             )
         radius = (mmax * abs(rr) / abs(defect)) ** (1.0 / 3.0)
+        if not math.isfinite(radius):  # a defect so small that the ratio overflows
+            raise SingularChannelError(
+                f"dominant channel {k} ({ns}p, {nt}p) of ({self.n_a}s, {self.n_b}s) has "
+                f"defect {defect:.3g} GHz against coupling {rr:.3g} GHz um^3; "
+                "no finite critical radius"
+            )
         return CriticalRadius(float(radius), k, ns, nt, float(defect), float(rr), mmax)
 
     @cached_property

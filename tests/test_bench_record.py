@@ -37,3 +37,25 @@ def test_compare_with_no_clean_pair_is_unresolved(bench_record):
     error = {"error": "boom", "attempted": 0, "failed": 0, "metrics": {}}
     runs = {"base": [_run(bench_record, 1.0), error], "head": [error, _run(bench_record, 2.0)]}
     assert all("unresolved" in m for m in bench_record.compare(runs).values())
+
+
+
+def _traced(self_s, anger_calls, warnings=0):
+    metrics = {"vdw.self_s": self_s, "radial.anger.calls": anger_calls, "cli.warnings": warnings}
+    return {"attempted": 1, "failed": 0, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+
+def test_per_layer_is_the_median_of_the_traced_runs(bench_record):
+    # vdw.self_s is a time, radial.anger.calls a count; one run errored and reports nothing
+    traced = [_traced(0.009, 4), {"error": "boom", "attempted": 0, "failed": 0, "metrics": {}},
+              _traced(0.005, 4), _traced(0.006, 4)]
+    medians, unsteady = bench_record.per_layer(traced)
+    assert medians == {"vdw.self_s": 0.006, "radial.anger.calls": 4, "cli.warnings": 0}
+    assert unsteady == {}
+
+
+def test_per_layer_reports_a_counter_that_differs_and_keeps_null(bench_record):
+    traced = [_traced(0.005, 4, None), _traced(0.007, 5, None), _traced(0.006, 4, None)]
+    medians, unsteady = bench_record.per_layer(traced)
+    assert medians == {"vdw.self_s": 0.006, "radial.anger.calls": 4, "cli.warnings": None}
+    assert unsteady == {"radial.anger.calls": [4, 5, 4]}  # times are expected to differ

@@ -1143,6 +1143,31 @@ def test_cli_computation_errors_return_1(capsys, argv):
     assert err.startswith("error:")
 
 
+def _tiny_rydberg_defects(tmp_path) -> str:
+    """The bundled defect file with a Rydberg constant of 1e-300 GHz, which scales
+    every energy defect of a window below the near-resonance cut."""
+    text = (Path(__file__).resolve().parents[1] / "src/rydex/data/rb87_defects.txt").read_text()
+    path = tmp_path / "tiny_rydberg.txt"
+    path.write_text(text.replace("rydberg_constant_ghz 3289821.194553", "rydberg_constant_ghz 1e-300"))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,message", [
+    ("critical-radius", "dominant channel 2 (73p, 74p) of (73s, 75s) has defect -1.25e-308 GHz "
+                        "against coupling 29.5 GHz um^3; no finite critical radius"),
+    ("coeffs", "C6 of (73s, 75s) at dn_cutoff 10 sums to exactly 0, "
+               "so the ratio C6_exchange / C6 is undefined"),
+], ids=["critical-radius", "coeffs"])
+def test_cli_names_a_window_with_no_finite_answer(capsys, tmp_path, command, message):
+    # before, both built an inf (the radius, or |C6_exchange / 0|) and failed in the
+    # JSON writer with "Out of range float values are not JSON compliant: inf"
+    argv = [command, "--na", "73", "--nb", "75", "--defects", _tiny_rydberg_defects(tmp_path)]
+    rc, out, err = _run_cli(capsys, argv)
+    assert (rc, out, err.splitlines()[-1]) == (1, "", f"error: {message}")
+    proc = _fresh_process("-m", "rydex.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]) == (1, "", f"error: {message}")
+
+
 _ZERO_WORKING_DRIVE = (
     "the working drive sqrt|V+ V-| is 0 for V+ = 0.0 kHz and V- = 0.0 kHz: "
     "derived drives need a nonzero --v-plus and --v-minus"

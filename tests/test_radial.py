@@ -5,20 +5,25 @@ import importlib.util
 import math
 import random
 import re
+import warnings
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rydex.atoms import DefectSeries, QuantumDefectModel
+from rydex.atoms import DefectSeries, QuantumDefectModel, _rydberg_ritz
 from rydex.radial import (
     E2A02_GHZ_UM3,
     _kaulakys,
     _live_element,
+    _sp_row,
     _sp_table,
     radial_integral,
 )
+from rydex.vdw import _p_levels
 
 from level_reference import RydbergLevel, effective_orbital
 from radial_reference import rrr_coefficient
@@ -210,3 +215,64 @@ def test_off_table_input_takes_the_live_path(anger_calls):
         value = _kaulakys.__wrapped__(nu_s, 0, nu_p, 1)
         assert len(anger_calls) == 2
         assert value == _live_element(nu_s, 0, nu_p, 1)
+
+
+def _row(model, n_s, j, start, length):
+    """(nu_s, nus): the n_s s level of ``model`` and its p_j levels n_p = start, ...,
+    ``length`` of them, as a window reads them."""
+    lowest, nus, _ = _p_levels(model)[j]
+    return _rydberg_ritz(model, 0, 0.5, [n_s])[1][0], nus[start - lowest:start - lowest + length]
+
+
+# the table holds |n_p - n_s| <= 24 for n_s in 20..200, from the series floor n_p = 4
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n_s=st.integers(20, 205), j=st.sampled_from((0.5, 1.5)), offset=st.integers(-30, 12),
+       length=st.integers(1, 41))
+@example(n_s=200, j=1.5, offset=-24, length=41)  # on the table up to its last key
+@example(n_s=200, j=0.5, offset=-16, length=41)  # one past n_s + 24
+@example(n_s=73, j=0.5, offset=-25, length=41)  # one below n_s - 24
+@example(n_s=201, j=1.5, offset=-10, length=21)  # past the last block
+@example(n_s=27, j=0.5, offset=-23, length=41)  # from the series floor, below n_eff 10
+@example(n_s=40, j=1.5, offset=-27, length=30)  # from n_p = 13, the first at n_eff 10
+def test_sp_row_is_the_element_path_bit_for_bit(n_s, j, offset, length):
+    nu_s, nus = _row(MODEL, n_s, j, max(n_s + offset, 4), length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # marginal below n_eff 10
+        row = _sp_row(nu_s, nus)
+    assert [x.hex() for x in row] == [_kaulakys(nu_s, 0, nu, 1).hex() for nu in nus]
+
+
+def _refuse(*args):
+    raise AssertionError("a tabulated row called mpmath.angerj")
+
+
+@pytest.mark.parametrize("n_s,j,start,length", [
+    (73, 0.5, 63, 21), (73, 1.5, 63, 21), (75, 1.5, 51, 41), (200, 0.5, 176, 41),
+    (200, 1.5, 224, 1), (20, 1.5, 13, 32), (130, 0.5, 127, 7)])
+def test_tabulated_row_skips_the_element_cache_and_mpmath(monkeypatch, n_s, j, start, length):
+    nu_s, nus = _row(MODEL, n_s, j, start, length)
+    monkeypatch.setattr(mpmath, "angerj", _refuse)
+    before = _kaulakys.cache_info()
+    row = _sp_row(nu_s, nus)
+    assert _kaulakys.cache_info() == before
+    assert row == [_kaulakys.__wrapped__(nu_s, 0, nu, 1) for nu in nus]
+
+
+def test_edited_model_row_reaches_the_live_element(anger_calls):
+    # a p_3/2 delta0 moved by 1e-6 moves every key of the row off the table
+    s = MODEL.series[(1, 1.5)]
+    edited = dataclasses.replace(MODEL, series={
+        **MODEL.series, (1, 1.5): DefectSeries(1, 1.5, s.delta0 + 1e-6, s.delta2)})
+    nu_s, nus = _row(edited, 73, 1.5, 63, 21)
+    _kaulakys.cache_clear()
+    row = _sp_row(nu_s, nus)
+    assert len(anger_calls) == 2 * len(nus)
+    assert row == [_live_element(nu_s, 0, nu, 1) for nu in nus]
+
+
+def test_row_is_not_read_past_its_block():
+    # the n_s = 100 block ends at n_p = 124 and the next one starts at n_p = 77:
+    # keys two apart across that boundary are not one row of n_s = 100
+    (nu_s, last), (_, first) = _row(MODEL, 100, 0.5, 124, 1), _row(MODEL, 101, 0.5, 77, 1)
+    nus = [*last, *first]
+    assert _sp_row(nu_s, nus) == [_kaulakys(nu_s, 0, nu, 1) for nu in nus]

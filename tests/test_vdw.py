@@ -223,6 +223,25 @@ def test_critical_radius_refuses_an_exactly_resonant_channel():
         critical_radius(_degenerate_model(0.0), 50, 50, dn_cutoff=0)
 
 
+_NO_FINITE_RADIUS = (
+    "dominant channel 2 (73p, 74p) of (73s, 75s) has defect -1.25e-308 GHz against "
+    "coupling 29.5 GHz um^3; no finite critical radius"
+)
+
+
+def test_critical_radius_refuses_a_radius_past_the_float_range():
+    # a Rydberg constant of 1e-300 GHz scales every defect to ~1e-308 GHz, so the
+    # dominant channel's |R| / |defect| overflows; a caller gets no inf radius
+    tiny = dataclasses.replace(MODEL, rydberg_constant_ghz=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for call in (lambda: critical_radius(tiny, 73, 75),
+                     lambda: interaction_matrix(tiny, 73, 75, 15.0)):
+            for _ in range(2):  # a cached window raises again
+                with pytest.raises(SingularChannelError, match=re.escape(_NO_FINITE_RADIUS)):
+                    call()
+
+
 def test_near_resonant_terms_excluded_with_warning(caplog):
     model = _degenerate_model(4e-9)
     with caplog.at_level(logging.WARNING, logger="rydex.vdw"):

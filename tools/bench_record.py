@@ -7,7 +7,14 @@ Both commits are exported with ``git archive`` into a temporary directory
 runs its own unchanged ``perfbench/run.py``; the record states whether the
 two benchmark trees are identical. Per workload it runs K pairs of
 untraced runs, alternating which side goes first, with seeds 1..K, then
-one ``--trace 1`` run per side. Stdlib only.
+three ``--trace 1`` runs per side, interleaved the same way. Each side's
+per-layer value is the median of its three traced runs, since one traced
+run cannot resolve a per-layer time delta under about 40%. A traced run
+does a fixed set of operations, so its counters repeat: any count metric
+that differs across a side's runs is listed under ``unsteady_counters``.
+A traced run takes about 0.5 s on coeff-sweep, 1 s on mc-scan and 4 s on
+cli-session on a 2-core VM, so the two extra runs per side add about 20 s
+to a record. Stdlib only.
 """
 
 from __future__ import annotations
@@ -28,6 +35,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+COUNTS = {m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"}
+TRACED_RUNS = 3
 
 
 def git(*args: str, binary: bool = False):
@@ -87,6 +96,18 @@ def compare(runs: dict[str, list[dict]]) -> dict:
     return out
 
 
+def per_layer(traced: list[dict]) -> tuple[dict, dict]:
+    """Each per-layer metric's median over the traced runs that report it (null if
+    one reports null), and the count metrics whose runs differ, with every run's value."""
+    values: dict[str, list] = {}
+    for t in traced:
+        for name, metric in t["metrics"].items():
+            values.setdefault(name, []).append(metric["value"])
+    medians = {k: None if None in v else statistics.median(v) for k, v in values.items()}
+    unsteady = {k: v for k, v in values.items() if k in COUNTS and len(set(v)) > 1}
+    return medians, unsteady
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="BENCH_<n>.json to write")
@@ -115,14 +136,18 @@ def main(argv=None) -> int:
                 for s in order:
                     runs[s].append(run(sides[s], w, i + 1, 0))
                     print(f"{w} pair {i + 1}/{pairs[w]} {s} done", file=sys.stderr)
-            traced = {s: run(sides[s], w, 1, 1) for s in sides}
+            traced = {"base": [], "head": []}
+            for i in range(TRACED_RUNS):
+                for s in ("base", "head") if i % 2 == 0 else ("head", "base"):
+                    traced[s].append(run(sides[s], w, 1, 1))
+            layers = {s: per_layer(traced[s]) for s in sides}
             result[w] = {
                 "end_to_end": compare(runs),
-                "per_layer": {s: {k: m["value"] for k, m in t["metrics"].items()}
-                              for s, t in traced.items()},
-                "attempted": {s: sum(r["attempted"] for r in runs[s] + [traced[s]]) for s in sides},
-                "failed": {s: sum(r["failed"] for r in runs[s] + [traced[s]]) for s in sides},
-                "errors": [r["error"] for s in sides for r in runs[s] + [traced[s]] if "error" in r],
+                "per_layer": {s: medians for s, (medians, _) in layers.items()},
+                "unsteady_counters": {s: unsteady for s, (_, unsteady) in layers.items() if unsteady},
+                "attempted": {s: sum(r["attempted"] for r in runs[s] + traced[s]) for s in sides},
+                "failed": {s: sum(r["failed"] for r in runs[s] + traced[s]) for s in sides},
+                "errors": [r["error"] for s in sides for r in runs[s] + traced[s] if "error" in r],
             }
     record = {
         "sides": {s: {k: v for k, v in d.items() if k != "dir"} for s, d in sides.items()},
