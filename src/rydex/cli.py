@@ -24,6 +24,9 @@ import re
 import sys
 import warnings
 
+if __name__ == "__main__":  # off before numpy loads: a command leaves a few hundred cycles
+    gc.disable()
+
 from .atoms import DefectDataError, QuantumDefectModel, _require_finite
 from .harness import (
     SCHEMA,
@@ -462,7 +465,9 @@ def _warning_line(message, category, filename, lineno, file=None, line=None) -> 
 
 def run() -> int:
     """The ``rydex`` console command: ``main`` with each raised or logged warning printed
-    as one ``warning: <message>`` line on stderr, without a source path."""
+    as one ``warning: <message>`` line on stderr, without a source path. The cyclic
+    collector stays off: a command's garbage does not grow with its work."""
+    gc.disable()
     warnings.showwarning = _warning_line
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("warning: %(message)s"))

@@ -20,9 +20,11 @@ their phase conventions cancel in every reported population.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,7 +79,7 @@ RYDBERG_POPULATION_THRESHOLD = 1e-3
 
 # Largest chain a ChainSpec accepts: its operation counts and their sums are exact floats
 MAX_CHAIN_ATOMS = 2**53
-# Most restarts optimize_pairwise takes: each costs about 8 ms (2-core x86 VM), and
+# Most restarts optimize_pairwise takes: each costs about 4 ms (2-core x86 VM), and
 # the starts are drawn before the first step
 MAX_RESTARTS = 1000
 
@@ -318,51 +320,68 @@ class PairwiseOptimum(NamedTuple):
     converged: bool
 
 
+_UU_3, _G_PLUS_4 = np.eye(3)[0], np.eye(4)[3]  # |Uu> and |g+> in their pulse's sector
+
+
 def _sector_fidelities(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> list[float]:
     """``pairwise_entangle``'s zero-phase fidelity at each row x = (omega2, omega3, tau2,
-    tau3), in its sectors: |Uu> evolves in (Uu, r+, r-), then (a_r+, a_Uu/sqrt2, 0, 0) in
-    (r+, e_up+, e_dn+, g+), whose propagator U is symmetric: <g+|U|psi> = (U|g+>).psi.
-    One stacked eigensolve per pulse; the last product runs row by row on numpy
-    scalars, as a vectorized one rounds differently, so each row has its own bits."""
-    a = _evolve(_pulse2_matrices(x[:, 0], v_plus_khz, v_minus_khz), np.eye(3)[0], x[:, 2])
-    u = _evolve(_pulse3_matrices(x[:, 1], v_plus_khz), np.eye(4)[3], x[:, 3])
+    tau3) of a (k, 4) array, in its sectors: |Uu> evolves in (Uu, r+, r-), then (a_r+,
+    a_Uu/sqrt2, 0, 0) in (r+, e_up+, e_dn+, g+), whose propagator U is symmetric:
+    <g+|U|psi> = (U|g+>).psi. One stacked ``np.linalg.eigh`` per pulse, also for k = 0;
+    the last product runs row by row on numpy scalars, as a vectorized one rounds
+    differently, so each row has its own bits."""
+    a = _evolve(_pulse2_matrices(x[:, 0], v_plus_khz, v_minus_khz), _UU_3, x[:, 2])
+    u = _evolve(_pulse3_matrices(x[:, 1], v_plus_khz), _G_PLUS_4, x[:, 3])
     return [float(abs(ug[0] * ar[1] + ug[1] * ar[0] / _SQRT2) ** 2) for ar, ug in zip(a, u)]
 
 
-def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float):
+def _vertex_order(f: list[float]) -> list[int]:
+    """``np.argsort(f)``: ``sorted``'s order when the scores are distinct, else numpy's
+    own, whose (SIMD) sort may order tied scores differently from a stable one."""
+    if len(set(f)) == len(f):
+        return sorted(range(len(f)), key=f.__getitem__)
+    return np.argsort(np.array(f)).tolist()
+
+
+def _nelder_mead(x0: list[float], xatol: float, fatol: float):
     """scipy.optimize.minimize's non-adaptive Nelder-Mead (maxiter 400) step for step,
-    as a generator: it yields each (k, n) array of points it needs scored, is sent
-    their k scores, and returns whether it stopped on the xatol/fatol test."""
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    sim = np.tile(x0, (len(x0) + 1, 1))
-    for k, x in enumerate(x0):
-        sim[k + 1, k] = 1.05 * x if x != 0 else 0.00025
-    fsim = np.array((yield sim), dtype=float)
-    order = fsim.argsort()  # scipy sorts here and after every iteration; argsort
-    sim, fsim = sim[order], fsim[order]  # need not be stable, so sort as often
+    in plain floats, as a generator: it yields each list of points (lists of n floats)
+    it needs scored, is sent their scores, and returns whether it stopped on the
+    xatol/fatol test. Every float operation is scipy's, on the same operands in the
+    same order, so each point has scipy's bits."""
+    n = len(x0)
+    sim = [x0] + [x0[:k] + [1.05 * x if x != 0 else 0.00025] + x0[k + 1:]
+                  for k, x in enumerate(x0)]
+    fsim = yield sim
+    order = _vertex_order(fsim)  # scipy sorts here and after every iteration; argsort
+    sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]  # may reorder ties
     for _ in range(399):  # iterations 1 .. maxiter - 1
-        order = fsim.argsort()
-        sim, fsim = sim[order], fsim[order]
-        if np.abs(sim[1:] - sim[0]).max() <= xatol and np.abs(fsim[0] - fsim[1:]).max() <= fatol:
+        order = _vertex_order(fsim)  # of a sorted list, so sort as often
+        sim, fsim = [sim[i] for i in order], [fsim[i] for i in order]
+        s0, f0, worst = sim[0], fsim[0], sim[-1]
+        # fsim ascends, so its last |f0 - f| is the largest (rounding is monotone)
+        if abs(f0 - fsim[-1]) <= fatol and all(
+                abs(v - b) <= xatol for s in sim[1:] for v, b in zip(s, s0)):
             return True
-        xbar = np.add.reduce(sim[:-1], 0) / len(x0)
-        xr = (1 + rho) * xbar - rho * sim[-1]
-        (fxr,) = yield xr[None]
-        if fxr < fsim[0]:  # expand
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-            (fxe,) = yield xe[None]
+        # ((s0 + s1) + s2) + ..., as numpy's reduce over rows adds
+        xbar = [functools.reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]  # (1 + rho) xbar - rho x_worst
+        (fxr,) = yield [xr]
+        if fxr < f0:  # expand: (1 + rho chi) xbar - rho chi x_worst
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            (fxe,) = yield [xe]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:  # reflect
             sim[-1], fsim[-1] = xr, fxr
         else:  # contract outside or inside, else shrink towards the best vertex
             outside = fxr < fsim[-1]
-            xc = ((1 + psi * rho) * xbar - psi * rho * sim[-1] if outside
-                  else (1 - psi) * xbar + psi * sim[-1])
-            (fxc,) = yield xc[None]
+            xc = ([1.5 * b - 0.5 * w for b, w in zip(xbar, worst)] if outside
+                  else [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)])
+            (fxc,) = yield [xc]
             if (fxc <= fxr) if outside else (fxc < fsim[-1]):
                 sim[-1], fsim[-1] = xc, fxc
             else:
-                sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+                sim[1:] = [[b + 0.5 * (v - b) for v, b in zip(s, s0)] for s in sim[1:]]
                 fsim[1:] = yield sim[1:]
     return False
 
@@ -373,26 +392,30 @@ def _lockstep_nelder_mead(starts: list[np.ndarray], lo: np.ndarray, hi: np.ndarr
     all pending points in one ``_sector_fidelities`` batch, 2 outside [lo, hi] unevaluated.
     Returns the first best point (start by start, then in evaluation order) and whether
     any search stopped on its tolerance test."""
+    lo, hi = [float(v) for v in lo], [float(v) for v in hi]
+    starts = [[float(v) for v in x0] for x0 in starts]
     searches = [_nelder_mead(x0, tol, 1e-9) for x0 in starts]
     pending = {i: next(search) for i, search in enumerate(searches)}
     best, converged = [(-1.0, x0) for x0 in starts], False  # (fidelity, point) per search
     while pending:
-        points = np.concatenate(list(pending.values()))
-        inside = np.all((points >= lo) & (points <= hi), axis=1)
-        fids = np.full(len(points), -np.inf)
-        fids[inside] = _sector_fidelities(points[inside], v_plus_khz, v_minus_khz)
-        scores, begin = np.where(inside, 1.0 - fids, 2.0), 0
+        points = [x for batch in pending.values() for x in batch]
+        inside = [all(map(operator.le, lo, x)) and all(map(operator.le, x, hi)) for x in points]
+        rows = np.array([x for x, ok in zip(points, inside) if ok]).reshape(-1, len(lo))
+        scored = iter(_sector_fidelities(rows, v_plus_khz, v_minus_khz))
+        fids = [next(scored) if ok else -math.inf for ok in inside]
+        scores, begin = [1.0 - fid if ok else 2.0 for fid, ok in zip(fids, inside)], 0
         for i, batch in list(pending.items()):
             end = begin + len(batch)
-            k = begin + int(np.argmax(fids[begin:end]))  # the first best of the batch
-            best[i] = max(best[i], (fids[k], points[k]), key=lambda entry: entry[0])
+            for fid, x in zip(fids[begin:end], batch):
+                if fid > best[i][0]:  # the first best of the batch, if strictly better
+                    best[i] = (fid, x)
             try:
                 pending[i] = searches[i].send(scores[begin:end])
             except StopIteration as stop:
                 converged = converged or stop.value
                 del pending[i]
             begin = end
-    return max(best, key=lambda entry: entry[0])[1], converged
+    return np.array(max(best, key=lambda entry: entry[0])[1]), converged
 
 
 def optimize_pairwise(
@@ -408,7 +431,8 @@ def optimize_pairwise(
     sqrt|V+ V-| with closed-form durations), the rest are drawn uniformly from the
     box by a counter-based generator, so results are deterministic for a seed. The
     restarts take scipy's Nelder-Mead steps (xatol 1e-6, fatol 1e-9, maxiter 400)
-    bit for bit, in lockstep (``_lockstep_nelder_mead``); ``converged`` if any stops
+    bit for bit on plain floats, in lockstep (``_lockstep_nelder_mead``), each round
+    scored in one stacked batch (``_sector_fidelities``); ``converged`` if any stops
     on its tolerance test. The start and the result run the 8-state
     ``pairwise_entangle``, and the result is never below the start. ``seed`` is an
     int >= 0 and ``restarts`` an int from 1 to MAX_RESTARTS.

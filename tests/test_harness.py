@@ -3,6 +3,8 @@
 import argparse
 import csv
 import dataclasses
+import functools
+import gc
 import hashlib
 import inspect
 import io
@@ -1428,6 +1430,51 @@ def test_console_command_exit_keeps_normal_finalization():
     assert proc.returncode == 0
     assert proc.stdout.startswith((recorded / "table-I.out").read_text(encoding="utf-8"))
     assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+def test_console_command_runs_without_the_cyclic_collector():
+    """``python -m rydex.cli`` turns the collector off before its first numpy import, so
+    no collection runs once numpy is loaded; importing ``rydex.cli`` leaves it on."""
+    code = ("import gc, runpy, sys; numpy_loaded = []; "
+            "gc.callbacks.append(lambda phase, info: phase == 'start' "
+            "and numpy_loaded.append('numpy' in sys.modules)); "
+            "sys.argv = ['rydex', 'coeffs', '--na', '73', '--nb', '75']\n"
+            "try: runpy.run_module('rydex.cli', run_name='__main__')\n"
+            "except SystemExit as exit: print(exit.code, gc.isenabled(), any(numpy_loaded), "
+            "file=sys.stderr)")
+    proc = _fresh_process("-c", code)
+    assert proc.stderr == "0 False False\n"
+    proc = _fresh_process("-c", "import gc, rydex.cli; print(gc.isenabled())")
+    assert (proc.returncode, proc.stdout) == (0, "True\n")
+
+
+@pytest.mark.parametrize("small, large", [
+    ((["robustness", "--samples", "1000"], 10), (["robustness", "--samples", "100000"], 10)),
+    ((["pair-sim", "--optimize"], 3), (["pair-sim", "--optimize"], 30)),
+], ids=["samples", "restarts"])
+def test_cli_garbage_does_not_grow_with_the_work(capsys, monkeypatch, small, large):
+    """With the collector off, as in a CLI process, a command leaves the same bounded
+    count of cyclic garbage at 1k and 100k samples, and at 3 and 30 optimizer restarts
+    (the CLI's 10 set through ``optimize_pairwise``'s default)."""
+    import rydex.protocols
+
+    optimize = rydex.protocols.optimize_pairwise
+    enabled = gc.isenabled()
+
+    def garbage(argv, restarts):
+        monkeypatch.setattr(rydex.protocols, "optimize_pairwise",
+                            functools.partial(optimize, restarts=restarts))
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+            capsys.readouterr()
+
+    assert garbage(*small) == garbage(*large) < 1000
 
 
 _VDW_ONLY =("rydex.dynamics", "rydex.protocols", "mpmath")

@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -30,6 +31,7 @@ from rydex.protocols import (
     _lockstep_nelder_mead,
     _nominal_point,
     _sector_fidelities,
+    _vertex_order,
     chain_fidelity_estimate,
     chain_ideal_state,
     chain_protocol,
@@ -39,6 +41,7 @@ from rydex.protocols import (
     swap_gate,
 )
 
+import optimizer_reference
 from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix
 from chain_states import composed_chain_amplitudes, pair_ground_vector, slot_atoms, swap_ground_map
 from sector_reference import relabeling_matrix
@@ -272,6 +275,46 @@ def test_lockstep_search_is_scipy_nelder_mead(v_plus, v_minus, lo_scale, hi_scal
     ref_x, ref_converged = _scipy_search(starts, lo, hi, tol, v_plus, v_minus)
     assert [v.hex() for v in x.tolist()] == [v.hex() for v in ref_x.tolist()]
     assert converged == ref_converged
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("seed, tol, pinned", [(0, 1e-6, []), (1, 1e-3, []), (7, 1e-2, []),
+                                               (1, 1e-6, [0, 2]), (7, 1e-3, [1, 3])])
+def test_plain_float_search_is_the_array_search(sign, seed, tol, pinned):
+    """The plain-float lockstep search gives the array search's best point, bit for bit,
+    and its ``converged``, in ``optimize_pairwise``'s box at both V+- signs; pinned
+    coordinates (lo = hi) put start vertices outside the box, where scores tie at 2,
+    and keep the search from converging, so it runs all 400 iterations."""
+    v_plus, v_minus = sign * V_PLUS, sign * V_MINUS
+    start = np.array(_nominal_point(v_plus, v_minus))[[0, 0, 1, 2]]
+    lo, hi = start * [0.5, 0.5, 0.25, 0.25], start * [3.0, 3.0, 2.0, 2.0]
+    hi[pinned] = lo[pinned]
+    rng = np.random.Generator(np.random.Philox(seed))
+    starts = [np.clip(start, lo, hi)] + [rng.uniform(lo, hi) for _ in range(2)]
+    x, converged = _lockstep_nelder_mead(starts, lo, hi, tol, v_plus, v_minus)
+    ref_x, ref_converged = optimizer_reference._lockstep_nelder_mead(starts, lo, hi, tol,
+                                                                     v_plus, v_minus)
+    assert [v.hex() for v in x.tolist()] == [v.hex() for v in ref_x.tolist()]
+    assert converged == ref_converged
+
+
+def test_vertex_order_is_numpy_argsort():
+    """numpy's argsort, ties included: on x86 it may dispatch to a SIMD sort that orders
+    tied scores (every point outside the box scores 2) unlike a stable sort."""
+    for f in itertools.product([0.5, 1.0, 2.0], repeat=5):
+        assert _vertex_order(list(f)) == np.argsort(np.array(f)).tolist(), f
+    for f in itertools.permutations([0.25, 2.0, -1.0, 0.125, 1.5]):
+        assert _vertex_order(list(f)) == np.argsort(np.array(f)).tolist(), f
+
+
+def test_optimizer_eigensolves_are_counted_at_numpy(monkeypatch):
+    """The search scores each round with one ``np.linalg.eigh`` per pulse, looked up at
+    call time, so a probe that wraps it counts them: at (4.865, 711) 1,352 calls on
+    12,446 matrices, the two 8-state runs included."""
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h.shape[:-2]) or eigh(h))
+    optimize_pairwise(4.865, 711.0)
+    assert (len(calls), sum(math.prod(shape) for shape in calls)) == (1352, 12446)
 
 
 # --- SWAP gate ------------------------------------------------------------------
