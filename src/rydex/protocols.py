@@ -347,8 +347,9 @@ def _nelder_mead(x0: list[float], xatol: float, fatol: float):
     """scipy.optimize.minimize's non-adaptive Nelder-Mead (maxiter 400) step for step,
     in plain floats, as a generator: it yields each list of points (lists of n floats)
     it needs scored, is sent their scores, and returns whether it stopped on the
-    xatol/fatol test. Every float operation is scipy's, on the same operands in the
-    same order, so each point has scipy's bits."""
+    xatol/fatol test. Every float operation is scipy's, with its rho = 1, chi = 2 and
+    psi = sigma = 0.5 written out, on the same operands in the same order, so each
+    point has scipy's bits."""
     n = len(x0)
     sim = [x0] + [x0[:k] + [1.05 * x if x != 0 else 0.00025] + x0[k + 1:]
                   for k, x in enumerate(x0)]
