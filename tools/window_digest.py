@@ -1,6 +1,7 @@
 """Print one SHA-256 over a section of pinned outputs.
 
-    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|serialize|histogram|chain|optimize|radial]
+    python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|
+                                    serialize|histogram|chain|optimize|radial|levels|clebsch]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -87,6 +88,15 @@ whose p_3/2 delta0 is edited by 1e-6, which the table cannot answer; then
 edges, with the s and p orbitals swapped, and a p -> d element). Takes about
 1 s.
 
+``levels`` hashes the three lists of ``_rydberg_ritz`` (defects, effective
+numbers and energies) for every series of the bundled model, from its lowest n
+above delta0 to n = 500, in one call per series and again one call per level.
+Takes under 1 s.
+
+``clebsch`` hashes ``clebsch_gordan`` at every argument with j1, j2 and j in
+0, 1/2, ..., 5 and each m running over -j..j: 287,496 calls, most of them 0.0
+by a selection rule. Takes about 1 s.
+
 Recorded digests (equal at the commit that added ``sampler`` and
 ``serialize`` and at its parent, with the tool copied in):
 ``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
@@ -97,7 +107,9 @@ was written before the schedule held its atoms as ranges and read 5859a581...
 at that change's parent and after it. ``optimize`` was written before the
 search held its records as named tuples and read 1eeb4f94... at that change's
 parent. ``radial`` was written before a window's rows were served as table
-slices and read 89a573e0... at that change's parent.
+slices and read 89a573e0... at that change's parent. ``levels`` and
+``clebsch`` were written before the int-domain checks of ``atoms`` took their
+bounds and read 6faf63b9... and 65582683... at that change's parent.
 
 Stdlib, numpy and rydex only.
 """
@@ -109,6 +121,7 @@ import dataclasses
 import hashlib
 import itertools
 import logging
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -119,6 +132,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from rydex.atoms import DefectSeries, QuantumDefectModel, _rydberg_ritz  # noqa: E402
+from rydex.atoms import clebsch_gordan  # noqa: E402
 from rydex.dynamics import _batched_pulse3_fidelities  # noqa: E402
 from rydex.dynamics import (  # noqa: E402
     PulseSpec,
@@ -405,11 +419,32 @@ def radial_section() -> str:
     return h.hexdigest()
 
 
+def levels_section() -> str:
+    h = hashlib.sha256()
+    model = QuantumDefectModel.default()
+    for (l, j), s in sorted(model.series.items()):
+        ns = range(math.floor(s.delta0) + 1, 501)
+        h.update(f"[{l},{j},{ns.start}]".encode())
+        h.update(encode(_rydberg_ritz(model, l, j, ns)).encode())
+        h.update(encode([_rydberg_ritz(model, l, j, (n,)) for n in ns]).encode())
+    return h.hexdigest()
+
+
+def clebsch_section() -> str:
+    h = hashlib.sha256()
+    pairs = [(tj / 2, (tj - 2 * k) / 2) for tj in range(11) for k in range(tj + 1)]
+    for (j1, m1), (j2, m2) in itertools.product(pairs, pairs):
+        h.update(f"[{j1},{m1},{j2},{m2}]".encode())
+        h.update(encode([clebsch_gordan(j1, m1, j2, m2, j, m) for j, m in pairs]).encode())
+    return h.hexdigest()
+
+
 SECTIONS = {"window": window_section, "robustness": robustness_section,
             "protocols": protocols_section, "batches": batches_section,
             "sampler": sampler_section, "serialize": serialize_section,
             "histogram": histogram_section, "chain": chain_section,
-            "optimize": optimize_section, "radial": radial_section}
+            "optimize": optimize_section, "radial": radial_section,
+            "levels": levels_section, "clebsch": clebsch_section}
 
 
 def main() -> None:
