@@ -56,14 +56,20 @@ def _require_finite(
         raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
-def _require_int(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integer is refused by ``name``."""
+def _require_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
+    """``value`` as an int in [lo, hi]; a bool or a non-integer is refused by ``name``
+    first, then an int out of range, in a message that states the bounds given."""
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        v = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        v = None
+    if v is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not lo <= v <= hi:
+        bound = (f">= {lo}" if hi == math.inf else f"at most {hi}" if lo == -math.inf
+                 else f"in [{lo}, {hi}]")
+        raise ValueError(f"{name} must be {bound}, got {v}")
+    return v
 
 
 class DefectDataError(Exception):
@@ -81,8 +87,7 @@ class DefectSeries:
     delta2: float
 
     def __post_init__(self) -> None:
-        if _require_int("l", self.l) < 0:
-            raise ValueError(f"l must be >= 0, got {self.l}")
+        _require_int("l", self.l, 0)
         for name in ("j", "delta0", "delta2"):
             _require_finite(name, getattr(self, name))
         if abs(self.j - self.l) != 0.5:
@@ -186,13 +191,13 @@ class QuantumDefectModel:
                     j, delta0, delta2 = (float(t) for t in tokens[2:5])
                 except ValueError:
                     raise fail(lineno, f"bad float in {tokens[2:5]}") from None
-                if not all(map(math.isfinite, (delta0, delta2))):
-                    raise fail(lineno, f"non-finite defect in {tokens[3:5]}")
-                if abs(j - l) != 0.5:
-                    raise fail(lineno, f"j={j} is not l +- 1/2 for l={l}")
+                try:
+                    record = DefectSeries(l=l, j=j, delta0=delta0, delta2=delta2)
+                except ValueError as exc:
+                    raise fail(lineno, str(exc)) from None
                 if (l, j) in series:
                     raise fail(lineno, f"duplicate series l={l}, j={j}")
-                series[(l, j)] = DefectSeries(l=l, j=j, delta0=delta0, delta2=delta2)
+                series[(l, j)] = record
             else:
                 raise fail(lineno, f"unknown key {key!r}")
 
@@ -215,12 +220,9 @@ def _parse_l(token: str, lineno: int, fail) -> int:
     if token in _L_LETTERS:
         return _L_LETTERS.index(token)
     try:
-        l = int(token)
+        return int(token)
     except ValueError:
         raise fail(lineno, f"bad orbital quantum number {token!r}") from None
-    if l < 0:
-        raise fail(lineno, f"negative orbital quantum number {l}")
-    return l
 
 
 def _rydberg_ritz(
@@ -256,9 +258,7 @@ def quantum_defect(model: QuantumDefectModel, l: int, j: float, n: int) -> float
         does not exceed delta0 (no bound Rydberg state).
     """
     _require_finite("j", j)
-    l = _require_int("l", l)
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
+    l = _require_int("l", l, 0)
     (delta,), _, _ = _rydberg_ritz(model, l, j, (_require_int("n", n),))
     return delta
 
@@ -297,13 +297,13 @@ def clebsch_gordan(
     tj1, tm1 = _as_twice(j1, "j1"), _as_twice(m1, "m1")
     tj2, tm2 = _as_twice(j2, "j2"), _as_twice(m2, "m2")
     tj, tm = _as_twice(j, "j"), _as_twice(m, "m")
-    for tjx, tmx, nm in ((tj1, tm1, "j1"), (tj2, tm2, "j2"), (tj, tm, "j")):
+    for tjx, tmx, nj, nm in ((tj1, tm1, "j1", "m1"), (tj2, tm2, "j2", "m2"), (tj, tm, "j", "m")):
         if tjx < 0:
-            raise ValueError(f"{nm} must be non-negative")
+            raise ValueError(f"{nj} must be non-negative")
         if abs(tmx) > tjx:
-            raise ValueError(f"|m| > j for {nm}")
+            raise ValueError(f"|{nm}| > {nj}, got {nm}={tmx / 2}, {nj}={tjx / 2}")
         if (tjx - tmx) % 2 != 0:
-            raise ValueError(f"m and j differ by a non-integer for {nm}")
+            raise ValueError(f"m and j differ by a non-integer for {nj}")
 
     if tm1 + tm2 != tm:
         return 0.0

@@ -332,8 +332,7 @@ def propagate_sampled(
     Rydberg-exposure integrals.
     """
     _require_finite("t_us", t_us)
-    if _require_int("n_samples", n_samples) < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
+    _require_int("n_samples", n_samples, 2)
     most = np.iinfo(np.intp).max // (16 * len(h.basis))
     if n_samples > most:
         raise ValueError(f"n_samples must be at most {most} for {len(h.basis)} states, "
@@ -610,11 +609,11 @@ def pulse2_analytics(
         rate_sq = v_plus**2 + 4.0 * o1**2 - 4.0 * o1**3 / v_minus
     except OverflowError:  # a power past the float range
         rate_sq = math.nan
-    if not math.isfinite(rate_sq):
+    if not 0 < rate_sq < math.inf:
+        why = ("puts the closed-form rate outside the float range" if not math.isfinite(rate_sq)
+               else "leaves the closed form no real oscillation rate")
         raise ValueError(f"pulse-2 drive {omega_uD_B} kHz with V+ = {v_plus} kHz and V- = "
-                         f"{v_minus} kHz puts the closed-form rate outside the float range")
-    if rate_sq <= 0:
-        raise ValueError("pulse-2 closed form has no real oscillation rate here")
+                         f"{v_minus} kHz {why}")
     rate = math.sqrt(rate_sq)  # kHz
     return Pulse2Analytics(tau2_us=1e3 / (2.0 * rate), peak_amplitude=2.0 * o1 / rate)
 

@@ -159,11 +159,8 @@ class RobustnessConfig:
         _require_finite("epsilon", self.epsilon)
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        for name in ("samples", "seed"):
-            _require_int(name, getattr(self, name))
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(f"samples must be in [1, {MAX_SAMPLES}], got {self.samples}")
-        if not 0 <= self.seed < 2**64:
+        _require_int("samples", self.samples, 1, MAX_SAMPLES)
+        if not 0 <= _require_int("seed", self.seed) < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
         for name in ("omega_khz", "v_plus_khz", "v_minus_khz"):
             value = getattr(self, name)

@@ -440,10 +440,8 @@ def optimize_pairwise(
     """
     _require_finite("v_plus_khz", v_plus_khz)
     _require_finite("v_minus_khz", v_minus_khz)
-    if _require_int("seed", seed) < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if not 1 <= _require_int("restarts", restarts) <= MAX_RESTARTS:
-        raise ValueError(f"restarts must be in [1, {MAX_RESTARTS}], got {restarts}")
+    _require_int("seed", seed, 0)
+    _require_int("restarts", restarts, 1, MAX_RESTARTS)
     omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)  # all > 0
     start = np.array([omega, omega, tau2, tau3])
     lo, hi = start * np.array([0.5, 0.5, 0.25, 0.25]), start * np.array([3.0, 3.0, 2.0, 2.0])
@@ -573,9 +571,7 @@ class ChainSpec:
     gamma_per_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        count = _require_int("atom_count", self.atom_count)
-        if count > MAX_CHAIN_ATOMS:
-            raise ValueError(f"atom_count must be at most {MAX_CHAIN_ATOMS}, got {count}")
+        count = _require_int("atom_count", self.atom_count, hi=MAX_CHAIN_ATOMS)
         if not (count == 6 or count >= 4 and count % 4 == 0):
             raise ValueError(f"atom_count must be 4, 6, or a multiple of 4, got {count}")
         _require_finite("spacing_um", self.spacing_um, 0.0, inclusive=False)

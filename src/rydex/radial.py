@@ -57,9 +57,8 @@ def _centre(nu1: float, l1: int, nu2: float, l2: int) -> tuple[float, float]:
     lc = (l1 + l2 + 1) / 2.0
     nc = math.sqrt(nu1 * nu2)
     if lc >= nc:
-        raise ValueError(
-            f"quasiclassical radial element undefined for l_c={lc} >= nu_c={nc:.3f}"
-        )
+        raise ValueError(f"quasiclassical radial element undefined for n_eff {nu1} and {nu2}: "
+                         f"l_c={lc} >= nu_c={nc:.3g}")
     return lc, nc
 
 
@@ -139,8 +138,7 @@ def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
     for name, n_eff in (("n_eff1", n_eff1), ("n_eff2", n_eff2)):
         _require_finite(name, n_eff, 0.0, inclusive=False)
     for name, l in (("l1", l1), ("l2", l2)):
-        if _require_int(name, l) < 0:
-            raise ValueError(f"{name} must be non-negative, got {l}")
+        _require_int(name, l, 0)
     if abs(l1 - l2) != 1:
         raise ValueError(
             f"dipole selection rule requires |l1 - l2| = 1, got l1={l1}, l2={l2}"

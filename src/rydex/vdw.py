@@ -190,12 +190,8 @@ def _pair_terms(
     before the cache, which would let a warm int entry answer an equal float or
     bool. Exclusion log lines (``_Window.replay_exclusions``) stay per call.
     """
-    n_a, n_b, dn_cutoff = (
-        _require_int(name, value)
-        for name, value in (("n_a", n_a), ("n_b", n_b), ("dn_cutoff", dn_cutoff))
-    )
-    if dn_cutoff < 0:
-        raise ValueError(f"dn_cutoff must be non-negative, got {dn_cutoff}")
+    n_a, n_b = _require_int("n_a", n_a), _require_int("n_b", n_b)
+    dn_cutoff = _require_int("dn_cutoff", dn_cutoff, 0)
     name, n = ("n_a", n_a) if n_a >= n_b else ("n_b", n_b)
     if n + dn_cutoff > MAX_PRINCIPAL_N:
         raise ValueError(
@@ -393,8 +389,7 @@ def channel_c6(
     an energy defect below NEAR_RESONANCE_GHZ are excluded with a logged
     warning; an exactly resonant term raises SingularChannelError.
     """
-    if _require_int("k", k) not in CHANNEL_FINE_STRUCTURE:
-        raise ValueError(f"channel must be 1..4, got k={k}")
+    k = _require_int("k", k, 1, len(CHANNEL_FINE_STRUCTURE))
     window = _pair_terms(model, n_a, n_b, dn_cutoff)
     window.replay_exclusions()
     return float(window.sums[0, k - 1])  # rows in CHANNEL_FINE_STRUCTURE order

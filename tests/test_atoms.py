@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rydex.atoms import (
     DefectDataError,
     QuantumDefectModel,
     _require_finite,
+    _require_int,
     clebsch_gordan,
     quantum_defect,
 )
@@ -60,10 +62,10 @@ BAD_LINES = [
     ("rydberg_constant_ghz nan", "must be positive and finite"),
     ("series p 1.5 2.6416737", "takes l, j"),
     ("series p 1.5 x 0.2950", "bad float in"),
-    ("series p 1.5 inf 0.0", r"non-finite defect in \['inf', '0.0'\]"),
-    ("series p 2.5 2.6416737 0.2950", "j=2.5 is not l"),
+    ("series p 1.5 inf 0.0", "delta0 must be finite, got inf"),
+    ("series p 2.5 2.6416737 0.2950", r"j must be l \+- 1/2 for l=1, got 2.5"),
     ("series q 1.5 2.6416737 0.2950", "bad orbital quantum number"),
-    ("series -1 1.5 2.6416737 0.2950", "negative orbital quantum number"),
+    ("series -1 1.5 2.6416737 0.2950", "l must be >= 0, got -1"),
     ("mystery_key 1", "unknown key"),
 ]
 
@@ -178,6 +180,34 @@ def test_model_series_are_defect_series_under_their_own_key():
 def test_require_finite_refuses_a_bool_by_name(bad):
     with pytest.raises(ValueError, match=f"x must be a number, got {bad}"):
         _require_finite("x", bad)
+
+
+def test_require_int_takes_inclusive_bounds_and_names_each_form():
+    for value in (1, 4, np.int64(2)):
+        assert type(_require_int("k", value, 1, 4)) is int
+    assert _require_int("seed", 0, 0) == 0
+    assert _require_int("count", 9, hi=9) == 9
+    for args, message in [
+        (("k", 0, 1, 4), "k must be in [1, 4], got 0"),
+        (("k", 5, 1, 4), "k must be in [1, 4], got 5"),
+        (("seed", -1, 0), "seed must be >= 0, got -1"),
+        (("count", 10, -math.inf, 9), "count must be at most 9, got 10"),
+        # the integer test runs before any range test
+        (("k", True, 1, 4), "k must be an integer, got True"),
+        (("k", False, 1, 4), "k must be an integer, got False"),
+        (("k", 2.0, 1, 4), "k must be an integer, got 2.0"),
+        (("seed", -1.5, 0), "seed must be an integer, got -1.5"),
+        (("count", "10", -math.inf, 9), "count must be an integer, got '10'"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _require_int(*args)
+    # a huge int is compared exactly, against an infinite side and against an int bound
+    big = 10**400
+    assert _require_int("n", big, 0) == big
+    assert _require_int("n", -big, hi=0) == -big
+    assert _require_int("n", big, big, big) == big
+    with pytest.raises(ValueError, match=f"^n must be at most {big - 1}, got {big}$"):
+        _require_int("n", big, hi=big - 1)
 
 
 def test_quantum_defect_requires_bound_state():

@@ -313,7 +313,7 @@ def test_propagate_sampled_endpoints():
 def test_propagate_sampled_validation():
     h = _pulse2(59.0, 5.0, 711.0)
     st = QuantumState.from_label(("Uu", "r+", "r-"), "Uu")
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(ValueError, match="^n_samples must be >= 2, got 1$"):
         propagate_sampled(st, h, 1.0, 1)
     with pytest.raises(ValueError, match="does not match"):
         propagate_sampled(QuantumState.from_label(PRODUCT_BASIS_8, "Uu"), h, 1.0, 8)

@@ -195,6 +195,39 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
             getattr(rydex, name)(**kwargs)
 
 
+# finite edge floats, each to be taken or refused by name
+FINITE_EDGES = (-1.0, 0.0, -0.0, 1e300, -1e300, 1e-300)
+# the symbol a message may name instead of a parameter whose name holds the key
+SYMBOLS = {"v_plus": "V+", "v_minus": "V-", "omega": "drive"}
+# finite edges refused without the parameter's name or symbol, each with the reason
+_BOTH_N_EFF = "names both values as 'n_eff X and Y', the form test_radial pins for the Anger series"
+ALLOWED_UNNAMED_EDGES = {f"radial_integral.{param}={bad!r}": _BOTH_N_EFF
+                         for param in ("n_eff1", "n_eff2") for bad in (1e300, 1e-300)}
+
+
+def test_every_float_parameter_takes_or_names_a_finite_edge():
+    """-1, +-0, +-1e300 and 1e-300 for each float parameter either return or raise a
+    ValueError or DefectDataError naming it or its symbol; the finite twin of the
+    bad-float walk."""
+    unnamed = []
+    for name, func, param in _float_parameters():
+        if name in ALLOWED_UNNAMED or f"{name}.{param}" in ALLOWED_UNNAMED:
+            continue
+        names = [rf"\b{param}\b", *(re.escape(s) for key, s in SYMBOLS.items() if key in param)]
+        for bad in FINITE_EDGES:
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    func(**dict(VALID_CALLS[name], **{param: bad}))
+                continue
+            except Exception as error:  # any other failure is listed too
+                if isinstance(error, (ValueError, rydex.DefectDataError)) and any(
+                        re.search(pattern, str(error)) for pattern in names):
+                    continue
+            unnamed.append(f"{name}.{param}={bad!r}")
+    assert sorted(unnamed) == sorted(ALLOWED_UNNAMED_EDGES)
+
+
 # out-of-domain ints past a non-integer and a bool, each to be refused by its parameter's name
 OUT_OF_DOMAIN_INTS = {
     "DefectSeries.l": (-1,),

@@ -45,7 +45,7 @@ def test_coupling_constant_matches_codata():
         ((50.0, 0, 0.0, 1), "n_eff2 must be finite and > 0, got 0.0"),
         ((math.nan, 0, 50.0, 1), "n_eff1 must be finite and > 0, got nan"),
         ((50.0, 0, math.inf, 1), "n_eff2 must be finite and > 0, got inf"),
-        ((50.0, -1, 50.0, 0), "l1 must be non-negative, got -1"),
+        ((50.0, -1, 50.0, 0), "l1 must be >= 0, got -1"),
         ((50.0, 0.5, 50.0, 1), "l1 must be an integer, got 0.5"),
         ((50.0, 0, 50.0, True), "l2 must be an integer, got True"),
     ],
