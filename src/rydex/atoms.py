@@ -217,7 +217,7 @@ class QuantumDefectModel:
 
 
 def _parse_l(token: str, lineno: int, fail) -> int:
-    if token in _L_LETTERS:
+    if len(token) == 1 and token in _L_LETTERS:
         return _L_LETTERS.index(token)
     try:
         return int(token)

@@ -30,20 +30,17 @@ if __name__ == "__main__":  # off before numpy loads: a command leaves a few hun
 from .atoms import DefectDataError, QuantumDefectModel, _require_finite
 from .harness import (
     SCHEMA,
-    RobustnessConfig,
     dumps_json,
     histogram_payload,
     histogram_rows,
     robustness_scan,
     rows_to_csv,
-    run_figure,
-    run_table,
     to_jsonable,
 )
 from .vdw import c6_pair, critical_radius
 
-# the commands that run protocols import it themselves, so coeffs,
-# critical-radius and table load no dynamics
+# each handler imports the modules only it runs (protocols, chain, scan, tables,
+# figures), so a command compiles no other command's code
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -352,7 +349,7 @@ def _cmd_swap_sim(args, model):
 
 
 def _cmd_chain(args, model):
-    from .protocols import ChainSpec, chain_protocol
+    from .chain import ChainSpec, chain_protocol
 
     spec = ChainSpec(
         atom_count=args.atoms,
@@ -383,6 +380,8 @@ def _cmd_chain(args, model):
 
 
 def _cmd_robustness(args, model):
+    from .scan import RobustnessConfig
+
     v_plus, v_minus, _ = _couplings(args, model)
     omega = args.omega if args.omega is not None else _working_drive(v_plus, v_minus)
     cfg = RobustnessConfig(
@@ -398,11 +397,15 @@ def _cmd_robustness(args, model):
 
 
 def _cmd_table(args, model):
+    from .tables import run_table
+
     data = run_table(args.table_id, model)
     return data, (data["columns"], data["rows"])
 
 
 def _cmd_figure(args, model):
+    from .figures import run_figure
+
     data = run_figure(args.figure_id, model, samples=args.samples, seed=args.seed)
     return data, (data["columns"], data["rows"])
 

@@ -6,7 +6,7 @@ bit for bit against them."""
 
 import numpy as np
 
-from rydex.protocols import _sector_fidelities
+from rydex.optimizer import _sector_fidelities
 
 
 def _nelder_mead(x0: np.ndarray, xatol: float, fatol: float):

@@ -8,13 +8,12 @@ import math
 
 import numpy as np
 
-from rydex.dynamics import (
+from rydex.dynamics import _evolve, _sector_matrices
+from rydex.pulse3 import (
     _CHEBYSHEV_MAX_TERMS,
     _MINUS_I_POWER_PARTS,
     _NEIGHBOUR_CHANNELS,
     _NEIGHBOURS,
-    _evolve,
-    _sector_matrices,
 )
 
 

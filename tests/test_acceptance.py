@@ -21,7 +21,6 @@ from rydex.dynamics import (
     tau2_approximate,
 )
 from rydex.harness import (
-    REFERENCE_TABLE_I,
     RobustnessConfig,
     dumps_json,
     histogram_payload,
@@ -36,6 +35,7 @@ from rydex.protocols import (
     pairwise_entangle,
     swap_gate,
 )
+from rydex.tables import REFERENCE_TABLE_I
 from rydex.vdw import _D_MATRICES, _M_MATRICES, c6_pair, channel_c6, critical_radius
 
 from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix

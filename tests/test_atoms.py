@@ -67,6 +67,9 @@ BAD_LINES = [
     ("series q 1.5 2.6416737 0.2950", "bad orbital quantum number"),
     ("series -1 1.5 2.6416737 0.2950", "l must be >= 0, got -1"),
     ("mystery_key 1", "unknown key"),
+    # one letter only: these once parsed as l = 0 and l = 2
+    ("series sp 0.5 3.1311804 0.1784", "bad orbital quantum number 'sp'"),
+    ("series dfg 2.5 1.3480917 -0.6029", "bad orbital quantum number 'dfg'"),
 ]
 
 

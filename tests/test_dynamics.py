@@ -352,6 +352,24 @@ def test_stacked_eigensolve_is_the_per_matrix_one():
         _eigen_coefficients(h, psi, np.where(np.arange(b) == 7, 1e308, 1.0))
 
 
+def test_overflow_bound_falls_back_to_the_per_matrix_check():
+    """2 pi max|w| max|t| overflows for a stack whose large spectrum and long
+    duration sit on different matrices: each matrix's own phase is finite, so the
+    stack is solved, row for row as alone; a phase that overflows is still named."""
+    h = np.array([np.diag([1e300, 0.0]), np.diag([1.0, -1.0])])
+    psi = np.array([1.0, 0.0])
+    t = np.array([1e-3, 1e300])
+    stacked = _eigen_coefficients(h, psi, t)
+    for i in range(2):
+        single = _eigen_coefficients(h[i], psi, t[i])
+        assert all(np.array_equal(s[i], o) for s, o in zip(stacked, single))
+    with pytest.raises(ValueError, match="eigenvalue 1e\\+308 kHz of H overflows"):
+        _eigen_coefficients(h * 1e8, psi, t)
+    with pytest.raises(ValueError, match="pulse duration 1e\\+300 us overflows"):
+        _eigen_coefficients(h, psi, t[::-1])
+    assert [len(x) for x in _eigen_coefficients(h[:0], psi, t[:0])] == [0, 0, 0]
+
+
 def test_stacked_evolve_is_the_per_matrix_one():
     """Each row of a stacked ``_evolve`` has the bits of its matrix evolved alone,
     with one duration for the stack or one per row: the lockstep optimizer and the

@@ -1,6 +1,7 @@
 """Robustness scans, table/figure reproduction, serialization, and the CLI."""
 
 import argparse
+import ast
 import csv
 import dataclasses
 import functools
@@ -29,25 +30,13 @@ from rydex.dynamics import (
     PRODUCT_BASIS_8,
     PulseSpec,
     QuantumState,
-    _CHEBYSHEV_MAX_TERMS,
-    _CYCLES,
-    _LINK_CHANNELS,
-    _NEIGHBOUR_CHANNELS,
-    _NEIGHBOURS,
-    _PARTNERS,
-    _batched_pulse3_fidelities,
-    _chebyshev_terms,
     _sector_matrices,
     build_full8,
     propagate,
 )
 from rydex.harness import (
-    REFERENCE_TABLE_III,
-    REFERENCE_TABLE_IV,
-    TABLE_PAIRS,
     FidelityHistogram,
     RobustnessConfig,
-    _sample_omegas,
     dumps_json,
     histogram_payload,
     histogram_rows,
@@ -59,7 +48,19 @@ from rydex.harness import (
     to_jsonable,
 )
 from rydex.protocols import pairwise_entangle, swap_gate
-from rydex import dynamics, harness, vdw
+from rydex.pulse3 import (
+    _CHEBYSHEV_MAX_TERMS,
+    _CYCLES,
+    _LINK_CHANNELS,
+    _NEIGHBOUR_CHANNELS,
+    _NEIGHBOURS,
+    _PARTNERS,
+    _batched_pulse3_fidelities,
+    _chebyshev_terms,
+)
+from rydex.scan import _sample_omegas
+from rydex.tables import REFERENCE_TABLE_III, REFERENCE_TABLE_IV, TABLE_PAIRS
+from rydex import harness, pulse3, scan, vdw
 from rydex.vdw import interaction_matrix
 
 from level_reference import RydbergLevel, level_energy
@@ -224,36 +225,36 @@ def test_scan_at_a_cached_working_point_writes_the_bytes_of_a_fresh_one():
     """Pulse 2 runs once per working point: a second scan there hits the cache and
     writes the bytes of a scan after the cache is cleared; psi2 is read-only."""
     cfg = RobustnessConfig(0.15, 1000, 11, NOMINAL_OMEGA, V_PLUS, V_MINUS)
-    harness._pulse2_point.cache_clear()
+    scan._pulse2_point.cache_clear()
     fresh = _scan_bytes(cfg)
     again = _scan_bytes(dataclasses.replace(cfg, seed=12))
-    assert harness._pulse2_point.cache_info()[:2] == (1, 1)  # (hits, misses)
-    harness._pulse2_point.cache_clear()
+    assert scan._pulse2_point.cache_info()[:2] == (1, 1)  # (hits, misses)
+    scan._pulse2_point.cache_clear()
     assert _scan_bytes(dataclasses.replace(cfg, seed=12)) == again
     assert _scan_bytes(cfg) == fresh
-    psi2 = harness._pulse2_point(*((type(x), x, 1.0) for x in (NOMINAL_OMEGA, V_PLUS, V_MINUS)))[-1]
+    psi2 = scan._pulse2_point(*((type(x), x, 1.0) for x in (NOMINAL_OMEGA, V_PLUS, V_MINUS)))[-1]
     with pytest.raises(ValueError, match="read-only"):
         psi2[0] = 0.0
 
 
 def test_pulse2_cache_keeps_signed_zeros_and_types_apart():
-    harness._pulse2_point.cache_clear()
+    scan._pulse2_point.cache_clear()
     for v_plus in (0.0, -0.0, 0, np.float64(0.0)):
         robustness_scan(RobustnessConfig(0.1, 10, 1, 60.0, v_plus, 700.0))
-    assert harness._pulse2_point.cache_info()[:2] == (0, 4)
+    assert scan._pulse2_point.cache_info()[:2] == (0, 4)
 
 
 def test_scan_errors_are_the_same_on_every_call():
     """A working point pulse 2 refuses is not cached: each scan raises afresh."""
     cfg = RobustnessConfig(0.1, 10, 1, 5.0, 6.0, 711.0)  # V+ > omega: no pulse-2 time
-    harness._pulse2_point.cache_clear()
+    scan._pulse2_point.cache_clear()
     messages = []
     for _ in range(2):
         with pytest.raises(ValueError, match="gives no duration") as raised:
             robustness_scan(cfg)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
-    assert harness._pulse2_point.cache_info()[:3] == (0, 2, 8)  # (hits, misses, maxsize)
+    assert scan._pulse2_point.cache_info()[:3] == (0, 2, 8)  # (hits, misses, maxsize)
 
 
 def test_mean_fidelity_is_seed_insensitive():
@@ -357,14 +358,14 @@ def test_batched_fidelities_ignore_buffer_alignment(monkeypatch, offset):
         start = -raw.ctypes.data % 64 + offset
         return raw[start : start + size].view(np.float64).reshape(shape)
 
-    assert dynamics._aligned_empty(3, 1001).ctypes.data % 64 == 0
+    assert pulse3._aligned_empty(3, 1001).ctypes.data % 64 == 0
     rng = np.random.Generator(np.random.Philox(key=[98, 0]))
     general = rng.normal(size=8) + 1j * rng.normal(size=8)
     omegas = 58.8 * rng.uniform(0.9, 1.1, size=(1001, 4))
     for psi2 in (general / np.linalg.norm(general), np.eye(8)[5].astype(complex)):
         aligned = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
         with monkeypatch.context() as patch:
-            patch.setattr(dynamics, "_aligned_empty", shifted)
+            patch.setattr(pulse3, "_aligned_empty", shifted)
             assert _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5).tobytes() == (
                 aligned.tobytes())
 
@@ -377,7 +378,7 @@ def _inline_and_threaded(*args, **kwargs):
     the batch spans more than one chunk), asserted bit-equal."""
     runs = []
     for cpus in (1, 2):
-        with mock.patch.object(dynamics, "_usable_cpus", return_value=cpus):
+        with mock.patch.object(pulse3, "_usable_cpus", return_value=cpus):
             runs.append(_batched_pulse3_fidelities(*args, **kwargs))
     assert np.array_equal(*runs)
     return runs[0]
@@ -416,15 +417,15 @@ def test_batched_fidelities_raise_a_failed_pass_in_the_caller(monkeypatch, faili
     """A pass that raises, in the thread or in the caller's own block, reaches the
     caller once every worker has ended; no partial fids come back, and numpy's
     ufunc buffer size is the caller's again."""
-    passes = dynamics._chebyshev_pass
+    passes = pulse3._chebyshev_pass
 
     def failing_pass(*args):
         if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
             raise RuntimeError(f"pass failed in the {failing}")
         passes(*args)
 
-    monkeypatch.setattr(dynamics, "_chebyshev_pass", failing_pass)
-    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pulse3, "_chebyshev_pass", failing_pass)
+    monkeypatch.setattr(pulse3, "_usable_cpus", lambda: 2)
     omegas = 58.8 * np.random.default_rng(3).uniform(0.9, 1.1, size=(50, 4))
     psi2 = np.eye(8)[5].astype(complex)
     alive, bufsize = threading.active_count(), np.getbufsize()
@@ -1477,29 +1478,98 @@ def test_cli_garbage_does_not_grow_with_the_work(capsys, monkeypatch, small, lar
     assert garbage(*small) == garbage(*large) < 1000
 
 
-_VDW_ONLY =("rydex.dynamics", "rydex.protocols", "mpmath")
+# the rydex modules a command loads: every command reads the model (atoms, radial's
+# table, vdw) and writes through harness; the pair and scan commands add the protocols
+_BASE_MODULES = ("rydex", "rydex.atoms", "rydex.cli", "rydex.data", "rydex.harness",
+                 "rydex.radial", "rydex.vdw")
+_PAIR_MODULES = (*_BASE_MODULES, "rydex.dynamics", "rydex.protocols")
+_SCAN_MODULES = (*_PAIR_MODULES, "rydex.pulse3", "rydex.scan")
+# perfbench's CLI_COMMANDS, copied, each with the rydex modules it loads
+REFERENCE_COMMANDS = (
+    ("coeffs", ("coeffs", "--na", "73", "--nb", "75"), _BASE_MODULES),
+    ("critical-radius", ("critical-radius", "--na", "73", "--nb", "75"), _BASE_MODULES),
+    ("pair-sim", ("pair-sim",), _PAIR_MODULES),
+    ("pair-sim-optimize", ("pair-sim", "--optimize"), (*_PAIR_MODULES, "rydex.optimizer")),
+    ("swap-sim", ("swap-sim",), _PAIR_MODULES),
+    ("chain-4", ("chain", "--atoms", "4"), (*_PAIR_MODULES, "rydex.chain")),
+    ("chain-16", ("chain", "--atoms", "16", "--format", "csv"), (*_PAIR_MODULES, "rydex.chain")),
+    ("robustness", ("robustness", "--samples", "10000"), _SCAN_MODULES),
+    ("table-I", ("table", "I"), (*_BASE_MODULES, "rydex.tables")),
+    ("table-II", ("table", "II"), (*_BASE_MODULES, "rydex.tables")),
+    ("table-III", ("table", "III"), (*_BASE_MODULES, "rydex.tables")),
+    ("table-IV", ("table", "IV", "--format", "csv"), (*_BASE_MODULES, "rydex.tables")),
+    ("figure-3", ("figure", "3"), (*_PAIR_MODULES, "rydex.figures")),
+    ("figure-4", ("figure", "4", "--samples", "10000", "--format", "csv"),
+     (*_SCAN_MODULES, "rydex.figures")),
+)
+
+
+def test_reference_commands_are_perfbench_cli_commands():
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py").read_text()
+    (assign,) = [node for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "CLI_COMMANDS"]
+    assert ast.literal_eval(assign.value) == tuple(c[:2] for c in REFERENCE_COMMANDS)
 
 
 @pytest.mark.parametrize(
-    "code, absent",
+    "code, modules, absent",
     [
-        ("import rydex", ("rydex.", "numpy", "mpmath")),
-        ("from rydex.cli import main; main(['coeffs', '--na', '73', '--nb', '75'])", _VDW_ONLY),
-        ("from rydex.cli import main; main(['table', 'I'])", _VDW_ONLY),
-        # scipy is a test-only dependency
-        ("import rydex, rydex.cli; rydex.optimize_pairwise(5.0, 711.0, restarts=2)", ("scipy",)),
+        ("import rydex", ("rydex",), ("numpy", "mpmath")),
+        *((f"from rydex.cli import main; main({list(argv)!r})", modules, ("mpmath", "scipy"))
+          for _, argv, modules in REFERENCE_COMMANDS),
+        # scipy is a test-only dependency; no model is read, so no data
+        ("import rydex, rydex.cli; rydex.optimize_pairwise(5.0, 711.0, restarts=2)",
+         (*(m for m in _PAIR_MODULES if m != "rydex.data"), "rydex.optimizer"), ("scipy",)),
     ],
-    ids=["import", "coeffs", "table-I", "optimizer"],
+    ids=["import", *(label for label, _, _ in REFERENCE_COMMANDS), "optimizer"],
 )
-def test_start_up_loads_only_what_a_command_runs(code, absent):
-    """In a fresh process, a bare import loads no layer, and a command no layer,
-    nor mpmath, that it does not run."""
+def test_start_up_loads_only_what_a_command_runs(code, modules, absent):
+    """In a fresh process, a bare import loads no layer, and each reference command
+    exactly the rydex modules it runs: the pair commands no chain, optimizer, scan,
+    pulse-3 kernel, table or figure module, the tables no scan; none loads mpmath."""
     listing = "import sys; print(*sorted(sys.modules), file=sys.stderr)"
     proc = _fresh_process("-c", f"{code}\n{listing}")
     assert proc.returncode == 0
     loaded = proc.stderr.split()
-    assert "rydex" in loaded
+    assert [m for m in loaded if m == "rydex" or m.startswith("rydex.")] == sorted(modules)
     assert [m for m in loaded if m.startswith(absent)] == []
+
+
+def test_perfbench_tracer_still_times_the_moved_stages():
+    """perfbench's tracer wraps the functions of its seven layers only, and reads the
+    sampler and the pulse-3 kernel as ``harness`` attributes. Installed in a fresh
+    process, it still times both stages of a 1k scan, and still counts the
+    optimizer's ``pairwise_entangle`` runs and the chain's, though the scan, the
+    kernel, the optimizer's search and the chain live in modules loaded on first use."""
+    code = f"""
+import json, sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer, layer_metrics
+tracer = Tracer()
+tracer.install()
+from rydex import harness, protocols
+from rydex.atoms import QuantumDefectModel
+harness.robustness_scan(harness.RobustnessConfig(0.1, 1000, 1, {NOMINAL_OMEGA}, {V_PLUS}, {V_MINUS}))
+protocols.optimize_pairwise(5.0, 711.0, restarts=2)
+protocols.chain_protocol(QuantumDefectModel.default(), protocols.ChainSpec(4, 15.0, (73, 75)))
+snapshot = tracer.snapshot()
+extra = {{"vdw.near_resonant.excluded": 0, "cli.warnings": 0, "trace.overhead": 0.0}}
+print(json.dumps([snapshot, layer_metrics([snapshot], extra)]))
+"""
+    proc = _fresh_process("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    snapshot, metrics = json.loads(proc.stdout)
+    calls = {(parent, name): n for parent, name, n, *_ in snapshot["edges"]}
+    assert snapshot["missing"] == {}
+    assert calls["harness.robustness_scan", "harness.sampler"] == 1
+    assert calls["harness.robustness_scan", "harness.pulse3_batch"] == 1
+    assert calls["harness.robustness_scan", "dynamics.propagate"] == 1  # pulse 2
+    assert calls["protocols.optimize_pairwise", "protocols.pairwise_entangle"] == 2
+    assert metrics["harness.sampler_s"]["value"] > 0
+    assert metrics["harness.pulse3_batch_s"]["value"] > 0
+    assert metrics["protocols.optimize.evals"]["value"] == 2
+    assert metrics["protocols.pairwise_entangle.calls"]["value"] == 3  # the chain's one too
+    assert metrics["dynamics.eigh.calls"]["value"] > 0
 
 
 @pytest.mark.parametrize(

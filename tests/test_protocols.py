@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rydex.optimizer
 import rydex.protocols
 from rydex.atoms import QuantumDefectModel
 from rydex.dynamics import (
@@ -23,15 +24,12 @@ from rydex.dynamics import (
     propagate,
     tau2_approximate,
 )
+from rydex.chain import MAX_CHAIN_ATOMS, _chain_schedule
+from rydex.optimizer import _lockstep_nelder_mead, _sector_fidelities, _vertex_order
 from rydex.protocols import (
-    MAX_CHAIN_ATOMS,
     SWAP_MATRIX_IDEAL,
     ChainSpec,
-    _chain_schedule,
-    _lockstep_nelder_mead,
     _nominal_point,
-    _sector_fidelities,
-    _vertex_order,
     chain_fidelity_estimate,
     chain_ideal_state,
     chain_protocol,
@@ -181,7 +179,7 @@ def test_optimizer_never_returns_below_its_start(monkeypatch):
     def worse(starts, lo, hi, tol, v_plus_khz, v_minus_khz):
         return lo, False
 
-    monkeypatch.setattr(rydex.protocols, "_lockstep_nelder_mead", worse)
+    monkeypatch.setattr(rydex.optimizer, "_lockstep_nelder_mead", worse)
     opt = optimize_pairwise(5.0, 711.0, restarts=2)
     omega, tau2, tau3 = _nominal_point(5.0, 711.0)
     assert opt.result.fidelity == opt.start_fidelity

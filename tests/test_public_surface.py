@@ -107,7 +107,7 @@ def test_package_names_load_lazily_and_completely():
     # names read through a layer that loads their home module on first use
     harness, radial = layers[MODULES.index("harness")], layers[MODULES.index("radial")]
     assert harness.pair_couplings is rydex.protocols.pair_couplings
-    assert harness._batched_pulse3_fidelities is rydex.dynamics._batched_pulse3_fidelities
+    assert harness._batched_pulse3_fidelities is rydex.pulse3._batched_pulse3_fidelities
     assert radial.mpmath is mpmath
     for layer in (harness, radial):
         with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):

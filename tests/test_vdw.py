@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from rydex.atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel, _rydberg_ritz
 from rydex import radial, vdw
 from rydex.radial import radial_integral
-from rydex.harness import REFERENCE_TABLE_I
+from rydex.tables import REFERENCE_TABLE_I
 from rydex.vdw import (
     NEAR_RESONANCE_GHZ,
     SPIN_BASIS,

@@ -23,7 +23,7 @@ before it: equal digests mean bit-equal outputs. The log lines and the
 critical-radius warning are not printed. Takes about 15 s on a 2-core VM.
 
 ``robustness`` hashes the batched pulse-3 fidelities,
-``dynamics._batched_pulse3_fidelities``, of 300 fixed draws for two psi2
+``pulse3._batched_pulse3_fidelities``, of 300 fixed draws for two psi2
 (one with every row nonzero, one zero on the five rows a robustness scan's
 psi2 never reaches), two (V_s, V_c) and eight pulse-3 durations: short,
 long and negative ones on the Chebyshev kernel, the longest on the eigh
@@ -48,7 +48,7 @@ default, past which two workers run) and 8192 samples. It also hashes the
 about 1 s.
 
 ``sampler`` hashes the float hex of the Monte Carlo draws,
-``harness._sample_omegas``, for the seeds 0, 1, 12345, 2**63 and
+``scan._sample_omegas``, for the seeds 0, 1, 12345, 2**63 and
 2**64 - 1 (the last two wrap key word 0 on its first bump), at 1, 4095, 4096,
 4097, 8191, 8192, 8193, 16385 and 100,000 samples (on both sides of one
 and two passes of the old 4096 keys and the current 8192), each at
@@ -133,7 +133,6 @@ import numpy as np  # noqa: E402
 
 from rydex.atoms import DefectSeries, QuantumDefectModel, _rydberg_ritz  # noqa: E402
 from rydex.atoms import clebsch_gordan  # noqa: E402
-from rydex.dynamics import _batched_pulse3_fidelities  # noqa: E402
 from rydex.dynamics import (  # noqa: E402
     PulseSpec,
     QuantumState,
@@ -145,7 +144,6 @@ from rydex.dynamics import (  # noqa: E402
 )
 from rydex.harness import (  # noqa: E402
     RobustnessConfig,
-    _sample_omegas,
     dumps_json,
     histogram_payload,
     histogram_rows,
@@ -154,6 +152,7 @@ from rydex.harness import (  # noqa: E402
     run_figure,
     run_table,
 )
+from rydex.pulse3 import _batched_pulse3_fidelities  # noqa: E402
 from rydex.radial import _sp_row, _sp_table, radial_integral  # noqa: E402
 from rydex.protocols import (  # noqa: E402
     ChainSpec,
@@ -163,6 +162,7 @@ from rydex.protocols import (  # noqa: E402
     pairwise_entangle,
     swap_gate,
 )
+from rydex.scan import _sample_omegas  # noqa: E402
 from rydex.vdw import (  # noqa: E402
     _p_levels,
     c6_pair,
