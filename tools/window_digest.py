@@ -1,7 +1,8 @@
 """Print one SHA-256 over a section of pinned outputs.
 
     python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|
-                                    serialize|histogram|chain|optimize|radial|levels|clebsch]
+                                    serialize|histogram|chain|optimize|radial|levels|clebsch|
+                                    cli]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
@@ -97,6 +98,15 @@ Takes under 1 s.
 0, 1/2, ..., 5 and each m running over -j..j: 287,496 calls, most of them 0.0
 by a selection rule. Takes about 1 s.
 
+``cli`` hashes the exit code, stdout and stderr bytes of 63 ``rydex``
+invocations, each a fresh ``python -m rydex.cli`` process with ``COLUMNS=80``
+in a scratch directory: the bare command, ``--help``, ``-h coeffs``, an
+unknown command and an unknown option; per subcommand ``--help``, an unknown
+option, a bad ``--format`` and its missing, mistyped or bad-choice arguments;
+and ``--config`` files given as ``--config``, ``--conf`` and ``--config=``
+that hold other commands' keys, an unknown key, a bad boolean, a line with no
+value or no file at all. Takes about 10 s.
+
 Recorded digests (equal at the commit that added ``sampler`` and
 ``serialize`` and at its parent, with the tool copied in):
 ``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
@@ -122,7 +132,10 @@ import hashlib
 import itertools
 import logging
 import math
+import os
+import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -439,12 +452,72 @@ def clebsch_section() -> str:
     return h.hexdigest()
 
 
+# the invocations of the ``cli`` section: top-level ones, then per subcommand
+CLI_TOP = ([], ["--help"], ["-h", "coeffs"], ["bogus"], ["--bogus"])
+CLI_ERRORS = {
+    "coeffs": (["--na", "73"], ["--na", "x", "--nb", "75"], ["--na", "73", "--nb", "75", "--dn", "1.5"]),
+    "critical-radius": (["--nb", "75"], ["--na", "73", "--nb", "seventy"]),
+    "pair-sim": (["--seed"], ["--omega2", "fast"], ["--optimize", "yes"]),
+    "swap-sim": (["--phi"], ["--omega", "x"]),
+    "chain": (["--atoms"], ["--atoms", "four"]),
+    "robustness": (["--samples", "1e5"], ["--epsilon"]),
+    "table": ([], ["V"], ["I", "II"]),
+    "figure": ([], ["5"], ["three"]),
+}
+CLI_CONFIGS = {
+    "other.conf": "na 73\nnb 75\ndn = 3\natoms 4\nsamples 10\noptimize no\nseed 3  # kept\n",
+    "unknown.conf": "na 73\nbogus 1\n",
+    "boolean.conf": "optimize maybe\n",
+    "empty-value.conf": "na\n",
+}
+CLI_CONFIG_RUNS = (
+    ["coeffs", "--config", "other.conf"],
+    ["coeffs", "--conf", "other.conf"],
+    ["coeffs", "--config=other.conf", "--na", "80"],
+    ["critical-radius", "--conf=other.conf"],
+    ["table", "--config", "other.conf"],
+    ["chain", "--config", "other.conf", "--f1", "0.99", "--fswap", "0.98", "--tau", "1"],
+    ["pair-sim", "--config", "other.conf"],
+    ["robustness", "--config", "other.conf", "--format", "csv"],
+    ["coeffs", "--config", "unknown.conf"],
+    ["pair-sim", "--config", "boolean.conf"],
+    ["coeffs", "--config", "empty-value.conf"],
+    ["coeffs", "--config", "missing.conf"],
+    ["coeffs", "--config"],
+    ["--config", "other.conf", "coeffs"],
+)
+
+
+def cli_invocations() -> list[list[str]]:
+    """The argv of every ``cli`` invocation, in digest order."""
+    runs = [list(argv) for argv in CLI_TOP]
+    for command, errors in CLI_ERRORS.items():
+        runs += [[command, "--help"], [command, "--bogus"], [command, "--format", "xml"]]
+        runs += [[command, *argv] for argv in errors]
+    return runs + [list(argv) for argv in CLI_CONFIG_RUNS]
+
+
+def cli_section() -> str:
+    h = hashlib.sha256()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80", LINES="24",
+               PYTHONDONTWRITEBYTECODE="1")
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, text in CLI_CONFIGS.items():
+            Path(scratch, name).write_text(text, encoding="utf-8")
+        for argv in cli_invocations():
+            proc = subprocess.run([sys.executable, "-m", "rydex.cli", *argv], cwd=scratch,
+                                  env=env, capture_output=True, check=False)
+            h.update(f"{argv!r}{proc.returncode}:{len(proc.stdout)}:".encode())
+            h.update(proc.stdout + b"|" + proc.stderr)
+    return h.hexdigest()
+
+
 SECTIONS = {"window": window_section, "robustness": robustness_section,
             "protocols": protocols_section, "batches": batches_section,
             "sampler": sampler_section, "serialize": serialize_section,
             "histogram": histogram_section, "chain": chain_section,
             "optimize": optimize_section, "radial": radial_section,
-            "levels": levels_section, "clebsch": clebsch_section}
+            "levels": levels_section, "clebsch": clebsch_section, "cli": cli_section}
 
 
 def main() -> None:
