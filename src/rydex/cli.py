@@ -64,40 +64,21 @@ def _add_coupling_overrides(p: argparse.ArgumentParser) -> None:
                    help="override the antisymmetric Bell-state shift in kHz")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser: one subparser per command."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--defects", metavar="FILE", default=None,
-                        help="quantum-defect data file (default: bundled Rb-87)")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write the result to this file")
-    common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default json)")
-    common.add_argument("--config", metavar="FILE", default=None,
-                        help="flat key-value settings file; flags override it")
-
-    parser = argparse.ArgumentParser(
-        prog="rydex",
-        description="Spin-exchange Rydberg interactions and entanglement protocols.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("coeffs", parents=[common],
-                       help="van der Waals coefficients of an (na, nb) pair")
+def _coeffs_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_coeffs)
     _add_pair_options(p, required=True)
     p.add_argument("--dn", type=int, default=10,
                    help="intermediate-level window half-width (default 10)")
 
-    p = sub.add_parser("critical-radius", parents=[common],
-                       help="crossover radius to the resonant dipole regime")
+
+def _critical_radius_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_critical_radius)
     _add_pair_options(p, required=True)
     p.add_argument("--dn", type=int, default=3,
                    help="intermediate-level window half-width (default 3)")
 
-    p = sub.add_parser("pair-sim", parents=[common],
-                       help="three-pulse Bell-state preparation")
+
+def _pair_sim_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_pair_sim)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
@@ -114,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the optimizer restarts (default 0)")
 
-    p = sub.add_parser("swap-sim", parents=[common],
-                       help="pi/2pi/pi signed-SWAP gate")
+
+def _swap_sim_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_swap_sim)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
@@ -128,8 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", type=float, default=0.0,
                    help="drive phase in radians (default 0)")
 
-    p = sub.add_parser("chain", parents=[common],
-                       help="chain schedule, fidelity estimate, spectator shift")
+
+def _chain_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_chain)
     p.add_argument("--atoms", type=int, default=4,
                    help="chain length: 4, 6, or a multiple of 4 up to 2**53 (default 4)")
@@ -146,8 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-operation Rydberg exposure in us "
                         "(default: from the simulated protocols)")
 
-    p = sub.add_parser("robustness", parents=[common],
-                       help="Monte Carlo fidelity distribution under drive dispersion")
+
+def _robustness_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_robustness)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
@@ -160,13 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=None,
                    help="nominal Rabi frequency in kHz (default sqrt|V+ V-|)")
 
-    p = sub.add_parser("table", parents=[common],
-                       help="reproduce a reference table with deviations")
+
+def _table_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_table)
     p.add_argument("table_id", choices=("I", "II", "III", "IV"), metavar="{I,II,III,IV}")
 
-    p = sub.add_parser("figure", parents=[common],
-                       help="emit plot data for the trajectory or histogram figure")
+
+def _figure_options(p: argparse.ArgumentParser) -> None:
     p.set_defaults(handler=_cmd_figure)
     p.add_argument("figure_id", type=int, choices=(3, 4), metavar="{3,4}")
     p.add_argument("--samples", type=int, default=100000,
@@ -174,8 +155,50 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=12345,
                    help="seed for the histogram figure")
 
-    for child in sub.choices.values():  # "-5e0" is a value, as in "--v-plus=-5e0"
-        child._negative_number_matcher = _NEGATIVE_NUMBER
+
+# each command's help line and the function adding its options, in help order
+_COMMANDS = {
+    "coeffs": ("van der Waals coefficients of an (na, nb) pair", _coeffs_options),
+    "critical-radius": ("crossover radius to the resonant dipole regime",
+                        _critical_radius_options),
+    "pair-sim": ("three-pulse Bell-state preparation", _pair_sim_options),
+    "swap-sim": ("pi/2pi/pi signed-SWAP gate", _swap_sim_options),
+    "chain": ("chain schedule, fidelity estimate, spectator shift", _chain_options),
+    "robustness": ("Monte Carlo fidelity distribution under drive dispersion",
+                   _robustness_options),
+    "table": ("reproduce a reference table with deviations", _table_options),
+    "figure": ("emit plot data for the trajectory or histogram figure", _figure_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: one subparser per command, each with its options. When
+    ``command`` names one, only its subparser gets options (the others keep their
+    name and help line), which is all that parsing that command reads."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--defects", metavar="FILE", default=None,
+                        help="quantum-defect data file (default: bundled Rb-87)")
+    common.add_argument("--out", metavar="PATH", default=None,
+                        help="write the result to this file")
+    common.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output format (default json)")
+    common.add_argument("--config", metavar="FILE", default=None,
+                        help="flat key-value settings file; flags override it")
+
+    parser = argparse.ArgumentParser(
+        prog="rydex",
+        description="Spin-exchange Rydberg interactions and entanglement protocols.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    every = command not in _COMMANDS
+    for name, (help_line, add_options) in _COMMANDS.items():
+        if every or name == command:
+            p = sub.add_parser(name, parents=[common], help=help_line)
+            add_options(p)
+            # "-5e0" is a value, as in "--v-plus=-5e0"
+            p._negative_number_matcher = _NEGATIVE_NUMBER
+        else:
+            sub.add_parser(name, help=help_line)
     return parser
 
 
@@ -410,13 +433,20 @@ def _cmd_figure(args, model):
     return data, (data["columns"], data["rows"])
 
 
-def _splice_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Insert ``--config`` entries as ``--key=value`` tokens right after the
-    subcommand: argparse then coerces and checks them, and typed flags,
-    parsed later, win. Keys that only other subcommands own are skipped."""
+def _config_path(argv: list[str]) -> str | None:
+    """The ``--config`` file of ``argv`` as argparse reads it, ``--conf f`` and
+    ``--config=f`` included; None for a bare ``--config``, left to the subparser."""
     peek = argparse.ArgumentParser(add_help=False)
-    peek.add_argument("--config", nargs="?")  # a bare --config is left to the subparser
-    path = peek.parse_known_args(argv)[0].config
+    peek.add_argument("--config", nargs="?")
+    return peek.parse_known_args(argv)[0].config
+
+
+def _splice_config(parser: argparse.ArgumentParser, argv: list[str],
+                   path: str | None) -> list[str]:
+    """Insert the entries of the ``--config`` file ``path`` as ``--key=value`` tokens
+    right after the subcommand: argparse then coerces and checks them, and typed
+    flags, parsed later, win. Keys that only other subcommands own are skipped; a key
+    no subcommand owns is refused, so ``parser`` has every subcommand's options."""
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     if path is None or argv[0] not in sub.choices:
         return argv
@@ -445,9 +475,11 @@ def _splice_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_splice_config(parser, argv))
+    path = _config_path(argv)
+    # a config file's keys are sorted by every subcommand's options
+    parser = build_parser(argv[0] if argv and path is None else None)
+    args = parser.parse_args(_splice_config(parser, argv, path))
     try:
         model = (
             QuantumDefectModel.from_file(args.defects)

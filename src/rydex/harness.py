@@ -17,7 +17,6 @@ a float's text once and keeps it in a bounded memo.
 
 from __future__ import annotations
 
-import csv
 import importlib
 import io
 import json
@@ -229,6 +228,8 @@ def rows_to_csv(columns: list[str], rows: list) -> str:
     of at most _FLOAT_TEXTS floats, emptied when full, so the bytes and error
     messages are those of formatting every cell afresh.
     """
+    import csv  # loaded only by a command that writes CSV
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)

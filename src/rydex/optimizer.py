@@ -1,6 +1,7 @@
 """The optimizer's search: scipy's Nelder-Mead on plain floats, run in lockstep
 from every start of ``protocols.optimize_pairwise``, each round scored in one
-stacked batch. Only ``pair-sim --optimize`` loads it, through that function.
+stacked batch, and the restart points it starts from. Only ``pair-sim
+--optimize`` loads it, through that function.
 """
 
 from __future__ import annotations
@@ -14,6 +15,66 @@ import numpy as np
 from .dynamics import _SQRT2, _evolve, _pulse2_matrices, _pulse3_matrices
 
 _UU_3, _G_PLUS_4 = np.eye(3)[0], np.eye(4)[3]  # |Uu> and |g+> in their pulse's sector
+
+_MASK32, _MASK64 = 2**32 - 1, 2**64 - 1
+# numpy's SeedSequence hash constants, and Philox4x64-10's round multipliers and key
+# increments (Salmon et al., SC'11), which ``scan`` holds as uint64 for its sampler
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M0, _M1, _W0, _W1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+
+
+def _philox_key(seed: int) -> tuple[int, int]:
+    """``np.random.SeedSequence(seed).generate_state(2, np.uint64)``: the 32-bit words
+    of ``seed``, least significant first, hashed into a pool of four words, which are
+    hashed out again as two little-endian 64-bit words."""
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * _MULT_A & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):  # each pool word into every other, then the words past the pool
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, state = _INIT_B, []
+    for value in pool:
+        value ^= hash_b
+        hash_b = hash_b * _MULT_B & _MASK32
+        value = value * hash_b & _MASK32
+        state.append(value ^ value >> 16)
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _restart_points(seed: int, count: int, lo: list[float], hi: list[float]) -> list[list[float]]:
+    """``count`` draws of ``np.random.Generator(np.random.Philox(seed)).uniform(lo, hi)``
+    for 4-vectors lo and hi, bit for bit: draw i is the Philox4x64-10 block of counter
+    (i, 0, 0, 0) under the seed's key, each word x giving lo + (hi - lo) (x >> 11) 2**-53.
+    Each hi - lo must be finite, as numpy requires; the optimizer's box stays below 1e165.
+    """
+    width = [h - l for l, h in zip(lo, hi)]
+    key, points = _philox_key(seed), []
+    for counter in range(1, count + 1):
+        (k0, k1), c = key, [counter, 0, 0, 0]
+        for _ in range(10):  # each round, then the key's bump
+            p0, p1 = _M0 * c[0], _M1 * c[2]
+            c = [p1 >> 64 ^ c[1] ^ k0, p1 & _MASK64, p0 >> 64 ^ c[3] ^ k1, p0 & _MASK64]
+            k0, k1 = (k0 + _W0) & _MASK64, (k1 + _W1) & _MASK64
+        points.append([l + w * ((x >> 11) * 2.0**-53) for l, w, x in zip(lo, width, c)])
+    return points
 
 
 def _sector_fidelities(x: np.ndarray, v_plus_khz: float, v_minus_khz: float) -> list[float]:

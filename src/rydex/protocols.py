@@ -330,7 +330,8 @@ def optimize_pairwise(
     Restarted Nelder-Mead inside the box of 0.5-3x the working drive and 0.25-2x
     its durations: the first start is the working point (omega2 = omega3 =
     sqrt|V+ V-| with closed-form durations), the rest are drawn uniformly from the
-    box by a counter-based generator, so results are deterministic for a seed. The
+    box as ``np.random.Generator(np.random.Philox(seed))`` draws them
+    (``optimizer._restart_points``), so results are deterministic for a seed. The
     restarts take scipy's Nelder-Mead steps (xatol 1e-6, fatol 1e-9, maxiter 400)
     bit for bit on plain floats, in lockstep (``optimizer._lockstep_nelder_mead``), each
     round scored in one stacked batch (``_sector_fidelities``); ``converged`` if any stops
@@ -340,9 +341,9 @@ def optimize_pairwise(
     """
     _require_finite("v_plus_khz", v_plus_khz)
     _require_finite("v_minus_khz", v_minus_khz)
-    _require_int("seed", seed, 0)
+    seed = _require_int("seed", seed, 0)
     _require_int("restarts", restarts, 1, MAX_RESTARTS)
-    from .optimizer import _lockstep_nelder_mead
+    from .optimizer import _lockstep_nelder_mead, _restart_points
 
     omega, tau2, tau3 = _nominal_point(v_plus_khz, v_minus_khz)  # all > 0
     start = np.array([omega, omega, tau2, tau3])
@@ -355,8 +356,7 @@ def optimize_pairwise(
                                      tau2_us=x[2], tau3_us=x[3])
 
     at_start = run(start)
-    rng = np.random.Generator(np.random.Philox(seed))
-    starts = [start] + [rng.uniform(lo, hi) for _ in range(restarts - 1)]
+    starts = [start, *_restart_points(seed, restarts - 1, lo.tolist(), hi.tolist())]
     best_x, converged = _lockstep_nelder_mead(starts, lo, hi, 1e-6, v_plus_khz, v_minus_khz)
 
     final = run(best_x)

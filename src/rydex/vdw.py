@@ -47,7 +47,7 @@ import math
 import operator
 import warnings
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -259,24 +259,46 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@dataclass(frozen=True, eq=False)  # ndarray fields: == and hash go by identity
-class _Window:
+class _ArrayRecord:
+    """A record of arrays whose fields, the ``__init__`` parameters (``_fields``), live
+    in the instance ``__dict__`` and cannot be reassigned or deleted. == and hash go by
+    identity, as an ndarray has no truth value; ``pickle`` and ``copy`` restore the
+    ``__dict__`` directly. A plain class: a dataclass's generated methods cost every
+    process their compilation."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _fill(self, arguments: dict) -> None:
+        """Keeps ``__init__``'s ``locals()``, taken first, as the fields."""
+        fields = vars(self)
+        fields.update(arguments)
+        del fields["self"]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class _Window(_ArrayRecord):
     """One window as read-only (channel, term) arrays, channels in
     CHANNEL_FINE_STRUCTURE order and terms da outer, db inner; ``ns`` and ``nt``
     label the term axis. Its reductions are computed on first use and kept on
     the window, so the ``_pair_windows`` cache bounds them too."""
 
-    n_a: int
-    n_b: int
-    dn_cutoff: int
-    ns: np.ndarray
-    nt: np.ndarray
-    defect: np.ndarray
-    rr: np.ndarray
-    rr_cross: np.ndarray
-
-    def __post_init__(self) -> None:
-        for array in (self.ns, self.nt, self.defect, self.rr, self.rr_cross):
+    def __init__(self, n_a: int, n_b: int, dn_cutoff: int, ns: np.ndarray, nt: np.ndarray,
+                 defect: np.ndarray, rr: np.ndarray, rr_cross: np.ndarray) -> None:
+        self._fill(locals())
+        for array in (ns, nt, defect, rr, rr_cross):
             _read_only(array)
 
     def cut(self, dn_cutoff: int) -> _Window:
@@ -467,21 +489,19 @@ def _v_plus_minus(spacing_um: float, vs_khz: float, vc_khz: float) -> tuple[floa
     return v_plus, v_minus
 
 
-@dataclass(frozen=True, eq=False)  # ndarray fields: == and hash go by identity
-class InteractionMatrix:
+class InteractionMatrix(_ArrayRecord):
     """Second-order interaction blocks of a two-atom pair at spacing L.
 
     ``v1_khz`` acts within the ordered pair |n_A s, n_B s> and
     ``v2_khz`` couples it to the atom-exchanged pair |n_B s, n_A s>;
     both are 4x4 on SPIN_BASIS, in kHz. ``vs_khz`` and ``vc_khz`` are
-    the middle-block diagonal and off-diagonal of v1.
+    the middle-block diagonal and off-diagonal of v1. Read-only, and
+    == compares by identity.
     """
 
-    spacing_um: float
-    v1_khz: np.ndarray
-    v2_khz: np.ndarray
-    vs_khz: float
-    vc_khz: float
+    def __init__(self, spacing_um: float, v1_khz: np.ndarray, v2_khz: np.ndarray,
+                 vs_khz: float, vc_khz: float) -> None:
+        self._fill(locals())
 
     @property
     def v_plus_minus_khz(self) -> tuple[float, float]:
@@ -582,20 +602,14 @@ class ChannelContribution(NamedTuple):
     c6_minus: float
 
 
-@dataclass(frozen=True, eq=False)  # ndarray fields: == and hash go by identity
-class InterferenceDecomposition(Sequence):
+class InterferenceDecomposition(_ArrayRecord, Sequence):
     """A window's kept terms in window order, as read-only columns named as the
     ``ChannelContribution`` fields; as a sequence, the rows, built only when read,
-    of Python ints and floats bit-equal to the columns."""
+    of Python ints and floats bit-equal to the columns. == compares by identity."""
 
-    channel: np.ndarray
-    ns: np.ndarray
-    nt: np.ndarray
-    defect_ghz: np.ndarray
-    c6_plus: np.ndarray
-    c6_minus: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __init__(self, channel: np.ndarray, ns: np.ndarray, nt: np.ndarray,
+                 defect_ghz: np.ndarray, c6_plus: np.ndarray, c6_minus: np.ndarray) -> None:
+        self._fill(locals())
         for column in vars(self).values():
             column.setflags(write=False)  # one record serves every caller
 

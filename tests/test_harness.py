@@ -1123,6 +1123,30 @@ def test_cli_bad_config_exits_2(capsys, tmp_path, content, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--config", "--conf", "--config=", "--conf="])
+def test_cli_config_in_any_spelling_reads_every_command_options(capsys, tmp_path, flag):
+    """A config file, its flag abbreviated or joined by '=', skips a key only another
+    command takes: the parser of a config run holds every command's options."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("na 73\nnb 75\natoms 4\n")  # only chain takes atoms
+    given = [f"{flag}{cfg}"] if flag.endswith("=") else [flag, str(cfg)]
+    assert _run_cli(capsys, ["coeffs", *given]) == _run_cli(capsys, _PAIR)
+
+
+def test_a_command_parser_adds_only_that_command_options():
+    """``build_parser(name)`` prints the full parser's top-level help and ``name``'s
+    help, with its options; the other subcommands keep their help line and only -h."""
+    full = build_parser()
+    for name, child in _SUBCOMMANDS.items():
+        parser = build_parser(name)
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        assert list(subparsers) == list(_SUBCOMMANDS)
+        assert parser.format_help() == full.format_help()
+        assert subparsers[name].format_help() == child.format_help()
+        assert [len(p._actions) for other, p in subparsers.items() if other != name] == [1] * 7
+
+
 def test_cli_missing_pair_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["coeffs"])
@@ -1515,18 +1539,23 @@ def test_reference_commands_are_perfbench_cli_commands():
     "code, modules, absent",
     [
         ("import rydex", ("rydex",), ("numpy", "mpmath")),
-        *((f"from rydex.cli import main; main({list(argv)!r})", modules, ("mpmath", "scipy"))
+        # csv only where a command writes CSV
+        *((f"from rydex.cli import main; main({list(argv)!r})", modules,
+           ("mpmath", "scipy", "numpy.random", *(() if "csv" in argv else ("csv",))))
           for _, argv, modules in REFERENCE_COMMANDS),
         # scipy is a test-only dependency; no model is read, so no data
         ("import rydex, rydex.cli; rydex.optimize_pairwise(5.0, 711.0, restarts=2)",
-         (*(m for m in _PAIR_MODULES if m != "rydex.data"), "rydex.optimizer"), ("scipy",)),
+         (*(m for m in _PAIR_MODULES if m != "rydex.data"), "rydex.optimizer"),
+         ("scipy", "numpy.random")),
     ],
     ids=["import", *(label for label, _, _ in REFERENCE_COMMANDS), "optimizer"],
 )
 def test_start_up_loads_only_what_a_command_runs(code, modules, absent):
     """In a fresh process, a bare import loads no layer, and each reference command
     exactly the rydex modules it runs: the pair commands no chain, optimizer, scan,
-    pulse-3 kernel, table or figure module, the tables no scan; none loads mpmath."""
+    pulse-3 kernel, table or figure module, the tables no scan; none loads mpmath or
+    numpy.random (the optimizer draws its restarts itself), and only the CSV commands
+    load csv."""
     listing = "import sys; print(*sorted(sys.modules), file=sys.stderr)"
     proc = _fresh_process("-c", f"{code}\n{listing}")
     assert proc.returncode == 0

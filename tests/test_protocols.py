@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import rydex.optimizer
 import rydex.protocols
+from rydex import scan
 from rydex.atoms import QuantumDefectModel
 from rydex.dynamics import (
     CHANNELS,
@@ -25,8 +26,14 @@ from rydex.dynamics import (
     tau2_approximate,
 )
 from rydex.chain import MAX_CHAIN_ATOMS, _chain_schedule
-from rydex.optimizer import _lockstep_nelder_mead, _sector_fidelities, _vertex_order
+from rydex.optimizer import (
+    _lockstep_nelder_mead,
+    _restart_points,
+    _sector_fidelities,
+    _vertex_order,
+)
 from rydex.protocols import (
+    MAX_RESTARTS,
     SWAP_MATRIX_IDEAL,
     ChainSpec,
     _nominal_point,
@@ -172,6 +179,23 @@ def test_optimizer_rejects_non_finite_couplings():
 def test_optimizer_rejects_a_bad_seed_by_name(seed, message):
     with pytest.raises(ValueError, match=message):
         optimize_pairwise(5.0, 711.0, seed=seed)
+
+
+def test_restart_points_are_numpy_philox_draws():
+    """``_restart_points`` draws what ``np.random.Generator(np.random.Philox(seed))
+    .uniform(lo, hi)`` draws, bit for bit, for seeds of one to seven 32-bit words and
+    for all MAX_RESTARTS restarts of one seed. ``scan``'s uint64 copies of the Philox
+    constants are the optimizer's."""
+    start = np.array(_nominal_point(V_PLUS, V_MINUS))[[0, 0, 1, 2]]
+    lo, hi = start * [0.5, 0.5, 0.25, 0.25], start * [3.0, 3.0, 2.0, 2.0]
+    seeds = [*range(201), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 12345, 10**40]
+    for seed, count in [*((seed, 9) for seed in seeds), (7, MAX_RESTARTS - 1)]:
+        rng = np.random.Generator(np.random.Philox(seed))
+        expected = np.array([rng.uniform(lo, hi) for _ in range(count)])
+        drawn = np.array(_restart_points(seed, count, lo.tolist(), hi.tolist()))
+        assert drawn.tobytes() == expected.tobytes(), seed
+    assert [int(c) for c in (scan._M0, scan._M1, scan._W0, scan._W1)] == [
+        rydex.optimizer._M0, rydex.optimizer._M1, rydex.optimizer._W0, rydex.optimizer._W1]
 
 
 def test_optimizer_never_returns_below_its_start(monkeypatch):

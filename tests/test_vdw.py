@@ -1,8 +1,10 @@
 """Angular structure matrices, C6 sums, and the Bell-basis interaction."""
 
+import copy
 import dataclasses
 import logging
 import math
+import pickle
 import re
 import warnings
 from collections import Counter
@@ -22,6 +24,8 @@ from rydex.vdw import (
     SPIN_BASIS,
     C6Pair,
     ChannelContribution,
+    InteractionMatrix,
+    InterferenceDecomposition,
     SingularChannelError,
     _D_MATRICES,
     _M_MATRICES,
@@ -519,7 +523,7 @@ def _window_bits(window):
     parts = window.decomposition
     arrays = [(name, getattr(window, name)) for name in WINDOW_ARRAYS]
     arrays += [("sums", window.sums), *(("block", b) for b in window.blocks)]
-    arrays += [(f.name, getattr(parts, f.name)) for f in dataclasses.fields(parts)]
+    arrays += [(name, getattr(parts, name)) for name in parts._fields]
     radius = tuple(x.hex() if isinstance(x, float) else x
                    for x in window.critical_radius)
     exclusions = tuple(tuple(x.hex() if isinstance(x, float) else x for x in row)
@@ -602,6 +606,46 @@ def test_interaction_matrix_compares_and_hashes_by_identity():
     a, b = (interaction_matrix(MODEL, 73, 75, 15.0) for _ in range(2))
     assert a == a and a != b
     assert len({a, a, b}) == 2
+
+
+def _array_records():
+    """One of each array record: an interaction matrix, a decomposition and a window."""
+    return (interaction_matrix(MODEL, 73, 75, 15.0), interference_decomposition(MODEL, 73, 75),
+            _pair_terms(MODEL, 73, 75, 3))
+
+
+@pytest.mark.parametrize("index", range(3),
+                         ids=["InteractionMatrix", "InterferenceDecomposition", "_Window"])
+def test_array_records_are_read_only_and_pickle_and_copy(index):
+    """Each field, and any other name, refuses assignment and deletion as a frozen
+    dataclass does; ``pickle`` and ``copy.copy`` give a read-only record of the same
+    class with the same fields."""
+    record = _array_records()[index]
+    first = record._fields[0]
+    frozen = dataclasses.FrozenInstanceError
+    for name in (first, "extra"):
+        with pytest.raises(frozen, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, 0)
+    with pytest.raises(frozen, match=f"^cannot delete field '{first}'$"):
+        delattr(record, first)
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+        assert type(twin) is type(record) and twin is not record and twin != record
+        for name in record._fields:
+            a, b = getattr(twin, name), getattr(record, name)
+            assert a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b
+        with pytest.raises(frozen):
+            setattr(twin, first, 0)
+
+
+def test_public_array_records_repr_names_their_fields():
+    """The repr a dataclass gave: the class name and each field as name=repr, in order."""
+    matrix, parts, _ = _array_records()
+    assert repr(matrix) == (
+        f"InteractionMatrix(spacing_um=15.0, v1_khz={matrix.v1_khz!r}, v2_khz={matrix.v2_khz!r}, "
+        f"vs_khz={matrix.vs_khz!r}, vc_khz={matrix.vc_khz!r})")
+    assert InterferenceDecomposition._fields == ChannelContribution._fields
+    columns = ", ".join(f"{name}={getattr(parts, name)!r}" for name in ChannelContribution._fields)
+    assert repr(parts) == f"InterferenceDecomposition({columns})"
 
 
 def test_interaction_matrix_validation():
