@@ -183,9 +183,9 @@ def test_optimizer_rejects_a_bad_seed_by_name(seed, message):
 
 def test_restart_points_are_numpy_philox_draws():
     """``_restart_points`` draws what ``np.random.Generator(np.random.Philox(seed))
-    .uniform(lo, hi)`` draws, bit for bit, for seeds of one to seven 32-bit words and
-    for all MAX_RESTARTS restarts of one seed. ``scan``'s uint64 copies of the Philox
-    constants are the optimizer's."""
+    .uniform(lo, hi)`` draws, bit for bit, for seeds of one to five 32-bit words (five
+    is more than the key's pool of four) and for all MAX_RESTARTS restarts of one seed.
+    ``scan``'s uint64 copies of the Philox constants are the optimizer's."""
     start = np.array(_nominal_point(V_PLUS, V_MINUS))[[0, 0, 1, 2]]
     lo, hi = start * [0.5, 0.5, 0.25, 0.25], start * [3.0, 3.0, 2.0, 2.0]
     seeds = [*range(201), 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 12345, 10**40]
