@@ -41,12 +41,13 @@ and a blocked Hamiltonian over zero, forward and backward durations. Takes
 about 1 s.
 
 ``batches`` hashes the batched pulse-3 fidelities at the kernel's default
-``chunk`` for the first 1, 2047, 2049, 5119, 5121, 8191, 8193, 10241 and
-20,000 of 20,000 fixed draws, for the two psi2 of ``robustness``: sizes on
-both sides of one and two chunks of 2048 (the old default), 5120 (the
-default, past which two workers run) and 8192 samples. It also hashes the
-``histogram_payload`` of one 20,000-sample ``robustness_scan``. Takes
-about 1 s.
+``chunk`` for the first 1, 2047, 2049, 5119, 5121, 8191, 8193, 10241,
+20,000, 20,479, 20,480, 20,481, 20,483 and 100,000 of 100,000 fixed draws,
+for the two psi2 of ``robustness``: sizes on both sides of one and two
+chunks of 2048 (the old default), 5120 (the default) and 8192 samples, and
+of four chunks of 5120, past which a second worker runs, with halves of
+equal and unequal length. It also hashes the ``histogram_payload`` of one
+20,000-sample ``robustness_scan``. Takes about 2 s.
 
 ``sampler`` hashes the float hex of the Monte Carlo draws,
 ``scan._sample_omegas``, for the seeds 0, 1, 12345, 2**63 and
@@ -270,10 +271,11 @@ def batches_section() -> str:
     h = hashlib.sha256()
     rng = np.random.Generator(np.random.Philox(key=[2029, 0]))
     general = rng.normal(size=8) + 1j * rng.normal(size=8)
-    omegas = OMEGA * rng.uniform(0.8, 1.2, size=(20_000, 4))
+    omegas = OMEGA * rng.uniform(0.8, 1.2, size=(100_000, 4))
     for psi2 in (general, np.where(np.arange(8) < 5, 0.0, general)):
         psi2 = psi2 / np.linalg.norm(psi2)
-        for n in (1, 2047, 2049, 5119, 5121, 8191, 8193, 10241, 20_000):
+        for n in (1, 2047, 2049, 5119, 5121, 8191, 8193, 10241, 20_000, 20_479, 20_480,
+                  20_481, 20_483, 100_000):
             h.update(f"[{n}]".encode())
             fids = _batched_pulse3_fidelities(psi2, omegas[:n], 358.05, -353.19, 8.5)
             h.update(encode(fids.tolist()).encode())
