@@ -479,7 +479,10 @@ def main(argv: list[str] | None = None) -> int:
     path = _config_path(argv)
     # a config file's keys are sorted by every subcommand's options
     parser = build_parser(argv[0] if argv and path is None else None)
-    args = parser.parse_args(_splice_config(parser, argv, path))
+    args, extra = parser.parse_known_args(_splice_config(parser, argv, path))
+    if extra:  # reported by the subcommand, with its usage, as its other errors are
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         model = (
             QuantumDefectModel.from_file(args.defects)

@@ -1,12 +1,14 @@
 """The batched pulse-3 kernel of a robustness scan, ``_batched_pulse3_fidelities``:
 every sample's fidelity after pulse 3 at once, on a Chebyshev expansion or one
-eigensolve per sample. Only the commands that scan load it, through ``harness``.
+eigensolve per sample, a large batch on the caller and one forked child. Only
+the commands that scan load it, through ``harness``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 
 import numpy as np
@@ -32,6 +34,11 @@ _CHEBYSHEV_MAX_TERMS = 250
 # Most 8x8 matrices one pass of the eigh fallback solves: each takes about 3.5 kB of
 # stacks at once, so 5120 of them raised a 20k-sample scan's peak RSS by 11 MB over 2048
 _EIGH_PASS = 2048
+# Chunks a Chebyshev batch must pass to run half in a forked child. At the default
+# chunk (2-core x86 VM, paired medians) two processes took x0.75 of the inline time
+# at 20k samples and x0.56 at 100k, but x1.24-1.42 at 12k-18k: a fork, the child's
+# page faults and the copy back cost about 5 ms
+_FORK_CHUNKS = 4
 
 
 def _chebyshev_terms(x: float) -> np.ndarray | None:
@@ -77,8 +84,8 @@ def _aligned_empty(*shape: int) -> np.ndarray:
 class _ChebyshevBuffers:
     """One worker's arrays for passes of m samples, ``rows`` of them summed.
 
-    The calling thread allocates them, since glibc would grow a thread's own
-    arena for what the thread allocates, and the worker reuses them, with the
+    Each worker allocates its own in its own process, a forked child after the
+    fork (so no copy-on-write page is paid for them), and reuses them, with the
     views built here, for every pass; each pass writes into them with ``out=``.
     Each starts on a 64-byte boundary: a 1k-sample kernel call took 0.94 ms
     with the scratch array there and 1.13-1.30 ms with it 16, 32 or 48 bytes
@@ -142,6 +149,72 @@ def _chebyshev_pass(b: _ChebyshevBuffers, om, out, weights, diagonal, off, r, sl
     out *= 0.5
 
 
+def _chebyshev_rows(omegas_khz: np.ndarray, out: np.ndarray, step: tuple, chunk: int) -> None:
+    """One worker's block: the fidelities of the drives ``omegas_khz`` into ``out``, in
+    equal passes of at most ``chunk`` samples (the last one ending at the block's end,
+    so redoing a few rows) through buffers allocated here, with numpy's ufunc buffer
+    no larger than one row; ``step`` is the rest of ``_chebyshev_pass``'s arguments."""
+    n = len(out)
+    m = -(-n // -(-n // chunk))
+    buffers = _ChebyshevBuffers(m, len(step[4]))
+    # a ufunc buffer no larger than a row (numpy takes multiples of 16)
+    bufsize = np.setbufsize(max(16, min(m, np.getbufsize()) // 16 * 16))
+    try:
+        for at in range(0, n, m):
+            at = min(at, n - m)  # the last pass ends at n
+            _chebyshev_pass(buffers, omegas_khz[at : at + m].T, out[at : at + m], *step)
+    finally:
+        np.setbufsize(bufsize)
+
+
+def _chebyshev_rows_forked(omegas_khz: np.ndarray, fids: np.ndarray, step: tuple,
+                           chunk: int) -> None:
+    """``_chebyshev_rows`` on two workers: the caller fills the first half of ``fids``,
+    one forked child the second through an anonymous shared mapping. The child leaves
+    by ``os._exit``, never returning into the caller's stack, with 0 only once its half
+    is written. A failure in the caller's half kills and reaps the child before it is
+    raised; a child that ends any other way than 0 (an exception, a signal, reaped
+    unseen under an ignored SIGCHLD), or a fork that fails, leaves its half to the
+    caller, which then raises its error or writes the same bits."""
+    import mmap
+    import signal
+
+    half = len(fids) // 2
+    shared = mmap.mmap(-1, (len(fids) - half) * 8)
+    try:
+        try:
+            pid = os.fork()
+        except OSError:  # no process to be had (EAGAIN, ENOMEM)
+            _chebyshev_rows(omegas_khz, fids, step, chunk)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                _chebyshev_rows(omegas_khz[half:], np.frombuffer(shared), step, chunk)
+                code = 0
+            finally:
+                os._exit(code)
+        try:
+            _chebyshev_rows(omegas_khz[:half], fids[:half], step, chunk)
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # SIGCHLD ignored: reaped, its end unknown
+                status = -1
+        except BaseException:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:  # ended and reaped already
+                pass
+            raise
+        if status == 0:
+            fids[half:] = np.frombuffer(shared)
+        else:
+            _chebyshev_rows(omegas_khz[half:], fids[half:], step, chunk)
+    finally:
+        shared.close()
+
+
 def _batched_pulse3_fidelities(
     psi2: np.ndarray,
     omegas_khz: np.ndarray,
@@ -171,19 +244,21 @@ def _batched_pulse3_fidelities(
     direct call passes one: ``_half_period`` refuses a negative drive) flips the
     sign of the odd terms.
 
-    ``chunk`` is the most samples one pass holds. A batch of more than one
-    chunk runs on two workers when the process may use two CPUs: the caller
-    and one thread, each on its own contiguous half of the rows, in buffers
-    the caller allocates once (_ChebyshevBuffers). Each worker cuts its rows
-    into equal passes of at most ``chunk`` samples, the last one ending at the
-    block's end and so redoing a few rows, and runs them with numpy's ufunc
-    buffer no larger than one row: a buffer that holds two rows makes numpy
-    copy each broadcast operand (the links, the diagonal) through it, up to 3x
-    the cost of a multiply. A batch of one chunk, or a process on one CPU,
-    runs inline and starts no thread. Only elementwise arithmetic touches the
-    samples, so neither the layout, ``chunk``, the buffer nor the workers
-    change a bit. A worker's exception is raised in the caller once every
-    worker has ended, and no partly filled result is returned.
+    ``chunk`` is the most samples one pass holds. A batch of more than
+    _FORK_CHUNKS chunks runs on two workers where a fork is safe (Linux, no
+    other Python thread, two usable CPUs): the caller and one forked child,
+    each on its own contiguous half of the rows, the child's written back
+    through a shared mapping (_chebyshev_rows_forked). Any other batch runs
+    inline in the caller. Each worker allocates its own buffers
+    (_ChebyshevBuffers), cuts its rows into equal passes of at most ``chunk``
+    samples, the last one ending at the block's end and so redoing a few rows,
+    and runs them with numpy's ufunc buffer no larger than one row: a buffer
+    that holds two rows makes numpy copy each broadcast operand (the links,
+    the diagonal) through it, up to 3x the cost of a multiply. Only
+    elementwise arithmetic touches the samples, so neither the layout,
+    ``chunk``, the buffer nor the workers change a bit. A failed pass raises
+    in the caller, after the child has ended, and no partly filled result is
+    returned.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
     channel's largest drive over the whole array, so the term count is the
@@ -221,38 +296,10 @@ def _batched_pulse3_fidelities(
     support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
     slots = np.argsort(_CYCLES, axis=None)[support]
     step = (weights, diagonal, off, r, slots, psi2[support])
-    workers = 2 if n > chunk and _usable_cpus() >= 2 else 1  # two are measured, more not
-    edges = [n * i // workers for i in range(workers + 1)]
-    jobs = []
-    for start, stop in zip(edges, edges[1:]):
-        passes = -(-(stop - start) // chunk)
-        jobs.append((start, stop, _ChebyshevBuffers(-(-(stop - start) // passes), len(slots))))
-
-    errors = []
-
-    def work(start: int, stop: int, buffers: _ChebyshevBuffers) -> None:
-        m = buffers.t.shape[-1]
-        # a ufunc buffer no larger than a row (numpy takes multiples of 16)
-        bufsize = np.setbufsize(max(16, min(m, np.getbufsize()) // 16 * 16))
-        try:
-            for at in range(start, stop, m):
-                at = min(at, stop - m)  # the last pass ends at stop
-                _chebyshev_pass(buffers, omegas_khz[at : at + m].T, fids[at : at + m], *step)
-        except BaseException as exc:  # raised in the caller once every worker has ended
-            errors.append(exc)
-        finally:
-            np.setbufsize(bufsize)
-
-    threads = []
-    try:
-        for job in jobs[1:]:
-            thread = threading.Thread(target=work, args=job)
-            thread.start()
-            threads.append(thread)
-        work(*jobs[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    # a child only on Linux, with no other Python thread (whose locks it would inherit)
+    if (n > _FORK_CHUNKS * chunk and sys.platform.startswith("linux") and hasattr(os, "fork")
+            and threading.active_count() == 1 and _usable_cpus() >= 2):
+        _chebyshev_rows_forked(omegas_khz, fids, step, chunk)
+    else:
+        _chebyshev_rows(omegas_khz, fids, step, chunk)
     return fids

@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -12,6 +13,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -373,84 +375,246 @@ def test_batched_fidelities_ignore_buffer_alignment(monkeypatch, offset):
 DEFAULT_CHUNK = inspect.signature(_batched_pulse3_fidelities).parameters["chunk"].default
 
 
-def _inline_and_threaded(*args, **kwargs):
-    """The kernel's fids with one usable CPU (inline) and with two (two workers once
-    the batch spans more than one chunk), asserted bit-equal."""
+@contextlib.contextmanager
+def _calls(module, name):
+    """Records what each call of ``module.name`` returns, in this process only: a
+    forked child's records die with it."""
+    real, calls = getattr(module, name), []
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append(result)
+        return result
+
+    with mock.patch.object(module, name, recorded):
+        yield calls
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _forks_at(n, chunk):
+    return n > pulse3._FORK_CHUNKS * chunk
+
+
+def _inline_and_forked(*args, **kwargs):
+    """The kernel's fids with one usable CPU (inline) and with two (a forked child takes
+    half the rows once a Chebyshev batch spans more than _FORK_CHUNKS chunks), asserted
+    bit-equal; with two CPUs the caller forks exactly then, and no child is left."""
+    n, chunk = len(args[1]), kwargs.get("chunk", DEFAULT_CHUNK)
     runs = []
     for cpus in (1, 2):
-        with mock.patch.object(pulse3, "_usable_cpus", return_value=cpus):
+        with (mock.patch.object(pulse3, "_usable_cpus", return_value=cpus),
+              _calls(os, "fork") as forks, _calls(pulse3, "_chebyshev_rows") as blocks):
             runs.append(_batched_pulse3_fidelities(*args, **kwargs))
+        assert len(forks) == (cpus == 2 and bool(blocks) and _forks_at(n, chunk))
+        _assert_no_child()
     assert np.array_equal(*runs)
     return runs[0]
 
 
-class _CountedThread(threading.Thread):
-    started = 0
-
-    def start(self):
-        type(self).started += 1
-        super().start()
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was started")
 
 
 @pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
 def test_batched_fidelities_are_the_same_bits_on_two_workers(monkeypatch, chunk):
-    """Inline and two workers against the gather form, at 1, chunk - 1, chunk,
-    chunk + 1 and 2 chunk + 1 rows, and 20,000 at the default chunk; a thread
-    starts exactly when the batch spans more than one chunk."""
+    """Inline and two workers against the gather form, at 1, chunk - 1, chunk, chunk + 1
+    and 2 chunk + 1 rows, on both sides of the fork threshold (with halves of equal and
+    unequal length), and 20,000 and 100,000 at the default chunk; the caller forks one
+    child exactly past the threshold, starts no thread, and restores numpy's buffer."""
     rng = np.random.Generator(np.random.Philox(key=[29, 0]))
     psi2 = np.where(np.arange(8) < 5, 0.0, rng.normal(size=8) + 1j * rng.normal(size=8))
     psi2 /= np.linalg.norm(psi2)
-    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
     bufsize = np.getbufsize()  # the passes run with a smaller one, then restore it
-    rows = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
-    for n in rows + [20_000] * (chunk == DEFAULT_CHUNK):
+    edge = pulse3._FORK_CHUNKS * chunk
+    rows = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, edge - 1, edge, edge + 1, edge + 2]
+    forked = 0
+    for n in rows + [20_000, 100_000] * (chunk == DEFAULT_CHUNK):
         omegas = 58.8 * rng.uniform(0.8, 1.2, size=(n, 4))
-        _CountedThread.started = 0
-        fids = _inline_and_threaded(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
-        assert _CountedThread.started == (n > chunk) and np.getbufsize() == bufsize
+        fids = _inline_and_forked(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
+        assert np.getbufsize() == bufsize
         gather = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
         assert np.array_equal(fids, gather), n
+        forked += _forks_at(n, chunk)
+    assert forked == 2 + (chunk == DEFAULT_CHUNK)
+
+
+def _row_of(om, omegas):
+    """The first row of ``omegas`` that a pass's (4, m) drive view ``om`` reads."""
+    return (om.ctypes.data - omegas.ctypes.data) // omegas.strides[0]
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
 def test_batched_fidelities_raise_a_failed_pass_in_the_caller(monkeypatch, failing):
-    """A pass that raises, in the thread or in the caller's own block, reaches the
-    caller once every worker has ended; no partial fids come back, and numpy's
-    ufunc buffer size is the caller's again."""
+    """A pass that raises, in the forked child's half or in the caller's own, reaches
+    the caller as that exception: the child's half is computed again in the caller,
+    the caller's own failure kills and reaps the child first. No partial fids come
+    back, no child is left, and numpy's ufunc buffer size is the caller's again."""
+    omegas = 58.8 * np.random.default_rng(3).uniform(0.9, 1.1, size=(50, 4))
     passes = pulse3._chebyshev_pass
 
-    def failing_pass(*args):
-        if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+    def failing_pass(buffers, om, *args):
+        if (_row_of(om, omegas) >= 25) == (failing == "worker"):
             raise RuntimeError(f"pass failed in the {failing}")
-        passes(*args)
+        passes(buffers, om, *args)
 
     monkeypatch.setattr(pulse3, "_chebyshev_pass", failing_pass)
     monkeypatch.setattr(pulse3, "_usable_cpus", lambda: 2)
-    omegas = 58.8 * np.random.default_rng(3).uniform(0.9, 1.1, size=(50, 4))
     psi2 = np.eye(8)[5].astype(complex)
-    alive, bufsize = threading.active_count(), np.getbufsize()
-    with pytest.raises(RuntimeError, match=f"pass failed in the {failing}"):
-        _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
-    assert threading.active_count() == alive and np.getbufsize() == bufsize
+    bufsize = np.getbufsize()
+    with _calls(os, "fork") as forks, _calls(os, "waitpid") as waits:
+        with pytest.raises(RuntimeError, match=f"pass failed in the {failing}"):
+            _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+    assert len(forks) == 1 and np.getbufsize() == bufsize
+    (pid, status), = waits
+    assert pid == forks[0]
+    if failing == "worker":  # the child ended by os._exit(1), not by returning
+        assert os.waitstatus_to_exitcode(status) == 1
+    _assert_no_child()
 
 
-def test_batched_fidelities_start_no_thread_for_one_chunk_or_one_cpu(monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
+def test_batched_fidelities_child_never_returns_into_the_caller(monkeypatch):
+    """The forked child leaves by ``os._exit`` whether its half succeeds or raises, a
+    KeyboardInterrupt included: no child ever gets back into this test's frame."""
+    omegas = 58.8 * np.random.default_rng(6).uniform(0.9, 1.1, size=(50, 4))
     psi2 = np.eye(8)[5].astype(complex)
+    monkeypatch.setattr(pulse3, "_usable_cpus", lambda: 2)
+    caller, passes = os.getpid(), pulse3._chebyshev_pass
+    read, write = os.pipe()
+
+    def interrupted(buffers, om, *args):
+        if _row_of(om, omegas) >= 25:
+            raise KeyboardInterrupt
+        passes(buffers, om, *args)
+
+    try:
+        for failing in (False, True):
+            with monkeypatch.context() as patch, _calls(os, "fork") as forks:
+                if failing:
+                    patch.setattr(pulse3, "_chebyshev_pass", interrupted)
+                try:
+                    with pytest.raises(KeyboardInterrupt) if failing else contextlib.nullcontext():
+                        _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+                finally:
+                    if os.getpid() != caller:  # a child got here: say so and leave at once
+                        os.write(write, b"a child returned")
+                        os._exit(0)
+            assert len(forks) == 1
+            _assert_no_child()
+        os.close(write)
+        write = None
+        assert os.read(read, 64) == b""
+    finally:
+        os.close(read)
+        if write is not None:
+            os.close(write)
+
+
+@pytest.mark.parametrize("end", ["killed", "unseen"])
+def test_batched_fidelities_recompute_a_lost_child_half(monkeypatch, end):
+    """A child killed by SIGKILL in the middle of its half, or reaped unseen under an
+    ignored SIGCHLD, leaves its half to the caller: the bits are the inline ones."""
+    rng = np.random.Generator(np.random.Philox(key=[31, 0]))
+    psi2 = np.where(np.arange(8) < 5, 0.0, rng.normal(size=8) + 1j * rng.normal(size=8))
+    psi2 /= np.linalg.norm(psi2)
+    omegas = 58.8 * rng.uniform(0.8, 1.2, size=(90, 4))
+    expected = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+    caller, passes, seen = os.getpid(), pulse3._chebyshev_pass, []
+
+    def killed_in_the_child(*args):
+        seen.append(None)
+        if end == "killed" and os.getpid() != caller and len(seen) == 3:
+            os.kill(os.getpid(), signal.SIGKILL)  # two of its passes written
+        passes(*args)
+
+    monkeypatch.setattr(pulse3, "_chebyshev_pass", killed_in_the_child)
+    monkeypatch.setattr(pulse3, "_usable_cpus", lambda: 2)
+    handler = signal.getsignal(signal.SIGCHLD)
+    if end == "unseen":
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with _calls(os, "fork") as forks, _calls(pulse3, "_chebyshev_rows") as blocks:
+            fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert fids.tobytes() == expected.tobytes()
+    assert len(forks) == 1 and len(blocks) == 2  # the caller's half, then the child's
+    _assert_no_child()
+
+
+def test_batched_fidelities_fork_no_child_below_the_threshold_or_where_unsafe(monkeypatch):
+    """No fork for a batch of at most _FORK_CHUNKS chunks, on one CPU (by affinity, or
+    by CPU count where affinity is unknown), with a second Python thread alive,
+    without ``os.fork`` or off Linux; the same batch on two CPUs forks once, and
+    where the fork itself fails the caller computes it all."""
+    psi2 = np.eye(8)[5].astype(complex)
+    chunk = 7
     omegas = 58.8 * np.random.default_rng(4).uniform(0.9, 1.1, size=(30, 4))
     expected = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
-    assert np.array_equal(_batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5), expected)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    small = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
-    assert np.array_equal(small, expected)
-    # where the affinity call is missing, the CPU count decides
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    small = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
-    assert np.array_equal(small, expected)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+
+    def forks_of(rows=len(omegas)):
+        with _calls(os, "fork") as forks:
+            fids = _batched_pulse3_fidelities(psi2, omegas[:rows], 358.05, -353.19, 8.5,
+                                              chunk=chunk)
+        assert np.array_equal(fids, expected[:rows])
+        _assert_no_child()
+        return len(forks)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert forks_of() == 1
+    assert forks_of(pulse3._FORK_CHUNKS * chunk) == 0
+    assert np.array_equal(_batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5),
+                          expected)  # one chunk at the default
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert forks_of() == 0
+    with monkeypatch.context() as patch:  # where the affinity call is missing, the CPU count decides
+        patch.delattr(os, "sched_getaffinity", raising=False)
+        patch.setattr(os, "cpu_count", lambda: 1)
+        assert forks_of() == 0
+        patch.setattr(os, "cpu_count", lambda: 2)
+        assert forks_of() == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(threading, "active_count", lambda: 2)
+        assert forks_of() == 0
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "platform", "darwin")
+        assert forks_of() == 0
+    def no_process():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    for fork in (None, no_process):
+        with monkeypatch.context() as patch:  # no os.fork, or a fork that fails
+            if fork is None:
+                patch.delattr(os, "fork")
+            else:
+                patch.setattr(os, "fork", fork)
+            fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
+            assert np.array_equal(fids, expected)
+            _assert_no_child()
+
+
+def test_batched_fidelities_fork_no_child_while_a_thread_runs():
+    """A real second thread, not a patched count, keeps the batch inline."""
+    psi2 = np.eye(8)[5].astype(complex)
+    omegas = 58.8 * np.random.default_rng(5).uniform(0.9, 1.1, size=(40, 4))
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        with (mock.patch.object(pulse3, "_usable_cpus", return_value=2),
+              _calls(os, "fork") as forks):
+            fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+    finally:
+        release.set()
+        thread.join()
+    assert forks == []
+    assert np.array_equal(fids, gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5))
 
 
 def test_batched_fidelities_match_single_pulse_propagation():
@@ -505,8 +669,8 @@ def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c
     np.testing.assert_allclose(
         fids, _propagated_fidelities(psi2, omegas, v_s, v_c, tau3), rtol=0, atol=1e-12
     )
-    for chunk in (1, 7):  # inline and on two workers
-        chunked = _inline_and_threaded(psi2, omegas, v_s, v_c, tau3, chunk=chunk)
+    for chunk in (1, 7):  # on two workers past the eigh break-even, else inline
+        chunked = _inline_and_forked(psi2, omegas, v_s, v_c, tau3, chunk=chunk)
         assert np.array_equal(chunked, fids)
 
 
@@ -535,7 +699,7 @@ def test_batched_pulse3_is_the_gather_kernel_bit_for_bit(
     omegas = omega * np.random.default_rng(samples).uniform(0.5, 1.5, (samples, 4))
     chunk = samples + 5 if chunk is None else chunk
     assert np.array_equal(
-        _inline_and_threaded(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
+        _inline_and_forked(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
         gather_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
     )
 
@@ -1423,6 +1587,26 @@ def test_cli_bare_config_is_reported_by_the_subcommand():
     assert "cli.py" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv,command,extra", [
+    (["pair-sim", "--bogus"], "pair-sim", "--bogus"),
+    (["table", "I", "II"], "table", "II"),
+    (["robustness", "--samples", "10", "--bogus", "1"], "robustness", "--bogus 1"),
+    (["coeffs", "--config", "{conf}", "--bogus"], "coeffs", "--bogus"),
+], ids=["option", "positional", "option-value", "config"])
+def test_cli_leftover_arguments_are_reported_by_the_subcommand(tmp_path, capsys, argv,
+                                                               command, extra):
+    """An argument the command does not take is a usage error of that command: its
+    usage and name, exit 2, nothing on stdout, as with its other usage errors."""
+    conf = tmp_path / "pair.conf"
+    conf.write_text("na 73\nnb 75\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exit_:
+        main([a.format(conf=conf) for a in argv])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert err.startswith(f"usage: rydex {command} [-h]")
+    assert err.endswith(f"rydex {command}: error: unrecognized arguments: {extra}\n")
+
+
 def test_console_command_out_file_in_a_fresh_process(tmp_path):
     """``python -m rydex.cli`` runs ``run``: ``--out`` holds exactly the recorded bytes
     and stdout stays empty; a computation error exits 1 and writes no file."""
@@ -1539,9 +1723,9 @@ def test_reference_commands_are_perfbench_cli_commands():
     "code, modules, absent",
     [
         ("import rydex", ("rydex",), ("numpy", "mpmath")),
-        # csv only where a command writes CSV
+        # csv only where a command writes CSV; mmap only where a pulse-3 batch forks
         *((f"from rydex.cli import main; main({list(argv)!r})", modules,
-           ("mpmath", "scipy", "numpy.random", *(() if "csv" in argv else ("csv",))))
+           ("mpmath", "scipy", "numpy.random", "mmap", *(() if "csv" in argv else ("csv",))))
           for _, argv, modules in REFERENCE_COMMANDS),
         # scipy is a test-only dependency; no model is read, so no data
         ("import rydex, rydex.cli; rydex.optimize_pairwise(5.0, 711.0, restarts=2)",
@@ -1554,8 +1738,8 @@ def test_start_up_loads_only_what_a_command_runs(code, modules, absent):
     """In a fresh process, a bare import loads no layer, and each reference command
     exactly the rydex modules it runs: the pair commands no chain, optimizer, scan,
     pulse-3 kernel, table or figure module, the tables no scan; none loads mpmath or
-    numpy.random (the optimizer draws its restarts itself), and only the CSV commands
-    load csv."""
+    numpy.random (the optimizer draws its restarts itself) or forks a pulse-3 worker
+    (mmap: their scans of 10k samples run inline), and only the CSV commands load csv."""
     listing = "import sys; print(*sorted(sys.modules), file=sys.stderr)"
     proc = _fresh_process("-c", f"{code}\n{listing}")
     assert proc.returncode == 0

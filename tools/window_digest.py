@@ -121,6 +121,11 @@ parent. ``radial`` was written before a window's rows were served as table
 slices and read 89a573e0... at that change's parent. ``levels`` and
 ``clebsch`` were written before the int-domain checks of ``atoms`` took their
 bounds and read 6faf63b9... and 65582683... at that change's parent.
+``batches`` was extended past the fork threshold and to 100,000 samples before
+the pulse-3 kernel's second worker became a forked child, and read 3a7f3a91...
+at that change's parent and after it. ``cli`` read 4e8dabc0... until an
+argument a subcommand does not take was reported by that subcommand, and
+e1f4306b... after.
 
 Stdlib, numpy and rydex only.
 """
