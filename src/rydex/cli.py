@@ -480,9 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     # a config file's keys are sorted by every subcommand's options
     parser = build_parser(argv[0] if argv and path is None else None)
     args, extra = parser.parse_known_args(_splice_config(parser, argv, path))
-    if extra:  # reported by the subcommand, with its usage, as its other errors are
+    if extra:  # after the subcommand, reported by it, with its usage, as its other errors
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        owner = sub.choices[args.command] if argv[0] == args.command else parser
+        owner.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         model = (
             QuantumDefectModel.from_file(args.defects)

@@ -1592,19 +1592,22 @@ def test_cli_bare_config_is_reported_by_the_subcommand():
     (["table", "I", "II"], "table", "II"),
     (["robustness", "--samples", "10", "--bogus", "1"], "robustness", "--bogus 1"),
     (["coeffs", "--config", "{conf}", "--bogus"], "coeffs", "--bogus"),
-], ids=["option", "positional", "option-value", "config"])
+    (["--bogus", "coeffs", "--na", "73", "--nb", "75"], None, "--bogus"),
+], ids=["option", "positional", "option-value", "config", "before-command"])
 def test_cli_leftover_arguments_are_reported_by_the_subcommand(tmp_path, capsys, argv,
                                                                command, extra):
     """An argument the command does not take is a usage error of that command: its
-    usage and name, exit 2, nothing on stdout, as with its other usage errors."""
+    usage and name, exit 2, nothing on stdout, as with its other usage errors. One
+    given before the command stays the top-level parser's."""
     conf = tmp_path / "pair.conf"
     conf.write_text("na 73\nnb 75\n", encoding="utf-8")
     with pytest.raises(SystemExit) as exit_:
         main([a.format(conf=conf) for a in argv])
     out, err = capsys.readouterr()
+    prog = "rydex" if command is None else f"rydex {command}"
     assert exit_.value.code == 2 and out == ""
-    assert err.startswith(f"usage: rydex {command} [-h]")
-    assert err.endswith(f"rydex {command}: error: unrecognized arguments: {extra}\n")
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.endswith(f"{prog}: error: unrecognized arguments: {extra}\n")
 
 
 def test_console_command_out_file_in_a_fresh_process(tmp_path):
