@@ -612,8 +612,8 @@ def test_batched_fidelities_fork_no_child_while_a_thread_runs():
             fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
     finally:
         release.set()
-        thread.join()
-    assert forks == []
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks == []
     assert np.array_equal(fids, gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5))
 
 
@@ -669,7 +669,7 @@ def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c
     np.testing.assert_allclose(
         fids, _propagated_fidelities(psi2, omegas, v_s, v_c, tau3), rtol=0, atol=1e-12
     )
-    for chunk in (1, 7):  # on two workers past the eigh break-even, else inline
+    for chunk in (1, 7):  # 9 samples: a forked child at chunk 1 on the Chebyshev kernel
         chunked = _inline_and_forked(psi2, omegas, v_s, v_c, tau3, chunk=chunk)
         assert np.array_equal(chunked, fids)
 
