@@ -46,8 +46,10 @@ about 1 s.
 for the two psi2 of ``robustness``: sizes on both sides of one and two
 chunks of 2048 (the old default), 5120 (the default) and 8192 samples, and
 of four chunks of 5120, past which a second worker runs, with halves of
-equal and unequal length. It also hashes the ``histogram_payload`` of one
-20,000-sample ``robustness_scan``. Takes about 2 s.
+equal and unequal length. It also hashes the ``histogram_payload`` of four
+``robustness_scan`` runs: 20,000 samples, 20,481 and 30,007 (odd sizes past
+the fork threshold) and 30,006 at V- = 1e6 kHz, which takes the eigh
+fallback. Takes about 3 s.
 
 ``sampler`` hashes the float hex of the Monte Carlo draws,
 ``scan._sample_omegas``, for the seeds 0, 1, 12345, 2**63 and
@@ -123,7 +125,9 @@ slices and read 89a573e0... at that change's parent. ``levels`` and
 bounds and read 6faf63b9... and 65582683... at that change's parent.
 ``batches`` was extended past the fork threshold and to 100,000 samples before
 the pulse-3 kernel's second worker became a forked child, and read 3a7f3a91...
-at that change's parent and after it. ``cli`` read 4e8dabc0... until an
+at that change's parent and after it; extended with three scans past that
+threshold, one on the eigh fallback, before each large scan forked once, it read
+e1ca29f7... at that change's parent. ``cli`` read 4e8dabc0... until an
 argument a subcommand does not take was reported by that subcommand, and
 e1f4306b... after.
 
@@ -284,8 +288,10 @@ def batches_section() -> str:
             h.update(f"[{n}]".encode())
             fids = _batched_pulse3_fidelities(psi2, omegas[:n], 358.05, -353.19, 8.5)
             h.update(encode(fids.tolist()).encode())
-    cfg = RobustnessConfig(0.1, 20_000, 4, OMEGA, V_PLUS, V_MINUS)
-    h.update(encode(histogram_payload(cfg, robustness_scan(cfg))).encode())
+    for samples, seed, v_minus in ((20_000, 4, V_MINUS), (20_481, 5, V_MINUS),
+                                   (30_007, 6, V_MINUS), (30_006, 7, 1e6)):
+        cfg = RobustnessConfig(0.1, samples, seed, OMEGA, V_PLUS, v_minus)
+        h.update(encode(histogram_payload(cfg, robustness_scan(cfg))).encode())
     return h.hexdigest()
 
 
