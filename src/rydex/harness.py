@@ -62,15 +62,19 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
     the quadratic-correction formula), and once per process for each of
     the last few working points; every sample then propagates pulse 3
     with four independently dispersed Rabi frequencies for the fixed
-    nominal half-period.
+    nominal half-period. A large scan forks once where that is safe, the
+    caller and the child each drawing and propagating half of the rows
+    (``scan._forked_fidelities``); the histogram is taken over all of them.
     """
     from .harness import _batched_pulse3_fidelities, _sample_omegas  # see __getattr__
-    from .scan import _histogram, _pulse2_point
+    from .scan import _forked_fidelities, _histogram, _pulse2_point
 
     point = (cfg.omega_khz, cfg.v_plus_khz, cfg.v_minus_khz)
     _, tau3, v_s, v_c, psi2 = _pulse2_point(*((type(x), x, math.copysign(1.0, x)) for x in point))
-    omegas = _sample_omegas(cfg)
-    return _histogram(_batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3), cfg.samples)
+    fids = _forked_fidelities(cfg, _sample_omegas, _batched_pulse3_fidelities, psi2, v_s, v_c, tau3)
+    if fids is None:  # a small scan, or no second process to be had
+        fids = _batched_pulse3_fidelities(psi2, _sample_omegas(cfg), v_s, v_c, tau3)
+    return _histogram(fids, cfg.samples)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +104,7 @@ def histogram_rows(hist: FidelityHistogram) -> tuple[list[str], list[list]]:
 
 
 # Most floats each serializer keeps the text of (about 0.1 MB when full); a full memo
-# starts over. The memos pay where one process writes many scans, whose 201 bin edges
-# are the same floats each time: over mc-scan's first 22 scans 88% of JSON and 97% of
-# CSV float lookups hit, and on a 2-core VM a warm 1k payload's JSON takes 0.08 ms
-# against 0.17 ms without the memos, its CSV 0.14 against 0.22 ms. A one-off payload
-# only pays the misses: figure 3's 6,400 floats, written once, 3.2 against 2.6 ms.
+# starts over. They pay where one process writes many scans, whose bin edges repeat.
 _FLOAT_TEXTS = 1024
 _json_floats: dict[float, str] = {}
 _csv_floats: dict[float, str] = {}

@@ -1,15 +1,12 @@
 """The batched pulse-3 kernel of a robustness scan, ``_batched_pulse3_fidelities``:
 every sample's fidelity after pulse 3 at once, on a Chebyshev expansion or one
-eigensolve per sample, a large batch on the caller and one forked child. Only
-the commands that scan load it, through ``harness``.
+eigensolve per sample. Only the commands that scan load it, through ``harness``
+and ``scan``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 
@@ -28,17 +25,13 @@ _PARTNERS = [np.s_[:, ::-1, j : j + 1] for j in (0, 1)]  # as views, broadcast o
 _LINK_CHANNELS = _NEIGHBOUR_CHANNELS[0][_CYCLES][:, :1]
 # (-i)^k is real for even k and imaginary for odd k; its nonzero part by k mod 4
 _MINUS_I_POWER_PARTS = np.array([1.0, -1.0, -1.0, 1.0])
-# Break-even of the two pulse-3 kernels: one batched 8x8 eigh costs as much per sample
-# as 230-280 Chebyshev terms, 260-380 on 3 nonzero rows (2-core x86 VM, BLAS 1 thread).
+# Most Chebyshev terms: one batched 8x8 eigh per sample costs about as much as 250
 _CHEBYSHEV_MAX_TERMS = 250
+# Most samples one pass of the Chebyshev kernel holds by default
+_CHUNK = 5120
 # Most 8x8 matrices one pass of the eigh fallback solves: each takes about 3.5 kB of
-# stacks at once, so 5120 of them raised a 20k-sample scan's peak RSS by 11 MB over 2048
+# stacks at once, so more passes keep a scan's peak RSS down
 _EIGH_PASS = 2048
-# Chunks a Chebyshev batch must pass to run half in a forked child. At the default
-# chunk (2-core x86 VM, paired medians) two processes took x0.75 of the inline time
-# at 20k samples and x0.56 at 100k, but x1.24-1.42 at 12k-18k: a fork, the child's
-# page faults and the copy back cost about 5 ms
-_FORK_CHUNKS = 4
 
 
 def _chebyshev_terms(x: float) -> np.ndarray | None:
@@ -66,13 +59,6 @@ def _chebyshev_terms(x: float) -> np.ndarray | None:
     return j[:k] if 0 < k <= _CHEBYSHEV_MAX_TERMS else None
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (all of them where affinity is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _aligned_empty(*shape: int) -> np.ndarray:
     """An uninitialized float64 array whose data starts on a 64-byte boundary."""
     size = math.prod(shape) * 8
@@ -84,13 +70,10 @@ def _aligned_empty(*shape: int) -> np.ndarray:
 class _ChebyshevBuffers:
     """One worker's arrays for passes of m samples, ``rows`` of them summed.
 
-    Each worker allocates its own in its own process, a forked child after the
-    fork (so no copy-on-write page is paid for them), and reuses them, with the
-    views built here, for every pass; each pass writes into them with ``out=``.
-    Each starts on a 64-byte boundary: a 1k-sample kernel call took 0.94 ms
-    with the scratch array there and 1.13-1.30 ms with it 16, 32 or 48 bytes
-    off (AVX-512 x86 VM), where malloc put it on 3 calls of 4 as the heap
-    changed.
+    Each process of a scan allocates its own and reuses them, with the views
+    built here, for every pass; each pass writes into them with ``out=``. Each
+    starts on a 64-byte boundary, where malloc would not always put it, and
+    wide vector loads run faster.
     """
 
     def __init__(self, m: int, rows: int) -> None:
@@ -150,12 +133,14 @@ def _chebyshev_pass(b: _ChebyshevBuffers, om, out, weights, diagonal, off, r, sl
 
 
 def _chebyshev_rows(omegas_khz: np.ndarray, out: np.ndarray, step: tuple, chunk: int) -> None:
-    """One worker's block: the fidelities of the drives ``omegas_khz`` into ``out``, in
-    equal passes of at most ``chunk`` samples (the last one ending at the block's end,
-    so redoing a few rows) through buffers allocated here, with numpy's ufunc buffer
-    no larger than one row; ``step`` is the rest of ``_chebyshev_pass``'s arguments."""
+    """The fidelities of the drives ``omegas_khz`` into ``out``, in equal passes of at
+    most ``chunk`` samples, rounded up to a multiple of 8 where that fits, so every
+    buffer row starts on 64 bytes (the last pass ends at the block's end, redoing a few
+    rows), through buffers allocated here, with numpy's ufunc buffer no larger than one
+    row; ``step`` is the rest of ``_chebyshev_pass``'s arguments."""
     n = len(out)
     m = -(-n // -(-n // chunk))
+    m = min(-(-m // 8) * 8, chunk, n)
     buffers = _ChebyshevBuffers(m, len(step[4]))
     # a ufunc buffer no larger than a row (numpy takes multiples of 16)
     bufsize = np.setbufsize(max(16, min(m, np.getbufsize()) // 16 * 16))
@@ -167,52 +152,11 @@ def _chebyshev_rows(omegas_khz: np.ndarray, out: np.ndarray, step: tuple, chunk:
         np.setbufsize(bufsize)
 
 
-def _chebyshev_rows_forked(omegas_khz: np.ndarray, fids: np.ndarray, step: tuple,
-                           chunk: int) -> None:
-    """``_chebyshev_rows`` on two workers: the caller fills the first half of ``fids``,
-    one forked child the second through an anonymous shared mapping. The child leaves
-    by ``os._exit``, never returning into the caller's stack, with 0 only once its half
-    is written. A failure in the caller's half kills and reaps the child before it is
-    raised; a child that ends any other way than 0 (an exception, a signal, reaped
-    unseen under an ignored SIGCHLD), or a fork that fails, leaves its half to the
-    caller, which then raises its error or writes the same bits."""
-    import mmap
-    import signal
-
-    half = len(fids) // 2
-    shared = mmap.mmap(-1, (len(fids) - half) * 8)
-    try:
-        try:
-            pid = os.fork()
-        except OSError:  # no process to be had (EAGAIN, ENOMEM)
-            _chebyshev_rows(omegas_khz, fids, step, chunk)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                _chebyshev_rows(omegas_khz[half:], np.frombuffer(shared), step, chunk)
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            _chebyshev_rows(omegas_khz[:half], fids[:half], step, chunk)
-            try:
-                status = os.waitpid(pid, 0)[1]
-            except ChildProcessError:  # SIGCHLD ignored: reaped, its end unknown
-                status = -1
-        except BaseException:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except OSError:  # ended and reaped already
-                pass
-            raise
-        if status == 0:
-            fids[half:] = np.frombuffer(shared)
-        else:
-            _chebyshev_rows(omegas_khz[half:], fids[half:], step, chunk)
-    finally:
-        shared.close()
+def _drive_bound(omegas_khz: np.ndarray) -> np.ndarray:
+    """Each channel's largest drive magnitude over the rows of ``omegas_khz``: its
+    maximum or minus its minimum, both exact, so the bound over two halves is the
+    elementwise maximum of theirs."""
+    return np.maximum(omegas_khz.max(axis=0), -omegas_khz.min(axis=0))
 
 
 def _batched_pulse3_fidelities(
@@ -221,7 +165,8 @@ def _batched_pulse3_fidelities(
     v_s: float,
     v_c: float,
     tau3_us: float,
-    chunk: int = 5120,
+    chunk: int = _CHUNK,
+    drive: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fidelities |<g+| exp(-2 pi i H t) |psi2>|^2 after pulse 3 for stacked draws.
 
@@ -244,29 +189,22 @@ def _batched_pulse3_fidelities(
     direct call passes one: ``_half_period`` refuses a negative drive) flips the
     sign of the odd terms.
 
-    ``chunk`` is the most samples one pass holds. A batch of more than
-    _FORK_CHUNKS chunks runs on two workers where a fork is safe (Linux, no
-    other Python thread, two usable CPUs): the caller and one forked child,
-    each on its own contiguous half of the rows, the child's written back
-    through a shared mapping (_chebyshev_rows_forked). Any other batch runs
-    inline in the caller. Each worker allocates its own buffers
-    (_ChebyshevBuffers), cuts its rows into equal passes of at most ``chunk``
-    samples, the last one ending at the block's end and so redoing a few rows,
-    and runs them with numpy's ufunc buffer no larger than one row: a buffer
-    that holds two rows makes numpy copy each broadcast operand (the links,
-    the diagonal) through it, up to 3x the cost of a multiply. Only
-    elementwise arithmetic touches the samples, so neither the layout,
-    ``chunk``, the buffer nor the workers change a bit. A failed pass raises
-    in the caller, after the child has ended, and no partly filled result is
-    returned.
+    ``chunk`` is the most samples one pass holds (_chebyshev_rows), with
+    numpy's ufunc buffer no larger than one row: one that holds two rows makes
+    numpy copy each broadcast operand (the links, the diagonal) through it.
+    Only elementwise arithmetic touches the samples, so neither the layout,
+    the passes nor the buffer changes a bit, and rows cut into ranges give the
+    bits of the whole batch under the same bound.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
-    channel's largest drive over the whole array, so the term count is the
-    same for every pass. Past _CHEBYSHEV_MAX_TERMS terms (long pulses, wide
-    spectra such as a huge V-), or at r = 0 (every H zero, nothing to scale
-    by), each pass of at most ``chunk`` and _EIGH_PASS samples instead goes
-    through ``_evolve`` in the caller, one 8x8 eigensolve per sample whose cost
-    does not grow with x, and its check names a duration whose phase overflows.
+    channel's largest drive magnitude, ``drive``, by default over the rows
+    given (_drive_bound), so the term count is the same for every pass. A
+    forked scan passes the bound of the whole scan to each half. Past
+    _CHEBYSHEV_MAX_TERMS terms (long pulses, wide spectra such as a huge V-),
+    or at r = 0 (every H zero, nothing to scale by), each pass of at most
+    ``chunk`` and _EIGH_PASS samples instead goes through ``_evolve``, one
+    8x8 eigensolve per sample whose cost and bits do not depend on the
+    passes, and its check names a duration whose phase overflows.
 
     ``harness.robustness_scan`` reads it as ``harness._batched_pulse3_fidelities``.
     """
@@ -274,7 +212,8 @@ def _batched_pulse3_fidelities(
     fids = np.empty(n)
     h0 = _sector_matrices(np.zeros(4), v_s, v_c)  # the drive-free part of every H
     centre, coupling = h0.diagonal(), h0 - np.diag(h0.diagonal())
-    drive = np.maximum(omegas_khz.max(axis=0), -omegas_khz.min(axis=0))
+    if drive is None:
+        drive = _drive_bound(omegas_khz)
     radius = drive[_NEIGHBOUR_CHANNELS].sum(axis=0) / 2.0 + np.abs(coupling).sum(axis=1)
     lo, hi = (centre - radius).min(), (centre + radius).max()
     c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -295,11 +234,5 @@ def _batched_pulse3_fidelities(
     off = (2.0 * coupling[_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]] / r)[:, None]
     support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
     slots = np.argsort(_CYCLES, axis=None)[support]
-    step = (weights, diagonal, off, r, slots, psi2[support])
-    # a child only on Linux, with no other Python thread (whose locks it would inherit)
-    if (n > _FORK_CHUNKS * chunk and sys.platform.startswith("linux") and hasattr(os, "fork")
-            and threading.active_count() == 1 and _usable_cpus() >= 2):
-        _chebyshev_rows_forked(omegas_khz, fids, step, chunk)
-    else:
-        _chebyshev_rows(omegas_khz, fids, step, chunk)
+    _chebyshev_rows(omegas_khz, fids, (weights, diagonal, off, r, slots, psi2[support]), chunk)
     return fids

@@ -1,17 +1,23 @@
 """The robustness scan's records and stages: its settings (``RobustnessConfig``), its
-histogram (``FidelityHistogram``), the Philox sampler ``_sample_omegas`` and the
-pulse-2 state of each working point, kept for the next scans there.
+histogram (``FidelityHistogram``), the Philox sampler ``_sample_omegas``, the
+pulse-2 state of each working point, kept for the next scans there, and the fork
+that runs a large scan's two halves at once (``_forked_fidelities``).
 ``harness.robustness_scan`` runs them; only the commands that scan load this module.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .atoms import _require_finite, _require_int
+from .pulse3 import _CHUNK, _drive_bound
 
 HISTOGRAM_BIN_COUNT = 200
 HISTOGRAM_RANGE = (0.8, 1.0)
@@ -81,10 +87,8 @@ class FidelityHistogram:
 _M0, _M1, _W0, _W1 = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157,
                                0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _LOW32 = np.uint64(0xFFFFFFFF)
-# Keys per pass. Each pass costs ~300 ufunc calls whatever its size, so a 100k-key draw
-# took 17, 14 and 12 ms at 4096, 8192 and 16384 keys (2-core x86 VM); the nine rows take
-# 0.6 MB at 8192. A 100k scan's peak RSS was the same at all three, and 3.5 MB higher
-# with one 100k-key pass.
+# Keys per pass: each pass costs ~300 ufunc calls whatever its size, and its nine rows
+# take 0.6 MB here, so a 100k scan's peak RSS is that of shorter passes
 _SAMPLE_CHUNK = 8192
 
 
@@ -111,8 +115,9 @@ def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.n
     hi += u
 
 
-def _sample_omegas(cfg: RobustnessConfig) -> np.ndarray:
-    """Per-sample Rabi frequencies, (samples, 4), in kHz: sample i is
+def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None) -> np.ndarray:
+    """Per-sample Rabi frequencies of samples ``begin`` to ``end`` (by default all of
+    them), (end - begin, 4), in kHz: sample i is
     ``Generator(Philox(key=[seed, i])).uniform(lo, hi, 4)`` with an exact uint64 key,
     so any partition draws the same; each pass computes the first block of its keys.
 
@@ -122,7 +127,7 @@ def _sample_omegas(cfg: RobustnessConfig) -> np.ndarray:
     once per call; each round writes over the words it has read, so the four
     counter rows rotate, and uint64 arithmetic wraps silently, as Philox needs.
     """
-    n = cfg.samples
+    n = (cfg.samples if end is None else end) - begin
     out = np.empty((n, 4))
     lo = 1.0 - cfg.epsilon
     width = (1.0 + cfg.epsilon) - lo
@@ -133,7 +138,7 @@ def _sample_omegas(cfg: RobustnessConfig) -> np.ndarray:
     h0, l0 = divmod(int(_M0) * cfg.seed, 2**64)  # round 2's mulhilo(M0, seed)
     for start in range(0, n, m):
         c0, c1, c2, c3, k1, high, *scratch = (w[: min(m, n - start)] for w in words)
-        np.add(index[: len(k1)], np.uint64(start), out=c2)  # k1 of round 1
+        np.add(index[: len(k1)], np.uint64(begin + start), out=c2)  # k1 of round 1
         np.add(c2, _W1, out=k1)
         _mulhilo(_M1, c2, c0, *scratch)
         c0 ^= k0[1]
@@ -209,3 +214,109 @@ def _histogram(fids: np.ndarray, samples: int) -> FidelityHistogram:
         mean=float(fids.mean()),
         minimum=float(fids.min()),
     )
+
+
+# Kernel passes (pulse3._CHUNK) a scan must pass to run its halves in two processes:
+# below that, the fork and the child's page faults cost about what the child saves
+_FORK_CHUNKS = 4
+# this process's cgroup v2 CPU limit: "max" or a quota, then a period, in us
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: one where its cgroup's quota is less than two
+    CPUs' time, else its affinity mask (all CPUs where that is unknown)."""
+    try:
+        with open(_CPU_MAX) as f:
+            quota, period = f.read().split()
+        if quota != "max" and int(quota) < 2 * int(period):
+            return 1
+    except (OSError, ValueError):  # no cgroup v2 limit to read
+        pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forked_fidelities(cfg: RobustnessConfig, sample, propagate, psi2: np.ndarray,
+                       v_s: float, v_c: float, tau3: float) -> np.ndarray | None:
+    """A scan's fidelities, the caller's half of the rows and one forked child's, by
+    the stages ``sample`` and ``propagate``; None where the scan is to run inline: at
+    most _FORK_CHUNKS passes, off Linux, with another Python thread (whose locks a
+    child would inherit) or one usable CPU, where no mapping or process is to be had,
+    or where the child ends before the exchange. Each process draws its rows and swaps
+    their drive bound (``pulse3._drive_bound``) for the other's through a pipe, whose
+    unused ends it closes, so both propagate under the whole scan's bound. The child
+    writes into an anonymous shared mapping and leaves by ``os._exit``, 0 only once it
+    has. A child that ends otherwise after the exchange (an exception, a signal, reaped
+    unseen under an ignored SIGCHLD) leaves its half to the caller: the same bits, or
+    the real error. A failure in the caller's half kills and reaps the child first."""
+    def exchange(begin: int, end: int, out: int, into: int):
+        # (the whole scan's bound, fidelities of rows begin..end), or Nones if the other ended
+        omegas = sample(cfg, begin, end)
+        bound = _drive_bound(omegas)
+        with contextlib.suppress(BrokenPipeError):
+            os.write(out, bound.tobytes())
+        other = os.read(into, bound.nbytes)  # one atomic write: all of it, or b""
+        if not other:
+            return None, None
+        drive = np.maximum(bound, np.frombuffer(other))
+        return drive, propagate(psi2, omegas, v_s, v_c, tau3, drive=drive)
+
+    n, half = cfg.samples, cfg.samples // 2
+    if not (n > _FORK_CHUNKS * _CHUNK and sys.platform.startswith("linux") and hasattr(os, "fork")
+            and threading.active_count() == 1 and _usable_cpus() >= 2):
+        return None
+    import mmap
+    import signal
+
+    try:
+        shared = mmap.mmap(-1, (n - half) * 8)
+    except OSError:  # ENOMEM
+        return None
+    held = []  # the pipe ends this process still holds
+    try:
+        held += os.pipe()  # caller to child
+        held += os.pipe()  # child to caller
+        child_in, caller_out, caller_in, child_out = held
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN, ENOMEM
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(caller_in)
+                os.close(caller_out)
+                _, fids = exchange(half, n, child_out, child_in)
+                if fids is not None:
+                    np.frombuffer(shared)[:] = fids
+                    code = 0
+            finally:
+                os._exit(code)
+        os.close(child_in)
+        os.close(child_out)
+        held = [caller_in, caller_out]
+        try:
+            drive, mine = exchange(0, half, caller_out, caller_in)
+            try:
+                status = os.waitpid(pid, 0)[1]
+            except ChildProcessError:  # SIGCHLD ignored: reaped unseen, its end unknown
+                status = -1
+        except BaseException:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:  # ended and reaped already
+                pass
+            raise
+        if mine is None:
+            return None
+        if status != 0:
+            theirs = propagate(psi2, sample(cfg, half, n), v_s, v_c, tau3, drive=drive)
+            return np.concatenate((mine, theirs))
+        return np.concatenate((mine, np.frombuffer(shared)))
+    finally:
+        for fd in held:
+            os.close(fd)
+        shared.close()

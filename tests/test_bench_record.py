@@ -1,6 +1,7 @@
 """``tools/bench_record.py``: pairing parent and change runs."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,29 @@ def test_per_layer_reports_a_counter_that_differs_and_keeps_null(bench_record):
     medians, unsteady = bench_record.per_layer(traced)
     assert medians == {"vdw.self_s": 0.006, "radial.anger.calls": 4, "cli.warnings": None}
     assert unsteady == {"radial.anger.calls": [4, 5, 4]}  # times are expected to differ
+
+
+def test_two_core_probe_times_both_processes_and_leaves_no_child(bench_record, monkeypatch):
+    monkeypatch.setattr(bench_record, "PROBE_LOOP", 20_000)
+    probe = bench_record.two_core_probe()
+    assert sorted(probe) == ["child", "parent"]
+    assert all(isinstance(v, float) and v > 0.0 for v in probe.values())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_core_probe_reports_null_for_a_child_that_fails(bench_record, monkeypatch):
+    """A child that ends before it reports leaves its ratio null; the parent's stands."""
+    monkeypatch.setattr(bench_record, "PROBE_LOOP", 20_000)
+    caller, spin = os.getpid(), bench_record.spin
+
+    def failing():
+        if os.getpid() != caller:
+            raise RuntimeError("no loop in the child")
+        return spin()
+
+    monkeypatch.setattr(bench_record, "spin", failing)
+    probe = bench_record.two_core_probe()
+    assert probe["child"] is None and probe["parent"] > 0.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -381,8 +381,8 @@ def _calls(module, name):
     forked child's records die with it."""
     real, calls = getattr(module, name), []
 
-    def recorded(*args):
-        result = real(*args)
+    def recorded(*args, **kwargs):
+        result = real(*args, **kwargs)
         calls.append(result)
         return result
 
@@ -395,57 +395,123 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _forks_at(n, chunk):
-    return n > pulse3._FORK_CHUNKS * chunk
+def _scan_point(cfg):
+    """(tau2, tau3, V_s, V_c, psi2) of the working point ``robustness_scan(cfg)`` reads."""
+    point = (cfg.omega_khz, cfg.v_plus_khz, cfg.v_minus_khz)
+    return scan._pulse2_point(*((type(x), x, math.copysign(1.0, x)) for x in point))
 
 
-def _inline_and_forked(*args, **kwargs):
-    """The kernel's fids with one usable CPU (inline) and with two (a forked child takes
-    half the rows once a Chebyshev batch spans more than _FORK_CHUNKS chunks), asserted
-    bit-equal; with two CPUs the caller forks exactly then, and no child is left."""
-    n, chunk = len(args[1]), kwargs.get("chunk", DEFAULT_CHUNK)
+def _scan_fids(cfg):
+    """``robustness_scan(cfg)`` and the fidelities its histogram was taken over."""
+    real, seen = scan._histogram, []
+
+    def kept(fids, samples):
+        seen.append(fids.copy())
+        return real(fids, samples)
+
+    with mock.patch.object(scan, "_histogram", kept):
+        hist = robustness_scan(cfg)
+    (fids,) = seen
+    return hist, fids
+
+
+def _forks_at(samples):
+    return samples > scan._FORK_CHUNKS * scan._CHUNK
+
+
+def _inline_and_forked(cfg):
+    """A scan's fidelities with one usable CPU (inline) and with two (the caller and one
+    forked child each draw, bound and propagate half the rows once the scan passes
+    _FORK_CHUNKS passes), asserted bit-equal with equal histograms; with two CPUs the
+    caller forks exactly then, and no child and no file descriptor is left."""
     runs = []
     for cpus in (1, 2):
-        with (mock.patch.object(pulse3, "_usable_cpus", return_value=cpus),
-              _calls(os, "fork") as forks, _calls(pulse3, "_chebyshev_rows") as blocks):
-            runs.append(_batched_pulse3_fidelities(*args, **kwargs))
-        assert len(forks) == (cpus == 2 and bool(blocks) and _forks_at(n, chunk))
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with (mock.patch.object(scan, "_usable_cpus", return_value=cpus),
+              _calls(os, "fork") as forks):
+            runs.append(_scan_fids(cfg))
+        assert len(forks) == (cpus == 2 and _forks_at(cfg.samples))
         _assert_no_child()
-    assert np.array_equal(*runs)
-    return runs[0]
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+    (inline_hist, inline), (forked_hist, forked) = runs
+    assert inline.tobytes() == forked.tobytes() and inline_hist == forked_hist
+    return inline
+
+
+def _whole_and_halves(psi2, omegas, *args, **kwargs):
+    """The kernel's fids over every row, asserted bit-equal to those of its two halves
+    under the bound of the whole batch, as the two processes of a forked scan take them."""
+    whole = _batched_pulse3_fidelities(psi2, omegas, *args, **kwargs)
+    half, drive = len(omegas) // 2, pulse3._drive_bound(omegas)
+    if half:
+        halves = [_batched_pulse3_fidelities(psi2, rows, *args, drive=drive, **kwargs)
+                  for rows in (omegas[:half], omegas[half:])]
+        assert np.concatenate(halves).tobytes() == whole.tobytes()
+    return whole
 
 
 def _no_thread(*args, **kwargs):
     raise AssertionError("a thread was started")
 
 
+def _config(samples, seed=29, v_minus=V_MINUS, epsilon=0.2):
+    return RobustnessConfig(epsilon, samples, seed, NOMINAL_OMEGA, V_PLUS, v_minus)
+
+
+def _gather_scan(cfg):
+    """The fidelities of ``robustness_scan(cfg)`` by the gather kernel, inline."""
+    _, tau3, v_s, v_c, psi2 = _scan_point(cfg)
+    return gather_pulse3_fidelities(psi2, _sample_omegas(cfg), v_s, v_c, tau3)
+
+
 @pytest.mark.parametrize("chunk", [7, DEFAULT_CHUNK])
 def test_batched_fidelities_are_the_same_bits_on_two_workers(monkeypatch, chunk):
-    """Inline and two workers against the gather form, at 1, chunk - 1, chunk, chunk + 1
-    and 2 chunk + 1 rows, on both sides of the fork threshold (with halves of equal and
-    unequal length), and 20,000 and 100,000 at the default chunk; the caller forks one
-    child exactly past the threshold, starts no thread, and restores numpy's buffer."""
-    rng = np.random.Generator(np.random.Philox(key=[29, 0]))
-    psi2 = np.where(np.arange(8) < 5, 0.0, rng.normal(size=8) + 1j * rng.normal(size=8))
-    psi2 /= np.linalg.norm(psi2)
+    """A scan inline and on two processes against the gather form, at 1, chunk - 1,
+    chunk, chunk + 1 and 2 chunk + 1 samples and on both sides of the fork threshold
+    of _FORK_CHUNKS passes of ``chunk`` samples (with halves of equal and unequal
+    length), and at 100,000 samples with the kernel's own pass length; the caller
+    forks one child exactly past the threshold, starts no thread, and restores
+    numpy's buffer."""
+    monkeypatch.setattr(scan, "_CHUNK", chunk)
     monkeypatch.setattr(threading, "Thread", _no_thread)
     bufsize = np.getbufsize()  # the passes run with a smaller one, then restore it
-    edge = pulse3._FORK_CHUNKS * chunk
+    edge = scan._FORK_CHUNKS * chunk
     rows = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, edge - 1, edge, edge + 1, edge + 2]
     forked = 0
-    for n in rows + [20_000, 100_000] * (chunk == DEFAULT_CHUNK):
-        omegas = 58.8 * rng.uniform(0.8, 1.2, size=(n, 4))
-        fids = _inline_and_forked(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
+    for n in rows + [100_000] * (chunk == DEFAULT_CHUNK):
+        cfg = _config(n)
+        fids = _inline_and_forked(cfg)
         assert np.getbufsize() == bufsize
-        gather = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
-        assert np.array_equal(fids, gather), n
-        forked += _forks_at(n, chunk)
+        assert np.array_equal(fids, _gather_scan(cfg)), n
+        forked += _forks_at(n)
     assert forked == 2 + (chunk == DEFAULT_CHUNK)
 
 
-def _row_of(om, omegas):
-    """The first row of ``omegas`` that a pass's (4, m) drive view ``om`` reads."""
-    return (om.ctypes.data - omegas.ctypes.data) // omegas.strides[0]
+def test_forked_eigh_scan_is_the_inline_one(monkeypatch):
+    """A scan on the eigh fallback (V- = 1e6 kHz) gives the inline bits on two processes
+    too, each half solved under the bound of the whole scan: at 20,481 samples, past the
+    real threshold, and at 50 past a threshold of 28, against one propagate per draw."""
+    for samples, chunk in ((20_481, DEFAULT_CHUNK), (50, 7)):
+        monkeypatch.setattr(scan, "_CHUNK", chunk)
+        cfg = _config(samples, seed=41, v_minus=1e6, epsilon=0.1)
+        with _calls(np.linalg, "eigh") as eighs:
+            fids = _inline_and_forked(cfg)
+        assert eighs  # the kernel took eigh in the caller
+    _, tau3, v_s, v_c, psi2 = _scan_point(cfg)
+    reference = _propagated_fidelities(psi2, _sample_omegas(cfg), v_s, v_c, tau3)
+    # phases of about 5e4 rad: both solves round at about 1e-16 of that
+    np.testing.assert_allclose(fids, reference, rtol=0, atol=1e-10)
+
+
+def test_odd_scan_runs_aligned_passes_with_the_gather_bits():
+    """``robustness --samples 15003`` runs three passes of 5,008 samples (5,001 rounded
+    up to a multiple of 8), the last one ending at the scan's end, with the bits of
+    the gather form."""
+    cfg = _config(15_003, seed=12345, epsilon=0.1)
+    with _calls(pulse3, "_ChebyshevBuffers") as buffers:
+        _, fids = _scan_fids(cfg)
+    assert [b.t.shape[-1] for b in buffers] == [5008]
+    assert fids.tobytes() == _gather_scan(cfg).tobytes()
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
@@ -454,21 +520,22 @@ def test_batched_fidelities_raise_a_failed_pass_in_the_caller(monkeypatch, faili
     the caller as that exception: the child's half is computed again in the caller,
     the caller's own failure kills and reaps the child first. No partial fids come
     back, no child is left, and numpy's ufunc buffer size is the caller's again."""
-    omegas = 58.8 * np.random.default_rng(3).uniform(0.9, 1.1, size=(50, 4))
+    monkeypatch.setattr(scan, "_CHUNK", 7)
+    monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
+    cfg = _config(50, seed=3, epsilon=0.1)
+    first = _sample_omegas(cfg, *{"worker": (25, 26), "caller": (0, 1)}[failing])[0]
     passes = pulse3._chebyshev_pass
 
     def failing_pass(buffers, om, *args):
-        if (_row_of(om, omegas) >= 25) == (failing == "worker"):
+        if np.array_equal(om[:, 0], first):  # the first pass of that half
             raise RuntimeError(f"pass failed in the {failing}")
         passes(buffers, om, *args)
 
     monkeypatch.setattr(pulse3, "_chebyshev_pass", failing_pass)
-    monkeypatch.setattr(pulse3, "_usable_cpus", lambda: 2)
-    psi2 = np.eye(8)[5].astype(complex)
     bufsize = np.getbufsize()
     with _calls(os, "fork") as forks, _calls(os, "waitpid") as waits:
         with pytest.raises(RuntimeError, match=f"pass failed in the {failing}"):
-            _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+            robustness_scan(cfg)
     assert len(forks) == 1 and np.getbufsize() == bufsize
     (pid, status), = waits
     assert pid == forks[0]
@@ -480,14 +547,15 @@ def test_batched_fidelities_raise_a_failed_pass_in_the_caller(monkeypatch, faili
 def test_batched_fidelities_child_never_returns_into_the_caller(monkeypatch):
     """The forked child leaves by ``os._exit`` whether its half succeeds or raises, a
     KeyboardInterrupt included: no child ever gets back into this test's frame."""
-    omegas = 58.8 * np.random.default_rng(6).uniform(0.9, 1.1, size=(50, 4))
-    psi2 = np.eye(8)[5].astype(complex)
-    monkeypatch.setattr(pulse3, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(scan, "_CHUNK", 7)
+    monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
+    cfg = _config(50, seed=6, epsilon=0.1)
+    first = _sample_omegas(cfg, 25, 26)[0]
     caller, passes = os.getpid(), pulse3._chebyshev_pass
     read, write = os.pipe()
 
     def interrupted(buffers, om, *args):
-        if _row_of(om, omegas) >= 25:
+        if np.array_equal(om[:, 0], first):
             raise KeyboardInterrupt
         passes(buffers, om, *args)
 
@@ -498,7 +566,7 @@ def test_batched_fidelities_child_never_returns_into_the_caller(monkeypatch):
                     patch.setattr(pulse3, "_chebyshev_pass", interrupted)
                 try:
                     with pytest.raises(KeyboardInterrupt) if failing else contextlib.nullcontext():
-                        _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+                        robustness_scan(cfg)
                 finally:
                     if os.getpid() != caller:  # a child got here: say so and leave at once
                         os.write(write, b"a child returned")
@@ -514,62 +582,67 @@ def test_batched_fidelities_child_never_returns_into_the_caller(monkeypatch):
             os.close(write)
 
 
-@pytest.mark.parametrize("end", ["killed", "unseen"])
+@pytest.mark.parametrize("end", ["killed", "unseen", "before"])
 def test_batched_fidelities_recompute_a_lost_child_half(monkeypatch, end):
-    """A child killed by SIGKILL in the middle of its half, or reaped unseen under an
-    ignored SIGCHLD, leaves its half to the caller: the bits are the inline ones."""
-    rng = np.random.Generator(np.random.Philox(key=[31, 0]))
-    psi2 = np.where(np.arange(8) < 5, 0.0, rng.normal(size=8) + 1j * rng.normal(size=8))
-    psi2 /= np.linalg.norm(psi2)
-    omegas = 58.8 * rng.uniform(0.8, 1.2, size=(90, 4))
-    expected = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
-    caller, passes, seen = os.getpid(), pulse3._chebyshev_pass, []
+    """A child killed by SIGKILL in its first pass, after the drive bounds are swapped,
+    or reaped unseen under an ignored SIGCHLD, leaves its half to the caller, which
+    draws and propagates it under the same bound; a child killed while it draws its
+    rows, before the swap, shows as end of file, and the caller runs the whole scan
+    inline. Either way the bits are the inline ones."""
+    monkeypatch.setattr(scan, "_CHUNK", 7)
+    monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
+    cfg = _config(90, seed=31)
+    expected = _gather_scan(cfg)
+    caller, passes, sample = os.getpid(), pulse3._chebyshev_pass, harness._sample_omegas
 
     def killed_in_the_child(*args):
-        seen.append(None)
-        if end == "killed" and os.getpid() != caller and len(seen) == 3:
-            os.kill(os.getpid(), signal.SIGKILL)  # two of its passes written
+        if end == "killed" and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
         passes(*args)
 
+    def killed_drawing(*args):
+        if end == "before" and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sample(*args)
+
     monkeypatch.setattr(pulse3, "_chebyshev_pass", killed_in_the_child)
-    monkeypatch.setattr(pulse3, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_sample_omegas", killed_drawing)
     handler = signal.getsignal(signal.SIGCHLD)
     if end == "unseen":
         signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
         with _calls(os, "fork") as forks, _calls(pulse3, "_chebyshev_rows") as blocks:
-            fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+            _, fids = _scan_fids(cfg)
     finally:
         signal.signal(signal.SIGCHLD, handler)
     assert fids.tobytes() == expected.tobytes()
-    assert len(forks) == 1 and len(blocks) == 2  # the caller's half, then the child's
+    # the caller's half, then the child's; or the whole scan at once
+    assert len(forks) == 1 and len(blocks) == (1 if end == "before" else 2)
     _assert_no_child()
 
 
 def test_batched_fidelities_fork_no_child_below_the_threshold_or_where_unsafe(monkeypatch):
-    """No fork for a batch of at most _FORK_CHUNKS chunks, on one CPU (by affinity, or
+    """No fork for a scan of at most _FORK_CHUNKS passes, on one CPU (by affinity, or
     by CPU count where affinity is unknown), with a second Python thread alive,
-    without ``os.fork`` or off Linux; the same batch on two CPUs forks once, and
-    where the fork itself fails the caller computes it all."""
-    psi2 = np.eye(8)[5].astype(complex)
-    chunk = 7
-    omegas = 58.8 * np.random.default_rng(4).uniform(0.9, 1.1, size=(30, 4))
-    expected = gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
-    monkeypatch.setattr(threading, "Thread", _no_thread)
+    without ``os.fork`` or off Linux; the same scan on two CPUs forks once, and
+    where the fork itself or the shared mapping fails the caller computes it all."""
+    import mmap
 
-    def forks_of(rows=len(omegas)):
-        with _calls(os, "fork") as forks:
-            fids = _batched_pulse3_fidelities(psi2, omegas[:rows], 358.05, -353.19, 8.5,
-                                              chunk=chunk)
-        assert np.array_equal(fids, expected[:rows])
+    chunk = 7
+    monkeypatch.setattr(scan, "_CHUNK", chunk)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    expected = {n: _gather_scan(_config(n, seed=4)) for n in (30, scan._FORK_CHUNKS * chunk)}
+
+    def forks_of(samples=30):
+        with _calls(os, "fork") if hasattr(os, "fork") else contextlib.nullcontext([]) as forks:
+            _, fids = _scan_fids(_config(samples, seed=4))
+        assert np.array_equal(fids, expected[samples])
         _assert_no_child()
         return len(forks)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     assert forks_of() == 1
-    assert forks_of(pulse3._FORK_CHUNKS * chunk) == 0
-    assert np.array_equal(_batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5),
-                          expected)  # one chunk at the default
+    assert forks_of(scan._FORK_CHUNKS * chunk) == 0
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert forks_of() == 0
@@ -585,36 +658,67 @@ def test_batched_fidelities_fork_no_child_below_the_threshold_or_where_unsafe(mo
     with monkeypatch.context() as patch:
         patch.setattr(sys, "platform", "darwin")
         assert forks_of() == 0
-    def no_process():
+
+    def unavailable(*args):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    for fork in (None, no_process):
-        with monkeypatch.context() as patch:  # no os.fork, or a fork that fails
-            if fork is None:
-                patch.delattr(os, "fork")
-            else:
-                patch.setattr(os, "fork", fork)
-            fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=chunk)
-            assert np.array_equal(fids, expected)
-            _assert_no_child()
+    for name in ("fork", "mmap"):  # no os.fork, or a fork or a mapping that fails
+        for fails in (None, unavailable) if name == "fork" else (unavailable,):
+            with monkeypatch.context() as patch:
+                module = os if name == "fork" else mmap
+                if fails is None:
+                    patch.delattr(module, name)
+                else:
+                    patch.setattr(module, name, fails)
+                fds = sorted(os.listdir("/proc/self/fd"))
+                assert forks_of() == 0
+                assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
-def test_batched_fidelities_fork_no_child_while_a_thread_runs():
-    """A real second thread, not a patched count, keeps the batch inline."""
-    psi2 = np.eye(8)[5].astype(complex)
-    omegas = 58.8 * np.random.default_rng(5).uniform(0.9, 1.1, size=(40, 4))
+def test_batched_fidelities_fork_no_child_while_a_thread_runs(monkeypatch):
+    """A real second thread, not a patched count, keeps the scan inline."""
+    monkeypatch.setattr(scan, "_CHUNK", 7)
+    cfg = _config(40, seed=5, epsilon=0.1)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        with (mock.patch.object(pulse3, "_usable_cpus", return_value=2),
+        with (mock.patch.object(scan, "_usable_cpus", return_value=2),
               _calls(os, "fork") as forks):
-            fids = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5, chunk=7)
+            _, fids = _scan_fids(cfg)
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive() and forks == []
-    assert np.array_equal(fids, gather_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5))
+    assert np.array_equal(fids, _gather_scan(cfg))
+
+
+@pytest.mark.parametrize("cpu_max, cpus", [("150000 100000\n", 1), ("100000 100000\n", 1),
+                                           ("200000 100000\n", 2), ("max 100000\n", 2),
+                                           ("garbled\n", 2), (None, 2)])
+def test_usable_cpus_honour_a_cgroup_quota(monkeypatch, tmp_path, cpu_max, cpus):
+    """A cgroup v2 quota below two CPUs' time counts one CPU, so a one-CPU container
+    scans inline; no quota, an unreadable one or no such file leaves the affinity mask."""
+    path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max)
+    monkeypatch.setattr(scan, "_CPU_MAX", str(path))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert scan._usable_cpus() == cpus
+    with _calls(os, "fork") as forks:
+        _scan_fids(_config(20_481))
+    assert len(forks) == (cpus == 2)
+    _assert_no_child()
+
+
+def test_sampler_row_range_is_that_slice_of_the_scan():
+    """``_sample_omegas(cfg, begin, end)`` draws rows begin..end of the whole scan's
+    draws, whatever pass boundaries either crosses."""
+    cfg = _config(3 * 8192 + 5, seed=2**64 - 1)
+    whole = _sample_omegas(cfg)
+    for begin, end in ((0, 1), (1, 8193), (8191, 8193), (12_000, len(whole)), (0, len(whole))):
+        assert _sample_omegas(cfg, begin, end).tobytes() == whole[begin:end].tobytes()
+    assert _sample_omegas(cfg, 12_000).tobytes() == whole[12_000:].tobytes()
 
 
 def test_batched_fidelities_match_single_pulse_propagation():
@@ -669,8 +773,8 @@ def test_batched_pulse3_is_the_propagated_fidelity(psi, epsilon, omega, v_s, v_c
     np.testing.assert_allclose(
         fids, _propagated_fidelities(psi2, omegas, v_s, v_c, tau3), rtol=0, atol=1e-12
     )
-    for chunk in (1, 7):  # 9 samples: a forked child at chunk 1 on the Chebyshev kernel
-        chunked = _inline_and_forked(psi2, omegas, v_s, v_c, tau3, chunk=chunk)
+    for chunk in (1, 7):  # 9 samples: halves of 4 and 5, in passes of 1 or one pass each
+        chunked = _whole_and_halves(psi2, omegas, v_s, v_c, tau3, chunk=chunk)
         assert np.array_equal(chunked, fids)
 
 
@@ -699,7 +803,7 @@ def test_batched_pulse3_is_the_gather_kernel_bit_for_bit(
     omegas = omega * np.random.default_rng(samples).uniform(0.5, 1.5, (samples, 4))
     chunk = samples + 5 if chunk is None else chunk
     assert np.array_equal(
-        _inline_and_forked(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
+        _whole_and_halves(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
         gather_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3, chunk=chunk),
     )
 
@@ -1726,7 +1830,7 @@ def test_reference_commands_are_perfbench_cli_commands():
     "code, modules, absent",
     [
         ("import rydex", ("rydex",), ("numpy", "mpmath")),
-        # csv only where a command writes CSV; mmap only where a pulse-3 batch forks
+        # csv only where a command writes CSV; mmap only where a scan forks
         *((f"from rydex.cli import main; main({list(argv)!r})", modules,
            ("mpmath", "scipy", "numpy.random", "mmap", *(() if "csv" in argv else ("csv",))))
           for _, argv, modules in REFERENCE_COMMANDS),
@@ -1741,8 +1845,9 @@ def test_start_up_loads_only_what_a_command_runs(code, modules, absent):
     """In a fresh process, a bare import loads no layer, and each reference command
     exactly the rydex modules it runs: the pair commands no chain, optimizer, scan,
     pulse-3 kernel, table or figure module, the tables no scan; none loads mpmath or
-    numpy.random (the optimizer draws its restarts itself) or forks a pulse-3 worker
-    (mmap: their scans of 10k samples run inline), and only the CSV commands load csv."""
+    numpy.random (the optimizer draws its restarts itself) or forks a scan's second
+    process (mmap: their scans of 10k samples run inline), and only the CSV commands
+    load csv."""
     listing = "import sys; print(*sorted(sys.modules), file=sys.stderr)"
     proc = _fresh_process("-c", f"{code}\n{listing}")
     assert proc.returncode == 0
@@ -1754,32 +1859,39 @@ def test_start_up_loads_only_what_a_command_runs(code, modules, absent):
 def test_perfbench_tracer_still_times_the_moved_stages():
     """perfbench's tracer wraps the functions of its seven layers only, and reads the
     sampler and the pulse-3 kernel as ``harness`` attributes. Installed in a fresh
-    process, it still times both stages of a 1k scan, and still counts the
-    optimizer's ``pairwise_entangle`` runs and the chain's, though the scan, the
-    kernel, the optimizer's search and the chain live in modules loaded on first use."""
+    process, it still times both stages of a 1k scan and of a forked 20,481-sample
+    scan, once each in the caller, and still counts the optimizer's
+    ``pairwise_entangle`` runs and the chain's, though the scan, the kernel, the
+    optimizer's search and the chain live in modules loaded on first use."""
     code = f"""
-import json, sys
+import json, os, sys
 sys.path.insert(0, "perfbench")
 from tracer import Tracer, layer_metrics
 tracer = Tracer()
 tracer.install()
-from rydex import harness, protocols
+from rydex import harness, protocols, scan
 from rydex.atoms import QuantumDefectModel
-harness.robustness_scan(harness.RobustnessConfig(0.1, 1000, 1, {NOMINAL_OMEGA}, {V_PLUS}, {V_MINUS}))
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(None) or fork()
+scan._usable_cpus = lambda: 2
+for samples in (1000, 20_481):
+    harness.robustness_scan(harness.RobustnessConfig(0.1, samples, 1, {NOMINAL_OMEGA}, {V_PLUS},
+                                                     {V_MINUS}))
 protocols.optimize_pairwise(5.0, 711.0, restarts=2)
 protocols.chain_protocol(QuantumDefectModel.default(), protocols.ChainSpec(4, 15.0, (73, 75)))
 snapshot = tracer.snapshot()
 extra = {{"vdw.near_resonant.excluded": 0, "cli.warnings": 0, "trace.overhead": 0.0}}
-print(json.dumps([snapshot, layer_metrics([snapshot], extra)]))
+print(json.dumps([snapshot, layer_metrics([snapshot], extra), len(forks)]))
 """
     proc = _fresh_process("-c", code)
     assert proc.returncode == 0, proc.stderr
-    snapshot, metrics = json.loads(proc.stdout)
+    snapshot, metrics, forks = json.loads(proc.stdout)
     calls = {(parent, name): n for parent, name, n, *_ in snapshot["edges"]}
     assert snapshot["missing"] == {}
-    assert calls["harness.robustness_scan", "harness.sampler"] == 1
-    assert calls["harness.robustness_scan", "harness.pulse3_batch"] == 1
-    assert calls["harness.robustness_scan", "dynamics.propagate"] == 1  # pulse 2
+    assert forks == 1  # the 20,481-sample scan; the child's spans die with it
+    assert calls["harness.robustness_scan", "harness.sampler"] == 2
+    assert calls["harness.robustness_scan", "harness.pulse3_batch"] == 2
+    assert calls["harness.robustness_scan", "dynamics.propagate"] == 1  # pulse 2, kept
     assert calls["protocols.optimize_pairwise", "protocols.pairwise_entangle"] == 2
     assert metrics["harness.sampler_s"]["value"] > 0
     assert metrics["harness.pulse3_batch_s"]["value"] > 0

@@ -12,6 +12,11 @@ per-layer value is the median of its three traced runs, since one traced
 run cannot resolve a per-layer time delta under about 40%. A traced run
 does a fixed set of operations, so its counters repeat: any count metric
 that differs across a side's runs is listed under ``unsteady_counters``.
+Next to each untraced run the tool runs the two-core probe (``two_core``):
+one pure-Python loop alone, then the same loop in this process and in one
+forked child at once; it records each one's wall time over the lone loop's,
+so 1.0 means two free cores and 2.0 one. A forked scan gains only while the
+second core is free, so the ratios sit beside the runs; they gate nothing.
 A traced run takes about 0.5 s on coeff-sweep, 1 s on mc-scan and 4 s on
 cli-session on a 2-core VM, so the two extra runs per side add about 20 s
 to a record. Stdlib only.
@@ -25,10 +30,12 @@ import json
 import os
 import platform
 import statistics
+import struct
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from importlib import metadata
 from pathlib import Path
 
@@ -37,6 +44,7 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 COUNTS = {m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"}
 TRACED_RUNS = 3
+PROBE_LOOP = 3_000_000  # the two-core probe's iterations, about 0.1 s on one core
 
 
 def git(*args: str, binary: bool = False):
@@ -61,6 +69,40 @@ def run(side: dict, workload: str, seed: int, trace: int) -> dict:
     if proc.returncode != 0:
         return {"error": proc.stderr.strip()[-2000:], "attempted": 0, "failed": 0, "metrics": {}}
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def spin() -> float:
+    """Seconds of the two-core probe's loop."""
+    start = time.perf_counter()
+    s = 0
+    for i in range(PROBE_LOOP):
+        s += i
+    return time.perf_counter() - start
+
+
+def two_core_probe() -> dict:
+    """The wall time of the probe's loop in this process and in one forked child, run at
+    once, each over that of one loop run alone (the child's is null if it reports none)."""
+    alone = spin()
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            os.write(write, struct.pack("d", spin()))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        parent = spin()
+        reported = os.read(read, 8)
+    finally:
+        os.close(read)
+        os.waitpid(pid, 0)
+    child = struct.unpack("d", reported)[0] / alone if len(reported) == 8 else None
+    return {"parent": parent / alone, "child": child}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -131,9 +173,11 @@ def main(argv=None) -> int:
         result = {}
         for w in args.workload or WORKLOADS:
             runs = {"base": [], "head": []}
+            probes = {"base": [], "head": []}
             for i in range(pairs[w]):
                 order = ("base", "head") if i % 2 == 0 else ("head", "base")
                 for s in order:
+                    probes[s].append(two_core_probe())
                     runs[s].append(run(sides[s], w, i + 1, 0))
                     print(f"{w} pair {i + 1}/{pairs[w]} {s} done", file=sys.stderr)
             traced = {"base": [], "head": []}
@@ -143,6 +187,7 @@ def main(argv=None) -> int:
             layers = {s: per_layer(traced[s]) for s in sides}
             result[w] = {
                 "end_to_end": compare(runs),
+                "two_core": probes,
                 "per_layer": {s: medians for s, (medians, _) in layers.items()},
                 "unsteady_counters": {s: unsteady for s, (_, unsteady) in layers.items() if unsteady},
                 "attempted": {s: sum(r["attempted"] for r in runs[s] + traced[s]) for s in sides},
