@@ -469,7 +469,7 @@ def test_batched_fidelities_are_the_same_bits_on_two_workers(monkeypatch, chunk)
     """A scan inline and on two processes against the gather form, at 1, chunk - 1,
     chunk, chunk + 1 and 2 chunk + 1 samples and on both sides of the fork threshold
     of _FORK_CHUNKS passes of ``chunk`` samples (with halves of equal and unequal
-    length), and at 100,000 samples with the kernel's own pass length; the caller
+    length), and at 20,000 and 100,000 samples at the default; the caller
     forks one child exactly past the threshold, starts no thread, and restores
     numpy's buffer."""
     monkeypatch.setattr(scan, "_CHUNK", chunk)
@@ -478,7 +478,7 @@ def test_batched_fidelities_are_the_same_bits_on_two_workers(monkeypatch, chunk)
     edge = scan._FORK_CHUNKS * chunk
     rows = [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, edge - 1, edge, edge + 1, edge + 2]
     forked = 0
-    for n in rows + [100_000] * (chunk == DEFAULT_CHUNK):
+    for n in rows + [20_000, 100_000] * (chunk == DEFAULT_CHUNK):
         cfg = _config(n)
         fids = _inline_and_forked(cfg)
         assert np.getbufsize() == bufsize
