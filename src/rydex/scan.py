@@ -251,6 +251,13 @@ def _forked_fidelities(cfg: RobustnessConfig, sample, propagate, psi2: np.ndarra
     has. A child that ends otherwise after the exchange (an exception, a signal, reaped
     unseen under an ignored SIGCHLD) leaves its half to the caller: the same bits, or
     the real error. A failure in the caller's half kills and reaps the child first."""
+    n, half = cfg.samples, cfg.samples // 2
+    if not (n > _FORK_CHUNKS * _CHUNK and sys.platform.startswith("linux") and hasattr(os, "fork")
+            and threading.active_count() == 1 and _usable_cpus() >= 2):
+        return None
+    import mmap
+    import signal
+
     def exchange(begin: int, end: int, out: int, into: int):
         # (the whole scan's bound, fidelities of rows begin..end), or Nones if the other ended
         omegas = sample(cfg, begin, end)
@@ -262,13 +269,6 @@ def _forked_fidelities(cfg: RobustnessConfig, sample, propagate, psi2: np.ndarra
             return None, None
         drive = np.maximum(bound, np.frombuffer(other))
         return drive, propagate(psi2, omegas, v_s, v_c, tau3, drive=drive)
-
-    n, half = cfg.samples, cfg.samples // 2
-    if not (n > _FORK_CHUNKS * _CHUNK and sys.platform.startswith("linux") and hasattr(os, "fork")
-            and threading.active_count() == 1 and _usable_cpus() >= 2):
-        return None
-    import mmap
-    import signal
 
     try:
         shared = mmap.mmap(-1, (n - half) * 8)

@@ -381,8 +381,8 @@ def _calls(module, name):
     forked child's records die with it."""
     real, calls = getattr(module, name), []
 
-    def recorded(*args, **kwargs):
-        result = real(*args, **kwargs)
+    def recorded(*args):
+        result = real(*args)
         calls.append(result)
         return result
 
@@ -469,10 +469,12 @@ def test_batched_fidelities_are_the_same_bits_on_two_workers(monkeypatch, chunk)
     """A scan inline and on two processes against the gather form, at 1, chunk - 1,
     chunk, chunk + 1 and 2 chunk + 1 samples and on both sides of the fork threshold
     of _FORK_CHUNKS passes of ``chunk`` samples (with halves of equal and unequal
-    length), and at 20,000 and 100,000 samples at the default; the caller
-    forks one child exactly past the threshold, starts no thread, and restores
-    numpy's buffer."""
+    length), and at 20,000 and 100,000 samples at the default; the kernel runs
+    passes of ``chunk`` samples too. The caller forks one child exactly past the
+    threshold, starts no thread, and restores numpy's buffer."""
     monkeypatch.setattr(scan, "_CHUNK", chunk)
+    monkeypatch.setattr(harness, "_batched_pulse3_fidelities",
+                        functools.partial(_batched_pulse3_fidelities, chunk=chunk))
     monkeypatch.setattr(threading, "Thread", _no_thread)
     bufsize = np.getbufsize()  # the passes run with a smaller one, then restore it
     edge = scan._FORK_CHUNKS * chunk
