@@ -1,18 +1,11 @@
 """Robustness scans and serialization; the tables and figures load on first use.
 
-``robustness_scan`` reruns the pairwise protocol with dispersed Rabi
-frequencies and histograms the resulting fidelities: pulse 2 runs once
-per working point, the samples are drawn by ``_sample_omegas``, and pulse
-3 of every sample is propagated in batches by ``_batched_pulse3_fidelities``:
-a Chebyshev expansion or, where that would cost more, one 8x8 eigensolve per
-sample. The scan's records and stages live in ``scan``, its kernel in
-``pulse3``, the published tables and ``run_table`` in ``tables`` and
-``run_figure`` in ``figures``: each module loads on first use, so a command
-compiles only what it runs, and the names resolve here too (PEP 562).
-
-All output helpers serialize floats with 9 significant digits and sort
-keys, so a fixed seed and config produce byte-identical files; each writes
-a float's text once and keeps it in a bounded memo.
+The scan's records and stages live in ``scan``, its kernel in ``pulse3``, the
+published tables and ``run_table`` in ``tables`` and ``run_figure`` in
+``figures``: each module loads on first use, so a command compiles only what it
+runs, and the names resolve here too (PEP 562). All output helpers serialize
+floats with 9 significant digits and sort keys, so a fixed seed and config
+produce byte-identical files; each keeps a float's text in a bounded memo.
 """
 
 from __future__ import annotations
@@ -21,7 +14,6 @@ import importlib
 import io
 import json
 import math
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -60,11 +52,12 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
 
     Pulse 2 runs once at the nominal frequency (its duration fixed by
     the quadratic-correction formula), and once per process for each of
-    the last few working points; every sample then propagates pulse 3
-    with four independently dispersed Rabi frequencies for the fixed
-    nominal half-period. A large scan forks once where that is safe, the
-    caller and the child each drawing and propagating half of the rows
-    (``scan._forked_fidelities``); the histogram is taken over all of them.
+    the last few working points; every sample, drawn by ``_sample_omegas``,
+    then propagates pulse 3 with four independently dispersed Rabi
+    frequencies for the fixed nominal half-period, in batches
+    (``_batched_pulse3_fidelities``). A large scan forks once where that is
+    safe, the caller and the child each drawing and propagating half of the
+    rows (``scan._forked_fidelities``); the histogram is taken over all of them.
     """
     from .harness import _batched_pulse3_fidelities, _sample_omegas  # see __getattr__
     from .scan import _forked_fidelities, _histogram, _pulse2_point
@@ -85,7 +78,8 @@ def histogram_payload(cfg: RobustnessConfig, hist: FidelityHistogram) -> dict:
     return {
         "schema": SCHEMA,
         "command": "robustness",
-        **asdict(cfg),
+        "epsilon": cfg.epsilon, "samples": cfg.samples, "seed": cfg.seed,
+        "omega_khz": cfg.omega_khz, "v_plus_khz": cfg.v_plus_khz, "v_minus_khz": cfg.v_minus_khz,
         "bin_edges": list(hist.bin_edges),
         "counts": list(hist.counts),
         "fraction_above": {f"{t:.2f}": v for t, v in hist.fraction_above.items()},
@@ -103,8 +97,7 @@ def histogram_rows(hist: FidelityHistogram) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-# Most floats each serializer keeps the text of (about 0.1 MB when full); a full memo
-# starts over. They pay where one process writes many scans, whose bin edges repeat.
+# Most floats each serializer keeps the text of; a full memo starts over (bin edges repeat)
 _FLOAT_TEXTS = 1024
 _json_floats: dict[float, str] = {}
 _csv_floats: dict[float, str] = {}
@@ -180,7 +173,14 @@ def _json_text(obj, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + newline + "]"
+        kinds = set(map(type, obj))
+        if kinds == {float}:  # the memo's texts, or _json_float's for new floats
+            texts = [_json_floats.get(v) or _json_float(v) for v in obj]
+        elif kinds == {int}:
+            texts = list(map(int.__repr__, obj))
+        else:
+            texts = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -237,5 +237,5 @@ def rows_to_csv(columns: list[str], rows: list) -> str:
         if isinstance(row, dict):
             writer.writerow([_format_cell(row[c]) for c in columns])
         else:
-            writer.writerow([_format_cell(v) for v in row])
+            writer.writerow(map(_format_cell, row))
     return buf.getvalue()

@@ -80,8 +80,7 @@ def __getattr__(name: str):
 # when its total Rydberg population exceeds this threshold.
 RYDBERG_POPULATION_THRESHOLD = 1e-3
 
-# Most restarts optimize_pairwise takes: each costs about 4 ms (2-core x86 VM), and
-# the starts are drawn before the first step
+# Most restarts optimize_pairwise takes, to bound its time; the starts are drawn first
 MAX_RESTARTS = 1000
 
 # Propagation samples per pulse, each end included, of every sampled run

@@ -6,6 +6,7 @@ and ``scan``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,8 +30,7 @@ _MINUS_I_POWER_PARTS = np.array([1.0, -1.0, -1.0, 1.0])
 _CHEBYSHEV_MAX_TERMS = 250
 # Most samples one pass of the Chebyshev kernel holds by default
 _CHUNK = 5120
-# Most 8x8 matrices one pass of the eigh fallback solves: each takes about 3.5 kB of
-# stacks at once, so more passes keep a scan's peak RSS down
+# Most 8x8 matrices one pass of the eigh fallback solves, to bound a scan's peak RSS
 _EIGH_PASS = 2048
 
 
@@ -68,13 +68,8 @@ def _aligned_empty(*shape: int) -> np.ndarray:
 
 
 class _ChebyshevBuffers:
-    """One worker's arrays for passes of m samples, ``rows`` of them summed.
-
-    Each process of a scan allocates its own and reuses them, with the views
-    built here, for every pass; each pass writes into them with ``out=``. Each
-    starts on a 64-byte boundary, where malloc would not always put it, and
-    wide vector loads run faster.
-    """
+    """One call's arrays for passes of m samples, ``rows`` of them summed, and the views
+    each pass writes through (``out=``); each starts on 64 bytes, for wide vector loads."""
 
     def __init__(self, m: int, rows: int) -> None:
         self.t = _aligned_empty(2, 2, 2, 2, m)  # T_k-1 and T_k in turn, cycle layout
@@ -142,7 +137,8 @@ def _chebyshev_rows(omegas_khz: np.ndarray, out: np.ndarray, step: tuple, chunk:
     m = -(-n // -(-n // chunk))
     m = min(-(-m // 8) * 8, chunk, n)
     buffers = _ChebyshevBuffers(m, len(step[4]))
-    # a ufunc buffer no larger than a row (numpy takes multiples of 16)
+    # a ufunc buffer no larger than a row (numpy takes multiples of 16): a larger one
+    # makes numpy copy each broadcast operand (the links, the diagonal) through it
     bufsize = np.setbufsize(max(16, min(m, np.getbufsize()) // 16 * 16))
     try:
         for at in range(0, n, m):
@@ -155,23 +151,36 @@ def _chebyshev_rows(omegas_khz: np.ndarray, out: np.ndarray, step: tuple, chunk:
 def _drive_bound(omegas_khz: np.ndarray) -> np.ndarray:
     """Each channel's largest drive magnitude over the rows of ``omegas_khz``: its
     maximum or minus its minimum, both exact, so the bound over two halves is the
-    elementwise maximum of theirs."""
+    elementwise maximum of theirs; on a scan's drives each reduces a contiguous column."""
     return np.maximum(omegas_khz.max(axis=0), -omegas_khz.min(axis=0))
 
 
-def _batched_pulse3_fidelities(
-    psi2: np.ndarray,
-    omegas_khz: np.ndarray,
-    v_s: float,
-    v_c: float,
-    tau3_us: float,
-    chunk: int = _CHUNK,
-    drive: np.ndarray | None = None,
-) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _setup(v_s_key: tuple, v_c_key: tuple, dtype: str, psi2_bytes: bytes) -> tuple:
+    """The drive-free part of a working point's kernel, read-only: h0's diagonal, the
+    absolute row sums of its coupling, the V_c entries at (_CYCLES[:, 0, 1],
+    _CYCLES[::-1, 0, 1]), and psi2's nonzero rows as cycle-layout slots and amplitudes.
+    A V key is (type, value, sign), as ``scan._pulse2_point`` keys its floats."""
+    h0 = _sector_matrices(np.zeros(4), v_s_key[1], v_c_key[1])
+    centre, coupling = h0.diagonal(), h0 - np.diag(h0.diagonal())
+    psi2 = np.frombuffer(psi2_bytes, dtype)
+    support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
+    parts = (centre, np.abs(coupling).sum(axis=1),
+             coupling[_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]],
+             np.argsort(_CYCLES, axis=None)[support], psi2[support])
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
+def _batched_pulse3_fidelities(psi2: np.ndarray, omegas_khz: np.ndarray, v_s: float, v_c: float,
+                               tau3_us: float, chunk: int = _CHUNK,
+                               drive: np.ndarray | None = None) -> np.ndarray:
     """Fidelities |<g+| exp(-2 pi i H t) |psi2>|^2 after pulse 3 for stacked draws.
 
     Row b of ``omegas_khz`` holds the (dU_A, uD_A, dU_B, uD_B) drives of
-    sample b; phases are zero, so the target is g+ = (|du> + |ud>)/sqrt(2).
+    sample b, in either memory order; a scan's are channel-contiguous, so a pass
+    reads four contiguous rows. Phases are zero: the target is g+ = (|du> + |ud>)/sqrt(2).
     H is real symmetric, so <g+|U|psi2> = (U g+) . psi2, and U g+ is expanded
     in Chebyshev polynomials (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
     (1984)): with the spectrum of H inside c +- r and x = 2 pi r t,
@@ -189,12 +198,11 @@ def _batched_pulse3_fidelities(
     direct call passes one: ``_half_period`` refuses a negative drive) flips the
     sign of the odd terms.
 
-    ``chunk`` is the most samples one pass holds (_chebyshev_rows), with
-    numpy's ufunc buffer no larger than one row: one that holds two rows makes
-    numpy copy each broadcast operand (the links, the diagonal) through it.
-    Only elementwise arithmetic touches the samples, so neither the layout,
-    the passes nor the buffer changes a bit, and rows cut into ranges give the
-    bits of the whole batch under the same bound.
+    ``chunk`` is the most samples one pass holds (_chebyshev_rows). Only
+    elementwise arithmetic touches the samples, so neither the layouts, the
+    passes nor the buffer change a bit, and rows cut into ranges give the bits
+    of the whole batch under the same bound. The drive-free set-up is kept per
+    working point and psi2 (``_setup``); the rest is computed per call.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
     channel's largest drive magnitude, ``drive``, by default over the rows
@@ -210,11 +218,11 @@ def _batched_pulse3_fidelities(
     """
     n = omegas_khz.shape[0]
     fids = np.empty(n)
-    h0 = _sector_matrices(np.zeros(4), v_s, v_c)  # the drive-free part of every H
-    centre, coupling = h0.diagonal(), h0 - np.diag(h0.diagonal())
+    centre, coupling_sums, pair, slots, coeffs = _setup(
+        *((type(v), v, math.copysign(1.0, v)) for v in (v_s, v_c)), psi2.dtype.str, psi2.tobytes())
     if drive is None:
         drive = _drive_bound(omegas_khz)
-    radius = drive[_NEIGHBOUR_CHANNELS].sum(axis=0) / 2.0 + np.abs(coupling).sum(axis=1)
+    radius = drive[_NEIGHBOUR_CHANNELS].sum(axis=0) / 2.0 + coupling_sums
     lo, hi = (centre - radius).min(), (centre + radius).max()
     c, r = (lo + hi) / 2.0, (hi - lo) / 2.0
     x = 2.0 * math.pi * float(r) * tau3_us * 1e-3  # a Python float overflows to inf quietly
@@ -231,8 +239,6 @@ def _batched_pulse3_fidelities(
     if x < 0.0:  # a negative duration: J_k(-x) = (-1)^k J_k(x)
         weights[1::2] *= -1.0
     diagonal = (2.0 * (centre - c) / r)[_CYCLES, None]  # 2 (H - c)/r without the links
-    off = (2.0 * coupling[_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]] / r)[:, None]
-    support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
-    slots = np.argsort(_CYCLES, axis=None)[support]
-    _chebyshev_rows(omegas_khz, fids, (weights, diagonal, off, r, slots, psi2[support]), chunk)
+    off = (2.0 * pair / r)[:, None]
+    _chebyshev_rows(omegas_khz, fids, (weights, diagonal, off, r, slots, coeffs), chunk)
     return fids

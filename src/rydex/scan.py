@@ -87,8 +87,7 @@ class FidelityHistogram:
 _M0, _M1, _W0, _W1 = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157,
                                0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
 _LOW32 = np.uint64(0xFFFFFFFF)
-# Keys per pass: each pass costs ~300 ufunc calls whatever its size, and its nine rows
-# take 0.6 MB here, so a 100k scan's peak RSS is that of shorter passes
+# Keys per pass: enough to spread a pass's fixed ufunc calls, few enough to bound peak RSS
 _SAMPLE_CHUNK = 8192
 
 
@@ -117,9 +116,9 @@ def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.n
 
 def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None) -> np.ndarray:
     """Per-sample Rabi frequencies of samples ``begin`` to ``end`` (by default all of
-    them), (end - begin, 4), in kHz: sample i is
-    ``Generator(Philox(key=[seed, i])).uniform(lo, hi, 4)`` with an exact uint64 key,
-    so any partition draws the same; each pass computes the first block of its keys.
+    them), (end - begin, 4), in kHz, channel-contiguous (order "F"), so each pass writes
+    four contiguous runs: sample i is ``Generator(Philox(key=[seed, i])).uniform(lo, hi,
+    4)`` with an exact uint64 key, so any partition draws the same.
 
     Key word 0 is the seed for every sample, so it and its bumps are Python ints.
     numpy's counter starts at (1, 0, 0, 0), so round 1 gives (seed, 0, k1, M0) and
@@ -128,7 +127,7 @@ def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None
     counter rows rotate, and uint64 arithmetic wraps silently, as Philox needs.
     """
     n = (cfg.samples if end is None else end) - begin
-    out = np.empty((n, 4))
+    out = np.empty((n, 4), order="F")
     lo = 1.0 - cfg.epsilon
     width = (1.0 + cfg.epsilon) - lo
     m = min(n, _SAMPLE_CHUNK)
@@ -172,14 +171,8 @@ def _pulse2_point(*key: tuple) -> tuple[float, float, float, float, np.ndarray]:
     scan passed; an error is raised again on every call, since it is not kept.
     """
     # read when called: perfbench's tracer loads this module before it wraps these
-    from .dynamics import (
-        PRODUCT_BASIS_8,
-        PulseSpec,
-        QuantumState,
-        build_full8,
-        propagate,
-        tau2_approximate,
-    )
+    from .dynamics import (PRODUCT_BASIS_8, PulseSpec, QuantumState, build_full8, propagate,
+                           tau2_approximate)
     from .protocols import _exchange_split, _half_period
 
     (_, omega, _), (_, v_plus, _), (_, v_minus, _) = key
@@ -216,8 +209,7 @@ def _histogram(fids: np.ndarray, samples: int) -> FidelityHistogram:
     )
 
 
-# Kernel passes (pulse3._CHUNK) a scan must pass to run its halves in two processes:
-# below that, the fork and the child's page faults cost about what the child saves
+# Kernel passes (pulse3._CHUNK) a scan must pass to fork: below, forking costs what it saves
 _FORK_CHUNKS = 4
 # this process's cgroup v2 CPU limit: "max" or a quota, then a period, in us
 _CPU_MAX = "/sys/fs/cgroup/cpu.max"

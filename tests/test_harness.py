@@ -723,6 +723,40 @@ def test_sampler_row_range_is_that_slice_of_the_scan():
     assert _sample_omegas(cfg, 12_000).tobytes() == whole[12_000:].tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 12345, 2**63, 2**64 - 1])
+def test_sampler_draws_are_channel_contiguous_with_the_reference_bytes(seed):
+    """A scan's drives are F-ordered, each channel one contiguous run, with the shape,
+    ``tobytes()`` and ``ravel()`` of the array-per-round sampler's, row ranges too."""
+    cfg = _config(3 * 8192 + 5, seed=seed)
+    reference = array_per_round_sampler(cfg)
+    whole = _sample_omegas(cfg)
+    assert whole.flags.f_contiguous and not whole.flags.c_contiguous
+    assert whole.shape == reference.shape and whole.tobytes() == reference.tobytes()
+    assert whole.ravel().tobytes() == reference.ravel().tobytes()
+    for begin, end in ((0, 1), (1, 8193), (8191, 8193), (12_000, len(whole))):
+        rows = _sample_omegas(cfg, begin, end)
+        assert rows.flags.f_contiguous and rows.tobytes() == reference[begin:end].tobytes()
+
+
+@pytest.mark.parametrize("v_minus", [V_MINUS, 1e6])
+def test_kernel_and_bound_ignore_the_drives_memory_order(v_minus):
+    """C- and F-ordered copies of one set of drives give the same drive bound and the
+    same fidelities, in one pass or several, on the Chebyshev kernel and (at V- = 1e6
+    kHz) on the eigh fallback."""
+    cfg = _config(2 * 1024 + 5, v_minus=v_minus)
+    _, tau3, v_s, v_c, psi2 = _scan_point(cfg)
+    drives = _sample_omegas(cfg)
+    c_order, f_order = np.ascontiguousarray(drives), np.asfortranarray(drives)
+    assert not c_order.flags.f_contiguous and not f_order.flags.c_contiguous
+    assert pulse3._drive_bound(c_order).tobytes() == pulse3._drive_bound(f_order).tobytes()
+    for chunk in (1000, DEFAULT_CHUNK):
+        with _calls(pulse3, "_evolve") as eighs:
+            c_fids, f_fids = (_batched_pulse3_fidelities(psi2, d, v_s, v_c, tau3, chunk=chunk)
+                              for d in (c_order, f_order))
+        assert c_fids.tobytes() == f_fids.tobytes()
+        assert bool(eighs) == (v_minus == 1e6)
+
+
 def test_batched_fidelities_match_single_pulse_propagation():
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     psi2 = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -822,6 +856,60 @@ def test_batched_pulse3_of_a_zero_hamiltonian_is_the_start_overlap():
     np.testing.assert_allclose(fids, 0.5 * abs(psi2[0] + psi2[1]) ** 2, rtol=1e-14, atol=0)
 
 
+def _setup_key(psi2, v_s=358.05, v_c=-353.19):
+    return (*((type(v), v, math.copysign(1.0, v)) for v in (v_s, v_c)), psi2.dtype.str,
+            psi2.tobytes())
+
+
+def test_kernel_setup_keys_tell_signed_zeros_and_types_apart():
+    """The set-up cache keys V_s and V_c as ``scan._pulse2_point`` keys its floats:
+    0.0 and -0.0, 5 and 5.0, and a float and a numpy float are different points."""
+    psi2, omegas = np.eye(8)[5].astype(complex), np.full((3, 4), 58.8)
+    pulse3._setup.cache_clear()
+    points = [(5, 0.0), (5.0, 0.0), (np.float64(5.0), 0.0), (5.0, -0.0), (5.0, 0)]
+    for v_s, v_c in points + points[::-1]:
+        _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, 8.5)
+    assert pulse3._setup.cache_info()[:2] == (len(points), len(points))  # (hits, misses)
+
+
+def test_kernel_setup_arrays_are_read_only():
+    psi2 = _scan_point(_config(10))[-1]
+    parts = pulse3._setup(*_setup_key(psi2))
+    assert len(parts) == 5
+    for part in parts:
+        with pytest.raises(ValueError, match="read-only"):
+            part[...] = 0
+
+
+def test_kernel_setup_keys_psi2_by_its_bytes():
+    """After a scan at the default point, whose psi2 is zero on five rows, a psi2 nonzero
+    on every row at the same (V_s, V_c) gets its own eight slots and the gather kernel's
+    bits; a real psi2 is keyed by its dtype too, not read as complex."""
+    cfg = _config(1000)
+    _, tau3, v_s, v_c, scan_psi2 = _scan_point(cfg)
+    robustness_scan(cfg)
+    assert np.count_nonzero(scan_psi2) == 3
+    rng = np.random.Generator(np.random.Philox(key=[2027, 0]))
+    general = rng.normal(size=8) + 1j * rng.normal(size=8)
+    general /= np.linalg.norm(general)
+    omegas = _sample_omegas(cfg)
+    fids = _batched_pulse3_fidelities(general, omegas, v_s, v_c, tau3)
+    assert fids.tobytes() == gather_pulse3_fidelities(general, omegas, v_s, v_c, tau3).tobytes()
+    assert len(pulse3._setup(*_setup_key(general, v_s, v_c))[3]) == 8
+    real = general.real.copy()
+    assert _batched_pulse3_fidelities(real, omegas, v_s, v_c, tau3).tobytes() == (
+        _batched_pulse3_fidelities(real.astype(complex), omegas, v_s, v_c, tau3).tobytes())
+
+
+def test_kernel_setup_cache_stays_bounded():
+    psi2, omegas = np.eye(8)[5].astype(complex), np.full((3, 4), 58.8)
+    pulse3._setup.cache_clear()
+    for k in range(20):
+        _batched_pulse3_fidelities(psi2, omegas, 358.05 + k, -353.19, 8.5)
+    info = pulse3._setup.cache_info()
+    assert info.misses == 20 and info.currsize == info.maxsize <= 8
+
+
 def test_cycle_layout_views_are_the_sector_links():
     """Each state of the kernel's (cycle, group, member) layout finds its
     _NEIGHBOURS[j] partner through view j and that link's channel through the
@@ -914,6 +1002,18 @@ def test_histogram_payload_and_rows():
     assert rows[0] == [0.0, 0.8, hist.counts[0]]
     assert rows[1][0] == 0.8
     assert sum(r[2] for r in rows) == 150
+
+
+def test_histogram_payload_holds_the_config_fields_in_order():
+    """The payload carries the six config fields as ``dataclasses.asdict`` gives them:
+    the same keys, in field order, and the same values and types."""
+    _, hist = _scan(0.1, 150, 5)
+    for cfg in (RobustnessConfig(0.1, 150, 5, NOMINAL_OMEGA, V_PLUS, V_MINUS),
+                RobustnessConfig(np.float64(0.1), 150, 5, 60, np.float64(V_PLUS), -0.0)):
+        payload, fields = histogram_payload(cfg, hist), dataclasses.asdict(cfg)
+        assert list(payload)[2:8] == list(fields)
+        assert [(type(payload[k]), payload[k]) for k in fields] == [
+            (type(v), v) for v in fields.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -1189,6 +1289,70 @@ def test_serializers_refuse_non_finite_floats_as_the_reference(bad):
         with pytest.raises(ValueError, match=fragment) as expected:
             reference(data)
         assert type(raised.value) is type(expected.value)
+        assert str(raised.value) == str(expected.value)
+
+
+_EXACT_FLOATS = st.one_of(
+    _FINITE, st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, *_NEAR_TWINS]))
+_EXACT_INTS = st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([10**20, -(10**20), 0]))
+
+
+def _csv_writer_text(columns, rows):
+    """What ``csv.writer`` writes of the header and of each row's cells formatted afresh."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([f"{v:.9g}" if type(v) is float else str(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(floats=st.lists(_EXACT_FLOATS, min_size=1, max_size=12),
+       ints=st.lists(_EXACT_INTS, min_size=1, max_size=12), width=st.integers(1, 4))
+def test_exact_number_lists_and_rows_write_the_reference_bytes(floats, ints, width):
+    """Lists of only exact floats or only exact ints, and rows of exact floats and ints,
+    give the bytes of ``json.dumps`` of ``to_jsonable``'s copy and of ``csv.writer``,
+    with the float memos cold and warm: signed zeros, 5e-324, +-1e308, +-10**20."""
+    payload = {"f": floats, "i": ints, "t": tuple(floats), "nested": [floats, tuple(ints)]}
+    cells = floats + ints
+    rows = [cells[i : i + width] for i in range(0, len(cells), width)] + [tuple(floats), []]
+    for cold in (True, False):
+        if cold:
+            harness._json_floats.clear()
+            harness._csv_floats.clear()
+        assert dumps_json(payload) == json.dumps(
+            to_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert rows_to_csv(_COLUMNS, rows) == _csv_writer_text(_COLUMNS, rows)
+
+
+@pytest.mark.parametrize(
+    "odd", [True, np.bool_(False), np.float64(0.5), np.int64(3), _Float(0.25), "x", None, 1, 0.5],
+    ids=repr)
+def test_mixed_lists_and_rows_fall_back_to_the_reference_bytes(odd):
+    """A list or row with one item that is not of the others' exact type (a bool, a
+    numpy scalar, a float subclass, a str, None, an int among floats or a float among
+    ints) writes the reference bytes, as do dict rows of the same items."""
+    for items in ([0.1, -0.0, 5e-324, 1e308], [10**20, -(10**20), 7]):
+        for at in (0, 2, len(items)):
+            mixed = items[:at] + [odd] + items[at:]
+            payload = {"m": mixed, "t": tuple(mixed)}
+            assert dumps_json(payload) == serialize_reference.dumps_json(payload)
+            columns = [f"c{i}" for i in range(len(mixed))]
+            rows = [mixed, tuple(mixed), dict(zip(columns, mixed))]
+            assert rows_to_csv(columns, rows) == serialize_reference.rows_to_csv(columns, rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_exact_float_lists_and_rows_refuse_non_finite_floats_as_the_reference(bad):
+    """A NaN or infinity among exact floats raises the reference's ValueError."""
+    cases = [(dumps_json, serialize_reference.dumps_json, {"x": [1.0, bad, 2.0]}),
+             (lambda rows: rows_to_csv(["x", "y", "z"], rows),
+              lambda rows: serialize_reference.rows_to_csv(["x", "y", "z"], rows), [[1.0, bad, 2]])]
+    for fast, reference, data in cases:
+        with pytest.raises(ValueError) as raised:
+            fast(data)
+        with pytest.raises(ValueError) as expected:
+            reference(data)
         assert str(raised.value) == str(expected.value)
 
 
