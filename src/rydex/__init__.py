@@ -14,7 +14,7 @@ imports no layer and a program pays only for the layers it reads.
 
 import importlib
 
-# layer module -> the public names the package re-exports from it
+# module -> the public names it defines, which the package re-exports
 _EXPORTS = {
     "atoms": ("CHANNEL_FINE_STRUCTURE", "DefectDataError", "DefectSeries", "QuantumDefectModel",
               "clebsch_gordan", "quantum_defect"),
@@ -25,14 +25,16 @@ _EXPORTS = {
     "dynamics": ("CHANNELS", "PRODUCT_BASIS_8", "HamiltonianMatrix", "Pulse2Analytics",
                  "PulseSpec", "QuantumState", "build_blocked2", "build_full8", "build_swap_2pi",
                  "propagate", "propagate_sampled", "pulse2_analytics", "tau2_approximate"),
-    "protocols": ("RYDBERG_POPULATION_THRESHOLD", "SWAP_MATRIX_IDEAL", "ChainFidelityEstimate",
-                  "ChainResult", "ChainSpec", "PairCouplings", "PairwiseOptimum",
-                  "ProtocolResult", "PulseSchedule", "SchedulePulse", "SpectatorBlockade",
-                  "SwapGateResult", "Trajectory", "chain_fidelity_estimate", "chain_ideal_state",
-                  "chain_protocol", "optimize_pairwise", "pair_couplings", "pairwise_entangle",
-                  "swap_gate"),
-    "harness": ("FidelityHistogram", "RobustnessConfig", "robustness_scan", "run_figure",
-                "run_table"),
+    "protocols": ("RYDBERG_POPULATION_THRESHOLD", "SWAP_MATRIX_IDEAL", "PairCouplings",
+                  "PairwiseOptimum", "ProtocolResult", "SwapGateResult", "Trajectory",
+                  "optimize_pairwise", "pair_couplings", "pairwise_entangle", "swap_gate"),
+    "chain": ("ChainFidelityEstimate", "ChainResult", "ChainSpec", "PulseSchedule",
+              "SchedulePulse", "SpectatorBlockade", "chain_fidelity_estimate", "chain_ideal_state",
+              "chain_protocol"),
+    "scan": ("FidelityHistogram", "RobustnessConfig"),
+    "harness": ("robustness_scan",),
+    "tables": ("run_table",),
+    "figures": ("run_figure",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -3,7 +3,7 @@
 ``chain_protocol`` lays out the paper's four steps of parallel pairwise entanglement
 and SWAP links, whose duration does not depend on the chain's length, and simulates
 one pair and one link with ``protocols``. Only the chain command loads this module;
-``protocols`` and the package resolve its public names on first use.
+the package resolves its public names on first use.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .protocols import (
     swap_gate,
 )
 from .vdw import critical_radius
+
+__all__ = ["ChainSpec", "SchedulePulse", "PulseSchedule", "chain_ideal_state",
+           "ChainFidelityEstimate", "chain_fidelity_estimate", "SpectatorBlockade", "ChainResult",
+           "chain_protocol"]
 
 # Largest chain a ChainSpec accepts: its operation counts and their sums are exact floats
 MAX_CHAIN_ATOMS = 2**53

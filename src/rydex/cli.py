@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import logging
 import math
 import re
@@ -30,12 +29,12 @@ if __name__ == "__main__":  # off before numpy loads: a command leaves a few hun
 from .atoms import DefectDataError, QuantumDefectModel, _require_finite
 from .harness import (
     SCHEMA,
+    _json_text,
     dumps_json,
     histogram_payload,
     histogram_rows,
     robustness_scan,
     rows_to_csv,
-    to_jsonable,
 )
 from .vdw import c6_pair, critical_radius
 
@@ -230,7 +229,7 @@ def _flatten(data, prefix: str = "") -> list[tuple[str, object]]:
         if isinstance(value, dict):
             rows.extend(_flatten(value, prefix=f"{name}."))
         elif isinstance(value, (list, tuple)):
-            rows.append((name, json.dumps(to_jsonable(value), allow_nan=False)))
+            rows.append((name, _json_text(value, None)))
         else:
             rows.append((name, value))
     return rows

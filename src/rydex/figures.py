@@ -12,6 +12,8 @@ from .dynamics import tau2_approximate
 from .harness import SCHEMA, histogram_rows, robustness_scan
 from .protocols import pair_couplings, pairwise_entangle
 
+__all__ = ["run_figure"]
+
 # working points of the figures
 DEFAULT_PAIR = (73, 75)
 DEFAULT_SPACING_UM = 15.0

@@ -1,11 +1,9 @@
-"""Robustness scans and serialization; the tables and figures load on first use.
+"""Robustness scans and serialization.
 
-The scan's records and stages live in ``scan``, its kernel in ``pulse3``, the
-published tables and ``run_table`` in ``tables`` and ``run_figure`` in
-``figures``: each module loads on first use, so a command compiles only what it
-runs, and the names resolve here too (PEP 562). All output helpers serialize
-floats with 9 significant digits and sort keys, so a fixed seed and config
-produce byte-identical files; each keeps a float's text in a bounded memo.
+The scan's records and stages live in ``scan`` and its kernel in ``pulse3``, each
+loaded on first use, so a command compiles only what it runs. All output helpers
+serialize floats with 9 significant digits and sort keys, so a fixed seed and
+config produce byte-identical files; each keeps a float's text in a bounded memo.
 """
 
 from __future__ import annotations
@@ -18,26 +16,14 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
-__all__ = [
-    "SCHEMA",
-    "RobustnessConfig",
-    "FidelityHistogram",
-    "robustness_scan",
-    "pair_couplings",
-    "run_table",
-    "run_figure",
-    "to_jsonable",
-    "dumps_json",
-    "rows_to_csv",
-]
+__all__ = ["SCHEMA", "robustness_scan", "dumps_json", "rows_to_csv"]
 
 SCHEMA = "rydex/1"
 
-# names whose homes load on first use (PEP 562), kept here once read; robustness_scan
-# reads its two stages through here, where perfbench's tracer finds them and times each
-_LAZY = {"RobustnessConfig": "scan", "FidelityHistogram": "scan", "_sample_omegas": "scan",
-         "_batched_pulse3_fidelities": "pulse3", "run_table": "tables", "run_figure": "figures",
-         "pair_couplings": "protocols"}
+# the names perfbench reads here, each loaded from its home on first use (PEP 562) and
+# kept; robustness_scan reads its two stages through here, so the tracer times each
+_LAZY = {"RobustnessConfig": "scan", "pair_couplings": "protocols", "_sample_omegas": "scan",
+         "_batched_pulse3_fidelities": "pulse3"}
 
 
 def __getattr__(name: str):
@@ -111,12 +97,6 @@ def _remember(memo: dict[float, str], x: float, text: str) -> str:
     return text
 
 
-def _round_float(x: float) -> float:
-    if not math.isfinite(x):
-        return x
-    return float(f"{x:.9g}")
-
-
 def _json_float(x: float) -> str:
     """The JSON text of ``x`` rounded to 9 significant digits."""
     text = _json_floats.get(x)
@@ -127,34 +107,19 @@ def _json_float(x: float) -> str:
     return text
 
 
-def _jsonable(obj):
-    kind = type(obj)
-    if kind is float:
-        return _round_float(obj)
-    if kind is int or kind is str:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round_float(float(obj))
-    return obj
+def _bracketed(brackets: str, texts: list[str], newline: str | None) -> str:
+    """``texts`` between ``brackets``: on one line where ``newline`` is None, else one
+    to a line, indented past ``newline``."""
+    if newline is None:
+        return brackets[0] + ", ".join(texts) + brackets[1]
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(texts) + newline + brackets[1]
 
 
-def to_jsonable(obj):
-    """Recursively convert to JSON-ready types with 9-digit floats; exact floats,
-    ints and strs first, then containers, numpy scalars, bools and subclasses."""
-    return _jsonable(obj)
-
-
-def _json_text(obj, newline: str) -> str:
-    """``obj`` as ``to_jsonable`` converts it and ``json.dumps`` writes it with
-    sorted keys at ``indent=2``, ``newline`` being its own line's break and indent."""
+def _json_text(obj, newline: str | None) -> str:
+    """``obj`` as ``json.dumps`` writes it with sorted keys, floats rounded to 9
+    significant digits and numpy scalars as their Python values: at ``indent=2``,
+    ``newline`` being its own line's break and indent, or on one line where it is None."""
     kind = type(obj)
     if kind is float:
         return _json_float(obj)
@@ -166,13 +131,13 @@ def _json_text(obj, newline: str) -> str:
         if not obj:
             return "{}"
         items = {str(k): v for k, v in obj.items()}
-        inner = newline + "  "
+        inner = newline and newline + "  "
         fields = [f"{_json_string(k)}: {_json_text(items[k], inner)}" for k in sorted(items)]
-        return "{" + inner + ("," + inner).join(fields) + newline + "}"
+        return _bracketed("{}", fields, newline)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = newline + "  "
+        inner = newline and newline + "  "
         kinds = set(map(type, obj))
         if kinds == {float}:  # the memo's texts, or _json_float's for new floats
             texts = [_json_floats.get(v) or _json_float(v) for v in obj]
@@ -180,7 +145,7 @@ def _json_text(obj, newline: str) -> str:
             texts = list(map(int.__repr__, obj))
         else:
             texts = [_json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+        return _bracketed("[]", texts, newline)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -193,10 +158,10 @@ def _json_text(obj, newline: str) -> str:
 def dumps_json(data: dict) -> str:
     """Strict JSON text, keys sorted; a NaN or infinity raises ValueError.
 
-    The bytes are those of ``json.dumps(to_jsonable(data), sort_keys=True,
-    indent=2, allow_nan=False) + "\n"``, errors and their messages included,
-    written in one pass without building the converted copy. Each float's text
-    is kept in a memo of at most _FLOAT_TEXTS floats, emptied when full.
+    The bytes are those of ``json.dumps(data, sort_keys=True, indent=2,
+    allow_nan=False) + "\n"`` of ``data`` as ``_json_text`` reads it, errors and
+    their messages included, written in one pass. Each float's text is kept in
+    a memo of at most _FLOAT_TEXTS floats, emptied when full.
     """
     return _json_text(data, "\n") + "\n"
 

@@ -13,9 +13,9 @@ Composes the pulse Hamiltonians into complete protocols:
 * the chain schedule, ideal chain states, the decay-limited chain
   fidelity estimate, and ``chain_protocol`` composing them all.
 
-The optimizer's search lives in ``optimizer`` and the chain in ``chain``,
-each loaded on first use: ``optimize_pairwise`` imports its search when it
-runs, and the chain's public names resolve here (PEP 562) and from the package.
+The optimizer's search lives in ``optimizer`` and the chain in ``chain``:
+``optimize_pairwise`` imports its search when it runs, and only the chain
+command loads ``chain``.
 
 Conventions: frequencies in kHz (ordinary), times in microseconds,
 decay rates in 1/ms. Ideal pi pulses are instantaneous relabelings;
@@ -47,10 +47,6 @@ from .dynamics import (
 )
 from .vdw import interaction_matrix
 
-# the chain's names live in ``chain``, which only the chain command loads
-_CHAIN = ("ChainSpec", "SchedulePulse", "PulseSchedule", "chain_ideal_state",
-          "ChainFidelityEstimate", "chain_fidelity_estimate", "SpectatorBlockade", "ChainResult",
-          "chain_protocol")
 __all__ = [
     "RYDBERG_POPULATION_THRESHOLD",
     "PairCouplings",
@@ -63,18 +59,7 @@ __all__ = [
     "SwapGateResult",
     "swap_gate",
     "SWAP_MATRIX_IDEAL",
-    *_CHAIN,
 ]
-
-
-def __getattr__(name: str):
-    if name not in _CHAIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import chain
-
-    value = globals()[name] = getattr(chain, name)
-    return value
-
 
 # A state counts as "in the Rydberg manifold" for duration bookkeeping
 # when its total Rydberg population exceeds this threshold.

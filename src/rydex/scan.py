@@ -19,6 +19,8 @@ import numpy as np
 from .atoms import _require_finite, _require_int
 from .pulse3 import _CHUNK, _drive_bound
 
+__all__ = ["RobustnessConfig", "FidelityHistogram"]
+
 HISTOGRAM_BIN_COUNT = 200
 HISTOGRAM_RANGE = (0.8, 1.0)
 FRACTION_THRESHOLDS = (0.85, 0.90, 0.95)
@@ -211,20 +213,32 @@ def _histogram(fids: np.ndarray, samples: int) -> FidelityHistogram:
 
 # Kernel passes (pulse3._CHUNK) a scan must pass to fork: below, forking costs what it saves
 _FORK_CHUNKS = 4
-# this process's cgroup v2 CPU limit: "max" or a quota, then a period, in us
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+# this process's cgroups, the v2 one on its "0::" line, and where the v2 hierarchy is
+# mounted; each cgroup's cpu.max holds "max" or a quota, then a period, in us
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: one where its cgroup's quota is less than two
-    CPUs' time, else its affinity mask (all CPUs where that is unknown)."""
+    """CPUs this process may run on: one where the quota of its cgroup or of an
+    ancestor is less than two CPUs' time, else its affinity mask (all CPUs where
+    that is unknown)."""
     try:
-        with open(_CPU_MAX) as f:
-            quota, period = f.read().split()
-        if quota != "max" and int(quota) < 2 * int(period):
-            return 1
-    except (OSError, ValueError):  # no cgroup v2 limit to read
-        pass
+        with open(_PROC_CGROUP) as f:
+            path = next(line[3:].strip() for line in f if line.startswith("0::"))
+    except (OSError, StopIteration):  # no cgroup v2 membership to read
+        path = "/"
+    parts = [part for part in path.split("/") if part]
+    if ".." in parts:  # a cgroup outside this namespace: only the root can be read
+        parts = []
+    for depth in range(len(parts) + 1):
+        try:
+            with open(os.path.join(_CGROUP_ROOT, *parts[:depth], "cpu.max")) as f:
+                quota, period = f.read().split()
+            if quota != "max" and int(quota) < 2 * int(period):
+                return 1
+        except (OSError, ValueError):  # no cgroup v2 limit to read at this depth
+            pass
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -10,6 +10,8 @@ from .atoms import CHANNEL_FINE_STRUCTURE, QuantumDefectModel
 from .harness import SCHEMA
 from .vdw import _pair_terms, c6_pair, channel_c6
 
+__all__ = ["run_table"]
+
 # (n_a, n_b, C6, C6_exchange) in GHz um^6
 REFERENCE_TABLE_I = (
     (59, 61, -196.0, 194.0),

@@ -8,7 +8,8 @@ import math
 import numpy as np
 
 from rydex.dynamics import PRODUCT_BASIS_8, QuantumState, build_blocked2, build_swap_2pi, propagate
-from rydex.protocols import SWAP_MATRIX_IDEAL, ProtocolResult, PulseSchedule, SchedulePulse
+from rydex.chain import PulseSchedule, SchedulePulse
+from rydex.protocols import SWAP_MATRIX_IDEAL, ProtocolResult
 
 GROUND_BASIS = ("uu", "ud", "du", "dd")  # one pair's ground spins, the first atom first
 

@@ -4,7 +4,7 @@ verbatim, so the in-place sampler can be checked bit for bit against it."""
 
 import numpy as np
 
-from rydex.harness import RobustnessConfig
+from rydex.scan import RobustnessConfig
 
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
 _M0, _M1, _W0, _W1 = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157,

@@ -20,22 +20,11 @@ from rydex.dynamics import (
     propagate,
     tau2_approximate,
 )
-from rydex.harness import (
-    RobustnessConfig,
-    dumps_json,
-    histogram_payload,
-    pair_couplings,
-    robustness_scan,
-    run_table,
-)
-from rydex.protocols import (
-    ChainSpec,
-    chain_fidelity_estimate,
-    chain_ideal_state,
-    pairwise_entangle,
-    swap_gate,
-)
-from rydex.tables import REFERENCE_TABLE_I
+from rydex.chain import ChainSpec, chain_fidelity_estimate, chain_ideal_state
+from rydex.harness import dumps_json, histogram_payload, robustness_scan
+from rydex.protocols import pair_couplings, pairwise_entangle, swap_gate
+from rydex.scan import RobustnessConfig
+from rydex.tables import REFERENCE_TABLE_I, run_table
 from rydex.vdw import _D_MATRICES, _M_MATRICES, c6_pair, channel_c6, critical_radius
 
 from chain_states import chain_state_by_gate_matrix as _chain_state_by_gate_matrix

@@ -40,6 +40,21 @@ def test_compare_with_no_clean_pair_is_unresolved(bench_record):
     assert all("unresolved" in m for m in bench_record.compare(runs).values())
 
 
+def test_line_kinds_split_src_lines_by_ast_docstring_spans(bench_record, tmp_path):
+    """A docstring's lines are its span, a '#' inside one included; outside them a
+    line is a comment, blank or code; a string that no owner opens with is code."""
+    module = tmp_path / "m.py"
+    module.write_text('\n'.join([
+        '"""Module.', '', '# not a comment', '"""', '',
+        '# a comment', 'import os  # code', '',
+        'class A:', '    """One line."""', '    x = """not a', '    docstring"""', '',
+        'def f():', '    r"""Two', '    lines."""', '    return 1', '',
+        'async def g():', '    """"""', '    pass',
+    ]) + '\n')
+    kinds = bench_record.line_kinds([module, module])
+    assert kinds == {"code": 16, "docstring": 16, "comment": 2, "blank": 8}
+    assert sum(kinds.values()) == 2 * len(module.read_bytes().splitlines())
+
 
 def _traced(self_s, anger_calls, warnings=0):
     metrics = {"vdw.self_s": self_s, "radial.anger.calls": anger_calls, "cli.warnings": warnings}

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -36,20 +37,16 @@ from rydex.dynamics import (
     build_full8,
     propagate,
 )
+from rydex.figures import run_figure
 from rydex.harness import (
-    FidelityHistogram,
-    RobustnessConfig,
+    _json_text,
     dumps_json,
     histogram_payload,
     histogram_rows,
-    pair_couplings,
     robustness_scan,
     rows_to_csv,
-    run_figure,
-    run_table,
-    to_jsonable,
 )
-from rydex.protocols import pairwise_entangle, swap_gate
+from rydex.protocols import pair_couplings, pairwise_entangle, swap_gate
 from rydex.pulse3 import (
     _CHEBYSHEV_MAX_TERMS,
     _CYCLES,
@@ -60,8 +57,8 @@ from rydex.pulse3 import (
     _batched_pulse3_fidelities,
     _chebyshev_terms,
 )
-from rydex.scan import _sample_omegas
-from rydex.tables import REFERENCE_TABLE_III, REFERENCE_TABLE_IV, TABLE_PAIRS
+from rydex.scan import FidelityHistogram, RobustnessConfig, _sample_omegas
+from rydex.tables import REFERENCE_TABLE_III, REFERENCE_TABLE_IV, TABLE_PAIRS, run_table
 from rydex import harness, pulse3, scan, vdw
 from rydex.vdw import interaction_matrix
 
@@ -700,13 +697,34 @@ def test_batched_fidelities_fork_no_child_while_a_thread_runs(monkeypatch):
                                            ("garbled\n", 2), (None, 2)])
 def test_usable_cpus_honour_a_cgroup_quota(monkeypatch, tmp_path, cpu_max, cpus):
     """A cgroup v2 quota below two CPUs' time counts one CPU, so a one-CPU container
-    scans inline; no quota, an unreadable one or no such file leaves the affinity mask."""
-    path = tmp_path / "cpu.max"
-    if cpu_max is not None:
-        path.write_text(cpu_max)
-    monkeypatch.setattr(scan, "_CPU_MAX", str(path))
+    scans inline; no quota, an unreadable one or no such file leaves the affinity mask.
+    The quota is read from the process's own cgroup (its "0::" line) and each ancestor,
+    so a nested cgroup's limit counts, as does its parent's; a membership path outside
+    the namespace ("/..") leaves only the root to read."""
+    proc_cgroup, fs = tmp_path / "cgroup", tmp_path / "fs"
+    root = fs / "cgroup"
+    monkeypatch.setattr(scan, "_PROC_CGROUP", str(proc_cgroup))
+    monkeypatch.setattr(scan, "_CGROUP_ROOT", str(root))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert scan._usable_cpus() == cpus
+
+    def usable(member: str | None, limited: str) -> int:
+        shutil.rmtree(fs, ignore_errors=True)
+        (root / "user.slice" / "a.service").mkdir(parents=True)
+        if cpu_max is not None:
+            (root / limited).mkdir(parents=True, exist_ok=True)
+            (root / limited / "cpu.max").write_text(cpu_max)
+        proc_cgroup.write_text("12:cpu:/elsewhere\n" + (f"0::{member}\n" if member else ""))
+        return scan._usable_cpus()
+
+    # a quota on a sibling, a descendant or a namesake outside the namespace does not count
+    for member, limited in (("/other.slice", "user.slice"), ("/user.slice", "user.slice/a.service"),
+                            ("/../user.slice/a.service", "../user.slice/a.service")):
+        assert usable(member, limited) == 2, (member, limited)
+    # one on the process's cgroup, an ancestor or the root does (None: no "0::" line)
+    for member, limited in (("/user.slice/a.service", "user.slice/a.service"),
+                            ("/user.slice/a.service", "user.slice"), ("/../outside", ""),
+                            (None, ""), ("/", "")):
+        assert usable(member, limited) == cpus, (member, limited)
     with _calls(os, "fork") as forks:
         _scan_fids(_config(20_481))
     assert len(forks) == (cpus == 2)
@@ -1154,19 +1172,22 @@ def test_figure_id_may_be_a_numpy_integer():
 
 
 def test_to_jsonable_conversions():
-    out = to_jsonable(
-        {
-            "f": 0.12345678912345,
-            "b": np.bool_(True),
-            "i": np.int64(7),
-            "t": (1.0, 2.0),
-        }
-    )
-    assert out["f"] == 0.123456789
-    assert out["b"] is True
-    assert out["i"] == 7
-    assert isinstance(out["i"], int)
-    assert out["t"] == [1.0, 2.0]
+    """The one-line writer (``_json_text(value, None)``, a CLI list cell) writes what
+    ``json.dumps`` writes of the reference ``to_jsonable``'s copy with sorted keys:
+    9-digit floats, numpy scalars as Python values, tuples as lists and None as null.
+    A NaN, bare or nested, raises the reference dumps_json's ValueError, which names
+    the value (the C encoder json.dumps takes for one line may leave it out)."""
+    value = [0.12345678912345, np.bool_(True), np.int64(7), np.float32(0.5), (1.0, 2),
+             None, {"b": [], 1: {}}, "é"]
+    text = _json_text(value, None)
+    assert text == json.dumps(serialize_reference.to_jsonable(value), sort_keys=True)
+    assert text == '[0.123456789, true, 7, 0.5, [1.0, 2], null, {"1": {}, "b": []}, "\\u00e9"]'
+    for bad in (math.nan, [1.0, {"x": (np.float64(math.nan),)}]):
+        with pytest.raises(ValueError) as raised:
+            _json_text(bad, None)
+        with pytest.raises(ValueError) as expected:
+            serialize_reference.dumps_json(bad)
+        assert str(raised.value) == str(expected.value)
 
 
 class _Float(float):
@@ -1215,12 +1236,12 @@ _ROWS = st.lists(
 @given(payload=st.dictionaries(_KEYS, _NESTED, max_size=5), rows=_ROWS,
        twins=st.lists(st.sampled_from(_NEAR_TWINS + [-0.0, 0.0]), max_size=12))
 def test_serializers_write_the_reference_bytes(payload, rows, twins):
-    """dumps_json writes what json.dumps writes of the reference to_jsonable's
-    copy, and rows_to_csv what csv.writer writes of freshly formatted cells,
-    with the float memos cold and warm: nested dicts, lists and tuples of numpy
-    scalars, bools, float subclasses, signed zeros, subnormals, +-1.7e308,
-    distinct floats with the same 9 digits, None, int and tuple keys, and
-    strings with quotes, commas, newlines or non-ASCII characters."""
+    """dumps_json and the one-line writer write what json.dumps writes of the
+    reference to_jsonable's copy, and rows_to_csv what csv.writer writes of freshly
+    formatted cells, with the float memos cold and warm: nested dicts, lists and
+    tuples of numpy scalars, bools, float subclasses, signed zeros, subnormals,
+    +-1.7e308, distinct floats with the same 9 digits, None, int and tuple keys,
+    and strings with quotes, commas, newlines or non-ASCII characters."""
     payload = {**payload, "twins": twins, "tuple": tuple(twins)}
     rows = rows + [twins[i : i + 3] for i in range(0, len(twins) - 2, 3)]
     for cold in (True, False):
@@ -1228,6 +1249,8 @@ def test_serializers_write_the_reference_bytes(payload, rows, twins):
             harness._json_floats.clear()
             harness._csv_floats.clear()
         assert dumps_json(payload) == serialize_reference.dumps_json(payload)
+        assert _json_text(payload, None) == json.dumps(serialize_reference.to_jsonable(payload),
+                                                       sort_keys=True)
         assert rows_to_csv(_COLUMNS, rows) == serialize_reference.rows_to_csv(_COLUMNS, rows)
 
 
@@ -1254,17 +1277,6 @@ def test_dumps_json_refuses_what_json_refuses(bad):
         with pytest.raises(TypeError) as expected:
             serialize_reference.dumps_json(payload)
         assert str(raised.value) == str(expected.value)
-
-
-def test_to_jsonable_recurses_under_its_own_name_once(monkeypatch):
-    """Only the outer call goes through the public name, so a tracer that wraps
-    it opens one span per call, not one per nested value."""
-    calls = []
-    inner = harness.to_jsonable
-    monkeypatch.setattr(harness, "to_jsonable", lambda obj: calls.append(obj) or inner(obj))
-    payload = {"a": [1.0, {"b": (2, np.float64(3.5))}], "c": {"d": [True, None]}}
-    assert harness.to_jsonable(payload) == serialize_reference.to_jsonable(payload)
-    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -1311,8 +1323,9 @@ def _csv_writer_text(columns, rows):
        ints=st.lists(_EXACT_INTS, min_size=1, max_size=12), width=st.integers(1, 4))
 def test_exact_number_lists_and_rows_write_the_reference_bytes(floats, ints, width):
     """Lists of only exact floats or only exact ints, and rows of exact floats and ints,
-    give the bytes of ``json.dumps`` of ``to_jsonable``'s copy and of ``csv.writer``,
-    with the float memos cold and warm: signed zeros, 5e-324, +-1e308, +-10**20."""
+    give the bytes of ``json.dumps`` of the reference ``to_jsonable``'s copy, indented
+    and on one line, and of ``csv.writer``, with the float memos cold and warm: signed
+    zeros, 5e-324, +-1e308, +-10**20."""
     payload = {"f": floats, "i": ints, "t": tuple(floats), "nested": [floats, tuple(ints)]}
     cells = floats + ints
     rows = [cells[i : i + width] for i in range(0, len(cells), width)] + [tuple(floats), []]
@@ -1320,8 +1333,10 @@ def test_exact_number_lists_and_rows_write_the_reference_bytes(floats, ints, wid
         if cold:
             harness._json_floats.clear()
             harness._csv_floats.clear()
+        copy = serialize_reference.to_jsonable(payload)
         assert dumps_json(payload) == json.dumps(
-            to_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+            copy, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert _json_text(payload, None) == json.dumps(copy, sort_keys=True, allow_nan=False)
         assert rows_to_csv(_COLUMNS, rows) == _csv_writer_text(_COLUMNS, rows)
 
 
@@ -2035,7 +2050,7 @@ sys.path.insert(0, "perfbench")
 from tracer import Tracer, layer_metrics
 tracer = Tracer()
 tracer.install()
-from rydex import harness, protocols, scan
+from rydex import chain, harness, protocols, scan
 from rydex.atoms import QuantumDefectModel
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(None) or fork()
@@ -2044,7 +2059,7 @@ for samples in (1000, 20_481):
     harness.robustness_scan(harness.RobustnessConfig(0.1, samples, 1, {NOMINAL_OMEGA}, {V_PLUS},
                                                      {V_MINUS}))
 protocols.optimize_pairwise(5.0, 711.0, restarts=2)
-protocols.chain_protocol(QuantumDefectModel.default(), protocols.ChainSpec(4, 15.0, (73, 75)))
+chain.chain_protocol(QuantumDefectModel.default(), chain.ChainSpec(4, 15.0, (73, 75)))
 snapshot = tracer.snapshot()
 extra = {{"vdw.near_resonant.excluded": 0, "cli.warnings": 0, "trace.overhead": 0.0}}
 print(json.dumps([snapshot, layer_metrics([snapshot], extra), len(forks)]))

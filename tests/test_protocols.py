@@ -25,7 +25,14 @@ from rydex.dynamics import (
     propagate,
     tau2_approximate,
 )
-from rydex.chain import MAX_CHAIN_ATOMS, _chain_schedule
+from rydex.chain import (
+    MAX_CHAIN_ATOMS,
+    ChainSpec,
+    _chain_schedule,
+    chain_fidelity_estimate,
+    chain_ideal_state,
+    chain_protocol,
+)
 from rydex.optimizer import (
     _lockstep_nelder_mead,
     _restart_points,
@@ -35,11 +42,7 @@ from rydex.optimizer import (
 from rydex.protocols import (
     MAX_RESTARTS,
     SWAP_MATRIX_IDEAL,
-    ChainSpec,
     _nominal_point,
-    chain_fidelity_estimate,
-    chain_ideal_state,
-    chain_protocol,
     optimize_pairwise,
     pair_couplings,
     pairwise_entangle,

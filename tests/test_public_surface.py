@@ -16,7 +16,8 @@ import pytest
 import rydex
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("atoms", "radial", "vdw", "dynamics", "protocols", "harness")
+MODULES = ("atoms", "radial", "vdw", "dynamics", "protocols", "chain", "scan", "harness", "tables",
+           "figures")
 SOURCES = [p for p in (ROOT / "src" / "rydex").glob("*.py") if p.name != "__init__.py"]
 SOURCES += list((ROOT / "perfbench").glob("*.py"))
 TREES = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
@@ -94,17 +95,20 @@ def test_every_default_parameter_is_set_outside_the_tests():
 
 def test_package_names_load_lazily_and_completely():
     """Every package name is its layer's own object, ``dir`` lists it, and an
-    unknown name fails by name."""
+    unknown name fails by name; the layers' public names beyond the package's are
+    harness's three serialization names."""
     layers = [importlib.import_module(f"rydex.{m}") for m in MODULES]
     for name in rydex.__all__:
         homes = [layer for layer in layers if name in layer.__all__]
         assert homes, f"{name} is in no layer's __all__"
         assert all(getattr(rydex, name) is getattr(layer, name) for layer in homes)
     assert set(rydex.__all__) <= set(dir(rydex))
+    walked = {name for layer in layers for name in layer.__all__}
+    assert walked - set(rydex.__all__) == {"SCHEMA", "dumps_json", "rows_to_csv"}
     with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
         rydex.frobnicate  # noqa: B018
 
-    # names read through a layer that loads their home module on first use
+    # names read through a layer that loads their home module on first use (perfbench's)
     harness, radial = layers[MODULES.index("harness")], layers[MODULES.index("radial")]
     assert harness.pair_couplings is rydex.protocols.pair_couplings
     assert harness._batched_pulse3_fidelities is rydex.pulse3._batched_pulse3_fidelities
@@ -112,6 +116,15 @@ def test_package_names_load_lazily_and_completely():
     for layer in (harness, radial):
         with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
             layer.frobnicate  # noqa: B018
+
+
+def test_every_package_name_is_defined_in_the_module_it_is_listed_under():
+    """``rydex._EXPORTS`` names each class's and function's defining module, so every
+    public name has one home and no layer serves another's names."""
+    misplaced = [f"{module}.{name}" for module, names in rydex._EXPORTS.items() for name in names
+                 if (inspect.isclass(obj := getattr(rydex, name)) or inspect.isfunction(obj))
+                 and obj.__module__ != f"rydex.{module}"]
+    assert misplaced == []
 
 
 # one valid call, by keyword, of each public function and checked record with a float parameter

@@ -3,7 +3,8 @@
     python3 tools/bench_record.py --out BENCH_1.json --base HEAD~1 --pairs 3 --pairs-for mc-scan=10
 
 Both commits are exported with ``git archive`` into a temporary directory
-(deleted afterwards), so uncommitted edits are never measured. Each side
+(deleted afterwards), so uncommitted edits are never measured. Each side's
+record gives its src line count, also by kind (``line_kinds``). Each side
 runs its own unchanged ``perfbench/run.py``; the record states whether the
 two benchmark trees are identical. Per workload it runs K pairs of
 untraced runs, alternating which side goes first, with seeds 1..K, then
@@ -25,6 +26,7 @@ to a record. Stdlib only.
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -45,6 +47,7 @@ WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 COUNTS = {m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"}
 TRACED_RUNS = 3
 PROBE_LOOP = 3_000_000  # the two-core probe's iterations, about 0.1 s on one core
+DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)  # docstring owners
 
 
 def git(*args: str, binary: bool = False):
@@ -52,14 +55,33 @@ def git(*args: str, binary: bool = False):
     return out if binary else out.decode().strip()
 
 
+def line_kinds(paths) -> dict[str, int]:
+    """The lines of ``paths`` by kind: a docstring's are those of its ``ast`` span,
+    and the rest are comment-only, blank or code."""
+    kinds = {"code": 0, "docstring": 0, "comment": 0, "blank": 0}
+    for path in paths:
+        data = path.read_bytes()
+        spans = set()
+        for node in ast.walk(ast.parse(data)):
+            if isinstance(node, DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+                spans.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        for number, line in enumerate(data.splitlines(), 1):
+            text = line.strip()
+            kind = ("docstring" if number in spans else "blank" if not text
+                    else "comment" if text.startswith(b"#") else "code")
+            kinds[kind] += 1
+    return kinds
+
+
 def export(rev: str, into: Path) -> dict:
-    """Unpack ``rev`` into ``into``; describe it."""
+    """Unpack ``rev`` into ``into``; describe it, with its src lines by kind."""
     sha = git("rev-parse", "--verify", f"{rev}^{{commit}}")
     with tarfile.open(fileobj=io.BytesIO(git("archive", sha, binary=True))) as tar:
         tar.extractall(into, filter="data")
-    src_lines = sum(len(p.read_bytes().splitlines()) for p in (into / "src").rglob("*.py"))
+    kinds = line_kinds(sorted((into / "src").rglob("*.py")))
     trees = {d: git("rev-parse", f"{sha}:{d}") for d in ("src", "perfbench")}
-    return {"sha": sha, "src_lines": src_lines, "trees": trees, "dir": into}
+    return {"sha": sha, "src_lines": sum(kinds.values()), "src_kinds": kinds, "trees": trees,
+            "dir": into}
 
 
 def run(side: dict, workload: str, seed: int, trace: int) -> dict:

@@ -165,27 +165,20 @@ from rydex.dynamics import (  # noqa: E402
     propagate,
     propagate_sampled,
 )
+from rydex.chain import ChainSpec, chain_ideal_state, chain_protocol  # noqa: E402
+from rydex.figures import run_figure  # noqa: E402
 from rydex.harness import (  # noqa: E402
-    RobustnessConfig,
     dumps_json,
     histogram_payload,
     histogram_rows,
     robustness_scan,
     rows_to_csv,
-    run_figure,
-    run_table,
 )
 from rydex.pulse3 import _batched_pulse3_fidelities  # noqa: E402
 from rydex.radial import _sp_row, _sp_table, radial_integral  # noqa: E402
-from rydex.protocols import (  # noqa: E402
-    ChainSpec,
-    chain_ideal_state,
-    chain_protocol,
-    optimize_pairwise,
-    pairwise_entangle,
-    swap_gate,
-)
-from rydex.scan import _sample_omegas  # noqa: E402
+from rydex.protocols import optimize_pairwise, pairwise_entangle, swap_gate  # noqa: E402
+from rydex.scan import RobustnessConfig, _sample_omegas  # noqa: E402
+from rydex.tables import run_table  # noqa: E402
 from rydex.vdw import (  # noqa: E402
     _p_levels,
     c6_pair,
