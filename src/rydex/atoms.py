@@ -46,12 +46,15 @@ _L_LETTERS = "spdfghik"
 def _require_finite(
     name: str, value: float, lower: float = -math.inf, inclusive: bool = True
 ) -> None:
-    """Reject a bool, a non-finite ``value``, or one below ``lower`` (or at it
-    unless ``inclusive``), with a one-line error that names the parameter."""
-    if isinstance(value, bool):
+    """Reject a bool or another non-number, a non-finite ``value``, or one below ``lower``
+    (or at it unless ``inclusive``), with a one-line error that names the parameter."""
+    try:
+        ok = math.isfinite(value) and (value >= lower if inclusive else value > lower)
+    except TypeError:  # a str, a complex, None, an array of more than one element
+        ok = None
+    if ok is None or isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    in_range = value >= lower if inclusive else value > lower
-    if not (math.isfinite(value) and in_range):
+    if not ok:
         bound = "" if lower == -math.inf else f" and {'>=' if inclusive else '>'} {lower:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")
 
@@ -255,11 +258,12 @@ def quantum_defect(model: QuantumDefectModel, l: int, j: float, n: int) -> float
         If the model has no data for the requested series.
     ValueError
         If j is not finite, l or n is not an integer, l is negative, or n
-        does not exceed delta0 (no bound Rydberg state).
+        does not exceed delta0 (no bound Rydberg state) or passes 2**53,
+        the largest n that the formula's floats hold exactly.
     """
     _require_finite("j", j)
     l = _require_int("l", l, 0)
-    (delta,), _, _ = _rydberg_ritz(model, l, j, (_require_int("n", n),))
+    (delta,), _, _ = _rydberg_ritz(model, l, j, (_require_int("n", n, hi=2**53),))
     return delta
 
 
@@ -292,7 +296,8 @@ def clebsch_gordan(
     rounding. Arguments may be integers or half-integers. Selection-rule
     violations (m != m1 + m2, triangle rule, mismatched parity of the
     couplings) give 0.0; structurally invalid angular momenta (negative
-    j, |m| > j, non-half-integer, non-finite or bool values) raise ValueError.
+    j, |m| > j, non-half-integer, non-finite or bool values) raise ValueError,
+    as does a coupling whose factorials no float holds (any j past 170).
     """
     tj1, tm1 = _as_twice(j1, "j1"), _as_twice(m1, "m1")
     tj2, tm2 = _as_twice(j2, "j2"), _as_twice(m2, "m2")
@@ -315,11 +320,18 @@ def clebsch_gordan(
         # parity and m1 + m2 = m, every argument below is even and non-negative
         return math.factorial(twice // 2)
 
+    # each sum term's denominator divides the product of the (j +- m)!, so only that product
+    # can pass the float range, which ends where float() rounds an int to inf; with a j past
+    # 170 one (j +- m)! alone passes 171!, so none is computed
+    product = max(tj1, tj2, tj) <= 340 and (
+        f(tj1 + tm1) * f(tj1 - tm1) * f(tj2 + tm2) * f(tj2 - tm2) * f(tj + tm) * f(tj - tm))
+    if not product or product >= 2**1024 - 2**970:
+        raise ValueError(f"clebsch_gordan(j1={j1}, m1={m1}, j2={j2}, m2={m2}, j={j}, m={m}) "
+                         "needs factorials past the float range")
+
     pref = (tj + 1) * f(tj1 + tj2 - tj) * f(tj1 - tj2 + tj) * f(-tj1 + tj2 + tj)
     pref = pref / f(tj1 + tj2 + tj + 2)
-    pref *= (
-        f(tj1 + tm1) * f(tj1 - tm1) * f(tj2 + tm2) * f(tj2 - tm2) * f(tj + tm) * f(tj - tm)
-    )
+    pref *= product
 
     total = 0.0
     # summation index k runs over all values keeping factorial args >= 0

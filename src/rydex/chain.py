@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -46,8 +45,8 @@ class ChainSpec:
     MAX_CHAIN_ATOMS = 2**53, the largest count whose N/2 pairwise and
     N/2 - 1 SWAP operations, and their sums, are exact floats; the
     schedule costs the same at every count. ``pair`` is a tuple of two
-    ints (n_a, n_b). Every drive and duration follows from the pair's
-    working point.
+    distinct ints (n_a, n_b). Every drive and duration follows from the
+    pair's working point.
     """
 
     atom_count: int
@@ -61,10 +60,10 @@ class ChainSpec:
             raise ValueError(f"atom_count must be 4, 6, or a multiple of 4, got {count}")
         _require_finite("spacing_um", self.spacing_um, 0.0, inclusive=False)
         _require_finite("decay rate gamma_per_ms", self.gamma_per_ms, 0.0)
-        if not (isinstance(self.pair, tuple) and len(self.pair) == 2) or any(
-            isinstance(n, bool) or not isinstance(n, numbers.Integral) for n in self.pair
-        ):
+        if not (isinstance(self.pair, tuple) and len(self.pair) == 2):
             raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")
+        if len({_require_int("pair", n) for n in self.pair}) < 2:
+            raise ValueError(f"pair must hold two distinct principal numbers, got {self.pair!r}")
 
 
 class SchedulePulse(NamedTuple):

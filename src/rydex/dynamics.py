@@ -15,7 +15,7 @@ derived from the labels, are the sector's whole drive topology. All
 four channel amplitudes are ordinary frequencies in kHz; times are
 microseconds; the factor of 2 pi enters only where a pulse is
 propagated: here in ``_evolve`` (behind ``propagate``) and
-``propagate_sampled``, and in the batched pulse-3 kernel of ``pulse3``.
+``propagate_sampled``, and in the batched pulse-3 kernel of ``scan``.
 
 The full one-excitation-exchange sector spans eight product states.
 Interactions enter through the symmetric and antisymmetric doubly
@@ -25,9 +25,7 @@ Bell states r+- = (|UD> +- |DU>)/sqrt(2) shift by V+- = V_s +- V_c.
 
 Pulses are piecewise constant, so propagation is by spectral
 decomposition of the (Hermitian) pulse matrix, one checked eigensolve
-for one matrix or a stack of them; no ODE stepping. The kernel that
-propagates pulse 3 of every robustness-scan sample at once lives in
-``pulse3``, loaded on first use.
+for one matrix or a stack of them; no ODE stepping.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Robustness scans and serialization.
 
-The scan's records and stages live in ``scan`` and its kernel in ``pulse3``, each
-loaded on first use, so a command compiles only what it runs. All output helpers
-serialize floats with 9 significant digits and sort keys, so a fixed seed and
-config produce byte-identical files; each keeps a float's text in a bounded memo.
+The scan's records, stages and kernel live in ``scan``, loaded on first use, so a
+command compiles only what it runs. All output helpers serialize floats with 9
+significant digits and sort keys, so a fixed seed and config produce byte-identical
+files; each keeps a float's text in a bounded memo.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ SCHEMA = "rydex/1"
 # the names perfbench reads here, each loaded from its home on first use (PEP 562) and
 # kept; robustness_scan reads its two stages through here, so the tracer times each
 _LAZY = {"RobustnessConfig": "scan", "pair_couplings": "protocols", "_sample_omegas": "scan",
-         "_batched_pulse3_fidelities": "pulse3"}
+         "_batched_pulse3_fidelities": "scan"}
 
 
 def __getattr__(name: str):
@@ -46,10 +46,10 @@ def robustness_scan(cfg: RobustnessConfig) -> FidelityHistogram:
     rows (``scan._forked_fidelities``); the histogram is taken over all of them.
     """
     from .harness import _batched_pulse3_fidelities, _sample_omegas  # see __getattr__
-    from .scan import _forked_fidelities, _histogram, _pulse2_point
+    from .scan import _float_key, _forked_fidelities, _histogram, _pulse2_point
 
     point = (cfg.omega_khz, cfg.v_plus_khz, cfg.v_minus_khz)
-    _, tau3, v_s, v_c, psi2 = _pulse2_point(*((type(x), x, math.copysign(1.0, x)) for x in point))
+    _, tau3, v_s, v_c, psi2 = _pulse2_point(*map(_float_key, point))
     fids = _forked_fidelities(cfg, _sample_omegas, _batched_pulse3_fidelities, psi2, v_s, v_c, tau3)
     if fids is None:  # a small scan, or no second process to be had
         fids = _batched_pulse3_fidelities(psi2, _sample_omegas(cfg), v_s, v_c, tau3)

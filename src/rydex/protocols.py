@@ -118,13 +118,14 @@ def _exchange_split(v_plus_khz: float, v_minus_khz: float) -> tuple[float, float
     return (v_plus_khz + v_minus_khz) / 2.0, (v_plus_khz - v_minus_khz) / 2.0
 
 
-def _half_period(name: str, omega_khz: float) -> float:
-    """Pulse-3 pi time 1/(2 omega) in us for drive ``name`` in kHz."""
+def _half_period(name: str, omega_khz: float, derived: str = "its half period",
+                 per: float = 2.0) -> float:
+    """``derived``, 1/(per omega) in us, of drive ``name`` in kHz: by default the pi time."""
     if omega_khz == 0:
-        raise ValueError(f"{name} must be nonzero to derive its half period")
+        raise ValueError(f"{name} must be nonzero to derive {derived}")
     if omega_khz < 0:
-        raise ValueError(f"{name} must be positive to derive its half period, got {omega_khz}")
-    return 1e3 / (2.0 * omega_khz)
+        raise ValueError(f"{name} must be positive to derive {derived}, got {omega_khz}")
+    return 1e3 / (per * omega_khz)
 
 
 def _nominal_point(v_plus_khz: float, v_minus_khz: float) -> tuple[float, float, float]:
@@ -140,12 +141,9 @@ def _swap_point(omega_khz: float | None, omega_swap: float | None = None,
     """(SWAP drive, 2pi window) for pair drive omega: 1.5 omega and one
     period of that drive, unless given; omega is read only when the SWAP drive is not."""
     omega_swap = 1.5 * omega_khz if omega_swap is None else omega_swap
-    if t_2pi is None and omega_swap == 0:
-        raise ValueError("SWAP drive omega_khz must be nonzero to derive t_2pi_us")
-    if t_2pi is None and omega_swap < 0:
-        raise ValueError(f"SWAP drive omega_khz must be positive to derive t_2pi_us, "
-                         f"got {omega_swap}")
-    return omega_swap, 1e3 / omega_swap if t_2pi is None else t_2pi
+    if t_2pi is None:  # 1.0 * omega_swap is omega_swap exactly
+        t_2pi = _half_period("SWAP drive omega_khz", omega_swap, "t_2pi_us", 1.0)
+    return omega_swap, t_2pi
 
 
 # Rydberg-population masks of atom A and atom B on PRODUCT_BASIS_8

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from rydex.dynamics import _evolve, _sector_matrices
-from rydex.pulse3 import (
+from rydex.scan import (
     _CHEBYSHEV_MAX_TERMS,
     _MINUS_I_POWER_PARTS,
     _NEIGHBOUR_CHANNELS,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -324,6 +325,17 @@ def test_clebsch_gordan_selection_rules():
 def test_clebsch_gordan_invalid_inputs(args):
     with pytest.raises(ValueError):
         clebsch_gordan(*args)
+
+
+@pytest.mark.parametrize("args", [(32, 0, 32, 0, 64, 0), (3e5, 0, 3e5, 0, 6e5, 0)])
+def test_clebsch_gordan_past_the_float_range_names_its_arguments(args):
+    """Factorials no float holds are refused by the arguments, not by an unnamed
+    OverflowError, and a large j is refused before its factorials are computed."""
+    names = ", ".join(f"{name}={x}" for name, x in zip(("j1", "m1", "j2", "m2", "j", "m"), args))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"clebsch_gordan({names}) needs factorials")):
+        clebsch_gordan(*args)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("j1,j2", [(0.5, 0.5), (1.0, 0.5), (1.5, 1.0)])

@@ -47,19 +47,21 @@ from rydex.harness import (
     rows_to_csv,
 )
 from rydex.protocols import pair_couplings, pairwise_entangle, swap_gate
-from rydex.pulse3 import (
+from rydex.scan import (
     _CHEBYSHEV_MAX_TERMS,
     _CYCLES,
     _LINK_CHANNELS,
     _NEIGHBOUR_CHANNELS,
     _NEIGHBOURS,
     _PARTNERS,
+    FidelityHistogram,
+    RobustnessConfig,
     _batched_pulse3_fidelities,
     _chebyshev_terms,
+    _sample_omegas,
 )
-from rydex.scan import FidelityHistogram, RobustnessConfig, _sample_omegas
 from rydex.tables import REFERENCE_TABLE_III, REFERENCE_TABLE_IV, TABLE_PAIRS, run_table
-from rydex import harness, pulse3, scan, vdw
+from rydex import harness, scan, vdw
 from rydex.vdw import interaction_matrix
 
 from level_reference import RydbergLevel, level_energy
@@ -357,14 +359,14 @@ def test_batched_fidelities_ignore_buffer_alignment(monkeypatch, offset):
         start = -raw.ctypes.data % 64 + offset
         return raw[start : start + size].view(np.float64).reshape(shape)
 
-    assert pulse3._aligned_empty(3, 1001).ctypes.data % 64 == 0
+    assert scan._aligned_empty(3, 1001).ctypes.data % 64 == 0
     rng = np.random.Generator(np.random.Philox(key=[98, 0]))
     general = rng.normal(size=8) + 1j * rng.normal(size=8)
     omegas = 58.8 * rng.uniform(0.9, 1.1, size=(1001, 4))
     for psi2 in (general / np.linalg.norm(general), np.eye(8)[5].astype(complex)):
         aligned = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
         with monkeypatch.context() as patch:
-            patch.setattr(pulse3, "_aligned_empty", shifted)
+            patch.setattr(scan, "_aligned_empty", shifted)
             assert _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5).tobytes() == (
                 aligned.tobytes())
 
@@ -395,7 +397,7 @@ def _assert_no_child():
 def _scan_point(cfg):
     """(tau2, tau3, V_s, V_c, psi2) of the working point ``robustness_scan(cfg)`` reads."""
     point = (cfg.omega_khz, cfg.v_plus_khz, cfg.v_minus_khz)
-    return scan._pulse2_point(*((type(x), x, math.copysign(1.0, x)) for x in point))
+    return scan._pulse2_point(*map(scan._float_key, point))
 
 
 def _scan_fids(cfg):
@@ -439,7 +441,7 @@ def _whole_and_halves(psi2, omegas, *args, **kwargs):
     """The kernel's fids over every row, asserted bit-equal to those of its two halves
     under the bound of the whole batch, as the two processes of a forked scan take them."""
     whole = _batched_pulse3_fidelities(psi2, omegas, *args, **kwargs)
-    half, drive = len(omegas) // 2, pulse3._drive_bound(omegas)
+    half, drive = len(omegas) // 2, scan._drive_bound(omegas)
     if half:
         halves = [_batched_pulse3_fidelities(psi2, rows, *args, drive=drive, **kwargs)
                   for rows in (omegas[:half], omegas[half:])]
@@ -507,7 +509,7 @@ def test_odd_scan_runs_aligned_passes_with_the_gather_bits():
     up to a multiple of 8), the last one ending at the scan's end, with the bits of
     the gather form."""
     cfg = _config(15_003, seed=12345, epsilon=0.1)
-    with _calls(pulse3, "_ChebyshevBuffers") as buffers:
+    with _calls(scan, "_ChebyshevBuffers") as buffers:
         _, fids = _scan_fids(cfg)
     assert [b.t.shape[-1] for b in buffers] == [5008]
     assert fids.tobytes() == _gather_scan(cfg).tobytes()
@@ -523,14 +525,14 @@ def test_batched_fidelities_raise_a_failed_pass_in_the_caller(monkeypatch, faili
     monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
     cfg = _config(50, seed=3, epsilon=0.1)
     first = _sample_omegas(cfg, *{"worker": (25, 26), "caller": (0, 1)}[failing])[0]
-    passes = pulse3._chebyshev_pass
+    passes = scan._chebyshev_pass
 
     def failing_pass(buffers, om, *args):
         if np.array_equal(om[:, 0], first):  # the first pass of that half
             raise RuntimeError(f"pass failed in the {failing}")
         passes(buffers, om, *args)
 
-    monkeypatch.setattr(pulse3, "_chebyshev_pass", failing_pass)
+    monkeypatch.setattr(scan, "_chebyshev_pass", failing_pass)
     bufsize = np.getbufsize()
     with _calls(os, "fork") as forks, _calls(os, "waitpid") as waits:
         with pytest.raises(RuntimeError, match=f"pass failed in the {failing}"):
@@ -550,7 +552,7 @@ def test_batched_fidelities_child_never_returns_into_the_caller(monkeypatch):
     monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
     cfg = _config(50, seed=6, epsilon=0.1)
     first = _sample_omegas(cfg, 25, 26)[0]
-    caller, passes = os.getpid(), pulse3._chebyshev_pass
+    caller, passes = os.getpid(), scan._chebyshev_pass
     read, write = os.pipe()
 
     def interrupted(buffers, om, *args):
@@ -562,7 +564,7 @@ def test_batched_fidelities_child_never_returns_into_the_caller(monkeypatch):
         for failing in (False, True):
             with monkeypatch.context() as patch, _calls(os, "fork") as forks:
                 if failing:
-                    patch.setattr(pulse3, "_chebyshev_pass", interrupted)
+                    patch.setattr(scan, "_chebyshev_pass", interrupted)
                 try:
                     with pytest.raises(KeyboardInterrupt) if failing else contextlib.nullcontext():
                         robustness_scan(cfg)
@@ -592,7 +594,7 @@ def test_batched_fidelities_recompute_a_lost_child_half(monkeypatch, end):
     monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
     cfg = _config(90, seed=31)
     expected = _gather_scan(cfg)
-    caller, passes, sample = os.getpid(), pulse3._chebyshev_pass, harness._sample_omegas
+    caller, passes, sample = os.getpid(), scan._chebyshev_pass, harness._sample_omegas
 
     def killed_in_the_child(*args):
         if end == "killed" and os.getpid() != caller:
@@ -604,13 +606,13 @@ def test_batched_fidelities_recompute_a_lost_child_half(monkeypatch, end):
             os.kill(os.getpid(), signal.SIGKILL)
         return sample(*args)
 
-    monkeypatch.setattr(pulse3, "_chebyshev_pass", killed_in_the_child)
+    monkeypatch.setattr(scan, "_chebyshev_pass", killed_in_the_child)
     monkeypatch.setattr(harness, "_sample_omegas", killed_drawing)
     handler = signal.getsignal(signal.SIGCHLD)
     if end == "unseen":
         signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        with _calls(os, "fork") as forks, _calls(pulse3, "_chebyshev_rows") as blocks:
+        with _calls(os, "fork") as forks, _calls(scan, "_chebyshev_rows") as blocks:
             _, fids = _scan_fids(cfg)
     finally:
         signal.signal(signal.SIGCHLD, handler)
@@ -766,9 +768,9 @@ def test_kernel_and_bound_ignore_the_drives_memory_order(v_minus):
     drives = _sample_omegas(cfg)
     c_order, f_order = np.ascontiguousarray(drives), np.asfortranarray(drives)
     assert not c_order.flags.f_contiguous and not f_order.flags.c_contiguous
-    assert pulse3._drive_bound(c_order).tobytes() == pulse3._drive_bound(f_order).tobytes()
+    assert scan._drive_bound(c_order).tobytes() == scan._drive_bound(f_order).tobytes()
     for chunk in (1000, DEFAULT_CHUNK):
-        with _calls(pulse3, "_evolve") as eighs:
+        with _calls(scan, "_evolve") as eighs:
             c_fids, f_fids = (_batched_pulse3_fidelities(psi2, d, v_s, v_c, tau3, chunk=chunk)
                               for d in (c_order, f_order))
         assert c_fids.tobytes() == f_fids.tobytes()
@@ -875,24 +877,23 @@ def test_batched_pulse3_of_a_zero_hamiltonian_is_the_start_overlap():
 
 
 def _setup_key(psi2, v_s=358.05, v_c=-353.19):
-    return (*((type(v), v, math.copysign(1.0, v)) for v in (v_s, v_c)), psi2.dtype.str,
-            psi2.tobytes())
+    return scan._float_key(v_s), scan._float_key(v_c), psi2.dtype.str, psi2.tobytes()
 
 
 def test_kernel_setup_keys_tell_signed_zeros_and_types_apart():
-    """The set-up cache keys V_s and V_c as ``scan._pulse2_point`` keys its floats:
+    """The set-up cache keys V_s and V_c by ``_float_key``, as ``_pulse2_point`` does:
     0.0 and -0.0, 5 and 5.0, and a float and a numpy float are different points."""
     psi2, omegas = np.eye(8)[5].astype(complex), np.full((3, 4), 58.8)
-    pulse3._setup.cache_clear()
+    scan._setup.cache_clear()
     points = [(5, 0.0), (5.0, 0.0), (np.float64(5.0), 0.0), (5.0, -0.0), (5.0, 0)]
     for v_s, v_c in points + points[::-1]:
         _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, 8.5)
-    assert pulse3._setup.cache_info()[:2] == (len(points), len(points))  # (hits, misses)
+    assert scan._setup.cache_info()[:2] == (len(points), len(points))  # (hits, misses)
 
 
 def test_kernel_setup_arrays_are_read_only():
     psi2 = _scan_point(_config(10))[-1]
-    parts = pulse3._setup(*_setup_key(psi2))
+    parts = scan._setup(*_setup_key(psi2))
     assert len(parts) == 5
     for part in parts:
         with pytest.raises(ValueError, match="read-only"):
@@ -913,7 +914,7 @@ def test_kernel_setup_keys_psi2_by_its_bytes():
     omegas = _sample_omegas(cfg)
     fids = _batched_pulse3_fidelities(general, omegas, v_s, v_c, tau3)
     assert fids.tobytes() == gather_pulse3_fidelities(general, omegas, v_s, v_c, tau3).tobytes()
-    assert len(pulse3._setup(*_setup_key(general, v_s, v_c))[3]) == 8
+    assert len(scan._setup(*_setup_key(general, v_s, v_c))[3]) == 8
     real = general.real.copy()
     assert _batched_pulse3_fidelities(real, omegas, v_s, v_c, tau3).tobytes() == (
         _batched_pulse3_fidelities(real.astype(complex), omegas, v_s, v_c, tau3).tobytes())
@@ -921,10 +922,10 @@ def test_kernel_setup_keys_psi2_by_its_bytes():
 
 def test_kernel_setup_cache_stays_bounded():
     psi2, omegas = np.eye(8)[5].astype(complex), np.full((3, 4), 58.8)
-    pulse3._setup.cache_clear()
+    scan._setup.cache_clear()
     for k in range(20):
         _batched_pulse3_fidelities(psi2, omegas, 358.05 + k, -353.19, 8.5)
-    info = pulse3._setup.cache_info()
+    info = scan._setup.cache_info()
     assert info.misses == 20 and info.currsize == info.maxsize <= 8
 
 
@@ -1979,7 +1980,7 @@ def test_cli_garbage_does_not_grow_with_the_work(capsys, monkeypatch, small, lar
 _BASE_MODULES = ("rydex", "rydex.atoms", "rydex.cli", "rydex.data", "rydex.harness",
                  "rydex.radial", "rydex.vdw")
 _PAIR_MODULES = (*_BASE_MODULES, "rydex.dynamics", "rydex.protocols")
-_SCAN_MODULES = (*_PAIR_MODULES, "rydex.pulse3", "rydex.scan")
+_SCAN_MODULES = (*_PAIR_MODULES, "rydex.scan")
 # perfbench's CLI_COMMANDS, copied, each with the rydex modules it loads
 REFERENCE_COMMANDS = (
     ("coeffs", ("coeffs", "--na", "73", "--nb", "75"), _BASE_MODULES),

@@ -11,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 
 import rydex
@@ -111,7 +112,7 @@ def test_package_names_load_lazily_and_completely():
     # names read through a layer that loads their home module on first use (perfbench's)
     harness, radial = layers[MODULES.index("harness")], layers[MODULES.index("radial")]
     assert harness.pair_couplings is rydex.protocols.pair_couplings
-    assert harness._batched_pulse3_fidelities is rydex.pulse3._batched_pulse3_fidelities
+    assert harness._batched_pulse3_fidelities is rydex.scan._batched_pulse3_fidelities
     assert radial.mpmath is mpmath
     for layer in (harness, radial):
         with pytest.raises(AttributeError, match="has no attribute 'frobnicate'"):
@@ -182,15 +183,18 @@ def _float_parameters():
 
 
 def test_every_float_parameter_refuses_a_bad_float_by_name():
-    """nan, +-inf and True for each float parameter raise a ValueError naming it;
-    the library twin of the CLI fuzz in test_harness."""
+    """nan, +-inf, True and the non-numbers "1.0", 1j, a two-element array and (where
+    the parameter is not optional) None for each float parameter raise a ValueError
+    naming it; the library twin of the CLI fuzz in test_harness."""
     unnamed, seen, checked = [], set(), set()
     for name, func, param in _float_parameters():
         seen |= {name, f"{name}.{param}"}
         if name in ALLOWED_UNNAMED or f"{name}.{param}" in ALLOWED_UNNAMED:
             continue
         checked.add(name)
-        for bad in (math.nan, math.inf, -math.inf, True):
+        optional = "None" in str(inspect.signature(func).parameters[param].annotation)
+        for bad in (math.nan, math.inf, -math.inf, True, "1.0", 1j, np.array([1.0, 2.0]),
+                    *(() if optional else (None,))):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # a regime warning before the check
@@ -245,12 +249,12 @@ def test_every_float_parameter_takes_or_names_a_finite_edge():
 OUT_OF_DOMAIN_INTS = {
     "DefectSeries.l": (-1,),
     "quantum_defect.l": (-1,),
-    "quantum_defect.n": (0, -1),
+    "quantum_defect.n": (0, -1, 10**160),
     "radial_integral.l1": (-1,),
     "radial_integral.l2": (-1,),
     "propagate_sampled.n_samples": (1, 0, -1, 10**30, 2**58),
     "ChainSpec.atom_count": (0, 5, 10**30),
-    "ChainSpec.pair": (-1, (73,), (73, 75, 77), [73, 75], (73, 75.5), (73, True)),
+    "ChainSpec.pair": (-1, (73,), (73, 75, 77), [73, 75], (73, 75.5), (73, True), (73, 73)),
     "optimize_pairwise.seed": (-1,),
     "optimize_pairwise.restarts": (0, -1, 10**30),
     "RobustnessConfig.samples": (0, -1, 10**30, 2**58),

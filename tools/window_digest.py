@@ -24,7 +24,7 @@ before it: equal digests mean bit-equal outputs. The log lines and the
 critical-radius warning are not printed. Takes about 15 s on a 2-core VM.
 
 ``robustness`` hashes the batched pulse-3 fidelities,
-``pulse3._batched_pulse3_fidelities``, of 300 fixed draws for two psi2
+``harness._batched_pulse3_fidelities``, of 300 fixed draws for two psi2
 (one with every row nonzero, one zero on the five rows a robustness scan's
 psi2 never reaches), two (V_s, V_c) and eight pulse-3 durations: short,
 long and negative ones on the Chebyshev kernel, the longest on the eigh
@@ -52,7 +52,7 @@ the fork threshold) and 30,006 at V- = 1e6 kHz, which takes the eigh
 fallback. Takes about 3 s.
 
 ``sampler`` hashes the float hex of the Monte Carlo draws,
-``scan._sample_omegas``, for the seeds 0, 1, 12345, 2**63 and
+``harness._sample_omegas``, for the seeds 0, 1, 12345, 2**63 and
 2**64 - 1 (the last two wrap key word 0 on its first bump), at 1, 4095, 4096,
 4097, 8191, 8192, 8193, 16385 and 100,000 samples (on both sides of one
 and two passes of the old 4096 keys and the current 8192), each at
@@ -168,16 +168,17 @@ from rydex.dynamics import (  # noqa: E402
 from rydex.chain import ChainSpec, chain_ideal_state, chain_protocol  # noqa: E402
 from rydex.figures import run_figure  # noqa: E402
 from rydex.harness import (  # noqa: E402
+    _batched_pulse3_fidelities,
+    _sample_omegas,
     dumps_json,
     histogram_payload,
     histogram_rows,
     robustness_scan,
     rows_to_csv,
 )
-from rydex.pulse3 import _batched_pulse3_fidelities  # noqa: E402
 from rydex.radial import _sp_row, _sp_table, radial_integral  # noqa: E402
 from rydex.protocols import optimize_pairwise, pairwise_entangle, swap_gate  # noqa: E402
-from rydex.scan import RobustnessConfig, _sample_omegas  # noqa: E402
+from rydex.scan import RobustnessConfig  # noqa: E402
 from rydex.tables import run_table  # noqa: E402
 from rydex.vdw import (  # noqa: E402
     _p_levels,
