@@ -63,22 +63,13 @@ def _add_coupling_overrides(p: argparse.ArgumentParser) -> None:
                    help="override the antisymmetric Bell-state shift in kHz")
 
 
-def _coeffs_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_coeffs)
+def _window_options(p: argparse.ArgumentParser, dn: int) -> None:
     _add_pair_options(p, required=True)
-    p.add_argument("--dn", type=int, default=10,
-                   help="intermediate-level window half-width (default 10)")
-
-
-def _critical_radius_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_critical_radius)
-    _add_pair_options(p, required=True)
-    p.add_argument("--dn", type=int, default=3,
-                   help="intermediate-level window half-width (default 3)")
+    p.add_argument("--dn", type=int, default=dn,
+                   help=f"intermediate-level window half-width (default {dn})")
 
 
 def _pair_sim_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_pair_sim)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
     p.add_argument("--omega2", type=float, default=None,
@@ -96,7 +87,6 @@ def _pair_sim_options(p: argparse.ArgumentParser) -> None:
 
 
 def _swap_sim_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_swap_sim)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
     p.add_argument("--omega", type=float, default=None,
@@ -110,7 +100,6 @@ def _swap_sim_options(p: argparse.ArgumentParser) -> None:
 
 
 def _chain_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_chain)
     p.add_argument("--atoms", type=int, default=4,
                    help="chain length: 4, 6, or a multiple of 4 up to 2**53 (default 4)")
     _add_pair_options(p, required=False)
@@ -128,7 +117,6 @@ def _chain_options(p: argparse.ArgumentParser) -> None:
 
 
 def _robustness_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_robustness)
     _add_pair_options(p, required=False)
     _add_coupling_overrides(p)
     p.add_argument("--epsilon", type=float, default=0.1,
@@ -142,32 +130,15 @@ def _robustness_options(p: argparse.ArgumentParser) -> None:
 
 
 def _table_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_table)
     p.add_argument("table_id", choices=("I", "II", "III", "IV"), metavar="{I,II,III,IV}")
 
 
 def _figure_options(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(handler=_cmd_figure)
     p.add_argument("figure_id", type=int, choices=(3, 4), metavar="{3,4}")
     p.add_argument("--samples", type=int, default=100000,
                    help="Monte Carlo samples for the histogram figure")
     p.add_argument("--seed", type=int, default=12345,
                    help="seed for the histogram figure")
-
-
-# each command's help line and the function adding its options, in help order
-_COMMANDS = {
-    "coeffs": ("van der Waals coefficients of an (na, nb) pair", _coeffs_options),
-    "critical-radius": ("crossover radius to the resonant dipole regime",
-                        _critical_radius_options),
-    "pair-sim": ("three-pulse Bell-state preparation", _pair_sim_options),
-    "swap-sim": ("pi/2pi/pi signed-SWAP gate", _swap_sim_options),
-    "chain": ("chain schedule, fidelity estimate, spectator shift", _chain_options),
-    "robustness": ("Monte Carlo fidelity distribution under drive dispersion",
-                   _robustness_options),
-    "table": ("reproduce a reference table with deviations", _table_options),
-    "figure": ("emit plot data for the trajectory or histogram figure", _figure_options),
-}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -190,7 +161,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     every = command not in _COMMANDS
-    for name, (help_line, add_options) in _COMMANDS.items():
+    for name, (help_line, add_options, _) in _COMMANDS.items():
         if every or name == command:
             p = sub.add_parser(name, parents=[common], help=help_line)
             add_options(p)
@@ -432,6 +403,23 @@ def _cmd_figure(args, model):
     return data, (data["columns"], data["rows"])
 
 
+# each command's help line, the function adding its options and its handler, in help order
+_COMMANDS = {
+    "coeffs": ("van der Waals coefficients of an (na, nb) pair",
+               lambda p: _window_options(p, 10), _cmd_coeffs),
+    "critical-radius": ("crossover radius to the resonant dipole regime",
+                        lambda p: _window_options(p, 3), _cmd_critical_radius),
+    "pair-sim": ("three-pulse Bell-state preparation", _pair_sim_options, _cmd_pair_sim),
+    "swap-sim": ("pi/2pi/pi signed-SWAP gate", _swap_sim_options, _cmd_swap_sim),
+    "chain": ("chain schedule, fidelity estimate, spectator shift", _chain_options, _cmd_chain),
+    "robustness": ("Monte Carlo fidelity distribution under drive dispersion",
+                   _robustness_options, _cmd_robustness),
+    "table": ("reproduce a reference table with deviations", _table_options, _cmd_table),
+    "figure": ("emit plot data for the trajectory or histogram figure", _figure_options,
+               _cmd_figure),
+}
+
+
 def _config_path(argv: list[str]) -> str | None:
     """The ``--config`` file of ``argv`` as argparse reads it, ``--conf f`` and
     ``--config=f`` included; None for a bare ``--config``, left to the subparser."""
@@ -489,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.defects
             else QuantumDefectModel.default()
         )
-        data, csv_spec = args.handler(args, model)
+        data, csv_spec = _COMMANDS[args.command][2](args, model)
         _emit(args, data, csv_spec)
     except (ValueError, ArithmeticError, DefectDataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

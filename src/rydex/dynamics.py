@@ -113,6 +113,13 @@ class PulseSpec:
         return omega * _phasor(phi)
 
 
+def _label_index(basis: tuple[str, ...], label: str) -> int:
+    """Where ``label`` sits in ``basis``; a label not there is refused with both named."""
+    if label not in basis:
+        raise ValueError(f"label {label!r} is not in the basis {basis}")
+    return basis.index(label)
+
+
 @dataclass(frozen=True)
 class QuantumState:
     """Complex amplitudes over an ordered, labeled basis."""
@@ -134,11 +141,11 @@ class QuantumState:
     @classmethod
     def from_label(cls, basis: tuple[str, ...], label: str) -> "QuantumState":
         amps = np.zeros(len(basis), dtype=complex)
-        amps[basis.index(label)] = 1.0
+        amps[_label_index(basis, label)] = 1.0
         return cls(basis=basis, amplitudes=amps)
 
     def amplitude(self, label: str) -> complex:
-        return complex(self.amplitudes[self.basis.index(label)])
+        return complex(self.amplitudes[_label_index(self.basis, label)])
 
     def population(self, label: str) -> float:
         return float(abs(self.amplitude(label)) ** 2)

@@ -9,11 +9,10 @@ Composes the pulse Hamiltonians into complete protocols:
 * ``optimize_pairwise``: restarted simplex search over the two Rabi
   frequencies and two pulse durations,
 * ``swap_gate``: the pi / 2pi / pi sequence realizing a signed SWAP
-  between neighboring atoms,
-* the chain schedule, ideal chain states, the decay-limited chain
-  fidelity estimate, and ``chain_protocol`` composing them all.
+  between neighboring atoms.
 
-The optimizer's search lives in ``optimizer`` and the chain in ``chain``:
+The optimizer's search lives in ``optimizer``, and the chain (its schedule,
+ideal states, fidelity estimate and ``chain_protocol``) in ``chain``:
 ``optimize_pairwise`` imports its search when it runs, and only the chain
 command loads ``chain``.
 
@@ -226,8 +225,15 @@ def pairwise_entangle(
 
     The protocol assumes the hierarchy |V-| >> omega >> |V+|; a warning
     is emitted when it is violated by less than a factor of 5. Drives
-    and couplings must be finite, given durations finite and >= 0.
+    and couplings must be finite, given durations finite and >= 0, and
+    ``phases`` four finite numbers.
     """
+    try:
+        phi = {f"phi_{c}": p for c, p in zip(CHANNELS, phases, strict=True)}
+    except (TypeError, ValueError):  # not iterable, or not four long
+        raise ValueError(f"phases must be four numbers, one per channel, got {phases!r}") from None
+    for p in phi.values():
+        _require_finite("phases", p)
     _require_finite("v_plus_khz", v_plus_khz)
     _require_finite("v_minus_khz", v_minus_khz)
     _require_finite("omega_pulse2_khz", omega_pulse2_khz)
@@ -247,7 +253,6 @@ def pairwise_entangle(
         )
     if tau2_us is None:
         tau2_us = pulse2_analytics(omega_pulse2_khz, v_plus_khz, v_minus_khz).tau2_us
-    phi = {f"phi_{c}": p for c, p in zip(CHANNELS, phases, strict=True)}
     v_s, v_c = _exchange_split(v_plus_khz, v_minus_khz)
 
     state = QuantumState.from_label(PRODUCT_BASIS_8, "Uu")  # after ideal pulse 1

@@ -167,7 +167,7 @@ def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None
 
 
 def _float_key(x: float) -> tuple:
-    """``x`` as a cache key that tells 0.0 from -0.0 and 5 from 5.0: (type, value, sign)."""
+    """``x`` as a ``_pulse2_point`` key that tells 0.0 from -0.0 and 5 from 5.0."""
     return type(x), x, math.copysign(1.0, x)
 
 
@@ -228,6 +228,12 @@ _PARTNERS = [np.s_[:, ::-1, j : j + 1] for j in (0, 1)]  # as views, broadcast o
 # The channel of the link to partner 0 depends on cycle and member only; partner 1's is
 # partner 0's with the members swapped: one (cycle, 1, member) table serves both
 _LINK_CHANNELS = _NEIGHBOUR_CHANNELS[0][_CYCLES][:, :1]
+# Where V_s and V_c sit in every sector matrix: the states V_s shifts, the rows V_c
+# couples and the (_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]) pairs that hold it
+_H0 = _sector_matrices(np.zeros(4), 1.0, 1.0)
+_SHIFTED, _COUPLED = _H0.diagonal() != 0, (_H0 - np.diag(_H0.diagonal()) != 0).any(axis=1)
+_PAIRED = _H0[_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]] != 0
+_SLOTS = np.argsort(_CYCLES, axis=None)  # each state's slot in the cycle layout
 # (-i)^k is real for even k and imaginary for odd k; its nonzero part by k mod 4
 _MINUS_I_POWER_PARTS = np.array([1.0, -1.0, -1.0, 1.0])
 # Most Chebyshev terms: one batched 8x8 eigh per sample costs about as much as 250
@@ -359,24 +365,6 @@ def _drive_bound(omegas_khz: np.ndarray) -> np.ndarray:
     return np.maximum(omegas_khz.max(axis=0), -omegas_khz.min(axis=0))
 
 
-@functools.lru_cache(maxsize=8)
-def _setup(v_s_key: tuple, v_c_key: tuple, dtype: str, psi2_bytes: bytes) -> tuple:
-    """The drive-free part of a working point's kernel, read-only: h0's diagonal, the
-    absolute row sums of its coupling, the V_c entries at (_CYCLES[:, 0, 1],
-    _CYCLES[::-1, 0, 1]), and psi2's nonzero rows as cycle-layout slots and amplitudes.
-    V_s and V_c are keyed by ``_float_key``."""
-    h0 = _sector_matrices(np.zeros(4), v_s_key[1], v_c_key[1])
-    centre, coupling = h0.diagonal(), h0 - np.diag(h0.diagonal())
-    psi2 = np.frombuffer(psi2_bytes, dtype)
-    support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
-    parts = (centre, np.abs(coupling).sum(axis=1),
-             coupling[_CYCLES[:, 0, 1], _CYCLES[::-1, 0, 1]],
-             np.argsort(_CYCLES, axis=None)[support], psi2[support])
-    for part in parts:
-        part.flags.writeable = False
-    return parts
-
-
 def _batched_pulse3_fidelities(psi2: np.ndarray, omegas_khz: np.ndarray, v_s: float, v_c: float,
                                tau3_us: float, chunk: int = _CHUNK,
                                drive: np.ndarray | None = None) -> np.ndarray:
@@ -405,8 +393,8 @@ def _batched_pulse3_fidelities(psi2: np.ndarray, omegas_khz: np.ndarray, v_s: fl
     ``chunk`` is the most samples one pass holds (_chebyshev_rows). Only
     elementwise arithmetic touches the samples, so neither the layouts, the
     passes nor the buffer change a bit, and rows cut into ranges give the bits
-    of the whole batch under the same bound. The drive-free set-up is kept per
-    working point and psi2 (``_setup``); the rest is computed per call.
+    of the whole batch under the same bound. Where V_s and V_c sit is read once
+    at import (_SHIFTED, _COUPLED, _PAIRED); each call places them.
 
     One Gershgorin bound (c, r) holds for every sample's matrix: it takes each
     channel's largest drive magnitude, ``drive``, by default over the rows
@@ -420,8 +408,11 @@ def _batched_pulse3_fidelities(psi2: np.ndarray, omegas_khz: np.ndarray, v_s: fl
     """
     n = omegas_khz.shape[0]
     fids = np.empty(n)
-    centre, coupling_sums, pair, slots, coeffs = _setup(
-        _float_key(v_s), _float_key(v_c), psi2.dtype.str, psi2.tobytes())
+    # np.where, not v_s * mask: a negative V_s would put -0.0 in the zero rows
+    centre, pair = np.where(_SHIFTED, v_s, 0.0), np.where(_PAIRED, v_c, 0.0)
+    coupling_sums = np.where(_COUPLED, abs(v_c), 0.0)  # Gershgorin's off-diagonal row sums
+    support = psi2 != 0  # a zero row of psi2 would add exactly +-0 to amp
+    slots, coeffs = _SLOTS[support], psi2[support]
     if drive is None:
         drive = _drive_bound(omegas_khz)
     radius = drive[_NEIGHBOUR_CHANNELS].sum(axis=0) / 2.0 + coupling_sums

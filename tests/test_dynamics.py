@@ -127,6 +127,17 @@ def test_quantum_state_validation():
     assert float(np.sum(np.abs(st.amplitudes) ** 2)) == 1.0
 
 
+def test_an_unknown_label_is_refused_with_its_basis():
+    """``from_label``, ``amplitude`` and ``population`` name a label the basis lacks."""
+    basis = ("a", "b")
+    state = QuantumState.from_label(basis, "b")
+    message = re.escape("label 'z' is not in the basis ('a', 'b')")
+    for call in (lambda: QuantumState.from_label(basis, "z"), lambda: state.amplitude("z"),
+                 lambda: state.population("z")):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_hamiltonian_validation():
     with pytest.raises(ValueError, match="shape"):
         HamiltonianMatrix(basis=("a",), matrix=np.zeros((2, 2)))

@@ -876,57 +876,25 @@ def test_batched_pulse3_of_a_zero_hamiltonian_is_the_start_overlap():
     np.testing.assert_allclose(fids, 0.5 * abs(psi2[0] + psi2[1]) ** 2, rtol=1e-14, atol=0)
 
 
-def _setup_key(psi2, v_s=358.05, v_c=-353.19):
-    return scan._float_key(v_s), scan._float_key(v_c), psi2.dtype.str, psi2.tobytes()
-
-
-def test_kernel_setup_keys_tell_signed_zeros_and_types_apart():
-    """The set-up cache keys V_s and V_c by ``_float_key``, as ``_pulse2_point`` does:
-    0.0 and -0.0, 5 and 5.0, and a float and a numpy float are different points."""
-    psi2, omegas = np.eye(8)[5].astype(complex), np.full((3, 4), 58.8)
-    scan._setup.cache_clear()
-    points = [(5, 0.0), (5.0, 0.0), (np.float64(5.0), 0.0), (5.0, -0.0), (5.0, 0)]
-    for v_s, v_c in points + points[::-1]:
-        _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, 8.5)
-    assert scan._setup.cache_info()[:2] == (len(points), len(points))  # (hits, misses)
-
-
-def test_kernel_setup_arrays_are_read_only():
-    psi2 = _scan_point(_config(10))[-1]
-    parts = scan._setup(*_setup_key(psi2))
-    assert len(parts) == 5
-    for part in parts:
-        with pytest.raises(ValueError, match="read-only"):
-            part[...] = 0
-
-
-def test_kernel_setup_keys_psi2_by_its_bytes():
-    """After a scan at the default point, whose psi2 is zero on five rows, a psi2 nonzero
-    on every row at the same (V_s, V_c) gets its own eight slots and the gather kernel's
-    bits; a real psi2 is keyed by its dtype too, not read as complex."""
+@pytest.mark.parametrize("v_s, v_c", [(5, 0.0), (5.0, 0.0), (np.float64(5.0), 0.0),
+                                      (5.0, -0.0), (5.0, 0), (-40.0, 25.0)],
+                         ids=["5-0.0", "5.0-0.0", "float64(5.0)-0.0", "5.0--0.0", "5.0-0",
+                              "-40.0-25.0"])
+def test_kernel_places_v_s_and_v_c_as_the_gather_form_does(v_s, v_c):
+    """V_s and V_c placed by the import-time masks give the gather kernel's bits, at
+    signed zeros, an int and a numpy float among them, for the scan's psi2 (zero on
+    five rows), a psi2 nonzero on every row and a real one."""
     cfg = _config(1000)
-    _, tau3, v_s, v_c, scan_psi2 = _scan_point(cfg)
-    robustness_scan(cfg)
+    _, tau3, _, _, scan_psi2 = _scan_point(cfg)
     assert np.count_nonzero(scan_psi2) == 3
     rng = np.random.Generator(np.random.Philox(key=[2027, 0]))
     general = rng.normal(size=8) + 1j * rng.normal(size=8)
     general /= np.linalg.norm(general)
+    real = general.real / np.linalg.norm(general.real)
     omegas = _sample_omegas(cfg)
-    fids = _batched_pulse3_fidelities(general, omegas, v_s, v_c, tau3)
-    assert fids.tobytes() == gather_pulse3_fidelities(general, omegas, v_s, v_c, tau3).tobytes()
-    assert len(scan._setup(*_setup_key(general, v_s, v_c))[3]) == 8
-    real = general.real.copy()
-    assert _batched_pulse3_fidelities(real, omegas, v_s, v_c, tau3).tobytes() == (
-        _batched_pulse3_fidelities(real.astype(complex), omegas, v_s, v_c, tau3).tobytes())
-
-
-def test_kernel_setup_cache_stays_bounded():
-    psi2, omegas = np.eye(8)[5].astype(complex), np.full((3, 4), 58.8)
-    scan._setup.cache_clear()
-    for k in range(20):
-        _batched_pulse3_fidelities(psi2, omegas, 358.05 + k, -353.19, 8.5)
-    info = scan._setup.cache_info()
-    assert info.misses == 20 and info.currsize == info.maxsize <= 8
+    for psi2 in (scan_psi2, general, real):
+        fids = _batched_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3)
+        assert fids.tobytes() == gather_pulse3_fidelities(psi2, omegas, v_s, v_c, tau3).tobytes()
 
 
 def test_cycle_layout_views_are_the_sector_links():

@@ -4,6 +4,7 @@ import cmath
 import collections
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -433,6 +434,22 @@ def test_swap_gate_refuses_a_nan_blockade():
 def test_a_bool_is_refused_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("phases, message", [
+    ((0.0, 0.0, 0.0), "phases must be four numbers, one per channel, got (0.0, 0.0, 0.0)"),
+    ((0.0,) * 5, "phases must be four numbers"),
+    (None, "phases must be four numbers, one per channel, got None"),
+    (0.0, "phases must be four numbers"),
+    ((0.0, 0.0, 0.0, math.nan), "phases must be finite, got nan"),
+    ((0.0, 0.0, True, 0.0), "phases must be a number, got True"),
+    ("abcd", "phases must be a number, got 'a'"),
+])
+def test_pairwise_refuses_anything_but_four_phases_by_name(monkeypatch, phases, message):
+    """Anything but four finite phases is refused as ``phases`` before any pulse is built."""
+    monkeypatch.setattr(rydex.protocols, "build_full8", None)  # any pulse would fail unnamed
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pairwise_entangle(59.0, 59.0, 5.0, 711.0, phases=phases)
 
 
 def test_swap_gate_weak_blockade_warns():

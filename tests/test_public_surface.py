@@ -155,6 +155,9 @@ VALID_CALLS = {
                               v_minus_khz=711.0, tau2_us=12.0, tau3_us=8.5),
     "swap_gate": dict(omega_khz=89.0, v_plus_khz=5.0, v_minus_khz=711.0, v_blockade_khz=535.0,
                       t_2pi_us=11.12),
+    "interaction_matrix": dict(model=_MODEL, n_a=73, n_b=75, spacing_um=15.0),
+    "v_plus_minus": dict(pair=rydex.c6_pair(_MODEL, 73, 75), spacing_um=15.0),
+    "pair_couplings": dict(model=_MODEL, n_a=73, n_b=75, spacing_um=15.0),
     "RobustnessConfig": dict(epsilon=0.1, samples=10, seed=1, omega_khz=58.8, v_plus_khz=5.0,
                              v_minus_khz=711.0),
 }
@@ -166,9 +169,9 @@ ALLOWED_UNNAMED = {
         "Pulse2Analytics", "ChainFidelityEstimate", "ChainResult", "PairCouplings",
         "PairwiseOptimum", "ProtocolResult", "SpectatorBlockade", "SwapGateResult",
         "FidelityHistogram")},
-    **{f"{name}.spacing_um": "its messages say 'spacing', and the CLI tests pin them"
-       for name in ("interaction_matrix", "v_plus_minus", "pair_couplings")},
 }
+# the word a message may name a parameter by, in both walks: the CLI tests pin 'spacing'
+WORDS = {"spacing_um": "spacing"}
 
 
 def _float_parameters():
@@ -200,7 +203,8 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
                     warnings.simplefilter("ignore")  # a regime warning before the check
                     func(**dict(VALID_CALLS[name], **{param: bad}))
             except Exception as error:  # any other failure is listed too
-                if isinstance(error, ValueError) and re.search(rf"\b{param}\b", str(error)):
+                named = rf"\b({param}|{WORDS.get(param, param)})\b"
+                if isinstance(error, ValueError) and re.search(named, str(error)):
                     continue
             unnamed.append(f"{name}.{param}={bad!r}")
     assert unnamed == []
@@ -230,7 +234,8 @@ def test_every_float_parameter_takes_or_names_a_finite_edge():
     for name, func, param in _float_parameters():
         if name in ALLOWED_UNNAMED or f"{name}.{param}" in ALLOWED_UNNAMED:
             continue
-        names = [rf"\b{param}\b", *(re.escape(s) for key, s in SYMBOLS.items() if key in param)]
+        names = [rf"\b{param}\b", rf"\b{WORDS.get(param, param)}\b",
+                 *(re.escape(s) for key, s in SYMBOLS.items() if key in param)]
         for bad in FINITE_EDGES:
             try:
                 with warnings.catch_warnings():
