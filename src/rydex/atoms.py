@@ -43,19 +43,24 @@ __all__ = [
 _L_LETTERS = "spdfghik"
 
 
-def _require_finite(
-    name: str, value: float, lower: float = -math.inf, inclusive: bool = True
-) -> None:
-    """Reject a bool or another non-number, a non-finite ``value``, or one below ``lower``
-    (or at it unless ``inclusive``), with a one-line error that names the parameter."""
+def _require_finite(name: str, value: float, lo: float = -math.inf, hi: float = math.inf,
+                    ends: str = "[]") -> None:
+    """Reject a bool (numpy's too) or another non-number, then a non-finite ``value`` or
+    one outside lo..hi, each end closed or open as ``ends`` ("[]", "(]", "[)" or "()")
+    says, in a one-line error that names the parameter and states the bounds given."""
+    kind = type(value)  # an array, even 0-d, is unhashable: no number here
     try:
-        ok = math.isfinite(value) and (value >= lower if inclusive else value > lower)
-    except TypeError:  # a str, a complex, None, an array of more than one element
-        ok = None
-    if ok is None or isinstance(value, bool):
+        finite = (None if kind.__hash__ is None or kind.__name__ in ("bool", "bool_")
+                  else math.isfinite(value))
+    except TypeError:  # a str, a complex, None
+        finite = None
+    if finite is None:
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not ok:
-        bound = "" if lower == -math.inf else f" and {'>=' if inclusive else '>'} {lower:g}"
+    if (not (finite and lo <= value <= hi) or value == lo and ends[0] == "("
+            or value == hi and ends[1] == ")"):
+        bound = ("" if lo == -math.inf and hi == math.inf
+                 else f" and {'>' if ends[0] == '(' else '>='} {lo:g}" if hi == math.inf
+                 else f" and in {ends[0]}{lo:g}, {hi:g}{ends[1]}")
         raise ValueError(f"{name} must be finite{bound}, got {value}")
 
 
@@ -118,7 +123,7 @@ class QuantumDefectModel:
     series: Mapping[tuple[int, float], DefectSeries] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _require_finite("rydberg_constant_ghz", self.rydberg_constant_ghz, 0.0, inclusive=False)
+        _require_finite("rydberg_constant_ghz", self.rydberg_constant_ghz, 0.0, ends="(]")
         object.__setattr__(self, "series", MappingProxyType(dict(self.series)))
         for key, record in self.series.items():
             if not (isinstance(record, DefectSeries) and key == (record.l, record.j)):

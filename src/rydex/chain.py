@@ -58,7 +58,7 @@ class ChainSpec:
         count = _require_int("atom_count", self.atom_count, hi=MAX_CHAIN_ATOMS)
         if not (count == 6 or count >= 4 and count % 4 == 0):
             raise ValueError(f"atom_count must be 4, 6, or a multiple of 4, got {count}")
-        _require_finite("spacing_um", self.spacing_um, 0.0, inclusive=False)
+        _require_finite("spacing_um", self.spacing_um, 0.0, ends="(]")
         _require_finite("decay rate gamma_per_ms", self.gamma_per_ms, 0.0)
         if not (isinstance(self.pair, tuple) and len(self.pair) == 2):
             raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")
@@ -215,9 +215,7 @@ def chain_fidelity_estimate(
     exponential estimate stops being a small correction).
     """
     for name, fidelity in (("f1", f1), ("f_swap", f_swap)):
-        _require_finite(name, fidelity, 0.0)
-        if fidelity > 1.0:
-            raise ValueError(f"fidelities must lie in [0, 1], got {name} = {fidelity}")
+        _require_finite(name, fidelity, 0.0, 1.0)
     _require_finite("tau_us", tau_us, 0.0)
     gamma_tau = spec.gamma_per_ms * tau_us * 1e-3
     _require_finite("gamma tau = gamma_per_ms * tau_us", gamma_tau)

@@ -317,11 +317,7 @@ def propagate_sampled(
     Rydberg-exposure integrals.
     """
     _require_finite("t_us", t_us)
-    _require_int("n_samples", n_samples, 2)
-    most = np.iinfo(np.intp).max // (16 * len(h.basis))
-    if n_samples > most:
-        raise ValueError(f"n_samples must be at most {most} for {len(h.basis)} states, "
-                         f"got {n_samples}")
+    _require_int("n_samples", n_samples, 2, np.iinfo(np.intp).max // (16 * len(h.basis)))
     if state.basis != h.basis:
         raise ValueError(f"state basis {state.basis} does not match Hamiltonian basis {h.basis}")
     w, v, coef = _eigen_coefficients(h.matrix, state.amplitudes, t_us)

@@ -136,7 +136,7 @@ def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
     where its accuracy degrades.
     """
     for name, n_eff in (("n_eff1", n_eff1), ("n_eff2", n_eff2)):
-        _require_finite(name, n_eff, 0.0, inclusive=False)
+        _require_finite(name, n_eff, 0.0, ends="(]")
     for name, l in (("l1", l1), ("l2", l2)):
         _require_int(name, l, 0)
     if abs(l1 - l2) != 1:

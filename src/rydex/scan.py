@@ -52,17 +52,11 @@ class RobustnessConfig:
     v_minus_khz: float
 
     def __post_init__(self) -> None:
-        _require_finite("epsilon", self.epsilon)
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        _require_finite("epsilon", self.epsilon, 0.0, 1.0, "[)")
         _require_int("samples", self.samples, 1, MAX_SAMPLES)
-        if not 0 <= _require_int("seed", self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
+        _require_int("seed", self.seed, 0, 2**64 - 1)
         for name in ("omega_khz", "v_plus_khz", "v_minus_khz"):
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):  # keys the pulse-2 cache, so it must hash
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            _require_finite(name, value)
+            _require_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -468,14 +468,7 @@ def _khz_per_ghz_um6(spacing_um: float, *coefficients):
 
 def _khz_scale(spacing_um: float) -> float:
     """1e6 / L^6, the kHz per GHz um^6 at spacing L (um); names a bad spacing."""
-    try:
-        finite = math.isfinite(spacing_um)
-    except TypeError:  # a str, a complex, None, an array of more than one element
-        finite = None
-    if finite is None or isinstance(spacing_um, bool):
-        raise ValueError(f"spacing must be a number of um, got {spacing_um!r}")
-    if not finite or spacing_um <= 0:
-        raise ValueError(f"spacing must be positive and finite, got {spacing_um}")
+    _require_finite("spacing", spacing_um, 0.0, ends="(]")
     try:
         scale = 1e6 / spacing_um**6
     except ArithmeticError:  # L^6 overflows, or underflows to zero

@@ -214,6 +214,32 @@ def test_require_int_takes_inclusive_bounds_and_names_each_form():
         _require_int("n", big, hi=big - 1)
 
 
+def test_require_finite_takes_each_end_form_and_names_it():
+    for args in [("x", -1e308), ("x", 0.0, 0.0), ("x", 5e-324, 0.0, math.inf, "(]"),
+                 ("x", 0.0, 0.0, 1.0), ("x", 1.0, 0.0, 1.0), ("x", np.float64(0.5), 0.0, 1.0),
+                 ("x", math.nextafter(1.0, 0.0), 0.0, 1.0, "[)"), ("x", 1, 0.0, 1.0, "(]")]:
+        _require_finite(*args)
+    for args, message in [
+        (("x", math.nan), "x must be finite, got nan"),
+        (("x", -math.inf), "x must be finite, got -inf"),
+        (("x", -0.5, 0.0), "x must be finite and >= 0, got -0.5"),
+        (("x", -0.0, 0.0, math.inf, "(]"), "x must be finite and > 0, got -0.0"),
+        (("x", 1.5, 0.0, 1.0), "x must be finite and in [0, 1], got 1.5"),
+        (("x", 1.0, 0.0, 1.0, "[)"), "x must be finite and in [0, 1), got 1.0"),
+        (("x", 0.0, 0.0, 1.0, "(]"), "x must be finite and in (0, 1], got 0.0"),
+        (("x", 0.0, 0.0, 1.0, "()"), "x must be finite and in (0, 1), got 0.0"),
+        (("x", math.inf, 0.0, 1.0, "[)"), "x must be finite and in [0, 1), got inf"),
+        # the number test runs before any range test, for a value in range too
+        (("x", True, 0.0, 1.0), "x must be a number, got True"),
+        (("x", np.False_, 0.0, 1.0), "x must be a number, got np.False_"),
+        (("x", np.array(0.5), 0.0, 1.0), "x must be a number, got array(0.5)"),
+        (("x", "0.5", 0.0, 1.0), "x must be a number, got '0.5'"),
+        (("x", None, 0.0, 1.0, "[)"), "x must be a number, got None"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _require_finite(*args)
+
+
 def test_quantum_defect_requires_bound_state():
     with pytest.raises(ValueError, match="must exceed delta0"):
         quantum_defect(MODEL, 0, 0.5, 3)

@@ -118,8 +118,10 @@ def test_pair_couplings_match_interaction_matrix():
         (dict(epsilon=-0.1), "epsilon"),
         (dict(epsilon=1.0), "epsilon"),
         (dict(samples=0), "samples"),
-        (dict(seed=-1), "64 unsigned bits"),
-        (dict(seed=2**64), "64 unsigned bits"),
+        pytest.param(dict(seed=-1), r"seed must be in \[0, 18446744073709551615\], got -1",
+                     id="kwargs3-64 unsigned bits"),
+        pytest.param(dict(seed=2**64), r"seed must be in \[0, 18446744073709551615\], got "
+                     r"18446744073709551616", id="kwargs4-64 unsigned bits"),
         (dict(omega_khz=math.nan), "omega_khz must be finite, got nan"),
         (dict(omega_khz=math.inf), "omega_khz must be finite, got inf"),
         (dict(v_plus_khz=math.nan), "v_plus_khz must be finite, got nan"),
@@ -129,7 +131,8 @@ def test_pair_couplings_match_interaction_matrix():
         (dict(seed=1.5), "seed must be an integer, got 1.5"),
         (dict(seed=True), "seed must be an integer, got True"),
         (dict(omega_khz=True), "omega_khz must be a number, got True"),
-        (dict(epsilon=math.nan), "epsilon must be finite, got nan"),
+        pytest.param(dict(epsilon=math.nan), r"epsilon must be finite and in \[0, 1\), got nan",
+                     id="kwargs14-epsilon must be finite, got nan"),
         (dict(epsilon=True), "epsilon must be a number, got True"),
         (dict(epsilon=False), "epsilon must be a number, got False"),
         (dict(omega_khz=np.array(NOMINAL_OMEGA)), r"omega_khz must be a number, got array\("),
@@ -1629,8 +1632,10 @@ _INFINITE_WORKING_DRIVE = (
         (["coeffs", "--na", "3", "--nb", "5"],
          "n_a=3 with dn_cutoff=10 reaches n=-7, below the lowest bound p level n=4"),
         (["critical-radius", "--na", "75", "--nb", "5"], "n_b=5 with dn_cutoff=3"),
-        (["pair-sim", "--spacing", "nan"], "spacing must be positive and finite, got nan"),
-        (["pair-sim", "--spacing", "inf"], "spacing must be positive and finite, got inf"),
+        pytest.param(["pair-sim", "--spacing", "nan"], "spacing must be finite and > 0, got nan",
+                     id="argv2-spacing must be positive and finite, got nan"),
+        pytest.param(["pair-sim", "--spacing", "inf"], "spacing must be finite and > 0, got inf",
+                     id="argv3-spacing must be positive and finite, got inf"),
         (["chain", "--gamma", "nan"], "decay rate gamma_per_ms must be finite and >= 0, got nan"),
         (["chain", "--gamma", "nan", "--format", "csv"],
          "decay rate gamma_per_ms must be finite and >= 0, got nan"),
@@ -1719,7 +1724,9 @@ _INFINITE_WORKING_DRIVE = (
          "n_b=100003 with dn_cutoff=10 reaches n=100013, above the channel-sum domain"),
         # a negative seed is refused by name, not by numpy's bit generator
         (["pair-sim", "--optimize", "--seed", "-1"], "seed must be >= 0, got -1"),
-        (["robustness", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+        pytest.param(["robustness", "--seed", "-1"],
+                     "seed must be in [0, 18446744073709551615], got -1",
+                     id="argv46-seed must fit in 64 unsigned bits, got -1"),
         # one chain past MAX_CHAIN_ATOMS = 2**53
         (["chain", "--atoms", "9007199254740996"],
          "atom_count must be at most 9007199254740992, got 9007199254740996"),

@@ -719,7 +719,7 @@ def test_chain_estimate_operation_counts():
 def test_chain_estimate_validation_and_warning():
     spec = ChainSpec(atom_count=4, spacing_um=15.0, pair=(73, 75),
                      gamma_per_ms=200.0)
-    with pytest.raises(ValueError, match="fidelities"):
+    with pytest.raises(ValueError, match=re.escape("f1 must be finite and in [0, 1], got 1.2")):
         chain_fidelity_estimate(spec, 1.2, 0.9, tau_us=10.0)
     with pytest.warns(UserWarning, match="not small"):
         chain_fidelity_estimate(spec, 0.99, 0.98, tau_us=10.0)

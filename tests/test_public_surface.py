@@ -185,10 +185,34 @@ def _float_parameters():
                 yield name, obj, p.name
 
 
+def test_each_domain_edge_falls_on_the_side_its_bound_says():
+    """epsilon in [0, 1), each chain fidelity in [0, 1] and the spacing above 0, at
+    the edge and one float inside or past it."""
+    config = VALID_CALLS["RobustnessConfig"]
+    rydex.RobustnessConfig(**dict(config, epsilon=math.nextafter(1.0, 0.0)))
+    message = re.escape("epsilon must be finite and in [0, 1), got 1.0")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rydex.RobustnessConfig(**dict(config, epsilon=1.0))
+    spec = rydex.ChainSpec(4, 15.0, (73, 75))
+    for f1, f_swap in ((1.0, 0.5), (0.5, 1.0)):
+        rydex.chain_fidelity_estimate(spec, f1, f_swap, 1.0)
+    above = math.nextafter(1.0, 2.0)
+    for name, fidelities in (("f1", (above, 0.5)), ("f_swap", (0.5, above))):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and in [0, 1], "
+                                                       f"got {above}")):
+            rydex.chain_fidelity_estimate(spec, *fidelities, 1.0)
+    for spacing in (0.0, -0.0):
+        message = re.escape(f"spacing must be finite and > 0, got {spacing}")
+        for name in ("interaction_matrix", "v_plus_minus", "pair_couplings"):
+            with pytest.raises(ValueError, match=message):
+                getattr(rydex, name)(**dict(VALID_CALLS[name], spacing_um=spacing))
+
+
 def test_every_float_parameter_refuses_a_bad_float_by_name():
-    """nan, +-inf, True and the non-numbers "1.0", 1j, a two-element array and (where
-    the parameter is not optional) None for each float parameter raise a ValueError
-    naming it; the library twin of the CLI fuzz in test_harness."""
+    """nan, +-inf, True, numpy's True and the non-numbers "1.0", 1j, a 0-d and a
+    two-element array and (where the parameter is not optional) None for each float
+    parameter raise a ValueError naming it; the library twin of the CLI fuzz in
+    test_harness."""
     unnamed, seen, checked = [], set(), set()
     for name, func, param in _float_parameters():
         seen |= {name, f"{name}.{param}"}
@@ -196,8 +220,8 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
             continue
         checked.add(name)
         optional = "None" in str(inspect.signature(func).parameters[param].annotation)
-        for bad in (math.nan, math.inf, -math.inf, True, "1.0", 1j, np.array([1.0, 2.0]),
-                    *(() if optional else (None,))):
+        for bad in (math.nan, math.inf, -math.inf, True, np.True_, "1.0", 1j, np.array(1.0),
+                    np.array([1.0, 2.0]), *(() if optional else (None,))):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # a regime warning before the check

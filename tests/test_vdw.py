@@ -649,10 +649,10 @@ def test_public_array_records_repr_names_their_fields():
 
 
 def test_interaction_matrix_validation():
-    with pytest.raises(ValueError, match="spacing must be positive"):
+    with pytest.raises(ValueError, match="spacing must be finite and > 0, got -1.0"):
         interaction_matrix(MODEL, 73, 75, -1.0)
     for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        with pytest.raises(ValueError, match=f"spacing must be finite and > 0, got {bad}"):
             interaction_matrix(MODEL, 73, 75, bad)
     with pytest.raises(ValueError, match="distinct principal"):
         interaction_matrix(MODEL, 73, 73, 15.0)
@@ -684,9 +684,9 @@ def test_bool_spacing_is_refused_by_name():
     # True would otherwise be 1 um and give couplings of about 4e9 kHz
     pair = c6_pair(MODEL, 73, 75)
     for bad in (True, False):
-        with pytest.raises(ValueError, match=f"spacing must be a number of um, got {bad}"):
+        with pytest.raises(ValueError, match=f"spacing must be a number, got {bad}"):
             v_plus_minus(pair, bad)
-        with pytest.raises(ValueError, match=f"spacing must be a number of um, got {bad}"):
+        with pytest.raises(ValueError, match=f"spacing must be a number, got {bad}"):
             interaction_matrix(MODEL, 73, 75, bad)
 
 
@@ -726,7 +726,7 @@ def test_v_plus_minus_eigenvectors_and_scaling():
     with pytest.raises(ValueError, match="spacing"):
         v_plus_minus(pair, 0.0)
     for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        with pytest.raises(ValueError, match=f"spacing must be finite and > 0, got {bad}"):
             v_plus_minus(pair, bad)
 
 

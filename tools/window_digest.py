@@ -1,14 +1,19 @@
-"""Print one SHA-256 over a section of pinned outputs.
+"""Print one SHA-256 over a section of pinned outputs, or check sections against
+the digests recorded here.
 
     python3 tools/window_digest.py [--section window|robustness|protocols|batches|sampler|
                                     serialize|histogram|chain|optimize|radial|levels|clebsch|
                                     cli]
+    python3 tools/window_digest.py --check [SECTION ...]
 
 Each section hashes its outputs with every float as its hex, so equal
 digests mean bit-equal outputs. Run the same file against the commit before
-a change (copy it into that checkout's ``tools/``) and after it. The sections
+a change (copy it into that checkout's ``tools/``, or run it with that
+checkout's ``src`` on ``PYTHONPATH``) and after it. The sections
 read the result records as named tuples (``tuple`` and ``_replace``), so a
 checkout from before they were named tuples runs its own copy of this file.
+``--check`` runs the sections named (all of them when none is) and prints
+``ok`` or ``DIFF`` for each against ``RECORDED``; it exits 1 on any ``DIFF``.
 
 ``window`` (the default) hashes every output the channel windows feed. The
 windows are every (n, n + d) with d = 1..3 and n = 40..130, in both
@@ -103,19 +108,20 @@ by a selection rule. Takes about 1 s.
 
 ``cli`` hashes the exit code, stdout and stderr bytes of 63 ``rydex``
 invocations, each a fresh ``python -m rydex.cli`` process with ``COLUMNS=80``
-in a scratch directory: the bare command, ``--help``, ``-h coeffs``, an
+in a scratch directory, with ``PYTHONPATH`` set to the directory of the
+``rydex`` this file imported; an invocation that cannot import a module is
+refused, not hashed: the bare command, ``--help``, ``-h coeffs``, an
 unknown command and an unknown option; per subcommand ``--help``, an unknown
 option, a bad ``--format`` and its missing, mistyped or bad-choice arguments;
 and ``--config`` files given as ``--config``, ``--conf`` and ``--config=``
 that hold other commands' keys, an unknown key, a bad boolean, a line with no
 value or no file at all. Takes about 10 s.
 
-Recorded digests (equal at the commit that added ``sampler`` and
-``serialize`` and at its parent, with the tool copied in):
-``window`` cd0213e2..., ``robustness`` 207fc321..., ``protocols``
-dea71713..., ``batches`` 0efd21e8..., ``sampler`` 07315d5a... and
-``serialize`` 3965c586.... ``histogram`` was written before the pulse-2
-cache and the one-pass writers and read ebb013c9... at their parent. ``chain``
+``RECORDED`` holds the digest of each section; a change that moves bits on
+purpose updates it. ``window``, ``robustness``, ``protocols``, ``sampler`` and
+``serialize`` were equal at the commit that added ``sampler`` and
+``serialize`` and at its parent, with the tool copied in; ``batches`` then
+read 0efd21e8.... ``histogram`` was written before the pulse-2 cache and the one-pass writers and read ebb013c9... at their parent. ``chain``
 was written before the schedule held its atoms as ranges and read 5859a581...
 at that change's parent and after it. ``optimize`` was written before the
 search held its records as named tuples and read 1eeb4f94... at that change's
@@ -154,6 +160,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+import rydex  # noqa: E402
 from rydex.atoms import DefectSeries, QuantumDefectModel, _rydberg_ritz  # noqa: E402
 from rydex.atoms import clebsch_gordan  # noqa: E402
 from rydex.dynamics import (  # noqa: E402
@@ -506,14 +513,16 @@ def cli_invocations() -> list[list[str]]:
 
 def cli_section() -> str:
     h = hashlib.sha256()
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80", LINES="24",
-               PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(Path(rydex.__file__).resolve().parents[1]),
+               COLUMNS="80", LINES="24", PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as scratch:
         for name, text in CLI_CONFIGS.items():
             Path(scratch, name).write_text(text, encoding="utf-8")
         for argv in cli_invocations():
             proc = subprocess.run([sys.executable, "-m", "rydex.cli", *argv], cwd=scratch,
                                   env=env, capture_output=True, check=False)
+            if b"ModuleNotFoundError" in proc.stderr:
+                raise RuntimeError(f"rydex {argv} did not import: {proc.stderr.decode()}")
             h.update(f"{argv!r}{proc.returncode}:{len(proc.stdout)}:".encode())
             h.update(proc.stdout + b"|" + proc.stderr)
     return h.hexdigest()
@@ -527,13 +536,52 @@ SECTIONS = {"window": window_section, "robustness": robustness_section,
             "levels": levels_section, "clebsch": clebsch_section, "cli": cli_section}
 
 
+RECORDED = {
+    "window": "cd0213e22eb9a0edc1b7cf06a3aa96e4f14fb8220e2c6941cbd18ee9d59c1a8c",
+    "robustness": "207fc321625bbdfe287551c6126d6b20e18e1be9f4cef4ddcd58886257b52acd",
+    "protocols": "dea71713c12182d3589e71fb42ec56ada1b3acf7da0011504b08f8fb0d012224",
+    "batches": "e1ca29f70660da3a66a025166cc0a933c52fbdf335d5c607309dc971936b942c",
+    "sampler": "07315d5af16da5643b88f2f8a5088fb24aceb12fcb9568a29bca3036782484b4",
+    "serialize": "3965c5863189ea685039271b4d6e7900765f1e47b636dba87e56e24b62d843f2",
+    "histogram": "ebb013c9e1dc24351da3ccb3bca127f79b356fa802a459f880dc1097645426f4",
+    "chain": "5859a5814c6dc1a6120fd56caa4b905a92eeddf72ebfe5db039cf5975e5d167e",
+    "optimize": "1eeb4f9436f006c0ca263c67ecd5236e4eab306477dc2972cc42913fd4291e05",
+    "radial": "89a573e0b83f424898df57778d58416adfdc7becc76d282236af4e7b4832ae8c",
+    "levels": "6faf63b9296e72136d9e5295bd6c1a417839dcd1ea6acd74b8e6cc79289e4670",
+    "clebsch": "65582683cef446d68fd87775be07efd6d684fb7961a62bf760140563c2c6c526",
+    "cli": "e1f4306bbddbcc9e221f584873ceb8bf3fd6a956c01cbb0c7333558364ace156",
+}
+
+
+def section_digest(name: str) -> str:
+    """The digest of section ``name``, with the regime warnings its inputs raise ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SECTIONS[name]()
+
+
+def check(names) -> bool:
+    """Print ``ok`` or ``DIFF`` for each section of ``names`` against ``RECORDED``;
+    True when every one is ok."""
+    same = True
+    for name in names:
+        digest = section_digest(name)
+        same &= digest == RECORDED[name]
+        print(f"{name} ok" if digest == RECORDED[name]
+              else f"{name} DIFF {digest}, recorded {RECORDED[name]}", flush=True)
+    return same
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description="SHA-256 over one section of pinned outputs.")
     parser.add_argument("--section", choices=SECTIONS, default="window")
-    section = SECTIONS[parser.parse_args().section]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        print(section())
+    parser.add_argument("--check", nargs="*", choices=SECTIONS, metavar="SECTION",
+                        help="check these sections (all when none is named) against RECORDED")
+    args = parser.parse_args()
+    if args.check is None:
+        print(section_digest(args.section))
+    elif not check(args.check or SECTIONS):
+        sys.exit(1)
 
 
 if __name__ == "__main__":
