@@ -54,6 +54,8 @@ def _require_finite(name: str, value: float, lo: float = -math.inf, hi: float = 
                   else math.isfinite(value))
     except TypeError:  # a str, a complex, None
         finite = None
+    except OverflowError:  # an int past the float range
+        finite = False
     if finite is None:
         raise ValueError(f"{name} must be a number, got {value!r}")
     if (not (finite and lo <= value <= hi) or value == lo and ends[0] == "("

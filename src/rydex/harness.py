@@ -185,19 +185,50 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _number_columns(rows: list, width: int) -> list[list[str]] | None:
+    """The cell texts of ``rows`` column by column, where every row is a list of
+    ``width`` cells and each column holds only exact floats or only exact ints; else
+    None. A float's text comes from the memo, a miss's from ``_format_cell``."""
+    if not (width and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}):
+        return None
+    texts = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            texts.append(list(map(int.__repr__, column)))
+        elif kinds == {float}:
+            known = list(map(_csv_floats.get, column))
+            if None in known:  # a zero, or a float not seen lately
+                known = [t or _format_cell(v) for t, v in zip(known, column)]
+            texts.append(known)
+        else:
+            return None
+    return texts
+
+
 def rows_to_csv(columns: list[str], rows: list) -> str:
     """CSV text with a header row; rows may be lists or dicts; NaN/inf raise.
 
     Cells are written by ``csv.writer``: floats with 9 significant digits, bools
     as true/false, anything else as ``str``. Each float's text is kept in a memo
     of at most _FLOAT_TEXTS floats, emptied when full, so the bytes and error
-    messages are those of formatting every cell afresh.
+    messages are those of formatting every cell afresh. Rows of exact floats and
+    ints are formatted column by column (``_number_columns``) and joined without
+    ``csv.writer``, as a number needs no quoting; a NaN, an infinity or an int too
+    long to print there leaves them to the per-cell loop, which names the first.
     """
     import csv  # loaded only by a command that writes CSV
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
+    try:
+        texts = _number_columns(rows, len(columns))
+    except ValueError:
+        texts = None
+    if texts is not None:
+        buf.write("\n".join(map(",".join, zip(*texts))) + "\n")
+        return buf.getvalue()
     for row in rows:
         if isinstance(row, dict):
             writer.writerow([_format_cell(row[c]) for c in columns])

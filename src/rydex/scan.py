@@ -81,81 +81,94 @@ class FidelityHistogram:
             raise ValueError("histogram counts do not sum to the sample count")
 
 
-# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
-_M0, _M1, _W0, _W1 = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157,
-                               0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
-_LOW32 = np.uint64(0xFFFFFFFF)
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments; the key
+# increment _W1, the low-word mask, the shifts, each multiplier with its 32-bit halves and
+# the scale of 53 random bits to [0, 1) are 0-d arrays, as ufunc operands (_sample_omegas)
+_M0, _M1, _W0 = 0xD2E7470EE14C6C93, 0xCA5A826395121157, 0x9E3779B97F4A7C15
+_W1, _LOW32, _SHIFT32, _SHIFT11 = (np.array(v, np.uint64)
+                                   for v in (0xBB67AE8584CAA73B, 0xFFFFFFFF, 32, 11))
+_MULTIPLIERS = [tuple(np.array(v, np.uint64) for v in (m, m >> 32, m & 0xFFFFFFFF))
+                for m in (_M0, _M1)]
+_UNIT = np.array(2.0**-53)
 # Keys per pass: enough to spread a pass's fixed ufunc calls, few enough to bound peak RSS
 _SAMPLE_CHUNK = 8192
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray,
+def _mulhilo(m: tuple, x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray,
              v: np.ndarray) -> None:
-    """The 128-bit products m * x: the high words into ``hi`` and the low words over
-    ``x``, from 32-bit halves (t, u and v are scratch): with t = lh + (ll >> 32) and
-    u = hl + (t & M32), the high word is hh + (t >> 32) + (u >> 32)."""
-    mh, ml = m >> np.uint64(32), m & _LOW32
-    np.bitwise_and(x, _LOW32, out=t)  # xl
-    np.right_shift(x, 32, out=hi)  # xh
-    x *= m
-    np.multiply(t, ml, out=u)  # ll
-    t *= mh  # lh
-    u >>= 32
-    t += u
-    np.multiply(hi, ml, out=u)  # hl
-    hi *= mh  # hh
-    np.bitwise_and(t, _LOW32, out=v)
-    u += v
-    t >>= 32
-    u >>= 32
-    hi += t
-    hi += u
+    """The 128-bit products m * x (``m`` a _MULTIPLIERS entry): high words into ``hi``,
+    low words over ``x``, from 32-bit halves (t, u and v are scratch): with t = lh +
+    (ll >> 32) and u = hl + (t & M32), the high word is hh + (t >> 32) + (u >> 32)."""
+    m, mh, ml = m
+    np.bitwise_and(x, _LOW32, t)  # xl
+    np.right_shift(x, _SHIFT32, hi)  # xh
+    np.multiply(x, m, x)
+    np.multiply(t, ml, u)  # ll
+    np.multiply(t, mh, t)  # lh
+    np.right_shift(u, _SHIFT32, u)
+    np.add(t, u, t)
+    np.multiply(hi, ml, u)  # hl
+    np.multiply(hi, mh, hi)  # hh
+    np.bitwise_and(t, _LOW32, v)
+    np.add(u, v, u)
+    np.right_shift(t, _SHIFT32, t)
+    np.right_shift(u, _SHIFT32, u)
+    np.add(hi, t, hi)
+    np.add(hi, u, hi)
 
 
 def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None) -> np.ndarray:
     """Per-sample Rabi frequencies of samples ``begin`` to ``end`` (by default all of
-    them), (end - begin, 4), in kHz, channel-contiguous (order "F"), so each pass writes
-    four contiguous runs: sample i is ``Generator(Philox(key=[seed, i])).uniform(lo, hi,
-    4)`` with an exact uint64 key, so any partition draws the same.
+    them), (end - begin, 4), in kHz, channel-contiguous (order "F"): sample i is
+    ``Generator(Philox(key=[seed, i])).uniform(lo, hi, 4)`` with an exact uint64 key,
+    so any partition draws the same.
 
-    Key word 0 is the seed for every sample, so it and its bumps are Python ints.
+    Key word 0 is the seed for every sample, so its bumps are made once per call.
     numpy's counter starts at (1, 0, 0, 0), so round 1 gives (seed, 0, k1, M0) and
     round 2 has one array mulhilo. The array words live in nine uint64 rows made
     once per call; each round writes over the words it has read, so the four
     counter rows rotate, and uint64 arithmetic wraps silently, as Philox needs.
+    Round 1 names the rows so that the rounds leave the output words in rows 0 to 3
+    in column order, and each conversion step is one (4, m) call. A pass makes about
+    300 ufunc calls, so every operand is an array (constants and per-call words 0-d)
+    and every out positional: a numpy scalar or Python int operand costs a call about
+    0.2 us more than a 0-d array does.
     """
     n = (cfg.samples if end is None else end) - begin
     out = np.empty((n, 4), order="F")
     lo = 1.0 - cfg.epsilon
-    width = (1.0 + cfg.epsilon) - lo
+    lo, width = np.array(lo), np.array((1.0 + cfg.epsilon) - lo)
     m = min(n, _SAMPLE_CHUNK)
     words = np.empty((9, m), dtype=np.uint64)  # four counter words, k1, high and scratch
     index = np.arange(m, dtype=np.uint64)
-    k0 = [np.uint64((cfg.seed + r * int(_W0)) % 2**64) for r in range(10)]
-    h0, l0 = divmod(int(_M0) * cfg.seed, 2**64)  # round 2's mulhilo(M0, seed)
+    k0 = [np.array((cfg.seed + r * _W0) % 2**64, np.uint64) for r in range(10)]
+    h0, l0 = divmod(_M0 * cfg.seed, 2**64)  # round 2's mulhilo(M0, seed)
+    h0_m0 = np.array(h0 ^ _M0, np.uint64)
+    m0, m1 = _MULTIPLIERS
     for start in range(0, n, m):
-        c0, c1, c2, c3, k1, high, *scratch = (w[: min(m, n - start)] for w in words)
-        np.add(index[: len(k1)], np.uint64(begin + start), out=c2)  # k1 of round 1
-        np.add(c2, _W1, out=k1)
-        _mulhilo(_M1, c2, c0, *scratch)
-        c0 ^= k0[1]
-        np.bitwise_xor(k1, np.uint64(h0) ^ _M0, out=c1)
+        rows = words[:, : min(m, n - start)]
+        c0, c2, c1, c3, k1, high, *scratch = rows
+        np.add(index[: rows.shape[1]], np.array(begin + start, np.uint64), c2)  # k1 of round 1
+        np.add(c2, _W1, k1)
+        _mulhilo(m1, c2, c0, *scratch)
+        np.bitwise_xor(c0, k0[1], c0)
+        np.bitwise_xor(k1, h0_m0, c1)
         c3.fill(l0)
         c = [c0, c2, c1, c3]  # after round 2
         for r in range(2, 10):
-            k1 += _W1
-            _mulhilo(_M0, c[0], high, *scratch)
-            c[3] ^= high
-            c[3] ^= k1
-            _mulhilo(_M1, c[2], high, *scratch)
-            c[1] ^= high
-            c[1] ^= k0[r]
+            np.add(k1, _W1, k1)
+            _mulhilo(m0, c[0], high, *scratch)
+            np.bitwise_xor(c[3], high, c[3])
+            np.bitwise_xor(c[3], k1, c[3])
+            _mulhilo(m1, c[2], high, *scratch)
+            np.bitwise_xor(c[1], high, c[1])
+            np.bitwise_xor(c[1], k0[r], c[1])
             c = [c[1], c[2], c[3], c[0]]  # (h1 ^ c1 ^ k0, l1, h0 ^ c3 ^ k1, l0)
-        for word, column in zip(c, out[start : start + m].T):
-            word >>= 11
-            np.multiply(word, 2.0**-53, out=column)
-            column *= width
-            column += lo
+        drawn, columns = rows[:4], out[start : start + m].T
+        np.right_shift(drawn, _SHIFT11, drawn)
+        np.multiply(drawn, _UNIT, columns)
+        np.multiply(columns, width, columns)
+        np.add(columns, lo, columns)
     out *= cfg.omega_khz
     return out
 
@@ -188,23 +201,27 @@ def _pulse2_point(*key: tuple) -> tuple[float, float, float, float, np.ndarray]:
     return tau2, tau3, v_s, v_c, psi2
 
 
-# the histogram's bin edges, as an array and as the floats of its records
+# the histogram's bin edges, as an array and as the floats of its records; and the right
+# cuts: the last edge (the last bin is closed), each threshold and +inf (only NaNs past it)
 _EDGES = np.linspace(*HISTOGRAM_RANGE, HISTOGRAM_BIN_COUNT + 1)
 _EDGE_FLOATS = tuple(_EDGES.tolist())
+_RIGHT_CUTS = np.array([_EDGE_FLOATS[-1], *FRACTION_THRESHOLDS, math.inf])
 
 
 def _histogram(fids: np.ndarray, samples: int) -> FidelityHistogram:
-    """The histogram of a scan's ``samples`` fidelities ``fids``."""
-    counts, _ = np.histogram(fids, bins=_EDGES)
-    underflow = int(np.count_nonzero(fids < _EDGE_FLOATS[0]))
-    fraction_above = {
-        thr: float(np.count_nonzero(fids > thr) / samples)
-        for thr in FRACTION_THRESHOLDS
-    }
+    """The histogram of a scan's ``samples`` fidelities ``fids``: each count, the
+    underflow first, and each count above a threshold is a difference of positions
+    in the sorted fidelities. The mean and minimum are taken on ``fids`` as given:
+    numpy's pairwise sum depends on the order, and a NaN is the minimum."""
+    ordered = np.sort(fids)
+    cuts = ordered.searchsorted(_EDGES)
+    top, *above, finite = ordered.searchsorted(_RIGHT_CUTS, "right").tolist()
+    cuts[-1] = top
     return FidelityHistogram(
         bin_edges=_EDGE_FLOATS,
-        counts=(underflow, *counts.tolist()),
-        fraction_above=fraction_above,
+        counts=tuple(np.diff(cuts, prepend=0).tolist()),
+        fraction_above={thr: float((finite - at) / samples)
+                        for thr, at in zip(FRACTION_THRESHOLDS, above)},
         samples=samples,
         mean=float(fids.mean()),
         minimum=float(fids.min()),

@@ -68,6 +68,7 @@ from level_reference import RydbergLevel, level_energy
 from pulse3_reference import _batched_pulse3_fidelities as gather_pulse3_fidelities
 from pulse3_reference import _chebyshev_terms as reference_chebyshev_terms
 from radial_reference import rrr_coefficient
+from histogram_reference import _histogram as histogram_by_np_histogram
 from sampler_reference import _sample_omegas as array_per_round_sampler
 from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
 import serialize_reference
@@ -163,6 +164,46 @@ def test_histogram_counts_must_sum_to_samples():
             mean=0.95,
             minimum=0.9,
         )
+
+
+def _histogram_record(make, fids):
+    """``make(fids, len(fids))`` with every float as its type and hex, or its error."""
+    try:
+        h = make(fids, len(fids))
+    except ValueError as error:
+        return str(error)
+    floats = [h.mean, h.minimum, *h.fraction_above.values()]
+    return (h.bin_edges, h.counts, tuple(h.fraction_above), h.samples,
+            [(type(x), x.hex()) for x in floats])
+
+
+_ON_EDGES = np.array([*scan._EDGE_FLOATS, *scan.FRACTION_THRESHOLDS])
+_ABOVE_ONE = math.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("fids", [
+    _ON_EDGES,
+    np.random.default_rng(0).permutation(np.repeat(_ON_EDGES, 3)),
+    np.array([0.5, math.nextafter(0.8, 0.0), -1.0, 1.0, 1.0, 0.9]),
+    np.array([0.0, -0.0, 0.9]),
+    np.array([-0.0, 0.0]),
+    np.array([-math.inf, 0.95]),
+    *(np.random.default_rng(n).uniform(0.75, 1.0, n) for n in (1, 1000, 100_000)),
+    np.array([0.9, _ABOVE_ONE]),
+    np.array([_ABOVE_ONE]),
+    np.array([0.9, math.nan]),
+    np.array([math.inf, 0.85]),
+], ids=["edges", "edges-shuffled", "below-and-top", "zeros", "zeros-swapped", "minus-inf",
+        "1", "1000", "100000", "ulp-above-top", "only-ulp-above-top", "nan", "inf"])
+def test_histogram_is_the_np_histogram_record(fids):
+    """The one-sort histogram gives np.histogram's record, every float to the bit:
+    values on each bin edge and threshold (the last bin closed), below the range,
+    signed zeros and random scans; a value past 1.0, a NaN or +inf falls in no bin
+    and raises the same sum error."""
+    record = _histogram_record(scan._histogram, fids)
+    assert record == _histogram_record(histogram_by_np_histogram, fids)
+    outside = np.isnan(fids) | (fids > 1.0)
+    assert (record == "histogram counts do not sum to the sample count") == outside.any()
 
 
 def _scan(epsilon, samples, seed, omega=NOMINAL_OMEGA):
@@ -1341,6 +1382,62 @@ def test_exact_float_lists_and_rows_refuse_non_finite_floats_as_the_reference(ba
         with pytest.raises(ValueError) as expected:
             reference(data)
         assert str(raised.value) == str(expected.value)
+
+
+# ints equal to floats of other columns, whose memo texts differ from the ints' own
+_NUMBER_ROWS = [[0.0, 0.8, 3], [0.8, 1.0, 0], [1.0, 1e20, 10**20], [1e308, 5e-324, 1]]
+
+
+def _with_cell(row, column, value):
+    """``_NUMBER_ROWS`` with the cell at (``row``, ``column``) replaced by ``value``."""
+    rows = [list(r) for r in _NUMBER_ROWS]
+    rows[row][column] = value
+    return rows
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (_COLUMNS, _NUMBER_ROWS),
+    (_COLUMNS, _with_cell(1, 2, 5.0)),
+    (_COLUMNS, _with_cell(0, 1, np.float64(0.8))),
+    (_COLUMNS, _with_cell(3, 0, np.float32(0.5))),
+    (_COLUMNS, _with_cell(1, 2, True)),
+    (_COLUMNS, _with_cell(1, 0, _Float(0.25))),
+    (_COLUMNS, [["a,b", 1.0, 2], ['say "hi"', 2.0, 3], ["two\nlines", 3.0, 4]]),
+    (_COLUMNS, [dict(zip(_COLUMNS, row)) for row in _NUMBER_ROWS]),
+    (_COLUMNS, [tuple(row) for row in _NUMBER_ROWS]),
+    (_COLUMNS, _NUMBER_ROWS[:2] + [[0.5, 0.6]] + _NUMBER_ROWS[2:]),
+    (_COLUMNS, _NUMBER_ROWS + [[0.5, 0.6, 1, 2]]),
+    (_COLUMNS, []),
+    ([], [[], []]),
+    (_COLUMNS, [[-0.0, 0.0, 0], [0.0, -0.0, -0], [-0.0, -0.0, 1]]),
+], ids=["numbers", "int-column-one-float", "numpy-float64", "numpy-float32", "bool",
+        "float-subclass", "quoted-strings", "dict-rows", "tuple-rows", "short-row", "long-row",
+        "no-rows", "no-columns", "signed-zeros"])
+def test_rows_to_csv_by_column_writes_the_reference_bytes(columns, rows):
+    """Rows of exact floats and ints, formatted column by column, and every row list
+    that must take the per-cell loop (a column of mixed types, numpy scalars, bools,
+    strings to quote, dict or tuple rows, rows of another width, no rows or no
+    columns) give the reference bytes, with the float memo cold and warm."""
+    for cold in (True, False):
+        if cold:
+            harness._csv_floats.clear()
+        assert rows_to_csv(columns, rows) == serialize_reference.rows_to_csv(columns, rows)
+        assert len(harness._csv_floats) <= harness._FLOAT_TEXTS
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, math.inf, 2], [math.nan, 2.0, 3]],
+    [[1.0, 2.0, 3], [-math.inf, math.nan, 4]],
+    [[1.0, 2.0, 10**5000], [math.nan, 1.0, 3]],
+], ids=["inf-row-first", "minus-inf-column-first", "long-int-row-first"])
+def test_rows_to_csv_by_column_names_the_first_bad_cell_in_row_order(rows):
+    """Where column order would meet a bad cell first that row order meets later (a
+    NaN, an infinity, an int too long to print), the error is the reference's."""
+    with pytest.raises(ValueError) as raised:
+        rows_to_csv(_COLUMNS, rows)
+    with pytest.raises(ValueError) as expected:
+        serialize_reference.rows_to_csv(_COLUMNS, rows)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_dumps_json_sorted_and_terminated():

@@ -209,10 +209,10 @@ def test_each_domain_edge_falls_on_the_side_its_bound_says():
 
 
 def test_every_float_parameter_refuses_a_bad_float_by_name():
-    """nan, +-inf, True, numpy's True and the non-numbers "1.0", 1j, a 0-d and a
-    two-element array and (where the parameter is not optional) None for each float
-    parameter raise a ValueError naming it; the library twin of the CLI fuzz in
-    test_harness."""
+    """nan, +-inf, +-10**400 (ints past the float range), True, numpy's True and the
+    non-numbers "1.0", 1j, a 0-d and a two-element array and (where the parameter is
+    not optional) None for each float parameter raise a ValueError naming it; the
+    library twin of the CLI fuzz in test_harness."""
     unnamed, seen, checked = [], set(), set()
     for name, func, param in _float_parameters():
         seen |= {name, f"{name}.{param}"}
@@ -220,8 +220,8 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
             continue
         checked.add(name)
         optional = "None" in str(inspect.signature(func).parameters[param].annotation)
-        for bad in (math.nan, math.inf, -math.inf, True, np.True_, "1.0", 1j, np.array(1.0),
-                    np.array([1.0, 2.0]), *(() if optional else (None,))):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400, True, np.True_, "1.0", 1j,
+                    np.array(1.0), np.array([1.0, 2.0]), *(() if optional else (None,))):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # a regime warning before the check
