@@ -64,11 +64,11 @@ from rydex.tables import REFERENCE_TABLE_III, REFERENCE_TABLE_IV, TABLE_PAIRS, r
 from rydex import harness, scan, vdw
 from rydex.vdw import interaction_matrix
 
+from histogram_reference import _histogram as histogram_by_np_histogram
 from level_reference import RydbergLevel, level_energy
 from pulse3_reference import _batched_pulse3_fidelities as gather_pulse3_fidelities
 from pulse3_reference import _chebyshev_terms as reference_chebyshev_terms
 from radial_reference import rrr_coefficient
-from histogram_reference import _histogram as histogram_by_np_histogram
 from sampler_reference import _sample_omegas as array_per_round_sampler
 from sector_reference import SUPERPOSITION_BASIS_8, relabeling_matrix
 import serialize_reference
