@@ -43,6 +43,20 @@ __all__ = [
 _L_LETTERS = "spdfghik"
 
 
+def _shown(value, form=format) -> str:
+    """``form(value)``, by default ``value`` as an f-string shows it; where Python
+    refuses to print an int past 4,300 digits, such an int by its digit count and
+    another value holding one by its type."""
+    try:
+        return form(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} holding an int too long to print"
+        digits = int((abs(value).bit_length() - 1) * math.log10(2)) + 1  # or one more
+        digits += abs(value) >= 10**digits
+        return f"{'a negative' if value < 0 else 'an'} int of {digits} digits"
+
+
 def _require_finite(name: str, value: float, lo: float = -math.inf, hi: float = math.inf,
                     ends: str = "[]") -> None:
     """Reject a bool (numpy's too) or another non-number, then a non-finite ``value`` or
@@ -63,7 +77,7 @@ def _require_finite(name: str, value: float, lo: float = -math.inf, hi: float = 
         bound = ("" if lo == -math.inf and hi == math.inf
                  else f" and {'>' if ends[0] == '(' else '>='} {lo:g}" if hi == math.inf
                  else f" and in {ends[0]}{lo:g}, {hi:g}{ends[1]}")
-        raise ValueError(f"{name} must be finite{bound}, got {value}")
+        raise ValueError(f"{name} must be finite{bound}, got {_shown(value)}")
 
 
 def _require_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> int:
@@ -78,7 +92,7 @@ def _require_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) 
     if not lo <= v <= hi:
         bound = (f">= {lo}" if hi == math.inf else f"at most {hi}" if lo == -math.inf
                  else f"in [{lo}, {hi}]")
-        raise ValueError(f"{name} must be {bound}, got {v}")
+        raise ValueError(f"{name} must be {bound}, got {_shown(v)}")
     return v
 
 
@@ -100,8 +114,8 @@ class DefectSeries:
         _require_int("l", self.l, 0)
         for name in ("j", "delta0", "delta2"):
             _require_finite(name, getattr(self, name))
-        if abs(self.j - self.l) != 0.5:
-            raise ValueError(f"j must be l +- 1/2 for l={self.l}, got {self.j}")
+        if 2.0 * float(self.j) not in (2 * self.l - 1, 2 * self.l + 1):  # exact, for any l
+            raise ValueError(f"j must be l +- 1/2 for l={_shown(self.l)}, got {self.j}")
 
 
 @dataclass(frozen=True)
@@ -143,7 +157,7 @@ class QuantumDefectModel:
             return self.series[(int(l), float(j))]
         except KeyError:
             raise DefectDataError(
-                f"no quantum defect data for series l={l}, j={j} "
+                f"no quantum defect data for series l={_shown(l)}, j={j} "
                 f"of {self.species}"
             ) from None
 
@@ -247,7 +261,7 @@ def _rydberg_ritz(
     deltas, nus, energies = [], [], []
     for n in ns:
         if n <= s.delta0:
-            raise ValueError(f"n={n} must exceed delta0={s.delta0} for series l={l}, j={j}")
+            raise ValueError(f"n={_shown(n)} must exceed delta0={s.delta0} for series l={l}, j={j}")
         delta = s.delta0 + s.delta2 / (n - s.delta0) ** 2
         nu = n - delta
         deltas.append(delta)

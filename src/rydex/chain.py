@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atoms import QuantumDefectModel, _require_finite, _require_int
+from .atoms import QuantumDefectModel, _require_finite, _require_int, _shown
 from .dynamics import _SQRT2, CHANNELS, PulseSpec, QuantumState
 from .protocols import (
     SWAP_MATRIX_IDEAL,
@@ -57,13 +57,15 @@ class ChainSpec:
     def __post_init__(self) -> None:
         count = _require_int("atom_count", self.atom_count, hi=MAX_CHAIN_ATOMS)
         if not (count == 6 or count >= 4 and count % 4 == 0):
-            raise ValueError(f"atom_count must be 4, 6, or a multiple of 4, got {count}")
+            raise ValueError(f"atom_count must be 4, 6, or a multiple of 4, got {_shown(count)}")
         _require_finite("spacing_um", self.spacing_um, 0.0, ends="(]")
         _require_finite("decay rate gamma_per_ms", self.gamma_per_ms, 0.0)
         if not (isinstance(self.pair, tuple) and len(self.pair) == 2):
-            raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), got {self.pair!r}")
+            raise ValueError(f"pair must be a tuple of two integers (n_a, n_b), "
+                             f"got {_shown(self.pair, repr)}")
         if len({_require_int("pair", n) for n in self.pair}) < 2:
-            raise ValueError(f"pair must hold two distinct principal numbers, got {self.pair!r}")
+            raise ValueError(f"pair must hold two distinct principal numbers, "
+                             f"got {_shown(self.pair, repr)}")
 
 
 class SchedulePulse(NamedTuple):
@@ -165,7 +167,8 @@ def chain_ideal_state(atom_count: int) -> QuantumState:
     chains follow the same construction but are not enumerated here.
     """
     if _require_int("atom_count", atom_count) not in (4, 6):
-        raise ValueError(f"atom_count must be 4 or 6 for a closed-form state, got {atom_count}")
+        raise ValueError(f"atom_count must be 4 or 6 for a closed-form state, "
+                         f"got {_shown(atom_count)}")
     bell = np.zeros(4)
     bell[1] = bell[2] = 1.0 / _SQRT2  # (|du> + |ud>)/sqrt(2) on one pair
     amps = bell

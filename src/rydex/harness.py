@@ -3,7 +3,7 @@
 The scan's records, stages and kernel live in ``scan``, loaded on first use, so a
 command compiles only what it runs. All output helpers serialize floats with 9
 significant digits and sort keys, so a fixed seed and config produce byte-identical
-files; each keeps a float's text in a bounded memo.
+files; each keeps a number's text in a bounded memo.
 """
 
 from __future__ import annotations
@@ -76,25 +76,42 @@ def histogram_payload(cfg: RobustnessConfig, hist: FidelityHistogram) -> dict:
 
 def histogram_rows(hist: FidelityHistogram) -> tuple[list[str], list[list]]:
     """CSV view: one row per bin, the first row being the underflow bin."""
-    columns = ["bin_lo", "bin_hi", "count"]
-    rows: list[list] = [[0.0, hist.bin_edges[0], hist.counts[0]]]
-    for i in range(len(hist.bin_edges) - 1):
-        rows.append([hist.bin_edges[i], hist.bin_edges[i + 1], hist.counts[i + 1]])
-    return columns, rows
+    edges, counts = hist.bin_edges, hist.counts
+    return ["bin_lo", "bin_hi", "count"], [[0.0, edges[0], counts[0]],
+                                           *map(list, zip(edges, edges[1:], counts[1:]))]
 
 
-# Most floats each serializer keeps the text of; a full memo starts over (bin edges repeat)
+# Most numbers each memo keeps the text of; a full memo starts over (bin edges and
+# counts repeat). An int's text is the same in JSON and CSV, a float's is not; ints and
+# floats have memos of their own, as 1 == 1.0 and 10**20 == 1e20 as keys
 _FLOAT_TEXTS = 1024
 _json_floats: dict[float, str] = {}
 _csv_floats: dict[float, str] = {}
+_int_texts: dict[int, str] = {}
 
 
-def _remember(memo: dict[float, str], x: float, text: str) -> str:
-    if x:  # 0.0 == -0.0 as keys, and their texts differ, so neither zero is kept
+def _remember(memo: dict, x, text: str) -> str:
+    if x or type(x) is int:  # 0.0 == -0.0 as keys, and their texts differ: no float 0 kept
         if len(memo) >= _FLOAT_TEXTS:
             memo.clear()
         memo[x] = text
     return text
+
+
+def _int_text(x: int) -> str:
+    """``int.__repr__(x)``, kept in the int memo."""
+    return _remember(_int_texts, x, int.__repr__(x))
+
+
+def _memo_texts(memo: dict, values, miss) -> list[str]:
+    """The text of each of ``values`` (a list or tuple) from ``memo``, where only the
+    values it lacks go through ``miss``, in order, so the first bad one raises."""
+    texts = list(map(memo.get, values))
+    at = -1
+    for _ in range(texts.count(None)):
+        at = texts.index(None, at + 1)
+        texts[at] = miss(values[at])
+    return texts
 
 
 def _json_float(x: float) -> str:
@@ -139,10 +156,10 @@ def _json_text(obj, newline: str | None) -> str:
             return "[]"
         inner = newline and newline + "  "
         kinds = set(map(type, obj))
-        if kinds == {float}:  # the memo's texts, or _json_float's for new floats
-            texts = [_json_floats.get(v) or _json_float(v) for v in obj]
+        if kinds == {float}:
+            texts = _memo_texts(_json_floats, obj, _json_float)
         elif kinds == {int}:
-            texts = list(map(int.__repr__, obj))
+            texts = _memo_texts(_int_texts, obj, _int_text)
         else:
             texts = [_json_text(v, inner) for v in obj]
         return _bracketed("[]", texts, newline)
@@ -160,8 +177,8 @@ def dumps_json(data: dict) -> str:
 
     The bytes are those of ``json.dumps(data, sort_keys=True, indent=2,
     allow_nan=False) + "\n"`` of ``data`` as ``_json_text`` reads it, errors and
-    their messages included, written in one pass. Each float's text is kept in
-    a memo of at most _FLOAT_TEXTS floats, emptied when full.
+    their messages included, written in one pass. Each float's and each int's text
+    is kept in a memo of at most _FLOAT_TEXTS numbers, emptied when full.
     """
     return _json_text(data, "\n") + "\n"
 
@@ -188,19 +205,16 @@ def _format_cell(value) -> str:
 def _number_columns(rows: list, width: int) -> list[list[str]] | None:
     """The cell texts of ``rows`` column by column, where every row is a list of
     ``width`` cells and each column holds only exact floats or only exact ints; else
-    None. A float's text comes from the memo, a miss's from ``_format_cell``."""
+    None. Each text comes from its kind's memo, a float miss's from ``_format_cell``."""
     if not (width and set(map(type, rows)) == {list} and set(map(len, rows)) == {width}):
         return None
     texts = []
     for column in zip(*rows):
         kinds = set(map(type, column))
         if kinds == {int}:
-            texts.append(list(map(int.__repr__, column)))
-        elif kinds == {float}:
-            known = list(map(_csv_floats.get, column))
-            if None in known:  # a zero, or a float not seen lately
-                known = [t or _format_cell(v) for t, v in zip(known, column)]
-            texts.append(known)
+            texts.append(_memo_texts(_int_texts, column, _int_text))
+        elif kinds == {float}:  # a miss is a zero, or a float not seen lately
+            texts.append(_memo_texts(_csv_floats, column, _format_cell))
         else:
             return None
     return texts
@@ -213,9 +227,10 @@ def rows_to_csv(columns: list[str], rows: list) -> str:
     as true/false, anything else as ``str``. Each float's text is kept in a memo
     of at most _FLOAT_TEXTS floats, emptied when full, so the bytes and error
     messages are those of formatting every cell afresh. Rows of exact floats and
-    ints are formatted column by column (``_number_columns``) and joined without
-    ``csv.writer``, as a number needs no quoting; a NaN, an infinity or an int too
-    long to print there leaves them to the per-cell loop, which names the first.
+    ints are formatted column by column (``_number_columns``, the ints' texts kept
+    in a memo of their own) and joined without ``csv.writer``, as a number needs
+    no quoting; a NaN, an infinity or an int too long to print there leaves them
+    to the per-cell loop, which names the first.
     """
     import csv  # loaded only by a command that writes CSV
 

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from functools import cache, lru_cache
 from importlib import resources
 
-from .atoms import _require_finite, _require_int
+from .atoms import _require_finite, _require_int, _shown
 
 __all__ = [
     "E2A02_GHZ_UM3",
@@ -141,7 +141,7 @@ def radial_integral(n_eff1: float, l1: int, n_eff2: float, l2: int) -> float:
         _require_int(name, l, 0)
     if abs(l1 - l2) != 1:
         raise ValueError(
-            f"dipole selection rule requires |l1 - l2| = 1, got l1={l1}, l2={l2}"
+            f"dipole selection rule requires |l1 - l2| = 1, got l1={_shown(l1)}, l2={_shown(l2)}"
         )
     if min(n_eff1, n_eff2) < 10.0:
         warnings.warn(

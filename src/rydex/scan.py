@@ -92,6 +92,20 @@ _MULTIPLIERS = [tuple(np.array(v, np.uint64) for v in (m, m >> 32, m & 0xFFFFFFF
 _UNIT = np.array(2.0**-53)
 # Keys per pass: enough to spread a pass's fixed ufunc calls, few enough to bound peak RSS
 _SAMPLE_CHUNK = 8192
+# Idle scratch of the sampler (by pass width) and of the kernel (by pass shape), kept for
+# the next call in this process: a call takes its shape's set out with dict.pop, which is
+# atomic under the GIL, so no two threads or nested calls share one (a call that finds
+# none builds its own), and gives it back when done (_keep_idle)
+_IDLE_WORDS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_IDLE_BUFFERS: dict[tuple[int, int], _ChebyshevBuffers] = {}
+
+
+def _keep_idle(store: dict, key, scratch) -> None:
+    """Gives ``scratch`` back to ``store`` as its key's idle set; only the sets of the two
+    most recently returned keys stay (a 1k scan and a 100k scan's passes differ)."""
+    store[key] = scratch
+    for old in list(store)[:-2]:
+        store.pop(old, None)
 
 
 def _mulhilo(m: tuple, x: np.ndarray, hi: np.ndarray, t: np.ndarray, u: np.ndarray,
@@ -125,9 +139,12 @@ def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None
 
     Key word 0 is the seed for every sample, so its bumps are made once per call.
     numpy's counter starts at (1, 0, 0, 0), so round 1 gives (seed, 0, k1, M0) and
-    round 2 has one array mulhilo. The array words live in nine uint64 rows made
-    once per call; each round writes over the words it has read, so the four
-    counter rows rotate, and uint64 arithmetic wraps silently, as Philox needs.
+    round 2 has one array mulhilo. The array words live in nine uint64 rows; each
+    round writes over the words it has read, so the four counter rows rotate, and
+    uint64 arithmetic wraps silently, as Philox needs. The rows and the index row
+    are kept for the next call of the same pass width (_IDLE_WORDS, two widths at
+    most): a fresh 576 KB block's pages fault in again on every scan, and where the
+    allocator serves it from moved a 100k scan's sampler time by up to 10%.
     Round 1 names the rows so that the rounds leave the output words in rows 0 to 3
     in column order, and each conversion step is one (4, m) call. A pass makes about
     300 ufunc calls, so every operand is an array (constants and per-call words 0-d)
@@ -139,8 +156,9 @@ def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None
     lo = 1.0 - cfg.epsilon
     lo, width = np.array(lo), np.array((1.0 + cfg.epsilon) - lo)
     m = min(n, _SAMPLE_CHUNK)
-    words = np.empty((9, m), dtype=np.uint64)  # four counter words, k1, high and scratch
-    index = np.arange(m, dtype=np.uint64)
+    # four counter words, k1, high and scratch, and each column's index
+    words, index = (_IDLE_WORDS.pop(m, None)
+                    or (np.empty((9, m), dtype=np.uint64), np.arange(m, dtype=np.uint64)))
     k0 = [np.array((cfg.seed + r * _W0) % 2**64, np.uint64) for r in range(10)]
     h0, l0 = divmod(_M0 * cfg.seed, 2**64)  # round 2's mulhilo(M0, seed)
     h0_m0 = np.array(h0 ^ _M0, np.uint64)
@@ -169,6 +187,7 @@ def _sample_omegas(cfg: RobustnessConfig, begin: int = 0, end: int | None = None
         np.multiply(drawn, _UNIT, columns)
         np.multiply(columns, width, columns)
         np.add(columns, lo, columns)
+    _keep_idle(_IDLE_WORDS, m, (words, index))
     out *= cfg.omega_khz
     return out
 
@@ -214,12 +233,12 @@ def _histogram(fids: np.ndarray, samples: int) -> FidelityHistogram:
     in the sorted fidelities. The mean and minimum are taken on ``fids`` as given:
     numpy's pairwise sum depends on the order, and a NaN is the minimum."""
     ordered = np.sort(fids)
-    cuts = ordered.searchsorted(_EDGES)
+    cuts = ordered.searchsorted(_EDGES).tolist()
     top, *above, finite = ordered.searchsorted(_RIGHT_CUTS, "right").tolist()
     cuts[-1] = top
     return FidelityHistogram(
         bin_edges=_EDGE_FLOATS,
-        counts=tuple(np.diff(cuts, prepend=0).tolist()),
+        counts=tuple(map(int.__sub__, cuts, [0, *cuts[:-1]])),
         fraction_above={thr: float((finite - at) / samples)
                         for thr, at in zip(FRACTION_THRESHOLDS, above)},
         samples=samples,
@@ -305,11 +324,12 @@ class _ChebyshevBuffers:
         self.parts = _aligned_empty(2, rows, m)  # sums of the even and odd terms
         # what term k reads and writes, by the parity p of k: T_k-1 = t[1 - p] through
         # its two link partners (_PARTNERS), its V_c partners and whole; T_k = t[p]
-        # whole, at its V_c slots and flat; and the sum of the terms of parity p
+        # whole, at its V_c slots and through its flat view's take; and the sum of the
+        # terms of parity p
         t = self.t
         self.steps = [
             (*(t[1 - p][v] for v in _PARTNERS), t[1 - p, ::-1, 0, 1], t[1 - p], t[p],
-             t[p, :, 0, 1], self.flat[p], self.parts[p])
+             t[p, :, 0, 1], self.flat[p].take, self.parts[p])
             for p in (0, 1)
         ]
 
@@ -330,14 +350,14 @@ def _chebyshev_pass(b: _ChebyshevBuffers, om, out, weights, diagonal, off, r, sl
     b.parts[0] += multiply(b.flat[0].take(slots, 0, gathered, "clip"), w[0], gathered)
     for k in range(1, len(w)):
         # nxt <- 2 (H - c)/r cur - nxt, so t[k % 2] becomes T_k
-        first, second, across, cur, nxt, nxt_pair, nxt_flat, part = b.steps[k & 1]
+        first, second, across, cur, nxt, nxt_pair, nxt_take, part = b.steps[k & 1]
         np.subtract(multiply(first, link0, g), nxt, nxt)
         nxt += multiply(second, link1, g)
         nxt += multiply(cur, diagonal, g)
         nxt_pair += multiply(off, across, g_pair)
         if k == 1:
             nxt /= 2.0  # T_1 = (H - c)/r T_0
-        part += multiply(nxt_flat.take(slots, 0, gathered, "clip"), w[k], gathered)
+        part += multiply(nxt_take(slots, 0, gathered, "clip"), w[k], gathered)
     # sqrt(2) <g+|U|psi2> up to a phase, summed state by state in a fixed order
     amp, term, product = b.amp, b.term, b.product
     amp.fill(0.0)
@@ -352,12 +372,16 @@ def _chebyshev_rows(omegas_khz: np.ndarray, out: np.ndarray, step: tuple, chunk:
     """The fidelities of the drives ``omegas_khz`` into ``out``, in equal passes of at
     most ``chunk`` samples, rounded up to a multiple of 8 where that fits, so every
     buffer row starts on 64 bytes (the last pass ends at the block's end, redoing a few
-    rows), through buffers allocated here, with numpy's ufunc buffer no larger than one
-    row; ``step`` is the rest of ``_chebyshev_pass``'s arguments."""
+    rows), with numpy's ufunc buffer no larger than one row; ``step`` is the rest of
+    ``_chebyshev_pass``'s arguments. The buffers of the pass shape are taken from
+    _IDLE_BUFFERS and given back, so a scan does not fault a fresh set's pages in
+    again; a pass overwrites all it reads, and at most two shapes are kept (a 1k
+    scan's and a 100k scan's)."""
     n = len(out)
     m = -(-n // -(-n // chunk))
     m = min(-(-m // 8) * 8, chunk, n)
-    buffers = _ChebyshevBuffers(m, len(step[4]))
+    shape = (m, len(step[4]))
+    buffers = _IDLE_BUFFERS.pop(shape, None) or _ChebyshevBuffers(*shape)
     # a ufunc buffer no larger than a row (numpy takes multiples of 16): a larger one
     # makes numpy copy each broadcast operand (the links, the diagonal) through it
     bufsize = np.setbufsize(max(16, min(m, np.getbufsize()) // 16 * 16))
@@ -367,6 +391,7 @@ def _chebyshev_rows(omegas_khz: np.ndarray, out: np.ndarray, step: tuple, chunk:
             _chebyshev_pass(buffers, omegas_khz[at : at + m].T, out[at : at + m], *step)
     finally:
         np.setbufsize(bufsize)
+        _keep_idle(_IDLE_BUFFERS, shape, buffers)
 
 
 def _drive_bound(omegas_khz: np.ndarray) -> np.ndarray:

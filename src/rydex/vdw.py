@@ -59,6 +59,7 @@ from .atoms import (
     _require_finite,
     _require_int,
     _rydberg_ritz,
+    _shown,
     clebsch_gordan,
     quantum_defect,
 )
@@ -195,8 +196,8 @@ def _pair_terms(
     name, n = ("n_a", n_a) if n_a >= n_b else ("n_b", n_b)
     if n + dn_cutoff > MAX_PRINCIPAL_N:
         raise ValueError(
-            f"{name}={n} with dn_cutoff={dn_cutoff} reaches n={n + dn_cutoff}, "
-            f"above the channel-sum domain n <= {MAX_PRINCIPAL_N}"
+            f"{name}={_shown(n)} with dn_cutoff={_shown(dn_cutoff)} reaches "
+            f"n={_shown(n + dn_cutoff)}, above the channel-sum domain n <= {MAX_PRINCIPAL_N}"
         )
     built = _pair_windows(model, n_a, n_b)
     if dn_cutoff not in built:
@@ -212,6 +213,13 @@ def _pair_windows(model: QuantumDefectModel, n_a: int, n_b: int) -> dict[int, _W
     return {}
 
 
+@lru_cache(maxsize=4)
+def _term_offsets(dn_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's (n_s - n_a, n_t - n_b) over a window, da outer and db inner, read-only."""
+    offsets, width = np.arange(-dn_cutoff, dn_cutoff + 1), 2 * dn_cutoff + 1
+    return _read_only(np.repeat(offsets, width)), _read_only(np.tile(offsets, width))
+
+
 def _build_window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int) -> _Window:
     """``_pair_terms`` of ``model``, built from its levels and radial rows.
 
@@ -224,7 +232,7 @@ def _build_window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int)
     for name, n in (("n_a", n_a), ("n_b", n_b)):
         if n - dn_cutoff < floor_n:
             raise ValueError(
-                f"{name}={n} with dn_cutoff={dn_cutoff} reaches n={n - dn_cutoff}, "
+                f"{name}={_shown(n)} with dn_cutoff={dn_cutoff} reaches n={_shown(n - dn_cutoff)}, "
                 f"below the lowest bound p level n={floor_n}"
             )
     _, (nu_sa, nu_sb), (e_sa, e_sb) = _rydberg_ritz(model, 0, 0.5, (n_a, n_b))
@@ -241,13 +249,14 @@ def _build_window(model: QuantumDefectModel, n_a: int, n_b: int, dn_cutoff: int)
     js_a, js_b = zip(*CHANNEL_FINE_STRUCTURE.values())
     e_a, r_a, x_a = atom_vectors(n_a, nu_sa, nu_sb, js_a)
     e_b, r_b, x_b = atom_vectors(n_b, nu_sb, nu_sa, js_b)
-    width, rows = 2 * dn_cutoff + 1, (len(js_a), -1)
+    rows = (len(js_a), -1)
+    da, db = _term_offsets(dn_cutoff)
     return _Window(
         n_a=n_a,
         n_b=n_b,
         dn_cutoff=dn_cutoff,
-        ns=np.repeat(np.arange(n_a - dn_cutoff, n_a + dn_cutoff + 1), width),
-        nt=np.tile(np.arange(n_b - dn_cutoff, n_b + dn_cutoff + 1), width),
+        ns=da + n_a,
+        nt=db + n_b,
         defect=(((e_a[:, :, None] + e_b[:, None, :]) - e_sa) - e_sb).reshape(rows),
         rr=((E2A02_GHZ_UM3 * r_a)[:, :, None] * r_b[:, None, :]).reshape(rows),
         rr_cross=((E2A02_GHZ_UM3 * x_a)[:, :, None] * x_b[:, None, :]).reshape(rows),

@@ -101,3 +101,18 @@ def test_two_core_probe_reports_null_for_a_child_that_fails(bench_record, monkey
     assert probe["child"] is None and probe["parent"] > 0.0
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_traced_values_keep_every_run_in_order_and_paired(bench_record):
+    """Each metric's value in every traced run, null for an errored run or a null
+    value, so base run i and head run i stay a pair; the median comes from the same runs."""
+    error = {"error": "boom", "attempted": 0, "failed": 0, "metrics": {}}
+    base = [_traced(0.009, 4), error, _traced(0.005, 4, None)]
+    head = [_traced(0.004, 4), _traced(0.006, 4), _traced(0.003, 4)]
+    assert bench_record.traced_values(base) == {"vdw.self_s": [0.009, None, 0.005],
+                                                "radial.anger.calls": [4, None, 4],
+                                                "cli.warnings": [0, None, None]}
+    values = {s: bench_record.traced_values(t)["vdw.self_s"] for s, t in (("base", base),
+                                                                        ("head", head))}
+    wins = sum(h < b for b, h in zip(values["base"], values["head"]) if None not in (b, h))
+    assert wins == 2

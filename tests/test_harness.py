@@ -411,8 +411,10 @@ def test_batched_fidelities_ignore_buffer_alignment(monkeypatch, offset):
         aligned = _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5)
         with monkeypatch.context() as patch:
             patch.setattr(scan, "_aligned_empty", shifted)
+            scan._IDLE_BUFFERS.clear()  # else the aligned set kept from the call above serves
             assert _batched_pulse3_fidelities(psi2, omegas, 358.05, -353.19, 8.5).tobytes() == (
                 aligned.tobytes())
+        scan._IDLE_BUFFERS.clear()  # no shifted set outlives the test
 
 
 DEFAULT_CHUNK = inspect.signature(_batched_pulse3_fidelities).parameters["chunk"].default
@@ -553,10 +555,75 @@ def test_odd_scan_runs_aligned_passes_with_the_gather_bits():
     up to a multiple of 8), the last one ending at the scan's end, with the bits of
     the gather form."""
     cfg = _config(15_003, seed=12345, epsilon=0.1)
+    scan._IDLE_BUFFERS.clear()  # a set kept from an earlier scan of this shape is not built
     with _calls(scan, "_ChebyshevBuffers") as buffers:
         _, fids = _scan_fids(cfg)
     assert [b.t.shape[-1] for b in buffers] == [5008]
     assert fids.tobytes() == _gather_scan(cfg).tobytes()
+
+
+def _scan_text(cfg) -> tuple[str, str]:
+    """One scan operation's JSON and CSV text."""
+    hist = robustness_scan(cfg)
+    return dumps_json(histogram_payload(cfg, hist)), rows_to_csv(*histogram_rows(hist))
+
+
+def test_scans_in_threads_give_the_bytes_of_one_after_another():
+    """Three threads (more than the two cores) that each run 1k scans at once, with
+    the thread switch interval shortened, never share the kept scratch: each scan
+    writes the text of the same scan run alone, one after another."""
+    configs = [[_config(1000, seed=s, epsilon=0.05 + 0.02 * s) for s in range(t, 12, 3)]
+               for t in range(3)]
+    alone = [[_scan_text(cfg) for cfg in cfgs] for cfgs in configs]
+    together, start = [None] * 3, threading.Barrier(3)
+
+    def run(t):
+        start.wait()
+        together[t] = [_scan_text(cfg) for cfg in configs[t]]
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == alone
+
+
+def test_scratch_stores_keep_the_last_two_shapes_and_reuse_them():
+    """Scans at three pass shapes leave the sampler's and the kernel's scratch of the
+    last two; a scan of a kept shape builds none and gives the same set back."""
+    scan._IDLE_WORDS.clear()
+    scan._IDLE_BUFFERS.clear()
+    for samples in (8, 1000, 24):
+        robustness_scan(_config(samples))
+    assert list(scan._IDLE_WORDS) == [1000, 24]
+    assert [m for m, _ in scan._IDLE_BUFFERS] == [1000, 24]
+    (words, _), (shape, buffers) = scan._IDLE_WORDS[1000], next(iter(scan._IDLE_BUFFERS.items()))
+    with _calls(scan, "_ChebyshevBuffers") as built:
+        robustness_scan(_config(1000, seed=3))
+    assert built == [] and scan._IDLE_BUFFERS[shape] is buffers
+    assert scan._IDLE_WORDS[1000][0] is words and list(scan._IDLE_WORDS) == [24, 1000]
+
+
+def test_a_small_scan_after_a_forked_large_one_writes_its_usual_bytes(monkeypatch):
+    """A 1k scan gives the text it gives on cold stores after a 100k scan that forked
+    in this process; the child took copies of the idle scratch and changed none here."""
+    cfg = _config(1000, seed=5, epsilon=0.1)
+    scan._IDLE_WORDS.clear()
+    scan._IDLE_BUFFERS.clear()
+    usual = _scan_text(cfg)
+    monkeypatch.setattr(scan, "_usable_cpus", lambda: 2)
+    with _calls(os, "fork") as forks:
+        robustness_scan(_config(100_000, seed=7, epsilon=0.1))
+    assert len(forks) == 1
+    _assert_no_child()
+    assert _scan_text(cfg) == usual
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
@@ -1261,6 +1328,7 @@ def test_serializers_write_the_reference_bytes(payload, rows, twins):
         if cold:
             harness._json_floats.clear()
             harness._csv_floats.clear()
+            harness._int_texts.clear()
         assert dumps_json(payload) == serialize_reference.dumps_json(payload)
         assert _json_text(payload, None) == json.dumps(serialize_reference.to_jsonable(payload),
                                                        sort_keys=True)
@@ -1276,6 +1344,37 @@ def test_float_memos_stay_bounded_and_exact():
     assert rows_to_csv(_COLUMNS, rows) == serialize_reference.rows_to_csv(_COLUMNS, rows)
     assert 0 < len(harness._json_floats) <= harness._FLOAT_TEXTS
     assert 0 < len(harness._csv_floats) <= harness._FLOAT_TEXTS
+
+
+def test_int_memo_serves_ints_only_with_the_reference_bytes():
+    """Ints past the memo's size, negatives, a bool among ints, 1 beside 1.0 and
+    10**20 beside 1e20, in JSON lists and CSV columns, with the memos cold and warm and
+    the ints or the floats written first, give the reference bytes: the int memo
+    never serves a float, nor a float memo an int."""
+    many = list(range(-3 * harness._FLOAT_TEXTS, 3 * harness._FLOAT_TEXTS, 5))
+    ints, floats = [1, 10**20, -7, 0], [1.0, 1e20, -7.0, 0.0]
+    payloads = [{"i": many + ints}, {"f": floats}, {"mixed": [1, 1.0, True, 10**20, 1e20]},
+                {"bool": [1, True, 0, False]}]
+    tables = [[[i, f, i] for i, f in zip(ints, floats)],
+              [[f, i, f] for i, f in zip(ints, floats)],
+              [[n, 0.5, -n] for n in many],
+              [[1, 0.5, 2], [True, 0.25, 3]]]
+    for order in (slice(None), slice(None, None, -1)):
+        harness._json_floats.clear()
+        harness._csv_floats.clear()
+        harness._int_texts.clear()
+        for _ in range(2):  # cold, then warm
+            for payload in payloads[order]:
+                assert dumps_json(payload) == serialize_reference.dumps_json(payload)
+            for rows in tables[order]:
+                assert rows_to_csv(_COLUMNS, rows) == serialize_reference.rows_to_csv(_COLUMNS, rows)
+        assert {type(x) for x in harness._int_texts} == {int}
+        assert {type(x) for x in [*harness._json_floats, *harness._csv_floats]} == {float}
+        assert 0 < len(harness._int_texts) <= harness._FLOAT_TEXTS
+    assert harness._int_texts[10**20] == "100000000000000000000"
+    assert (harness._json_floats[1e20], harness._csv_floats[1e20]) == ("1e+20", "1e+20")
+    assert (harness._int_texts[1], harness._json_floats[1.0], harness._csv_floats[1.0]) == (
+        "1", "1.0", "1")
 
 
 # A bare object's repr carries its memory address, so that case gets a fixed name.
@@ -1346,6 +1445,7 @@ def test_exact_number_lists_and_rows_write_the_reference_bytes(floats, ints, wid
         if cold:
             harness._json_floats.clear()
             harness._csv_floats.clear()
+            harness._int_texts.clear()
         copy = serialize_reference.to_jsonable(payload)
         assert dumps_json(payload) == json.dumps(
             copy, sort_keys=True, indent=2, allow_nan=False) + "\n"
@@ -1421,6 +1521,7 @@ def test_rows_to_csv_by_column_writes_the_reference_bytes(columns, rows):
     for cold in (True, False):
         if cold:
             harness._csv_floats.clear()
+            harness._int_texts.clear()
         assert rows_to_csv(columns, rows) == serialize_reference.rows_to_csv(columns, rows)
         assert len(harness._csv_floats) <= harness._FLOAT_TEXTS
 

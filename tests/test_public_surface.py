@@ -208,11 +208,24 @@ def test_each_domain_edge_falls_on_the_side_its_bound_says():
                 getattr(rydex, name)(**dict(VALID_CALLS[name], spacing_um=spacing))
 
 
+# an int past Python's 4,300-digit limit on printing one: a message shows its digit count
+HUGE = 10**5000
+
+
+def _label(bad) -> str:
+    """``bad``'s repr, or an int too long for one by its bits."""
+    try:
+        return repr(bad)
+    except ValueError:
+        return f"an int of {bad.bit_length()} bits"
+
+
 def test_every_float_parameter_refuses_a_bad_float_by_name():
-    """nan, +-inf, +-10**400 (ints past the float range), True, numpy's True and the
-    non-numbers "1.0", 1j, a 0-d and a two-element array and (where the parameter is
-    not optional) None for each float parameter raise a ValueError naming it; the
-    library twin of the CLI fuzz in test_harness."""
+    """nan, +-inf, +-10**400 and +-10**5000 (ints past the float range, the second
+    past the printing limit), True, numpy's True and the non-numbers "1.0", 1j, a 0-d
+    and a two-element array and (where the parameter is not optional) None for each
+    float parameter raise a ValueError naming it; the library twin of the CLI fuzz in
+    test_harness."""
     unnamed, seen, checked = [], set(), set()
     for name, func, param in _float_parameters():
         seen |= {name, f"{name}.{param}"}
@@ -220,8 +233,9 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
             continue
         checked.add(name)
         optional = "None" in str(inspect.signature(func).parameters[param].annotation)
-        for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400, True, np.True_, "1.0", 1j,
-                    np.array(1.0), np.array([1.0, 2.0]), *(() if optional else (None,))):
+        for bad in (math.nan, math.inf, -math.inf, 10**400, -10**400, HUGE, -HUGE, True, np.True_,
+                    "1.0", 1j, np.array(1.0), np.array([1.0, 2.0]),
+                    *(() if optional else (None,))):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")  # a regime warning before the check
@@ -230,7 +244,7 @@ def test_every_float_parameter_refuses_a_bad_float_by_name():
                 named = rf"\b({param}|{WORDS.get(param, param)})\b"
                 if isinstance(error, ValueError) and re.search(named, str(error)):
                     continue
-            unnamed.append(f"{name}.{param}={bad!r}")
+            unnamed.append(f"{name}.{param}={_label(bad)}")
     assert unnamed == []
     assert ALLOWED_UNNAMED.keys() <= seen, "an allowed name has no float parameter: drop it"
     assert VALID_CALLS.keys() == checked
@@ -290,6 +304,9 @@ OUT_OF_DOMAIN_INTS = {
     "RobustnessConfig.seed": (-1, 2**64),
     "chain_ideal_state.atom_count": (4.0, 8, 5, 0, -1, 10**30),
 }
+# int parameters with no upper bound, so only -10**5000 is out of their domain: any seed
+# is taken, and the model is asked for any l (a DefectDataError for one it lacks)
+UNBOUNDED_INTS = {"optimize_pairwise.seed", "quantum_defect.l"}
 # one valid call of each public function with int parameters and no float one
 VALID_INT_CALLS = {**VALID_CALLS, "chain_ideal_state": dict(atom_count=4)}
 
@@ -303,12 +320,15 @@ def _int_parameters():
 
 
 def test_every_int_parameter_refuses_a_bad_int_by_name():
-    """2.5, True and each listed out-of-domain int raise a ValueError naming the
+    """2.5, True, +-10**5000 (past the printing limit; only its negative where every
+    size is taken) and each listed out-of-domain int raise a ValueError naming the
     parameter before any work starts; the int twin of the float walk."""
     unnamed, seen = [], set()
     for name, func, param in _int_parameters():
-        seen.add(f"{name}.{param}")
-        for bad in (2.5, True, *OUT_OF_DOMAIN_INTS.get(f"{name}.{param}", ())):
+        key = f"{name}.{param}"
+        seen.add(key)
+        huge = (-HUGE,) if key in UNBOUNDED_INTS else (HUGE, -HUGE)
+        for bad in (2.5, True, *huge, *OUT_OF_DOMAIN_INTS.get(key, ())):
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
@@ -316,6 +336,8 @@ def test_every_int_parameter_refuses_a_bad_int_by_name():
             except Exception as error:  # any other failure is listed too
                 if isinstance(error, ValueError) and re.search(rf"\b{param}\b", str(error)):
                     continue
-            unnamed.append(f"{name}.{param}={bad!r}")
+            unnamed.append(f"{name}.{param}={_label(bad)}")
     assert unnamed == []
-    assert OUT_OF_DOMAIN_INTS.keys() <= seen
+    assert OUT_OF_DOMAIN_INTS.keys() | UNBOUNDED_INTS <= seen
+    with pytest.raises(rydex.DefectDataError, match="series l=an int of 5001 digits, j=0.5"):
+        rydex.quantum_defect(**dict(VALID_INT_CALLS["quantum_defect"], l=HUGE))

@@ -8,18 +8,21 @@ record gives its src line count, also by kind (``line_kinds``). Each side
 runs its own unchanged ``perfbench/run.py``; the record states whether the
 two benchmark trees are identical. Per workload it runs K pairs of
 untraced runs, alternating which side goes first, with seeds 1..K, then
-three ``--trace 1`` runs per side, interleaved the same way. Each side's
-per-layer value is the median of its three traced runs, since one traced
-run cannot resolve a per-layer time delta under about 40%. A traced run
-does a fixed set of operations, so its counters repeat: any count metric
-that differs across a side's runs is listed under ``unsteady_counters``.
+seven ``--trace 1`` runs per side, interleaved the same way. Each side's
+per-layer value is the median of its seven traced runs, since one traced
+run cannot resolve a per-layer time delta under about 40%, and three could
+not resolve a 10-15% one; every traced value is kept too, in run order
+(``per_layer_runs``, null for a run that reports none), so run i of the two
+sides is a pair whose wins a reader can count. A traced run does a fixed set
+of operations, so its counters repeat: any count metric that differs across
+a side's runs is listed under ``unsteady_counters``.
 Next to each untraced run the tool runs the two-core probe (``two_core``):
 one pure-Python loop alone, then the same loop in this process and in one
 forked child at once; it records each one's wall time over the lone loop's,
 so 1.0 means two free cores and 2.0 one. A forked scan gains only while the
 second core is free, so the ratios sit beside the runs; they gate nothing.
 A traced run takes about 0.5 s on coeff-sweep, 1 s on mc-scan and 4 s on
-cli-session on a 2-core VM, so the two extra runs per side add about 20 s
+cli-session on a 2-core VM, so the six extra runs per side add about 70 s
 to a record. Stdlib only.
 """
 
@@ -45,7 +48,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
 COUNTS = {m["name"] for m in SPEC["per_layer"] if m["unit"] == "count"}
-TRACED_RUNS = 3
+TRACED_RUNS = 7
 PROBE_LOOP = 3_000_000  # the two-core probe's iterations, about 0.1 s on one core
 DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)  # docstring owners
 
@@ -172,6 +175,13 @@ def per_layer(traced: list[dict]) -> tuple[dict, dict]:
     return medians, unsteady
 
 
+def traced_values(traced: list[dict]) -> dict[str, list]:
+    """Each per-layer metric's value in every traced run, in run order: null where a
+    run reports none or null, so run i of two sides' lists stays a pair."""
+    names = dict.fromkeys(name for t in traced for name in t["metrics"])
+    return {name: [t["metrics"].get(name, {}).get("value") for t in traced] for name in names}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True, help="BENCH_<n>.json to write")
@@ -211,6 +221,7 @@ def main(argv=None) -> int:
                 "end_to_end": compare(runs),
                 "two_core": probes,
                 "per_layer": {s: medians for s, (medians, _) in layers.items()},
+                "per_layer_runs": {s: traced_values(traced[s]) for s in sides},
                 "unsteady_counters": {s: unsteady for s, (_, unsteady) in layers.items() if unsteady},
                 "attempted": {s: sum(r["attempted"] for r in runs[s] + traced[s]) for s in sides},
                 "failed": {s: sum(r["failed"] for r in runs[s] + traced[s]) for s in sides},
